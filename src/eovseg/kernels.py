@@ -116,17 +116,6 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0).astype(np.float32, copy=False)
 
 
-_POINTWISE = {"sigmoid": sigmoid, "gelu": gelu, "relu": relu}
-
-
-def pointwise(name: str, x: np.ndarray) -> np.ndarray:
-    try:
-        fn = _POINTWISE[name]
-    except KeyError:
-        raise ValueError(f"pointwise: unknown activation {name!r}") from None
-    return fn(x)
-
-
 # ---------------------------------------------------------------------------
 # convolutions
 
@@ -175,24 +164,6 @@ def conv2d_depthwise_separable(
 ) -> np.ndarray:
     """Per-channel 3x3 correlation followed by a pointwise 1x1 mix."""
     return conv2d_1x1(depthwise_conv2d_3x3(x, w_depth), w_point, b)
-
-
-def conv2d(x: np.ndarray, weights, mode: str) -> np.ndarray:
-    """Mode-dispatched 2-D convolution.
-
-    weights is (w, b) for pointwise_1x1 / k3_pad1 and (w_depth, w_point, b)
-    for depthwise_separable; any bias may be None.
-    """
-    if mode == "pointwise_1x1":
-        w, b = weights
-        return conv2d_1x1(x, w, b)
-    if mode == "k3_pad1":
-        w, b = weights
-        return conv2d_3x3(x, w, b)
-    if mode == "depthwise_separable":
-        w_depth, w_point, b = weights
-        return conv2d_depthwise_separable(x, w_depth, w_point, b)
-    raise ValueError(f"conv2d: unknown mode {mode!r}")
 
 
 def depthwise_conv1d(signals: np.ndarray, kernels: np.ndarray) -> np.ndarray:

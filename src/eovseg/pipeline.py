@@ -1,17 +1,30 @@
 """End-to-end forward pass: features -> aggregation -> selection -> decoding ->
 spatial branch -> fusion -> classification -> panoptic assembly.
 
-Fusion modes plug in at two seams: ``eaf`` fuses the feature maps before
-decoding; ``sdi``/``tdee`` fuse the embedding rows after decoding; ``none``
-passes the mask embeddings straight through.  ``forward_traced`` additionally
-dumps every named intermediate as an EOVT file, and ``replay_trace``
-re-executes each stage from the dumps to confirm bitwise reproducibility.
+``STAGES`` is the one definition of the graph.  Each row names the stage a
+failure is reported under, the fusion modes it runs in, its outputs, and the
+step that computes them from the scene inputs and earlier outputs.  Fusion
+modes plug in at two seams: ``eaf`` fuses the feature maps before decoding;
+``sdi``/``tdee`` fuse the embedding rows after decoding; ``none`` passes the
+mask embeddings straight through.
+
+``forward`` runs the table, then classifies and assembles the panoptic map.
+Outputs whose names do not start with ``_`` are traced: ``forward_traced``
+dumps them as EOVT files, and ``replay_trace`` runs the same table, compares
+each traced output with its dump and continues from the dumped value, to
+confirm bitwise reproducibility stage by stage.
+
+Steps look up this module's names when they run, never at import: span
+tracing and kernel sabotage replace module attributes, and a function object
+captured in the table would bypass them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,7 +39,7 @@ from .classifier import (
     in_vocab_scores,
     out_vocab_scores,
 )
-from .config import ModelConfig
+from .config import FUSION_MODES, ModelConfig
 from .decoder import MaskSet, decoder_forward
 from .evaluation import PanopticAnnotation, assemble_panoptic
 from .fusion import eaf, sdi, tdee
@@ -35,23 +48,6 @@ from .spatial import spatial_embeddings, spatial_features, vit_block_features
 from .tensor import write_eovt
 from .vas import vas_forward_detailed
 from .weights import WeightBundle
-
-# intermediates dumped by forward_traced for the default (tdee) configuration
-TRACE_KEYS_TDEE = (
-    "agg_features",
-    "vs_agg_features",
-    "vas_attention",
-    "init_attention",
-    "refined_kernels",
-    "mask_logits",
-    "mask_embeddings",
-    "spatial_features",
-    "spatial_embeddings",
-    "instance_embeddings",
-    "scores_in_vocab",
-    "scores_out_vocab",
-    "scores_final",
-)
 
 
 class PipelineStageError(RuntimeError):
@@ -124,6 +120,93 @@ def _clip_final_features(image: np.ndarray, bundle: WeightBundle) -> np.ndarray:
     return bilinear_upsample(conv2d_1x1(feats[5], w, b), 8)
 
 
+def _decode(v: SimpleNamespace):
+    dec = decoder_forward(
+        getattr(v, "early_fused_features", v.vs_agg_features), v.bundle.decoder, "dda"
+    )
+    return dec.masks.logits, dec.mask_embeddings, dec.kernels, dec.pooled
+
+
+@dataclass(frozen=True)
+class Stage:
+    name: str  # the stage PipelineStageError reports
+    modes: tuple[str, ...]  # fusion modes the row runs in
+    outputs: tuple[str, ...]  # a leading "_" keeps an output out of the trace
+    step: Callable[[SimpleNamespace], object]  # one output, or a tuple of several
+
+
+ALL = FUSION_MODES
+
+STAGES = (
+    Stage("backbone", ALL, ("_feats",), lambda v: extract_features(v.image, v.bundle.backbone)),
+    Stage("aggregator", ALL, ("_pyramid",), lambda v: build_pyramid(v._feats, v.bundle.aggregator)),
+    Stage("aggregator", ALL, ("agg_features",),
+          lambda v: aggregate(v._pyramid, v.bundle.aggregator)),
+    Stage("vas", ALL, ("vs_agg_features", "vas_attention"),
+          lambda v: vas_forward_detailed(v.agg_features, v.text.embeddings, v.bundle.vas)),
+    Stage("spatial", ("eaf", "sdi", "tdee"), ("_vit_grid",),
+          lambda v: vit_block_features(v.image, v.bundle.vit)),
+    Stage("fusion", ("eaf",), ("_vit_grid_up",), lambda v: bilinear_upsample(v._vit_grid, 4)),
+    Stage("fusion", ("eaf",), ("early_fused_features",),
+          lambda v: eaf(v.vs_agg_features, v._vit_grid_up, v.bundle.eaf)),
+    Stage("decoder", ALL, ("mask_logits", "mask_embeddings", "refined_kernels", "init_attention"),
+          _decode),
+    Stage("spatial", ("sdi", "tdee"), ("spatial_features",),
+          lambda v: spatial_features(v._vit_grid, v.bundle.upsampler)),
+    Stage("spatial", ("sdi", "tdee"), ("spatial_embeddings",),
+          lambda v: spatial_embeddings(v.spatial_features, MaskSet(logits=v.mask_logits))),
+    Stage("fusion", ("tdee",), ("instance_embeddings",),
+          lambda v: tdee(v.mask_embeddings, v.spatial_embeddings, v.bundle.tdee)),
+    Stage("fusion", ("sdi",), ("instance_embeddings",),
+          lambda v: sdi(v.mask_embeddings, v.spatial_embeddings, v.bundle.sdi)),
+    Stage("fusion", ("none", "eaf"), ("instance_embeddings",), lambda v: v.mask_embeddings),
+    Stage("classifier", ALL, ("scores_in_vocab",),
+          lambda v: in_vocab_scores(v.instance_embeddings, v.text, v.config.tau).values),
+    Stage("classifier", ALL, ("_clip_final",), lambda v: _clip_final_features(v.image, v.bundle)),
+    Stage("classifier", ALL, ("scores_out_vocab",),
+          lambda v: out_vocab_scores(
+              v._clip_final, MaskSet(logits=v.mask_logits), v.text, v.config.tau
+          ).values),
+    Stage("classifier", ALL, ("scores_final",),
+          lambda v: ensemble(
+              ClassScores(values=v.scores_in_vocab, kind="in_vocab"),
+              ClassScores(values=v.scores_out_vocab, kind="out_vocab"),
+              EnsembleParams(v.config.alpha, v.config.beta, v.config.ensemble_method),
+              v.text.seen,
+          ).values),
+)
+
+# intermediates dumped by forward_traced for the default (tdee) configuration
+TRACE_KEYS_TDEE = tuple(
+    name for s in STAGES if "tdee" in s.modes for name in s.outputs if not name.startswith("_")
+)
+
+
+def _call(stage: str, fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise PipelineStageError(stage, exc) from exc
+
+
+def _run_stages(image, text, config, bundle, keep) -> SimpleNamespace:
+    """Run the rows for ``config.fusion`` in order; return every output by name.
+
+    ``keep(name, value)`` is called on each traced output and returns the
+    value that later steps read.
+    """
+    v = SimpleNamespace(image=image, text=text, config=config, bundle=bundle)
+    for stage in STAGES:
+        if config.fusion not in stage.modes:
+            continue
+        out = _call(stage.name, stage.step, v)
+        for name, value in zip(stage.outputs, out if len(stage.outputs) > 1 else (out,)):
+            if value is not None and not name.startswith("_"):
+                value = keep(name, value)
+            setattr(v, name, value)
+    return v
+
+
 def forward(
     image: np.ndarray,
     text: TextEmbeddings,
@@ -133,67 +216,17 @@ def forward(
 ) -> ForwardResult:
     trace: dict[str, np.ndarray] = {}
 
-    def stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except PipelineStageError:
-            raise
-        except Exception as exc:
-            raise PipelineStageError(name, exc) from exc
+    def keep(name: str, value: np.ndarray) -> np.ndarray:
+        trace[name] = value
+        return value
 
-    feats = stage("backbone", extract_features, image, bundle.backbone)
-    pyramid = stage("aggregator", build_pyramid, feats, bundle.aggregator)
-    agg = stage("aggregator", aggregate, pyramid, bundle.aggregator)
-    trace["agg_features"] = agg
-
-    vs_feat, attn = stage("vas", vas_forward_detailed, agg, text.embeddings, bundle.vas)
-    trace["vs_agg_features"] = vs_feat
-    trace["vas_attention"] = attn
-
-    spatial_grid = None
-    if config.fusion in ("eaf", "sdi", "tdee"):
-        spatial_grid = stage("spatial", vit_block_features, image, bundle.vit)
-
-    decoder_input = vs_feat
-    if config.fusion == "eaf":
-        grid_up = stage("fusion", bilinear_upsample, spatial_grid, 4)
-        decoder_input = stage("fusion", eaf, vs_feat, grid_up, bundle.eaf)
-        trace["early_fused_features"] = decoder_input
-
-    dec = stage("decoder", decoder_forward, decoder_input, bundle.decoder, "dda")
-    trace["mask_logits"] = dec.masks.logits
-    trace["mask_embeddings"] = dec.mask_embeddings
-    trace["refined_kernels"] = dec.kernels
-    if dec.pooled is not None:
-        trace["init_attention"] = dec.pooled
-
-    if config.fusion in ("sdi", "tdee"):
-        spat = stage("spatial", spatial_features, spatial_grid, bundle.upsampler)
-        embed_s = stage("spatial", spatial_embeddings, spat, dec.masks)
-        trace["spatial_features"] = spat
-        trace["spatial_embeddings"] = embed_s
-        if config.fusion == "tdee":
-            instance = stage("fusion", tdee, dec.mask_embeddings, embed_s, bundle.tdee)
-        else:
-            instance = stage("fusion", sdi, dec.mask_embeddings, embed_s, bundle.sdi)
-    else:
-        instance = dec.mask_embeddings
-    trace["instance_embeddings"] = instance
-
-    s_in = stage("classifier", in_vocab_scores, instance, text, config.tau)
-    clip_final = stage("classifier", _clip_final_features, image, bundle)
-    s_out = stage("classifier", out_vocab_scores, clip_final, dec.masks, text, config.tau)
-    params = EnsembleParams(alpha=config.alpha, beta=config.beta, method=config.ensemble_method)
-    s_final = stage("classifier", ensemble, s_in, s_out, params, text.seen)
-    trace["scores_in_vocab"] = s_in.values
-    trace["scores_out_vocab"] = s_out.values
-    trace["scores_final"] = s_final.values
-
-    labels = stage("classifier", classify, dec.masks, s_final, config.score_floor)
-    panoptic = stage("assembly", assemble_panoptic, dec.masks, labels, class_is_thing, 4)
-    return ForwardResult(
-        panoptic=panoptic, scores=s_final, masks=dec.masks, labels=labels, trace=trace
-    )
+    v = _run_stages(image, text, config, bundle, keep)
+    masks = MaskSet(logits=v.mask_logits)
+    scores = ClassScores(values=v.scores_final, kind="ensembled")
+    del v  # frees the internal outputs before assembly, the peak allocator
+    labels = _call("classifier", classify, masks, scores, config.score_floor)
+    panoptic = _call("assembly", assemble_panoptic, masks, labels, class_is_thing, 4)
+    return ForwardResult(panoptic=panoptic, scores=scores, masks=masks, labels=labels, trace=trace)
 
 
 def forward_traced(
@@ -220,66 +253,20 @@ def replay_trace(
     bundle: WeightBundle,
     trace: dict[str, np.ndarray],
 ) -> list[str]:
-    """Re-run every traced stage from its dumped inputs; list non-bitwise stages.
+    """Re-run the stage table against a dump; list the traced outputs that differ.
 
-    Stages are replayed in isolation: each one consumes dumped upstream
-    tensors (or scene inputs and weights) and its output must match the dump
-    exactly.
+    Each traced output is compared with its dump and later steps read the
+    dumped value, so every stage is checked in isolation from upstream drift.
+    Classification and assembly have no traced output and are not run.
     """
     failures: list[str] = []
 
-    def check(name: str, produced: np.ndarray):
+    def check(name: str, produced: np.ndarray) -> np.ndarray:
         if name not in trace:
-            return
-        if produced.shape != trace[name].shape or not np.array_equal(produced, trace[name]):
+            return produced
+        if not np.array_equal(produced, trace[name]):
             failures.append(name)
+        return trace[name]
 
-    feats = extract_features(image, bundle.backbone)
-    check("agg_features", aggregate(build_pyramid(feats, bundle.aggregator), bundle.aggregator))
-
-    vs_feat, attn = vas_forward_detailed(trace["agg_features"], text.embeddings, bundle.vas)
-    check("vs_agg_features", vs_feat)
-    check("vas_attention", attn)
-
-    decoder_input = trace["vs_agg_features"]
-    if config.fusion == "eaf":
-        grid = vit_block_features(image, bundle.vit)
-        check("early_fused_features", eaf(decoder_input, bilinear_upsample(grid, 4), bundle.eaf))
-        decoder_input = trace["early_fused_features"]
-
-    dec = decoder_forward(decoder_input, bundle.decoder, "dda")
-    check("mask_logits", dec.masks.logits)
-    check("mask_embeddings", dec.mask_embeddings)
-    check("refined_kernels", dec.kernels)
-    if dec.pooled is not None:
-        check("init_attention", dec.pooled)
-
-    masks = MaskSet(logits=trace["mask_logits"])
-    if config.fusion in ("sdi", "tdee"):
-        spat = spatial_features(vit_block_features(image, bundle.vit), bundle.upsampler)
-        check("spatial_features", spat)
-        embed_s = spatial_embeddings(trace["spatial_features"], masks)
-        check("spatial_embeddings", embed_s)
-        fuse_fn = tdee if config.fusion == "tdee" else sdi
-        fuse_w = bundle.tdee if config.fusion == "tdee" else bundle.sdi
-        check(
-            "instance_embeddings",
-            fuse_fn(trace["mask_embeddings"], trace["spatial_embeddings"], fuse_w),
-        )
-    else:
-        check("instance_embeddings", trace["mask_embeddings"])
-
-    check("scores_in_vocab", in_vocab_scores(trace["instance_embeddings"], text, config.tau).values)
-    clip_final = _clip_final_features(image, bundle)
-    check("scores_out_vocab", out_vocab_scores(clip_final, masks, text, config.tau).values)
-    params = EnsembleParams(alpha=config.alpha, beta=config.beta, method=config.ensemble_method)
-    check(
-        "scores_final",
-        ensemble(
-            ClassScores(values=trace["scores_in_vocab"], kind="in_vocab"),
-            ClassScores(values=trace["scores_out_vocab"], kind="out_vocab"),
-            params,
-            text.seen,
-        ).values,
-    )
+    _run_stages(image, text, config, bundle, check)
     return failures

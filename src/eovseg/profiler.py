@@ -131,7 +131,7 @@ def count_params(weights_dir: str | Path) -> dict[str, int]:
     return counts
 
 
-def _decoder_macs(cfg: ModelConfig, hw: int, mode: str) -> int:
+def _decoder_layer_macs(cfg: ModelConfig, hw: int, mode: str) -> int:
     n, d, m = cfg.n_queries, cfg.embed_dim, cfg.dda_kernel_size
     per_layer = 0
     if mode == "dda":
@@ -143,7 +143,12 @@ def _decoder_macs(cfg: ModelConfig, hw: int, mode: str) -> int:
     per_layer += 2 * n * d * (cfg.ffn_expansion * d)  # FFN in and out
     per_layer += 3 * macs_matmul(n, d, d)  # mask-kernel MLP
     per_layer += macs_matmul(n, d, hw)  # mask prediction
-    total = cfg.decoder_layers * per_layer
+    return per_layer
+
+
+def _decoder_macs(cfg: ModelConfig, hw: int, mode: str) -> int:
+    n, d = cfg.n_queries, cfg.embed_dim
+    total = cfg.decoder_layers * _decoder_layer_macs(cfg, hw, mode)
     total += macs_matmul(n, d, hw)  # initial mask prediction from the learnable kernels
     total += n * d * hw  # final mask-embedding pooling
     return total
@@ -359,25 +364,11 @@ def benchmark(
         _layer_step(features, kernels, masks, bundle, mode)
         times.append(time.perf_counter_ns() - t0)
 
-    n, d, m = cfg.n_queries, cfg.embed_dim, cfg.dda_kernel_size
-    hw = h4 * w4
-    if mode == "dda":
-        interaction_params = params_dda_layer(d, m)
-        interaction_macs = macs_initial_attention(n, d, hw) + macs_dda_kernel_gen(n, d, m) + macs_dda(n, d, m)
-    else:
-        interaction_params = params_ca_layer(d)
-        interaction_macs = macs_cross_attention(n, d, hw)
-    layer_macs = (
-        interaction_macs
-        + macs_attention(n, n, d)
-        + 2 * n * d * (cfg.ffn_expansion * d)
-        + 3 * macs_matmul(n, d, d)
-        + macs_matmul(n, d, hw)
-    )
+    d = cfg.embed_dim
     row = ProfileRow(
         module="decoder_layer",
-        params=interaction_params,
-        macs=layer_macs,
+        params=params_dda_layer(d, cfg.dda_kernel_size) if mode == "dda" else params_ca_layer(d),
+        macs=_decoder_layer_macs(cfg, h4 * w4, mode),
         mode=mode,
         time_mean_ns=float(statistics.fmean(times)),
         time_p50_ns=float(np.percentile(times, 50)),

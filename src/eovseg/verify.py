@@ -5,12 +5,13 @@ instances; module forwards are compared against their step-by-step references;
 bound invariants (attention weights, gates, softmax sums) are asserted on a
 real pipeline run; analytic MAC counts are checked against the instrumented
 oracle counters.  ``--sabotage <kernel>`` flips the sign of one kernel's
-output to prove the harness actually detects faults.
+output, wherever the model calls it, to prove the harness detects faults.
 """
 
 from __future__ import annotations
 
 import contextlib
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -87,7 +88,11 @@ class CheckResult:
 
 @contextlib.contextmanager
 def sabotage_kernel(name: str):
-    """Flip the sign of one kernel's output for the duration of the block."""
+    """Flip the sign of one kernel's output for the duration of the block.
+
+    Model modules bind kernels with ``from .kernels import ...``, so every
+    attribute of every loaded ``eovseg`` module that is the kernel is replaced.
+    """
     if name not in SABOTAGE_TARGETS:
         raise ValueError(f"sabotage: unknown kernel {name!r}; choose from {SABOTAGE_TARGETS}")
     original = getattr(kernels, name)
@@ -95,11 +100,20 @@ def sabotage_kernel(name: str):
     def flipped(*args, **kwargs):
         return -original(*args, **kwargs)
 
-    setattr(kernels, name, flipped)
+    bindings = [
+        (module, attr)
+        for module_name, module in list(sys.modules.items())
+        if module_name.partition(".")[0] == "eovseg"
+        for attr, value in vars(module).items()
+        if value is original
+    ]
+    for module, attr in bindings:
+        setattr(module, attr, flipped)
     try:
         yield
     finally:
-        setattr(kernels, name, original)
+        for module, attr in bindings:
+            setattr(module, attr, original)
 
 
 def _max_err(a, b) -> float:
@@ -180,7 +194,7 @@ def _check_pointwise(name, oracle):
         worst = 0.0
         for _ in range(trials):
             x = rng.normal(_rand_shape(rng, int(rng.integers(1, 4))), std=3.0)
-            worst = max(worst, _max_err(kernels.pointwise(name, x), oracle(x)))
+            worst = max(worst, _max_err(getattr(kernels, name)(x), oracle(x)))
         return _tol_check(worst, 1e-6)
 
     return run
@@ -197,7 +211,7 @@ def check_conv2d_1x1(rng: Rng, trials: int):
         worst = max(
             worst,
             _max_err(
-                kernels.conv2d(x, (weight, bias), "pointwise_1x1"),
+                kernels.conv2d_1x1(x, weight, bias),
                 oracles.conv2d_1x1_oracle(x, weight, bias),
             ),
         )
@@ -215,7 +229,7 @@ def check_conv2d_3x3(rng: Rng, trials: int):
         worst = max(
             worst,
             _max_err(
-                kernels.conv2d(x, (weight, bias), "k3_pad1"),
+                kernels.conv2d_3x3(x, weight, bias),
                 oracles.conv2d_3x3_oracle(x, weight, bias),
             ),
         )
@@ -234,7 +248,7 @@ def check_conv2d_depthwise_separable(rng: Rng, trials: int):
         worst = max(
             worst,
             _max_err(
-                kernels.conv2d(x, (w_depth, w_point, bias), "depthwise_separable"),
+                kernels.conv2d_depthwise_separable(x, w_depth, w_point, bias),
                 oracles.conv2d_depthwise_separable_oracle(x, w_depth, w_point, bias),
             ),
         )

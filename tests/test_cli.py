@@ -8,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from eovseg import aggregator, classifier, decoder, evaluation, fusion, kernels, pipeline, spatial, vas
 from eovseg.cli import main
 from eovseg.tensor import read_eovt
+from eovseg.verify import SABOTAGE_TARGETS, run_checks
 
 SMALL_CONFIG = dict(
     embed_dim=32,
@@ -160,6 +162,21 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert "softmax" in captured.err
+
+    @pytest.mark.parametrize("kernel", SABOTAGE_TARGETS)
+    def test_sabotage_reaches_every_model_binding(self, kernel):
+        original = getattr(kernels, kernel)
+        bound = [
+            m
+            for m in (aggregator, classifier, decoder, evaluation, fusion, pipeline, spatial, vas)
+            if getattr(m, kernel, None) is original
+        ]
+        failed = [r.name for r in run_checks(trials=2, sabotage=kernel) if not r.passed]
+        assert failed
+        if bound:  # a module-level or pipeline check must see the fault, not only kernel checks
+            kernel_checks = SABOTAGE_TARGETS + ("bilinear_mean", "kernel_determinism")
+            assert [name for name in failed if not name.startswith(kernel_checks)], failed
+        assert all(getattr(m, kernel) is original for m in [kernels, *bound])
 
     def test_unknown_sabotage_is_usage_error(self, workdir):
         assert main(["verify", "--trials", "2", "--sabotage", "matmul9000"]) == 2

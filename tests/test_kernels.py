@@ -144,18 +144,14 @@ class TestLayerNorm:
 
 class TestPointwise:
     def test_sigmoid_midpoint(self):
-        assert kernels.pointwise("sigmoid", np.zeros(1, np.float32))[0] == 0.5
+        assert kernels.sigmoid(np.zeros(1, np.float32))[0] == 0.5
 
     def test_gelu_zero_fixed_point(self):
-        assert kernels.pointwise("gelu", np.zeros(1, np.float32))[0] == 0.0
+        assert kernels.gelu(np.zeros(1, np.float32))[0] == 0.0
 
     def test_sigmoid_extreme_logits_saturate(self):
         out = kernels.sigmoid(np.array([1e9, -1e9], dtype=np.float32))
         assert out[0] == 1.0 and out[1] == 0.0
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown activation"):
-            kernels.pointwise("tanhish", np.zeros(1, np.float32))
 
     @pytest.mark.parametrize(
         "name,oracle",
@@ -166,7 +162,7 @@ class TestPointwise:
         worst = 0.0
         for _ in range(N_ORACLE_INSTANCES):
             x = rng.normal((int(rng.integers(1, 9)),), std=3.0)
-            worst = max(worst, max_err(kernels.pointwise(name, x), oracle(x)))
+            worst = max(worst, max_err(getattr(kernels, name)(x), oracle(x)))
         assert worst < 1e-6
 
 
@@ -177,7 +173,7 @@ class TestPointwise:
 class TestConv2d:
     def test_pointwise_identity(self):
         x = Rng(1).normal((3, 4, 4))
-        out = kernels.conv2d(x, (np.eye(3, dtype=np.float32), np.zeros(3, np.float32)), "pointwise_1x1")
+        out = kernels.conv2d_1x1(x, np.eye(3, dtype=np.float32), np.zeros(3, np.float32))
         assert np.array_equal(out, x)
 
     def test_k3_delta_kernel_identity(self):
@@ -185,7 +181,7 @@ class TestConv2d:
         w = np.zeros((2, 2, 3, 3), dtype=np.float32)
         for c in range(2):
             w[c, c, 1, 1] = 1.0
-        out = kernels.conv2d(x, (w, None), "k3_pad1")
+        out = kernels.conv2d_3x3(x, w, None)
         assert np.array_equal(out, x)
 
     def test_k3_loop_oracle_3x5x5(self):
@@ -193,16 +189,12 @@ class TestConv2d:
         x = rng.normal((3, 5, 5))
         w = rng.normal((4, 3, 3, 3))
         b = rng.normal((4,))
-        assert max_err(kernels.conv2d(x, (w, b), "k3_pad1"), oracles.conv2d_3x3_oracle(x, w, b)) < 1e-5
+        assert max_err(kernels.conv2d_3x3(x, w, b), oracles.conv2d_3x3_oracle(x, w, b)) < 1e-5
 
     def test_channel_mismatch(self):
         x = np.zeros((3, 2, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="incompatible"):
-            kernels.conv2d(x, (np.zeros((4, 2), np.float32), None), "pointwise_1x1")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            kernels.conv2d(np.zeros((1, 1, 1), np.float32), (None, None), "k5")
+            kernels.conv2d_1x1(x, np.zeros((4, 2), np.float32), None)
 
     @pytest.mark.parametrize("mode", ["pointwise_1x1", "k3_pad1", "depthwise_separable"])
     def test_oracle_equivalence(self, mode):
@@ -214,16 +206,16 @@ class TestConv2d:
             x = rng.normal((c_in, h, w))
             b = rng.normal((c_out,))
             if mode == "pointwise_1x1":
-                weights = (rng.normal((c_out, c_in)), b)
-                ref = oracles.conv2d_1x1_oracle(x, weights[0], b)
+                w = rng.normal((c_out, c_in))
+                out, ref = kernels.conv2d_1x1(x, w, b), oracles.conv2d_1x1_oracle(x, w, b)
             elif mode == "k3_pad1":
-                weights = (rng.normal((c_out, c_in, 3, 3)), b)
-                ref = oracles.conv2d_3x3_oracle(x, weights[0], b)
+                w = rng.normal((c_out, c_in, 3, 3))
+                out, ref = kernels.conv2d_3x3(x, w, b), oracles.conv2d_3x3_oracle(x, w, b)
             else:
                 wd, wp = rng.normal((c_in, 3, 3)), rng.normal((c_out, c_in))
-                weights = (wd, wp, b)
+                out = kernels.conv2d_depthwise_separable(x, wd, wp, b)
                 ref = oracles.conv2d_depthwise_separable_oracle(x, wd, wp, b)
-            worst = max(worst, max_err(kernels.conv2d(x, weights, mode), ref))
+            worst = max(worst, max_err(out, ref))
         assert worst < 1e-5
 
 

@@ -97,6 +97,9 @@ def test_replay_reproduces_every_stage_bitwise(scene, mode):
     bundle = build_weights(cfg, (64, 64))
     result = forward(image, text, spec.is_thing(), cfg, bundle)
     assert replay_trace(image, text, cfg, bundle, result.trace) == []
+    for key, value in result.trace.items():
+        tampered = {**result.trace, key: value + 1}
+        assert key in replay_trace(image, text, cfg, bundle, tampered), key
 
 
 def test_two_runs_bitwise_identical(scene):

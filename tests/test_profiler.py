@@ -1,6 +1,7 @@
 """Profiler tests: parameter counts, analytic MACs, benchmark reports."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from eovseg.profiler import (
     MODULES,
     ProfileReport,
     ProfileRow,
+    _decoder_macs,
     benchmark,
     count_macs,
     count_params,
@@ -164,6 +166,11 @@ class TestBenchmark:
         b = benchmark(cfg, bundle, "ca", reps=5, image_hw=(32, 32))
         assert a.config_hash == b.config_hash
         assert a.rows[0].macs < b.rows[0].macs
+        # the row is one layer of _decoder_macs: minus initial mask prediction and final pooling
+        n, d, hw = cfg.n_queries, cfg.embed_dim, 8 * 8
+        one_layer = replace(cfg, decoder_layers=1)
+        for report, mode in ((a, "dda"), (b, "ca")):
+            assert report.rows[0].macs == _decoder_macs(one_layer, hw, mode) - 2 * n * d * hw
 
     def test_counts_deterministic_across_reports(self):
         cfg = small_config()
