@@ -1,10 +1,12 @@
 """Command-line surface: gen | run | verify | profile | bench.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O or file
-format error.  The EOVSEG_THREADS environment variable caps kernel
-parallelism (0 = single-threaded); bench defaults to single-threaded for
-comparable timings.  Heavy imports happen after the thread cap is applied,
-which is why the command bodies import lazily.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O, file
+format or scene input error (non-finite or wrongly shaped image, template
+width other than the config's embed_dim), 4 a pipeline stage failed on the
+given input (the stage name is printed).  The EOVSEG_THREADS environment
+variable caps kernel parallelism (0 = single-threaded); bench defaults to
+single-threaded for comparable timings.  Heavy imports happen after the
+thread cap is applied, which is why the command bodies import lazily.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_STAGE = 4
+
+
+class SceneError(Exception):
+    """A scene directory whose tensors the pipeline cannot take."""
 
 _BLAS_VARS = (
     "OMP_NUM_THREADS",
@@ -134,7 +141,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _load_scene(scene_dir: Path):
+def _load_scene(scene_dir: Path, config):
     import numpy as np
 
     from .classifier import build_text_embeddings
@@ -143,6 +150,13 @@ def _load_scene(scene_dir: Path):
 
     image = read_eovt(scene_dir / "image.eovt")
     templates = read_eovt(scene_dir / "templates.eovt")
+    if image.ndim != 3 or not np.all(np.isfinite(image)):
+        raise SceneError(f"{scene_dir / 'image.eovt'}: need a finite (C,H,W) image")
+    if templates.ndim != 3 or templates.shape[2] != config.embed_dim:
+        raise SceneError(
+            f"{scene_dir / 'templates.eovt'}: need (M, N_class, {config.embed_dim}) "
+            f"templates for embed_dim={config.embed_dim}, got {templates.shape}"
+        )
     gt = PanopticAnnotation.load(scene_dir / "gt_map.eovt", scene_dir / "gt_manifest.txt")
     names, seen, things = [], [], []
     for line in (scene_dir / "vocab.txt").read_text().splitlines():
@@ -169,7 +183,7 @@ def cmd_run(args) -> int:
 
         config = ModelConfig(**{**config.to_dict(), "fusion": args.fusion})
     scene_dir = Path(args.scene)
-    image, gt, text, things = _load_scene(scene_dir)
+    image, gt, text, things = _load_scene(scene_dir, config)
 
     if args.pred_from_gt:
         result_pq = pq_metrics(gt, gt)
@@ -326,13 +340,17 @@ def main(argv: list[str] | None = None) -> int:
         "profile": cmd_profile,
         "bench": cmd_bench,
     }
+    from .pipeline import PipelineStageError
     from .tensor import EovtFormatError
 
     try:
         return handlers[args.command](args)
-    except EovtFormatError as exc:
+    except (EovtFormatError, SceneError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except PipelineStageError as exc:
+        print(f"error: pipeline stage {exc.stage!r} failed: {exc.cause}", file=sys.stderr)
+        return EXIT_STAGE
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

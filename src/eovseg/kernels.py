@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+CONV_BLOCK_COLUMNS = 1024  # output pixels per conv2d_3x3 GEMM block
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +137,30 @@ def conv2d_3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.
     c_in, h, wd = x.shape
     if w.ndim != 4 or w.shape[1] != c_in or w.shape[2:] != (3, 3):
         raise ValueError(f"conv2d_3x3: weight shape {w.shape} incompatible with C_in={c_in}")
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    out = np.zeros((w.shape[0], h, wd), dtype=np.float32)
-    for dy in range(3):
-        for dx in range(3):
-            out += np.einsum("oc,chw->ohw", w[:, :, dy, dx], xp[:, dy : dy + h, dx : dx + wd])
-    if b is not None:
-        out = out + b[:, None, None]
-    return out.astype(np.float32, copy=False)
+    # Nine per-tap GEMMs over the flattened zero-padded map.  With one extra
+    # bottom row of padding, tap (dy, dx) of a block of output rows is a
+    # contiguous window starting at dy*(W+2)+dx; each output row carries two
+    # wrap-around columns, which are dropped.  Blocks of about
+    # CONV_BLOCK_COLUMNS output pixels keep the float64 working set small.
+    # Accumulation is float64 with one rounding to float32 at the end.
+    row = wd + 2
+    xp = np.pad(x, ((0, 0), (1, 2), (1, 1)))
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=np.float64)
+    out = np.empty((w.shape[0], h, wd), dtype=np.float32)
+    step = max(1, CONV_BLOCK_COLUMNS // row)
+    for r0 in range(0, h, step):
+        rows = min(step, h - r0)
+        n = rows * row
+        block = xp[:, r0 : r0 + rows + 3].astype(np.float64).reshape(c_in, -1)
+        acc = np.zeros((w.shape[0], n), dtype=np.float64)
+        for dy in range(3):
+            for dx in range(3):
+                start = dy * row + dx
+                acc += taps[dy, dx] @ block[:, start : start + n]
+        if b is not None:
+            acc += b[:, None]
+        out[:, r0 : r0 + rows] = acc.reshape(-1, rows, row)[:, :, :wd]
+    return out
 
 
 def depthwise_conv2d_3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -202,12 +219,13 @@ def transposed_conv2d(
             f"transposed_conv2d: weight shape {w.shape} incompatible with C_in={c_in}"
         )
     c_out = w.shape[1]
-    # non-overlapping taps: out[o, 2i+dy, 2j+dx] = sum_c x[c,i,j] * w[c,o,dy,dx]
-    scattered = np.einsum("chw,codq->ohdwq", x, w)
-    out = scattered.reshape(c_out, 2 * h, 2 * wd)
+    # non-overlapping taps: out[o, 2i+dy, 2j+dx] = sum_c x[c,i,j] * w[c,o,dy,dx],
+    # one GEMM with rows (o,dy,dx) and columns (i,j), then interleaved
+    taps = w.reshape(c_in, 4 * c_out).T @ x.reshape(c_in, h * wd)
+    out = taps.reshape(c_out, 2, 2, h, wd).transpose(0, 3, 1, 4, 2).reshape(c_out, 2 * h, 2 * wd)
     if b is not None:
-        out = out + b[:, None, None]
-    return np.ascontiguousarray(out.astype(np.float32, copy=False))
+        out += b[:, None, None]
+    return out.astype(np.float32, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -350,12 +350,18 @@ def check_kernel_determinism(rng: Rng, trials: int):
     x = rng.normal((4, 5, 5))
     w = rng.normal((4, 4, 3, 3))
     b = rng.normal((4,))
+    # large enough for BLAS to block the GEMMs
+    x_wide = rng.normal((32, 16, 16))
+    w_wide = rng.normal((32, 32, 3, 3))
+    w_up = rng.normal((32, 16, 2, 2))
+    cases = (
+        lambda: kernels.conv2d_3x3(x, w, b),
+        lambda: kernels.softmax(x, 0),
+        lambda: kernels.conv2d_3x3(x_wide, w_wide, None),
+        lambda: kernels.transposed_conv2d(x_wide, w_up, None),
+    )
     for _ in range(max(2, trials // 5)):
-        a1 = kernels.conv2d_3x3(x, w, b)
-        a2 = kernels.conv2d_3x3(x, w, b)
-        s1 = kernels.softmax(x, 0)
-        s2 = kernels.softmax(x, 0)
-        if not (np.array_equal(a1, a2) and np.array_equal(s1, s2)):
+        if not all(np.array_equal(fn(), fn()) for fn in cases):
             return False, "repeated evaluation is not bitwise identical"
     return True, "bitwise stable across repeated evaluation"
 

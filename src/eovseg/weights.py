@@ -10,6 +10,9 @@ bundle was sized for.
 from __future__ import annotations
 
 import json
+import os
+import secrets
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -293,22 +296,61 @@ def _from_tensors(
     )
 
 
+def _is_cache_file(path: Path) -> bool:
+    return path.is_file() and (path.suffix == ".eovt" or path.name in ("manifest.txt", "meta.json"))
+
+
 def save_weights(bundle: WeightBundle, directory: str | Path) -> None:
+    """Write the bundle into a sibling temp directory, then rename it into place.
+
+    A reader sees the previous directory or the complete new one, never a
+    half-written cache; a failed save leaves the target as it was.  An
+    existing target is replaced only if it holds nothing but cache files.
+    """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    tensors = bundle.to_tensors()
-    lines = []
-    for name in sorted(tensors):
-        arr = tensors[name]
-        write_eovt(directory / f"{name}.eovt", arr)
-        lines.append(f"{name} {'x'.join(str(e) for e in arr.shape)}")
-    (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
-    meta = {
-        "config_hash": bundle.config.hash(),
-        "image_h": bundle.image_hw[0],
-        "image_w": bundle.image_hw[1],
-    }
-    (directory / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    tmp = directory.with_name(f".{directory.name}.tmp-{os.getpid()}-{secrets.token_hex(4)}")
+    tmp.mkdir()
+    try:
+        tensors = bundle.to_tensors()
+        lines = []
+        for name in sorted(tensors):
+            arr = tensors[name]
+            write_eovt(tmp / f"{name}.eovt", arr)
+            lines.append(f"{name} {'x'.join(str(e) for e in arr.shape)}")
+        (tmp / "manifest.txt").write_text("\n".join(lines) + "\n")
+        meta = {
+            "config_hash": bundle.config.hash(),
+            "image_h": bundle.image_hw[0],
+            "image_w": bundle.image_hw[1],
+        }
+        (tmp / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        _swap_into_place(tmp, directory)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _swap_into_place(tmp: Path, directory: Path) -> None:
+    old = None
+    if directory.is_dir() and any(directory.iterdir()):
+        stray = [p.name for p in directory.iterdir() if not _is_cache_file(p)]
+        if stray:
+            raise FileExistsError(
+                f"save_weights: {directory} holds {stray[0]!r}, not a weight cache; not replacing it"
+            )
+        old = tmp.with_name(tmp.name + ".old")
+        os.rename(directory, old)
+    try:
+        os.rename(tmp, directory)  # onto a missing or empty directory
+    except OSError:
+        if old is not None:
+            os.rename(old, directory)  # put the previous cache back
+            raise
+        if not (directory / "meta.json").is_file():
+            raise
+        # otherwise a concurrent save finished first and its cache stands
+    if old is not None:
+        shutil.rmtree(old, ignore_errors=True)
 
 
 def read_manifest(directory: str | Path) -> dict[str, tuple[int, ...]]:

@@ -10,7 +10,7 @@ import pytest
 
 from eovseg import aggregator, classifier, decoder, evaluation, fusion, kernels, pipeline, spatial, vas
 from eovseg.cli import main
-from eovseg.tensor import read_eovt
+from eovseg.tensor import read_eovt, write_eovt
 from eovseg.verify import SABOTAGE_TARGETS, run_checks
 
 SMALL_CONFIG = dict(
@@ -148,6 +148,46 @@ class TestRun:
 
     def test_missing_scene_exits_3(self, workdir):
         assert run_run(workdir, scene="missing") == 3
+
+    def test_nan_pixel_exits_3_in_one_line(self, workdir, capsys):
+        run_gen(workdir)
+        image = read_eovt(workdir / "scene" / "image.eovt")
+        image[0, 5, 7] = np.nan
+        write_eovt(workdir / "scene" / "image.eovt", image)
+        assert run_run(workdir) == 3
+        err = capsys.readouterr().err
+        assert "image.eovt" in err and "finite" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_template_width_mismatch_exits_3(self, workdir, capsys):
+        run_gen(workdir)
+        config = {**SMALL_CONFIG, "embed_dim": 48, "tdee_dim": 48}
+        (workdir / "config48.json").write_text(json.dumps(config))
+        code = main(
+            [
+                "run",
+                "--scene",
+                str(workdir / "scene"),
+                "--config",
+                str(workdir / "config48.json"),
+                "--weights",
+                str(workdir / "wcache"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "templates.eovt" in err and "embed_dim=48" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_stage_failure_exits_4_naming_stage(self, workdir, capsys):
+        run_gen(workdir)
+        image = read_eovt(workdir / "scene" / "image.eovt")
+        write_eovt(workdir / "scene" / "image.eovt", image * np.float32(1e30))
+        assert run_run(workdir) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: pipeline stage '") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestVerifyCommand:

@@ -191,6 +191,30 @@ class TestConv2d:
         b = rng.normal((4,))
         assert max_err(kernels.conv2d_3x3(x, w, b), oracles.conv2d_3x3_oracle(x, w, b)) < 1e-5
 
+    @pytest.mark.parametrize("block", [kernels.CONV_BLOCK_COLUMNS, 7])
+    @pytest.mark.parametrize(
+        "c_in, c_out, h, w", [(24, 6, 7, 11), (32, 5, 13, 4), (28, 4, 1, 9), (25, 3, 10, 1)]
+    )
+    def test_k3_loop_oracle_wide_channels(self, monkeypatch, block, c_in, c_out, h, w):
+        # enough channels for BLAS blocking; non-square, single-row and
+        # single-column maps; block 7 gives one GEMM block per output row
+        monkeypatch.setattr(kernels, "CONV_BLOCK_COLUMNS", block)
+        rng = Rng(1000 + c_in)
+        x = rng.normal((c_in, h, w))
+        wt = rng.normal((c_out, c_in, 3, 3))
+        b = rng.normal((c_out,))
+        out = kernels.conv2d_3x3(x, wt, b)
+        assert out.shape == (c_out, h, w)
+        assert max_err(out, oracles.conv2d_3x3_oracle(x, wt, b)) < 1e-5
+
+    def test_k3_without_bias_is_contiguous_float32(self):
+        rng = Rng(22)
+        x = rng.normal((24, 5, 7))
+        w = rng.normal((3, 24, 3, 3))
+        out = kernels.conv2d_3x3(x, w, None)
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert max_err(out, oracles.conv2d_3x3_oracle(x, w, None)) < 1e-5
+
     def test_channel_mismatch(self):
         x = np.zeros((3, 2, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="incompatible"):
@@ -286,6 +310,16 @@ class TestTransposedConv2d:
             worst = max(worst, max_err(kernels.transposed_conv2d(x, w, b), oracles.transposed_conv2d_oracle(x, w, b)))
         assert worst < 1e-5
 
+    @pytest.mark.parametrize("c_in, c_out, h, w", [(24, 5, 3, 7), (40, 3, 6, 1)])
+    def test_oracle_wide_channels(self, c_in, c_out, h, w):
+        rng = Rng(44 + c_in)
+        x = rng.normal((c_in, h, w))
+        wt = rng.normal((c_in, c_out, 2, 2))
+        b = rng.normal((c_out,))
+        out = kernels.transposed_conv2d(x, wt, b)
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert max_err(out, oracles.transposed_conv2d_oracle(x, wt, b)) < 1e-5
+
 
 class TestBilinearUpsample:
     @pytest.mark.parametrize("factor", [2, 4, 8])
@@ -357,8 +391,13 @@ def test_kernels_bitwise_deterministic():
     rng = Rng(17)
     x = rng.normal((4, 6, 6))
     w3 = rng.normal((4, 4, 3, 3))
+    x_wide = rng.normal((32, 16, 16))
+    w3_wide = rng.normal((32, 32, 3, 3))
+    w_up = rng.normal((32, 16, 2, 2))
     cases = [
         lambda: kernels.conv2d_3x3(x, w3, None),
+        lambda: kernels.conv2d_3x3(x_wide, w3_wide, None),
+        lambda: kernels.transposed_conv2d(x_wide, w_up, None),
         lambda: kernels.softmax(x, 1),
         lambda: kernels.bilinear_upsample(x, 2),
         lambda: kernels.gelu(x),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eovseg import weights as weights_module
 from eovseg.classifier import build_text_embeddings
 from eovseg.config import ModelConfig
 from eovseg.evaluation import SceneSpec, generate_scene
@@ -13,7 +14,7 @@ from eovseg.pipeline import (
     forward_traced,
     replay_trace,
 )
-from eovseg.tensor import Rng, read_eovt
+from eovseg.tensor import Rng, read_eovt, write_eovt
 from eovseg.weights import build_weights, load_or_build_weights, load_weights, save_weights
 
 
@@ -148,6 +149,58 @@ class TestWeightBundle:
         cfg2 = small_config(weights_seed=99)
         b3 = load_or_build_weights(tmp_path / "w", cfg2, (64, 64))
         assert not np.array_equal(b1.decoder.init_kernels, b3.decoder.init_kernels)
+
+    def test_interrupted_save_leaves_no_cache(self, tmp_path, monkeypatch):
+        cfg = small_config()
+        calls = []
+
+        def failing_write(path, arr):
+            calls.append(path)
+            if len(calls) == 10:
+                raise OSError("disk full")
+            write_eovt(path, arr)
+
+        monkeypatch.setattr(weights_module, "write_eovt", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            load_or_build_weights(tmp_path / "w", cfg, (64, 64))
+        assert list(tmp_path.iterdir()) == []  # no target, no temp directory
+        with pytest.raises(FileNotFoundError):
+            load_weights(tmp_path / "w", cfg)
+        monkeypatch.undo()
+        rebuilt = load_or_build_weights(tmp_path / "w", cfg, (64, 64))
+        expected = build_weights(cfg, (64, 64)).to_tensors()
+        loaded = load_weights(tmp_path / "w", cfg).to_tensors()
+        for name, arr in expected.items():
+            assert np.array_equal(rebuilt.to_tensors()[name], arr), name
+            assert np.array_equal(loaded[name], arr), name
+
+    def test_interrupted_save_keeps_previous_cache(self, tmp_path, monkeypatch):
+        cfg, cfg2 = small_config(), small_config(weights_seed=99)
+        save_weights(build_weights(cfg, (64, 64)), tmp_path / "w")
+        before = sorted((p.name, p.read_bytes()) for p in (tmp_path / "w").iterdir())
+
+        def failing_write(path, arr):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(weights_module, "write_eovt", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            load_or_build_weights(tmp_path / "w", cfg2, (64, 64))
+        assert [p.name for p in tmp_path.iterdir()] == ["w"]
+        assert sorted((p.name, p.read_bytes()) for p in (tmp_path / "w").iterdir()) == before
+        monkeypatch.undo()
+        b2 = load_or_build_weights(tmp_path / "w", cfg2, (64, 64))
+        assert np.array_equal(
+            load_weights(tmp_path / "w", cfg2).decoder.init_kernels, b2.decoder.init_kernels
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["w"]
+
+    def test_save_refuses_to_replace_foreign_directory(self, tmp_path):
+        (tmp_path / "w").mkdir()
+        (tmp_path / "w" / "notes.txt").write_text("keep me")
+        with pytest.raises(FileExistsError, match="notes.txt"):
+            save_weights(build_weights(small_config(), (64, 64)), tmp_path / "w")
+        assert [p.name for p in (tmp_path / "w").iterdir()] == ["notes.txt"]
+        assert [p.name for p in tmp_path.iterdir()] == ["w"]
 
     def test_seed_determinism(self):
         cfg = small_config()
