@@ -24,6 +24,7 @@ from .kernels import (
 from .tensor import Rng
 
 MASK_POOL_EPS = 1e-8
+MASK_MLP_DEPTH = 3  # (w, b) pairs in the mask-embedding MLP, D->D->D->D
 
 
 @dataclass
@@ -121,7 +122,7 @@ class DecoderWeights:
             )
         mask_mlp = [
             (rng.normal((width, width), std=1.0 / np.sqrt(width)), np.zeros(width, dtype=np.float32))
-            for _ in range(3)
+            for _ in range(MASK_MLP_DEPTH)
         ]
         init_kernels = rng.normal((n_queries, width), std=0.1)
         return cls(layers=layers, mask_mlp=mask_mlp, init_kernels=init_kernels, kernel_size=kernel_size)

@@ -18,7 +18,7 @@ MAX_RANK = 5
 
 
 class EovtFormatError(ValueError):
-    """Raised when a tensor file fails magic/version/shape validation."""
+    """Raised when a tensor file or a weight cache directory fails format validation."""
 
 
 def check_tensor(x: np.ndarray, name: str = "tensor") -> np.ndarray:

@@ -1,10 +1,12 @@
-"""Weight bundle: seeded generation, flattening, and the manifest-directory format.
+"""Weight bundle: seeded generation, the tensor-name table, and the cache-directory format.
 
 All weights are generated from the config seed (independent substreams per
 module) so a bundle is reproducible from its config alone.  Serialized form:
 one EOVT file per named tensor plus ``manifest.txt`` (name and shape per
-line) and ``meta.json`` recording the config hash and image extents the
-bundle was sized for.
+line) and ``meta.json`` recording the config hash, image extents and
+generator version the bundle was made with.  ``_layout`` is the one table of
+tensor names: ``to_tensors`` reads each name's path out of a bundle, and
+``load_weights`` checks the manifest against it and puts each tensor back.
 """
 
 from __future__ import annotations
@@ -13,18 +15,23 @@ import json
 import os
 import secrets
 import shutil
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .aggregator import AggregatorWeights, SyntheticBackbone
+from .aggregator import LEVELS, AggregatorWeights, SyntheticBackbone
 from .config import ModelConfig
-from .decoder import AttentionBlockWeights, DecoderLayerWeights, DecoderWeights
+from .decoder import MASK_MLP_DEPTH, DecoderWeights
 from .fusion import EafWeights, SdiWeights, TdeeWeights
 from .spatial import PATCH, UpsamplerWeights, VitBlockWeights
-from .tensor import Rng, read_eovt, write_eovt
+from .tensor import EovtFormatError, Rng, read_eovt, write_eovt
 from .vas import VasWeights
+
+# Bump whenever any *.build / build_weights draw changes (order, shape, std,
+# seed stream), so caches written by an older generator are rebuilt.
+GENERATOR_VERSION = 1
 
 
 @dataclass
@@ -43,88 +50,97 @@ class WeightBundle:
     clip_proj: tuple[np.ndarray, np.ndarray]  # last backbone stage -> embed width
 
     def to_tensors(self) -> dict[str, np.ndarray]:
-        t: dict[str, np.ndarray] = {}
-        for level, (w, b) in self.backbone.projections.items():
-            t[f"backbone.stage{level}.w"] = w
-            t[f"backbone.stage{level}.b"] = b
-        for level in (2, 3, 4, 5):
-            lw, lb = self.aggregator.laterals[level]
-            sw, sb = self.aggregator.smooths[level]
-            t[f"aggregator.lateral{level}.w"] = lw
-            t[f"aggregator.lateral{level}.b"] = lb
-            t[f"aggregator.smooth{level}.w"] = sw
-            t[f"aggregator.smooth{level}.b"] = sb
-            t[f"aggregator.proj{level}.w"] = self.aggregator.level_proj[level]
-        t["aggregator.fuse.w"], t["aggregator.fuse.b"] = self.aggregator.fuse
-        t["vas.feat_depth"] = self.vas.feat_depth
-        t["vas.feat_point"] = self.vas.feat_point
-        t["vas.feat_bias"] = self.vas.feat_bias
-        t["vas.text_w"] = self.vas.text_w
-        t["vas.text_b"] = self.vas.text_b
-        t["vas.scale"] = np.array([self.vas.scale], dtype=np.float32)
-        t["vas.offset"] = np.array([self.vas.offset], dtype=np.float32)
-        for i, layer in enumerate(self.decoder.layers):
-            p = f"decoder.layer{i}"
-            t[f"{p}.kernel_proj"] = layer.kernel_proj
-            for tag, blk in (("cross_attn", layer.cross_attn), ("self_attn", layer.self_attn)):
-                t[f"{p}.{tag}.wq"] = blk.wq
-                t[f"{p}.{tag}.wk"] = blk.wk
-                t[f"{p}.{tag}.wv"] = blk.wv
-                t[f"{p}.{tag}.wo"] = blk.wo
-            t[f"{p}.ln_attn.g"], t[f"{p}.ln_attn.b"] = layer.ln_attn
-            t[f"{p}.ln_ffn.g"], t[f"{p}.ln_ffn.b"] = layer.ln_ffn
-            t[f"{p}.ffn.w1"] = layer.ffn_w1
-            t[f"{p}.ffn.b1"] = layer.ffn_b1
-            t[f"{p}.ffn.w2"] = layer.ffn_w2
-            t[f"{p}.ffn.b2"] = layer.ffn_b2
-        for i, (w, b) in enumerate(self.decoder.mask_mlp):
-            t[f"decoder.mask_mlp{i}.w"] = w
-            t[f"decoder.mask_mlp{i}.b"] = b
-        t["decoder.init_kernels"] = self.decoder.init_kernels
-        t["spatial.patch.w"] = self.vit.patch_w
-        t["spatial.patch.b"] = self.vit.patch_b
-        t["spatial.class_token"] = self.vit.class_token
-        t["spatial.pos_table"] = self.vit.pos_table
-        t["spatial.ln_attn.g"], t["spatial.ln_attn.b"] = self.vit.ln_attn
-        t["spatial.ln_mlp.g"], t["spatial.ln_mlp.b"] = self.vit.ln_mlp
-        t["spatial.attn.wq"] = self.vit.attn.wq
-        t["spatial.attn.wk"] = self.vit.attn.wk
-        t["spatial.attn.wv"] = self.vit.attn.wv
-        t["spatial.attn.wo"] = self.vit.attn.wo
-        t["spatial.mlp.w1"] = self.vit.mlp_w1
-        t["spatial.mlp.b1"] = self.vit.mlp_b1
-        t["spatial.mlp.w2"] = self.vit.mlp_w2
-        t["spatial.mlp.b2"] = self.vit.mlp_b2
-        t["spatial.up1.w"] = self.upsampler.w1
-        t["spatial.up1.b"] = self.upsampler.b1
-        t["spatial.up2.w"] = self.upsampler.w2
-        t["spatial.up2.b"] = self.upsampler.b2
-        t["fusion.tdee.proj_m"] = self.tdee.proj_m
-        t["fusion.tdee.proj_s"] = self.tdee.proj_s
-        t["fusion.tdee.router_m.w"] = self.tdee.router_m_w
-        t["fusion.tdee.router_m.b"] = self.tdee.router_m_b
-        t["fusion.tdee.router_s.w"] = self.tdee.router_s_w
-        t["fusion.tdee.router_s.b"] = self.tdee.router_s_b
-        for tag, pair in (
-            ("ln_fuse_m", self.tdee.ln_fuse_m),
-            ("ln_fuse_s", self.tdee.ln_fuse_s),
-            ("ln_gate_m", self.tdee.ln_gate_m),
-            ("ln_gate_s", self.tdee.ln_gate_s),
-            ("ln_out", self.tdee.ln_out),
-        ):
-            t[f"fusion.tdee.{tag}.g"], t[f"fusion.tdee.{tag}.b"] = pair
-        t["fusion.tdee.out.w"] = self.tdee.out_w
-        t["fusion.tdee.out.b"] = self.tdee.out_b
-        t["fusion.sdi.gen_kernel.w"] = self.sdi.gen_kernel_w
-        t["fusion.sdi.gen_kernel.b"] = self.sdi.gen_kernel_b
-        t["fusion.sdi.gen_left.w"] = self.sdi.gen_left_w
-        t["fusion.sdi.gen_left.b"] = self.sdi.gen_left_b
-        t["fusion.sdi.gen_right.w"] = self.sdi.gen_right_w
-        t["fusion.sdi.gen_right.b"] = self.sdi.gen_right_b
-        t["fusion.eaf.w"] = self.eaf.w
-        t["fusion.eaf.b"] = self.eaf.b
-        t["classifier.clip_proj.w"], t["classifier.clip_proj.b"] = self.clip_proj
-        return t
+        """On-disk name -> tensor; float fields become shape-(1,) float32 arrays."""
+        tensors = {}
+        for name, path in _layout(self.config).items():
+            value = self
+            for key in path:
+                value = getattr(value, key) if isinstance(key, str) else value[key]
+            if not isinstance(value, np.ndarray):
+                value = np.array([value], dtype=np.float32)
+            tensors[name] = value
+        return tensors
+
+
+def _layout(config: ModelConfig) -> dict[str, tuple]:
+    """Every on-disk tensor name -> its path into a ``WeightBundle``.
+
+    This is the only place a tensor name is spelled.  A path step that is a
+    string is an attribute name; an integer is a dict key or a list/tuple
+    index.  By default the last step is the name with dots made underscores.
+    """
+    table: dict[str, tuple] = {}
+
+    def put(prefix: str, path: tuple, names: tuple, last: tuple | None = None) -> None:
+        for name, key in zip(names, last or [n.replace(".", "_") for n in names]):
+            table[f"{prefix}.{name}"] = (*path, key)
+
+    wb, gb, pair, attn = ("w", "b"), ("g", "b"), (0, 1), ("wq", "wk", "wv", "wo")
+    for lv in LEVELS:
+        put(f"backbone.stage{lv}", ("backbone", "projections", lv), wb, pair)
+        put(f"aggregator.lateral{lv}", ("aggregator", "laterals", lv), wb, pair)
+        put(f"aggregator.smooth{lv}", ("aggregator", "smooths", lv), wb, pair)
+        table[f"aggregator.proj{lv}.w"] = ("aggregator", "level_proj", lv)
+    put("aggregator.fuse", ("aggregator", "fuse"), wb, pair)
+    put("vas", ("vas",),
+        ("feat_depth", "feat_point", "feat_bias", "text_w", "text_b", "scale", "offset"))
+    for i in range(config.decoder_layers):
+        p, layer = f"decoder.layer{i}", ("decoder", "layers", i)
+        put(p, layer, ("kernel_proj", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2"))
+        for tag in ("cross_attn", "self_attn"):
+            put(f"{p}.{tag}", (*layer, tag), attn)
+        for tag in ("ln_attn", "ln_ffn"):
+            put(f"{p}.{tag}", (*layer, tag), gb, pair)
+    for i in range(MASK_MLP_DEPTH):
+        put(f"decoder.mask_mlp{i}", ("decoder", "mask_mlp", i), wb, pair)
+    table["decoder.init_kernels"] = ("decoder", "init_kernels")
+    put("spatial", ("vit",), ("patch.w", "patch.b", "class_token", "pos_table",
+                              "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"))
+    for tag in ("ln_attn", "ln_mlp"):
+        put(f"spatial.{tag}", ("vit", tag), gb, pair)
+    put("spatial.attn", ("vit", "attn"), attn)
+    put("spatial", ("upsampler",), ("up1.w", "up1.b", "up2.w", "up2.b"), ("w1", "b1", "w2", "b2"))
+    put("fusion.tdee", ("tdee",), ("proj_m", "proj_s", "router_m.w", "router_m.b",
+                                   "router_s.w", "router_s.b", "out.w", "out.b"))
+    for tag in ("ln_fuse_m", "ln_fuse_s", "ln_gate_m", "ln_gate_s", "ln_out"):
+        put(f"fusion.tdee.{tag}", ("tdee", tag), gb, pair)
+    put("fusion.sdi", ("sdi",), ("gen_kernel.w", "gen_kernel.b", "gen_left.w", "gen_left.b",
+                                 "gen_right.w", "gen_right.b"))
+    put("fusion.eaf", ("eaf",), wb)
+    put("classifier.clip_proj", ("clip_proj",), wb, pair)
+    return table
+
+
+def _settings(config: ModelConfig, image_hw: tuple[int, int]) -> dict[tuple, object]:
+    """Path -> value of every bundle field that is not stored as a tensor."""
+    settings: dict[tuple, object] = {
+        ("config",): config,
+        ("image_hw",): image_hw,
+        ("backbone", "seed"): -1,
+        ("backbone", "stage_widths"): config.backbone_widths,
+        ("vas", "heads"): config.vas_heads,
+        ("decoder", "kernel_size"): config.dda_kernel_size,
+        ("vit", "attn", "heads"): config.vit_heads,
+        ("sdi", "rank"): config.sdi_rank,
+    }
+    for i in range(config.decoder_layers):
+        for tag in ("cross_attn", "self_attn"):
+            settings[("decoder", "layers", i, tag, "heads")] = config.decoder_heads
+    return settings
+
+
+def _construct(tp, node):
+    """Build a value of annotation ``tp`` from a path-tree node (a dict); leaves pass through."""
+    if not isinstance(node, dict):
+        return float(node[0]) if tp is float else node
+    if is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return tp(**{key: _construct(hints[key], child) for key, child in node.items()})
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is dict:
+        return {key: _construct(args[1], child) for key, child in node.items()}
+    items = [_construct(args[0] if origin is list else args[i], node[i]) for i in range(len(node))]
+    return items if origin is list else tuple(items)
 
 
 def build_weights(config: ModelConfig, image_hw: tuple[int, int]) -> WeightBundle:
@@ -170,132 +186,6 @@ def build_weights(config: ModelConfig, image_hw: tuple[int, int]) -> WeightBundl
     )
 
 
-def _from_tensors(
-    config: ModelConfig, image_hw: tuple[int, int], t: dict[str, np.ndarray]
-) -> WeightBundle:
-    projections = {
-        level: (t[f"backbone.stage{level}.w"], t[f"backbone.stage{level}.b"])
-        for level in (2, 3, 4, 5)
-    }
-    backbone = SyntheticBackbone(
-        seed=-1, stage_widths=config.backbone_widths, projections=projections
-    )
-    aggregator = AggregatorWeights(
-        laterals={
-            lv: (t[f"aggregator.lateral{lv}.w"], t[f"aggregator.lateral{lv}.b"])
-            for lv in (2, 3, 4, 5)
-        },
-        smooths={
-            lv: (t[f"aggregator.smooth{lv}.w"], t[f"aggregator.smooth{lv}.b"])
-            for lv in (2, 3, 4, 5)
-        },
-        level_proj={lv: t[f"aggregator.proj{lv}.w"] for lv in (2, 3, 4, 5)},
-        fuse=(t["aggregator.fuse.w"], t["aggregator.fuse.b"]),
-    )
-    vas = VasWeights(
-        feat_depth=t["vas.feat_depth"],
-        feat_point=t["vas.feat_point"],
-        feat_bias=t["vas.feat_bias"],
-        text_w=t["vas.text_w"],
-        text_b=t["vas.text_b"],
-        heads=config.vas_heads,
-        scale=float(t["vas.scale"][0]),
-        offset=float(t["vas.offset"][0]),
-    )
-    layers = []
-    for i in range(config.decoder_layers):
-        p = f"decoder.layer{i}"
-        blocks = {}
-        for tag in ("cross_attn", "self_attn"):
-            blocks[tag] = AttentionBlockWeights(
-                heads=config.decoder_heads,
-                wq=t[f"{p}.{tag}.wq"],
-                wk=t[f"{p}.{tag}.wk"],
-                wv=t[f"{p}.{tag}.wv"],
-                wo=t[f"{p}.{tag}.wo"],
-            )
-        layers.append(
-            DecoderLayerWeights(
-                kernel_proj=t[f"{p}.kernel_proj"],
-                cross_attn=blocks["cross_attn"],
-                self_attn=blocks["self_attn"],
-                ln_attn=(t[f"{p}.ln_attn.g"], t[f"{p}.ln_attn.b"]),
-                ln_ffn=(t[f"{p}.ln_ffn.g"], t[f"{p}.ln_ffn.b"]),
-                ffn_w1=t[f"{p}.ffn.w1"],
-                ffn_b1=t[f"{p}.ffn.b1"],
-                ffn_w2=t[f"{p}.ffn.w2"],
-                ffn_b2=t[f"{p}.ffn.b2"],
-            )
-        )
-    decoder = DecoderWeights(
-        layers=layers,
-        mask_mlp=[(t[f"decoder.mask_mlp{i}.w"], t[f"decoder.mask_mlp{i}.b"]) for i in range(3)],
-        init_kernels=t["decoder.init_kernels"],
-        kernel_size=config.dda_kernel_size,
-    )
-    vit = VitBlockWeights(
-        patch_w=t["spatial.patch.w"],
-        patch_b=t["spatial.patch.b"],
-        class_token=t["spatial.class_token"],
-        pos_table=t["spatial.pos_table"],
-        ln_attn=(t["spatial.ln_attn.g"], t["spatial.ln_attn.b"]),
-        ln_mlp=(t["spatial.ln_mlp.g"], t["spatial.ln_mlp.b"]),
-        attn=AttentionBlockWeights(
-            heads=config.vit_heads,
-            wq=t["spatial.attn.wq"],
-            wk=t["spatial.attn.wk"],
-            wv=t["spatial.attn.wv"],
-            wo=t["spatial.attn.wo"],
-        ),
-        mlp_w1=t["spatial.mlp.w1"],
-        mlp_b1=t["spatial.mlp.b1"],
-        mlp_w2=t["spatial.mlp.w2"],
-        mlp_b2=t["spatial.mlp.b2"],
-    )
-    upsampler = UpsamplerWeights(
-        w1=t["spatial.up1.w"], b1=t["spatial.up1.b"], w2=t["spatial.up2.w"], b2=t["spatial.up2.b"]
-    )
-    tdee = TdeeWeights(
-        proj_m=t["fusion.tdee.proj_m"],
-        proj_s=t["fusion.tdee.proj_s"],
-        router_m_w=t["fusion.tdee.router_m.w"],
-        router_m_b=t["fusion.tdee.router_m.b"],
-        router_s_w=t["fusion.tdee.router_s.w"],
-        router_s_b=t["fusion.tdee.router_s.b"],
-        ln_fuse_m=(t["fusion.tdee.ln_fuse_m.g"], t["fusion.tdee.ln_fuse_m.b"]),
-        ln_fuse_s=(t["fusion.tdee.ln_fuse_s.g"], t["fusion.tdee.ln_fuse_s.b"]),
-        ln_gate_m=(t["fusion.tdee.ln_gate_m.g"], t["fusion.tdee.ln_gate_m.b"]),
-        ln_gate_s=(t["fusion.tdee.ln_gate_s.g"], t["fusion.tdee.ln_gate_s.b"]),
-        out_w=t["fusion.tdee.out.w"],
-        out_b=t["fusion.tdee.out.b"],
-        ln_out=(t["fusion.tdee.ln_out.g"], t["fusion.tdee.ln_out.b"]),
-    )
-    sdi = SdiWeights(
-        gen_kernel_w=t["fusion.sdi.gen_kernel.w"],
-        gen_kernel_b=t["fusion.sdi.gen_kernel.b"],
-        gen_left_w=t["fusion.sdi.gen_left.w"],
-        gen_left_b=t["fusion.sdi.gen_left.b"],
-        gen_right_w=t["fusion.sdi.gen_right.w"],
-        gen_right_b=t["fusion.sdi.gen_right.b"],
-        rank=config.sdi_rank,
-    )
-    eaf = EafWeights(w=t["fusion.eaf.w"], b=t["fusion.eaf.b"])
-    return WeightBundle(
-        config=config,
-        image_hw=image_hw,
-        backbone=backbone,
-        aggregator=aggregator,
-        vas=vas,
-        decoder=decoder,
-        vit=vit,
-        upsampler=upsampler,
-        tdee=tdee,
-        sdi=sdi,
-        eaf=eaf,
-        clip_proj=(t["classifier.clip_proj.w"], t["classifier.clip_proj.b"]),
-    )
-
-
 def _is_cache_file(path: Path) -> bool:
     return path.is_file() and (path.suffix == ".eovt" or path.name in ("manifest.txt", "meta.json"))
 
@@ -323,6 +213,7 @@ def save_weights(bundle: WeightBundle, directory: str | Path) -> None:
             "config_hash": bundle.config.hash(),
             "image_h": bundle.image_hw[0],
             "image_w": bundle.image_hw[1],
+            "generator_version": GENERATOR_VERSION,
         }
         (tmp / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
         _swap_into_place(tmp, directory)
@@ -361,43 +252,68 @@ def read_manifest(directory: str | Path) -> dict[str, tuple[int, ...]]:
     for line in path.read_text().splitlines():
         if not line.strip():
             continue
-        name, shape = line.split()
-        entries[name] = tuple(int(e) for e in shape.split("x"))
+        try:
+            name, shape = line.split()
+            entries[name] = tuple(int(e) for e in shape.split("x"))
+        except ValueError:
+            raise EovtFormatError(f"{path}: malformed line {line!r}") from None
     return entries
 
 
+def _read_meta(directory: Path) -> dict:
+    path = directory / "meta.json"
+    try:
+        meta = json.loads(path.read_text())
+        int(meta["image_h"]), int(meta["image_w"])  # both extents must be there
+    except (ValueError, TypeError, KeyError) as exc:
+        raise EovtFormatError(
+            f"weight cache {directory}: meta.json is unreadable ({exc!r})"
+        ) from None
+    return meta
+
+
 def load_weights(directory: str | Path, config: ModelConfig) -> WeightBundle:
+    """Load a cache whose manifest names exactly the tensors ``_layout(config)`` lists."""
     directory = Path(directory)
     entries = read_manifest(directory)
-    meta = json.loads((directory / "meta.json").read_text())
-    tensors = {}
-    for name, shape in entries.items():
+    meta = _read_meta(directory)
+    layout = _layout(config)
+    missing, unexpected = sorted(layout.keys() - entries), sorted(entries.keys() - layout)
+    if missing or unexpected:
+        found = [f"{what} tensors {names}" for what, names in
+                 (("missing", missing), ("unexpected", unexpected)) if names]
+        raise EovtFormatError(
+            f"weight cache {directory} does not match the config: {'; '.join(found)}"
+        )
+    items = []
+    for name, path in layout.items():
         arr = read_eovt(directory / f"{name}.eovt")
-        if arr.shape != shape:
-            raise ValueError(f"load_weights: {name} has shape {arr.shape}, manifest says {shape}")
-        tensors[name] = arr
-    try:
-        bundle = _from_tensors(config, (meta["image_h"], meta["image_w"]), tensors)
-    except KeyError as exc:
-        raise ValueError(f"load_weights: manifest missing tensor {exc.args[0]!r}") from exc
-    expected = set(bundle.to_tensors())
-    if expected != set(tensors):
-        missing = sorted(expected - set(tensors))
-        raise ValueError(f"load_weights: manifest missing tensors {missing[:5]}")
-    return bundle
+        if arr.shape != entries[name]:
+            raise EovtFormatError(
+                f"{directory / name}.eovt has shape {arr.shape}, manifest says {entries[name]}"
+            )
+        items.append((path, arr))
+    items += _settings(config, (meta["image_h"], meta["image_w"])).items()
+    root: dict = {}
+    for path, value in items:
+        node = root
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+    return _construct(WeightBundle, root)
 
 
 def load_or_build_weights(
     directory: str | Path, config: ModelConfig, image_hw: tuple[int, int]
 ) -> WeightBundle:
-    """Reuse a cached bundle when config hash and image extents match; else rebuild."""
+    """Reuse a cached bundle when config hash, image extents and generator version match."""
     directory = Path(directory)
-    meta_path = directory / "meta.json"
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
+    if (directory / "meta.json").exists():
+        meta = _read_meta(directory)
         if (
             meta.get("config_hash") == config.hash()
-            and (meta.get("image_h"), meta.get("image_w")) == tuple(image_hw)
+            and (meta["image_h"], meta["image_w"]) == tuple(image_hw)
+            and meta.get("generator_version") == GENERATOR_VERSION
         ):
             return load_weights(directory, config)
     bundle = build_weights(config, image_hw)

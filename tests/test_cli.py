@@ -190,6 +190,55 @@ class TestRun:
         assert "Traceback" not in err
 
 
+def _add_manifest_line(cache):
+    with open(cache / "manifest.txt", "a") as f:
+        f.write("decoder.layer9.ffn.w1 32x64\n")
+
+
+def _drop_manifest_line(cache):
+    lines = (cache / "manifest.txt").read_text().splitlines()
+    kept = [line for line in lines if not line.startswith("vas.text_w ")]
+    (cache / "manifest.txt").write_text("\n".join(kept) + "\n")
+
+
+def _break_manifest_line(cache):
+    with open(cache / "manifest.txt", "a") as f:
+        f.write("vas.text_w\n")
+
+
+def _truncate_meta(cache):
+    text = (cache / "meta.json").read_text()
+    (cache / "meta.json").write_text(text[: len(text) // 2])
+
+
+@pytest.mark.parametrize("command", ["run", "profile"])
+@pytest.mark.parametrize(
+    "damage, expected",
+    [
+        (_add_manifest_line, "unexpected tensors ['decoder.layer9.ffn.w1']"),
+        (_drop_manifest_line, "missing tensors ['vas.text_w']"),
+        (_break_manifest_line, "manifest.txt: malformed line 'vas.text_w'"),
+        (_truncate_meta, "meta.json is unreadable"),
+    ],
+    ids=["extra_manifest_entry", "dropped_manifest_line", "malformed_manifest_line", "truncated_meta"],
+)
+def test_damaged_weight_cache_exits_3_in_one_line(workdir, capsys, command, damage, expected):
+    if command == "run":
+        run_gen(workdir)
+        invoke = lambda: run_run(workdir)  # noqa: E731
+    else:
+        args = ["profile", "--config", str(workdir / "config.json"), "--size", "64",
+                "--weights", str(workdir / "wcache"), "--out", str(workdir / "p.csv")]
+        invoke = lambda: main(args)  # noqa: E731
+    assert invoke() == 0
+    damage(workdir / "wcache")
+    capsys.readouterr()
+    assert invoke() == 3
+    err = capsys.readouterr().err
+    assert expected in err and str(workdir / "wcache") in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestVerifyCommand:
     def test_green_path(self, workdir, capsys):
         code = main(["verify", "--trials", "2", "--seed", "5"])

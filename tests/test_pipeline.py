@@ -1,5 +1,9 @@
 """End-to-end forward, tracing, replay, and weight bundle round-trip tests."""
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,13 @@ from eovseg.pipeline import (
     replay_trace,
 )
 from eovseg.tensor import Rng, read_eovt, write_eovt
-from eovseg.weights import build_weights, load_or_build_weights, load_weights, save_weights
+from eovseg.weights import (
+    GENERATOR_VERSION,
+    build_weights,
+    load_or_build_weights,
+    load_weights,
+    save_weights,
+)
 
 
 def small_config(**over):
@@ -132,6 +142,43 @@ def test_indivisible_image_fails_in_backbone_stage(scene):
         forward(np.zeros((3, 60, 64), dtype=np.float32), text, spec.is_thing(), cfg, bundle)
 
 
+# Digests of a small_config() cache at 64x64 as the hand-written two-list
+# serializer wrote it: manifest.txt alone, and every file but meta.json
+# (name, NUL, bytes, in name order).  A renamed tensor, a changed shape or a
+# changed draw moves them.
+SMALL64_MANIFEST_SHA256 = "e533d6402af08c2a7ba3fc66ffea7dc298a82d3c43b048f641c367f5fcd6f739"
+SMALL64_FILES_SHA256 = "2b23f1259ed02810e82cd9c0c069313c77d1068da5d7dd9dffb3e9a8f2e1b59d"
+SMALL64_META_WITHOUT_VERSION = (
+    '{\n  "config_hash": "5761d0730818",\n  "image_h": 64,\n  "image_w": 64\n}\n'
+)
+
+
+def _walk(obj, where="bundle"):
+    """Yield (path, leaf) for every value under dataclass fields, dicts, lists and tuples."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _walk(getattr(obj, f.name), f"{where}.{f.name}")
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _walk(value, f"{where}[{key!r}]")
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from _walk(value, f"{where}[{i}]")
+    else:
+        yield where, obj
+
+
+def _assert_bitwise_equal(a, b):
+    leaves_a, leaves_b = list(_walk(a)), list(_walk(b))
+    assert [p for p, _ in leaves_a] == [p for p, _ in leaves_b]
+    for (where, x), (_, y) in zip(leaves_a, leaves_b):
+        assert type(x) is type(y), where
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), where
+        else:
+            assert x == y, where
+
+
 class TestWeightBundle:
     def test_save_load_roundtrip(self, tmp_path):
         cfg = small_config()
@@ -224,6 +271,71 @@ class TestWeightBundle:
         (tmp_path / "w" / "manifest.txt").write_text("\n".join(lines[:-5]) + "\n")
         with pytest.raises(ValueError, match="missing tensor"):
             load_weights(tmp_path / "w", cfg)
+
+    def test_manifest_names_pinned(self, tmp_path):
+        save_weights(build_weights(small_config(), (64, 64)), tmp_path / "w")
+        manifest = (tmp_path / "w" / "manifest.txt").read_text()
+        names = {line.split()[0] for line in manifest.splitlines()}
+        for name in (
+            "vas.text_w",
+            "vas.scale",
+            "spatial.up1.w",
+            "spatial.patch.w",
+            "aggregator.proj2.w",
+            "fusion.tdee.router_m.w",
+            "fusion.tdee.ln_out.g",
+            "decoder.layer1.ffn.w1",
+            "decoder.mask_mlp2.b",
+            "backbone.stage5.b",
+            "classifier.clip_proj.w",
+        ):
+            assert name in names, f"on-disk tensor {name!r} renamed or dropped"
+        assert len(names) == 126
+        assert hashlib.sha256(manifest.encode()).hexdigest() == SMALL64_MANIFEST_SHA256
+
+    def test_to_tensors_reaches_every_array(self):
+        bundle = build_weights(small_config(), (64, 64))
+        tensors = bundle.to_tensors()
+        stored = {id(arr) for arr in tensors.values()}
+        arrays = [(where, v) for where, v in _walk(bundle) if isinstance(v, np.ndarray)]
+        assert [where for where, arr in arrays if id(arr) not in stored] == []
+        assert len(tensors) == len(arrays) + 2  # + vas.scale and vas.offset
+
+    def test_loads_a_cache_without_generator_version_bitwise(self, tmp_path):
+        cfg = small_config()
+        built = build_weights(cfg, (64, 64))
+        save_weights(built, tmp_path / "w")
+        digest = hashlib.sha256()
+        for path in sorted((tmp_path / "w").iterdir()):
+            if path.name != "meta.json":
+                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == SMALL64_FILES_SHA256
+        (tmp_path / "w" / "meta.json").write_text(SMALL64_META_WITHOUT_VERSION)
+        loaded = load_weights(tmp_path / "w", cfg)
+        # a loaded backbone has no generator seed; every other field round-trips
+        _assert_bitwise_equal(dataclasses.replace(built, backbone=dataclasses.replace(
+            built.backbone, seed=-1)), loaded)
+
+    @pytest.mark.parametrize("version", [GENERATOR_VERSION, None, GENERATOR_VERSION + 1])
+    def test_cache_reused_only_at_generator_version(self, tmp_path, monkeypatch, version):
+        cfg = small_config()
+        save_weights(build_weights(cfg, (64, 64)), tmp_path / "w")
+        meta_path = tmp_path / "w" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta.pop("generator_version")
+        if version is not None:
+            meta["generator_version"] = version
+        meta_path.write_text(json.dumps(meta))
+        builds = []
+        real_build = weights_module.build_weights
+        monkeypatch.setattr(
+            weights_module, "build_weights", lambda *a: builds.append(a) or real_build(*a)
+        )
+        bundle = load_or_build_weights(tmp_path / "w", cfg, (64, 64))
+        assert len(builds) == (0 if version == GENERATOR_VERSION else 1)
+        assert json.loads(meta_path.read_text())["generator_version"] == GENERATOR_VERSION
+        loaded = load_weights(tmp_path / "w", cfg)
+        assert np.array_equal(bundle.decoder.init_kernels, loaded.decoder.init_kernels)
 
 
 def test_config_json_roundtrip(tmp_path):
