@@ -96,8 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--weights", type=str, default="eovseg_weights", help="weight cache dir")
     p_prof.add_argument("--out", type=str, default=None, help="CSV path")
 
-    p_bench = sub.add_parser("bench", parents=[common], help="time a decoder layer")
-    p_bench.add_argument("--mode", type=str, default="dda", choices=("dda", "ca"))
+    p_bench = sub.add_parser("bench", parents=[common], help="time a dda and a ca decoder layer")
     p_bench.add_argument("--reps", type=int, default=20)
     p_bench.add_argument("--size", type=int, default=64, help="square image extent")
     p_bench.add_argument("--out", type=str, default=None, help="CSV path")
@@ -186,18 +185,7 @@ def cmd_run(args) -> int:
     image, gt, text, things = _load_scene(scene_dir, config)
 
     if args.pred_from_gt:
-        result_pq = pq_metrics(gt, gt)
-        result_miou = miou(gt.semantic_map(), gt.semantic_map())
-        rows = {
-            "mode": "gt_bypass",
-            "pq": result_pq.pq,
-            "sq": result_pq.sq,
-            "rq": result_pq.rq,
-            "miou": result_miou,
-            "pred_segments": len(gt.segments),
-            "gt_segments": len(gt.segments),
-        }
-        shapes = {}
+        mode, panoptic, shapes = "gt_bypass", gt, {}
     else:
         from .evaluation import PanopticAnnotation
         from .pipeline import pad_to_multiple, resize_image, resize_map_nearest
@@ -229,40 +217,32 @@ def cmd_run(args) -> int:
                 segment_map=cropped,
                 segments=[s for s in panoptic.segments if s.segment_id in keep],
             )
-        result_pq = pq_metrics(panoptic, gt)
-        result_miou = miou(panoptic.semantic_map(), gt.semantic_map())
-        rows = {
-            "mode": config.fusion,
-            "pq": result_pq.pq,
-            "sq": result_pq.sq,
-            "rq": result_pq.rq,
-            "miou": result_miou,
-            "pred_segments": len(panoptic.segments),
-            "gt_segments": len(gt.segments),
-        }
+        mode = config.fusion
         shapes = {k: "x".join(str(e) for e in v.shape) for k, v in sorted(result.trace.items())}
+    result_pq = pq_metrics(panoptic, gt)
+    rows = {
+        "mode": mode,
+        "pq": result_pq.pq,
+        "sq": result_pq.sq,
+        "rq": result_pq.rq,
+        "miou": miou(panoptic.semantic_map(), gt.semantic_map()),
+        "pred_segments": len(panoptic.segments),
+        "gt_segments": len(gt.segments),
+    }
 
+    scores = ("pq", "sq", "rq", "miou")
     print(f"fusion={rows['mode']}")
-    for key in ("pq", "sq", "rq", "miou"):
+    for key in scores:
         print(f"  {key:>5} = {rows[key]:.6f}")
     for name, shape in shapes.items():
         print(f"  stage {name}: {shape}")
     if args.out:
         with open(args.out, "w", newline="") as f:
             writer = csv.writer(f)
-            header = ["mode", "pq", "sq", "rq", "miou", "pred_segments", "gt_segments", "stage_shapes"]
-            writer.writerow(header)
+            writer.writerow([*rows, "stage_shapes"])
             writer.writerow(
-                [
-                    rows["mode"],
-                    f"{rows['pq']:.6f}",
-                    f"{rows['sq']:.6f}",
-                    f"{rows['rq']:.6f}",
-                    f"{rows['miou']:.6f}",
-                    rows["pred_segments"],
-                    rows["gt_segments"],
-                    ";".join(f"{k}={v}" for k, v in shapes.items()),
-                ]
+                [f"{v:.6f}" if k in scores else v for k, v in rows.items()]
+                + [";".join(f"{k}={v}" for k, v in shapes.items())]
             )
     return EXIT_OK
 
@@ -283,14 +263,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _square(size: int) -> tuple[int, int]:
+    if size <= 0 or size % 32:
+        raise ValueError(f"--size must be a positive multiple of 32, got {size}")
+    return size, size
+
+
 def cmd_profile(args) -> int:
     from .profiler import profile_modules
     from .weights import load_or_build_weights
 
     config = _load_config(args.config)
-    if args.size % 32:
-        raise ValueError(f"--size must be divisible by 32, got {args.size}")
-    image_hw = (args.size, args.size)
+    image_hw = _square(args.size)
     load_or_build_weights(args.weights, config, image_hw)
     report = profile_modules(config, args.weights, image_hw, args.classes, args.mode)
     out = args.out or "profile.csv"
@@ -308,26 +292,30 @@ def cmd_bench(args) -> int:
     from .weights import build_weights
 
     config = _load_config(args.config)
-    if args.size % 32:
-        raise ValueError(f"--size must be divisible by 32, got {args.size}")
-    image_hw = (args.size, args.size)
+    image_hw = _square(args.size)
     bundle = build_weights(config, image_hw)
-    report = benchmark(config, bundle, args.mode, args.reps, image_hw, seed=args.seed)
-    out = args.out or f"bench_{args.mode}.csv"
+    report = benchmark(config, bundle, args.reps, image_hw, seed=args.seed)
+    out = args.out or "bench.csv"
     report.write_csv(out)
-    row = report.rows[0]
-    print(
-        f"{row.module} mode={row.mode} params={row.params} macs={row.macs} "
-        f"mean={row.time_mean_ns / 1e6:.3f}ms p50={row.time_p50_ns / 1e6:.3f}ms "
-        f"p95={row.time_p95_ns / 1e6:.3f}ms"
-    )
+    for row in report.rows:
+        print(
+            f"{row.module} mode={row.mode} params={row.params} macs={row.macs} "
+            f"mean={row.time_mean_ns / 1e6:.3f}ms p50={row.time_p50_ns / 1e6:.3f}ms "
+            f"p95={row.time_p95_ns / 1e6:.3f}ms"
+        )
+    print(report.notes[-1])
     print(f"report written to {out} (config_hash={report.config_hash})")
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_thread_cap(default=0 if argv[:1] == ["bench"] else None)
+    try:
+        _apply_thread_cap(default=0 if argv[:1] == ["bench"] else None)
+    except ValueError:
+        print(f"error: EOVSEG_THREADS={os.environ['EOVSEG_THREADS']!r} is not an integer",
+              file=sys.stderr)
+        return EXIT_USAGE
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -2,8 +2,10 @@
 spatial branch -> fusion -> classification -> panoptic assembly.
 
 ``STAGES`` is the one definition of the graph.  Each row names the stage a
-failure is reported under, the fusion modes it runs in, its outputs, and the
-step that computes them from the scene inputs and earlier outputs.  Fusion
+failure is reported under, the fusion modes it runs in, its outputs, the
+step that computes them from the scene inputs and earlier outputs, and its
+analytic MAC count (``macs``), read from the config, image size, vocabulary
+size and decoder mode; ``profiler.count_macs`` sums the rows that run.  Fusion
 modes plug in at two seams: ``eaf`` fuses the feature maps before decoding;
 ``sdi``/``tdee`` fuse the embedding rows after decoding; ``none`` passes the
 mask embeddings straight through.
@@ -28,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .aggregator import aggregate, build_pyramid, extract_features
+from .aggregator import LEVELS, STAGE_FACTORS, aggregate, build_pyramid, extract_features
 from .classifier import (
     ClassScores,
     EnsembleParams,
@@ -44,7 +46,10 @@ from .decoder import MaskSet, decoder_forward
 from .evaluation import PanopticAnnotation, assemble_panoptic
 from .fusion import eaf, sdi, tdee
 from .kernels import bilinear_upsample, conv2d_1x1
-from .spatial import spatial_embeddings, spatial_features, vit_block_features
+from .profiler import (_decoder_macs, macs_attention, macs_bilinear, macs_conv2d_1x1,
+                       macs_conv2d_3x3, macs_depthwise_conv1d, macs_depthwise_separable,
+                       macs_matmul, macs_transposed_conv2d)
+from .spatial import PATCH, spatial_embeddings, spatial_features, vit_block_features
 from .tensor import write_eovt
 from .vas import vas_forward_detailed
 from .weights import WeightBundle
@@ -129,51 +134,137 @@ def _decode(v: SimpleNamespace):
 
 @dataclass(frozen=True)
 class Stage:
-    name: str  # the stage PipelineStageError reports
+    name: str  # the stage PipelineStageError reports and count_macs counts under
     modes: tuple[str, ...]  # fusion modes the row runs in
     outputs: tuple[str, ...]  # a leading "_" keeps an output out of the trace
     step: Callable[[SimpleNamespace], object]  # one output, or a tuple of several
+    macs: Callable[[SimpleNamespace], int]  # the step's analytic MACs
+
+
+# A macs step reads config, h, w, n_class and the decoder mode ("dda" or "ca")
+# from a namespace; its terms follow the kernels the row's step calls.
+_STRIDES = tuple(2**level for level in LEVELS)  # of the backbone levels C2..C5
+
+
+def _grid(c: SimpleNamespace, stride: int) -> tuple[int, int]:
+    return c.h // stride, c.w // stride
+
+
+def _pool_macs(c: SimpleNamespace) -> int:  # a stride-4 map pooled into one row per query
+    return c.config.n_queries * c.config.embed_dim * (c.h // 4) * (c.w // 4)
+
+
+def _score_macs(c: SimpleNamespace) -> int:  # one cosine score matrix against the vocabulary
+    return macs_matmul(c.config.n_queries, c.config.embed_dim, c.n_class)
+
+
+def _backbone_macs(c: SimpleNamespace) -> int:
+    widths = c.config.backbone_widths
+    return sum(  # each level projects a space-to-depth of the previous one
+        macs_conv2d_1x1(c_in * STAGE_FACTORS[level] ** 2, c_out, *_grid(c, 2**level))
+        for c_in, c_out, level in zip((3, *widths[:-1]), widths, LEVELS)
+    )
+
+
+def _pyramid_macs(c: SimpleNamespace) -> int:
+    d, widths = c.config.embed_dim, c.config.backbone_widths
+    lateral = sum(macs_conv2d_1x1(w, d, *_grid(c, s)) for w, s in zip(widths, _STRIDES))
+    smooth = sum(macs_conv2d_3x3(d, d, *_grid(c, s)) for s in _STRIDES)
+    return lateral + smooth + sum(macs_bilinear(d, *_grid(c, s)) for s in _STRIDES[:3])  # top-down
+
+
+def _aggregate_macs(c: SimpleNamespace) -> int:
+    d = c.config.embed_dim
+    project = sum(macs_conv2d_1x1(d, d, *_grid(c, s)) for s in _STRIDES)
+    return project + 3 * macs_bilinear(d, *_grid(c, 4)) + macs_conv2d_3x3(d, d, *_grid(c, 4))
+
+
+def _vas_macs(c: SimpleNamespace) -> int:
+    d, k = c.config.embed_dim, c.n_class
+    head_contraction = d * (c.h // 4) * (c.w // 4) * k
+    return macs_depthwise_separable(d, d, *_grid(c, 4)) + macs_matmul(k, d, d) + head_contraction
+
+
+def _vit_macs(c: SimpleNamespace) -> int:
+    dv, (gh, gw) = c.config.vit_dim, _grid(c, PATCH)
+    t = gh * gw + 1  # tokens, the class token included
+    patch_embed = macs_matmul(gh * gw, 3 * PATCH * PATCH, dv)
+    return patch_embed + macs_attention(t, t, dv) + 2 * t * dv * (4 * dv)  # + MLP
+
+
+def _upsampler_macs(c: SimpleNamespace) -> int:
+    d, dv, (gh, gw) = c.config.embed_dim, c.config.vit_dim, _grid(c, PATCH)
+    return macs_transposed_conv2d(dv, dv, gh, gw) + macs_transposed_conv2d(dv, d, 2 * gh, 2 * gw)
+
+
+def _tdee_macs(c: SimpleNamespace) -> int:
+    n, d, t = c.config.n_queries, c.config.embed_dim, c.config.tdee_dim
+    return 2 * macs_matmul(n, d, t) + 2 * macs_matmul(n, t // 2, t // 2) + macs_matmul(n, t // 2, d)
+
+
+def _sdi_macs(c: SimpleNamespace) -> int:
+    n, d, k, r = c.config.n_queries, c.config.embed_dim, c.config.sdi_kernel_size, c.config.sdi_rank
+    generators = macs_matmul(n, d, k) + 2 * macs_matmul(n, d, d * r)
+    return generators + macs_depthwise_conv1d(n, d, k) + 2 * n * d * r  # + rank-r pointwise
+
+
+def _clip_macs(c: SimpleNamespace) -> int:  # without the backbone pass it repeats
+    d = c.config.embed_dim
+    project = macs_conv2d_1x1(c.config.backbone_widths[-1], d, *_grid(c, 32))
+    return project + macs_bilinear(d, *_grid(c, 4))
 
 
 ALL = FUSION_MODES
 
 STAGES = (
-    Stage("backbone", ALL, ("_feats",), lambda v: extract_features(v.image, v.bundle.backbone)),
-    Stage("aggregator", ALL, ("_pyramid",), lambda v: build_pyramid(v._feats, v.bundle.aggregator)),
+    Stage("backbone", ALL, ("_feats",), lambda v: extract_features(v.image, v.bundle.backbone),
+          _backbone_macs),
+    Stage("aggregator", ALL, ("_pyramid",), lambda v: build_pyramid(v._feats, v.bundle.aggregator),
+          _pyramid_macs),
     Stage("aggregator", ALL, ("agg_features",),
-          lambda v: aggregate(v._pyramid, v.bundle.aggregator)),
+          lambda v: aggregate(v._pyramid, v.bundle.aggregator), _aggregate_macs),
     Stage("vas", ALL, ("vs_agg_features", "vas_attention"),
-          lambda v: vas_forward_detailed(v.agg_features, v.text.embeddings, v.bundle.vas)),
+          lambda v: vas_forward_detailed(v.agg_features, v.text.embeddings, v.bundle.vas),
+          _vas_macs),
     Stage("spatial", ("eaf", "sdi", "tdee"), ("_vit_grid",),
-          lambda v: vit_block_features(v.image, v.bundle.vit)),
-    Stage("fusion", ("eaf",), ("_vit_grid_up",), lambda v: bilinear_upsample(v._vit_grid, 4)),
+          lambda v: vit_block_features(v.image, v.bundle.vit), _vit_macs),
+    Stage("fusion", ("eaf",), ("_vit_grid_up",), lambda v: bilinear_upsample(v._vit_grid, 4),
+          lambda c: macs_bilinear(c.config.vit_dim, *_grid(c, 4))),
     Stage("fusion", ("eaf",), ("early_fused_features",),
-          lambda v: eaf(v.vs_agg_features, v._vit_grid_up, v.bundle.eaf)),
+          lambda v: eaf(v.vs_agg_features, v._vit_grid_up, v.bundle.eaf),
+          lambda c: macs_conv2d_1x1(
+              c.config.embed_dim + c.config.vit_dim, c.config.embed_dim, *_grid(c, 4))),
     Stage("decoder", ALL, ("mask_logits", "mask_embeddings", "refined_kernels", "init_attention"),
-          _decode),
+          _decode, lambda c: _decoder_macs(c.config, (c.h // 4) * (c.w // 4), c.mode)),
     Stage("spatial", ("sdi", "tdee"), ("spatial_features",),
-          lambda v: spatial_features(v._vit_grid, v.bundle.upsampler)),
+          lambda v: spatial_features(v._vit_grid, v.bundle.upsampler), _upsampler_macs),
     Stage("spatial", ("sdi", "tdee"), ("spatial_embeddings",),
-          lambda v: spatial_embeddings(v.spatial_features, MaskSet(logits=v.mask_logits))),
+          lambda v: spatial_embeddings(v.spatial_features, MaskSet(logits=v.mask_logits)),
+          _pool_macs),
     Stage("fusion", ("tdee",), ("instance_embeddings",),
-          lambda v: tdee(v.mask_embeddings, v.spatial_embeddings, v.bundle.tdee)),
+          lambda v: tdee(v.mask_embeddings, v.spatial_embeddings, v.bundle.tdee), _tdee_macs),
     Stage("fusion", ("sdi",), ("instance_embeddings",),
-          lambda v: sdi(v.mask_embeddings, v.spatial_embeddings, v.bundle.sdi)),
-    Stage("fusion", ("none", "eaf"), ("instance_embeddings",), lambda v: v.mask_embeddings),
+          lambda v: sdi(v.mask_embeddings, v.spatial_embeddings, v.bundle.sdi), _sdi_macs),
+    Stage("fusion", ("none", "eaf"), ("instance_embeddings",), lambda v: v.mask_embeddings,
+          lambda c: 0),
     Stage("classifier", ALL, ("scores_in_vocab",),
-          lambda v: in_vocab_scores(v.instance_embeddings, v.text, v.config.tau).values),
-    Stage("classifier", ALL, ("_clip_final",), lambda v: _clip_final_features(v.image, v.bundle)),
+          lambda v: in_vocab_scores(v.instance_embeddings, v.text, v.config.tau).values,
+          _score_macs),
+    Stage("classifier", ALL, ("_clip_final",), lambda v: _clip_final_features(v.image, v.bundle),
+          _clip_macs),
     Stage("classifier", ALL, ("scores_out_vocab",),
           lambda v: out_vocab_scores(
               v._clip_final, MaskSet(logits=v.mask_logits), v.text, v.config.tau
-          ).values),
+          ).values,
+          lambda c: _pool_macs(c) + _score_macs(c)),
     Stage("classifier", ALL, ("scores_final",),
           lambda v: ensemble(
               ClassScores(values=v.scores_in_vocab, kind="in_vocab"),
               ClassScores(values=v.scores_out_vocab, kind="out_vocab"),
               EnsembleParams(v.config.alpha, v.config.beta, v.config.ensemble_method),
               v.text.seen,
-          ).values),
+          ).values,
+          lambda c: 0),
 )
 
 # intermediates dumped by forward_traced for the default (tdee) configuration

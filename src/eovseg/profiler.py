@@ -10,10 +10,12 @@ activations, and plain averaging are not counted.  FLOPs are reported as
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,18 +32,12 @@ from .decoder import (
 from .tensor import Rng
 from .weights import WeightBundle, read_manifest
 
-MODULES = (
-    "backbone",
-    "aggregator",
-    "vas",
-    "decoder",
-    "spatial",
-    "fusion",
-    "text_encoder",
-    "classifier",
-)
+MODULES = ("backbone", "aggregator", "vas", "decoder", "spatial", "fusion", "text_encoder",
+           "classifier")
 
 FLOPS_NOTE = "flops = 2 * macs (multiply-accumulate convention)"
+CSV_COLUMNS = ("module", "params", "macs", "flops", "time_mean_ns", "time_p50_ns", "time_p95_ns",
+               "mode", "config_hash")
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +120,7 @@ def count_params(weights_dir: str | Path) -> dict[str, int]:
         module = name.split(".", 1)[0]
         if module not in counts:
             raise ValueError(f"count_params: tensor {name!r} has unknown module prefix")
-        n = 1
-        for e in shape:
-            n *= e
-        counts[module] += n
+        counts[module] += math.prod(shape)
     return counts
 
 
@@ -160,72 +153,16 @@ def count_macs(
     n_class: int = 4,
     mode: str = "dda",
 ) -> dict[str, int]:
-    """Per-module analytic MAC counts for one forward pass."""
-    h, w = image_hw
-    d, dv = cfg.embed_dim, cfg.vit_dim
-    h4, w4 = h // 4, w // 4
-    hw4 = h4 * w4
-    n = cfg.n_queries
-    widths = cfg.backbone_widths
+    """Per-module analytic MACs of one forward pass with decoder ``mode``: the sum
+    of ``macs`` over the ``pipeline.STAGES`` rows that run in ``cfg.fusion``.
+    ``text_encoder`` has no row: template averaging is adds only."""
+    from .pipeline import STAGES  # pipeline imports this module for its formulas
+
+    c = SimpleNamespace(config=cfg, h=image_hw[0], w=image_hw[1], n_class=n_class, mode=mode)
     counts = dict.fromkeys(MODULES, 0)
-
-    sizes = {2: (h // 4, w // 4), 3: (h // 8, w // 8), 4: (h // 16, w // 16), 5: (h // 32, w // 32)}
-    in_ch = 3
-    for level, width in zip((2, 3, 4, 5), widths):
-        factor = 4 if level == 2 else 2
-        hh, ww = sizes[level]
-        counts["backbone"] += macs_conv2d_1x1(in_ch * factor * factor, width, hh, ww)
-        in_ch = width
-
-    for level, c_in in zip((2, 3, 4, 5), widths):
-        hh, ww = sizes[level]
-        counts["aggregator"] += macs_conv2d_1x1(c_in, d, hh, ww)  # lateral
-        counts["aggregator"] += macs_conv2d_3x3(d, d, hh, ww)  # smoothing
-        counts["aggregator"] += macs_conv2d_1x1(d, d, hh, ww)  # pre-sum projection
-    for level in (2, 3, 4):  # top-down upsample-and-add targets
-        hh, ww = sizes[level]
-        counts["aggregator"] += macs_bilinear(d, hh, ww)
-    for level in (3, 4, 5):  # aggregation upsampling to stride 4
-        counts["aggregator"] += macs_bilinear(d, h4, w4)
-    counts["aggregator"] += macs_conv2d_3x3(d, d, h4, w4)  # fuse
-
-    counts["vas"] += macs_depthwise_separable(d, d, h4, w4)
-    counts["vas"] += macs_matmul(n_class, d, d)
-    counts["vas"] += d * hw4 * n_class  # head-wise channel contraction
-
-    counts["decoder"] = _decoder_macs(cfg, hw4, mode)
-
-    gh, gw = h // 16, w // 16
-    tokens = gh * gw + 1
-    counts["spatial"] += macs_matmul(gh * gw, 3 * 256, dv)  # patch embedding
-    counts["spatial"] += macs_attention(tokens, tokens, dv)
-    counts["spatial"] += 2 * tokens * dv * (4 * dv)  # MLP
-    if cfg.fusion in ("sdi", "tdee"):
-        counts["spatial"] += macs_transposed_conv2d(dv, dv, gh, gw)
-        counts["spatial"] += macs_transposed_conv2d(dv, d, 2 * gh, 2 * gw)
-        counts["spatial"] += n * d * hw4  # spatial mask pooling
-
-    if cfg.fusion == "tdee":
-        half = cfg.tdee_dim // 2
-        counts["fusion"] += 2 * macs_matmul(n, d, cfg.tdee_dim)
-        counts["fusion"] += 2 * macs_matmul(n, half, half)
-        counts["fusion"] += macs_matmul(n, half, d)
-    elif cfg.fusion == "sdi":
-        k, r = cfg.sdi_kernel_size, cfg.sdi_rank
-        counts["fusion"] += macs_matmul(n, d, k) + 2 * macs_matmul(n, d, d * r)
-        counts["fusion"] += macs_depthwise_conv1d(n, d, k)
-        counts["fusion"] += 2 * n * d * r  # rank-r pointwise application
-    elif cfg.fusion == "eaf":
-        counts["fusion"] += macs_bilinear(dv, h4, w4)
-        counts["fusion"] += macs_conv2d_1x1(d + dv, d, h4, w4)
-
-    counts["text_encoder"] = 0  # template averaging is adds only under this convention
-
-    h32, w32 = sizes[5]
-    counts["classifier"] += macs_conv2d_1x1(widths[-1], d, h32, w32)  # final-stage projection
-    counts["classifier"] += macs_bilinear(d, h4, w4)
-    counts["classifier"] += n * d * hw4  # out-of-vocab mask pooling
-    counts["classifier"] += 2 * macs_matmul(n, d, n_class)  # both cosine score matrices
+    for stage in STAGES:
+        if cfg.fusion in stage.modes:
+            counts[stage.name] += stage.macs(c)
     return counts
 
 
@@ -260,33 +197,10 @@ class ProfileReport:
             for note in self.notes:
                 f.write(f"# {note}\n")
             writer = csv.writer(f)
-            writer.writerow(
-                [
-                    "module",
-                    "params",
-                    "macs",
-                    "flops",
-                    "time_mean_ns",
-                    "time_p50_ns",
-                    "time_p95_ns",
-                    "mode",
-                    "config_hash",
-                ]
-            )
+            writer.writerow(CSV_COLUMNS)
             for r in self.rows:
-                writer.writerow(
-                    [
-                        r.module,
-                        r.params,
-                        r.macs,
-                        r.flops,
-                        f"{r.time_mean_ns:.0f}",
-                        f"{r.time_p50_ns:.0f}",
-                        f"{r.time_p95_ns:.0f}",
-                        r.mode,
-                        self.config_hash,
-                    ]
-                )
+                times = (f"{t:.0f}" for t in (r.time_mean_ns, r.time_p50_ns, r.time_p95_ns))
+                writer.writerow([r.module, r.params, r.macs, r.flops, *times, r.mode, self.config_hash])
 
 
 def assert_interaction_asymmetry(cfg: ModelConfig) -> None:
@@ -311,14 +225,7 @@ def profile_modules(
     params = count_params(weights_dir)
     macs = count_macs(cfg, image_hw, n_class, mode)
     rows = [ProfileRow(module=m, params=params[m], macs=macs[m], mode=mode) for m in MODULES]
-    rows.append(
-        ProfileRow(
-            module="total",
-            params=sum(params.values()),
-            macs=sum(macs.values()),
-            mode=mode,
-        )
-    )
+    rows.append(ProfileRow("total", sum(params.values()), sum(macs.values()), mode))
     return ProfileReport(
         rows=rows, config_hash=cfg.hash({"image_hw": list(image_hw), "n_class": n_class})
     )
@@ -338,17 +245,15 @@ def _layer_step(features, kernels, masks, bundle: WeightBundle, mode: str):
 def benchmark(
     cfg: ModelConfig,
     bundle: WeightBundle,
-    mode: str,
     reps: int,
     image_hw: tuple[int, int] = (64, 64),
     warmup: int = 2,
     seed: int = 0,
 ) -> ProfileReport:
-    """Time one decoder layer on seeded inputs; counts stay analytic."""
+    """Time one decoder layer with dda and with ca on the same seeded inputs,
+    alternating per repetition; counts stay analytic."""
     if reps < 5:
         raise ValueError(f"benchmark: reps must be >= 5, got {reps}")
-    if mode not in ("dda", "ca"):
-        raise ValueError(f"benchmark: unknown mode {mode!r}")
     assert_interaction_asymmetry(cfg)
     h4, w4 = image_hw[0] // 4, image_hw[1] // 4
     rng = Rng(seed)
@@ -356,30 +261,34 @@ def benchmark(
     kernels = rng.normal((cfg.n_queries, cfg.embed_dim), std=0.1)
     masks = MaskSet(logits=rng.normal((cfg.n_queries, h4, w4)))
 
-    for _ in range(warmup):
-        _layer_step(features, kernels, masks, bundle, mode)
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter_ns()
-        _layer_step(features, kernels, masks, bundle, mode)
-        times.append(time.perf_counter_ns() - t0)
+    times = {"dda": [], "ca": []}
+    for rep in range(warmup + reps):
+        for mode, kept in times.items():
+            t0 = time.perf_counter_ns()
+            _layer_step(features, kernels, masks, bundle, mode)
+            if rep >= warmup:
+                kept.append(time.perf_counter_ns() - t0)
 
     d = cfg.embed_dim
-    row = ProfileRow(
-        module="decoder_layer",
-        params=params_dda_layer(d, cfg.dda_kernel_size) if mode == "dda" else params_ca_layer(d),
-        macs=_decoder_layer_macs(cfg, h4 * w4, mode),
-        mode=mode,
-        time_mean_ns=float(statistics.fmean(times)),
-        time_p50_ns=float(np.percentile(times, 50)),
-        time_p95_ns=float(np.percentile(times, 95)),
-    )
-    report = ProfileReport(
-        rows=[row],
+    params = {"dda": params_dda_layer(d, cfg.dda_kernel_size), "ca": params_ca_layer(d)}
+    rows = [
+        ProfileRow(
+            module="decoder_layer",
+            params=params[mode],
+            macs=_decoder_layer_macs(cfg, h4 * w4, mode),
+            mode=mode,
+            time_mean_ns=float(statistics.fmean(t)),
+            time_p50_ns=float(np.percentile(t, 50)),
+            time_p95_ns=float(np.percentile(t, 95)),
+        )
+        for mode, t in times.items()
+    ]
+    return ProfileReport(
+        rows=rows,
         config_hash=cfg.hash({"image_hw": list(image_hw)}),
         notes=[
             f"reps={reps} warmup={warmup} (warmup excluded), monotonic clock",
             "params column reports the interaction block only (kernel projection vs QKVO)",
+            f"ca_over_dda={rows[1].time_p50_ns / rows[0].time_p50_ns:.3f} (p50 time ratio)",
         ],
     )
-    return report

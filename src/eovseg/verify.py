@@ -836,7 +836,8 @@ def check_macs_instrumented(rng: Rng, trials: int):
             return False, f"decoder {c.count} != {analytic['decoder']}"
 
         c = oracles.MacCounter()
-        grid = reference.vit_block_reference(image, bundle.vit, c)
+        if mode != "none":  # the ViT block feeds only the eaf/sdi/tdee branches
+            grid = reference.vit_block_reference(image, bundle.vit, c)
         if mode in ("sdi", "tdee"):
             spat = reference.spatial_features_reference(grid, bundle.upsampler, c)
             reference.mask_pool_reference(spat.astype(np.float32), ref_out[0].astype(np.float32), c)

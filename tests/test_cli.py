@@ -297,28 +297,38 @@ class TestProfileBench:
         ]
 
     def test_bench_modes_share_config_hash(self, workdir):
-        for mode in ("dda", "ca"):
-            code = main(
-                [
-                    "bench",
-                    "--config",
-                    str(workdir / "config.json"),
-                    "--mode",
-                    mode,
-                    "--reps",
-                    "5",
-                    "--out",
-                    str(workdir / f"b_{mode}.csv"),
-                ]
-            )
-            assert code == 0
-        hashes = set()
-        for mode in ("dda", "ca"):
-            with open(workdir / f"b_{mode}.csv") as f:
-                rows = [r for r in csv.reader(f) if r and not r[0].startswith("#")]
-            hashes.add(rows[1][-1])
-            assert float(rows[1][5]) <= float(rows[1][6])  # p50 <= p95
-        assert len(hashes) == 1
+        code = main(
+            [
+                "bench",
+                "--config",
+                str(workdir / "config.json"),
+                "--reps",
+                "5",
+                "--out",
+                str(workdir / "b.csv"),
+            ]
+        )
+        assert code == 0
+        with open(workdir / "b.csv") as f:
+            rows = [r for r in csv.reader(f) if r and not r[0].startswith("#")][1:]
+        assert [r[7] for r in rows] == ["dda", "ca"]
+        for row in rows:
+            assert float(row[5]) <= float(row[6])  # p50 <= p95
+        assert len({row[-1] for row in rows}) == 1
+
+    def test_bench_mode_option_removed(self, workdir):
+        assert main(["bench", "--mode", "dda", "--config", str(workdir / "config.json")]) == 2
+
+    @pytest.mark.parametrize("size", ["0", "-32"])
+    @pytest.mark.parametrize("command", ["profile", "bench"])
+    def test_size_below_32_usage_error(self, workdir, capsys, command, size):
+        argv = [command, "--config", str(workdir / "config.json"), f"--size={size}"]
+        if command == "profile":
+            argv += ["--weights", str(workdir / "pw_bad")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "positive multiple of 32" in err[0]
+        assert not (workdir / "pw_bad").exists()
 
     def test_bench_low_reps_usage_error(self, workdir):
         assert main(["bench", "--reps", "3", "--config", str(workdir / "config.json")]) == 2
@@ -344,6 +354,13 @@ def test_console_script_entry_point():
         [sys.executable, "-m", "eovseg.cli", "gen"], capture_output=True, text=True
     )
     assert proc.returncode == 2  # missing required --spec/--out
+
+
+def test_bad_thread_count_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("EOVSEG_THREADS", "abc")
+    assert main(["verify", "--trials", "2"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "EOVSEG_THREADS" in err[0]
 
 
 def test_unknown_flag_rejected():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from eovseg import oracles
-from eovseg.config import ModelConfig
+from eovseg.config import FUSION_MODES, ModelConfig
+from eovseg.pipeline import STAGES
 from eovseg.profiler import (
     MODULES,
     ProfileReport,
@@ -134,15 +135,52 @@ class TestMacs:
         assert set(counts) == set(MODULES)
         assert all(v >= 0 for v in counts.values())
 
+    # Recorded before count_macs summed the stage table, in MODULES order; only
+    # "none" differs from that record: its spatial count is 0, as forward runs no ViT.
+    PINNED = {
+        ("small", "tdee", 32, 3): (14848, 103232, 10432, 14016, 17288, 576, 0, 3792),
+        ("small", "sdi", 32, 3): (14848, 103232, 10432, 14016, 17288, 1008, 0, 3792),
+        ("small", "eaf", 32, 3): (14848, 103232, 10432, 14016, 13448, 7168, 0, 3792),
+        ("small", "none", 32, 3): (14848, 103232, 10432, 14016, 0, 0, 0, 3792),
+        ("default", "tdee", 64, 4): (
+            7077888, 382812160, 17891328, 363161600, 12669056, 19660800, 0, 7544832),
+        ("default", "tdee", 128, 4): (
+            28311552, 1531248640, 70778880, 520448000, 50921600, 19660800, 0, 29564928),
+        ("default", "tdee", 256, 4): (
+            113246208, 6124994560, 282329088, 1149593600, 209830016, 19660800, 0, 117645312),
+        ("default", "eaf", 128, 10): (
+            28311552, 1531248640, 72744960, 520448000, 6881408, 84148224, 0, 29872128),
+        ("default", "none", 64, 4): (
+            7077888, 382812160, 17891328, 363161600, 0, 0, 0, 7544832),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED), ids=lambda k: "-".join(map(str, k)))
+    def test_counts_pinned(self, key):
+        name, fusion, size, n_class = key
+        cfg = small_config(fusion=fusion) if name == "small" else ModelConfig(fusion=fusion)
+        counts = count_macs(cfg, (size, size), n_class)
+        assert counts == dict(zip(MODULES, self.PINNED[key]))
+
+    @pytest.mark.parametrize("fusion", FUSION_MODES)
+    def test_modules_without_a_running_row_count_zero(self, fusion):
+        counts = count_macs(small_config(fusion=fusion), (32, 32), 3)
+        running = {s.name for s in STAGES if fusion in s.modes}
+        for module in set(MODULES) - running:
+            assert counts[module] == 0, f"{module} counts {counts[module]} MACs under {fusion}"
+        # no row computes anything for text_encoder; none passes the embeddings straight through
+        expect_zero = {"text_encoder", "spatial", "fusion"} if fusion == "none" else {"text_encoder"}
+        assert {m for m, v in counts.items() if v == 0} == expect_zero
+
 
 class TestBenchmark:
     def test_report_schema_and_order_statistics(self, tmp_path):
         cfg = small_config()
         bundle = build_weights(cfg, (32, 32))
-        report = benchmark(cfg, bundle, "dda", reps=5, image_hw=(32, 32))
-        row = report.rows[0]
-        assert row.time_p50_ns <= row.time_p95_ns
-        assert row.time_mean_ns > 0
+        report = benchmark(cfg, bundle, reps=5, image_hw=(32, 32))
+        assert [row.mode for row in report.rows] == ["dda", "ca"]
+        for row in report.rows:
+            assert row.time_p50_ns <= row.time_p95_ns
+            assert row.time_mean_ns > 0
         path = tmp_path / "bench.csv"
         report.write_csv(path)
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
@@ -152,32 +190,37 @@ class TestBenchmark:
             "time_mean_ns", "time_p50_ns", "time_p95_ns", "mode", "config_hash",
         ]
         assert path.read_text().startswith("# flops = 2 * macs")
+        assert any(l.startswith("# ca_over_dda=") for l in path.read_text().splitlines())
 
     def test_low_reps_rejected(self):
         cfg = small_config()
         bundle = build_weights(cfg, (32, 32))
         with pytest.raises(ValueError, match=">= 5"):
-            benchmark(cfg, bundle, "dda", reps=4, image_hw=(32, 32))
+            benchmark(cfg, bundle, reps=4, image_hw=(32, 32))
 
-    def test_modes_share_config_hash(self):
+    def test_modes_share_config_hash(self, tmp_path):
         cfg = small_config()
         bundle = build_weights(cfg, (32, 32))
-        a = benchmark(cfg, bundle, "dda", reps=5, image_hw=(32, 32))
-        b = benchmark(cfg, bundle, "ca", reps=5, image_hw=(32, 32))
-        assert a.config_hash == b.config_hash
-        assert a.rows[0].macs < b.rows[0].macs
+        report = benchmark(cfg, bundle, reps=5, image_hw=(32, 32))
+        report.write_csv(tmp_path / "bench.csv")
+        with open(tmp_path / "bench.csv") as f:
+            rows = [r for r in csv.reader(f) if r and not r[0].startswith("#")][1:]
+        assert [r[7] for r in rows] == ["dda", "ca"]
+        assert rows[0][-1] == rows[1][-1] == report.config_hash
+        a, b = report.rows
+        assert a.macs < b.macs
         # the row is one layer of _decoder_macs: minus initial mask prediction and final pooling
         n, d, hw = cfg.n_queries, cfg.embed_dim, 8 * 8
         one_layer = replace(cfg, decoder_layers=1)
-        for report, mode in ((a, "dda"), (b, "ca")):
-            assert report.rows[0].macs == _decoder_macs(one_layer, hw, mode) - 2 * n * d * hw
+        for row in report.rows:
+            assert row.macs == _decoder_macs(one_layer, hw, row.mode) - 2 * n * d * hw
 
     def test_counts_deterministic_across_reports(self):
         cfg = small_config()
         bundle = build_weights(cfg, (32, 32))
-        a = benchmark(cfg, bundle, "dda", reps=5, image_hw=(32, 32))
-        b = benchmark(cfg, bundle, "dda", reps=5, image_hw=(32, 32))
-        assert (a.rows[0].params, a.rows[0].macs) == (b.rows[0].params, b.rows[0].macs)
+        a = benchmark(cfg, bundle, reps=5, image_hw=(32, 32))
+        b = benchmark(cfg, bundle, reps=5, image_hw=(32, 32))
+        assert [(r.params, r.macs) for r in a.rows] == [(r.params, r.macs) for r in b.rows]
 
 
 class TestProfileModules:
