@@ -188,13 +188,14 @@ def cmd_run(args) -> int:
         mode, panoptic, shapes = "gt_bypass", gt, {}
     else:
         from .evaluation import PanopticAnnotation
-        from .pipeline import pad_to_multiple, resize_image, resize_map_nearest
+        from .kernels import bilinear_resize
+        from .pipeline import pad_to_multiple, resize_map_nearest
 
         if args.resize_shortest is not None:
             h, w = image.shape[1], image.shape[2]
             scale = args.resize_shortest / min(h, w)
             target = (max(1, round(h * scale)), max(1, round(w * scale)))
-            image = resize_image(image, target)
+            image = bilinear_resize(image, target)
             gt_map = resize_map_nearest(gt.segment_map, target)
             keep = set(int(i) for i in np.unique(gt_map))
             gt = PanopticAnnotation(

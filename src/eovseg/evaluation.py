@@ -19,10 +19,11 @@ import numpy as np
 
 from .classifier import MaskLabel
 from .decoder import MaskSet
-from .kernels import bilinear_upsample
+from .kernels import bilinear_upsample, sigmoid
 from .tensor import Rng, read_eovt, write_eovt
 
 VOID = 0  # segment id reserved for unlabeled pixels
+_BAND_ROWS = 16  # mask rows per assembly band (64 output rows at 4x)
 
 
 @dataclass
@@ -236,23 +237,37 @@ def assemble_panoptic(
     Stuff winners of the same class are merged into a single segment; each
     thing winner keeps its own segment.  With no surviving labels the whole
     map is void.
+
+    The argmax runs in bands of ``_BAND_ROWS`` mask rows, so memory is bounded
+    by the band rather than by the image.  Each band is upsampled with one
+    halo row on either side: interior output rows then never reach the
+    clamped edge and their half-pixel fractions shift by whole rows, so every
+    pixel equals the full-size upsample's.
     """
-    h, w = masks.logits.shape[1] * upsample_factor, masks.logits.shape[2] * upsample_factor
+    ph, pw = masks.logits.shape[1:]
+    h, w = ph * upsample_factor, pw * upsample_factor
     if not labels:
         return PanopticAnnotation(segment_map=np.zeros((h, w), dtype=np.int32), segments=[])
-    probs = masks.probabilities[[lab.mask_index for lab in labels]]
-    if upsample_factor > 1:
-        probs = bilinear_upsample(probs, upsample_factor)
-    conf = np.array([lab.confidence for lab in labels], dtype=np.float32)
-    winner = np.argmax(conf[:, None, None] * probs, axis=0)
+    probs = sigmoid(masks.logits[[lab.mask_index for lab in labels]])
+    conf = np.array([lab.confidence for lab in labels], dtype=np.float32)[:, None, None]
+    winner = np.empty((h, w), dtype=np.intp)
+    for r0 in range(0, ph, _BAND_ROWS):
+        r1 = min(r0 + _BAND_ROWS, ph)
+        if upsample_factor > 1:
+            s0 = max(r0 - 1, 0)
+            up = bilinear_upsample(probs[:, s0:min(r1 + 1, ph)], upsample_factor)
+            band = up[:, (r0 - s0) * upsample_factor:(r1 - s0) * upsample_factor]
+        else:
+            band = probs[:, r0:r1]
+        winner[r0 * upsample_factor:r1 * upsample_factor] = np.argmax(conf * band, axis=0)
 
-    seg_map = np.zeros((h, w), dtype=np.int32)
+    present = np.bincount(winner.ravel(), minlength=len(labels)) > 0
+    lut = np.zeros(len(labels), dtype=np.int32)
     records: list[SegmentRecord] = []
     stuff_ids: dict[int, int] = {}
     next_id = 1
     for i, lab in enumerate(labels):
-        pixels = winner == i
-        if not pixels.any():
+        if not present[i]:
             continue
         thing = bool(class_is_thing[lab.class_id])
         if thing:
@@ -267,8 +282,8 @@ def assemble_panoptic(
                 )
                 next_id += 1
             seg_id = stuff_ids[lab.class_id]
-        seg_map[pixels] = seg_id
-    return PanopticAnnotation(segment_map=seg_map, segments=records)
+        lut[i] = seg_id
+    return PanopticAnnotation(segment_map=lut[winner], segments=records)
 
 
 # ---------------------------------------------------------------------------

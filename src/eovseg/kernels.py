@@ -232,35 +232,42 @@ def transposed_conv2d(
 # resampling and reductions
 
 
-def _bilinear_axis(n_in: int, factor: int):
+def _bilinear_axis(n_in: int, n_out: int):
     """Half-pixel source indices and weights for one axis."""
-    dst = np.arange(n_in * factor, dtype=np.float64)
-    src = (dst + 0.5) / factor - 0.5
+    dst = np.arange(n_out, dtype=np.float64)
+    src = (dst + 0.5) * (n_in / n_out) - 0.5
     lo = np.clip(np.floor(src), 0, n_in - 1).astype(np.int64)
     hi = np.minimum(lo + 1, n_in - 1)
     frac = np.clip(src - lo, 0.0, 1.0)
     return lo, hi, frac.astype(np.float32)
 
 
+def bilinear_resize(x: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
+    """Channel-wise bilinear resample to any (H', W') with half-pixel centers. x: (C,H,W).
+
+    Uses the lerp form a + (b-a)*t so constant maps stay exactly constant.
+    Separable: every input row is lerped along x once, then those rows are
+    lerped along y.  Row ylo of the x-lerp is exactly the four-corner form's
+    ``ll + (lh-ll)*fx``, so both forms agree bit for bit.
+    """
+    _, h, w = x.shape
+    ylo, yhi, fy = _bilinear_axis(h, out_hw[0])
+    xlo, xhi, fx = _bilinear_axis(w, out_hw[1])
+    lo = x[:, :, xlo]
+    rows = lo + (x[:, :, xhi] - lo) * fx[None, None, :]
+    top = rows[:, ylo]
+    return (top + (rows[:, yhi] - top) * fy[None, :, None]).astype(np.float32, copy=False)
+
+
 def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
     """Channel-wise bilinear 2^k upsampling with half-pixel centers. x: (C,H,W).
 
-    Uses the lerp form a + (b-a)*t so constant maps stay exactly constant.
+    A power-of-two ratio makes ``n_in / n_out`` exactly ``1 / factor``, so the
+    source coordinates are exact dyadic values.
     """
     if factor not in (2, 4, 8):
         raise ValueError(f"bilinear_upsample: factor must be one of 2/4/8, got {factor}")
-    _, h, w = x.shape
-    ylo, yhi, fy = _bilinear_axis(h, factor)
-    xlo, xhi, fx = _bilinear_axis(w, factor)
-    fy = fy[None, :, None]
-    fx = fx[None, None, :]
-    ll = x[:, ylo, :][:, :, xlo]
-    lh = x[:, ylo, :][:, :, xhi]
-    hl = x[:, yhi, :][:, :, xlo]
-    hh = x[:, yhi, :][:, :, xhi]
-    top = ll + (lh - ll) * fx
-    bot = hl + (hh - hl) * fx
-    return (top + (bot - top) * fy).astype(np.float32, copy=False)
+    return bilinear_resize(x, (x.shape[1] * factor, x.shape[2] * factor))
 
 
 def reduce_max(x: np.ndarray, axis: int) -> np.ndarray:

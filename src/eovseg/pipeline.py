@@ -74,31 +74,6 @@ def pad_to_multiple(image: np.ndarray, multiple: int = 32) -> np.ndarray:
     return np.pad(image, ((0, 0), (0, ph), (0, pw))).astype(np.float32)
 
 
-def resize_image(image: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
-    """Arbitrary-ratio bilinear resample with half-pixel centers (C,H,W)."""
-    c, h, w = image.shape
-    oh, ow = out_hw
-
-    def axis(n_in, n_out):
-        src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
-        lo = np.clip(np.floor(src), 0, n_in - 1).astype(np.int64)
-        hi = np.minimum(lo + 1, n_in - 1)
-        frac = np.clip(src - lo, 0.0, 1.0).astype(np.float32)
-        return lo, hi, frac
-
-    ylo, yhi, fy = axis(h, oh)
-    xlo, xhi, fx = axis(w, ow)
-    fy = fy[None, :, None]
-    fx = fx[None, None, :]
-    ll = image[:, ylo, :][:, :, xlo]
-    lh = image[:, ylo, :][:, :, xhi]
-    hl = image[:, yhi, :][:, :, xlo]
-    hh = image[:, yhi, :][:, :, xhi]
-    top = ll + (lh - ll) * fx
-    bot = hl + (hh - hl) * fx
-    return (top + (bot - top) * fy).astype(np.float32)
-
-
 def resize_map_nearest(seg_map: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     """Nearest-neighbor resample for id/class maps."""
     h, w = seg_map.shape

@@ -69,7 +69,7 @@ ORACLE_CHECKS = {
 }
 
 
-def test_criterion_1_oracle_equivalence_and_verify_runtime():
+def test_criterion_1_oracle_equivalence_and_verify_runtime(cli_env):
     check_map = dict(CHECKS)
     for i, name in enumerate(sorted(ORACLE_CHECKS)):
         passed, detail = check_map[name](Rng(9_000 + i), 100)
@@ -87,6 +87,7 @@ def test_criterion_1_oracle_equivalence_and_verify_runtime():
         capture_output=True,
         text=True,
         timeout=60,
+        env=cli_env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report(1, f"100-instance oracle equivalence over {len(ORACLE_CHECKS)} kernels; "
@@ -245,7 +246,7 @@ def test_criterion_5_metric_identities():
 # criterion 6 -----------------------------------------------------------------
 
 
-def test_criterion_6_pipeline_integrity(tmp_path):
+def test_criterion_6_pipeline_integrity(tmp_path, cli_env):
     spec = SceneSpec(seed=6)  # 64x64 scene at the default embedding width
     image, gt, templates = generate_scene(spec)
     text = build_text_embeddings(templates, spec.class_names, spec.seen_mask())
@@ -274,14 +275,15 @@ def test_criterion_6_pipeline_integrity(tmp_path):
     }))
     base = [sys.executable, "-m", "eovseg.cli"]
     subprocess.run(base + ["gen", "--spec", str(tmp_path / "spec.json"), "--seed", "6",
-                           "--out", str(tmp_path / "scene")], check=True, capture_output=True)
+                           "--out", str(tmp_path / "scene")],
+                   check=True, capture_output=True, env=cli_env)
     for tag in ("x", "y"):
         subprocess.run(
             base + ["run", "--scene", str(tmp_path / "scene"),
                     "--weights", str(tmp_path / "w"),
                     "--trace", str(tmp_path / f"t{tag}"),
                     "--out", str(tmp_path / f"r{tag}.csv")],
-            check=True, capture_output=True, timeout=300,
+            check=True, capture_output=True, timeout=300, env=cli_env,
         )
     assert (tmp_path / "rx.csv").read_bytes() == (tmp_path / "ry.csv").read_bytes()
     tx = sorted((tmp_path / "tx").glob("*.eovt"))

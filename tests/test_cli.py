@@ -349,9 +349,9 @@ class TestProfileBench:
         assert (workdir / "q1.csv").read_bytes() == (workdir / "q2.csv").read_bytes()
 
 
-def test_console_script_entry_point():
+def test_console_script_entry_point(cli_env):
     proc = subprocess.run(
-        [sys.executable, "-m", "eovseg.cli", "gen"], capture_output=True, text=True
+        [sys.executable, "-m", "eovseg.cli", "gen"], capture_output=True, text=True, env=cli_env
     )
     assert proc.returncode == 2  # missing required --spec/--out
 

@@ -1,10 +1,13 @@
 """Scene generation, panoptic assembly, and metric tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eovseg import evaluation
 from eovseg.classifier import MaskLabel
 from eovseg.decoder import MaskSet
 from eovseg.evaluation import (
@@ -17,6 +20,7 @@ from eovseg.evaluation import (
     miou,
     pq_metrics,
 )
+from eovseg.kernels import bilinear_upsample
 from eovseg.tensor import Rng
 
 
@@ -230,6 +234,45 @@ class TestMiou:
         assert miou(pred, gt) == 1.0
 
 
+def full_size_assembly(masks, labels, class_is_thing, upsample_factor):
+    """Assembly with every kept mask upsampled to full size at once, kept as a bitwise reference."""
+    h, w = masks.logits.shape[1] * upsample_factor, masks.logits.shape[2] * upsample_factor
+    probs = masks.probabilities[[lab.mask_index for lab in labels]]
+    if upsample_factor > 1:
+        probs = bilinear_upsample(probs, upsample_factor)
+    conf = np.array([lab.confidence for lab in labels], dtype=np.float32)
+    winner = np.argmax(conf[:, None, None] * probs, axis=0)
+    seg_map = np.zeros((h, w), dtype=np.int32)
+    records = []
+    stuff_ids = {}
+    next_id = 1
+    for i, lab in enumerate(labels):
+        pixels = winner == i
+        if not pixels.any():
+            continue
+        if class_is_thing[lab.class_id]:
+            seg_id = next_id
+            next_id += 1
+            records.append(SegmentRecord(seg_id, lab.class_id, True))
+        else:
+            if lab.class_id not in stuff_ids:
+                stuff_ids[lab.class_id] = next_id
+                records.append(SegmentRecord(next_id, lab.class_id, False))
+                next_id += 1
+            seg_id = stuff_ids[lab.class_id]
+        seg_map[pixels] = seg_id
+    return seg_map, records
+
+
+def assert_same_as_full_size(masks, labels, class_is_thing, factor):
+    out = assemble_panoptic(masks, labels, class_is_thing, upsample_factor=factor)
+    ref_map, ref_records = full_size_assembly(masks, labels, class_is_thing, factor)
+    assert out.segment_map.dtype == ref_map.dtype and out.segment_map.shape == ref_map.shape
+    assert out.segment_map.tobytes() == ref_map.tobytes()
+    assert out.segments == ref_records
+    return out
+
+
 class TestAssembly:
     def test_no_labels_gives_void_map(self):
         masks = MaskSet(logits=Rng(5).normal((3, 4, 4)))
@@ -272,6 +315,61 @@ class TestAssembly:
         labels = [MaskLabel(0, 0, 0.5), MaskLabel(1, 0, 0.6)]
         out = assemble_panoptic(masks, labels, np.array([True]), upsample_factor=4)
         assert out.segment_map.shape == (16, 16)
+
+    @pytest.mark.parametrize("factor", [1, 2, 4, 8])
+    @pytest.mark.parametrize("mask_h", [1, 15, 16, 17, 33])
+    def test_bands_match_full_size(self, factor, mask_h):
+        rng = Rng(100 * factor + mask_h)
+        masks = MaskSet(logits=rng.normal((9, mask_h, 5), std=3.0))
+        kept = [7, 2, 0, 5, 8, 3]  # out of order: assembly selects the kept queries itself
+        class_ids = [0, 1, 1, 2, 3, 1]  # stuff class 1 appears three times
+        labels = [
+            MaskLabel(q, c, float(rng.uniform((), 0.3, 1.0))) for q, c in zip(kept, class_ids)
+        ]
+        is_thing = np.array([True, False, True, False])
+        out = assert_same_as_full_size(masks, labels, is_thing, factor)
+        assert out.segment_map.shape == (mask_h * factor, 5 * factor)
+
+    @pytest.mark.parametrize("factor", [1, 4])
+    @pytest.mark.parametrize("mask_hw", [(17, 3), (33, 1), (16, 40)])
+    def test_non_square_maps(self, factor, mask_hw):
+        rng = Rng(7 + mask_hw[0] + mask_hw[1])
+        masks = MaskSet(logits=rng.normal((4, *mask_hw), std=2.0))
+        labels = [MaskLabel(i, i, 0.5 + 0.1 * i) for i in range(4)]
+        assert_same_as_full_size(masks, labels, np.array([True, True, False, False]), factor)
+
+    @pytest.mark.parametrize("factor", [1, 2, 4, 8])
+    def test_exact_ties_go_to_the_first_label(self, factor):
+        row = Rng(8).normal((1, 33, 6))
+        masks = MaskSet(logits=np.concatenate([row, row, row]))
+        labels = [MaskLabel(2, 0, 0.7), MaskLabel(0, 1, 0.7), MaskLabel(1, 2, 0.7)]
+        out = assert_same_as_full_size(masks, labels, np.array([True, True, True]), factor)
+        assert np.all(out.segment_map == 1)
+        assert out.segments == [SegmentRecord(1, 0, True)]
+
+    @pytest.mark.parametrize("factor", [1, 2, 4, 8])
+    @pytest.mark.parametrize("mask_h", [1, 17])
+    def test_single_label(self, factor, mask_h):
+        masks = MaskSet(logits=Rng(9).normal((3, mask_h, 4)))
+        out = assert_same_as_full_size(masks, [MaskLabel(1, 0, 0.4)], np.array([False]), factor)
+        assert np.all(out.segment_map == 1)
+
+    def test_peak_memory_bounded_by_band(self):
+        # 512x512 output from 100 kept 128x128 masks: the full-size form peaks near 806 MiB
+        k, mask_hw, factor = 100, 128, 4
+        h = w = mask_hw * factor
+        masks = MaskSet(logits=Rng(10).normal((k, mask_hw, mask_hw), std=3.0))
+        labels = [MaskLabel(i, i % 10, 0.2 + 0.008 * i) for i in range(k)]
+        is_thing = np.arange(10) >= 4
+        band_bytes = k * (evaluation._BAND_ROWS + 2) * factor * w * 4 + h * w * 8
+        tracemalloc.start()
+        try:
+            out = assemble_panoptic(masks, labels, is_thing, upsample_factor=factor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.segment_map.shape == (h, w)
+        assert peak < 6 * band_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_annotation_invariants_enforced():

@@ -321,6 +321,38 @@ class TestTransposedConv2d:
         assert max_err(out, oracles.transposed_conv2d_oracle(x, wt, b)) < 1e-5
 
 
+def four_corner_form(x, src_y, src_x):
+    """The four-corner gather form of bilinear resampling, kept as a bitwise reference.
+
+    src_y/src_x are the float64 source coordinates of the output rows/columns.
+    """
+
+    def taps(src, n_in):
+        lo = np.clip(np.floor(src), 0, n_in - 1).astype(np.int64)
+        hi = np.minimum(lo + 1, n_in - 1)
+        return lo, hi, np.clip(src - lo, 0.0, 1.0).astype(np.float32)
+
+    ylo, yhi, fy = taps(src_y, x.shape[1])
+    xlo, xhi, fx = taps(src_x, x.shape[2])
+    fy = fy[None, :, None]
+    fx = fx[None, None, :]
+    ll = x[:, ylo, :][:, :, xlo]
+    lh = x[:, ylo, :][:, :, xhi]
+    hl = x[:, yhi, :][:, :, xlo]
+    hh = x[:, yhi, :][:, :, xhi]
+    top = ll + (lh - ll) * fx
+    bot = hl + (hh - hl) * fx
+    return (top + (bot - top) * fy).astype(np.float32, copy=False)
+
+
+def factor_coords(n_in, factor):
+    return (np.arange(n_in * factor, dtype=np.float64) + 0.5) / factor - 0.5
+
+
+def ratio_coords(n_in, n_out):
+    return (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
+
+
 class TestBilinearUpsample:
     @pytest.mark.parametrize("factor", [2, 4, 8])
     def test_constancy(self, factor):
@@ -349,6 +381,28 @@ class TestBilinearUpsample:
             x = rng.normal((int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 5))))
             worst = max(worst, max_err(kernels.bilinear_upsample(x, factor), oracles.bilinear_upsample_oracle(x, factor)))
         assert worst < 1e-5
+
+    @pytest.mark.parametrize("factor", [2, 4, 8])
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 1), (3, 1, 6), (2, 5, 1), (1, 7, 4), (4, 3, 9), (5, 16, 16), (2, 33, 17)]
+    )
+    def test_bitwise_equal_to_four_corner_form(self, factor, shape):
+        x = Rng(45 + factor).normal(shape)
+        out = kernels.bilinear_upsample(x, factor)
+        assert out.shape == (shape[0], shape[1] * factor, shape[2] * factor)
+        ref = four_corner_form(x, factor_coords(shape[1], factor), factor_coords(shape[2], factor))
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize(
+        "shape, out_hw", [((2, 10, 14), (16, 16)), ((3, 5, 7), (3, 11)), ((1, 1, 4), (6, 2))]
+    )
+    def test_resize_bitwise_equal_to_four_corner_form(self, shape, out_hw):
+        x = Rng(46).normal(shape)
+        out = kernels.bilinear_resize(x, out_hw)
+        assert out.shape == (shape[0], *out_hw)
+        (oh, ow), (_, h, w) = out_hw, shape
+        ref = four_corner_form(x, ratio_coords(h, oh), ratio_coords(w, ow))
+        assert np.array_equal(out, ref)
 
     def test_mean_preserved_on_ramp(self):
         ramp = np.add.outer(np.arange(3.0), np.arange(4.0)).astype(np.float32)[None]

@@ -376,19 +376,18 @@ class TestInputConditioning:
         assert pad_to_multiple(same, 32) is same
 
     def test_resize_image_constancy_and_extents(self):
-        from eovseg.pipeline import resize_image
+        from eovseg.kernels import bilinear_resize
 
         const = np.full((2, 10, 14), 3.25, dtype=np.float32)
-        out = resize_image(const, (16, 16))
+        out = bilinear_resize(const, (16, 16))
         assert out.shape == (2, 16, 16)
         assert np.all(out == 3.25)
 
     def test_resize_image_matches_pow2_kernel(self):
-        from eovseg.kernels import bilinear_upsample
-        from eovseg.pipeline import resize_image
+        from eovseg.kernels import bilinear_resize, bilinear_upsample
 
         x = Rng(3).normal((2, 5, 7))
-        assert np.max(np.abs(resize_image(x, (10, 14)) - bilinear_upsample(x, 2))) < 1e-6
+        assert np.max(np.abs(bilinear_resize(x, (10, 14)) - bilinear_upsample(x, 2))) < 1e-6
 
     def test_resize_map_nearest_preserves_ids(self):
         from eovseg.pipeline import resize_map_nearest
