@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O, file
 format or scene input error (non-finite or wrongly shaped image, template
-width other than the config's embed_dim), 4 a pipeline stage failed on the
-given input (the stage name is printed).  The EOVSEG_THREADS environment
+width other than the config's embed_dim, a malformed vocab.txt or
+gt_manifest.txt, class counts or ids that disagree between the scene files),
+4 a pipeline stage failed on the given input (the stage name is printed).  The EOVSEG_THREADS environment
 variable caps kernel parallelism (0 = single-threaded); bench defaults to
 single-threaded for comparable timings.  Heavy imports happen after the
 thread cap is applied, which is why the command bodies import lazily.
@@ -157,14 +158,24 @@ def _load_scene(scene_dir: Path, config):
             f"templates for embed_dim={config.embed_dim}, got {templates.shape}"
         )
     gt = PanopticAnnotation.load(scene_dir / "gt_map.eovt", scene_dir / "gt_manifest.txt")
+    vocab = scene_dir / "vocab.txt"
     names, seen, things = [], [], []
-    for line in (scene_dir / "vocab.txt").read_text().splitlines():
+    for line in vocab.read_text().splitlines():
         if not line.strip():
             continue
-        name, seen_tag, thing_tag = line.split()
-        names.append(name)
-        seen.append(seen_tag == "seen")
-        things.append(thing_tag == "thing")
+        fields = line.split()
+        if len(fields) != 3 or fields[1] not in ("seen", "unseen") or fields[2] not in ("thing", "stuff"):
+            raise SceneError(f"{vocab}: malformed line {line!r} (need 'name seen|unseen thing|stuff')")
+        names.append(fields[0])
+        seen.append(fields[1] == "seen")
+        things.append(fields[2] == "thing")
+    if len(names) != templates.shape[1]:
+        raise SceneError(
+            f"{vocab}: {len(names)} classes, but templates.eovt holds N_class={templates.shape[1]}"
+        )
+    unknown = sorted({s.class_id for s in gt.segments} - set(range(len(names))))
+    if unknown:
+        raise SceneError(f"{scene_dir / 'gt_manifest.txt'}: class ids {unknown} not in vocab.txt")
     text = build_text_embeddings(templates, names, np.array(seen))
     return image, gt, text, np.array(things)
 

@@ -228,6 +228,29 @@ def mask_pool(features: np.ndarray, masks: MaskSet) -> np.ndarray:
 # full forward
 
 
+def decoder_layer(
+    features: np.ndarray,
+    kernels: np.ndarray,
+    masks: MaskSet,
+    layer: DecoderLayerWeights,
+    mask_mlp: list[tuple[np.ndarray, np.ndarray]],
+    mode: str,
+) -> tuple[np.ndarray, MaskSet, np.ndarray | None]:
+    """One decoder layer: query interaction, kernel refinement, new masks.
+
+    Returns the refined kernels, their masks and, in dda mode, the pooled
+    query features (None in ca mode).
+    """
+    pooled = None
+    if mode == "dda":
+        pooled = initial_attention(features, masks)
+        interacted = dda(kernels, pooled, layer.kernel_proj)
+    else:
+        interacted = cross_attention_baseline(kernels, features, layer.cross_attn)
+    kernels = refine_kernels(interacted, layer)
+    return kernels, predict_masks(mask_kernels(kernels, mask_mlp), features), pooled
+
+
 @dataclass
 class DecoderOutput:
     masks: MaskSet
@@ -256,13 +279,7 @@ def decoder_forward(
     layer_masks = []
     pooled = None
     for layer in weights.layers:
-        if mode == "dda":
-            pooled = initial_attention(features, masks)
-            interacted = dda(kernels, pooled, layer.kernel_proj)
-        else:
-            interacted = cross_attention_baseline(kernels, features, layer.cross_attn)
-        kernels = refine_kernels(interacted, layer)
-        masks = predict_masks(mask_kernels(kernels, weights.mask_mlp), features)
+        kernels, masks, pooled = decoder_layer(features, kernels, masks, layer, weights.mask_mlp, mode)
         layer_masks.append(masks)
     embeddings = mask_pool(features, masks)
     return DecoderOutput(

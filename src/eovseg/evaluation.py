@@ -20,7 +20,7 @@ import numpy as np
 from .classifier import MaskLabel
 from .decoder import MaskSet
 from .kernels import bilinear_upsample, sigmoid
-from .tensor import Rng, read_eovt, write_eovt
+from .tensor import EovtFormatError, Rng, read_eovt, write_eovt
 
 VOID = 0  # segment id reserved for unlabeled pixels
 _BAND_ROWS = 16  # mask rows per assembly band (64 output rows at 4x)
@@ -72,13 +72,19 @@ class PanopticAnnotation:
         seg = read_eovt(map_path)
         rounded = np.rint(seg)
         if np.max(np.abs(seg - rounded)) > 0:
-            raise ValueError(f"{map_path}: segment map holds non-integral values")
+            raise EovtFormatError(f"{map_path}: segment map holds non-integral values")
         records = []
         for line in Path(manifest_path).read_text().splitlines():
             if not line.strip():
                 continue
-            sid, cid, kind = line.split()
-            records.append(SegmentRecord(int(sid), int(cid), kind == "thing"))
+            try:
+                sid, cid, kind = line.split()
+                record = SegmentRecord(int(sid), int(cid), {"thing": True, "stuff": False}[kind])
+            except (ValueError, KeyError):
+                raise EovtFormatError(
+                    f"{manifest_path}: malformed line {line!r} (need 'segment_id class_id thing|stuff')"
+                ) from None
+            records.append(record)
         return cls(segment_map=rounded.astype(np.int32), segments=records)
 
 

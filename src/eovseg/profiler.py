@@ -20,15 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import ModelConfig
-from .decoder import (
-    MaskSet,
-    cross_attention_baseline,
-    dda,
-    initial_attention,
-    mask_kernels,
-    predict_masks,
-    refine_kernels,
-)
+from .decoder import MaskSet, decoder_layer
 from .tensor import Rng
 from .weights import WeightBundle, read_manifest
 
@@ -232,14 +224,9 @@ def profile_modules(
 
 
 def _layer_step(features, kernels, masks, bundle: WeightBundle, mode: str):
-    layer = bundle.decoder.layers[0]
-    if mode == "dda":
-        pooled = initial_attention(features, masks)
-        interacted = dda(kernels, pooled, layer.kernel_proj)
-    else:
-        interacted = cross_attention_baseline(kernels, features, layer.cross_attn)
-    refined = refine_kernels(interacted, layer)
-    return predict_masks(mask_kernels(refined, bundle.decoder.mask_mlp), features)
+    """The first decoder layer on given kernels and masks; returns its masks."""
+    decoder = bundle.decoder
+    return decoder_layer(features, kernels, masks, decoder.layers[0], decoder.mask_mlp, mode)[1]
 
 
 def benchmark(

@@ -18,7 +18,8 @@ MAX_RANK = 5
 
 
 class EovtFormatError(ValueError):
-    """Raised when a tensor file or a weight cache directory fails format validation."""
+    """Raised when a tensor file, a weight cache directory or a ground-truth
+    manifest fails format validation."""
 
 
 def check_tensor(x: np.ndarray, name: str = "tensor") -> np.ndarray:

@@ -18,3 +18,19 @@ def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture
+def verify_check():
+    """Run one named `verify.CHECKS` check; fails the test with the check's detail."""
+    from eovseg.tensor import Rng
+    from eovseg.verify import CHECKS
+
+    checks = dict(CHECKS)
+
+    def run(name: str, seed: int, trials: int = 100) -> str:
+        passed, detail = checks[name](Rng(seed), trials)
+        assert passed, f"{name}: {detail}"
+        return detail
+
+    return run

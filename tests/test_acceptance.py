@@ -1,4 +1,7 @@
-"""Acceptance suite: eight gate criteria, one test and one printed line each.
+"""Acceptance suite: eight gate criteria, one printed line each.
+
+Criterion 1 runs every `verify.CHECKS` entry as its own test, so a failing
+check fails by name.
 
 Run with  pytest tests/test_acceptance.py -v -s  to see the per-criterion
 pass/fail lines; any assertion failure marks the criterion red.
@@ -29,7 +32,7 @@ from eovseg.profiler import (
 )
 from eovseg.tensor import Rng
 from eovseg.vas import VasWeights, vas_forward
-from eovseg.verify import CHECKS, check_macs_instrumented, run_checks
+from eovseg.verify import CHECKS, SABOTAGE_TARGETS, check_macs_instrumented, run_checks
 from eovseg.weights import build_weights
 
 GEOMETRIC_REFERENCE = 0.662890803467997360  # 0.8^0.6 * 0.5^0.4 at 30 digits
@@ -41,40 +44,21 @@ def report(n, text):
 
 # criterion 1 -----------------------------------------------------------------
 
-ORACLE_CHECKS = {
-    "contract_vs_loop_oracle",
-    "softmax_vs_loop_oracle",
-    "layer_norm_vs_loop_oracle",
-    "sigmoid_vs_loop_oracle",
-    "gelu_vs_loop_oracle",
-    "relu_vs_loop_oracle",
-    "conv2d_1x1_vs_loop_oracle",
-    "conv2d_3x3_vs_loop_oracle",
-    "conv2d_depthwise_separable_vs_loop_oracle",
-    "depthwise_conv1d_vs_loop_oracle",
-    "transposed_conv2d_vs_loop_oracle",
-    "bilinear_upsample_vs_formula_oracle",
-    "reduce_max_vs_loop_oracle",
-    "l2_normalize_vs_loop_oracle",
-    "vas_vs_transliteration_oracle",
-    "tdee_vs_transliteration_oracle",
-    "eaf_vs_loop_oracle",
-    "sdi_vs_loop_oracle",
-    "initial_attention_vs_loop_oracle",
-    "dda_vs_loop_oracle",
-    "refine_kernels_vs_attention_oracle",
-    "cross_attention_vs_attention_oracle",
-    "mask_ops_vs_loop_oracles",
-    "decoder_vs_unrolled_oracle",
-}
+CHECK_NAMES = [name for name, _ in CHECKS]
+
+
+@pytest.mark.parametrize("index, name", list(enumerate(CHECK_NAMES)), ids=CHECK_NAMES)
+def test_criterion_1_check_at_100_instances(verify_check, index, name):
+    verify_check(name, seed=9_000 + index)
+
+
+def test_criterion_1_check_table_covers_every_sabotage_target():
+    assert len(set(CHECK_NAMES)) == len(CHECK_NAMES)
+    for kernel in SABOTAGE_TARGETS:
+        assert any(name.startswith(f"{kernel}_vs_") for name in CHECK_NAMES), kernel
 
 
 def test_criterion_1_oracle_equivalence_and_verify_runtime(cli_env):
-    check_map = dict(CHECKS)
-    for i, name in enumerate(sorted(ORACLE_CHECKS)):
-        passed, detail = check_map[name](Rng(9_000 + i), 100)
-        assert passed, f"{name}: {detail}"
-
     t0 = time.monotonic()
     results = run_checks(trials=25, seed=0)
     elapsed = time.monotonic() - t0
@@ -90,25 +74,20 @@ def test_criterion_1_oracle_equivalence_and_verify_runtime(cli_env):
         env=cli_env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    report(1, f"100-instance oracle equivalence over {len(ORACLE_CHECKS)} kernels; "
+    report(1, f"{len(CHECK_NAMES)} checks pass at 100 instances each; "
               f"verify exit 0 in {elapsed:.1f}s")
 
 
 # criterion 2 -----------------------------------------------------------------
 
 
-def test_criterion_2_stepwise_transliteration():
-    n, d, dd, heads, n_class = 4, 8, 8, 2, 3
+def test_criterion_2_stepwise_transliteration(verify_check):
+    # tdee at N=4 D=8 d=8 is the verify check's own draw
+    tdee_detail = verify_check("tdee_vs_transliteration_oracle", seed=2_000, trials=30)
+    d, heads, n_class = 8, 2, 3
     rng = Rng(2_000)
-    worst_tdee = 0.0
     worst_vas = 0.0
     for seed in range(30):
-        w = TdeeWeights.build(2_100 + seed, d, dd)
-        em, es = rng.normal((n, d)), rng.normal((n, d))
-        worst_tdee = max(
-            worst_tdee,
-            float(np.max(np.abs(np.asarray(tdee(em, es, w), np.float64) - reference.tdee_reference(em, es, w)))),
-        )
         vw = VasWeights.build(2_200 + seed, d, heads, scale=1.3, offset=0.2)
         feat = rng.normal((d, 3, 3))
         text = rng.normal((n_class, d))
@@ -123,9 +102,8 @@ def test_criterion_2_stepwise_transliteration():
                 )
             ),
         )
-    assert worst_tdee < 1e-5, worst_tdee
     assert worst_vas < 1e-5, worst_vas
-    report(2, f"tdee err {worst_tdee:.1e}, vas err {worst_vas:.1e} at N=4 D=8 d=8 h=2 N_class=3 (tol 1e-5)")
+    report(2, f"tdee {tdee_detail}; vas err {worst_vas:.1e} at D=8 h=2 N_class=3 (tol 1e-5)")
 
 
 # criterion 3 -----------------------------------------------------------------

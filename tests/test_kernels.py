@@ -1,4 +1,5 @@
-"""Kernel unit tests: pinned analytic cases plus seeded oracle equivalence."""
+"""Kernel unit tests: pinned analytic cases, wide-channel and block-size cases,
+and the seeded oracle equivalence of each kernel, run as its named `verify` check."""
 
 import math
 
@@ -9,8 +10,6 @@ from hypothesis import strategies as st
 
 from eovseg import kernels, oracles
 from eovseg.tensor import Rng
-
-N_ORACLE_INSTANCES = 100
 
 
 def max_err(a, b):
@@ -55,19 +54,8 @@ class TestContract:
         with pytest.raises(ValueError, match="rank"):
             kernels.contract(np.zeros((2, 2, 2), dtype=np.float32), a, "ij,jk->ik")
 
-    def test_oracle_equivalence_seeded(self):
-        rng = Rng(7)
-        specs = [("ij,jk->ik", 8), ("bij,bjk->bik", 5), ("bmchw,bnmc->bmhwn", 3)]
-        worst = 0.0
-        for t in range(N_ORACLE_INSTANCES):
-            spec, hi = specs[t % len(specs)]
-            lhs, _ = spec.split("->")
-            la, lb = lhs.split(",")
-            ext = {lab: int(rng.integers(1, hi + 1)) for lab in set(la + lb)}
-            a = rng.normal(tuple(ext[c] for c in la))
-            b = rng.normal(tuple(ext[c] for c in lb))
-            worst = max(worst, max_err(kernels.contract(a, b, spec), oracles.contract_oracle(a, b, spec)))
-        assert worst < 1e-5
+    def test_oracle_equivalence_seeded(self, verify_check):
+        verify_check("contract_vs_loop_oracle", seed=7)
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +80,8 @@ class TestSoftmax:
         with pytest.raises(ValueError, match="non-finite"):
             kernels.softmax(x, 0)
 
-    def test_oracle_equivalence_all_axes(self):
-        rng = Rng(11)
-        worst = 0.0
-        for _ in range(N_ORACLE_INSTANCES):
-            rank = int(rng.integers(1, 5))
-            shape = tuple(int(rng.integers(1, 7)) for _ in range(rank))
-            x = rng.normal(shape, std=3.0)
-            axis = int(rng.integers(0, rank))
-            worst = max(worst, max_err(kernels.softmax(x, axis), oracles.softmax_oracle(x, axis)))
-        assert worst < 1e-5
+    def test_oracle_equivalence_all_axes(self, verify_check):
+        verify_check("softmax_vs_loop_oracle", seed=11)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8), st.floats(-10, 10))
@@ -131,15 +111,8 @@ class TestLayerNorm:
         beta = rng.normal((8,))
         assert max_err(kernels.layer_norm(x, gamma, beta), oracles.layer_norm_oracle(x, gamma, beta)) < 1e-5
 
-    def test_oracle_equivalence_seeded(self):
-        rng = Rng(13)
-        worst = 0.0
-        for _ in range(N_ORACLE_INSTANCES):
-            n, d = int(rng.integers(1, 7)), int(rng.integers(1, 9))
-            x = rng.normal((n, d), std=2.0)
-            gamma, beta = rng.normal((d,)), rng.normal((d,))
-            worst = max(worst, max_err(kernels.layer_norm(x, gamma, beta), oracles.layer_norm_oracle(x, gamma, beta)))
-        assert worst < 1e-5
+    def test_oracle_equivalence_seeded(self, verify_check):
+        verify_check("layer_norm_vs_loop_oracle", seed=13)
 
 
 class TestPointwise:
@@ -153,17 +126,9 @@ class TestPointwise:
         out = kernels.sigmoid(np.array([1e9, -1e9], dtype=np.float32))
         assert out[0] == 1.0 and out[1] == 0.0
 
-    @pytest.mark.parametrize(
-        "name,oracle",
-        [("sigmoid", oracles.sigmoid_oracle), ("gelu", oracles.gelu_oracle), ("relu", oracles.relu_oracle)],
-    )
-    def test_oracle_equivalence(self, name, oracle):
-        rng = Rng(hash(name) % 1000)
-        worst = 0.0
-        for _ in range(N_ORACLE_INSTANCES):
-            x = rng.normal((int(rng.integers(1, 9)),), std=3.0)
-            worst = max(worst, max_err(getattr(kernels, name)(x), oracle(x)))
-        assert worst < 1e-6
+    @pytest.mark.parametrize("name", ["sigmoid", "gelu", "relu"])
+    def test_oracle_equivalence(self, verify_check, name):
+        verify_check(f"{name}_vs_loop_oracle", seed=17)
 
 
 # ---------------------------------------------------------------------------
@@ -220,27 +185,14 @@ class TestConv2d:
         with pytest.raises(ValueError, match="incompatible"):
             kernels.conv2d_1x1(x, np.zeros((4, 2), np.float32), None)
 
-    @pytest.mark.parametrize("mode", ["pointwise_1x1", "k3_pad1", "depthwise_separable"])
-    def test_oracle_equivalence(self, mode):
-        rng = Rng(31 + len(mode))
-        worst = 0.0
-        for _ in range(N_ORACLE_INSTANCES):
-            c_in, c_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            h, w = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-            x = rng.normal((c_in, h, w))
-            b = rng.normal((c_out,))
-            if mode == "pointwise_1x1":
-                w = rng.normal((c_out, c_in))
-                out, ref = kernels.conv2d_1x1(x, w, b), oracles.conv2d_1x1_oracle(x, w, b)
-            elif mode == "k3_pad1":
-                w = rng.normal((c_out, c_in, 3, 3))
-                out, ref = kernels.conv2d_3x3(x, w, b), oracles.conv2d_3x3_oracle(x, w, b)
-            else:
-                wd, wp = rng.normal((c_in, 3, 3)), rng.normal((c_out, c_in))
-                out = kernels.conv2d_depthwise_separable(x, wd, wp, b)
-                ref = oracles.conv2d_depthwise_separable_oracle(x, wd, wp, b)
-            worst = max(worst, max_err(out, ref))
-        assert worst < 1e-5
+    @pytest.mark.parametrize(
+        "mode, kernel",
+        [("pointwise_1x1", "conv2d_1x1"), ("k3_pad1", "conv2d_3x3"),
+         ("depthwise_separable", "conv2d_depthwise_separable")],
+        ids=["pointwise_1x1", "k3_pad1", "depthwise_separable"],
+    )
+    def test_oracle_equivalence(self, verify_check, mode, kernel):
+        verify_check(f"{kernel}_vs_loop_oracle", seed=31 + len(mode))
 
 
 class TestDepthwiseConv1d:
@@ -263,15 +215,8 @@ class TestDepthwiseConv1d:
         ker = rng.normal((2, 3))
         assert max_err(kernels.depthwise_conv1d(signals, ker), oracles.depthwise_conv1d_oracle(signals, ker)) < 1e-6
 
-    def test_oracle_equivalence_seeded(self):
-        rng = Rng(41)
-        worst = 0.0
-        for _ in range(N_ORACLE_INSTANCES):
-            n, d = int(rng.integers(1, 6)), int(rng.integers(1, 9))
-            m = (1, 3, 5)[int(rng.integers(0, 3))]
-            s, k = rng.normal((n, d)), rng.normal((n, m))
-            worst = max(worst, max_err(kernels.depthwise_conv1d(s, k), oracles.depthwise_conv1d_oracle(s, k)))
-        assert worst < 1e-5
+    def test_oracle_equivalence_seeded(self, verify_check):
+        verify_check("depthwise_conv1d_vs_loop_oracle", seed=41)
 
 
 class TestTransposedConv2d:
@@ -299,16 +244,8 @@ class TestTransposedConv2d:
         b = rng.normal((3,))
         assert max_err(kernels.transposed_conv2d(x, w, b), oracles.transposed_conv2d_oracle(x, w, b)) < 1e-5
 
-    def test_oracle_equivalence_seeded(self):
-        rng = Rng(43)
-        worst = 0.0
-        for _ in range(N_ORACLE_INSTANCES):
-            c_in, c_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            x = rng.normal((c_in, int(rng.integers(1, 5)), int(rng.integers(1, 5))))
-            w = rng.normal((c_in, c_out, 2, 2))
-            b = rng.normal((c_out,))
-            worst = max(worst, max_err(kernels.transposed_conv2d(x, w, b), oracles.transposed_conv2d_oracle(x, w, b)))
-        assert worst < 1e-5
+    def test_oracle_equivalence_seeded(self, verify_check):
+        verify_check("transposed_conv2d_vs_loop_oracle", seed=43)
 
     @pytest.mark.parametrize("c_in, c_out, h, w", [(24, 5, 3, 7), (40, 3, 6, 1)])
     def test_oracle_wide_channels(self, c_in, c_out, h, w):
@@ -373,14 +310,8 @@ class TestBilinearUpsample:
         with pytest.raises(ValueError, match="factor"):
             kernels.bilinear_upsample(np.zeros((1, 2, 2), np.float32), 3)
 
-    def test_oracle_equivalence_seeded(self):
-        rng = Rng(44)
-        worst = 0.0
-        for t in range(N_ORACLE_INSTANCES):
-            factor = (2, 4, 8)[t % 3]
-            x = rng.normal((int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 5))))
-            worst = max(worst, max_err(kernels.bilinear_upsample(x, factor), oracles.bilinear_upsample_oracle(x, factor)))
-        assert worst < 1e-5
+    def test_oracle_equivalence_seeded(self, verify_check):
+        verify_check("bilinear_upsample_vs_formula_oracle", seed=44)
 
     @pytest.mark.parametrize("factor", [2, 4, 8])
     @pytest.mark.parametrize(
@@ -440,21 +371,3 @@ class TestReductions:
         norms = np.linalg.norm(out.astype(np.float64), axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-6)
 
-
-def test_kernels_bitwise_deterministic():
-    rng = Rng(17)
-    x = rng.normal((4, 6, 6))
-    w3 = rng.normal((4, 4, 3, 3))
-    x_wide = rng.normal((32, 16, 16))
-    w3_wide = rng.normal((32, 32, 3, 3))
-    w_up = rng.normal((32, 16, 2, 2))
-    cases = [
-        lambda: kernels.conv2d_3x3(x, w3, None),
-        lambda: kernels.conv2d_3x3(x_wide, w3_wide, None),
-        lambda: kernels.transposed_conv2d(x_wide, w_up, None),
-        lambda: kernels.softmax(x, 1),
-        lambda: kernels.bilinear_upsample(x, 2),
-        lambda: kernels.gelu(x),
-    ]
-    for fn in cases:
-        assert np.array_equal(fn(), fn())
