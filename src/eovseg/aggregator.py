@@ -10,12 +10,11 @@ computation graph, not pretrained semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .kernels import bilinear_upsample, conv2d_1x1, conv2d_3x3, relu
-from .tensor import Rng, read_eovt, write_eovt
+from .tensor import Rng
 
 LEVELS = (2, 3, 4, 5)
 STAGE_FACTORS = {2: 4, 3: 2, 4: 2, 5: 2}  # downsampling per stage, cumulative 4/8/16/32
@@ -95,20 +94,6 @@ class FeaturePyramid:
     @property
     def width(self) -> int:
         return self.levels[2].shape[0]
-
-    def save(self, directory: str | Path, prefix: str = "pyramid") -> None:
-        """One tensor file per level, suffixed p2..p5."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for level in LEVELS:
-            write_eovt(directory / f"{prefix}_p{level}.eovt", self.levels[level])
-
-    @classmethod
-    def load(cls, directory: str | Path, prefix: str = "pyramid") -> "FeaturePyramid":
-        directory = Path(directory)
-        return cls(
-            levels={level: read_eovt(directory / f"{prefix}_p{level}.eovt") for level in LEVELS}
-        )
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoder import MaskSet, mask_pool
+from .decoder import mask_pool
 from .kernels import l2_normalize, softmax
 
 
@@ -87,10 +87,10 @@ def in_vocab_scores(
 
 
 def out_vocab_scores(
-    clip_features: np.ndarray, masks: MaskSet, text: TextEmbeddings, tau: float
+    clip_features: np.ndarray, logits: np.ndarray, text: TextEmbeddings, tau: float
 ) -> ClassScores:
     """Pool the backbone's final features under each mask, then score as above."""
-    class_embed = mask_pool(clip_features, masks)
+    class_embed = mask_pool(clip_features, logits)
     scores = in_vocab_scores(class_embed, text, tau)
     return ClassScores(values=scores.values, kind="out_vocab")
 
@@ -133,17 +133,14 @@ class MaskLabel:
     confidence: float
 
 
-def classify(masks: MaskSet, scores: ClassScores, score_floor: float) -> list[MaskLabel]:
-    """Argmax class per mask; masks under the confidence floor are dropped.
+def classify(scores: ClassScores, score_floor: float) -> list[MaskLabel]:
+    """Argmax class per mask (one score row each); masks under the confidence
+    floor are dropped.
 
     Ties resolve to the lowest class index (argmax's first-hit rule).
     """
-    if scores.values.shape[0] != masks.n_queries:
-        raise ValueError(
-            f"classify: {scores.values.shape[0]} score rows for {masks.n_queries} masks"
-        )
     labels = []
-    for i in range(masks.n_queries):
+    for i in range(scores.values.shape[0]):
         j = int(np.argmax(scores.values[i]))
         conf = float(scores.values[i, j])
         if conf < score_floor:

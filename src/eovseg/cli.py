@@ -109,16 +109,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
+    from .config import checked_fields
     from .evaluation import SceneSpec, generate_scene
     from .tensor import Rng, write_eovt
 
     config = _load_config(args.config)
-    spec_data = json.loads(Path(args.spec).read_text())
-    spec_data.setdefault("seed", args.seed)
-    spec_data["embed_dim"] = config.embed_dim
-    for key in ("stuff_classes", "thing_classes"):
-        if key in spec_data:
-            spec_data[key] = tuple(spec_data[key])
+    spec_data = {
+        "seed": args.seed,
+        **checked_fields(SceneSpec, json.loads(Path(args.spec).read_text()), "scene spec"),
+        "embed_dim": config.embed_dim,
+    }
     spec = SceneSpec(**spec_data)
 
     image, gt, templates = generate_scene(spec, Rng(spec.seed))
@@ -134,9 +134,7 @@ def cmd_gen(args) -> int:
         for i, name in enumerate(spec.class_names)
     ]
     (out / "vocab.txt").write_text("\n".join(vocab_lines) + "\n")
-    (out / "scene_spec.json").write_text(
-        json.dumps({**spec_data, "seed": spec.seed}, indent=2, sort_keys=True) + "\n"
-    )
+    (out / "scene_spec.json").write_text(json.dumps(spec_data, indent=2, sort_keys=True) + "\n")
     print(f"scene written to {out} ({len(gt.segments)} segments, {spec.n_classes} classes)")
     return EXIT_OK
 
@@ -187,6 +185,8 @@ def cmd_run(args) -> int:
     from .pipeline import forward, forward_traced
     from .weights import load_or_build_weights
 
+    if args.resize_shortest is not None and args.resize_shortest < 1:
+        raise ValueError(f"--resize-shortest must be >= 1, got {args.resize_shortest}")
     config = _load_config(args.config)
     if args.fusion is not None:
         from .config import ModelConfig
@@ -287,6 +287,8 @@ def cmd_profile(args) -> int:
 
     config = _load_config(args.config)
     image_hw = _square(args.size)
+    if args.classes < 1:
+        raise ValueError(f"--classes must be >= 1, got {args.classes}")
     load_or_build_weights(args.weights, config, image_hw)
     report = profile_modules(config, args.weights, image_hw, args.classes, args.mode)
     out = args.out or "profile.csv"
@@ -298,8 +300,6 @@ def cmd_profile(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.reps < 5:
-        raise ValueError(f"--reps must be >= 5, got {args.reps}")
     from .profiler import benchmark
     from .weights import build_weights
 

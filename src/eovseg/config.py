@@ -11,6 +11,40 @@ from pathlib import Path
 FUSION_MODES = ("none", "eaf", "sdi", "tdee")
 
 
+def _matches(value, default) -> bool:
+    if isinstance(default, float):  # JSON writes 1.0 as 1 too
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) is type(default)
+
+
+def checked_fields(cls, data, what: str) -> dict:
+    """Keyword arguments for dataclass ``cls`` from a parsed JSON object.
+
+    Each key must name a field, and each value must have the type of that
+    field's default (a list for a tuple default, turned into a tuple).
+    Raises ValueError naming the first bad key.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what}: need a JSON object, got {type(data).__name__}")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(defaults)
+    if unknown:
+        raise ValueError(f"{what}: unknown keys {sorted(unknown)}")
+    out = {}
+    for key, value in data.items():
+        default = defaults[key]
+        if isinstance(default, tuple):
+            if not isinstance(value, (list, tuple)) or not all(_matches(v, default[0]) for v in value):
+                raise ValueError(
+                    f"{what}: {key} must be a list of {type(default[0]).__name__}, got {value!r}"
+                )
+            value = tuple(value)
+        elif not _matches(value, default):
+            raise ValueError(f"{what}: {key} must be {type(default).__name__}, got {value!r}")
+        out[key] = value
+    return out
+
+
 @dataclass
 class ModelConfig:
     embed_dim: int = 256  # shared feature/embedding width
@@ -77,11 +111,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"config: unknown keys {sorted(unknown)}")
-        return cls(**data)
+        return cls(**checked_fields(cls, data, "config"))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")

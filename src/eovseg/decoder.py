@@ -9,7 +9,7 @@ embeddings come from normalized soft mask pooling at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,21 +25,6 @@ from .tensor import Rng
 
 MASK_POOL_EPS = 1e-8
 MASK_MLP_DEPTH = 3  # (w, b) pairs in the mask-embedding MLP, D->D->D->D
-
-
-@dataclass
-class MaskSet:
-    """Query mask logits on the stride-4 grid; probabilities are sigmoid(logits)."""
-
-    logits: np.ndarray  # (N, H', W')
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return sigmoid(self.logits)
-
-    @property
-    def n_queries(self) -> int:
-        return self.logits.shape[0]
 
 
 @dataclass
@@ -60,10 +45,6 @@ class AttentionBlockWeights:
             wv=rng.normal((width, width), std=std),
             wo=rng.normal((width, width), std=std),
         )
-
-    @property
-    def param_count(self) -> int:
-        return self.wq.size + self.wk.size + self.wv.size + self.wo.size
 
 
 @dataclass
@@ -132,18 +113,17 @@ class DecoderWeights:
 # per-layer operations
 
 
-def initial_attention(features: np.ndarray, masks: MaskSet) -> np.ndarray:
+def initial_attention(features: np.ndarray, logits: np.ndarray) -> np.ndarray:
     """Unnormalized dot product of features with sigmoid mask probabilities.
 
-    features: (D, H', W'); returns (N, D).
+    features: (D, H', W'); logits: (N, H', W'); returns (N, D).
     """
     d = features.shape[0]
-    if features.shape[1:] != masks.logits.shape[1:]:
+    if features.shape[1:] != logits.shape[1:]:
         raise ValueError(
-            f"initial_attention: feature grid {features.shape[1:]} != mask grid "
-            f"{masks.logits.shape[1:]}"
+            f"initial_attention: feature grid {features.shape[1:]} != mask grid {logits.shape[1:]}"
         )
-    probs = masks.probabilities.reshape(masks.n_queries, -1)
+    probs = sigmoid(logits).reshape(logits.shape[0], -1)
     return (probs @ features.reshape(d, -1).T).astype(np.float32, copy=False)
 
 
@@ -199,26 +179,26 @@ def mask_kernels(kernels: np.ndarray, mlp: list[tuple[np.ndarray, np.ndarray]]) 
     return x
 
 
-def predict_masks(kernels: np.ndarray, features: np.ndarray) -> MaskSet:
-    """Mask logits as the dot product of each kernel with every feature column."""
+def predict_masks(kernels: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """(N, H', W') mask logits: each kernel dotted with every feature column."""
     d, h, w = features.shape
     if kernels.shape[1] != d:
         raise ValueError(f"predict_masks: kernel width {kernels.shape[1]} != feature width {d}")
     logits = kernels @ features.reshape(d, -1)
-    return MaskSet(logits=logits.reshape(kernels.shape[0], h, w).astype(np.float32, copy=False))
+    return logits.reshape(kernels.shape[0], h, w).astype(np.float32, copy=False)
 
 
-def mask_pool(features: np.ndarray, masks: MaskSet) -> np.ndarray:
+def mask_pool(features: np.ndarray, logits: np.ndarray) -> np.ndarray:
     """Probability-weighted spatial average of features under each mask.
 
-    features: (D, H', W'); returns (N, D).
+    features: (D, H', W'); logits: (N, H', W'); returns (N, D).
     """
     d = features.shape[0]
-    if features.shape[1:] != masks.logits.shape[1:]:
+    if features.shape[1:] != logits.shape[1:]:
         raise ValueError(
-            f"mask_pool: feature grid {features.shape[1:]} != mask grid {masks.logits.shape[1:]}"
+            f"mask_pool: feature grid {features.shape[1:]} != mask grid {logits.shape[1:]}"
         )
-    probs = masks.probabilities.reshape(masks.n_queries, -1)
+    probs = sigmoid(logits).reshape(logits.shape[0], -1)
     weighted = probs @ features.reshape(d, -1).T
     area = np.sum(probs, axis=1, keepdims=True) + np.float32(MASK_POOL_EPS)
     return (weighted / area).astype(np.float32, copy=False)
@@ -231,19 +211,19 @@ def mask_pool(features: np.ndarray, masks: MaskSet) -> np.ndarray:
 def decoder_layer(
     features: np.ndarray,
     kernels: np.ndarray,
-    masks: MaskSet,
+    logits: np.ndarray,
     layer: DecoderLayerWeights,
     mask_mlp: list[tuple[np.ndarray, np.ndarray]],
     mode: str,
-) -> tuple[np.ndarray, MaskSet, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """One decoder layer: query interaction, kernel refinement, new masks.
 
-    Returns the refined kernels, their masks and, in dda mode, the pooled
-    query features (None in ca mode).
+    Returns the refined kernels, their mask logits and, in dda mode, the
+    pooled query features (None in ca mode).
     """
     pooled = None
     if mode == "dda":
-        pooled = initial_attention(features, masks)
+        pooled = initial_attention(features, logits)
         interacted = dda(kernels, pooled, layer.kernel_proj)
     else:
         interacted = cross_attention_baseline(kernels, features, layer.cross_attn)
@@ -253,11 +233,10 @@ def decoder_layer(
 
 @dataclass
 class DecoderOutput:
-    masks: MaskSet
+    mask_logits: np.ndarray  # (N, H', W'), the last layer's
     mask_embeddings: np.ndarray  # (N, D)
     kernels: np.ndarray  # refined object kernels after the last layer
     pooled: np.ndarray | None  # last layer's pooled query features (dda mode only)
-    layer_masks: list[MaskSet] = field(default_factory=list)
 
 
 def decoder_forward(
@@ -275,17 +254,13 @@ def decoder_forward(
     if mode not in ("dda", "ca"):
         raise ValueError(f"decoder_forward: unknown mode {mode!r}")
     kernels = weights.init_kernels
-    masks = predict_masks(kernels, features)
-    layer_masks = []
+    logits = predict_masks(kernels, features)
     pooled = None
     for layer in weights.layers:
-        kernels, masks, pooled = decoder_layer(features, kernels, masks, layer, weights.mask_mlp, mode)
-        layer_masks.append(masks)
-    embeddings = mask_pool(features, masks)
+        kernels, logits, pooled = decoder_layer(features, kernels, logits, layer, weights.mask_mlp, mode)
     return DecoderOutput(
-        masks=masks,
-        mask_embeddings=embeddings,
+        mask_logits=logits,
+        mask_embeddings=mask_pool(features, logits),
         kernels=kernels,
         pooled=pooled,
-        layer_masks=layer_masks,
     )

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import MaskLabel
-from .decoder import MaskSet
 from .kernels import bilinear_upsample, sigmoid
 from .tensor import EovtFormatError, Rng, read_eovt, write_eovt
 
@@ -233,12 +232,14 @@ def generate_scene(
 
 
 def assemble_panoptic(
-    masks: MaskSet,
+    logits: np.ndarray,
     labels: list[MaskLabel],
     class_is_thing: np.ndarray,
     upsample_factor: int = 4,
 ) -> PanopticAnnotation:
     """Argmax of confidence*probability per pixel, then segment-id assignment.
+
+    ``logits`` are the (N, H', W') mask logits; each label indexes one mask.
 
     Stuff winners of the same class are merged into a single segment; each
     thing winner keeps its own segment.  With no surviving labels the whole
@@ -250,11 +251,11 @@ def assemble_panoptic(
     clamped edge and their half-pixel fractions shift by whole rows, so every
     pixel equals the full-size upsample's.
     """
-    ph, pw = masks.logits.shape[1:]
+    ph, pw = logits.shape[1:]
     h, w = ph * upsample_factor, pw * upsample_factor
     if not labels:
         return PanopticAnnotation(segment_map=np.zeros((h, w), dtype=np.int32), segments=[])
-    probs = sigmoid(masks.logits[[lab.mask_index for lab in labels]])
+    probs = sigmoid(logits[[lab.mask_index for lab in labels]])
     conf = np.array([lab.confidence for lab in labels], dtype=np.float32)[:, None, None]
     winner = np.empty((h, w), dtype=np.intp)
     for r0 in range(0, ph, _BAND_ROWS):

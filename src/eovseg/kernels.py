@@ -204,15 +204,11 @@ def depthwise_conv1d(signals: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     return out.astype(np.float32, copy=False)
 
 
-def transposed_conv2d(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, stride: int = 2
-) -> np.ndarray:
+def transposed_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Exact 2x upsampling transposed convolution: 2x2 kernel, stride 2, no overlap.
 
     x: (C_in,H,W); w: (C_in,C_out,2,2); output (C_out,2H,2W).
     """
-    if stride != 2:
-        raise ValueError(f"transposed_conv2d: only stride 2 supported, got {stride}")
     c_in, h, wd = x.shape
     if w.ndim != 4 or w.shape[0] != c_in or w.shape[2:] != (2, 2):
         raise ValueError(

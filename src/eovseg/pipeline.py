@@ -42,7 +42,7 @@ from .classifier import (
     out_vocab_scores,
 )
 from .config import FUSION_MODES, ModelConfig
-from .decoder import MaskSet, decoder_forward
+from .decoder import decoder_forward
 from .evaluation import PanopticAnnotation, assemble_panoptic
 from .fusion import eaf, sdi, tdee
 from .kernels import bilinear_upsample, conv2d_1x1
@@ -87,7 +87,7 @@ def resize_map_nearest(seg_map: np.ndarray, out_hw: tuple[int, int]) -> np.ndarr
 class ForwardResult:
     panoptic: PanopticAnnotation
     scores: ClassScores
-    masks: MaskSet
+    mask_logits: np.ndarray  # (N, H/4, W/4)
     labels: list[MaskLabel]
     trace: dict[str, np.ndarray]
 
@@ -104,7 +104,7 @@ def _decode(v: SimpleNamespace):
     dec = decoder_forward(
         getattr(v, "early_fused_features", v.vs_agg_features), v.bundle.decoder, "dda"
     )
-    return dec.masks.logits, dec.mask_embeddings, dec.kernels, dec.pooled
+    return dec.mask_logits, dec.mask_embeddings, dec.kernels, dec.pooled
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ STAGES = (
     Stage("spatial", ("sdi", "tdee"), ("spatial_features",),
           lambda v: spatial_features(v._vit_grid, v.bundle.upsampler), _upsampler_macs),
     Stage("spatial", ("sdi", "tdee"), ("spatial_embeddings",),
-          lambda v: spatial_embeddings(v.spatial_features, MaskSet(logits=v.mask_logits)),
+          lambda v: spatial_embeddings(v.spatial_features, v.mask_logits),
           _pool_macs),
     Stage("fusion", ("tdee",), ("instance_embeddings",),
           lambda v: tdee(v.mask_embeddings, v.spatial_embeddings, v.bundle.tdee), _tdee_macs),
@@ -228,9 +228,7 @@ STAGES = (
     Stage("classifier", ALL, ("_clip_final",), lambda v: _clip_final_features(v.image, v.bundle),
           _clip_macs),
     Stage("classifier", ALL, ("scores_out_vocab",),
-          lambda v: out_vocab_scores(
-              v._clip_final, MaskSet(logits=v.mask_logits), v.text, v.config.tau
-          ).values,
+          lambda v: out_vocab_scores(v._clip_final, v.mask_logits, v.text, v.config.tau).values,
           lambda c: _pool_macs(c) + _score_macs(c)),
     Stage("classifier", ALL, ("scores_final",),
           lambda v: ensemble(
@@ -287,12 +285,14 @@ def forward(
         return value
 
     v = _run_stages(image, text, config, bundle, keep)
-    masks = MaskSet(logits=v.mask_logits)
+    logits = v.mask_logits
     scores = ClassScores(values=v.scores_final, kind="ensembled")
     del v  # frees the internal outputs before assembly, the peak allocator
-    labels = _call("classifier", classify, masks, scores, config.score_floor)
-    panoptic = _call("assembly", assemble_panoptic, masks, labels, class_is_thing, 4)
-    return ForwardResult(panoptic=panoptic, scores=scores, masks=masks, labels=labels, trace=trace)
+    labels = _call("classifier", classify, scores, config.score_floor)
+    panoptic = _call("assembly", assemble_panoptic, logits, labels, class_is_thing, 4)
+    return ForwardResult(
+        panoptic=panoptic, scores=scores, mask_logits=logits, labels=labels, trace=trace
+    )
 
 
 def forward_traced(

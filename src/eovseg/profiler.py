@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import ModelConfig
-from .decoder import MaskSet, decoder_layer
+from .decoder import decoder_layer
 from .tensor import Rng
 from .weights import WeightBundle, read_manifest
 
@@ -223,10 +223,10 @@ def profile_modules(
     )
 
 
-def _layer_step(features, kernels, masks, bundle: WeightBundle, mode: str):
-    """The first decoder layer on given kernels and masks; returns its masks."""
+def _layer_step(features, kernels, logits, bundle: WeightBundle, mode: str):
+    """The first decoder layer on given kernels and mask logits; returns its mask logits."""
     decoder = bundle.decoder
-    return decoder_layer(features, kernels, masks, decoder.layers[0], decoder.mask_mlp, mode)[1]
+    return decoder_layer(features, kernels, logits, decoder.layers[0], decoder.mask_mlp, mode)[1]
 
 
 def benchmark(
@@ -246,13 +246,13 @@ def benchmark(
     rng = Rng(seed)
     features = rng.normal((cfg.embed_dim, h4, w4))
     kernels = rng.normal((cfg.n_queries, cfg.embed_dim), std=0.1)
-    masks = MaskSet(logits=rng.normal((cfg.n_queries, h4, w4)))
+    logits = rng.normal((cfg.n_queries, h4, w4))
 
     times = {"dda": [], "ca": []}
     for rep in range(warmup + reps):
         for mode, kept in times.items():
             t0 = time.perf_counter_ns()
-            _layer_step(features, kernels, masks, bundle, mode)
+            _layer_step(features, kernels, logits, bundle, mode)
             if rep >= warmup:
                 kept.append(time.perf_counter_ns() - t0)
 

@@ -176,20 +176,24 @@ def mask_pool_reference(features, masks_logits, macs: MacCounter | None = None):
     return weighted / area
 
 
-def decoder_forward_reference(features, weights: DecoderWeights, mode: str = "dda"):
+def decoder_forward_reference(
+    features, weights: DecoderWeights, mode: str = "dda", macs: MacCounter | None = None
+):
     """Hand-unrolled layer loop over the reference ops; returns the final
     (mask logits, mask embeddings, refined kernels)."""
     kernels = np.asarray(weights.init_kernels, np.float64)
-    logits = predict_masks_reference(kernels, features)
+    logits = predict_masks_reference(kernels, features, macs)
     for layer in weights.layers:
         if mode == "dda":
-            pooled = initial_attention_reference(features, logits)
-            interacted = dda_reference(kernels, pooled, layer.kernel_proj)
+            pooled = initial_attention_reference(features, logits, macs)
+            interacted = dda_reference(kernels, pooled, layer.kernel_proj, macs)
         else:
-            interacted = cross_attention_reference(kernels, features, layer.cross_attn)
-        kernels = refine_kernels_reference(interacted, layer)
-        logits = predict_masks_reference(mask_kernels_reference(kernels, weights.mask_mlp), features)
-    embeddings = mask_pool_reference(features, logits)
+            interacted = cross_attention_reference(kernels, features, layer.cross_attn, macs)
+        kernels = refine_kernels_reference(interacted, layer, macs)
+        logits = predict_masks_reference(
+            mask_kernels_reference(kernels, weights.mask_mlp, macs), features, macs
+        )
+    embeddings = mask_pool_reference(features, logits, macs)
     return logits, embeddings, kernels
 
 

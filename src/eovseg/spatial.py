@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import AttentionBlockWeights, MaskSet, mask_pool
+from .decoder import AttentionBlockWeights, mask_pool
 from .kernels import gelu, layer_norm, linear, multi_head_attention, transposed_conv2d
 from .tensor import Rng
 
@@ -119,6 +119,6 @@ def spatial_features(grid: np.ndarray, w: UpsamplerWeights) -> np.ndarray:
     return transposed_conv2d(mid, w.w2, w.b2)
 
 
-def spatial_embeddings(features: np.ndarray, masks: MaskSet) -> np.ndarray:
+def spatial_embeddings(features: np.ndarray, logits: np.ndarray) -> np.ndarray:
     """Per-query pooled rows of the spatial features; same pooling as the decoder."""
-    return mask_pool(features, masks)
+    return mask_pool(features, logits)

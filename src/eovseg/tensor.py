@@ -35,14 +35,6 @@ def check_tensor(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
-def as_f32(data, shape=None) -> np.ndarray:
-    """Build a validated float32 tensor from any array-like."""
-    arr = np.asarray(data, dtype=np.float32)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    return check_tensor(arr)
-
-
 def write_eovt(path: str | Path, x: np.ndarray) -> None:
     """Write a tensor: magic 'EOVT', version u8, rank u8, u32-LE extents, f32-LE payload."""
     x = check_tensor(x)

@@ -36,7 +36,6 @@ from .classifier import (
 from .config import ModelConfig
 from .decoder import (
     DecoderWeights,
-    MaskSet,
     cross_attention_baseline,
     dda,
     decoder_forward,
@@ -458,11 +457,11 @@ def _draw_mask_ops(rng: Rng, t: int):
     w = _small_decoder(rng)
     x, feat = rng.normal((3, 8)), rng.normal((8, 3, 3))
     # both poolings run under the masks the model predicts, as in the forward
-    return x, feat, w.mask_mlp, predict_masks(x, feat).logits
+    return x, feat, w.mask_mlp, predict_masks(x, feat)
 
 
 def _mask_ops(x, feat, mlp, logits):
-    return mask_kernels(x, mlp), predict_masks(x, feat).logits, mask_pool(feat, MaskSet(logits))
+    return mask_kernels(x, mlp), predict_masks(x, feat), mask_pool(feat, logits)
 
 
 def _mask_ops_reference(x, feat, mlp, logits):
@@ -480,7 +479,7 @@ def _draw_decoder(rng: Rng, t: int):
 
 def _decoder_outputs(feat, w, mode):
     out = decoder_forward(feat, w, mode)
-    return out.masks.logits, out.mask_embeddings, out.kernels
+    return out.mask_logits, out.mask_embeddings, out.kernels
 
 
 def check_aggregator_oracle(rng: Rng, trials: int):
@@ -517,10 +516,10 @@ def check_spatial_oracle(rng: Rng, trials: int):
         worst = max(worst, _max_err(grid, ref_grid))
         spat = spatial_features(grid, up)
         worst = max(worst, _max_err(spat, reference.spatial_features_reference(ref_grid, up)))
-        masks = MaskSet(logits=rng.normal((3, 8, 8)))
+        logits = rng.normal((3, 8, 8))
         worst = max(
             worst,
-            _max_err(spatial_embeddings(spat, masks), reference.mask_pool_reference(spat, masks.logits)),
+            _max_err(spatial_embeddings(spat, logits), reference.mask_pool_reference(spat, logits)),
         )
     return _tol_check(worst, 1e-4)
 
@@ -545,13 +544,12 @@ def check_classifier_oracles(rng: Rng, trials: int):
         if _max_err(scores.values.sum(axis=1), np.ones(2)) > 1e-6:
             return False, "score rows do not sum to 1"
         feat = rng.normal((d, 3, 3))
-        masks = MaskSet(logits=rng.normal((2, 3, 3)))
-        out = out_vocab_scores(feat, masks, text, 0.07)
+        logits = rng.normal((2, 3, 3))
+        out = out_vocab_scores(feat, logits, text, 0.07)
         worst = max(
             worst,
             _max_err(
-                out.values,
-                reference.out_vocab_scores_reference(feat, masks.logits, text.embeddings, 0.07),
+                out.values, reference.out_vocab_scores_reference(feat, logits, text.embeddings, 0.07)
             ),
         )
     return _tol_check(worst, KERNEL_TOL)
@@ -589,12 +587,12 @@ def check_ensemble(rng: Rng, trials: int):
 def check_classify(rng: Rng, trials: int):
     for _ in range(trials):
         vals = kernels.softmax(rng.normal((4, 3), std=2.0), 1)
-        masks = MaskSet(logits=rng.normal((4, 2, 2)))
-        labels = classify(masks, ClassScores(vals, "ensembled"), 0.0)
+        rng.normal((4, 2, 2))  # unused mask draw, kept so later trials see the same draws
+        labels = classify(ClassScores(vals, "ensembled"), 0.0)
         for lab in labels:
             if lab.class_id != int(np.argmax(vals[lab.mask_index])):
                 return False, "argmax mismatch"
-        scaled = classify(masks, ClassScores(vals * np.float32(3.0), "ensembled"), 0.0)
+        scaled = classify(ClassScores(vals * np.float32(3.0), "ensembled"), 0.0)
         if [(l.mask_index, l.class_id) for l in labels] != [
             (l.mask_index, l.class_id) for l in scaled
         ]:
@@ -720,7 +718,7 @@ def check_macs_instrumented(rng: Rng, trials: int):
 
         feat_small = rng.normal((cfg.embed_dim, image_hw[0] // 4, image_hw[1] // 4))
         c = oracles.MacCounter()
-        ref_out = _reference_decoder_with_macs(feat_small, bundle.decoder, c)
+        ref_out = reference.decoder_forward_reference(feat_small, bundle.decoder, "dda", c)
         if c.count != analytic["decoder"]:
             return False, f"decoder {c.count} != {analytic['decoder']}"
 
@@ -760,20 +758,6 @@ def check_macs_instrumented(rng: Rng, trials: int):
             return False, f"classifier {c.count} != {analytic['classifier']}"
         details.append(mode)
     return True, f"exact for modes {details}"
-
-
-def _reference_decoder_with_macs(features, weights, c):
-    kernels64 = np.asarray(weights.init_kernels, np.float64)
-    logits = reference.predict_masks_reference(kernels64, features, c)
-    for layer in weights.layers:
-        pooled = reference.initial_attention_reference(features, logits, c)
-        interacted = reference.dda_reference(kernels64, pooled, layer.kernel_proj, c)
-        kernels64 = reference.refine_kernels_reference(interacted, layer, c)
-        logits = reference.predict_masks_reference(
-            reference.mask_kernels_reference(kernels64, weights.mask_mlp, c), features, c
-        )
-    embed = reference.mask_pool_reference(features, logits, c)
-    return logits, embed, kernels64
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +819,7 @@ def check_pipeline_modes(rng: Rng, trials: int):
             (
                 result.panoptic.segment_map.shape,
                 result.scores.values.shape,
-                result.masks.logits.shape,
+                result.mask_logits.shape,
             )
         )
     if len(shapes) != 1:
@@ -913,11 +897,7 @@ CHECKS = [
     ("sdi_vs_loop_oracle", _vs_oracle(_draw_sdi, sdi, reference.sdi_reference)),
     (
         "initial_attention_vs_loop_oracle",
-        _vs_oracle(
-            _draw_initial_attention,
-            lambda feat, logits: initial_attention(feat, MaskSet(logits)),
-            reference.initial_attention_reference,
-        ),
+        _vs_oracle(_draw_initial_attention, initial_attention, reference.initial_attention_reference),
     ),
     ("dda_vs_loop_oracle", _vs_oracle(_draw_dda, dda, reference.dda_reference)),
     (

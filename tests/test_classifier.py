@@ -17,7 +17,6 @@ from eovseg.classifier import (
     in_vocab_scores,
     out_vocab_scores,
 )
-from eovseg.decoder import MaskSet
 from eovseg.kernels import l2_normalize, softmax
 from eovseg.tensor import Rng
 
@@ -103,24 +102,24 @@ class TestOutVocab:
         text = make_text(3, seed=11)
         j = 1
         feat = np.repeat(text.embeddings[j][:, None], 16, axis=1).reshape(D, 4, 4) * 2.0
-        masks = MaskSet(logits=Rng(12).normal((5, 4, 4)))
-        scores = out_vocab_scores(feat, masks, text, tau=0.01)
+        logits = Rng(12).normal((5, 4, 4))
+        scores = out_vocab_scores(feat, logits, text, tau=0.01)
         assert np.all(np.argmax(scores.values, axis=1) == j)
 
     def test_uniform_masks_collapse_rows(self):
         text = make_text(4, seed=13)
         feat = Rng(14).normal((D, 4, 4))
-        masks = MaskSet(logits=np.zeros((3, 4, 4), dtype=np.float32))
-        scores = out_vocab_scores(feat, masks, text, tau=0.07)
+        logits = np.zeros((3, 4, 4), dtype=np.float32)
+        scores = out_vocab_scores(feat, logits, text, tau=0.07)
         assert np.allclose(scores.values[0], scores.values[1], atol=1e-7)
         assert np.allclose(scores.values[1], scores.values[2], atol=1e-7)
 
     def test_composition_oracle(self):
         text = make_text(3, seed=15)
         feat = Rng(16).normal((D, 3, 3))
-        masks = MaskSet(logits=Rng(17).normal((2, 3, 3)))
-        scores = out_vocab_scores(feat, masks, text, tau=0.07)
-        ref = reference.out_vocab_scores_reference(feat, masks.logits, text.embeddings, 0.07)
+        logits = Rng(17).normal((2, 3, 3))
+        scores = out_vocab_scores(feat, logits, text, tau=0.07)
+        ref = reference.out_vocab_scores_reference(feat, logits, text.embeddings, 0.07)
         assert np.max(np.abs(scores.values - ref)) < 1e-5
 
 
@@ -202,30 +201,26 @@ class TestEnsemble:
 
 class TestClassify:
     def test_single_class_labels_zero(self):
-        masks = MaskSet(logits=Rng(21).normal((3, 2, 2)))
         scores = ClassScores(np.float32([[1.0], [1.0], [1.0]]), "ensembled")
-        labels = classify(masks, scores, score_floor=0.0)
+        labels = classify(scores, score_floor=0.0)
         assert [l.class_id for l in labels] == [0, 0, 0]
 
     def test_floor_drops_masks(self):
-        masks = MaskSet(logits=Rng(22).normal((2, 2, 2)))
         scores = ClassScores(np.float32([[0.9, 0.1], [0.4, 0.3]]), "ensembled")
-        labels = classify(masks, scores, score_floor=0.5)
+        labels = classify(scores, score_floor=0.5)
         assert [l.mask_index for l in labels] == [0]
 
     def test_ties_break_to_lowest_class(self):
-        masks = MaskSet(logits=Rng(23).normal((1, 2, 2)))
         scores = ClassScores(np.float32([[0.4, 0.4, 0.2]]), "ensembled")
-        assert classify(masks, scores, 0.0)[0].class_id == 0
+        assert classify(scores, 0.0)[0].class_id == 0
 
     def test_argmax_oracle_and_scale_invariance(self):
         rng = Rng(24)
         vals = softmax(rng.normal((6, 4), std=2.0), 1)
-        masks = MaskSet(logits=rng.normal((6, 2, 2)))
-        labels = classify(masks, ClassScores(vals, "ensembled"), 0.0)
+        labels = classify(ClassScores(vals, "ensembled"), 0.0)
         for lab in labels:
             assert lab.class_id == int(np.argmax(vals[lab.mask_index]))
-        scaled = classify(masks, ClassScores(vals * np.float32(7.0), "ensembled"), 0.0)
+        scaled = classify(ClassScores(vals * np.float32(7.0), "ensembled"), 0.0)
         assert [(l.mask_index, l.class_id) for l in labels] == [
             (l.mask_index, l.class_id) for l in scaled
         ]

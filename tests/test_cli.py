@@ -401,6 +401,40 @@ def test_unknown_flag_rejected():
     assert main(["verify", "--trials", "2", "--bogus"]) == 2
 
 
+class TestBadValuesExit2:
+    """Each bad value exits 2 with one stderr line that names it."""
+
+    @staticmethod
+    def assert_usage_error(code, capsys, expected):
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and expected in err[0], err
+
+    def test_gen_unknown_spec_key(self, workdir, capsys):
+        (workdir / "scene.json").write_text(json.dumps(dict(SCENE_SPEC, colour="red")))
+        self.assert_usage_error(run_gen(workdir), capsys, "unknown keys ['colour']")
+        assert not (workdir / "scene").exists()
+
+    def test_config_value_of_wrong_type(self, workdir, capsys):
+        (workdir / "config.json").write_text(json.dumps(dict(SMALL_CONFIG, embed_dim="x")))
+        self.assert_usage_error(run_gen(workdir), capsys, "embed_dim must be int, got 'x'")
+
+    def test_profile_negative_classes(self, workdir, capsys):
+        code = main(
+            ["profile", "--classes", "-3", "--config", str(workdir / "config.json"),
+             "--weights", str(workdir / "pw"), "--out", str(workdir / "p.csv")]
+        )
+        self.assert_usage_error(code, capsys, "--classes must be >= 1, got -3")
+        assert not (workdir / "p.csv").exists()
+
+    def test_run_negative_resize_shortest(self, workdir, capsys):
+        run_gen(workdir)
+        capsys.readouterr()
+        code = run_run(workdir, extra=["--resize-shortest", "-5", "--out", str(workdir / "r.csv")])
+        self.assert_usage_error(code, capsys, "--resize-shortest must be >= 1, got -5")
+        assert not (workdir / "r.csv").exists()
+
+
 class TestInputConditioningFlags:
     def test_run_pads_indivisible_scene(self, workdir):
         spec = dict(SCENE_SPEC, height=50, width=70)

@@ -6,7 +6,6 @@ import pytest
 from eovseg import reference
 from eovseg.decoder import (
     DecoderWeights,
-    MaskSet,
     cross_attention_baseline,
     dda,
     decoder_forward,
@@ -16,6 +15,7 @@ from eovseg.decoder import (
     predict_masks,
     refine_kernels,
 )
+from eovseg.kernels import sigmoid
 from eovseg.tensor import Rng
 
 D = 8
@@ -30,24 +30,24 @@ class TestInitialAttention:
         feat = Rng(1).normal((D, 3, 3))
         logits = np.full((1, 3, 3), -1e4, dtype=np.float32)
         logits[0, 1, 2] = 1e4
-        out = initial_attention(feat, MaskSet(logits=logits))
+        out = initial_attention(feat, logits)
         assert np.max(np.abs(out[0] - feat[:, 1, 2])) < 1e-4
 
     def test_empty_mask(self):
         feat = Rng(2).normal((D, 2, 2))
-        out = initial_attention(feat, MaskSet(logits=np.full((2, 2, 2), -1e9, dtype=np.float32)))
+        out = initial_attention(feat, np.full((2, 2, 2), -1e9, dtype=np.float32))
         assert np.max(np.abs(out)) < 1e-4
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="grid"):
-            initial_attention(np.zeros((D, 2, 2), np.float32), MaskSet(np.zeros((1, 3, 3), np.float32)))
+            initial_attention(np.zeros((D, 2, 2), np.float32), np.zeros((1, 3, 3), np.float32))
 
     def test_loop_oracle(self):
         rng = Rng(3)
         feat = rng.normal((D, 3, 4))
-        masks = MaskSet(logits=rng.normal((5, 3, 4), std=2.0))
-        ref = reference.initial_attention_reference(feat, masks.logits)
-        assert np.max(np.abs(initial_attention(feat, masks) - ref)) < 1e-5
+        logits = rng.normal((5, 3, 4), std=2.0)
+        ref = reference.initial_attention_reference(feat, logits)
+        assert np.max(np.abs(initial_attention(feat, logits) - ref)) < 1e-5
 
 
 class TestDda:
@@ -148,18 +148,17 @@ class TestMaskOps:
         feat = Rng(26).normal((D, 3, 3))
         kernel = np.zeros((1, D), dtype=np.float32)
         kernel[0, 5] = 1.0
-        masks = predict_masks(kernel, feat)
-        assert np.array_equal(masks.logits[0], feat[5])
+        logits = predict_masks(kernel, feat)
+        assert np.array_equal(logits[0], feat[5])
 
     def test_predict_zero_kernels(self):
-        masks = predict_masks(np.zeros((2, D), np.float32), Rng(27).normal((D, 2, 2)))
-        assert np.all(masks.logits == 0)
-        assert np.all(masks.probabilities == 0.5)
+        logits = predict_masks(np.zeros((2, D), np.float32), Rng(27).normal((D, 2, 2)))
+        assert np.all(logits == 0)
+        assert np.all(sigmoid(logits) == 0.5)
 
     def test_pool_uniform_masks_is_spatial_mean(self):
         feat = Rng(28).normal((D, 4, 4))
-        masks = MaskSet(logits=np.zeros((3, 4, 4), dtype=np.float32))
-        out = mask_pool(feat, masks)
+        out = mask_pool(feat, np.zeros((3, 4, 4), dtype=np.float32))
         mean = feat.reshape(D, -1).mean(axis=1)
         assert np.max(np.abs(out - mean[None, :])) < 1e-6
 
@@ -167,15 +166,15 @@ class TestMaskOps:
         feat = Rng(29).normal((D, 3, 3))
         logits = np.full((1, 3, 3), -1e4, dtype=np.float32)
         logits[0, 0, 1] = 1e4
-        out = mask_pool(feat, MaskSet(logits=logits))
+        out = mask_pool(feat, logits)
         assert np.max(np.abs(out[0] - feat[:, 0, 1])) < 1e-4
 
     def test_pool_loop_oracle(self):
         rng = Rng(30)
         feat = rng.normal((D, 3, 4))
-        masks = MaskSet(logits=rng.normal((4, 3, 4)))
-        ref = reference.mask_pool_reference(feat, masks.logits)
-        assert np.max(np.abs(mask_pool(feat, masks) - ref)) < 1e-5
+        logits = rng.normal((4, 3, 4))
+        ref = reference.mask_pool_reference(feat, logits)
+        assert np.max(np.abs(mask_pool(feat, logits) - ref)) < 1e-5
 
 
 class TestDecoderForward:
@@ -183,13 +182,13 @@ class TestDecoderForward:
         w = small_weights(31, n=4, layers=1)
         feat = Rng(32).normal((D, 4, 4))
         out = decoder_forward(feat, w, "dda")
-        masks0 = predict_masks(w.init_kernels, feat)
-        pooled = initial_attention(feat, masks0)
+        logits0 = predict_masks(w.init_kernels, feat)
+        pooled = initial_attention(feat, logits0)
         refined = refine_kernels(dda(w.init_kernels, pooled, w.layers[0].kernel_proj), w.layers[0])
-        masks1 = predict_masks(mask_kernels(refined, w.mask_mlp), feat)
-        assert np.array_equal(out.masks.logits, masks1.logits)
+        logits1 = predict_masks(mask_kernels(refined, w.mask_mlp), feat)
+        assert np.array_equal(out.mask_logits, logits1)
         assert np.array_equal(out.kernels, refined)
-        assert np.array_equal(out.mask_embeddings, mask_pool(feat, masks1))
+        assert np.array_equal(out.mask_embeddings, mask_pool(feat, logits1))
         assert np.array_equal(out.pooled, pooled)
 
     def test_dda_vs_ca_same_shapes_different_masks(self):
@@ -197,16 +196,16 @@ class TestDecoderForward:
         feat = Rng(34).normal((D, 4, 4))
         a = decoder_forward(feat, w, "dda")
         b = decoder_forward(feat, w, "ca")
-        assert a.masks.logits.shape == b.masks.logits.shape == (5, 4, 4)
+        assert a.mask_logits.shape == b.mask_logits.shape == (5, 4, 4)
         assert a.mask_embeddings.shape == b.mask_embeddings.shape == (5, D)
-        assert not np.array_equal(a.masks.logits, b.masks.logits)
+        assert not np.array_equal(a.mask_logits, b.mask_logits)
 
     def test_two_layer_unrolled_oracle(self):
         w = small_weights(35, n=3, layers=2)
         feat = Rng(36).normal((D, 4, 4))
         out = decoder_forward(feat, w, "dda")
         logits, embed, kern = reference.decoder_forward_reference(feat, w, "dda")
-        assert np.max(np.abs(out.masks.logits - logits)) < 1e-4
+        assert np.max(np.abs(out.mask_logits - logits)) < 1e-4
         assert np.max(np.abs(out.mask_embeddings - embed)) < 1e-4
         assert np.max(np.abs(out.kernels - kern)) < 1e-4
 
@@ -219,14 +218,14 @@ class TestDecoderForward:
         feat = Rng(39).normal((D, 4, 4))
         a = decoder_forward(feat, w, "dda")
         b = decoder_forward(feat, w, "dda")
-        assert np.array_equal(a.masks.logits, b.masks.logits)
+        assert np.array_equal(a.mask_logits, b.mask_logits)
 
     def test_output_shape_contract(self):
         for n, layers, hw in ((2, 1, 4), (6, 3, 8)):
             w = small_weights(40 + n, n=n, layers=layers)
             feat = Rng(41 + n).normal((D, hw, hw))
             out = decoder_forward(feat, w, "dda")
-            assert out.masks.logits.shape == (n, hw, hw)
+            assert out.mask_logits.shape == (n, hw, hw)
             assert out.mask_embeddings.shape == (n, D)
 
 
@@ -240,9 +239,11 @@ def test_weights_validation():
 def test_dda_param_count_below_cross_attention():
     w = small_weights(42)
     layer = w.layers[0]
-    assert layer.kernel_proj.size < layer.cross_attn.param_count
+    ca = layer.cross_attn
+    ca_params = ca.wq.size + ca.wk.size + ca.wv.size + ca.wo.size
+    assert layer.kernel_proj.size < ca_params
     assert layer.kernel_proj.size == D * 3
-    assert layer.cross_attn.param_count == 4 * D * D
+    assert ca_params == 4 * D * D
 
 
 def test_single_query_attention_is_v_projection_path():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from eovseg import evaluation
 from eovseg.classifier import MaskLabel
-from eovseg.decoder import MaskSet
 from eovseg.evaluation import (
     PanopticAnnotation,
     SceneSpec,
@@ -20,7 +19,7 @@ from eovseg.evaluation import (
     miou,
     pq_metrics,
 )
-from eovseg.kernels import bilinear_upsample
+from eovseg.kernels import bilinear_upsample, sigmoid
 from eovseg.tensor import Rng
 
 
@@ -234,10 +233,10 @@ class TestMiou:
         assert miou(pred, gt) == 1.0
 
 
-def full_size_assembly(masks, labels, class_is_thing, upsample_factor):
+def full_size_assembly(logits, labels, class_is_thing, upsample_factor):
     """Assembly with every kept mask upsampled to full size at once, kept as a bitwise reference."""
-    h, w = masks.logits.shape[1] * upsample_factor, masks.logits.shape[2] * upsample_factor
-    probs = masks.probabilities[[lab.mask_index for lab in labels]]
+    h, w = logits.shape[1] * upsample_factor, logits.shape[2] * upsample_factor
+    probs = sigmoid(logits[[lab.mask_index for lab in labels]])
     if upsample_factor > 1:
         probs = bilinear_upsample(probs, upsample_factor)
     conf = np.array([lab.confidence for lab in labels], dtype=np.float32)
@@ -264,9 +263,9 @@ def full_size_assembly(masks, labels, class_is_thing, upsample_factor):
     return seg_map, records
 
 
-def assert_same_as_full_size(masks, labels, class_is_thing, factor):
-    out = assemble_panoptic(masks, labels, class_is_thing, upsample_factor=factor)
-    ref_map, ref_records = full_size_assembly(masks, labels, class_is_thing, factor)
+def assert_same_as_full_size(logits, labels, class_is_thing, factor):
+    out = assemble_panoptic(logits, labels, class_is_thing, upsample_factor=factor)
+    ref_map, ref_records = full_size_assembly(logits, labels, class_is_thing, factor)
     assert out.segment_map.dtype == ref_map.dtype and out.segment_map.shape == ref_map.shape
     assert out.segment_map.tobytes() == ref_map.tobytes()
     assert out.segments == ref_records
@@ -275,8 +274,8 @@ def assert_same_as_full_size(masks, labels, class_is_thing, factor):
 
 class TestAssembly:
     def test_no_labels_gives_void_map(self):
-        masks = MaskSet(logits=Rng(5).normal((3, 4, 4)))
-        out = assemble_panoptic(masks, [], np.array([True]), upsample_factor=4)
+        logits = Rng(5).normal((3, 4, 4))
+        out = assemble_panoptic(logits, [], np.array([True]), upsample_factor=4)
         assert out.segment_map.shape == (16, 16)
         assert np.all(out.segment_map == 0)
         assert out.segments == []
@@ -285,12 +284,11 @@ class TestAssembly:
         logits = np.full((2, 4, 4), -10.0, dtype=np.float32)
         logits[0, :, :2] = 10.0
         logits[1, :, 2:] = 10.0
-        masks = MaskSet(logits=logits)
         labels = [
             MaskLabel(mask_index=0, class_id=0, confidence=0.9),
             MaskLabel(mask_index=1, class_id=1, confidence=0.9),
         ]
-        out = assemble_panoptic(masks, labels, np.array([True, True]), upsample_factor=1)
+        out = assemble_panoptic(logits, labels, np.array([True, True]), upsample_factor=1)
         assert np.all(out.segment_map[:, 0] == 1)
         assert np.all(out.segment_map[:, 3] == 2)
         assert len(out.segments) == 2
@@ -299,72 +297,71 @@ class TestAssembly:
         logits = np.full((2, 4, 4), -10.0, dtype=np.float32)
         logits[0, :, :1] = 10.0
         logits[1, :, 3:] = 10.0
-        masks = MaskSet(logits=logits)
         labels = [
             MaskLabel(mask_index=0, class_id=7, confidence=0.9),
             MaskLabel(mask_index=1, class_id=7, confidence=0.9),
         ]
         is_thing = np.zeros(8, dtype=bool)
-        out = assemble_panoptic(masks, labels, is_thing, upsample_factor=1)
+        out = assemble_panoptic(logits, labels, is_thing, upsample_factor=1)
         assert len(out.segments) == 1
         assert out.segments[0].class_id == 7 and not out.segments[0].is_thing
         assert np.all(out.segment_map[:, 0] == out.segment_map[:, 3])
 
     def test_upsampled_extents(self):
-        masks = MaskSet(logits=Rng(6).normal((2, 4, 4)))
+        logits = Rng(6).normal((2, 4, 4))
         labels = [MaskLabel(0, 0, 0.5), MaskLabel(1, 0, 0.6)]
-        out = assemble_panoptic(masks, labels, np.array([True]), upsample_factor=4)
+        out = assemble_panoptic(logits, labels, np.array([True]), upsample_factor=4)
         assert out.segment_map.shape == (16, 16)
 
     @pytest.mark.parametrize("factor", [1, 2, 4, 8])
     @pytest.mark.parametrize("mask_h", [1, 15, 16, 17, 33])
     def test_bands_match_full_size(self, factor, mask_h):
         rng = Rng(100 * factor + mask_h)
-        masks = MaskSet(logits=rng.normal((9, mask_h, 5), std=3.0))
+        logits = rng.normal((9, mask_h, 5), std=3.0)
         kept = [7, 2, 0, 5, 8, 3]  # out of order: assembly selects the kept queries itself
         class_ids = [0, 1, 1, 2, 3, 1]  # stuff class 1 appears three times
         labels = [
             MaskLabel(q, c, float(rng.uniform((), 0.3, 1.0))) for q, c in zip(kept, class_ids)
         ]
         is_thing = np.array([True, False, True, False])
-        out = assert_same_as_full_size(masks, labels, is_thing, factor)
+        out = assert_same_as_full_size(logits, labels, is_thing, factor)
         assert out.segment_map.shape == (mask_h * factor, 5 * factor)
 
     @pytest.mark.parametrize("factor", [1, 4])
     @pytest.mark.parametrize("mask_hw", [(17, 3), (33, 1), (16, 40)])
     def test_non_square_maps(self, factor, mask_hw):
         rng = Rng(7 + mask_hw[0] + mask_hw[1])
-        masks = MaskSet(logits=rng.normal((4, *mask_hw), std=2.0))
+        logits = rng.normal((4, *mask_hw), std=2.0)
         labels = [MaskLabel(i, i, 0.5 + 0.1 * i) for i in range(4)]
-        assert_same_as_full_size(masks, labels, np.array([True, True, False, False]), factor)
+        assert_same_as_full_size(logits, labels, np.array([True, True, False, False]), factor)
 
     @pytest.mark.parametrize("factor", [1, 2, 4, 8])
     def test_exact_ties_go_to_the_first_label(self, factor):
         row = Rng(8).normal((1, 33, 6))
-        masks = MaskSet(logits=np.concatenate([row, row, row]))
+        logits = np.concatenate([row, row, row])
         labels = [MaskLabel(2, 0, 0.7), MaskLabel(0, 1, 0.7), MaskLabel(1, 2, 0.7)]
-        out = assert_same_as_full_size(masks, labels, np.array([True, True, True]), factor)
+        out = assert_same_as_full_size(logits, labels, np.array([True, True, True]), factor)
         assert np.all(out.segment_map == 1)
         assert out.segments == [SegmentRecord(1, 0, True)]
 
     @pytest.mark.parametrize("factor", [1, 2, 4, 8])
     @pytest.mark.parametrize("mask_h", [1, 17])
     def test_single_label(self, factor, mask_h):
-        masks = MaskSet(logits=Rng(9).normal((3, mask_h, 4)))
-        out = assert_same_as_full_size(masks, [MaskLabel(1, 0, 0.4)], np.array([False]), factor)
+        logits = Rng(9).normal((3, mask_h, 4))
+        out = assert_same_as_full_size(logits, [MaskLabel(1, 0, 0.4)], np.array([False]), factor)
         assert np.all(out.segment_map == 1)
 
     def test_peak_memory_bounded_by_band(self):
         # 512x512 output from 100 kept 128x128 masks: the full-size form peaks near 806 MiB
         k, mask_hw, factor = 100, 128, 4
         h = w = mask_hw * factor
-        masks = MaskSet(logits=Rng(10).normal((k, mask_hw, mask_hw), std=3.0))
+        logits = Rng(10).normal((k, mask_hw, mask_hw), std=3.0)
         labels = [MaskLabel(i, i % 10, 0.2 + 0.008 * i) for i in range(k)]
         is_thing = np.arange(10) >= 4
         band_bytes = k * (evaluation._BAND_ROWS + 2) * factor * w * 4 + h * w * 8
         tracemalloc.start()
         try:
-            out = assemble_panoptic(masks, labels, is_thing, upsample_factor=factor)
+            out = assemble_panoptic(logits, labels, is_thing, upsample_factor=factor)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

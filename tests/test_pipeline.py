@@ -62,7 +62,7 @@ def test_forward_shape_contract(scene):
     result = forward(image, text, spec.is_thing(), cfg, bundle)
     assert result.panoptic.segment_map.shape == (64, 64)
     assert result.scores.values.shape == (cfg.n_queries, text.n_classes)
-    assert result.masks.logits.shape == (cfg.n_queries, 16, 16)
+    assert result.mask_logits.shape == (cfg.n_queries, 16, 16)
 
 
 @pytest.mark.parametrize("mode", ["none", "eaf", "sdi", "tdee"])
@@ -397,25 +397,6 @@ class TestInputConditioning:
         assert out.shape == (6, 8)
         assert set(np.unique(out)) <= set(np.unique(seg))
         assert np.array_equal(resize_map_nearest(seg, (3, 4)), seg)
-
-
-def test_pyramid_save_load_roundtrip(tmp_path):
-    from eovseg.aggregator import FeaturePyramid
-
-    rng = Rng(4)
-    pyr = FeaturePyramid(
-        levels={
-            lvl: rng.normal((6, 16 // 2 ** (lvl - 2), 16 // 2 ** (lvl - 2)))
-            for lvl in (2, 3, 4, 5)
-        }
-    )
-    pyr.save(tmp_path, prefix="p")
-    assert sorted(p.name for p in tmp_path.glob("*.eovt")) == [
-        "p_p2.eovt", "p_p3.eovt", "p_p4.eovt", "p_p5.eovt",
-    ]
-    back = FeaturePyramid.load(tmp_path, prefix="p")
-    for lvl in (2, 3, 4, 5):
-        assert np.array_equal(back.levels[lvl], pyr.levels[lvl])
 
 
 def test_annotation_save_load_roundtrip(tmp_path):

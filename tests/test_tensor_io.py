@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from eovseg.tensor import EovtFormatError, Rng, as_f32, check_tensor, read_eovt, write_eovt
+from eovseg.tensor import EovtFormatError, Rng, check_tensor, read_eovt, write_eovt
 
 
 def test_roundtrip(tmp_path):
@@ -56,7 +56,7 @@ def test_tensor_contract():
         check_tensor(np.zeros((1, 1, 1, 1, 1, 1), dtype=np.float32))
     with pytest.raises(ValueError, match="extent"):
         check_tensor(np.zeros((2, 0), dtype=np.float32))
-    ok = as_f32([1, 2, 3])
+    ok = check_tensor(np.arange(3, dtype=np.float32))
     assert ok.dtype == np.float32 and ok.shape == (3,)
 
 
