@@ -71,32 +71,6 @@ def extract_features(image: np.ndarray, backbone: SyntheticBackbone) -> dict[int
 
 
 @dataclass
-class FeaturePyramid:
-    """Levels P2..P5 at strides 4/8/16/32, all at a common channel width."""
-
-    levels: dict[int, np.ndarray]
-
-    def __post_init__(self):
-        missing = [i for i in LEVELS if i not in self.levels]
-        if missing:
-            raise ValueError(f"FeaturePyramid: missing levels {missing}")
-        widths = {self.levels[i].shape[0] for i in LEVELS}
-        if len(widths) != 1:
-            raise ValueError(f"FeaturePyramid: mixed channel widths {sorted(widths)}")
-        for i in (2, 3, 4):
-            ch, h, w = self.levels[i].shape
-            _, h2, w2 = self.levels[i + 1].shape
-            if h != 2 * h2 or w != 2 * w2:
-                raise ValueError(
-                    f"FeaturePyramid: level {i} is {h}x{w}, expected exactly twice level {i + 1}"
-                )
-
-    @property
-    def width(self) -> int:
-        return self.levels[2].shape[0]
-
-
-@dataclass
 class AggregatorWeights:
     """Lateral/smoothing convs for the pyramid plus the per-level 1x1 and 3x3 fuse convs."""
 
@@ -130,8 +104,12 @@ class AggregatorWeights:
         return cls(laterals=laterals, smooths=smooths, level_proj=level_proj, fuse=fuse)
 
 
-def build_pyramid(feats: dict[int, np.ndarray], weights: AggregatorWeights) -> FeaturePyramid:
-    """Top-down pathway: laterals, 2x bilinear upsample-and-add, 3x3 smoothing."""
+def build_pyramid(feats: dict[int, np.ndarray], weights: AggregatorWeights) -> dict[int, np.ndarray]:
+    """Top-down pathway: laterals, 2x bilinear upsample-and-add, 3x3 smoothing.
+
+    Returns {level: P_level}, every level at the embedding width and each
+    exactly twice the extent of the next coarser one.
+    """
     lat = {}
     for level in LEVELS:
         w, b = weights.laterals[level]
@@ -148,19 +126,19 @@ def build_pyramid(feats: dict[int, np.ndarray], weights: AggregatorWeights) -> F
     for level in LEVELS:
         w, b = weights.smooths[level]
         levels[level] = conv2d_3x3(merged[level], w, b)
-    return FeaturePyramid(levels=levels)
+    return levels
 
 
-def aggregate(pyramid: FeaturePyramid, weights: AggregatorWeights) -> np.ndarray:
+def aggregate(pyramid: dict[int, np.ndarray], weights: AggregatorWeights) -> np.ndarray:
     """Collapse the pyramid to stride 4: fuse(sum_i up_i(proj_i(P_i)) + proj_2(P_2)).
 
     proj is a bias-free 1x1 conv per level, up_i a 2^(i-2)x bilinear
     upsample, fuse a 3x3 pad-1 conv.  Bias-free projections keep the map
     linear in the pyramid whenever the fuse bias is zero.
     """
-    acc = conv2d_1x1(pyramid.levels[2], weights.level_proj[2], None)
+    acc = conv2d_1x1(pyramid[2], weights.level_proj[2], None)
     for level in (3, 4, 5):
-        proj = conv2d_1x1(pyramid.levels[level], weights.level_proj[level], None)
+        proj = conv2d_1x1(pyramid[level], weights.level_proj[level], None)
         acc = acc + bilinear_upsample(proj, 2 ** (level - 2))
     w, b = weights.fuse
     return conv2d_3x3(acc, w, b)

@@ -8,7 +8,7 @@ ensemble using separate exponents/weights for seen and unseen classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,27 +37,6 @@ class TextEmbeddings:
         return self.embeddings.shape[0]
 
 
-@dataclass
-class ClassScores:
-    values: np.ndarray  # (N_mask, N_class)
-    kind: str  # in_vocab | out_vocab | ensembled
-
-
-@dataclass
-class EnsembleParams:
-    alpha: float = 0.4  # blend factor for seen classes
-    beta: float = 0.8  # blend factor for unseen classes
-    method: str = "geometric"
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"EnsembleParams: alpha {self.alpha} outside [0, 1]")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"EnsembleParams: beta {self.beta} outside [0, 1]")
-        if self.method not in ("geometric", "arithmetic"):
-            raise ValueError(f"EnsembleParams: unknown method {self.method!r}")
-
-
 def build_text_embeddings(
     templates: np.ndarray, class_names: list[str], seen: np.ndarray
 ) -> TextEmbeddings:
@@ -75,29 +54,25 @@ def build_text_embeddings(
     return TextEmbeddings(embeddings=embeddings, class_names=list(class_names), seen=seen)
 
 
-def in_vocab_scores(
-    instance_embed: np.ndarray, text: TextEmbeddings, tau: float
-) -> ClassScores:
-    """Cosine similarity against the class embeddings, softmaxed at temperature tau."""
+def in_vocab_scores(instance_embed: np.ndarray, text: TextEmbeddings, tau: float) -> np.ndarray:
+    """(N, N_class) cosine similarities to the class embeddings, softmaxed at temperature tau."""
     if tau <= 0:
         raise ValueError(f"in_vocab_scores: temperature must be positive, got {tau}")
     unit = l2_normalize(instance_embed, axis=1)
     logits = (unit @ text.embeddings.T) / np.float32(tau)
-    return ClassScores(values=softmax(logits.astype(np.float32), axis=1), kind="in_vocab")
+    return softmax(logits.astype(np.float32), axis=1)
 
 
 def out_vocab_scores(
     clip_features: np.ndarray, logits: np.ndarray, text: TextEmbeddings, tau: float
-) -> ClassScores:
+) -> np.ndarray:
     """Pool the backbone's final features under each mask, then score as above."""
-    class_embed = mask_pool(clip_features, logits)
-    scores = in_vocab_scores(class_embed, text, tau)
-    return ClassScores(values=scores.values, kind="out_vocab")
+    return in_vocab_scores(mask_pool(clip_features, logits), text, tau)
 
 
 def ensemble(
-    s_in: ClassScores, s_out: ClassScores, params: EnsembleParams, seen: np.ndarray
-) -> ClassScores:
+    s_in: np.ndarray, s_out: np.ndarray, alpha: float, beta: float, method: str, seen: np.ndarray
+) -> np.ndarray:
     """Blend score matrices column-wise; seen classes use alpha, unseen beta.
 
     geometric: in^(1-w) * out^w.  arithmetic: (1-w)*in + w*out.  Weights 0 and
@@ -105,25 +80,27 @@ def ensemble(
     degenerate settings are bitwise-faithful.  Ensembled rows are not
     renormalized; only the per-row argmax is contractual downstream.
     """
-    a, b = s_in.values, s_out.values
+    a, b = s_in, s_out
+    if method not in ("geometric", "arithmetic"):
+        raise ValueError(f"ensemble: unknown method {method!r}")
     if a.shape != b.shape:
         raise ValueError(f"ensemble: score shapes differ, {a.shape} vs {b.shape}")
     if seen.shape != (a.shape[1],):
         raise ValueError(f"ensemble: seen mask shape {seen.shape} != ({a.shape[1]},)")
-    if params.method == "geometric" and (np.any(a <= 0) or np.any(b <= 0)):
+    if method == "geometric" and (np.any(a <= 0) or np.any(b <= 0)):
         raise ValueError("ensemble: geometric method requires strictly positive scores")
     out = np.empty_like(a)
     for j in range(a.shape[1]):
-        w = params.alpha if seen[j] else params.beta
+        w = alpha if seen[j] else beta
         if w == 0.0:
             out[:, j] = a[:, j]
         elif w == 1.0:
             out[:, j] = b[:, j]
-        elif params.method == "geometric":
+        elif method == "geometric":
             out[:, j] = a[:, j] ** np.float32(1.0 - w) * b[:, j] ** np.float32(w)
         else:
             out[:, j] = np.float32(1.0 - w) * a[:, j] + np.float32(w) * b[:, j]
-    return ClassScores(values=out, kind="ensembled")
+    return out
 
 
 @dataclass
@@ -133,16 +110,16 @@ class MaskLabel:
     confidence: float
 
 
-def classify(scores: ClassScores, score_floor: float) -> list[MaskLabel]:
+def classify(scores: np.ndarray, score_floor: float) -> list[MaskLabel]:
     """Argmax class per mask (one score row each); masks under the confidence
     floor are dropped.
 
     Ties resolve to the lowest class index (argmax's first-hit rule).
     """
     labels = []
-    for i in range(scores.values.shape[0]):
-        j = int(np.argmax(scores.values[i]))
-        conf = float(scores.values[i, j])
+    for i in range(scores.shape[0]):
+        j = int(np.argmax(scores[i]))
+        conf = float(scores[i, j])
         if conf < score_floor:
             continue
         labels.append(MaskLabel(mask_index=i, class_id=j, confidence=conf))

@@ -178,9 +178,17 @@ def _load_scene(scene_dir: Path, config):
     return image, gt, text, np.array(things)
 
 
-def cmd_run(args) -> int:
+def _present_segments(segment_map, segments):
+    """An annotation of ``segment_map`` with the records whose ids appear in it."""
     import numpy as np
 
+    from .evaluation import PanopticAnnotation
+
+    present = set(int(i) for i in np.unique(segment_map))
+    return PanopticAnnotation(segment_map, [s for s in segments if s.segment_id in present])
+
+
+def cmd_run(args) -> int:
     from .evaluation import miou, pq_metrics
     from .pipeline import forward, forward_traced
     from .weights import load_or_build_weights
@@ -198,7 +206,6 @@ def cmd_run(args) -> int:
     if args.pred_from_gt:
         mode, panoptic, shapes = "gt_bypass", gt, {}
     else:
-        from .evaluation import PanopticAnnotation
         from .kernels import bilinear_resize
         from .pipeline import pad_to_multiple, resize_map_nearest
 
@@ -207,12 +214,7 @@ def cmd_run(args) -> int:
             scale = args.resize_shortest / min(h, w)
             target = (max(1, round(h * scale)), max(1, round(w * scale)))
             image = bilinear_resize(image, target)
-            gt_map = resize_map_nearest(gt.segment_map, target)
-            keep = set(int(i) for i in np.unique(gt_map))
-            gt = PanopticAnnotation(
-                segment_map=gt_map,
-                segments=[s for s in gt.segments if s.segment_id in keep],
-            )
+            gt = _present_segments(resize_map_nearest(gt.segment_map, target), gt.segments)
         work_hw = (image.shape[1], image.shape[2])
         image = pad_to_multiple(image, 32)
         image_hw = (image.shape[1], image.shape[2])
@@ -224,11 +226,7 @@ def cmd_run(args) -> int:
         panoptic = result.panoptic
         if image_hw != work_hw:  # crop padding back off for metric comparison
             cropped = panoptic.segment_map[: work_hw[0], : work_hw[1]]
-            keep = set(int(i) for i in np.unique(cropped))
-            panoptic = PanopticAnnotation(
-                segment_map=cropped,
-                segments=[s for s in panoptic.segments if s.segment_id in keep],
-            )
+            panoptic = _present_segments(cropped, panoptic.segments)
         mode = config.fusion
         shapes = {k: "x".join(str(e) for e in v.shape) for k, v in sorted(result.trace.items())}
     result_pq = pq_metrics(panoptic, gt)

@@ -45,6 +45,13 @@ def checked_fields(cls, data, what: str) -> dict:
     return out
 
 
+# integer fields that count or size something; 0 or less fails deep inside a kernel
+_POSITIVE = (
+    "embed_dim", "vit_dim", "vas_heads", "n_queries", "decoder_layers", "decoder_heads",
+    "ffn_expansion", "dda_kernel_size", "tdee_dim", "sdi_kernel_size", "sdi_rank", "vit_heads",
+)
+
+
 @dataclass
 class ModelConfig:
     embed_dim: int = 256  # shared feature/embedding width
@@ -71,6 +78,13 @@ class ModelConfig:
     weights_seed: int = 0
 
     def __post_init__(self):
+        for name in _POSITIVE:
+            if getattr(self, name) < 1:
+                raise ValueError(f"config: {name} must be >= 1, got {getattr(self, name)}")
+        if len(self.backbone_widths) != 4 or min(self.backbone_widths) < 1:
+            raise ValueError(
+                f"config: backbone_widths must list four stage widths >= 1, got {self.backbone_widths}"
+            )
         if self.embed_dim % self.vas_heads:
             raise ValueError(
                 f"config: embed_dim {self.embed_dim} not divisible by vas_heads {self.vas_heads}"
@@ -88,10 +102,8 @@ class ModelConfig:
             raise ValueError(f"config: dda_kernel_size must be odd, got {self.dda_kernel_size}")
         if self.sdi_kernel_size % 2 == 0:
             raise ValueError(f"config: sdi_kernel_size must be odd, got {self.sdi_kernel_size}")
-        if self.tdee_dim % 2 or self.tdee_dim < 2:
-            raise ValueError(f"config: tdee_dim must be even and >= 2, got {self.tdee_dim}")
-        if self.decoder_layers < 1 or self.n_queries < 1:
-            raise ValueError("config: decoder_layers and n_queries must be >= 1")
+        if self.tdee_dim % 2:
+            raise ValueError(f"config: tdee_dim must be even, got {self.tdee_dim}")
         if self.fusion not in FUSION_MODES:
             raise ValueError(f"config: fusion must be one of {FUSION_MODES}, got {self.fusion!r}")
         if not 0.0 <= self.alpha <= 1.0 or not 0.0 <= self.beta <= 1.0:
@@ -100,8 +112,6 @@ class ModelConfig:
             raise ValueError(f"config: tau must be positive, got {self.tau}")
         if self.ensemble_method not in ("geometric", "arithmetic"):
             raise ValueError(f"config: unknown ensemble_method {self.ensemble_method!r}")
-        if len(self.backbone_widths) != 4:
-            raise ValueError("config: backbone_widths must list four stage widths")
         self.backbone_widths = tuple(int(w) for w in self.backbone_widths)
 
     def to_dict(self) -> dict:

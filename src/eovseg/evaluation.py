@@ -87,6 +87,10 @@ class PanopticAnnotation:
         return cls(segment_map=rounded.astype(np.int32), segments=records)
 
 
+# smallest canvas side; shapes are placed by retried random draws that need room
+MIN_EXTENT = 16
+
+
 @dataclass
 class SceneSpec:
     height: int = 64
@@ -99,6 +103,10 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name, low in (("height", MIN_EXTENT), ("width", MIN_EXTENT), ("n_shapes", 0),
+                          ("n_templates", 1), ("embed_dim", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"SceneSpec: {name} must be >= {low}, got {getattr(self, name)}")
         if not self.stuff_classes:
             raise ValueError("SceneSpec: at least one stuff class required")
         if self.n_shapes > 0 and not self.thing_classes:

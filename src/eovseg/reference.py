@@ -42,30 +42,19 @@ from .vas import VasWeights
 # vocabulary-aware selection: step-by-step transliteration
 
 
-def vas_attention_reference(feat, text_embed, w: VasWeights, macs: MacCounter | None = None):
+def vas_forward_reference(feat, text_embed, w: VasWeights, macs: MacCounter | None = None):
+    """Projection, head split, channel contraction, vocab softmax + max,
+    scale/offset, and the per-head multiply onto the projected features."""
     feat_proj = conv2d_depthwise_separable_oracle(feat, w.feat_depth, w.feat_point, w.feat_bias, macs)
-    return _vas_attention_from_projected(feat_proj, text_embed, w, macs), feat_proj
-
-
-def _vas_attention_from_projected(feat_proj, text_embed, w: VasWeights, macs=None):
     d, h, wd = feat_proj.shape
     per_head = d // w.heads
     text_proj = linear_oracle(text_embed, w.text_w, w.text_b, macs)
     mh_feat = feat_proj.reshape(1, w.heads, per_head, h, wd)
     mh_text = text_proj.reshape(1, text_proj.shape[0], w.heads, per_head)
     logits = contract_oracle(mh_feat, mh_text, "bmchw,bnmc->bmhwn", macs)
-    weights = softmax_oracle(logits, axis=4)
-    return reduce_max_oracle(weights, axis=4)[0]
-
-
-def vas_forward_reference(feat, text_embed, w: VasWeights, macs: MacCounter | None = None):
-    """Projection, head split, channel contraction, vocab softmax + max,
-    scale/offset, and the per-head multiply onto the projected features."""
-    attn, feat_proj = vas_attention_reference(feat, text_embed, w, macs)
+    attn = reduce_max_oracle(softmax_oracle(logits, axis=4), axis=4)[0]
     gate = w.scale * attn + w.offset
-    d, h, wd = feat_proj.shape
-    mh = feat_proj.reshape(w.heads, d // w.heads, h, wd)
-    out = gate[:, None, :, :] * mh
+    out = gate[:, None, :, :] * mh_feat[0]
     return out.reshape(d, h, wd)
 
 

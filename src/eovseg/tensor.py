@@ -93,6 +93,8 @@ class Rng:
 
     def unit_vector(self, dim: int) -> np.ndarray:
         """Random direction, rejection-guarded against near-zero draws."""
+        if dim < 1:
+            raise ValueError(f"unit_vector: dim must be >= 1, got {dim}")
         while True:
             v = self._gen.standard_normal(dim)
             n = float(np.linalg.norm(v))

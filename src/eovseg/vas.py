@@ -47,11 +47,6 @@ class VasWeights:
         )
 
 
-def project_features(feat: np.ndarray, w: VasWeights) -> np.ndarray:
-    """Depthwise-separable projection of the aggregated features (D,H,W)->(D,H,W)."""
-    return conv2d_depthwise_separable(feat, w.feat_depth, w.feat_point, w.feat_bias)
-
-
 def _max_of_softmax(logits: np.ndarray) -> np.ndarray:
     """Max over the last axis of its softmax: 1 / sum(exp(x - max(x))).
 
@@ -60,59 +55,32 @@ def _max_of_softmax(logits: np.ndarray) -> np.ndarray:
     is bitwise invariant under class permutations.
     """
     if not np.all(np.isfinite(logits)):
-        raise ValueError("vas_attention: non-finite similarity logits")
+        raise ValueError("vas: non-finite similarity logits")
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
     denom = np.sum(np.sort(np.exp(shifted), axis=-1), axis=-1)
     return (np.float32(1.0) / denom).astype(np.float32, copy=False)
 
 
-def _attention_from_projected(
-    feat_proj: np.ndarray, text_embed: np.ndarray, w: VasWeights
-) -> np.ndarray:
-    d, h, wd = feat_proj.shape
+def vas_forward_detailed(
+    feat: np.ndarray, text_embed: np.ndarray, w: VasWeights
+) -> tuple[np.ndarray, np.ndarray]:
+    """Selection pass returning (weighted features, attention weights).
+
+    The attention holds one map per head, each weight in [1/N_class, 1]; the
+    gate (scale*attn + offset) multiplies that head's channel block of the
+    depthwise-separable projection of ``feat``.
+    """
     n_class = text_embed.shape[0]
     if n_class < 1:
-        raise ValueError("vas_attention: vocabulary must contain at least one class")
-    if d % w.heads != 0:
-        raise ValueError(f"vas_attention: width {d} not divisible by {w.heads} heads")
+        raise ValueError("vas: vocabulary must contain at least one class")
+    feat_proj = conv2d_depthwise_separable(feat, w.feat_depth, w.feat_point, w.feat_bias)
+    d, h, wd = feat_proj.shape
     per_head = d // w.heads
     text_proj = linear(text_embed, w.text_w, w.text_b)
     mh_feat = feat_proj.reshape(1, w.heads, per_head, h, wd)
     mh_text = text_proj.reshape(1, n_class, w.heads, per_head)
     logits = contract(mh_feat, mh_text, "bmchw,bnmc->bmhwn")
-    return _max_of_softmax(logits)[0]  # (heads, H, W)
-
-
-def vas_attention(feat: np.ndarray, text_embed: np.ndarray, w: VasWeights) -> np.ndarray:
-    """Vocabulary-aware attention weights, one map per head, each in [1/N_class, 1]."""
-    return _attention_from_projected(project_features(feat, w), text_embed, w)
-
-
-def vas_apply(
-    feat_proj: np.ndarray, attn: np.ndarray, scale: float, offset: float
-) -> np.ndarray:
-    """Broadcast (scale*attn + offset) over each head's channel block of feat_proj."""
-    d, h, wd = feat_proj.shape
-    heads = attn.shape[0]
-    if d % heads != 0 or attn.shape[1:] != (h, wd):
-        raise ValueError(
-            f"vas_apply: attention {attn.shape} incompatible with features {feat_proj.shape}"
-        )
-    gate = np.float32(scale) * attn + np.float32(offset)
-    mh = feat_proj.reshape(heads, d // heads, h, wd)
-    out = gate[:, None, :, :] * mh
-    return np.ascontiguousarray(out.reshape(d, h, wd))
-
-
-def vas_forward_detailed(
-    feat: np.ndarray, text_embed: np.ndarray, w: VasWeights
-) -> tuple[np.ndarray, np.ndarray]:
-    """Selection pass returning (weighted features, attention weights)."""
-    feat_proj = project_features(feat, w)
-    attn = _attention_from_projected(feat_proj, text_embed, w)
-    return vas_apply(feat_proj, attn, w.scale, w.offset), attn
-
-
-def vas_forward(feat: np.ndarray, text_embed: np.ndarray, w: VasWeights) -> np.ndarray:
-    """Full selection pass; bitwise equal to vas_apply(vas_attention(...))."""
-    return vas_forward_detailed(feat, text_embed, w)[0]
+    attn = _max_of_softmax(logits)[0]  # (heads, H, W)
+    gate = np.float32(w.scale) * attn + np.float32(w.offset)
+    out = gate[:, None, :, :] * mh_feat[0]
+    return np.ascontiguousarray(out.reshape(d, h, wd)), attn

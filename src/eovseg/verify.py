@@ -25,8 +25,6 @@ import numpy as np
 from . import kernels, oracles, reference
 from .aggregator import AggregatorWeights, SyntheticBackbone, build_pyramid, extract_features, aggregate
 from .classifier import (
-    ClassScores,
-    EnsembleParams,
     build_text_embeddings,
     classify,
     ensemble,
@@ -59,7 +57,7 @@ from .pipeline import forward, forward_traced, replay_trace
 from .profiler import count_macs
 from .spatial import UpsamplerWeights, VitBlockWeights, spatial_embeddings, spatial_features, vit_block_features
 from .tensor import Rng, read_eovt
-from .vas import VasWeights, vas_attention, vas_forward
+from .vas import VasWeights, vas_forward_detailed
 from .weights import build_weights
 
 KERNEL_TOL = 1e-5
@@ -322,7 +320,9 @@ def check_vas_bounds(rng: Rng, trials: int):
         d, heads = 8, 4
         n_class = int(rng.integers(1, 6))
         w = VasWeights.build(int(rng.integers(0, 1 << 31)), d, heads)
-        attn = vas_attention(rng.normal((d, 3, 3), std=2.0), rng.normal((n_class, d), std=2.0), w)
+        _, attn = vas_forward_detailed(
+            rng.normal((d, 3, 3), std=2.0), rng.normal((n_class, d), std=2.0), w
+        )
         lo = np.float32(1.0) / np.float32(n_class)
         if attn.min() < lo or attn.max() > 1.0:
             return False, f"attention weight outside [{lo}, 1]: [{attn.min()}, {attn.max()}]"
@@ -338,20 +338,20 @@ def check_vas_permutation(rng: Rng, trials: int):
         feat = rng.normal((d, 2, 3))
         text = rng.normal((n_class, d))
         perm = np.argsort(rng.normal((n_class,)))
-        if not np.array_equal(vas_forward(feat, text, w), vas_forward(feat, text[perm], w)):
+        if not np.array_equal(vas_forward_detailed(feat, text, w)[0],
+                              vas_forward_detailed(feat, text[perm], w)[0]):
             return False, "output changed under vocabulary permutation"
     return True, "bitwise invariant to vocabulary row permutation"
 
 
 def check_vas_identity_gate(rng: Rng, trials: int):
-    from .vas import project_features
-
     for _ in range(trials):
         d, heads = 8, 2
         w = VasWeights.build(int(rng.integers(0, 1 << 31)), d, heads, scale=0.0, offset=1.0)
         feat = rng.normal((d, 2, 2))
         text = rng.normal((3, d))
-        if not np.array_equal(vas_forward(feat, text, w), project_features(feat, w)):
+        projected = kernels.conv2d_depthwise_separable(feat, w.feat_depth, w.feat_point, w.feat_bias)
+        if not np.array_equal(vas_forward_detailed(feat, text, w)[0], projected):
             return False, "scale=0 offset=1 did not reduce to the projection"
     return True, "scale=0/offset=1 reduces exactly to the feature projection"
 
@@ -497,7 +497,7 @@ def check_aggregator_oracle(rng: Rng, trials: int):
         pyramid = build_pyramid(feats, weights)
         ref_levels = reference.build_pyramid_reference(ref_feats, weights)
         for level in (2, 3, 4, 5):
-            worst = max(worst, _max_err(pyramid.levels[level], ref_levels[level]))
+            worst = max(worst, _max_err(pyramid[level], ref_levels[level]))
         worst = max(
             worst, _max_err(aggregate(pyramid, weights), reference.aggregate_reference(ref_levels, weights))
         )
@@ -539,9 +539,9 @@ def check_classifier_oracles(rng: Rng, trials: int):
         scores = in_vocab_scores(inst, text, 0.07)
         worst = max(
             worst,
-            _max_err(scores.values, reference.in_vocab_scores_reference(inst, text.embeddings, 0.07)),
+            _max_err(scores, reference.in_vocab_scores_reference(inst, text.embeddings, 0.07)),
         )
-        if _max_err(scores.values.sum(axis=1), np.ones(2)) > 1e-6:
+        if _max_err(scores.sum(axis=1), np.ones(2)) > 1e-6:
             return False, "score rows do not sum to 1"
         feat = rng.normal((d, 3, 3))
         logits = rng.normal((2, 3, 3))
@@ -549,36 +549,31 @@ def check_classifier_oracles(rng: Rng, trials: int):
         worst = max(
             worst,
             _max_err(
-                out.values, reference.out_vocab_scores_reference(feat, logits, text.embeddings, 0.07)
+                out, reference.out_vocab_scores_reference(feat, logits, text.embeddings, 0.07)
             ),
         )
     return _tol_check(worst, KERNEL_TOL)
 
 
 def check_ensemble(rng: Rng, trials: int):
-    g = ClassScores(np.float32([[0.8]]), "in_vocab")
-    o = ClassScores(np.float32([[0.5]]), "out_vocab")
     seen = np.array([True])
-    got = ensemble(g, o, EnsembleParams(alpha=0.4, beta=0.8, method="geometric"), seen).values[0, 0]
+    got = ensemble(np.float32([[0.8]]), np.float32([[0.5]]), 0.4, 0.8, "geometric", seen)[0, 0]
     want = 0.8**0.6 * 0.5**0.4  # = 0.6628908034679974
     if abs(float(got) - want) > 1e-6:
         return False, f"geometric value {got} != {want}"
     for _ in range(trials):
-        s_in = ClassScores(kernels.softmax(rng.normal((3, 4), std=2.0), 1), "in_vocab")
-        s_out = ClassScores(kernels.softmax(rng.normal((3, 4), std=2.0), 1), "out_vocab")
+        s_in = kernels.softmax(rng.normal((3, 4), std=2.0), 1)
+        s_out = kernels.softmax(rng.normal((3, 4), std=2.0), 1)
         seen = rng.normal((4,)) > 0
         for method in ("geometric", "arithmetic"):
-            zero = ensemble(s_in, s_out, EnsembleParams(0.0, 0.0, method), seen)
-            one = ensemble(s_in, s_out, EnsembleParams(1.0, 1.0, method), seen)
-            if not np.array_equal(zero.values, s_in.values):
+            if not np.array_equal(ensemble(s_in, s_out, 0.0, 0.0, method, seen), s_in):
                 return False, f"alpha=beta=0 not bitwise S_I for {method}"
-            if not np.array_equal(one.values, s_out.values):
+            if not np.array_equal(ensemble(s_in, s_out, 1.0, 1.0, method, seen), s_out):
                 return False, f"alpha=beta=1 not bitwise S_O for {method}"
-            params = EnsembleParams(0.4, 0.8, method)
-            base = ensemble(s_in, s_out, params, seen).values
-            bumped_vals = s_out.values.copy()
-            bumped_vals[1, 2] += np.float32(0.05)
-            bumped = ensemble(s_in, ClassScores(bumped_vals, "out_vocab"), params, seen).values
+            base = ensemble(s_in, s_out, 0.4, 0.8, method, seen)
+            bumped_out = s_out.copy()
+            bumped_out[1, 2] += np.float32(0.05)
+            bumped = ensemble(s_in, bumped_out, 0.4, 0.8, method, seen)
             if bumped[1, 2] < base[1, 2]:
                 return False, f"monotonicity violated for {method}"
     return True, "degenerate cases bitwise; reference value and monotonicity hold"
@@ -588,11 +583,11 @@ def check_classify(rng: Rng, trials: int):
     for _ in range(trials):
         vals = kernels.softmax(rng.normal((4, 3), std=2.0), 1)
         rng.normal((4, 2, 2))  # unused mask draw, kept so later trials see the same draws
-        labels = classify(ClassScores(vals, "ensembled"), 0.0)
+        labels = classify(vals, 0.0)
         for lab in labels:
             if lab.class_id != int(np.argmax(vals[lab.mask_index])):
                 return False, "argmax mismatch"
-        scaled = classify(ClassScores(vals * np.float32(3.0), "ensembled"), 0.0)
+        scaled = classify(vals * np.float32(3.0), 0.0)
         if [(l.mask_index, l.class_id) for l in labels] != [
             (l.mask_index, l.class_id) for l in scaled
         ]:
@@ -885,7 +880,10 @@ CHECKS = [
     ("reduce_max_vs_loop_oracle", check_reduce_max),
     ("l2_normalize_vs_loop_oracle", check_l2_normalize),
     ("kernel_determinism", check_kernel_determinism),
-    ("vas_vs_transliteration_oracle", _vs_oracle(_draw_vas, vas_forward, reference.vas_forward_reference)),
+    (
+        "vas_vs_transliteration_oracle",
+        _vs_oracle(_draw_vas, lambda *a: vas_forward_detailed(*a)[0], reference.vas_forward_reference),
+    ),
     ("vas_attention_bounds", check_vas_bounds),
     ("vas_vocabulary_permutation", check_vas_permutation),
     ("vas_identity_gate", check_vas_identity_gate),

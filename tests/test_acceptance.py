@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from eovseg import reference
-from eovseg.classifier import ClassScores, EnsembleParams, build_text_embeddings, ensemble
+from eovseg.classifier import build_text_embeddings, ensemble
 from eovseg.config import ModelConfig
 from eovseg.evaluation import PanopticAnnotation, SceneSpec, SegmentRecord, generate_scene, miou, pq_metrics
 from eovseg.fusion import TdeeWeights, tdee, tdee_detailed
@@ -31,7 +31,7 @@ from eovseg.profiler import (
     params_dda_layer,
 )
 from eovseg.tensor import Rng
-from eovseg.vas import VasWeights, vas_forward
+from eovseg.vas import VasWeights, vas_forward_detailed
 from eovseg.verify import CHECKS, SABOTAGE_TARGETS, check_macs_instrumented, run_checks
 from eovseg.weights import build_weights
 
@@ -96,7 +96,7 @@ def test_criterion_2_stepwise_transliteration(verify_check):
             float(
                 np.max(
                     np.abs(
-                        np.asarray(vas_forward(feat, text, vw), np.float64)
+                        np.asarray(vas_forward_detailed(feat, text, vw)[0], np.float64)
                         - reference.vas_forward_reference(feat, text, vw)
                     )
                 )
@@ -112,20 +112,13 @@ def test_criterion_2_stepwise_transliteration(verify_check):
 def test_criterion_3_ensemble_correctness():
     rng = Rng(3_000)
     for method in ("geometric", "arithmetic"):
-        s_in = ClassScores(softmax(rng.normal((5, 4), std=2.0), 1), "in_vocab")
-        s_out = ClassScores(softmax(rng.normal((5, 4), std=2.0), 1), "out_vocab")
+        s_in = softmax(rng.normal((5, 4), std=2.0), 1)
+        s_out = softmax(rng.normal((5, 4), std=2.0), 1)
         seen = rng.normal((4,)) > 0
-        zero = ensemble(s_in, s_out, EnsembleParams(0.0, 0.0, method), seen)
-        one = ensemble(s_in, s_out, EnsembleParams(1.0, 1.0, method), seen)
-        assert np.array_equal(zero.values, s_in.values), method
-        assert np.array_equal(one.values, s_out.values), method
+        assert np.array_equal(ensemble(s_in, s_out, 0.0, 0.0, method, seen), s_in), method
+        assert np.array_equal(ensemble(s_in, s_out, 1.0, 1.0, method, seen), s_out), method
 
-    got = ensemble(
-        ClassScores(np.float32([[0.8]]), "in_vocab"),
-        ClassScores(np.float32([[0.5]]), "out_vocab"),
-        EnsembleParams(0.4, 0.8, "geometric"),
-        np.array([True]),
-    ).values[0, 0]
+    got = ensemble(np.float32([[0.8]]), np.float32([[0.5]]), 0.4, 0.8, "geometric", np.array([True]))[0, 0]
     assert abs(float(got) - GEOMETRIC_REFERENCE) < 1e-6
 
     violations = 0
@@ -137,10 +130,9 @@ def test_criterion_3_ensemble_correctness():
         beta = float(rng.uniform((1,))[0])
         method = ("geometric", "arithmetic")[int(rng.integers(0, 2))]
         seen = np.array([bool(rng.integers(0, 2))])
-        params = EnsembleParams(alpha, beta, method)
-        s_in = ClassScores(np.float32([[a]]), "in_vocab")
-        lo = ensemble(s_in, ClassScores(np.float32([[b]]), "out_vocab"), params, seen).values[0, 0]
-        hi = ensemble(s_in, ClassScores(np.float32([[b + bump]]), "out_vocab"), params, seen).values[0, 0]
+        s_in = np.float32([[a]])
+        lo = ensemble(s_in, np.float32([[b]]), alpha, beta, method, seen)[0, 0]
+        hi = ensemble(s_in, np.float32([[b + bump]]), alpha, beta, method, seen)[0, 0]
         if hi < lo:
             violations += 1
     assert violations == 0

@@ -6,7 +6,6 @@ import pytest
 from eovseg import reference
 from eovseg.aggregator import (
     AggregatorWeights,
-    FeaturePyramid,
     SyntheticBackbone,
     aggregate,
     build_pyramid,
@@ -69,7 +68,7 @@ def test_pyramid_forced_top_path(backbone, agg_weights):
     feats = extract_features(Rng(2).normal((3, 64, 64)), backbone)
     pyramid = build_pyramid(feats, agg_weights)
     expected = conv2d_3x3(feats[5], *agg_weights.smooths[5])
-    assert np.allclose(pyramid.levels[5], expected, atol=1e-6)
+    assert np.allclose(pyramid[5], expected, atol=1e-6)
 
 
 def test_pyramid_constancy_with_identity_weights():
@@ -88,7 +87,7 @@ def test_pyramid_constancy_with_identity_weights():
     pyramid = build_pyramid(feats, weights)
     # constant 1.5 accumulates once per upsample-and-add step down the pathway
     for level, expect in zip((5, 4, 3, 2), (1.5, 3.0, 4.5, 6.0)):
-        assert np.allclose(pyramid.levels[level], expect, atol=1e-5)
+        assert np.allclose(pyramid[level], expect, atol=1e-5)
 
 
 def test_width_mismatch_rejected(backbone, agg_weights):
@@ -98,13 +97,11 @@ def test_width_mismatch_rejected(backbone, agg_weights):
         build_pyramid(feats, agg_weights)
 
 
-def _constant_pyramid(value: float, hw: int = 16) -> FeaturePyramid:
-    return FeaturePyramid(
-        levels={
-            level: np.full((D, hw // 2 ** (level - 2), hw // 2 ** (level - 2)), value, dtype=np.float32)
-            for level in (2, 3, 4, 5)
-        }
-    )
+def _constant_pyramid(value: float, hw: int = 16) -> dict[int, np.ndarray]:
+    return {
+        level: np.full((D, hw // 2 ** (level - 2), hw // 2 ** (level - 2)), value, dtype=np.float32)
+        for level in (2, 3, 4, 5)
+    }
 
 
 def test_aggregate_constant_four_term_sum(agg_weights):
@@ -121,17 +118,21 @@ def test_aggregate_constant_four_term_sum(agg_weights):
 
 def test_aggregate_vanishing_branches(agg_weights):
     pyramid = _constant_pyramid(0.0)
-    pyramid.levels[2] = Rng(5).normal((D, 16, 16))
+    pyramid[2] = Rng(5).normal((D, 16, 16))
     from eovseg.kernels import conv2d_1x1, conv2d_3x3
 
-    expected = conv2d_3x3(conv2d_1x1(pyramid.levels[2], agg_weights.level_proj[2], None), *agg_weights.fuse)
+    expected = conv2d_3x3(conv2d_1x1(pyramid[2], agg_weights.level_proj[2], None), *agg_weights.fuse)
     assert np.allclose(aggregate(pyramid, agg_weights), expected, atol=1e-6)
 
 
 def test_aggregate_output_extents(backbone, agg_weights):
     for h, w in ((64, 64), (32, 96)):
         feats = extract_features(Rng(6).normal((3, h, w)), backbone)
-        out = aggregate(build_pyramid(feats, agg_weights), agg_weights)
+        pyramid = build_pyramid(feats, agg_weights)
+        assert {level: p.shape for level, p in pyramid.items()} == {
+            level: (D, h // 2**level, w // 2**level) for level in (2, 3, 4, 5)
+        }
+        out = aggregate(pyramid, agg_weights)
         assert out.shape == (D, h // 4, w // 4)
 
 
@@ -141,15 +142,10 @@ def test_aggregate_linear_when_fuse_bias_zero(agg_weights):
     p = _constant_pyramid(0.0)
     q = _constant_pyramid(0.0)
     for level in (2, 3, 4, 5):
-        p.levels[level] = rng.normal(p.levels[level].shape)
-        q.levels[level] = rng.normal(q.levels[level].shape)
+        p[level] = rng.normal(p[level].shape)
+        q[level] = rng.normal(q[level].shape)
     a, b = 1.7, -0.6
-    mixed = FeaturePyramid(
-        levels={
-            level: (a * p.levels[level] + b * q.levels[level]).astype(np.float32)
-            for level in (2, 3, 4, 5)
-        }
-    )
+    mixed = {level: (a * p[level] + b * q[level]).astype(np.float32) for level in (2, 3, 4, 5)}
     lhs = aggregate(mixed, agg_weights)
     rhs = a * aggregate(p, agg_weights) + b * aggregate(q, agg_weights)
     assert np.max(np.abs(lhs - rhs)) < 1e-4
@@ -162,21 +158,8 @@ def test_full_chain_matches_kernel_composition_oracle(backbone, agg_weights):
     pyramid = build_pyramid(feats, agg_weights)
     ref_levels = reference.build_pyramid_reference(ref_feats, agg_weights)
     for level in (2, 3, 4, 5):
-        assert np.max(np.abs(np.asarray(pyramid.levels[level], np.float64) - ref_levels[level])) < 1e-5
+        assert np.max(np.abs(np.asarray(pyramid[level], np.float64) - ref_levels[level])) < 1e-5
     out = aggregate(pyramid, agg_weights)
     ref = reference.aggregate_reference(ref_levels, agg_weights)
     assert np.max(np.abs(np.asarray(out, np.float64) - ref)) < 1e-5
 
-
-def test_pyramid_invariants_enforced():
-    with pytest.raises(ValueError, match="missing levels"):
-        FeaturePyramid(levels={2: np.zeros((2, 8, 8), np.float32)})
-    with pytest.raises(ValueError, match="twice"):
-        FeaturePyramid(
-            levels={
-                2: np.zeros((2, 8, 8), np.float32),
-                3: np.zeros((2, 4, 4), np.float32),
-                4: np.zeros((2, 3, 3), np.float32),
-                5: np.zeros((2, 1, 1), np.float32),
-            }
-        )

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from eovseg import reference
 from eovseg.classifier import (
-    ClassScores,
-    EnsembleParams,
     MaskLabel,
     TextEmbeddings,
     build_text_embeddings,
@@ -66,8 +64,8 @@ class TestInVocab:
     def test_self_match_sharp_temperature(self):
         text = make_text(4, seed=5)
         scores = in_vocab_scores(text.embeddings[2][None, :] * 3.0, text, tau=0.005)
-        assert int(np.argmax(scores.values[0])) == 2
-        assert scores.values[0, 2] > 0.99
+        assert int(np.argmax(scores[0])) == 2
+        assert scores[0, 2] > 0.99
 
     def test_equal_similarities_uniform(self):
         text = TextEmbeddings(
@@ -78,19 +76,19 @@ class TestInVocab:
         inst = np.zeros((1, D), dtype=np.float32)
         inst[0, 4] = 1.0  # orthogonal to every class row
         scores = in_vocab_scores(inst, text, tau=0.07)
-        assert np.allclose(scores.values[0], 1 / 3, atol=1e-6)
+        assert np.allclose(scores[0], 1 / 3, atol=1e-6)
 
     def test_rows_sum_to_one(self):
         text = make_text(5, seed=6)
         scores = in_vocab_scores(Rng(7).normal((4, D)), text, tau=0.07)
-        assert np.max(np.abs(scores.values.sum(axis=1, dtype=np.float64) - 1.0)) < 1e-6
+        assert np.max(np.abs(scores.sum(axis=1, dtype=np.float64) - 1.0)) < 1e-6
 
     def test_loop_oracle(self):
         text = make_text(3, seed=8)
         inst = Rng(9).normal((2, D))
         scores = in_vocab_scores(inst, text, tau=0.07)
         ref = reference.in_vocab_scores_reference(inst, text.embeddings, 0.07)
-        assert np.max(np.abs(scores.values - ref)) < 1e-6
+        assert np.max(np.abs(scores - ref)) < 1e-6
 
     def test_positive_temperature_required(self):
         with pytest.raises(ValueError, match="positive"):
@@ -104,15 +102,15 @@ class TestOutVocab:
         feat = np.repeat(text.embeddings[j][:, None], 16, axis=1).reshape(D, 4, 4) * 2.0
         logits = Rng(12).normal((5, 4, 4))
         scores = out_vocab_scores(feat, logits, text, tau=0.01)
-        assert np.all(np.argmax(scores.values, axis=1) == j)
+        assert np.all(np.argmax(scores, axis=1) == j)
 
     def test_uniform_masks_collapse_rows(self):
         text = make_text(4, seed=13)
         feat = Rng(14).normal((D, 4, 4))
         logits = np.zeros((3, 4, 4), dtype=np.float32)
         scores = out_vocab_scores(feat, logits, text, tau=0.07)
-        assert np.allclose(scores.values[0], scores.values[1], atol=1e-7)
-        assert np.allclose(scores.values[1], scores.values[2], atol=1e-7)
+        assert np.allclose(scores[0], scores[1], atol=1e-7)
+        assert np.allclose(scores[1], scores[2], atol=1e-7)
 
     def test_composition_oracle(self):
         text = make_text(3, seed=15)
@@ -120,58 +118,48 @@ class TestOutVocab:
         logits = Rng(17).normal((2, 3, 3))
         scores = out_vocab_scores(feat, logits, text, tau=0.07)
         ref = reference.out_vocab_scores_reference(feat, logits, text.embeddings, 0.07)
-        assert np.max(np.abs(scores.values - ref)) < 1e-5
+        assert np.max(np.abs(scores - ref)) < 1e-5
 
 
 class TestEnsemble:
     def _pair(self, seed=18, n=3, c=4):
         rng = Rng(seed)
-        s_in = ClassScores(softmax(rng.normal((n, c), std=2.0), 1), "in_vocab")
-        s_out = ClassScores(softmax(rng.normal((n, c), std=2.0), 1), "out_vocab")
+        s_in = softmax(rng.normal((n, c), std=2.0), 1)
+        s_out = softmax(rng.normal((n, c), std=2.0), 1)
         seen = np.arange(c) % 2 == 0
         return s_in, s_out, seen
 
     @pytest.mark.parametrize("method", ["geometric", "arithmetic"])
     def test_degenerate_weights_bitwise(self, method):
         s_in, s_out, seen = self._pair()
-        assert np.array_equal(ensemble(s_in, s_out, EnsembleParams(0.0, 0.0, method), seen).values, s_in.values)
-        assert np.array_equal(ensemble(s_in, s_out, EnsembleParams(1.0, 1.0, method), seen).values, s_out.values)
+        assert np.array_equal(ensemble(s_in, s_out, 0.0, 0.0, method, seen), s_in)
+        assert np.array_equal(ensemble(s_in, s_out, 1.0, 1.0, method, seen), s_out)
 
     def test_geometric_reference_value(self):
-        s = ensemble(
-            ClassScores(np.float32([[0.8]]), "in_vocab"),
-            ClassScores(np.float32([[0.5]]), "out_vocab"),
-            EnsembleParams(alpha=0.4, beta=0.8, method="geometric"),
-            np.array([True]),
-        )
-        assert abs(float(s.values[0, 0]) - GEOMETRIC_REFERENCE) < 1e-6
+        s = ensemble(np.float32([[0.8]]), np.float32([[0.5]]), 0.4, 0.8, "geometric", np.array([True]))
+        assert abs(float(s[0, 0]) - GEOMETRIC_REFERENCE) < 1e-6
 
     def test_seen_unseen_use_different_weights(self):
-        s_in = ClassScores(np.float32([[0.8, 0.8]]), "in_vocab")
-        s_out = ClassScores(np.float32([[0.5, 0.5]]), "out_vocab")
-        s = ensemble(s_in, s_out, EnsembleParams(0.4, 0.8, "geometric"), np.array([True, False]))
-        assert abs(float(s.values[0, 0]) - 0.8**0.6 * 0.5**0.4) < 1e-6
-        assert abs(float(s.values[0, 1]) - 0.8**0.2 * 0.5**0.8) < 1e-6
+        s_in = np.float32([[0.8, 0.8]])
+        s_out = np.float32([[0.5, 0.5]])
+        s = ensemble(s_in, s_out, 0.4, 0.8, "geometric", np.array([True, False]))
+        assert abs(float(s[0, 0]) - 0.8**0.6 * 0.5**0.4) < 1e-6
+        assert abs(float(s[0, 1]) - 0.8**0.2 * 0.5**0.8) < 1e-6
 
     def test_geometric_fixed_point(self):
         s_in, _, seen = self._pair(19)
         for alpha, beta in ((0.3, 0.9), (0.0, 1.0)):
-            s = ensemble(s_in, s_in, EnsembleParams(alpha, beta, "geometric"), seen)
-            assert np.max(np.abs(s.values - s_in.values)) < 1e-6
+            s = ensemble(s_in, s_in, alpha, beta, "geometric", seen)
+            assert np.max(np.abs(s - s_in)) < 1e-6
 
     def test_nonpositive_geometric_rejected(self):
-        bad = ClassScores(np.float32([[0.0]]), "in_vocab")
-        ok = ClassScores(np.float32([[0.5]]), "out_vocab")
         with pytest.raises(ValueError, match="positive"):
-            ensemble(bad, ok, EnsembleParams(0.4, 0.8, "geometric"), np.array([True]))
+            ensemble(np.float32([[0.0]]), np.float32([[0.5]]), 0.4, 0.8, "geometric", np.array([True]))
 
-    def test_params_validated(self):
-        with pytest.raises(ValueError, match="alpha"):
-            EnsembleParams(alpha=1.2)
-        with pytest.raises(ValueError, match="beta"):
-            EnsembleParams(beta=-0.1)
-        with pytest.raises(ValueError, match="method"):
-            EnsembleParams(method="harmonic")
+    def test_unknown_method_rejected(self):
+        s_in, s_out, seen = self._pair()
+        with pytest.raises(ValueError, match="unknown method 'harmonic'"):
+            ensemble(s_in, s_out, 0.4, 0.8, "harmonic", seen)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -184,43 +172,42 @@ class TestEnsemble:
         st.sampled_from(["geometric", "arithmetic"]),
     )
     def test_monotone_in_out_vocab_score(self, a, b, bump, alpha, beta, seen_flag, method):
-        s_in = ClassScores(np.float32([[a]]), "in_vocab")
-        params = EnsembleParams(alpha, beta, method)
+        s_in = np.float32([[a]])
         seen = np.array([seen_flag])
-        lo = ensemble(s_in, ClassScores(np.float32([[b]]), "out_vocab"), params, seen).values[0, 0]
-        hi = ensemble(s_in, ClassScores(np.float32([[b + bump]]), "out_vocab"), params, seen).values[0, 0]
+        lo = ensemble(s_in, np.float32([[b]]), alpha, beta, method, seen)[0, 0]
+        hi = ensemble(s_in, np.float32([[b + bump]]), alpha, beta, method, seen)[0, 0]
         assert hi >= lo
 
     def test_oracle_agreement(self):
         s_in, s_out, seen = self._pair(20)
         for method in ("geometric", "arithmetic"):
-            got = ensemble(s_in, s_out, EnsembleParams(0.4, 0.8, method), seen).values
-            ref = reference.ensemble_reference(s_in.values, s_out.values, 0.4, 0.8, method, seen)
+            got = ensemble(s_in, s_out, 0.4, 0.8, method, seen)
+            ref = reference.ensemble_reference(s_in, s_out, 0.4, 0.8, method, seen)
             assert np.max(np.abs(got - ref)) < 1e-6
 
 
 class TestClassify:
     def test_single_class_labels_zero(self):
-        scores = ClassScores(np.float32([[1.0], [1.0], [1.0]]), "ensembled")
+        scores = np.float32([[1.0], [1.0], [1.0]])
         labels = classify(scores, score_floor=0.0)
         assert [l.class_id for l in labels] == [0, 0, 0]
 
     def test_floor_drops_masks(self):
-        scores = ClassScores(np.float32([[0.9, 0.1], [0.4, 0.3]]), "ensembled")
+        scores = np.float32([[0.9, 0.1], [0.4, 0.3]])
         labels = classify(scores, score_floor=0.5)
         assert [l.mask_index for l in labels] == [0]
 
     def test_ties_break_to_lowest_class(self):
-        scores = ClassScores(np.float32([[0.4, 0.4, 0.2]]), "ensembled")
+        scores = np.float32([[0.4, 0.4, 0.2]])
         assert classify(scores, 0.0)[0].class_id == 0
 
     def test_argmax_oracle_and_scale_invariance(self):
         rng = Rng(24)
         vals = softmax(rng.normal((6, 4), std=2.0), 1)
-        labels = classify(ClassScores(vals, "ensembled"), 0.0)
+        labels = classify(vals, 0.0)
         for lab in labels:
             assert lab.class_id == int(np.argmax(vals[lab.mask_index]))
-        scaled = classify(ClassScores(vals * np.float32(7.0), "ensembled"), 0.0)
+        scaled = classify(vals * np.float32(7.0), 0.0)
         assert [(l.mask_index, l.class_id) for l in labels] == [
             (l.mask_index, l.class_id) for l in scaled
         ]

@@ -419,6 +419,32 @@ class TestBadValuesExit2:
         (workdir / "config.json").write_text(json.dumps(dict(SMALL_CONFIG, embed_dim="x")))
         self.assert_usage_error(run_gen(workdir), capsys, "embed_dim must be int, got 'x'")
 
+    @pytest.mark.parametrize(
+        "file, field, value, expected",
+        [pytest.param(*case, id=case[1]) for case in (
+            ("config.json", "embed_dim", 0, "embed_dim must be >= 1, got 0"),
+            ("config.json", "vit_dim", 0, "vit_dim must be >= 1, got 0"),
+            ("config.json", "ffn_expansion", 0, "ffn_expansion must be >= 1, got 0"),
+            ("config.json", "vas_heads", 0, "vas_heads must be >= 1, got 0"),
+            ("config.json", "backbone_widths", [0, 1, 2, 3], "backbone_widths must list four"),
+            ("scene.json", "n_shapes", -2, "n_shapes must be >= 0, got -2"),
+            ("scene.json", "height", 0, "height must be >= 16, got 0"),
+            ("scene.json", "n_templates", 0, "n_templates must be >= 1, got 0"),
+        )],
+    )
+    def test_gen_out_of_range_value(self, workdir, cli_env, file, field, value, expected):
+        # a subprocess with a timeout, so a value that makes gen hang fails the test
+        base = SMALL_CONFIG if file == "config.json" else SCENE_SPEC
+        (workdir / file).write_text(json.dumps({**base, field: value}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "eovseg.cli", "gen", "--spec", str(workdir / "scene.json"),
+             "--config", str(workdir / "config.json"), "--out", str(workdir / "scene")],
+            capture_output=True, text=True, timeout=60, env=cli_env,
+        )
+        err = proc.stderr.strip().splitlines()
+        assert proc.returncode == 2 and len(err) == 1 and expected in err[0], proc.stderr
+        assert not (workdir / "scene").exists()
+
     def test_profile_negative_classes(self, workdir, capsys):
         code = main(
             ["profile", "--classes", "-3", "--config", str(workdir / "config.json"),

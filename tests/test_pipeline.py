@@ -363,6 +363,15 @@ def test_config_validation():
         small_config(alpha=2.0)
 
 
+def test_config_validates_ensemble_params():
+    with pytest.raises(ValueError, match="alpha"):
+        small_config(alpha=1.2)
+    with pytest.raises(ValueError, match="beta"):
+        small_config(beta=-0.1)
+    with pytest.raises(ValueError, match="ensemble_method"):
+        small_config(ensemble_method="harmonic")
+
+
 class TestInputConditioning:
     def test_pad_to_multiple(self):
         from eovseg.pipeline import pad_to_multiple

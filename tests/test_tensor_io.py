@@ -78,3 +78,10 @@ def test_rng_known_stream_values():
 def test_unit_vector_is_unit():
     v = Rng(3).unit_vector(16)
     assert abs(float(np.linalg.norm(v.astype(np.float64))) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_unit_vector_rejects_empty_dimension(dim):
+    # an empty draw has norm 0, so the rejection loop would never return
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        Rng(3).unit_vector(dim)

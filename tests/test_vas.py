@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from eovseg import reference
+from eovseg.kernels import conv2d_depthwise_separable
 from eovseg.tensor import Rng
-from eovseg.vas import (
-    VasWeights,
-    project_features,
-    vas_apply,
-    vas_attention,
-    vas_forward,
-    vas_forward_detailed,
-)
+from eovseg.vas import VasWeights, vas_forward_detailed
 
 D, HEADS = 8, 2
 
@@ -21,9 +15,13 @@ def build(seed, scale=1.0, offset=0.0, heads=HEADS):
     return VasWeights.build(seed, D, heads, scale, offset)
 
 
+def project(feat, w):
+    return conv2d_depthwise_separable(feat, w.feat_depth, w.feat_point, w.feat_bias)
+
+
 def test_singleton_vocabulary_gives_all_ones():
     w = build(1)
-    attn = vas_attention(Rng(2).normal((D, 3, 3)), Rng(3).normal((1, D)), w)
+    _, attn = vas_forward_detailed(Rng(2).normal((D, 3, 3)), Rng(3).normal((1, D)), w)
     assert attn.shape == (HEADS, 3, 3)
     assert np.all(attn == 1.0)
 
@@ -31,7 +29,7 @@ def test_singleton_vocabulary_gives_all_ones():
 @pytest.mark.parametrize("n_class", [2, 3, 5, 7])
 def test_bounds(n_class):
     w = build(10 + n_class)
-    attn = vas_attention(
+    _, attn = vas_forward_detailed(
         Rng(20 + n_class).normal((D, 4, 4), std=2.0), Rng(30 + n_class).normal((n_class, D), std=2.0), w
     )
     lo = np.float32(1.0) / np.float32(n_class)
@@ -45,53 +43,45 @@ def test_head_divisibility_enforced():
 
 
 def test_apply_identity_weighting():
-    w = build(4)
+    w = build(4, scale=0.0, offset=1.0)
     feat = Rng(5).normal((D, 3, 3))
-    proj = project_features(feat, w)
-    attn = vas_attention(feat, Rng(6).normal((3, D)), w)
-    assert np.array_equal(vas_apply(proj, attn, scale=0.0, offset=1.0), proj)
+    out, _ = vas_forward_detailed(feat, Rng(6).normal((3, D)), w)
+    assert np.array_equal(out, project(feat, w))
 
 
 def test_apply_annihilator():
-    w = build(7)
+    w = build(7, scale=0.0, offset=0.0)
     feat = Rng(8).normal((D, 2, 2))
-    proj = project_features(feat, w)
-    attn = vas_attention(feat, Rng(9).normal((2, D)), w)
-    assert np.all(vas_apply(proj, attn, scale=0.0, offset=0.0) == 0)
+    out, _ = vas_forward_detailed(feat, Rng(9).normal((2, D)), w)
+    assert np.all(out == 0)
+
+
+def test_gate_scales_each_head_block():
+    w = build(14, scale=1.2, offset=-0.1)
+    feat = Rng(15).normal((D, 3, 3))
+    out, attn = vas_forward_detailed(feat, Rng(16).normal((4, D)), w)
+    gate = np.float32(w.scale) * attn + np.float32(w.offset)
+    blocks = project(feat, w).reshape(HEADS, D // HEADS, 3, 3)
+    assert np.array_equal(out.reshape(blocks.shape), gate[:, None] * blocks)
 
 
 def test_singleton_vocab_with_unit_scale_is_projection():
     w = build(11, scale=1.0, offset=0.0)
     feat = Rng(12).normal((D, 3, 2))
-    out = vas_forward(feat, Rng(13).normal((1, D)), w)
-    assert np.array_equal(out, project_features(feat, w))
-
-
-def test_forward_is_composition_bitwise():
-    w = build(14, scale=1.2, offset=-0.1)
-    feat = Rng(15).normal((D, 3, 3))
-    text = Rng(16).normal((4, D))
-    composed = vas_apply(project_features(feat, w), vas_attention(feat, text, w), w.scale, w.offset)
-    assert np.array_equal(vas_forward(feat, text, w), composed)
-
-
-def test_forward_detailed_matches_forward():
-    w = build(17)
-    feat = Rng(18).normal((D, 2, 2))
-    text = Rng(19).normal((3, D))
-    out, attn = vas_forward_detailed(feat, text, w)
-    assert np.array_equal(out, vas_forward(feat, text, w))
-    assert attn.shape == (HEADS, 2, 2)
+    out, _ = vas_forward_detailed(feat, Rng(13).normal((1, D)), w)
+    assert np.array_equal(out, project(feat, w))
 
 
 def test_vocabulary_permutation_bitwise_invariant():
     w = build(21)
     feat = Rng(22).normal((D, 3, 3))
     text = Rng(23).normal((5, D))
-    base = vas_forward(feat, text, w)
+    base, base_attn = vas_forward_detailed(feat, text, w)
     for perm_seed in range(5):
         perm = np.argsort(Rng(perm_seed).normal((5,)))
-        assert np.array_equal(base, vas_forward(feat, text[perm], w))
+        out, attn = vas_forward_detailed(feat, text[perm], w)
+        assert np.array_equal(base, out)
+        assert np.array_equal(base_attn, attn)
 
 
 def test_transliteration_oracle_at_acceptance_dims():
@@ -104,7 +94,7 @@ def test_transliteration_oracle_at_acceptance_dims():
         text = rng.normal((3, D))
         err = np.max(
             np.abs(
-                np.asarray(vas_forward(feat, text, w), np.float64)
+                np.asarray(vas_forward_detailed(feat, text, w)[0], np.float64)
                 - reference.vas_forward_reference(feat, text, w)
             )
         )
@@ -116,4 +106,4 @@ def test_identity_gate_reduces_to_projection_invariant():
     w = build(25, scale=0.0, offset=1.0)
     feat = Rng(26).normal((D, 4, 4))
     text = Rng(27).normal((6, D))
-    assert np.array_equal(vas_forward(feat, text, w), project_features(feat, w))
+    assert np.array_equal(vas_forward_detailed(feat, text, w)[0], project(feat, w))
