@@ -9,7 +9,7 @@ computation graph, not pretrained semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,24 +34,21 @@ def space_to_depth(x: np.ndarray, factor: int) -> np.ndarray:
 class SyntheticBackbone:
     """Seeded stage projections producing C2..C5 at strides 4/8/16/32."""
 
-    seed: int
-    stage_widths: tuple[int, int, int, int] = (64, 128, 256, 512)
-    projections: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    projections: dict[int, tuple[np.ndarray, np.ndarray]]  # per level: 1x1 (C_i, f^2 C_{i-1}) + bias
 
     @classmethod
     def build(cls, seed: int, stage_widths=(64, 128, 256, 512)) -> "SyntheticBackbone":
         rng = Rng(seed)
-        widths = tuple(int(w) for w in stage_widths)
         projections = {}
         in_ch = 3
-        for level, width in zip(LEVELS, widths):
+        for level, width in zip(LEVELS, stage_widths):
             factor = STAGE_FACTORS[level]
             fan_in = in_ch * factor * factor
             w = rng.normal((width, fan_in), std=1.0 / np.sqrt(fan_in))
             b = rng.normal((width,), std=0.02)
             projections[level] = (w, b)
             in_ch = width
-        return cls(seed=seed, stage_widths=widths, projections=projections)
+        return cls(projections=projections)
 
 
 def extract_features(image: np.ndarray, backbone: SyntheticBackbone) -> dict[int, np.ndarray]:

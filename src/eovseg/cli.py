@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O, file
 format or scene input error (non-finite or wrongly shaped image, template
 width other than the config's embed_dim, a malformed vocab.txt or
-gt_manifest.txt, class counts or ids that disagree between the scene files),
+gt_manifest.txt, class counts or ids that disagree between the scene files,
+segment ids below 1 in the manifest or below 0 in the map),
 4 a pipeline stage failed on the given input (the stage name is printed).  The EOVSEG_THREADS environment
 variable caps kernel parallelism (0 = single-threaded); bench defaults to
 single-threaded for comparable timings.  Heavy imports happen after the
@@ -114,11 +115,12 @@ def cmd_gen(args) -> int:
     from .tensor import Rng, write_eovt
 
     config = _load_config(args.config)
-    spec_data = {
-        "seed": args.seed,
-        **checked_fields(SceneSpec, json.loads(Path(args.spec).read_text()), "scene spec"),
-        "embed_dim": config.embed_dim,
-    }
+    fields = checked_fields(SceneSpec, json.loads(Path(args.spec).read_text()), "scene spec")
+    if fields.setdefault("embed_dim", config.embed_dim) != config.embed_dim:
+        raise ValueError(
+            f"scene spec: embed_dim {fields['embed_dim']} != the config's embed_dim {config.embed_dim}"
+        )
+    spec_data = {"seed": args.seed, **fields}
     spec = SceneSpec(**spec_data)
 
     image, gt, templates = generate_scene(spec, Rng(spec.seed))

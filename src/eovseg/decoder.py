@@ -1,10 +1,11 @@
 """Lightweight query decoder.
 
 Per layer: pool features under the current masks (initial attention), refine
-the object kernels with dynamic depthwise attention (or the cross-attention
-baseline kept for profiling), run self-attention + FFN over the queries, map
-to mask kernels with a 3-layer MLP, and predict new mask logits.  Mask
-embeddings come from normalized soft mask pooling at the end.
+the object kernels with dynamic depthwise attention, run self-attention + FFN
+over the queries, map to mask kernels with a 3-layer MLP, and predict new mask
+logits.  Mask embeddings come from normalized soft mask pooling at the end.
+The cross-attention baseline exists only as a single ``decoder_layer`` mode,
+which the profiler and the benchmark time against dda.
 """
 
 from __future__ import annotations
@@ -231,36 +232,17 @@ def decoder_layer(
     return kernels, predict_masks(mask_kernels(kernels, mask_mlp), features), pooled
 
 
-@dataclass
-class DecoderOutput:
-    mask_logits: np.ndarray  # (N, H', W'), the last layer's
-    mask_embeddings: np.ndarray  # (N, D)
-    kernels: np.ndarray  # refined object kernels after the last layer
-    pooled: np.ndarray | None  # last layer's pooled query features (dda mode only)
-
-
 def decoder_forward(
-    features: np.ndarray,
-    weights: DecoderWeights,
-    mode: str = "dda",
-) -> DecoderOutput:
-    """Run every decoder layer in the given interaction mode ("dda" or "ca").
+    features: np.ndarray, weights: DecoderWeights
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run every decoder layer with dynamic depthwise attention.
 
-    In dda mode each layer pools features under the current masks and the
-    generated kernels convolve the pooled rows; in ca mode the queries attend
-    over the raw feature positions instead (the pooling step is skipped, as
-    cross-attention replaces that interaction for the profiled baseline).
+    Returns the last layer's (N, H', W') mask logits, the (N, D) mask
+    embeddings pooled under them, the refined (N, D) kernels and the last
+    layer's pooled query features: the decoder row of ``pipeline.STAGES``.
     """
-    if mode not in ("dda", "ca"):
-        raise ValueError(f"decoder_forward: unknown mode {mode!r}")
     kernels = weights.init_kernels
     logits = predict_masks(kernels, features)
-    pooled = None
     for layer in weights.layers:
-        kernels, logits, pooled = decoder_layer(features, kernels, logits, layer, weights.mask_mlp, mode)
-    return DecoderOutput(
-        mask_logits=logits,
-        mask_embeddings=mask_pool(features, logits),
-        kernels=kernels,
-        pooled=pooled,
-    )
+        kernels, logits, pooled = decoder_layer(features, kernels, logits, layer, weights.mask_mlp, "dda")
+    return logits, mask_pool(features, logits), kernels, pooled

@@ -72,6 +72,8 @@ class PanopticAnnotation:
         rounded = np.rint(seg)
         if np.max(np.abs(seg - rounded)) > 0:
             raise EovtFormatError(f"{map_path}: segment map holds non-integral values")
+        if np.min(rounded) < VOID:
+            raise EovtFormatError(f"{map_path}: segment map holds negative ids")
         records = []
         for line in Path(manifest_path).read_text().splitlines():
             if not line.strip():
@@ -83,6 +85,11 @@ class PanopticAnnotation:
                 raise EovtFormatError(
                     f"{manifest_path}: malformed line {line!r} (need 'segment_id class_id thing|stuff')"
                 ) from None
+            if record.segment_id <= VOID:
+                raise EovtFormatError(
+                    f"{manifest_path}: line {line!r} has segment id {record.segment_id}; "
+                    f"ids start at {VOID + 1} ({VOID} is void)"
+                )
             records.append(record)
         return cls(segment_map=rounded.astype(np.int32), segments=records)
 

@@ -22,51 +22,6 @@ CONV_BLOCK_COLUMNS = 1024  # output pixels per conv2d_3x3 GEMM block
 
 
 # ---------------------------------------------------------------------------
-# labeled contraction
-
-
-def _parse_contract_spec(spec: str):
-    if "->" not in spec:
-        raise ValueError(f"contract spec {spec!r}: missing '->'")
-    lhs, out = spec.split("->")
-    parts = lhs.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"contract spec {spec!r}: exactly two operands required")
-    a_labels, b_labels = parts
-    for labels in (a_labels, b_labels, out):
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"contract spec {spec!r}: repeated label in {labels!r}")
-    known = set(a_labels) | set(b_labels)
-    for lab in out:
-        if lab not in known:
-            raise ValueError(f"contract spec {spec!r}: output label {lab!r} not in inputs")
-    return a_labels, b_labels, out
-
-
-def contract(a: np.ndarray, b: np.ndarray, spec: str) -> np.ndarray:
-    """Einstein-style two-operand contraction, e.g. ``"bmchw,bnmc->bmhwn"``."""
-    a_labels, b_labels, out_labels = _parse_contract_spec(spec)
-    if a.ndim != len(a_labels):
-        raise ValueError(
-            f"contract {spec!r}: first operand rank {a.ndim} != {len(a_labels)} labels"
-        )
-    if b.ndim != len(b_labels):
-        raise ValueError(
-            f"contract {spec!r}: second operand rank {b.ndim} != {len(b_labels)} labels"
-        )
-    extents: dict[str, int] = {}
-    for labels, arr, side in ((a_labels, a, "first"), (b_labels, b, "second")):
-        for lab, ext in zip(labels, arr.shape):
-            if lab in extents and extents[lab] != ext:
-                raise ValueError(
-                    f"contract {spec!r}: axis {lab!r} has extent {ext} on the "
-                    f"{side} operand but {extents[lab]} elsewhere"
-                )
-            extents[lab] = ext
-    return np.einsum(spec, a, b).astype(np.float32, copy=False)
-
-
-# ---------------------------------------------------------------------------
 # normalization and activations
 
 
@@ -225,7 +180,7 @@ def transposed_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None)
 
 
 # ---------------------------------------------------------------------------
-# resampling and reductions
+# resampling and normalization
 
 
 def _bilinear_axis(n_in: int, n_out: int):
@@ -264,12 +219,6 @@ def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
     if factor not in (2, 4, 8):
         raise ValueError(f"bilinear_upsample: factor must be one of 2/4/8, got {factor}")
     return bilinear_resize(x, (x.shape[1] * factor, x.shape[2] * factor))
-
-
-def reduce_max(x: np.ndarray, axis: int) -> np.ndarray:
-    if axis >= x.ndim:
-        raise ValueError(f"reduce_max: axis {axis} out of range for rank {x.ndim}")
-    return np.max(x, axis=axis).astype(np.float32, copy=False)
 
 
 def l2_normalize(x: np.ndarray, axis: int = -1, eps: float = 1e-12) -> np.ndarray:

@@ -32,49 +32,6 @@ def _f64(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# labeled contraction
-
-
-def contract_oracle(a, b, spec: str, macs: MacCounter | None = None) -> np.ndarray:
-    lhs, out_labels = spec.split("->")
-    a_labels, b_labels = lhs.split(",")
-    a = _f64(a)
-    b = _f64(b)
-    extents: dict[str, int] = {}
-    for labels, arr in ((a_labels, a), (b_labels, b)):
-        for lab, ext in zip(labels, arr.shape):
-            extents[lab] = ext
-    all_labels = list(dict.fromkeys(a_labels + b_labels))
-    summed = [lab for lab in all_labels if lab not in out_labels]
-    out = np.zeros([extents[lab] for lab in out_labels], dtype=np.float64)
-
-    def rec_out(idx: dict, pos: int):
-        if pos == len(out_labels):
-            total = 0.0
-            total = rec_sum(idx, 0, total)
-            out[tuple(idx[lab] for lab in out_labels)] = total
-            return
-        for i in range(extents[out_labels[pos]]):
-            idx[out_labels[pos]] = i
-            rec_out(idx, pos + 1)
-
-    def rec_sum(idx: dict, pos: int, total: float) -> float:
-        if pos == len(summed):
-            av = a[tuple(idx[lab] for lab in a_labels)]
-            bv = b[tuple(idx[lab] for lab in b_labels)]
-            if macs is not None:
-                macs.add(1)
-            return total + float(av) * float(bv)
-        for i in range(extents[summed[pos]]):
-            idx[summed[pos]] = i
-            total = rec_sum(idx, pos + 1, total)
-        return total
-
-    rec_out({}, 0)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # normalization and activations
 
 
@@ -254,7 +211,7 @@ def transposed_conv2d_oracle(x, w, b=None, macs: MacCounter | None = None) -> np
 
 
 # ---------------------------------------------------------------------------
-# resampling and reductions
+# resampling and normalization
 
 
 def bilinear_upsample_oracle(x, factor: int, macs: MacCounter | None = None) -> np.ndarray:
@@ -283,20 +240,6 @@ def bilinear_upsample_oracle(x, factor: int, macs: MacCounter | None = None) -> 
                 if macs is not None:
                     macs.add(4)
     return out
-
-
-def reduce_max_oracle(x, axis: int) -> np.ndarray:
-    x = _f64(x)
-    moved = np.moveaxis(x, axis, -1)
-    flat = moved.reshape(-1, moved.shape[-1])
-    out = np.empty(flat.shape[0], dtype=np.float64)
-    for r in range(flat.shape[0]):
-        best = float(flat[r, 0])
-        for v in flat[r, 1:]:
-            if float(v) > best:
-                best = float(v)
-        out[r] = best
-    return out.reshape(moved.shape[:-1])
 
 
 def l2_normalize_oracle(x, axis: int = -1, eps: float = 1e-12) -> np.ndarray:
@@ -340,7 +283,7 @@ def linear_oracle(x, w, b=None, macs: MacCounter | None = None) -> np.ndarray:
     return out
 
 
-def attention_oracle(
+def multi_head_attention_oracle(
     q_in, kv_in, wq, wk, wv, wo, heads: int, macs: MacCounter | None = None
 ) -> np.ndarray:
     """Loop-built multi-head attention matching kernels.multi_head_attention."""

@@ -106,13 +106,6 @@ def _clip_final_features(image: np.ndarray, bundle: WeightBundle) -> np.ndarray:
     return bilinear_upsample(conv2d_1x1(feats[5], w, b), 8)
 
 
-def _decode(v: SimpleNamespace):
-    dec = decoder_forward(
-        getattr(v, "early_fused_features", v.vs_agg_features), v.bundle.decoder, "dda"
-    )
-    return dec.mask_logits, dec.mask_embeddings, dec.kernels, dec.pooled
-
-
 @dataclass(frozen=True)
 class Stage:
     name: str  # the stage PipelineStageError reports and count_macs counts under
@@ -216,7 +209,9 @@ STAGES = (
           lambda c: macs_conv2d_1x1(
               c.config.embed_dim + c.config.vit_dim, c.config.embed_dim, *_grid(c, 4))),
     Stage("decoder", ALL, ("mask_logits", "mask_embeddings", "refined_kernels", "init_attention"),
-          _decode, lambda c: _decoder_macs(c.config, (c.h // 4) * (c.w // 4), c.mode)),
+          lambda v: decoder_forward(getattr(v, "early_fused_features", v.vs_agg_features),
+                                    v.bundle.decoder),
+          lambda c: _decoder_macs(c.config, (c.h // 4) * (c.w // 4), c.mode)),
     Stage("spatial", ("sdi", "tdee"), ("spatial_features",),
           lambda v: spatial_features(v._vit_grid, v.bundle.upsampler), _upsampler_macs),
     Stage("spatial", ("sdi", "tdee"), ("spatial_embeddings",),
@@ -267,7 +262,7 @@ def _run_stages(image, text, config, bundle, keep) -> SimpleNamespace:
             continue
         out = _call(stage.name, stage.step, v)
         for name, value in zip(stage.outputs, out if len(stage.outputs) > 1 else (out,)):
-            if value is not None and not name.startswith("_"):
+            if not name.startswith("_"):
                 value = keep(name, value)
             setattr(v, name, value)
     return v

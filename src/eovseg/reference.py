@@ -17,9 +17,7 @@ from .decoder import DecoderLayerWeights, DecoderWeights, MASK_POOL_EPS
 from .fusion import EafWeights, SdiWeights, TdeeWeights
 from .oracles import (
     MacCounter,
-    attention_oracle,
     bilinear_upsample_oracle,
-    contract_oracle,
     conv2d_1x1_oracle,
     conv2d_3x3_oracle,
     conv2d_depthwise_separable_oracle,
@@ -28,7 +26,7 @@ from .oracles import (
     layer_norm_oracle,
     linear_oracle,
     matmul_oracle,
-    reduce_max_oracle,
+    multi_head_attention_oracle,
     relu_oracle,
     sigmoid_oracle,
     softmax_oracle,
@@ -43,19 +41,20 @@ from .vas import VasWeights
 
 
 def vas_forward_reference(feat, text_embed, w: VasWeights, macs: MacCounter | None = None):
-    """Projection, head split, channel contraction, vocab softmax + max,
-    scale/offset, and the per-head multiply onto the projected features."""
+    """Projection, head split, one channel contraction per head, vocab softmax
+    + max, scale/offset, and the per-head multiply onto the projected features."""
     feat_proj = conv2d_depthwise_separable_oracle(feat, w.feat_depth, w.feat_point, w.feat_bias, macs)
     d, h, wd = feat_proj.shape
     per_head = d // w.heads
     text_proj = linear_oracle(text_embed, w.text_w, w.text_b, macs)
-    mh_feat = feat_proj.reshape(1, w.heads, per_head, h, wd)
-    mh_text = text_proj.reshape(1, text_proj.shape[0], w.heads, per_head)
-    logits = contract_oracle(mh_feat, mh_text, "bmchw,bnmc->bmhwn", macs)
-    attn = reduce_max_oracle(softmax_oracle(logits, axis=4), axis=4)[0]
+    mh_feat = feat_proj.reshape(w.heads, per_head, h * wd)
+    mh_text = text_proj.reshape(text_proj.shape[0], w.heads, per_head)
+    attn = np.empty((w.heads, h * wd))
+    for m in range(w.heads):
+        logits = matmul_oracle(mh_feat[m].T, mh_text[:, m].T, macs)  # (H*W, N_class)
+        attn[m] = softmax_oracle(logits, axis=1).max(axis=1)
     gate = w.scale * attn + w.offset
-    out = gate[:, None, :, :] * mh_feat[0]
-    return out.reshape(d, h, wd)
+    return (gate[:, None, :] * mh_feat).reshape(d, h, wd)
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +117,14 @@ def dda_reference(kernels, pooled, kernel_proj, macs: MacCounter | None = None):
 def cross_attention_reference(kernels, features, blk, macs: MacCounter | None = None):
     d = features.shape[0]
     positions = np.asarray(features, np.float64).reshape(d, -1).T
-    return np.asarray(kernels, np.float64) + attention_oracle(
+    return np.asarray(kernels, np.float64) + multi_head_attention_oracle(
         kernels, positions, blk.wq, blk.wk, blk.wv, blk.wo, blk.heads, macs
     )
 
 
 def refine_kernels_reference(kernels, layer: DecoderLayerWeights, macs: MacCounter | None = None):
     attn_in = layer_norm_oracle(kernels, *layer.ln_attn)
-    x = np.asarray(kernels, np.float64) + attention_oracle(
+    x = np.asarray(kernels, np.float64) + multi_head_attention_oracle(
         attn_in,
         attn_in,
         layer.self_attn.wq,
@@ -165,19 +164,14 @@ def mask_pool_reference(features, masks_logits, macs: MacCounter | None = None):
     return weighted / area
 
 
-def decoder_forward_reference(
-    features, weights: DecoderWeights, mode: str = "dda", macs: MacCounter | None = None
-):
+def decoder_forward_reference(features, weights: DecoderWeights, macs: MacCounter | None = None):
     """Hand-unrolled layer loop over the reference ops; returns the final
     (mask logits, mask embeddings, refined kernels)."""
     kernels = np.asarray(weights.init_kernels, np.float64)
     logits = predict_masks_reference(kernels, features, macs)
     for layer in weights.layers:
-        if mode == "dda":
-            pooled = initial_attention_reference(features, logits, macs)
-            interacted = dda_reference(kernels, pooled, layer.kernel_proj, macs)
-        else:
-            interacted = cross_attention_reference(kernels, features, layer.cross_attn, macs)
+        pooled = initial_attention_reference(features, logits, macs)
+        interacted = dda_reference(kernels, pooled, layer.kernel_proj, macs)
         kernels = refine_kernels_reference(interacted, layer, macs)
         logits = predict_masks_reference(
             mask_kernels_reference(kernels, weights.mask_mlp, macs), features, macs
@@ -233,7 +227,7 @@ def vit_block_reference(image, w: VitBlockWeights, macs: MacCounter | None = Non
     tokens = np.concatenate([np.asarray(w.class_token, np.float64)[None, :], tokens])
     tokens = tokens + np.asarray(w.pos_table, np.float64)
     attn_in = layer_norm_oracle(tokens, *w.ln_attn)
-    tokens = tokens + attention_oracle(
+    tokens = tokens + multi_head_attention_oracle(
         attn_in, attn_in, w.attn.wq, w.attn.wk, w.attn.wv, w.attn.wo, w.attn.heads, macs
     )
     mlp_in = layer_norm_oracle(tokens, *w.ln_mlp)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import conv2d_depthwise_separable, contract, linear
+from .kernels import conv2d_depthwise_separable, linear
 from .tensor import Rng
 
 
@@ -79,7 +79,7 @@ def vas_forward_detailed(
     text_proj = linear(text_embed, w.text_w, w.text_b)
     mh_feat = feat_proj.reshape(1, w.heads, per_head, h, wd)
     mh_text = text_proj.reshape(1, n_class, w.heads, per_head)
-    logits = contract(mh_feat, mh_text, "bmchw,bnmc->bmhwn")
+    logits = np.einsum("bmchw,bnmc->bmhwn", mh_feat, mh_text)  # both float32
     attn = _max_of_softmax(logits)[0]  # (heads, H, W)
     gate = np.float32(w.scale) * attn + np.float32(w.offset)
     out = gate[:, None, :, :] * mh_feat[0]

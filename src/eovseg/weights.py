@@ -116,8 +116,6 @@ def _settings(config: ModelConfig, image_hw: tuple[int, int]) -> dict[tuple, obj
     settings: dict[tuple, object] = {
         ("config",): config,
         ("image_hw",): image_hw,
-        ("backbone", "seed"): -1,
-        ("backbone", "stage_widths"): config.backbone_widths,
         ("vas", "heads"): config.vas_heads,
         ("decoder", "kernel_size"): config.dda_kernel_size,
         ("vit", "attn", "heads"): config.vit_heads,

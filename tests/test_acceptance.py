@@ -7,7 +7,10 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the per-criterion
 pass/fail lines; any assertion failure marks the criterion red.
 """
 
+import importlib
+import inspect
 import json
+import pkgutil
 import subprocess
 import sys
 import time
@@ -15,7 +18,8 @@ import time
 import numpy as np
 import pytest
 
-from eovseg import reference
+import eovseg
+from eovseg import kernels, reference
 from eovseg.classifier import build_text_embeddings, ensemble
 from eovseg.config import ModelConfig
 from eovseg.evaluation import PanopticAnnotation, SceneSpec, SegmentRecord, generate_scene, miou, pq_metrics
@@ -56,6 +60,18 @@ def test_criterion_1_check_table_covers_every_sabotage_target():
     assert len(set(CHECK_NAMES)) == len(CHECK_NAMES)
     for kernel in SABOTAGE_TARGETS:
         assert any(name.startswith(f"{kernel}_vs_") for name in CHECK_NAMES), kernel
+
+
+def test_criterion_1_sabotage_targets_are_the_kernels_the_model_binds():
+    # a kernel no model module binds is dead; a bound kernel missing here is unguarded
+    public = {fn: name for name, fn in vars(kernels).items()
+              if inspect.isfunction(fn) and fn.__module__ == kernels.__name__ and name[0] != "_"}
+    bound = set()
+    for info in pkgutil.iter_modules(eovseg.__path__):
+        if info.name != "kernels":
+            module = importlib.import_module(f"eovseg.{info.name}")
+            bound |= {public[v] for v in vars(module).values() if inspect.isfunction(v) and v in public}
+    assert sorted(SABOTAGE_TARGETS) == sorted(bound)
 
 
 def test_criterion_1_oracle_equivalence_and_verify_runtime(cli_env):

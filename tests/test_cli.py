@@ -92,6 +92,15 @@ class TestGen:
         for name in ("image.eovt", "templates.eovt", "gt_map.eovt", "gt_manifest.txt", "vocab.txt"):
             assert (workdir / "a" / name).read_bytes() == (workdir / "b" / name).read_bytes()
 
+    def test_gen_spec_round_trips(self, workdir):
+        assert run_gen(workdir) == 0
+        written = workdir / "scene" / "scene_spec.json"
+        assert json.loads(written.read_text())["embed_dim"] == SMALL_CONFIG["embed_dim"]
+        (workdir / "scene.json").write_text(written.read_text())
+        assert run_gen(workdir, out="again") == 0
+        assert (workdir / "again" / "gt_map.eovt").read_bytes() == (
+            workdir / "scene" / "gt_map.eovt").read_bytes()
+
     def test_missing_spec_is_usage_error(self, workdir):
         code = main(["gen", "--out", str(workdir / "x")])
         assert code == 2
@@ -209,14 +218,20 @@ class TestRun:
         ("gt_manifest.txt", lambda lines: [*lines, "7 thing"], "malformed line '7 thing'"),
         ("gt_manifest.txt", lambda lines: [*lines, "7 x thing"], "malformed line '7 x thing'"),
         ("gt_manifest.txt", lambda lines: ["1 99 stuff", *lines[1:]], "class ids [99] not in vocab.txt"),
+        ("gt_manifest.txt", lambda lines: [*lines, "0 2 stuff"], "has segment id 0; ids start at 1"),
+        ("gt_map.eovt", lambda seg: np.where(seg == 1, np.float32(-1), seg), "holds negative ids"),
     ],
     ids=["vocab_two_fields", "vocab_kind_tag", "vocab_seen_tag", "vocab_extra_class",
-         "manifest_two_fields", "manifest_non_integer", "manifest_unknown_class"],
+         "manifest_two_fields", "manifest_non_integer", "manifest_unknown_class",
+         "manifest_void_id", "map_negative_id"],
 )
 def test_malformed_scene_text_exits_3_naming_file(workdir, capsys, name, edit, expected):
     run_gen(workdir)
     path = workdir / "scene" / name
-    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    if path.suffix == ".eovt":  # the edit maps the stored array
+        write_eovt(path, edit(read_eovt(path)))
+    else:
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     capsys.readouterr()
     assert run_run(workdir) == 3
     err = capsys.readouterr().err
@@ -413,6 +428,11 @@ class TestBadValuesExit2:
     def test_gen_unknown_spec_key(self, workdir, capsys):
         (workdir / "scene.json").write_text(json.dumps(dict(SCENE_SPEC, colour="red")))
         self.assert_usage_error(run_gen(workdir), capsys, "unknown keys ['colour']")
+        assert not (workdir / "scene").exists()
+
+    def test_gen_spec_embed_dim_other_than_config(self, workdir, capsys):
+        (workdir / "scene.json").write_text(json.dumps(dict(SCENE_SPEC, embed_dim=7)))
+        self.assert_usage_error(run_gen(workdir), capsys, "embed_dim 7 != the config's embed_dim 32")
         assert not (workdir / "scene").exists()
 
     def test_config_value_of_wrong_type(self, workdir, capsys):

@@ -9,6 +9,7 @@ from eovseg.decoder import (
     cross_attention_baseline,
     dda,
     decoder_forward,
+    decoder_layer,
     initial_attention,
     mask_kernels,
     mask_pool,
@@ -181,52 +182,49 @@ class TestDecoderForward:
     def test_single_layer_equals_manual_composition(self):
         w = small_weights(31, n=4, layers=1)
         feat = Rng(32).normal((D, 4, 4))
-        out = decoder_forward(feat, w, "dda")
+        logits, embeddings, kernels, pooled = decoder_forward(feat, w)
         logits0 = predict_masks(w.init_kernels, feat)
-        pooled = initial_attention(feat, logits0)
-        refined = refine_kernels(dda(w.init_kernels, pooled, w.layers[0].kernel_proj), w.layers[0])
+        pooled0 = initial_attention(feat, logits0)
+        refined = refine_kernels(dda(w.init_kernels, pooled0, w.layers[0].kernel_proj), w.layers[0])
         logits1 = predict_masks(mask_kernels(refined, w.mask_mlp), feat)
-        assert np.array_equal(out.mask_logits, logits1)
-        assert np.array_equal(out.kernels, refined)
-        assert np.array_equal(out.mask_embeddings, mask_pool(feat, logits1))
-        assert np.array_equal(out.pooled, pooled)
+        assert np.array_equal(logits, logits1)
+        assert np.array_equal(kernels, refined)
+        assert np.array_equal(embeddings, mask_pool(feat, logits1))
+        assert np.array_equal(pooled, pooled0)
 
     def test_dda_vs_ca_same_shapes_different_masks(self):
         w = small_weights(33, n=5, layers=2)
         feat = Rng(34).normal((D, 4, 4))
-        a = decoder_forward(feat, w, "dda")
-        b = decoder_forward(feat, w, "ca")
-        assert a.mask_logits.shape == b.mask_logits.shape == (5, 4, 4)
-        assert a.mask_embeddings.shape == b.mask_embeddings.shape == (5, D)
-        assert not np.array_equal(a.mask_logits, b.mask_logits)
+        logits = predict_masks(w.init_kernels, feat)
+        a = decoder_layer(feat, w.init_kernels, logits, w.layers[0], w.mask_mlp, "dda")
+        b = decoder_layer(feat, w.init_kernels, logits, w.layers[0], w.mask_mlp, "ca")
+        assert a[0].shape == b[0].shape == (5, D)
+        assert a[1].shape == b[1].shape == (5, 4, 4)
+        assert not np.array_equal(a[1], b[1])
+        assert a[2].shape == (5, D) and b[2] is None  # ca does not pool under the masks
 
     def test_two_layer_unrolled_oracle(self):
         w = small_weights(35, n=3, layers=2)
         feat = Rng(36).normal((D, 4, 4))
-        out = decoder_forward(feat, w, "dda")
-        logits, embed, kern = reference.decoder_forward_reference(feat, w, "dda")
-        assert np.max(np.abs(out.mask_logits - logits)) < 1e-4
-        assert np.max(np.abs(out.mask_embeddings - embed)) < 1e-4
-        assert np.max(np.abs(out.kernels - kern)) < 1e-4
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            decoder_forward(np.zeros((D, 2, 2), np.float32), small_weights(37), "hybrid")
+        out = decoder_forward(feat, w)
+        ref = reference.decoder_forward_reference(feat, w)
+        for got, want in zip(out[:3], ref, strict=True):  # logits, embeddings, kernels
+            assert np.max(np.abs(got - want)) < 1e-4
 
     def test_deterministic_per_seed(self):
         w = small_weights(38, n=4, layers=2)
         feat = Rng(39).normal((D, 4, 4))
-        a = decoder_forward(feat, w, "dda")
-        b = decoder_forward(feat, w, "dda")
-        assert np.array_equal(a.mask_logits, b.mask_logits)
+        a = decoder_forward(feat, w)
+        b = decoder_forward(feat, w)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
 
     def test_output_shape_contract(self):
         for n, layers, hw in ((2, 1, 4), (6, 3, 8)):
             w = small_weights(40 + n, n=n, layers=layers)
             feat = Rng(41 + n).normal((D, hw, hw))
-            out = decoder_forward(feat, w, "dda")
-            assert out.mask_logits.shape == (n, hw, hw)
-            assert out.mask_embeddings.shape == (n, D)
+            logits, embeddings, kernels, pooled = decoder_forward(feat, w)
+            assert logits.shape == (n, hw, hw)
+            assert embeddings.shape == kernels.shape == pooled.shape == (n, D)
 
 
 def test_weights_validation():

@@ -17,48 +17,6 @@ def max_err(a, b):
 
 
 # ---------------------------------------------------------------------------
-# contract
-
-
-class TestContract:
-    def test_identity_matmul(self):
-        a = np.eye(2, dtype=np.float32)
-        b = np.array([[1, 2], [3, 4]], dtype=np.float32)
-        assert np.array_equal(kernels.contract(a, b, "ij,jk->ik"), b)
-
-    def test_zero_annihilator(self):
-        a = np.eye(2, dtype=np.float32)
-        b = np.zeros((2, 3), dtype=np.float32)
-        assert np.all(kernels.contract(a, b, "ij,jk->ik") == 0)
-
-    def test_six_label_case_vs_loop_oracle(self):
-        rng = Rng(101)
-        a = rng.normal((1, 2, 2, 2, 2))
-        b = rng.normal((1, 3, 2, 2))
-        fast = kernels.contract(a, b, "bmchw,bnmc->bmhwn")
-        assert fast.shape == (1, 2, 2, 2, 3)
-        assert max_err(fast, oracles.contract_oracle(a, b, "bmchw,bnmc->bmhwn")) < 1e-6
-
-    def test_shape_mismatch_names_axis(self):
-        a = np.zeros((2, 3), dtype=np.float32)
-        b = np.zeros((4, 2), dtype=np.float32)
-        with pytest.raises(ValueError, match="'j'"):
-            kernels.contract(a, b, "ij,jk->ik")
-
-    def test_bad_specs_rejected(self):
-        a = np.zeros((2, 2), dtype=np.float32)
-        with pytest.raises(ValueError, match="->"):
-            kernels.contract(a, a, "ij,jk")
-        with pytest.raises(ValueError, match="output label"):
-            kernels.contract(a, a, "ij,jk->iz")
-        with pytest.raises(ValueError, match="rank"):
-            kernels.contract(np.zeros((2, 2, 2), dtype=np.float32), a, "ij,jk->ik")
-
-    def test_oracle_equivalence_seeded(self, verify_check):
-        verify_check("contract_vs_loop_oracle", seed=7)
-
-
-# ---------------------------------------------------------------------------
 # softmax / layer_norm / pointwise
 
 
@@ -343,20 +301,6 @@ class TestBilinearUpsample:
 
 
 class TestReductions:
-    def test_reduce_max_example(self):
-        x = np.array([[1, 5], [7, 2]], dtype=np.float32)
-        assert np.array_equal(kernels.reduce_max(x, 1), [5, 7])
-
-    def test_reduce_max_tie(self):
-        x = np.full((2, 3), 4.0, dtype=np.float32)
-        assert np.all(kernels.reduce_max(x, 0) == 4.0)
-
-    def test_reduce_max_oracle_3x4x5(self):
-        x = Rng(15).normal((3, 4, 5))
-        assert np.array_equal(
-            np.asarray(kernels.reduce_max(x, 1), np.float64), oracles.reduce_max_oracle(x, 1)
-        )
-
     def test_l2_triangle(self):
         out = kernels.l2_normalize(np.array([[3.0, 4.0]], dtype=np.float32), axis=1)
         assert np.allclose(out, [[0.6, 0.8]], atol=1e-7)
@@ -371,3 +315,36 @@ class TestReductions:
         norms = np.linalg.norm(out.astype(np.float64), axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-6)
 
+
+
+# ---------------------------------------------------------------------------
+# linear / multi-head attention
+
+
+class TestDenseLayers:
+    def test_linear_identity_plus_bias(self):
+        x = Rng(17).normal((3, 4))
+        out = kernels.linear(x, np.eye(4, dtype=np.float32), np.ones(4, dtype=np.float32))
+        assert np.array_equal(out, x + np.float32(1))
+
+    def test_linear_width_mismatch(self):
+        with pytest.raises(ValueError, match="width 3 != weight rows 4"):
+            kernels.linear(np.zeros((2, 3), np.float32), np.zeros((4, 2), np.float32))
+
+    def test_single_key_attention_is_value_path(self):
+        # one key makes every softmax row a singleton 1, so each query gets kv @ wv @ wo
+        rng = Rng(18)
+        q, kv = rng.normal((3, 4)), rng.normal((1, 4))
+        wq, wk, wv, wo = (rng.normal((4, 4)) for _ in range(4))
+        out = kernels.multi_head_attention(q, kv, wq, wk, wv, wo, heads=2)
+        assert max_err(out, np.repeat(kv @ wv @ wo, 3, axis=0)) < 1e-5
+
+    def test_heads_must_divide_width(self):
+        x = np.zeros((2, 6), np.float32)
+        w = np.zeros((6, 6), np.float32)
+        with pytest.raises(ValueError, match="not divisible by 4 heads"):
+            kernels.multi_head_attention(x, x, w, w, w, w, heads=4)
+
+    @pytest.mark.parametrize("kernel", ["linear", "multi_head_attention"])
+    def test_oracle_equivalence_seeded(self, verify_check, kernel):
+        verify_check(f"{kernel}_vs_loop_oracle", seed=47)

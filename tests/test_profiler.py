@@ -108,7 +108,7 @@ class TestMacs:
         oracles.depthwise_conv1d_oracle(rng.normal((4, 6)), rng.normal((4, 3)), c)
         assert c.count == macs_dda(4, 6, 3)
         c = oracles.MacCounter()
-        oracles.attention_oracle(
+        oracles.multi_head_attention_oracle(
             rng.normal((3, 4)), rng.normal((5, 4)),
             rng.normal((4, 4)), rng.normal((4, 4)), rng.normal((4, 4)), rng.normal((4, 4)),
             heads=2, macs=c,
