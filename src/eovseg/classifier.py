@@ -29,7 +29,7 @@ class TextEmbeddings:
         if len(self.class_names) != n or self.seen.shape != (n,):
             raise ValueError("TextEmbeddings: names/seen-mask length mismatch")
         norms = np.linalg.norm(self.embeddings.astype(np.float64), axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-5):
+        if not np.all(np.abs(norms - 1.0) <= 1e-5):  # NaN compares False
             raise ValueError("TextEmbeddings: rows must be unit-norm")
 
     @property

@@ -1,12 +1,13 @@
 """Command-line surface: gen | run | verify | profile | bench.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O, file
-format or scene input error (non-finite or wrongly shaped image, template
-width other than the config's embed_dim, a malformed vocab.txt or
-gt_manifest.txt, class counts or ids that disagree between the scene files,
-segment ids below 1 in the manifest or below 0 in the map),
-4 a pipeline stage failed on the given input (the stage name is printed).  The EOVSEG_THREADS environment
-variable caps kernel parallelism (0 = single-threaded); bench defaults to
+format or scene input error (a non-finite image or one that is not (3,H,W),
+non-finite templates or a template width other than the config's embed_dim,
+a malformed vocab.txt or gt_manifest.txt, class counts or ids that disagree
+between the scene files, segment ids below 1 in the manifest or below 0 in
+the map, a damaged weight cache), 4 a pipeline stage failed on the given
+input (the stage name is printed).  The EOVSEG_THREADS environment variable
+caps kernel parallelism (0 = single-threaded); bench defaults to
 single-threaded for comparable timings.  Heavy imports happen after the
 thread cap is applied, which is why the command bodies import lazily.
 """
@@ -61,15 +62,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="eovseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
-    common.add_argument("--config", type=str, default=None, help="model config JSON")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="seed for the randomized draws")
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", type=str, default=None, help="model config JSON")
 
-    p_gen = sub.add_parser("gen", parents=[common], help="generate a synthetic scene")
+    p_gen = sub.add_parser("gen", parents=[seeded, configured], help="generate a synthetic scene")
     p_gen.add_argument("--spec", type=str, required=True, help="scene spec JSON")
     p_gen.add_argument("--out", type=str, required=True, help="output directory")
 
-    p_run = sub.add_parser("run", parents=[common], help="run the pipeline on a scene")
+    p_run = sub.add_parser("run", parents=[configured], help="run the pipeline on a scene")
     p_run.add_argument("--scene", type=str, required=True, help="scene directory from gen")
     p_run.add_argument("--fusion", type=str, default=None, help="override the fusion mode")
     p_run.add_argument("--trace", type=str, default=None, help="dump intermediates here")
@@ -87,18 +89,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="score the ground truth against itself (metric sanity path)",
     )
 
-    p_ver = sub.add_parser("verify", parents=[common], help="run the oracle suite")
+    p_ver = sub.add_parser("verify", parents=[seeded], help="run the oracle suite")
     p_ver.add_argument("--trials", type=int, default=25, help="random instances per check")
     p_ver.add_argument("--sabotage", type=str, default=None, help="flip one kernel's sign")
 
-    p_prof = sub.add_parser("profile", parents=[common], help="parameter/MAC report")
+    p_prof = sub.add_parser("profile", parents=[configured], help="parameter/MAC report")
     p_prof.add_argument("--mode", type=str, default="dda", choices=("dda", "ca"))
     p_prof.add_argument("--size", type=int, default=64, help="square image extent")
     p_prof.add_argument("--classes", type=int, default=4, help="vocabulary size for MACs")
-    p_prof.add_argument("--weights", type=str, default="eovseg_weights", help="weight cache dir")
     p_prof.add_argument("--out", type=str, default=None, help="CSV path")
 
-    p_bench = sub.add_parser("bench", parents=[common], help="time a dda and a ca decoder layer")
+    p_bench = sub.add_parser(
+        "bench", parents=[seeded, configured], help="time a dda and a ca decoder layer"
+    )
     p_bench.add_argument("--reps", type=int, default=20)
     p_bench.add_argument("--size", type=int, default=64, help="square image extent")
     p_bench.add_argument("--out", type=str, default=None, help="CSV path")
@@ -150,13 +153,17 @@ def _load_scene(scene_dir: Path, config):
 
     image = read_eovt(scene_dir / "image.eovt")
     templates = read_eovt(scene_dir / "templates.eovt")
-    if image.ndim != 3 or not np.all(np.isfinite(image)):
-        raise SceneError(f"{scene_dir / 'image.eovt'}: need a finite (C,H,W) image")
+    if image.ndim != 3 or image.shape[0] != 3 or not np.all(np.isfinite(image)):
+        raise SceneError(
+            f"{scene_dir / 'image.eovt'}: need a finite (3,H,W) image, got {image.shape}"
+        )
     if templates.ndim != 3 or templates.shape[2] != config.embed_dim:
         raise SceneError(
             f"{scene_dir / 'templates.eovt'}: need (M, N_class, {config.embed_dim}) "
             f"templates for embed_dim={config.embed_dim}, got {templates.shape}"
         )
+    if not np.all(np.isfinite(templates)):
+        raise SceneError(f"{scene_dir / 'templates.eovt'}: templates must be finite")
     gt = PanopticAnnotation.load(scene_dir / "gt_map.eovt", scene_dir / "gt_manifest.txt")
     vocab = scene_dir / "vocab.txt"
     names, seen, things = [], [], []
@@ -283,14 +290,14 @@ def _square(size: int) -> tuple[int, int]:
 
 def cmd_profile(args) -> int:
     from .profiler import profile_modules
-    from .weights import load_or_build_weights
+    from .weights import build_weights
 
     config = _load_config(args.config)
     image_hw = _square(args.size)
     if args.classes < 1:
         raise ValueError(f"--classes must be >= 1, got {args.classes}")
-    load_or_build_weights(args.weights, config, image_hw)
-    report = profile_modules(config, args.weights, image_hw, args.classes, args.mode)
+    bundle = build_weights(config, image_hw)
+    report = profile_modules(config, bundle, image_hw, args.classes, args.mode)
     out = args.out or "profile.csv"
     report.write_csv(out)
     for row in report.rows:

@@ -66,13 +66,13 @@ class DecoderWeights:
     layers: list[DecoderLayerWeights]
     mask_mlp: list[tuple[np.ndarray, np.ndarray]]  # three (w, b) pairs, D->D->D->D
     init_kernels: np.ndarray  # (N, D)
-    kernel_size: int = 3  # m, odd
 
     def __post_init__(self):
-        if self.kernel_size % 2 == 0:
-            raise ValueError(f"DecoderWeights: kernel size must be odd, got {self.kernel_size}")
         if not self.layers:
             raise ValueError("DecoderWeights: at least one layer required")
+        m = self.layers[0].kernel_proj.shape[1]
+        if m % 2 == 0:
+            raise ValueError(f"DecoderWeights: kernel size must be odd, got {m}")
 
     @classmethod
     def build(
@@ -107,7 +107,7 @@ class DecoderWeights:
             for _ in range(MASK_MLP_DEPTH)
         ]
         init_kernels = rng.normal((n_queries, width), std=0.1)
-        return cls(layers=layers, mask_mlp=mask_mlp, init_kernels=init_kernels, kernel_size=kernel_size)
+        return cls(layers=layers, mask_mlp=mask_mlp, init_kernels=init_kernels)
 
 
 # ---------------------------------------------------------------------------

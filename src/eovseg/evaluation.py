@@ -229,13 +229,8 @@ def generate_scene(
     image = np.clip(image, 0.0, 1.0).astype(np.float32)
 
     templates = np.stack(
-        [
-            np.stack(
-                [class_templates(c, spec.n_templates, spec.embed_dim)[t] for c in range(spec.n_classes)]
-            )
-            for t in range(spec.n_templates)
-        ]
-    ).astype(np.float32)
+        [class_templates(c, spec.n_templates, spec.embed_dim) for c in range(spec.n_classes)], axis=1
+    )
 
     if not records:
         raise ValueError("generate_scene: produced a scene with no segments")

@@ -169,7 +169,6 @@ class SdiWeights:
     gen_left_b: np.ndarray
     gen_right_w: np.ndarray  # (D, D*r): mask row -> right low-rank factor
     gen_right_b: np.ndarray
-    rank: int
 
     def __post_init__(self):
         if self.gen_kernel_w.shape[1] % 2 == 0:
@@ -178,8 +177,8 @@ class SdiWeights:
             )
 
     @property
-    def kernel_size(self) -> int:
-        return self.gen_kernel_w.shape[1]
+    def rank(self) -> int:
+        return self.gen_left_w.shape[1] // self.gen_left_w.shape[0]
 
     @classmethod
     def build(cls, seed: int, width: int, kernel_size: int = 3, rank: int = 4) -> "SdiWeights":
@@ -192,7 +191,6 @@ class SdiWeights:
             gen_left_b=np.zeros(width * rank, dtype=np.float32),
             gen_right_w=rng.normal((width, width * rank), std=std),
             gen_right_b=np.zeros(width * rank, dtype=np.float32),
-            rank=rank,
         )
 
 

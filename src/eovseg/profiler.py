@@ -10,7 +10,6 @@ activations, and plain averaging are not counted.  FLOPs are reported as
 from __future__ import annotations
 
 import csv
-import math
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ import numpy as np
 from .config import ModelConfig
 from .decoder import decoder_layer
 from .tensor import Rng
-from .weights import WeightBundle, read_manifest
+from .weights import WeightBundle
 
 MODULES = ("backbone", "aggregator", "vas", "decoder", "spatial", "fusion", "text_encoder",
            "classifier")
@@ -104,15 +103,11 @@ def params_ca_layer(d: int) -> int:
 # module-level accounting
 
 
-def count_params(weights_dir: str | Path) -> dict[str, int]:
-    """Exact per-module element counts from a serialized bundle's manifest."""
-    entries = read_manifest(weights_dir)
-    counts = {m: 0 for m in MODULES}
-    for name, shape in entries.items():
-        module = name.split(".", 1)[0]
-        if module not in counts:
-            raise ValueError(f"count_params: tensor {name!r} has unknown module prefix")
-        counts[module] += math.prod(shape)
+def count_params(bundle: WeightBundle) -> dict[str, int]:
+    """Exact per-module element counts of a bundle's named tensors."""
+    counts = dict.fromkeys(MODULES, 0)
+    for name, arr in bundle.to_tensors().items():
+        counts[name.split(".", 1)[0]] += arr.size
     return counts
 
 
@@ -208,13 +203,13 @@ def assert_interaction_asymmetry(cfg: ModelConfig) -> None:
 
 def profile_modules(
     cfg: ModelConfig,
-    weights_dir: str | Path,
+    bundle: WeightBundle,
     image_hw: tuple[int, int] = (64, 64),
     n_class: int = 4,
     mode: str = "dda",
 ) -> ProfileReport:
     assert_interaction_asymmetry(cfg)
-    params = count_params(weights_dir)
+    params = count_params(bundle)
     macs = count_macs(cfg, image_hw, n_class, mode)
     rows = [ProfileRow(module=m, params=params[m], macs=macs[m], mode=mode) for m in MODULES]
     rows.append(ProfileRow("total", sum(params.values()), sum(macs.values()), mode))

@@ -559,7 +559,6 @@ def check_ensemble(rng: Rng, trials: int):
 def check_classify(rng: Rng, trials: int):
     for _ in range(trials):
         vals = kernels.softmax(rng.normal((4, 3), std=2.0), 1)
-        rng.normal((4, 2, 2))  # unused mask draw, kept so later trials see the same draws
         labels = classify(vals, 0.0)
         for lab in labels:
             if lab.class_id != int(np.argmax(vals[lab.mask_index])):

@@ -117,9 +117,7 @@ def _settings(config: ModelConfig, image_hw: tuple[int, int]) -> dict[tuple, obj
         ("config",): config,
         ("image_hw",): image_hw,
         ("vas", "heads"): config.vas_heads,
-        ("decoder", "kernel_size"): config.dda_kernel_size,
         ("vit", "attn", "heads"): config.vit_heads,
-        ("sdi", "rank"): config.sdi_rank,
     }
     for i in range(config.decoder_layers):
         for tag in ("cross_attn", "self_attn"):

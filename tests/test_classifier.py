@@ -52,12 +52,13 @@ class TestTextEmbeddings:
         assert np.max(np.abs(text.embeddings - ref)) < 1e-6
 
     def test_unit_rows_enforced(self):
-        with pytest.raises(ValueError, match="unit-norm"):
-            TextEmbeddings(
-                embeddings=np.full((2, D), 0.5, dtype=np.float32),
-                class_names=["a", "b"],
-                seen=np.array([True, False]),
-            )
+        for value in (0.5, np.nan):  # NaN norms fail every comparison, so are checked too
+            with pytest.raises(ValueError, match="unit-norm"):
+                TextEmbeddings(
+                    embeddings=np.full((2, D), value, dtype=np.float32),
+                    class_names=["a", "b"],
+                    seen=np.array([True, False]),
+                )
 
 
 class TestInVocab:

@@ -1,6 +1,8 @@
 """CLI surface tests: commands, exit codes, determinism."""
 
+import argparse
 import csv
+import inspect
 import json
 import re
 import subprocess
@@ -9,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from eovseg import aggregator, classifier, decoder, evaluation, fusion, kernels, pipeline, spatial, vas
+from eovseg import aggregator, classifier, cli, decoder, evaluation, fusion, kernels, pipeline, spatial, vas
 from eovseg.cli import main
 from eovseg.tensor import read_eovt, write_eovt
 from eovseg.verify import SABOTAGE_TARGETS, run_checks
@@ -220,11 +222,16 @@ class TestRun:
         ("gt_manifest.txt", lambda lines: ["1 99 stuff", *lines[1:]], "class ids [99] not in vocab.txt"),
         ("gt_manifest.txt", lambda lines: [*lines, "0 2 stuff"], "has segment id 0; ids start at 1"),
         ("gt_map.eovt", lambda seg: np.where(seg == 1, np.float32(-1), seg), "holds negative ids"),
+        ("templates.eovt", lambda t: np.where(t == t.max(), np.float32(np.nan), t), "must be finite"),
+        ("templates.eovt", lambda t: np.where(t == t.max(), np.float32(np.inf), t), "must be finite"),
+        ("image.eovt", lambda image: image[:1], "need a finite (3,H,W) image"),
     ],
     ids=["vocab_two_fields", "vocab_kind_tag", "vocab_seen_tag", "vocab_extra_class",
          "manifest_two_fields", "manifest_non_integer", "manifest_unknown_class",
-         "manifest_void_id", "map_negative_id"],
+         "manifest_void_id", "map_negative_id", "templates_nan", "templates_inf",
+         "image_one_channel"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # rejected before any arithmetic on it
 def test_malformed_scene_text_exits_3_naming_file(workdir, capsys, name, edit, expected):
     run_gen(workdir)
     path = workdir / "scene" / name
@@ -260,7 +267,6 @@ def _truncate_meta(cache):
     (cache / "meta.json").write_text(text[: len(text) // 2])
 
 
-@pytest.mark.parametrize("command", ["run", "profile"])
 @pytest.mark.parametrize(
     "damage, expected",
     [
@@ -269,20 +275,15 @@ def _truncate_meta(cache):
         (_break_manifest_line, "manifest.txt: malformed line 'vas.text_w'"),
         (_truncate_meta, "meta.json is unreadable"),
     ],
-    ids=["extra_manifest_entry", "dropped_manifest_line", "malformed_manifest_line", "truncated_meta"],
+    ids=["extra_manifest_entry-run", "dropped_manifest_line-run", "malformed_manifest_line-run",
+         "truncated_meta-run"],
 )
-def test_damaged_weight_cache_exits_3_in_one_line(workdir, capsys, command, damage, expected):
-    if command == "run":
-        run_gen(workdir)
-        invoke = lambda: run_run(workdir)  # noqa: E731
-    else:
-        args = ["profile", "--config", str(workdir / "config.json"), "--size", "64",
-                "--weights", str(workdir / "wcache"), "--out", str(workdir / "p.csv")]
-        invoke = lambda: main(args)  # noqa: E731
-    assert invoke() == 0
+def test_damaged_weight_cache_exits_3_in_one_line(workdir, capsys, damage, expected):
+    run_gen(workdir)
+    assert run_run(workdir) == 0
     damage(workdir / "wcache")
     capsys.readouterr()
-    assert invoke() == 3
+    assert run_run(workdir) == 3
     err = capsys.readouterr().err
     assert expected in err and str(workdir / "wcache") in err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -330,8 +331,6 @@ class TestProfileBench:
                 "profile",
                 "--config",
                 str(workdir / "config.json"),
-                "--weights",
-                str(workdir / "pw"),
                 "--out",
                 str(workdir / "p.csv"),
             ]
@@ -370,14 +369,13 @@ class TestProfileBench:
 
     @pytest.mark.parametrize("size", ["0", "-32"])
     @pytest.mark.parametrize("command", ["profile", "bench"])
-    def test_size_below_32_usage_error(self, workdir, capsys, command, size):
-        argv = [command, "--config", str(workdir / "config.json"), f"--size={size}"]
-        if command == "profile":
-            argv += ["--weights", str(workdir / "pw_bad")]
-        assert main(argv) == 2
+    def test_size_below_32_usage_error(self, workdir, capsys, monkeypatch, command, size):
+        monkeypatch.chdir(workdir)
+        before = sorted(p.name for p in workdir.iterdir())
+        assert main([command, "--config", "config.json", f"--size={size}"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "positive multiple of 32" in err[0]
-        assert not (workdir / "pw_bad").exists()
+        assert sorted(p.name for p in workdir.iterdir()) == before
 
     def test_bench_low_reps_usage_error(self, workdir):
         assert main(["bench", "--reps", "3", "--config", str(workdir / "config.json")]) == 2
@@ -389,13 +387,19 @@ class TestProfileBench:
                     "profile",
                     "--config",
                     str(workdir / "config.json"),
-                    "--weights",
-                    str(workdir / "pw2"),
                     "--out",
                     str(workdir / name),
                 ]
             )
         assert (workdir / "q1.csv").read_bytes() == (workdir / "q2.csv").read_bytes()
+
+    def test_profile_writes_only_its_csv(self, workdir, monkeypatch):
+        empty = workdir / "empty"
+        empty.mkdir()
+        monkeypatch.chdir(empty)
+        argv = ["profile", "--config", str(workdir / "config.json"), "--out", "p.csv"]
+        assert main(argv) == 0
+        assert [p.name for p in empty.iterdir()] == ["p.csv"]
 
 
 def test_console_script_entry_point(cli_env):
@@ -414,6 +418,27 @@ def test_bad_thread_count_is_a_usage_error(monkeypatch, capsys):
 
 def test_unknown_flag_rejected():
     assert main(["verify", "--trials", "2", "--bogus"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--scene", "s", "--seed", "1"], ["profile", "--seed", "1"],
+     ["profile", "--weights", "w"], ["verify", "--config", "c.json"]],
+    ids=["run-seed", "profile-seed", "profile-weights", "verify-config"],
+)
+def test_option_the_command_does_not_read_is_rejected(argv):
+    assert main(argv) == 2
+
+
+def test_every_option_is_read_by_its_handler():
+    """A subcommand parses only the options its ``cmd_<name>`` reads."""
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, parser in sub.choices.items():
+        source = inspect.getsource(getattr(cli, f"cmd_{name}"))
+        unread += [f"{name} {a.option_strings[0]}" for a in parser._actions
+                   if a.dest != "help" and not re.search(rf"\bargs\.{a.dest}\b", source)]
+    assert unread == []
 
 
 class TestBadValuesExit2:
@@ -468,7 +493,7 @@ class TestBadValuesExit2:
     def test_profile_negative_classes(self, workdir, capsys):
         code = main(
             ["profile", "--classes", "-3", "--config", str(workdir / "config.json"),
-             "--weights", str(workdir / "pw"), "--out", str(workdir / "p.csv")]
+             "--out", str(workdir / "p.csv")]
         )
         self.assert_usage_error(code, capsys, "--classes must be >= 1, got -3")
         assert not (workdir / "p.csv").exists()

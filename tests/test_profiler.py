@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eovseg import oracles
+from eovseg import oracles, weights
 from eovseg.config import FUSION_MODES, ModelConfig
 from eovseg.pipeline import STAGES
 from eovseg.profiler import (
@@ -29,7 +29,7 @@ from eovseg.profiler import (
 )
 from eovseg.tensor import Rng
 from eovseg.verify import check_macs_instrumented
-from eovseg.weights import build_weights, read_manifest, save_weights
+from eovseg.weights import build_weights, save_weights
 
 
 def small_config(**over):
@@ -51,11 +51,6 @@ def small_config(**over):
 
 
 class TestParams:
-    def test_conv_arithmetic_via_manifest(self, tmp_path):
-        (tmp_path / "manifest.txt").write_text("vas.conv.w 3x2\nvas.conv.b 3\n")
-        counts = count_params(tmp_path)
-        assert counts["vas"] == 9  # 2*3 weights + 3 biases
-
     def test_dda_projection_params(self):
         assert params_dda_layer(256, 3) == 768  # no bias
 
@@ -66,8 +61,8 @@ class TestParams:
         cfg = small_config()
         bundle = build_weights(cfg, (32, 32))
         save_weights(bundle, tmp_path)
-        counts = count_params(tmp_path)
-        # independent walk over the manifest file
+        counts = count_params(bundle)
+        # independent walk over the manifest file of the saved cache
         walk = 0
         for line in (tmp_path / "manifest.txt").read_text().splitlines():
             name, shape = line.split()
@@ -80,12 +75,11 @@ class TestParams:
 
     def test_missing_tensor_fails(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="manifest"):
-            count_params(tmp_path / "nope")
+            weights.read_manifest(tmp_path / "nope")
 
-    def test_unknown_prefix_fails(self, tmp_path):
-        (tmp_path / "manifest.txt").write_text("mystery.w 2x2\n")
-        with pytest.raises(ValueError, match="unknown module"):
-            count_params(tmp_path)
+    def test_every_layout_name_has_a_module_prefix(self):
+        names = weights._layout(ModelConfig())
+        assert [n for n in names if n.split(".", 1)[0] not in MODULES] == []
 
 
 class TestMacs:
@@ -224,10 +218,9 @@ class TestBenchmark:
 
 
 class TestProfileModules:
-    def test_all_modules_present_plus_total(self, tmp_path):
+    def test_all_modules_present_plus_total(self):
         cfg = small_config()
-        save_weights(build_weights(cfg, (32, 32)), tmp_path)
-        report = profile_modules(cfg, tmp_path, (32, 32), 3)
+        report = profile_modules(cfg, build_weights(cfg, (32, 32)), (32, 32), 3)
         names = [r.module for r in report.rows]
         assert names == list(MODULES) + ["total"]
         total = report.rows[-1]
@@ -237,8 +230,7 @@ class TestProfileModules:
 
     def test_flops_note_in_header(self, tmp_path):
         cfg = small_config()
-        save_weights(build_weights(cfg, (32, 32)), tmp_path)
-        report = profile_modules(cfg, tmp_path, (32, 32), 3)
+        report = profile_modules(cfg, build_weights(cfg, (32, 32)), (32, 32), 3)
         out = tmp_path / "prof.csv"
         report.write_csv(out)
         assert out.read_text().startswith("# flops = 2 * macs")
