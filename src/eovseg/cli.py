@@ -4,12 +4,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O, file
 format or scene input error (a non-finite image or one that is not (3,H,W),
 non-finite templates or a template width other than the config's embed_dim,
 a malformed vocab.txt or gt_manifest.txt, class counts or ids that disagree
-between the scene files, segment ids below 1 in the manifest or below 0 in
-the map, a damaged weight cache), 4 a pipeline stage failed on the given
-input (the stage name is printed).  The EOVSEG_THREADS environment variable
-caps kernel parallelism (0 = single-threaded); bench defaults to
-single-threaded for comparable timings.  Heavy imports happen after the
-thread cap is applied, which is why the command bodies import lazily.
+between the scene files, segment ids below 1 or listed twice in the
+manifest, map ids below 0 or without a manifest line, a damaged weight
+cache), 4 a pipeline stage failed on the given input (the stage name is
+printed).  The EOVSEG_THREADS environment variable caps kernel parallelism
+(0 = single-threaded); bench defaults to single-threaded for comparable
+timings.  Heavy imports happen after the thread cap is applied, which is why
+the command bodies import lazily.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_gen(args) -> int:
     from .config import checked_fields
     from .evaluation import SceneSpec, generate_scene
-    from .tensor import Rng, write_eovt
+    from .tensor import write_eovt
 
     config = _load_config(args.config)
     fields = checked_fields(SceneSpec, json.loads(Path(args.spec).read_text()), "scene spec")
@@ -123,10 +124,11 @@ def cmd_gen(args) -> int:
         raise ValueError(
             f"scene spec: embed_dim {fields['embed_dim']} != the config's embed_dim {config.embed_dim}"
         )
-    spec_data = {"seed": args.seed, **fields}
-    spec = SceneSpec(**spec_data)
+    if fields.setdefault("seed", args.seed) != args.seed:
+        raise ValueError(f"scene spec: seed {fields['seed']} != --seed {args.seed}")
+    spec = SceneSpec(**fields)
 
-    image, gt, templates = generate_scene(spec, Rng(spec.seed))
+    image, gt, templates = generate_scene(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_eovt(out / "image.eovt", image)
@@ -139,7 +141,7 @@ def cmd_gen(args) -> int:
         for i, name in enumerate(spec.class_names)
     ]
     (out / "vocab.txt").write_text("\n".join(vocab_lines) + "\n")
-    (out / "scene_spec.json").write_text(json.dumps(spec_data, indent=2, sort_keys=True) + "\n")
+    (out / "scene_spec.json").write_text(json.dumps(fields, indent=2, sort_keys=True) + "\n")
     print(f"scene written to {out} ({len(gt.segments)} segments, {spec.n_classes} classes)")
     return EXIT_OK
 

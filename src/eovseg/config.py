@@ -57,8 +57,6 @@ class ModelConfig:
     embed_dim: int = 256  # shared feature/embedding width
     vit_dim: int = 64  # spatial branch token width
     vas_heads: int = 8
-    vas_scale: float = 1.0
-    vas_offset: float = 0.0
     n_queries: int = 100
     decoder_layers: int = 3
     decoder_heads: int = 8

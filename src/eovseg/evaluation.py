@@ -91,7 +91,10 @@ class PanopticAnnotation:
                     f"ids start at {VOID + 1} ({VOID} is void)"
                 )
             records.append(record)
-        return cls(segment_map=rounded.astype(np.int32), segments=records)
+        try:
+            return cls(segment_map=rounded.astype(np.int32), segments=records)
+        except ValueError as exc:  # duplicate ids, or map ids without a record
+            raise EovtFormatError(f"{manifest_path}: {exc}") from None
 
 
 # smallest canvas side; shapes are placed by retried random draws that need room

@@ -3,12 +3,16 @@ spatial branch -> fusion -> classification -> panoptic assembly.
 
 ``STAGES`` is the one definition of the graph.  Each row names the stage a
 failure is reported under, the fusion modes it runs in, its outputs, the
-step that computes them from the scene inputs and earlier outputs, and its
+step that computes them from the scene inputs and earlier outputs, the
+step's float64 ``reference`` (built from ``reference`` and ``oracles``; it
+returns the same outputs and counts its MACs into a counter), and its
 analytic MAC count (``macs``), read from the config, image size, vocabulary
-size and decoder mode; ``profiler.count_macs`` sums the rows that run.  Fusion
-modes plug in at two seams: ``eaf`` fuses the feature maps before decoding;
-``sdi``/``tdee`` fuse the embedding rows after decoding; ``none`` passes the
-mask embeddings straight through.
+size and decoder mode; ``profiler.count_macs`` sums the rows that run, and
+``verify.check_macs_instrumented`` walks the table through the references
+and holds each row's count to its ``macs``.  Fusion modes plug in at two
+seams: ``eaf`` fuses the feature maps before decoding; ``sdi``/``tdee`` fuse
+the embedding rows after decoding; ``none`` passes the mask embeddings
+straight through.
 
 ``forward`` runs the table, then classifies and assembles the panoptic map.
 Outputs whose names do not start with ``_`` are traced: ``forward_traced``
@@ -16,9 +20,9 @@ dumps them as EOVT files, and ``replay_trace`` runs the same table, compares
 each traced output with its dump and continues from the dumped value, to
 confirm bitwise reproducibility stage by stage.
 
-Steps look up this module's names when they run, never at import: span
-tracing and kernel sabotage replace module attributes, and a function object
-captured in the table would bypass them.
+Steps and references look up their functions when they run, never at
+import: span tracing and kernel sabotage replace module attributes, and a
+function object captured in the table would bypass them.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import oracles, reference
 from .aggregator import LEVELS, STAGE_FACTORS, aggregate, build_pyramid, extract_features
 from .classifier import (
     MaskLabel,
@@ -106,12 +111,17 @@ def _clip_final_features(image: np.ndarray, bundle: WeightBundle) -> np.ndarray:
     return bilinear_upsample(conv2d_1x1(feats[5], w, b), 8)
 
 
+def _decoder_input(v: SimpleNamespace) -> np.ndarray:  # eaf fuses the maps before decoding
+    return getattr(v, "early_fused_features", v.vs_agg_features)
+
+
 @dataclass(frozen=True)
 class Stage:
     name: str  # the stage PipelineStageError reports and count_macs counts under
     modes: tuple[str, ...]  # fusion modes the row runs in
     outputs: tuple[str, ...]  # a leading "_" keeps an output out of the trace
     step: Callable[[SimpleNamespace], object]  # one output, or a tuple of several
+    reference: Callable[[SimpleNamespace, oracles.MacCounter], object]  # float64, counts MACs
     macs: Callable[[SimpleNamespace], int]  # the step's analytic MACs
 
 
@@ -192,48 +202,75 @@ ALL = FUSION_MODES
 
 STAGES = (
     Stage("backbone", ALL, ("_feats",), lambda v: extract_features(v.image, v.bundle.backbone),
+          lambda v, m: reference.backbone_reference(v.image, v.bundle.backbone, m),
           _backbone_macs),
     Stage("aggregator", ALL, ("_pyramid",), lambda v: build_pyramid(v._feats, v.bundle.aggregator),
+          lambda v, m: reference.build_pyramid_reference(v._feats, v.bundle.aggregator, m),
           _pyramid_macs),
     Stage("aggregator", ALL, ("agg_features",),
-          lambda v: aggregate(v._pyramid, v.bundle.aggregator), _aggregate_macs),
+          lambda v: aggregate(v._pyramid, v.bundle.aggregator),
+          lambda v, m: reference.aggregate_reference(v._pyramid, v.bundle.aggregator, m),
+          _aggregate_macs),
     Stage("vas", ALL, ("vs_agg_features", "vas_attention"),
           lambda v: vas_forward_detailed(v.agg_features, v.text.embeddings, v.bundle.vas),
+          lambda v, m: reference.vas_forward_reference(
+              v.agg_features, v.text.embeddings, v.bundle.vas, m),
           _vas_macs),
     Stage("spatial", ("eaf", "sdi", "tdee"), ("_vit_grid",),
-          lambda v: vit_block_features(v.image, v.bundle.vit), _vit_macs),
+          lambda v: vit_block_features(v.image, v.bundle.vit),
+          lambda v, m: reference.vit_block_reference(v.image, v.bundle.vit, m), _vit_macs),
     Stage("fusion", ("eaf",), ("_vit_grid_up",), lambda v: bilinear_upsample(v._vit_grid, 4),
+          lambda v, m: oracles.bilinear_upsample_oracle(v._vit_grid, 4, m),
           lambda c: macs_bilinear(c.config.vit_dim, *_grid(c, 4))),
     Stage("fusion", ("eaf",), ("early_fused_features",),
           lambda v: eaf(v.vs_agg_features, v._vit_grid_up, v.bundle.eaf),
+          lambda v, m: reference.eaf_reference(v.vs_agg_features, v._vit_grid_up, v.bundle.eaf, m),
           lambda c: macs_conv2d_1x1(
               c.config.embed_dim + c.config.vit_dim, c.config.embed_dim, *_grid(c, 4))),
     Stage("decoder", ALL, ("mask_logits", "mask_embeddings", "refined_kernels", "init_attention"),
-          lambda v: decoder_forward(getattr(v, "early_fused_features", v.vs_agg_features),
-                                    v.bundle.decoder),
+          lambda v: decoder_forward(_decoder_input(v), v.bundle.decoder),
+          lambda v, m: reference.decoder_forward_reference(_decoder_input(v), v.bundle.decoder, m),
           lambda c: _decoder_macs(c.config, (c.h // 4) * (c.w // 4), c.mode)),
     Stage("spatial", ("sdi", "tdee"), ("spatial_features",),
-          lambda v: spatial_features(v._vit_grid, v.bundle.upsampler), _upsampler_macs),
+          lambda v: spatial_features(v._vit_grid, v.bundle.upsampler),
+          lambda v, m: reference.spatial_features_reference(v._vit_grid, v.bundle.upsampler, m),
+          _upsampler_macs),
     Stage("spatial", ("sdi", "tdee"), ("spatial_embeddings",),
           lambda v: spatial_embeddings(v.spatial_features, v.mask_logits),
+          lambda v, m: reference.mask_pool_reference(v.spatial_features, v.mask_logits, m),
           _pool_macs),
     Stage("fusion", ("tdee",), ("instance_embeddings",),
-          lambda v: tdee(v.mask_embeddings, v.spatial_embeddings, v.bundle.tdee), _tdee_macs),
+          lambda v: tdee(v.mask_embeddings, v.spatial_embeddings, v.bundle.tdee),
+          lambda v, m: reference.tdee_reference(
+              v.mask_embeddings, v.spatial_embeddings, v.bundle.tdee, m),
+          _tdee_macs),
     Stage("fusion", ("sdi",), ("instance_embeddings",),
-          lambda v: sdi(v.mask_embeddings, v.spatial_embeddings, v.bundle.sdi), _sdi_macs),
+          lambda v: sdi(v.mask_embeddings, v.spatial_embeddings, v.bundle.sdi),
+          lambda v, m: reference.sdi_reference(
+              v.mask_embeddings, v.spatial_embeddings, v.bundle.sdi, m),
+          _sdi_macs),
     Stage("fusion", ("none", "eaf"), ("instance_embeddings",), lambda v: v.mask_embeddings,
-          lambda c: 0),
+          lambda v, m: v.mask_embeddings, lambda c: 0),
     Stage("classifier", ALL, ("scores_in_vocab",),
           lambda v: in_vocab_scores(v.instance_embeddings, v.text, v.config.tau),
+          lambda v, m: reference.in_vocab_scores_reference(
+              v.instance_embeddings, v.text.embeddings, v.config.tau, m),
           _score_macs),
     Stage("classifier", ALL, ("_clip_final",), lambda v: _clip_final_features(v.image, v.bundle),
+          lambda v, m: oracles.bilinear_upsample_oracle(  # C5 of the backbone row, no 2nd pass
+              oracles.conv2d_1x1_oracle(v._feats[5], *v.bundle.clip_proj, m), 8, m),
           _clip_macs),
     Stage("classifier", ALL, ("scores_out_vocab",),
           lambda v: out_vocab_scores(v._clip_final, v.mask_logits, v.text, v.config.tau),
+          lambda v, m: reference.out_vocab_scores_reference(
+              v._clip_final, v.mask_logits, v.text.embeddings, v.config.tau, m),
           lambda c: _pool_macs(c) + _score_macs(c)),
     Stage("classifier", ALL, ("scores_final",),
           lambda v: ensemble(v.scores_in_vocab, v.scores_out_vocab, v.config.alpha, v.config.beta,
                              v.config.ensemble_method, v.text.seen),
+          lambda v, m: reference.ensemble_reference(
+              v.scores_in_vocab, v.scores_out_vocab, v.config.alpha, v.config.beta,
+              v.config.ensemble_method, v.text.seen),
           lambda c: 0),
 )
 
@@ -250,17 +287,18 @@ def _call(stage: str, fn, *args):
         raise PipelineStageError(stage, exc) from exc
 
 
-def _run_stages(image, text, config, bundle, keep) -> SimpleNamespace:
+def _run_stages(image, text, config, bundle, keep, run=lambda stage, v: stage.step(v)):
     """Run the rows for ``config.fusion`` in order; return every output by name.
 
+    ``run(stage, v)`` computes a row's outputs, by default with its step.
     ``keep(name, value)`` is called on each traced output and returns the
-    value that later steps read.
+    value that later rows read.
     """
     v = SimpleNamespace(image=image, text=text, config=config, bundle=bundle)
     for stage in STAGES:
         if config.fusion not in stage.modes:
             continue
-        out = _call(stage.name, stage.step, v)
+        out = _call(stage.name, run, stage, v)
         for name, value in zip(stage.outputs, out if len(stage.outputs) > 1 else (out,)):
             if not name.startswith("_"):
                 value = keep(name, value)

@@ -3,12 +3,12 @@
 Each function re-derives a model operation step by step in float64 without
 touching the vectorized kernels, so the fast path and the reference are
 independent down to the primitive level.  The optional ``macs`` counter
-threads through the underlying oracle primitives.
+threads through the underlying oracle primitives.  A function that stands
+for a ``pipeline.STAGES`` row returns that row's outputs, in row order, and
+is the row's ``reference``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .oracles import (
     conv2d_depthwise_separable_oracle,
     depthwise_conv1d_oracle,
     gelu_oracle,
+    l2_normalize_oracle,
     layer_norm_oracle,
     linear_oracle,
     matmul_oracle,
@@ -42,7 +43,8 @@ from .vas import VasWeights
 
 def vas_forward_reference(feat, text_embed, w: VasWeights, macs: MacCounter | None = None):
     """Projection, head split, one channel contraction per head, vocab softmax
-    + max, scale/offset, and the per-head multiply onto the projected features."""
+    + max, scale/offset, and the per-head multiply onto the projected features.
+    Returns (weighted features, per-head attention (heads, H, W))."""
     feat_proj = conv2d_depthwise_separable_oracle(feat, w.feat_depth, w.feat_point, w.feat_bias, macs)
     d, h, wd = feat_proj.shape
     per_head = d // w.heads
@@ -54,7 +56,7 @@ def vas_forward_reference(feat, text_embed, w: VasWeights, macs: MacCounter | No
         logits = matmul_oracle(mh_feat[m].T, mh_text[:, m].T, macs)  # (H*W, N_class)
         attn[m] = softmax_oracle(logits, axis=1).max(axis=1)
     gate = w.scale * attn + w.offset
-    return (gate[:, None, :] * mh_feat).reshape(d, h, wd)
+    return (gate[:, None, :] * mh_feat).reshape(d, h, wd), attn.reshape(w.heads, h, wd)
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +158,14 @@ def predict_masks_reference(kernels, features, macs: MacCounter | None = None):
 
 
 def mask_pool_reference(features, masks_logits, macs: MacCounter | None = None):
-    d = features.shape[0]
-    probs = sigmoid_oracle(masks_logits).reshape(masks_logits.shape[0], -1)
-    flat = np.asarray(features, np.float64).reshape(d, -1)
-    weighted = matmul_oracle(probs, flat.T, macs)
-    area = probs.sum(axis=1, keepdims=True) + MASK_POOL_EPS
-    return weighted / area
+    area = sigmoid_oracle(masks_logits).reshape(masks_logits.shape[0], -1).sum(axis=1, keepdims=True)
+    return initial_attention_reference(features, masks_logits, macs) / (area + MASK_POOL_EPS)
 
 
 def decoder_forward_reference(features, weights: DecoderWeights, macs: MacCounter | None = None):
     """Hand-unrolled layer loop over the reference ops; returns the final
-    (mask logits, mask embeddings, refined kernels)."""
+    (mask logits, mask embeddings, refined kernels) and the last layer's
+    pooled query features, as ``decoder.decoder_forward`` does."""
     kernels = np.asarray(weights.init_kernels, np.float64)
     logits = predict_masks_reference(kernels, features, macs)
     for layer in weights.layers:
@@ -177,7 +176,7 @@ def decoder_forward_reference(features, weights: DecoderWeights, macs: MacCounte
             mask_kernels_reference(kernels, weights.mask_mlp, macs), features, macs
         )
     embeddings = mask_pool_reference(features, logits, macs)
-    return logits, embeddings, kernels
+    return logits, embeddings, kernels, pooled
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +245,11 @@ def spatial_features_reference(grid, w: UpsamplerWeights, macs: MacCounter | Non
 
 
 def build_text_embeddings_reference(templates, macs: MacCounter | None = None):
-    t = np.asarray(templates, np.float64)
-    mean = t.mean(axis=0)
-    out = np.empty_like(mean)
-    for i in range(mean.shape[0]):
-        norm = math.sqrt(sum(float(v) ** 2 for v in mean[i]))
-        out[i] = mean[i] / norm
-    return out
+    return l2_normalize_oracle(np.asarray(templates, np.float64).mean(axis=0), axis=1)
 
 
 def in_vocab_scores_reference(instance_embed, text_rows, tau: float, macs: MacCounter | None = None):
-    inst = np.asarray(instance_embed, np.float64)
-    unit = np.empty_like(inst)
-    for i in range(inst.shape[0]):
-        norm = max(math.sqrt(sum(float(v) ** 2 for v in inst[i])), 1e-12)
-        unit[i] = inst[i] / norm
+    unit = l2_normalize_oracle(instance_embed, axis=1)
     logits = matmul_oracle(unit, np.asarray(text_rows, np.float64).T, macs) / tau
     return softmax_oracle(logits, axis=1)
 

@@ -3,9 +3,10 @@
 Every vectorized kernel is compared against its loop oracle on seeded random
 instances; module forwards are compared against their step-by-step references;
 bound invariants (attention weights, gates, softmax sums) are asserted on a
-real pipeline run; analytic MAC counts are checked against the instrumented
-oracle counters.  ``--sabotage <kernel>`` flips the sign of one kernel's
-output, wherever the model calls it, to prove the harness detects faults.
+real pipeline run; the analytic MAC count of every ``pipeline.STAGES`` row is
+checked against the oracle counters of that row's reference.  ``--sabotage
+<kernel>`` flips the sign of one kernel's output, wherever the model calls
+it, to prove the harness detects faults.
 
 ``CHECKS`` is the one table of checks; the tests run its rows by name.  A
 row that compares with an oracle is ``_vs_oracle`` over a draw function.
@@ -17,21 +18,23 @@ import contextlib
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import kernels, oracles, reference
 from .aggregator import AggregatorWeights, SyntheticBackbone, build_pyramid, extract_features, aggregate
 from .classifier import (
+    TextEmbeddings,
     build_text_embeddings,
     classify,
     ensemble,
     in_vocab_scores,
     out_vocab_scores,
 )
-from .config import ModelConfig
+from .config import FUSION_MODES, ModelConfig
 from .decoder import (
     DecoderWeights,
     cross_attention_baseline,
@@ -53,8 +56,7 @@ from .evaluation import (
     pq_metrics,
 )
 from .fusion import SdiWeights, TdeeWeights, EafWeights, eaf, sdi, tdee, tdee_detailed
-from .pipeline import forward, forward_traced, replay_trace
-from .profiler import count_macs
+from .pipeline import _run_stages, forward, forward_traced, replay_trace
 from .spatial import UpsamplerWeights, VitBlockWeights, spatial_embeddings, spatial_features, vit_block_features
 from .tensor import Rng, read_eovt
 from .vas import VasWeights, vas_forward_detailed
@@ -659,76 +661,33 @@ def _instrumented_config() -> ModelConfig:
 
 
 def check_macs_instrumented(rng: Rng, trials: int):
+    """Walk ``pipeline.STAGES`` through the row references in every fusion
+    mode; each row's instrumented count must equal its analytic ``macs``."""
     cfg = _instrumented_config()
-    image_hw = (32, 32)
-    n_class = 3
+    image_hw, n_class = (32, 32), 3
     bundle = build_weights(cfg, image_hw)
     image = rng.normal((3, *image_hw))
-    text_rows = kernels.l2_normalize(rng.normal((n_class, cfg.embed_dim)), axis=1)
+    rows = oracles.l2_normalize_oracle(rng.normal((n_class, cfg.embed_dim)), axis=1)
+    text = TextEmbeddings(rows, [f"c{i}" for i in range(n_class)], np.arange(n_class) % 2 == 0)
+    runs, wrong = 0, []
+    for mode in FUSION_MODES:
+        config = replace(cfg, fusion=mode)
+        c = SimpleNamespace(config=config, h=image_hw[0], w=image_hw[1], n_class=n_class, mode="dda")
 
-    details = []
-    for mode in ("tdee", "sdi", "eaf", "none"):
-        cfg_mode = ModelConfig(**{**cfg.to_dict(), "fusion": mode})
-        analytic = count_macs(cfg_mode, image_hw, n_class)
+        def counted(stage, v):
+            nonlocal runs
+            counter = oracles.MacCounter()
+            out = stage.reference(v, counter)
+            runs += 1
+            if counter.count != stage.macs(c):
+                wrong.append(f"{mode}: stage {stage.name!r} row {stage.outputs[0]!r} counted "
+                             f"{counter.count} != analytic {stage.macs(c)}")
+            return out
 
-        c = oracles.MacCounter()
-        feats = reference.backbone_reference(image, bundle.backbone, c)
-        if c.count != analytic["backbone"]:
-            return False, f"backbone {c.count} != {analytic['backbone']}"
-
-        c = oracles.MacCounter()
-        levels = reference.build_pyramid_reference(feats, bundle.aggregator, c)
-        agg = reference.aggregate_reference(levels, bundle.aggregator, c)
-        if c.count != analytic["aggregator"]:
-            return False, f"aggregator {c.count} != {analytic['aggregator']}"
-
-        c = oracles.MacCounter()
-        reference.vas_forward_reference(agg.astype(np.float32), text_rows, bundle.vas, c)
-        if c.count != analytic["vas"]:
-            return False, f"vas {c.count} != {analytic['vas']}"
-
-        feat_small = rng.normal((cfg.embed_dim, image_hw[0] // 4, image_hw[1] // 4))
-        c = oracles.MacCounter()
-        ref_out = reference.decoder_forward_reference(feat_small, bundle.decoder, c)
-        if c.count != analytic["decoder"]:
-            return False, f"decoder {c.count} != {analytic['decoder']}"
-
-        c = oracles.MacCounter()
-        if mode != "none":  # the ViT block feeds only the eaf/sdi/tdee branches
-            grid = reference.vit_block_reference(image, bundle.vit, c)
-        if mode in ("sdi", "tdee"):
-            spat = reference.spatial_features_reference(grid, bundle.upsampler, c)
-            reference.mask_pool_reference(spat.astype(np.float32), ref_out[0].astype(np.float32), c)
-        if c.count != analytic["spatial"]:
-            return False, f"spatial[{mode}] {c.count} != {analytic['spatial']}"
-
-        c = oracles.MacCounter()
-        em = rng.normal((cfg.n_queries, cfg.embed_dim))
-        es = rng.normal((cfg.n_queries, cfg.embed_dim))
-        if mode == "tdee":
-            reference.tdee_reference(em, es, bundle.tdee, c)
-        elif mode == "sdi":
-            reference.sdi_reference(em, es, bundle.sdi, c)
-        elif mode == "eaf":
-            up = oracles.bilinear_upsample_oracle(grid, 4, c)
-            reference.eaf_reference(
-                feat_small, up.astype(np.float32), bundle.eaf, c
-            )
-        if c.count != analytic["fusion"]:
-            return False, f"fusion[{mode}] {c.count} != {analytic['fusion']}"
-
-        c = oracles.MacCounter()
-        w_clip, b_clip = bundle.clip_proj
-        clip = oracles.conv2d_1x1_oracle(feats[5], w_clip, b_clip, c)
-        clip = oracles.bilinear_upsample_oracle(clip, 8, c)
-        reference.in_vocab_scores_reference(em, text_rows, cfg.tau, c)
-        reference.out_vocab_scores_reference(
-            clip.astype(np.float32), ref_out[0].astype(np.float32), text_rows, cfg.tau, c
-        )
-        if c.count != analytic["classifier"]:
-            return False, f"classifier {c.count} != {analytic['classifier']}"
-        details.append(mode)
-    return True, f"exact for modes {details}"
+        _run_stages(image, text, config, bundle, lambda name, value: value, counted)
+    if wrong:
+        return False, wrong[0]
+    return True, f"exact on all {runs} row runs in modes {list(FUSION_MODES)}"
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +820,7 @@ CHECKS = [
     ("kernel_determinism", check_kernel_determinism),
     (
         "vas_vs_transliteration_oracle",
-        _vs_oracle(_draw_vas, lambda *a: vas_forward_detailed(*a)[0], reference.vas_forward_reference),
+        _vs_oracle(_draw_vas, vas_forward_detailed, reference.vas_forward_reference),
     ),
     ("vas_attention_bounds", check_vas_bounds),
     ("vas_vocabulary_permutation", check_vas_permutation),
@@ -888,9 +847,7 @@ CHECKS = [
     ("mask_ops_vs_loop_oracles", _vs_oracle(_draw_mask_ops, _mask_ops, _mask_ops_reference)),
     (
         "decoder_vs_unrolled_oracle",
-        _vs_oracle(  # the reference has no pooled output
-            _draw_decoder, lambda *a: decoder_forward(*a)[:3], reference.decoder_forward_reference, 1e-4
-        ),
+        _vs_oracle(_draw_decoder, decoder_forward, reference.decoder_forward_reference, 1e-4),
     ),
     ("aggregator_vs_composition_oracle", check_aggregator_oracle),
     ("spatial_vs_composition_oracle", check_spatial_oracle),

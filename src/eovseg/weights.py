@@ -3,7 +3,7 @@
 All weights are generated from the config seed (independent substreams per
 module) so a bundle is reproducible from its config alone.  Serialized form:
 one EOVT file per named tensor plus ``manifest.txt`` (name and shape per
-line) and ``meta.json`` recording the config hash, image extents and
+line) and ``meta.json`` recording the ``cache_key``, image extents and
 generator version the bundle was made with.  ``_layout`` is the one table of
 tensor names: ``to_tensors`` reads each name's path out of a bundle, and
 ``load_weights`` checks the manifest against it and puts each tensor back.
@@ -32,6 +32,16 @@ from .vas import VasWeights
 # Bump whenever any *.build / build_weights draw changes (order, shape, std,
 # seed stream), so caches written by an older generator are rebuilt.
 GENERATOR_VERSION = 1
+
+# ModelConfig fields that no weight draw, tensor name or bundle setting reads.
+# The cache key leaves out only these, so a field added later is keyed until
+# it is shown not to touch the weights.
+HEAD_FIELDS = ("fusion", "alpha", "beta", "tau", "ensemble_method", "score_floor")
+
+
+def cache_key(config: ModelConfig) -> str:
+    """The config hash with ``HEAD_FIELDS`` blanked: it keys the fields the bundle reads."""
+    return config.hash(dict.fromkeys(HEAD_FIELDS))
 
 
 @dataclass
@@ -161,9 +171,7 @@ def build_weights(config: ModelConfig, image_hw: tuple[int, int]) -> WeightBundl
         image_hw=(h, w),
         backbone=backbone,
         aggregator=AggregatorWeights.build(seeds["aggregator"], d, config.backbone_widths),
-        vas=VasWeights.build(
-            seeds["vas"], d, config.vas_heads, config.vas_scale, config.vas_offset
-        ),
+        vas=VasWeights.build(seeds["vas"], d, config.vas_heads),
         decoder=DecoderWeights.build(
             seeds["decoder"],
             d,
@@ -206,7 +214,7 @@ def save_weights(bundle: WeightBundle, directory: str | Path) -> None:
             lines.append(f"{name} {'x'.join(str(e) for e in arr.shape)}")
         (tmp / "manifest.txt").write_text("\n".join(lines) + "\n")
         meta = {
-            "config_hash": bundle.config.hash(),
+            "weights_key": cache_key(bundle.config),
             "image_h": bundle.image_hw[0],
             "image_w": bundle.image_hw[1],
             "generator_version": GENERATOR_VERSION,
@@ -302,12 +310,12 @@ def load_weights(directory: str | Path, config: ModelConfig) -> WeightBundle:
 def load_or_build_weights(
     directory: str | Path, config: ModelConfig, image_hw: tuple[int, int]
 ) -> WeightBundle:
-    """Reuse a cached bundle when config hash, image extents and generator version match."""
+    """Reuse a cached bundle when cache key, image extents and generator version match."""
     directory = Path(directory)
     if (directory / "meta.json").exists():
         meta = _read_meta(directory)
         if (
-            meta.get("config_hash") == config.hash()
+            meta.get("weights_key") == cache_key(config)
             and (meta["image_h"], meta["image_w"]) == tuple(image_hw)
             and meta.get("generator_version") == GENERATOR_VERSION
         ):

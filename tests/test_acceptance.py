@@ -107,17 +107,9 @@ def test_criterion_2_stepwise_transliteration(verify_check):
         vw = VasWeights.build(2_200 + seed, d, heads, scale=1.3, offset=0.2)
         feat = rng.normal((d, 3, 3))
         text = rng.normal((n_class, d))
-        worst_vas = max(
-            worst_vas,
-            float(
-                np.max(
-                    np.abs(
-                        np.asarray(vas_forward_detailed(feat, text, vw)[0], np.float64)
-                        - reference.vas_forward_reference(feat, text, vw)
-                    )
-                )
-            ),
-        )
+        for got, want in zip(vas_forward_detailed(feat, text, vw),
+                             reference.vas_forward_reference(feat, text, vw), strict=True):
+            worst_vas = max(worst_vas, float(np.max(np.abs(np.asarray(got, np.float64) - want))))
     assert worst_vas < 1e-5, worst_vas
     report(2, f"tdee {tdee_detail}; vas err {worst_vas:.1e} at D=8 h=2 N_class=3 (tol 1e-5)")
 

@@ -11,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from eovseg import aggregator, classifier, cli, decoder, evaluation, fusion, kernels, pipeline, spatial, vas
+from eovseg import (aggregator, classifier, cli, decoder, evaluation, fusion, kernels, pipeline,
+                    spatial, vas, weights)
 from eovseg.cli import main
 from eovseg.tensor import read_eovt, write_eovt
 from eovseg.verify import SABOTAGE_TARGETS, run_checks
@@ -143,6 +144,17 @@ class TestRun:
         with open(workdir / "none.csv") as f:
             assert next(csv.DictReader(f))["mode"] == "none"
 
+    def test_fusion_switch_reuses_the_weight_cache(self, workdir, monkeypatch):
+        run_gen(workdir)
+        builds, metas = [], []
+        real_build = weights.build_weights
+        monkeypatch.setattr(weights, "build_weights", lambda *a: builds.append(a) or real_build(*a))
+        for mode in ("tdee", "none", "tdee"):
+            assert run_run(workdir, extra=["--fusion", mode]) == 0
+            metas.append((workdir / "wcache" / "meta.json").read_text())
+        assert len(builds) == 1
+        assert len(set(metas)) == 1
+
     def test_two_runs_byte_identical(self, workdir):
         run_gen(workdir)
         run_run(workdir, extra=["--out", str(workdir / "r1.csv"), "--trace", str(workdir / "t1")])
@@ -221,6 +233,8 @@ class TestRun:
         ("gt_manifest.txt", lambda lines: [*lines, "7 x thing"], "malformed line '7 x thing'"),
         ("gt_manifest.txt", lambda lines: ["1 99 stuff", *lines[1:]], "class ids [99] not in vocab.txt"),
         ("gt_manifest.txt", lambda lines: [*lines, "0 2 stuff"], "has segment id 0; ids start at 1"),
+        ("gt_manifest.txt", lambda lines: [*lines, lines[0]], "duplicate segment ids"),
+        ("gt_manifest.txt", lambda lines: lines[1:], "map ids [1] lack records"),
         ("gt_map.eovt", lambda seg: np.where(seg == 1, np.float32(-1), seg), "holds negative ids"),
         ("templates.eovt", lambda t: np.where(t == t.max(), np.float32(np.nan), t), "must be finite"),
         ("templates.eovt", lambda t: np.where(t == t.max(), np.float32(np.inf), t), "must be finite"),
@@ -228,8 +242,8 @@ class TestRun:
     ],
     ids=["vocab_two_fields", "vocab_kind_tag", "vocab_seen_tag", "vocab_extra_class",
          "manifest_two_fields", "manifest_non_integer", "manifest_unknown_class",
-         "manifest_void_id", "map_negative_id", "templates_nan", "templates_inf",
-         "image_one_channel"],
+         "manifest_void_id", "manifest_duplicate_id", "manifest_missing_record",
+         "map_negative_id", "templates_nan", "templates_inf", "image_one_channel"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # rejected before any arithmetic on it
 def test_malformed_scene_text_exits_3_naming_file(workdir, capsys, name, edit, expected):
@@ -458,6 +472,11 @@ class TestBadValuesExit2:
     def test_gen_spec_embed_dim_other_than_config(self, workdir, capsys):
         (workdir / "scene.json").write_text(json.dumps(dict(SCENE_SPEC, embed_dim=7)))
         self.assert_usage_error(run_gen(workdir), capsys, "embed_dim 7 != the config's embed_dim 32")
+        assert not (workdir / "scene").exists()
+
+    def test_gen_spec_seed_other_than_flag(self, workdir, capsys):
+        (workdir / "scene.json").write_text(json.dumps(dict(SCENE_SPEC, seed=5)))
+        self.assert_usage_error(run_gen(workdir, seed=9), capsys, "seed 5 != --seed 9")
         assert not (workdir / "scene").exists()
 
     def test_config_value_of_wrong_type(self, workdir, capsys):

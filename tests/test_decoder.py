@@ -208,7 +208,7 @@ class TestDecoderForward:
         feat = Rng(36).normal((D, 4, 4))
         out = decoder_forward(feat, w)
         ref = reference.decoder_forward_reference(feat, w)
-        for got, want in zip(out[:3], ref, strict=True):  # logits, embeddings, kernels
+        for got, want in zip(out, ref, strict=True):  # logits, embeddings, kernels, pooled
             assert np.max(np.abs(got - want)) < 1e-4
 
     def test_deterministic_per_seed(self):

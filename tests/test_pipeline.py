@@ -21,7 +21,9 @@ from eovseg.pipeline import (
 from eovseg.tensor import Rng, read_eovt, write_eovt
 from eovseg.weights import (
     GENERATOR_VERSION,
+    HEAD_FIELDS,
     build_weights,
+    cache_key,
     load_or_build_weights,
     load_weights,
     save_weights,
@@ -312,6 +314,39 @@ class TestWeightBundle:
         assert digest.hexdigest() == SMALL64_FILES_SHA256
         (tmp_path / "w" / "meta.json").write_text(SMALL64_META_WITHOUT_VERSION)
         _assert_bitwise_equal(built, load_weights(tmp_path / "w", cfg))  # every field round-trips
+
+    HEAD_VALUES = {"fusion": "none", "alpha": 0.1, "beta": 0.3, "tau": 0.5,
+                   "ensemble_method": "arithmetic", "score_floor": 0.2}
+
+    @pytest.mark.parametrize("field", HEAD_FIELDS)
+    def test_head_fields_change_neither_weights_nor_cache_key(self, field):
+        cfg = small_config()
+        other = dataclasses.replace(cfg, **{field: self.HEAD_VALUES[field]})
+        assert getattr(other, field) != getattr(cfg, field)
+        assert cache_key(other) == cache_key(cfg)
+        a, b = build_weights(cfg, (64, 64)).to_tensors(), build_weights(other, (64, 64)).to_tensors()
+        assert list(a) == list(b)
+        for name in a:
+            assert (a[name].dtype, a[name].shape, a[name].tobytes()) == (
+                b[name].dtype, b[name].shape, b[name].tobytes()), name
+
+    def test_cache_keyed_on_the_whole_config_is_rebuilt_once(self, tmp_path, monkeypatch):
+        cfg = small_config()
+        save_weights(build_weights(cfg, (64, 64)), tmp_path / "w")
+        meta_path = tmp_path / "w" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["config_hash"] = cfg.hash()  # keyed on the whole config, fusion included
+        del meta["weights_key"]
+        meta_path.write_text(json.dumps(meta))
+        builds = []
+        real_build = weights_module.build_weights
+        monkeypatch.setattr(
+            weights_module, "build_weights", lambda *a: builds.append(a) or real_build(*a)
+        )
+        for _ in range(2):
+            load_or_build_weights(tmp_path / "w", cfg, (64, 64))
+        assert len(builds) == 1
+        assert json.loads(meta_path.read_text())["weights_key"] == cache_key(cfg)
 
     @pytest.mark.parametrize("version", [GENERATOR_VERSION, None, GENERATOR_VERSION + 1])
     def test_cache_reused_only_at_generator_version(self, tmp_path, monkeypatch, version):

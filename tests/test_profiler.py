@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eovseg import oracles, weights
+from eovseg import oracles, pipeline, weights
 from eovseg.config import FUSION_MODES, ModelConfig
 from eovseg.pipeline import STAGES
 from eovseg.profiler import (
@@ -89,9 +89,22 @@ class TestMacs:
     def test_dda_example(self):
         assert macs_dda(100, 256, 3) == 76_800
 
-    def test_analytic_equals_instrumented(self):
+    @pytest.mark.parametrize(
+        "bumped", [{"_pyramid": 1}, {"_pyramid": 1, "agg_features": -1}],
+        ids=["one_row", "two_rows_cancel"],
+    )
+    def test_check_names_a_miscounted_row(self, monkeypatch, bumped):
+        """A row whose ``macs`` is off fails the check by name, also where
+        another row of its module cancels it in the module total."""
+        stages = tuple(
+            replace(s, macs=lambda c, s=s: s.macs(c) + bumped[s.outputs[0]])
+            if s.outputs[0] in bumped else s
+            for s in STAGES
+        )
+        monkeypatch.setattr(pipeline, "STAGES", stages)
         passed, detail = check_macs_instrumented(Rng(0), trials=1)
-        assert passed, detail
+        assert not passed
+        assert "stage 'aggregator' row '_pyramid'" in detail, detail
 
     def test_op_level_instrumented_counts(self):
         rng = Rng(1)

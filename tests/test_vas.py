@@ -92,13 +92,9 @@ def test_transliteration_oracle_at_acceptance_dims():
         w = build(1000 + seed, scale=1.4, offset=0.3)
         feat = rng.normal((D, 2, 2))
         text = rng.normal((3, D))
-        err = np.max(
-            np.abs(
-                np.asarray(vas_forward_detailed(feat, text, w)[0], np.float64)
-                - reference.vas_forward_reference(feat, text, w)
-            )
-        )
-        worst = max(worst, err)
+        for got, want in zip(vas_forward_detailed(feat, text, w),
+                             reference.vas_forward_reference(feat, text, w), strict=True):
+            worst = max(worst, np.max(np.abs(np.asarray(got, np.float64) - want)))
     assert worst < 1e-5
 
 
