@@ -20,6 +20,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 EXIT_OK = 0
@@ -208,9 +209,7 @@ def cmd_run(args) -> int:
         raise ValueError(f"--resize-shortest must be >= 1, got {args.resize_shortest}")
     config = _load_config(args.config)
     if args.fusion is not None:
-        from .config import ModelConfig
-
-        config = ModelConfig(**{**config.to_dict(), "fusion": args.fusion})
+        config = replace(config, fusion=args.fusion)
     scene_dir = Path(args.scene)
     image, gt, text, things = _load_scene(scene_dir, config)
 

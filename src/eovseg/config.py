@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,8 +107,10 @@ class ModelConfig:
             raise ValueError(f"config: fusion must be one of {FUSION_MODES}, got {self.fusion!r}")
         if not 0.0 <= self.alpha <= 1.0 or not 0.0 <= self.beta <= 1.0:
             raise ValueError("config: alpha and beta must lie in [0, 1]")
-        if self.tau <= 0:
-            raise ValueError(f"config: tau must be positive, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"config: tau must be finite and > 0, got {self.tau}")
+        if not math.isfinite(self.score_floor):
+            raise ValueError(f"config: score_floor must be finite, got {self.score_floor}")
         if self.ensemble_method not in ("geometric", "arithmetic"):
             raise ValueError(f"config: unknown ensemble_method {self.ensemble_method!r}")
         self.backbone_widths = tuple(int(w) for w in self.backbone_widths)

@@ -117,6 +117,11 @@ class SceneSpec:
                           ("n_templates", 1), ("embed_dim", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"SceneSpec: {name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("stuff_classes", "thing_classes"):  # vocab.txt splits its lines on whitespace
+            bad = [c for c in getattr(self, name) if c.split() != [c]]
+            if bad:
+                raise ValueError(f"SceneSpec: {name} must be non-empty names without whitespace, "
+                                 f"got {bad[0]!r}")
         if not self.stuff_classes:
             raise ValueError("SceneSpec: at least one stuff class required")
         if self.n_shapes > 0 and not self.thing_classes:

@@ -8,11 +8,11 @@ step's float64 ``reference`` (built from ``reference`` and ``oracles``; it
 returns the same outputs and counts its MACs into a counter), and its
 analytic MAC count (``macs``), read from the config, image size, vocabulary
 size and decoder mode; ``profiler.count_macs`` sums the rows that run, and
-``verify.check_macs_instrumented`` walks the table through the references
-and holds each row's count to its ``macs``.  Fusion modes plug in at two
-seams: ``eaf`` fuses the feature maps before decoding; ``sdi``/``tdee`` fuse
-the embedding rows after decoding; ``none`` passes the mask embeddings
-straight through.
+``verify.check_stages_vs_references`` runs each row's step beside its
+reference, holding the step's outputs to the reference's and the reference's
+count to the row's ``macs``.  Fusion modes plug in at two seams: ``eaf``
+fuses the feature maps before decoding; ``sdi``/``tdee`` fuse the embedding
+rows after decoding; ``none`` passes the mask embeddings straight through.
 
 ``forward`` runs the table, then classifies and assembles the panoptic map.
 Outputs whose names do not start with ``_`` are traced: ``forward_traced``

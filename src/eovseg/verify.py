@@ -2,11 +2,12 @@
 
 Every vectorized kernel is compared against its loop oracle on seeded random
 instances; module forwards are compared against their step-by-step references;
-bound invariants (attention weights, gates, softmax sums) are asserted on a
-real pipeline run; the analytic MAC count of every ``pipeline.STAGES`` row is
-checked against the oracle counters of that row's reference.  ``--sabotage
-<kernel>`` flips the sign of one kernel's output, wherever the model calls
-it, to prove the harness detects faults.
+every ``pipeline.STAGES`` row's step runs beside its float64 reference in all
+four fusion modes, where the outputs must agree and the reference's oracle
+counter must equal the row's analytic MAC count; bound invariants (attention
+weights, gates, softmax sums) are asserted on a real pipeline run.
+``--sabotage <kernel>`` flips the sign of one kernel's output, wherever the
+model calls it, to prove the harness detects faults.
 
 ``CHECKS`` is the one table of checks; the tests run its rows by name.  A
 row that compares with an oracle is ``_vs_oracle`` over a draw function.
@@ -25,7 +26,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import kernels, oracles, reference
-from .aggregator import AggregatorWeights, SyntheticBackbone, build_pyramid, extract_features, aggregate
 from .classifier import (
     TextEmbeddings,
     build_text_embeddings,
@@ -57,7 +57,6 @@ from .evaluation import (
 )
 from .fusion import SdiWeights, TdeeWeights, EafWeights, eaf, sdi, tdee, tdee_detailed
 from .pipeline import _run_stages, forward, forward_traced, replay_trace
-from .spatial import UpsamplerWeights, VitBlockWeights, spatial_embeddings, spatial_features, vit_block_features
 from .tensor import Rng, read_eovt
 from .vas import VasWeights, vas_forward_detailed
 from .weights import build_weights
@@ -119,8 +118,11 @@ def sabotage_kernel(name: str):
 
 
 def _max_err(a, b) -> float:
+    """Worst absolute difference; against 0 it is the magnitude of ``a``."""
     if isinstance(a, tuple):  # several outputs: the worst of them
         return max(_max_err(x, y) for x, y in zip(a, b, strict=True))
+    if isinstance(a, dict):  # the levels of a feature pyramid: the worst level
+        return max(_max_err(x, b[k] if isinstance(b, dict) else b) for k, x in a.items())
     return float(np.max(np.abs(np.asarray(a, np.float64) - np.asarray(b, np.float64))))
 
 
@@ -461,48 +463,6 @@ def _draw_decoder(rng: Rng, t: int):
     return rng.normal((8, 4, 4)), w
 
 
-def check_aggregator_oracle(rng: Rng, trials: int):
-    worst = 0.0
-    for _ in range(max(1, trials // 5)):
-        widths = (3, 4, 5, 6)
-        d = 4
-        backbone = SyntheticBackbone.build(int(rng.integers(0, 1 << 31)), widths)
-        weights = AggregatorWeights.build(int(rng.integers(0, 1 << 31)), d, widths)
-        image = rng.normal((3, 32, 32))
-        feats = extract_features(image, backbone)
-        ref_feats = reference.backbone_reference(image, backbone)
-        for level in (2, 3, 4, 5):
-            worst = max(worst, _max_err(feats[level], ref_feats[level]))
-        pyramid = build_pyramid(feats, weights)
-        ref_levels = reference.build_pyramid_reference(ref_feats, weights)
-        for level in (2, 3, 4, 5):
-            worst = max(worst, _max_err(pyramid[level], ref_levels[level]))
-        worst = max(
-            worst, _max_err(aggregate(pyramid, weights), reference.aggregate_reference(ref_levels, weights))
-        )
-    return _tol_check(worst, KERNEL_TOL)
-
-
-def check_spatial_oracle(rng: Rng, trials: int):
-    worst = 0.0
-    for _ in range(max(1, trials // 5)):
-        dv, d = 4, 6
-        vit = VitBlockWeights.build(int(rng.integers(0, 1 << 31)), dv, 2, (2, 2))
-        up = UpsamplerWeights.build(int(rng.integers(0, 1 << 31)), dv, d)
-        image = rng.normal((3, 32, 32))
-        grid = vit_block_features(image, vit)
-        ref_grid = reference.vit_block_reference(image, vit)
-        worst = max(worst, _max_err(grid, ref_grid))
-        spat = spatial_features(grid, up)
-        worst = max(worst, _max_err(spat, reference.spatial_features_reference(ref_grid, up)))
-        logits = rng.normal((3, 8, 8))
-        worst = max(
-            worst,
-            _max_err(spatial_embeddings(spat, logits), reference.mask_pool_reference(spat, logits)),
-        )
-    return _tol_check(worst, 1e-4)
-
-
 def check_classifier_oracles(rng: Rng, trials: int):
     worst = 0.0
     for _ in range(trials):
@@ -640,10 +600,10 @@ def check_match_uniqueness(rng: Rng, trials: int):
 
 
 # ---------------------------------------------------------------------------
-# analytic MACs vs instrumented oracles
+# every stage row's step beside its float64 reference
 
 
-def _instrumented_config() -> ModelConfig:
+def _instrumented_config(weights_seed: int) -> ModelConfig:
     return ModelConfig(
         embed_dim=8,
         vit_dim=4,
@@ -656,38 +616,52 @@ def _instrumented_config() -> ModelConfig:
         sdi_rank=2,
         vit_heads=2,
         backbone_widths=(4, 6, 8, 8),
-        weights_seed=11,
+        weights_seed=weights_seed,
     )
 
 
-def check_macs_instrumented(rng: Rng, trials: int):
-    """Walk ``pipeline.STAGES`` through the row references in every fusion
-    mode; each row's instrumented count must equal its analytic ``macs``."""
-    cfg = _instrumented_config()
+def check_stages_vs_references(rng: Rng, trials: int):
+    """Walk ``pipeline.STAGES`` in every fusion mode, running each row's step
+    and its reference on the same inputs.  The reference's counter must equal
+    the row's ``macs``, and each output of the step must lie within
+    ``KERNEL_TOL`` of the reference's, relative to max(1, max|reference|).
+    Later rows read the step's outputs, as in ``replay_trace``, so each row is
+    checked on its own.  One walk per 25 trials, each on fresh weights."""
     image_hw, n_class = (32, 32), 3
-    bundle = build_weights(cfg, image_hw)
-    image = rng.normal((3, *image_hw))
-    rows = oracles.l2_normalize_oracle(rng.normal((n_class, cfg.embed_dim)), axis=1)
-    text = TextEmbeddings(rows, [f"c{i}" for i in range(n_class)], np.arange(n_class) % 2 == 0)
-    runs, wrong = 0, []
-    for mode in FUSION_MODES:
-        config = replace(cfg, fusion=mode)
-        c = SimpleNamespace(config=config, h=image_hw[0], w=image_hw[1], n_class=n_class, mode="dda")
+    runs, worst, wrong = 0, 0.0, []
+    for _ in range(max(1, trials // 25)):
+        cfg = _instrumented_config(int(rng.integers(0, 1 << 31)))
+        bundle = build_weights(cfg, image_hw)  # no weight depends on the fusion mode
+        image = rng.normal((3, *image_hw))
+        rows = oracles.l2_normalize_oracle(rng.normal((n_class, cfg.embed_dim)), axis=1)
+        text = TextEmbeddings(rows, [f"c{i}" for i in range(n_class)], np.arange(n_class) % 2 == 0)
+        for mode in FUSION_MODES:
+            config = replace(cfg, fusion=mode)
+            c = SimpleNamespace(config=config, h=image_hw[0], w=image_hw[1], n_class=n_class, mode="dda")
 
-        def counted(stage, v):
-            nonlocal runs
-            counter = oracles.MacCounter()
-            out = stage.reference(v, counter)
-            runs += 1
-            if counter.count != stage.macs(c):
-                wrong.append(f"{mode}: stage {stage.name!r} row {stage.outputs[0]!r} counted "
-                             f"{counter.count} != analytic {stage.macs(c)}")
-            return out
+            def both(stage, v):
+                nonlocal runs, worst
+                counter = oracles.MacCounter()
+                got, want = stage.step(v), stage.reference(v, counter)
+                runs += 1
+                row = f"{mode}: stage {stage.name!r} row {stage.outputs[0]!r}"
+                if counter.count != stage.macs(c):
+                    wrong.append(f"{row}: count {counter.count} != analytic {stage.macs(c)}")
+                several = len(stage.outputs) > 1
+                for name, a, b in zip(stage.outputs, got if several else (got,),
+                                      want if several else (want,), strict=True):
+                    err = _max_err(a, b) / max(1.0, _max_err(b, 0.0))
+                    worst = max(worst, err)
+                    if not err <= KERNEL_TOL:  # NaN fails too
+                        wrong.append(f"{row}: value of {name!r} off by {err:.2e} of "
+                                     f"max(1, |reference|) (tol {KERNEL_TOL:.0e})")
+                return got
 
-        _run_stages(image, text, config, bundle, lambda name, value: value, counted)
+            _run_stages(image, text, config, bundle, lambda name, value: value, both)
     if wrong:
         return False, wrong[0]
-    return True, f"exact on all {runs} row runs in modes {list(FUSION_MODES)}"
+    return True, (f"counts exact, values within {KERNEL_TOL:.0e} (worst {worst:.2e}) on all "
+                  f"{runs} row runs in modes {list(FUSION_MODES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -740,11 +714,10 @@ def check_pipeline_bounds(rng: Rng, trials: int):
 def check_pipeline_modes(rng: Rng, trials: int):
     base = _verify_config()
     spec, image, _, _, text = _scene_and_text(base, seed=31)
+    bundle = build_weights(base, (spec.height, spec.width))  # no weight depends on the fusion mode
     shapes = set()
-    for mode in ("none", "eaf", "sdi", "tdee"):
-        cfg = ModelConfig(**{**base.to_dict(), "fusion": mode})
-        bundle = build_weights(cfg, (spec.height, spec.width))
-        result = forward(image, text, spec.is_thing(), cfg, bundle)
+    for mode in FUSION_MODES:
+        result = forward(image, text, spec.is_thing(), replace(base, fusion=mode), bundle)
         shapes.add(
             (
                 result.panoptic.segment_map.shape,
@@ -849,15 +822,13 @@ CHECKS = [
         "decoder_vs_unrolled_oracle",
         _vs_oracle(_draw_decoder, decoder_forward, reference.decoder_forward_reference, 1e-4),
     ),
-    ("aggregator_vs_composition_oracle", check_aggregator_oracle),
-    ("spatial_vs_composition_oracle", check_spatial_oracle),
+    ("stages_vs_references", check_stages_vs_references),
     ("classifier_vs_loop_oracles", check_classifier_oracles),
     ("ensemble_correctness", check_ensemble),
     ("classify_argmax_oracle", check_classify),
     ("pq_identity_on_random_pairs", check_pq_identity),
     ("pq_hand_cases", check_pq_cases),
     ("segment_match_uniqueness", check_match_uniqueness),
-    ("macs_analytic_vs_instrumented", check_macs_instrumented),
     ("pipeline_bound_invariants", check_pipeline_bounds),
     ("pipeline_fusion_modes", check_pipeline_modes),
     ("pipeline_determinism", check_pipeline_determinism),

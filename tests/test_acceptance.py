@@ -36,7 +36,7 @@ from eovseg.profiler import (
 )
 from eovseg.tensor import Rng
 from eovseg.vas import VasWeights, vas_forward_detailed
-from eovseg.verify import CHECKS, SABOTAGE_TARGETS, check_macs_instrumented, run_checks
+from eovseg.verify import CHECKS, SABOTAGE_TARGETS, check_stages_vs_references, run_checks
 from eovseg.weights import build_weights
 
 GEOMETRIC_REFERENCE = 0.662890803467997360  # 0.8^0.6 * 0.5^0.4 at 30 digits
@@ -158,7 +158,7 @@ def test_criterion_4_efficiency_asymmetry():
     m_dda = macs_initial_attention(n, d, hw) + macs_dda_kernel_gen(n, d, m) + macs_dda(n, d, m)
     m_ca = macs_cross_attention(n, d, hw)
     assert m_dda < m_ca
-    passed, detail = check_macs_instrumented(Rng(4_000), trials=1)
+    passed, detail = check_stages_vs_references(Rng(4_000), trials=1)
     assert passed, detail
     report(4, f"params {p_dda} < {p_ca}; macs {m_dda:,} < {m_ca:,}; analytic == instrumented")
 

@@ -28,7 +28,7 @@ from eovseg.profiler import (
     profile_modules,
 )
 from eovseg.tensor import Rng
-from eovseg.verify import check_macs_instrumented
+from eovseg.verify import check_stages_vs_references
 from eovseg.weights import build_weights, save_weights
 
 
@@ -82,6 +82,16 @@ class TestParams:
         assert [n for n in names if n.split(".", 1)[0] not in MODULES] == []
 
 
+def _bump_macs(**by):  # a patch of one STAGES row: its macs off by the given amount
+    return lambda s: (replace(s, macs=lambda c, s=s: s.macs(c) + by[s.outputs[0]])
+                      if s.outputs[0] in by else s)
+
+
+def _scale_step(output, factor):  # a patch of one STAGES row: its step output scaled
+    return lambda s: (replace(s, step=lambda v, s=s: s.step(v) * np.float32(factor))
+                      if s.outputs[0] == output else s)
+
+
 class TestMacs:
     def test_conv_1x1_example(self):
         assert macs_conv2d_1x1(2, 3, 2, 2) == 24  # 48 flops
@@ -90,21 +100,23 @@ class TestMacs:
         assert macs_dda(100, 256, 3) == 76_800
 
     @pytest.mark.parametrize(
-        "bumped", [{"_pyramid": 1}, {"_pyramid": 1, "agg_features": -1}],
-        ids=["one_row", "two_rows_cancel"],
+        "patch, named",
+        [
+            (_bump_macs(_pyramid=1), "stage 'aggregator' row '_pyramid': count"),
+            (_bump_macs(_pyramid=1, agg_features=-1), "stage 'aggregator' row '_pyramid': count"),
+            (_scale_step("spatial_features", 1 + 1e-4),
+             "sdi: stage 'spatial' row 'spatial_features': value"),
+        ],
+        ids=["one_row", "two_rows_cancel", "scaled_step"],
     )
-    def test_check_names_a_miscounted_row(self, monkeypatch, bumped):
+    def test_check_names_a_miscounted_row(self, monkeypatch, patch, named):
         """A row whose ``macs`` is off fails the check by name, also where
-        another row of its module cancels it in the module total."""
-        stages = tuple(
-            replace(s, macs=lambda c, s=s: s.macs(c) + bumped[s.outputs[0]])
-            if s.outputs[0] in bumped else s
-            for s in STAGES
-        )
-        monkeypatch.setattr(pipeline, "STAGES", stages)
-        passed, detail = check_macs_instrumented(Rng(0), trials=1)
+        another row of its module cancels it in the module total; so does a
+        row whose step drifts from its reference by a relative 1e-4."""
+        monkeypatch.setattr(pipeline, "STAGES", tuple(patch(s) for s in STAGES))
+        passed, detail = check_stages_vs_references(Rng(0), trials=1)
         assert not passed
-        assert "stage 'aggregator' row '_pyramid'" in detail, detail
+        assert named in detail, detail
 
     def test_op_level_instrumented_counts(self):
         rng = Rng(1)
