@@ -176,6 +176,8 @@ def _load_scene(scene_dir: Path, config):
         fields = line.split()
         if len(fields) != 3 or fields[1] not in ("seen", "unseen") or fields[2] not in ("thing", "stuff"):
             raise SceneError(f"{vocab}: malformed line {line!r} (need 'name seen|unseen thing|stuff')")
+        if fields[0] in names:
+            raise SceneError(f"{vocab}: class name {fields[0]!r} is listed twice")
         names.append(fields[0])
         seen.append(fields[1] == "seen")
         things.append(fields[2] == "thing")

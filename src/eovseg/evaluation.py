@@ -122,6 +122,12 @@ class SceneSpec:
             if bad:
                 raise ValueError(f"SceneSpec: {name} must be non-empty names without whitespace, "
                                  f"got {bad[0]!r}")
+        names = self.class_names  # vocab.txt and reports tell classes apart by name
+        for i, c in enumerate(names):
+            if c in names[:i]:
+                field = "stuff_classes" if i < len(self.stuff_classes) else "thing_classes"
+                raise ValueError(f"SceneSpec: {field} repeats class name {c!r}; class names "
+                                 f"must be unique across stuff_classes and thing_classes")
         if not self.stuff_classes:
             raise ValueError("SceneSpec: at least one stuff class required")
         if self.n_shapes > 0 and not self.thing_classes:

@@ -43,8 +43,8 @@ from .vas import VasWeights
 
 def vas_forward_reference(feat, text_embed, w: VasWeights, macs: MacCounter | None = None):
     """Projection, head split, one channel contraction per head, vocab softmax
-    + max, scale/offset, and the per-head multiply onto the projected features.
-    Returns (weighted features, per-head attention (heads, H, W))."""
+    + max, and the per-head multiply of that attention onto the projected
+    features.  Returns (weighted features, per-head attention (heads, H, W))."""
     feat_proj = conv2d_depthwise_separable_oracle(feat, w.feat_depth, w.feat_point, w.feat_bias, macs)
     d, h, wd = feat_proj.shape
     per_head = d // w.heads
@@ -55,8 +55,7 @@ def vas_forward_reference(feat, text_embed, w: VasWeights, macs: MacCounter | No
     for m in range(w.heads):
         logits = matmul_oracle(mh_feat[m].T, mh_text[:, m].T, macs)  # (H*W, N_class)
         attn[m] = softmax_oracle(logits, axis=1).max(axis=1)
-    gate = w.scale * attn + w.offset
-    return (gate[:, None, :] * mh_feat).reshape(d, h, wd), attn.reshape(w.heads, h, wd)
+    return (attn[:, None, :] * mh_feat).reshape(d, h, wd), attn.reshape(w.heads, h, wd)
 
 
 # ---------------------------------------------------------------------------

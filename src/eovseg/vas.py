@@ -3,7 +3,7 @@
 The feature side goes through a depthwise-separable conv, the text side
 through a linear layer; both are split into heads, contracted over channels,
 softmaxed over the vocabulary, and reduced with a max.  The resulting
-per-head weight map (scaled and offset) multiplies the projected features.
+per-head weight map multiplies the projected features.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ class VasWeights:
     text_w: np.ndarray  # (D, D) row-vector linear
     text_b: np.ndarray  # (D,)
     heads: int
-    scale: float  # multiplies the attention weights
-    offset: float  # added to the scaled attention weights
 
     def __post_init__(self):
         d = self.feat_point.shape[0]
@@ -33,7 +31,7 @@ class VasWeights:
             raise ValueError(f"VasWeights: width {d} not divisible by {self.heads} heads")
 
     @classmethod
-    def build(cls, seed: int, width: int, heads: int, scale: float = 1.0, offset: float = 0.0):
+    def build(cls, seed: int, width: int, heads: int):
         rng = Rng(seed)
         return cls(
             feat_depth=rng.normal((width, 3, 3), std=1.0 / 3.0),
@@ -42,8 +40,6 @@ class VasWeights:
             text_w=rng.normal((width, width), std=1.0 / np.sqrt(width)),
             text_b=rng.normal((width,), std=0.02),
             heads=heads,
-            scale=float(scale),
-            offset=float(offset),
         )
 
 
@@ -66,9 +62,9 @@ def vas_forward_detailed(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Selection pass returning (weighted features, attention weights).
 
-    The attention holds one map per head, each weight in [1/N_class, 1]; the
-    gate (scale*attn + offset) multiplies that head's channel block of the
-    depthwise-separable projection of ``feat``.
+    The attention holds one map per head, each weight in [1/N_class, 1], and
+    gates that head's channel block of the depthwise-separable projection of
+    ``feat``: a singleton vocabulary gives weight 1 and the projection itself.
     """
     n_class = text_embed.shape[0]
     if n_class < 1:
@@ -81,6 +77,5 @@ def vas_forward_detailed(
     mh_text = text_proj.reshape(1, n_class, w.heads, per_head)
     logits = np.einsum("bmchw,bnmc->bmhwn", mh_feat, mh_text)  # both float32
     attn = _max_of_softmax(logits)[0]  # (heads, H, W)
-    gate = np.float32(w.scale) * attn + np.float32(w.offset)
-    out = gate[:, None, :, :] * mh_feat[0]
+    out = attn[:, None, :, :] * mh_feat[0]
     return np.ascontiguousarray(out.reshape(d, h, wd)), attn

@@ -1,11 +1,14 @@
 """Oracle-equivalence and invariant suite behind the `verify` command.
 
 Every vectorized kernel is compared against its loop oracle on seeded random
-instances; module forwards are compared against their step-by-step references;
-every ``pipeline.STAGES`` row's step runs beside its float64 reference in all
-four fusion modes, where the outputs must agree and the reference's oracle
-counter must equal the row's analytic MAC count; bound invariants (attention
-weights, gates, softmax sums) are asserted on a real pipeline run.
+instances.  Every ``pipeline.STAGES`` row's step runs beside its float64
+reference in all four fusion modes, at drawn image extents, vocabulary sizes
+and decoder depths: the outputs must agree and the reference's oracle counter
+must equal the row's analytic MAC count.  Module forwards are compared there,
+at the walk's sizes, except the decoder's parts, whose own draws hold them to
+a tighter absolute bound, and sdi, whose output in the walk is mostly too
+small for the walk's relative bound to see a drift.  Bound invariants
+(attention weights, gates, softmax sums) are asserted on a real pipeline run.
 ``--sabotage <kernel>`` flips the sign of one kernel's output, wherever the
 model calls it, to prove the harness detects faults.
 
@@ -55,7 +58,7 @@ from .evaluation import (
     miou,
     pq_metrics,
 )
-from .fusion import SdiWeights, TdeeWeights, EafWeights, eaf, sdi, tdee, tdee_detailed
+from .fusion import SdiWeights, TdeeWeights, sdi, tdee, tdee_detailed
 from .pipeline import _run_stages, forward, forward_traced, replay_trace
 from .tensor import Rng, read_eovt
 from .vas import VasWeights, vas_forward_detailed
@@ -306,15 +309,17 @@ def check_vas_bounds(rng: Rng, trials: int):
         d, heads = 8, 4
         n_class = int(rng.integers(1, 6))
         w = VasWeights.build(int(rng.integers(0, 1 << 31)), d, heads)
-        _, attn = vas_forward_detailed(
-            rng.normal((d, 3, 3), std=2.0), rng.normal((n_class, d), std=2.0), w
-        )
+        feat = rng.normal((d, 3, 3), std=2.0)
+        out, attn = vas_forward_detailed(feat, rng.normal((n_class, d), std=2.0), w)
         lo = np.float32(1.0) / np.float32(n_class)
         if attn.min() < lo or attn.max() > 1.0:
             return False, f"attention weight outside [{lo}, 1]: [{attn.min()}, {attn.max()}]"
         if n_class == 1 and not np.all(attn == 1.0):
             return False, "singleton vocabulary must give exactly 1.0"
-    return True, "weights within [1/N_class, 1]; singleton exact"
+        if n_class == 1 and not np.array_equal(out, kernels.conv2d_depthwise_separable(
+                feat, w.feat_depth, w.feat_point, w.feat_bias)):
+            return False, "singleton vocabulary did not give the projection exactly"
+    return True, "weights within [1/N_class, 1]; singleton exact and gives the projection"
 
 
 def check_vas_permutation(rng: Rng, trials: int):
@@ -328,18 +333,6 @@ def check_vas_permutation(rng: Rng, trials: int):
                               vas_forward_detailed(feat, text[perm], w)[0]):
             return False, "output changed under vocabulary permutation"
     return True, "bitwise invariant to vocabulary row permutation"
-
-
-def check_vas_identity_gate(rng: Rng, trials: int):
-    for _ in range(trials):
-        d, heads = 8, 2
-        w = VasWeights.build(int(rng.integers(0, 1 << 31)), d, heads, scale=0.0, offset=1.0)
-        feat = rng.normal((d, 2, 2))
-        text = rng.normal((3, d))
-        projected = kernels.conv2d_depthwise_separable(feat, w.feat_depth, w.feat_point, w.feat_bias)
-        if not np.array_equal(vas_forward_detailed(feat, text, w)[0], projected):
-            return False, "scale=0 offset=1 did not reduce to the projection"
-    return True, "scale=0/offset=1 reduces exactly to the feature projection"
 
 
 def check_tdee_symmetry(rng: Rng, trials: int):
@@ -386,30 +379,10 @@ def check_tdee_zero_router(rng: Rng, trials: int):
 # module draws: each returns the arguments of the forward and of its reference
 
 
-def _draw_vas(rng: Rng, t: int):
-    d, heads = 8, 2
-    n_class = int(rng.integers(1, 5))
-    w = VasWeights.build(int(rng.integers(0, 1 << 31)), d, heads, 1.3, 0.2)
-    return rng.normal((d, 3, 2)), rng.normal((n_class, d)), w
-
-
-def _draw_tdee(rng: Rng, t: int):
-    # width 8 keeps the layer norms well conditioned; 2-wide rows can collapse
-    # to near-zero variance where LN amplifies float32 rounding past any tolerance
-    n, d, dd = 4, 8, 8
-    w = TdeeWeights.build(int(rng.integers(0, 1 << 31)), d, dd)
-    return rng.normal((n, d)), rng.normal((n, d)), w
-
-
-def _draw_eaf(rng: Rng, t: int):
-    d, dv = 4, 3
-    w = EafWeights.build(int(rng.integers(0, 1 << 31)), d, dv)
-    return rng.normal((d, 3, 3)), rng.normal((dv, 3, 3)), w
-
-
 def _draw_sdi(rng: Rng, t: int):
     # std 0.5 keeps the generated three-matmul chain O(1) so the absolute
-    # tolerance is meaningful
+    # tolerance is meaningful; in the stage walk sdi's output is mostly below
+    # 0.01, where the walk's max(1, |reference|) bound cannot see a small drift
     w = SdiWeights.build(int(rng.integers(0, 1 << 31)), 6, 3, 2)
     return rng.normal((2, 6), std=0.5), rng.normal((2, 6), std=0.5), w
 
@@ -603,13 +576,13 @@ def check_match_uniqueness(rng: Rng, trials: int):
 # every stage row's step beside its float64 reference
 
 
-def _instrumented_config(weights_seed: int) -> ModelConfig:
+def _instrumented_config(weights_seed: int, decoder_layers: int) -> ModelConfig:
     return ModelConfig(
         embed_dim=8,
         vit_dim=4,
         vas_heads=2,
         n_queries=3,
-        decoder_layers=2,
+        decoder_layers=decoder_layers,
         decoder_heads=2,
         ffn_expansion=2,
         tdee_dim=8,
@@ -626,11 +599,16 @@ def check_stages_vs_references(rng: Rng, trials: int):
     the row's ``macs``, and each output of the step must lie within
     ``KERNEL_TOL`` of the reference's, relative to max(1, max|reference|).
     Later rows read the step's outputs, as in ``replay_trace``, so each row is
-    checked on its own.  One walk per 25 trials, each on fresh weights."""
-    image_hw, n_class = (32, 32), 3
-    runs, worst, wrong = 0, 0.0, []
+    checked on its own.  One walk per 25 trials, each on fresh weights, with
+    each image extent drawn from {32, 64}, 1 to 4 classes (1 is the singleton
+    vocabulary) and 1 or 2 decoder layers."""
+    runs, worst, wrong, walks = 0, 0.0, [], []
     for _ in range(max(1, trials // 25)):
-        cfg = _instrumented_config(int(rng.integers(0, 1 << 31)))
+        image_hw = (32 * int(rng.integers(1, 3)), 32 * int(rng.integers(1, 3)))
+        n_class, layers = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+        walk = f"{image_hw[0]}x{image_hw[1]} image, N_class={n_class}, decoder_layers={layers}"
+        walks.append(walk)
+        cfg = _instrumented_config(int(rng.integers(0, 1 << 31)), layers)
         bundle = build_weights(cfg, image_hw)  # no weight depends on the fusion mode
         image = rng.normal((3, *image_hw))
         rows = oracles.l2_normalize_oracle(rng.normal((n_class, cfg.embed_dim)), axis=1)
@@ -646,7 +624,8 @@ def check_stages_vs_references(rng: Rng, trials: int):
                 runs += 1
                 row = f"{mode}: stage {stage.name!r} row {stage.outputs[0]!r}"
                 if counter.count != stage.macs(c):
-                    wrong.append(f"{row}: count {counter.count} != analytic {stage.macs(c)}")
+                    wrong.append(f"{row}: count {counter.count} != analytic {stage.macs(c)} "
+                                 f"at {walk}")
                 several = len(stage.outputs) > 1
                 for name, a, b in zip(stage.outputs, got if several else (got,),
                                       want if several else (want,), strict=True):
@@ -654,14 +633,14 @@ def check_stages_vs_references(rng: Rng, trials: int):
                     worst = max(worst, err)
                     if not err <= KERNEL_TOL:  # NaN fails too
                         wrong.append(f"{row}: value of {name!r} off by {err:.2e} of "
-                                     f"max(1, |reference|) (tol {KERNEL_TOL:.0e})")
+                                     f"max(1, |reference|) (tol {KERNEL_TOL:.0e}) at {walk}")
                 return got
 
             _run_stages(image, text, config, bundle, lambda name, value: value, both)
     if wrong:
         return False, wrong[0]
     return True, (f"counts exact, values within {KERNEL_TOL:.0e} (worst {worst:.2e}) on all "
-                  f"{runs} row runs in modes {list(FUSION_MODES)}")
+                  f"{runs} row runs in modes {list(FUSION_MODES)}; walks at {'; '.join(walks)}")
 
 
 # ---------------------------------------------------------------------------
@@ -791,18 +770,11 @@ CHECKS = [
     ),
     ("l2_normalize_vs_loop_oracle", check_l2_normalize),
     ("kernel_determinism", check_kernel_determinism),
-    (
-        "vas_vs_transliteration_oracle",
-        _vs_oracle(_draw_vas, vas_forward_detailed, reference.vas_forward_reference),
-    ),
     ("vas_attention_bounds", check_vas_bounds),
     ("vas_vocabulary_permutation", check_vas_permutation),
-    ("vas_identity_gate", check_vas_identity_gate),
-    ("tdee_vs_transliteration_oracle", _vs_oracle(_draw_tdee, tdee, reference.tdee_reference)),
     ("tdee_expert_swap_symmetry", check_tdee_symmetry),
     ("tdee_gate_range", check_tdee_gates),
     ("tdee_zero_router_forced_path", check_tdee_zero_router),
-    ("eaf_vs_loop_oracle", _vs_oracle(_draw_eaf, eaf, reference.eaf_reference)),
     ("sdi_vs_loop_oracle", _vs_oracle(_draw_sdi, sdi, reference.sdi_reference)),
     (
         "initial_attention_vs_loop_oracle",

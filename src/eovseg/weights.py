@@ -30,8 +30,9 @@ from .tensor import EovtFormatError, Rng, read_eovt, write_eovt
 from .vas import VasWeights
 
 # Bump whenever any *.build / build_weights draw changes (order, shape, std,
-# seed stream), so caches written by an older generator are rebuilt.
-GENERATOR_VERSION = 1
+# seed stream) or ``_layout`` gains or loses a name, so caches written by an
+# older generator are rebuilt.
+GENERATOR_VERSION = 2
 
 # ModelConfig fields that no weight draw, tensor name or bundle setting reads.
 # The cache key leaves out only these, so a field added later is keyed until
@@ -60,14 +61,12 @@ class WeightBundle:
     clip_proj: tuple[np.ndarray, np.ndarray]  # last backbone stage -> embed width
 
     def to_tensors(self) -> dict[str, np.ndarray]:
-        """On-disk name -> tensor; float fields become shape-(1,) float32 arrays."""
+        """On-disk name -> tensor."""
         tensors = {}
         for name, path in _layout(self.config).items():
             value = self
             for key in path:
                 value = getattr(value, key) if isinstance(key, str) else value[key]
-            if not isinstance(value, np.ndarray):
-                value = np.array([value], dtype=np.float32)
             tensors[name] = value
         return tensors
 
@@ -92,8 +91,7 @@ def _layout(config: ModelConfig) -> dict[str, tuple]:
         put(f"aggregator.smooth{lv}", ("aggregator", "smooths", lv), wb, pair)
         table[f"aggregator.proj{lv}.w"] = ("aggregator", "level_proj", lv)
     put("aggregator.fuse", ("aggregator", "fuse"), wb, pair)
-    put("vas", ("vas",),
-        ("feat_depth", "feat_point", "feat_bias", "text_w", "text_b", "scale", "offset"))
+    put("vas", ("vas",), ("feat_depth", "feat_point", "feat_bias", "text_w", "text_b"))
     for i in range(config.decoder_layers):
         p, layer = f"decoder.layer{i}", ("decoder", "layers", i)
         put(p, layer, ("kernel_proj", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2"))
@@ -138,7 +136,7 @@ def _settings(config: ModelConfig, image_hw: tuple[int, int]) -> dict[tuple, obj
 def _construct(tp, node):
     """Build a value of annotation ``tp`` from a path-tree node (a dict); leaves pass through."""
     if not isinstance(node, dict):
-        return float(node[0]) if tp is float else node
+        return node
     if is_dataclass(tp):
         hints = typing.get_type_hints(tp)
         return tp(**{key: _construct(hints[key], child) for key, child in node.items()})

@@ -229,6 +229,8 @@ class TestRun:
         ("vocab.txt", lambda lines: ["sky seen sky", *lines[1:]], "malformed line 'sky seen sky'"),
         ("vocab.txt", lambda lines: ["sky hidden stuff", *lines[1:]], "malformed line 'sky hidden stuff'"),
         ("vocab.txt", lambda lines: [*lines, "tree seen stuff"], "5 classes, but templates.eovt"),
+        ("vocab.txt", lambda lines: [lines[0], "sky unseen stuff", *lines[2:]],
+         "class name 'sky' is listed twice"),
         ("gt_manifest.txt", lambda lines: [*lines, "7 thing"], "malformed line '7 thing'"),
         ("gt_manifest.txt", lambda lines: [*lines, "7 x thing"], "malformed line '7 x thing'"),
         ("gt_manifest.txt", lambda lines: ["1 99 stuff", *lines[1:]], "class ids [99] not in vocab.txt"),
@@ -241,6 +243,7 @@ class TestRun:
         ("image.eovt", lambda image: image[:1], "need a finite (3,H,W) image"),
     ],
     ids=["vocab_two_fields", "vocab_kind_tag", "vocab_seen_tag", "vocab_extra_class",
+         "vocab_repeated_name",
          "manifest_two_fields", "manifest_non_integer", "manifest_unknown_class",
          "manifest_void_id", "manifest_duplicate_id", "manifest_missing_record",
          "map_negative_id", "templates_nan", "templates_inf", "image_one_channel"],
@@ -476,6 +479,18 @@ class TestBadValuesExit2:
     def test_gen_spec_seed_other_than_flag(self, workdir, capsys):
         (workdir / "scene.json").write_text(json.dumps(dict(SCENE_SPEC, seed=5)))
         self.assert_usage_error(run_gen(workdir, seed=9), capsys, "seed 5 != --seed 9")
+        assert not (workdir / "scene").exists()
+
+    @pytest.mark.parametrize(
+        "stuff, things, expected",
+        [(["sky", "sky"], ["box"], "stuff_classes repeats class name 'sky'"),
+         (["sky", "grass"], ["box", "grass"], "thing_classes repeats class name 'grass'")],
+        ids=["within_stuff", "across_stuff_and_things"],
+    )
+    def test_gen_spec_repeated_class_name(self, workdir, capsys, stuff, things, expected):
+        spec = dict(SCENE_SPEC, stuff_classes=stuff, thing_classes=things)
+        (workdir / "scene.json").write_text(json.dumps(spec))
+        self.assert_usage_error(run_gen(workdir), capsys, expected)
         assert not (workdir / "scene").exists()
 
     def test_config_value_of_wrong_type(self, workdir, capsys):

@@ -31,9 +31,15 @@ class TestTdee:
             es = Rng(300 + seed).normal((4, D))
             assert np.array_equal(tdee(em, es, w), tdee(es, em, w.swapped()))
 
-    def test_stepwise_oracle_at_pinned_dims(self, verify_check):
-        # the check draws at the pinned N=4, D=8, d=8
-        verify_check("tdee_vs_transliteration_oracle", seed=4, trials=20)
+    def test_stepwise_oracle_at_pinned_dims(self):
+        # pinned N=4, D=8, d=8: 8-wide rows keep the layer norms well conditioned
+        rng, worst = Rng(4), 0.0
+        for seed in range(20):
+            w = TdeeWeights.build(400 + seed, D, D)
+            em, es = rng.normal((4, D)), rng.normal((4, D))
+            ref = reference.tdee_reference(em, es, w)
+            worst = max(worst, float(np.max(np.abs(tdee(em, es, w) - ref))))
+        assert worst < 1e-5
 
     def test_gates_strictly_inside_unit_interval(self):
         for seed in range(10):

@@ -144,15 +144,26 @@ def test_indivisible_image_fails_in_backbone_stage(scene):
         forward(np.zeros((3, 60, 64), dtype=np.float32), text, spec.is_thing(), cfg, bundle)
 
 
-# Digests of a small_config() cache at 64x64 as the hand-written two-list
-# serializer wrote it: manifest.txt alone, and every file but meta.json
-# (name, NUL, bytes, in name order).  A renamed tensor, a changed shape or a
-# changed draw moves them.
-SMALL64_MANIFEST_SHA256 = "e533d6402af08c2a7ba3fc66ffea7dc298a82d3c43b048f641c367f5fcd6f739"
-SMALL64_FILES_SHA256 = "2b23f1259ed02810e82cd9c0c069313c77d1068da5d7dd9dffb3e9a8f2e1b59d"
+# Digests of a small_config() cache at 64x64: manifest.txt alone, and every
+# file but meta.json (name, NUL, bytes, in name order).  A renamed tensor, a
+# changed shape or a changed draw moves them.  The V1 pair is the same cache
+# at generator version 1, which also stored the VAS gate's scale (1.0) and
+# offset (0.0) as the tensors vas.scale and vas.offset.
+SMALL64_MANIFEST_SHA256 = "14343e1eda32ff1a2cec09ae8b70061f502c914b3081f4520173e60301ea383f"
+SMALL64_FILES_SHA256 = "db6584950fb501006989f710e877c5f2a6ce6403506f7d7e1db067fe8ae7b19e"
+SMALL64_V1_MANIFEST_SHA256 = "e533d6402af08c2a7ba3fc66ffea7dc298a82d3c43b048f641c367f5fcd6f739"
+SMALL64_V1_FILES_SHA256 = "2b23f1259ed02810e82cd9c0c069313c77d1068da5d7dd9dffb3e9a8f2e1b59d"
 SMALL64_META_WITHOUT_VERSION = (
     '{\n  "config_hash": "5761d0730818",\n  "image_h": 64,\n  "image_w": 64\n}\n'
 )
+
+
+def _files_sha256(directory):
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        if path.name != "meta.json":
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 def _walk(obj, where="bundle"):
@@ -280,7 +291,6 @@ class TestWeightBundle:
         names = {line.split()[0] for line in manifest.splitlines()}
         for name in (
             "vas.text_w",
-            "vas.scale",
             "spatial.up1.w",
             "spatial.patch.w",
             "aggregator.proj2.w",
@@ -292,7 +302,7 @@ class TestWeightBundle:
             "classifier.clip_proj.w",
         ):
             assert name in names, f"on-disk tensor {name!r} renamed or dropped"
-        assert len(names) == 126
+        assert len(names) == 124
         assert hashlib.sha256(manifest.encode()).hexdigest() == SMALL64_MANIFEST_SHA256
 
     def test_to_tensors_reaches_every_array(self):
@@ -301,17 +311,13 @@ class TestWeightBundle:
         stored = {id(arr) for arr in tensors.values()}
         arrays = [(where, v) for where, v in _walk(bundle) if isinstance(v, np.ndarray)]
         assert [where for where, arr in arrays if id(arr) not in stored] == []
-        assert len(tensors) == len(arrays) + 2  # + vas.scale and vas.offset
+        assert len(tensors) == len(arrays)
 
     def test_loads_a_cache_without_generator_version_bitwise(self, tmp_path):
         cfg = small_config()
         built = build_weights(cfg, (64, 64))
         save_weights(built, tmp_path / "w")
-        digest = hashlib.sha256()
-        for path in sorted((tmp_path / "w").iterdir()):
-            if path.name != "meta.json":
-                digest.update(path.name.encode() + b"\0" + path.read_bytes())
-        assert digest.hexdigest() == SMALL64_FILES_SHA256
+        assert _files_sha256(tmp_path / "w") == SMALL64_FILES_SHA256
         (tmp_path / "w" / "meta.json").write_text(SMALL64_META_WITHOUT_VERSION)
         _assert_bitwise_equal(built, load_weights(tmp_path / "w", cfg))  # every field round-trips
 
@@ -348,7 +354,33 @@ class TestWeightBundle:
         assert len(builds) == 1
         assert json.loads(meta_path.read_text())["weights_key"] == cache_key(cfg)
 
-    @pytest.mark.parametrize("version", [GENERATOR_VERSION, None, GENERATOR_VERSION + 1])
+    def test_cache_of_generator_version_1_is_rebuilt_once(self, tmp_path, monkeypatch):
+        cfg = small_config()
+        cache = tmp_path / "w"
+        save_weights(build_weights(cfg, (64, 64)), cache)
+        for name, value in (("vas.scale", 1.0), ("vas.offset", 0.0)):
+            write_eovt(cache / f"{name}.eovt", np.float32([value]))
+        manifest = cache / "manifest.txt"
+        manifest.write_text("\n".join(sorted([*manifest.read_text().splitlines(),
+                                               "vas.scale 1", "vas.offset 1"])) + "\n")
+        meta = json.loads((cache / "meta.json").read_text())
+        (cache / "meta.json").write_text(json.dumps({**meta, "generator_version": 1}))
+        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == SMALL64_V1_MANIFEST_SHA256
+        assert _files_sha256(cache) == SMALL64_V1_FILES_SHA256
+        builds = []
+        real_build = weights_module.build_weights
+        monkeypatch.setattr(
+            weights_module, "build_weights", lambda *a: builds.append(a) or real_build(*a)
+        )
+        for _ in range(2):
+            load_or_build_weights(cache, cfg, (64, 64))
+        assert len(builds) == 1
+        assert _files_sha256(cache) == SMALL64_FILES_SHA256
+        assert json.loads((cache / "meta.json").read_text())["generator_version"] == GENERATOR_VERSION
+
+    @pytest.mark.parametrize(
+        "version", [GENERATOR_VERSION - 1, GENERATOR_VERSION, None, GENERATOR_VERSION + 1]
+    )
     def test_cache_reused_only_at_generator_version(self, tmp_path, monkeypatch, version):
         cfg = small_config()
         save_weights(build_weights(cfg, (64, 64)), tmp_path / "w")

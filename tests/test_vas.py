@@ -11,8 +11,8 @@ from eovseg.vas import VasWeights, vas_forward_detailed
 D, HEADS = 8, 2
 
 
-def build(seed, scale=1.0, offset=0.0, heads=HEADS):
-    return VasWeights.build(seed, D, heads, scale, offset)
+def build(seed, heads=HEADS):
+    return VasWeights.build(seed, D, heads)
 
 
 def project(feat, w):
@@ -42,31 +42,16 @@ def test_head_divisibility_enforced():
         VasWeights.build(1, 6, 4)
 
 
-def test_apply_identity_weighting():
-    w = build(4, scale=0.0, offset=1.0)
-    feat = Rng(5).normal((D, 3, 3))
-    out, _ = vas_forward_detailed(feat, Rng(6).normal((3, D)), w)
-    assert np.array_equal(out, project(feat, w))
-
-
-def test_apply_annihilator():
-    w = build(7, scale=0.0, offset=0.0)
-    feat = Rng(8).normal((D, 2, 2))
-    out, _ = vas_forward_detailed(feat, Rng(9).normal((2, D)), w)
-    assert np.all(out == 0)
-
-
 def test_gate_scales_each_head_block():
-    w = build(14, scale=1.2, offset=-0.1)
+    w = build(14)
     feat = Rng(15).normal((D, 3, 3))
     out, attn = vas_forward_detailed(feat, Rng(16).normal((4, D)), w)
-    gate = np.float32(w.scale) * attn + np.float32(w.offset)
     blocks = project(feat, w).reshape(HEADS, D // HEADS, 3, 3)
-    assert np.array_equal(out.reshape(blocks.shape), gate[:, None] * blocks)
+    assert np.array_equal(out.reshape(blocks.shape), attn[:, None] * blocks)
 
 
 def test_singleton_vocab_with_unit_scale_is_projection():
-    w = build(11, scale=1.0, offset=0.0)
+    w = build(11)
     feat = Rng(12).normal((D, 3, 2))
     out, _ = vas_forward_detailed(feat, Rng(13).normal((1, D)), w)
     assert np.array_equal(out, project(feat, w))
@@ -89,17 +74,10 @@ def test_transliteration_oracle_at_acceptance_dims():
     worst = 0.0
     rng = Rng(24)
     for seed in range(20):
-        w = build(1000 + seed, scale=1.4, offset=0.3)
+        w = build(1000 + seed)
         feat = rng.normal((D, 2, 2))
         text = rng.normal((3, D))
         for got, want in zip(vas_forward_detailed(feat, text, w),
                              reference.vas_forward_reference(feat, text, w), strict=True):
             worst = max(worst, np.max(np.abs(np.asarray(got, np.float64) - want)))
     assert worst < 1e-5
-
-
-def test_identity_gate_reduces_to_projection_invariant():
-    w = build(25, scale=0.0, offset=1.0)
-    feat = Rng(26).normal((D, 4, 4))
-    text = Rng(27).normal((6, D))
-    assert np.array_equal(vas_forward_detailed(feat, text, w)[0], project(feat, w))
