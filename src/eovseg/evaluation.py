@@ -273,15 +273,18 @@ def assemble_panoptic(
     by the band rather than by the image.  Each band is upsampled with one
     halo row on either side: interior output rows then never reach the
     clamped edge and their half-pixel fractions shift by whole rows, so every
-    pixel equals the full-size upsample's.
+    pixel equals the full-size upsample's.  Within a band the argmax is a
+    running max over the kept masks in label order, replaced only by a
+    strictly greater score, so the first index wins ties as under
+    ``np.argmax``.
     """
     ph, pw = logits.shape[1:]
     h, w = ph * upsample_factor, pw * upsample_factor
     if not labels:
         return PanopticAnnotation(segment_map=np.zeros((h, w), dtype=np.int32), segments=[])
     probs = sigmoid(logits[[lab.mask_index for lab in labels]])
-    conf = np.array([lab.confidence for lab in labels], dtype=np.float32)[:, None, None]
-    winner = np.empty((h, w), dtype=np.intp)
+    conf = np.array([lab.confidence for lab in labels], dtype=np.float32)
+    winner = np.zeros((h, w), dtype=np.intp)
     for r0 in range(0, ph, _BAND_ROWS):
         r1 = min(r0 + _BAND_ROWS, ph)
         if upsample_factor > 1:
@@ -290,7 +293,14 @@ def assemble_panoptic(
             band = up[:, (r0 - s0) * upsample_factor:(r1 - s0) * upsample_factor]
         else:
             band = probs[:, r0:r1]
-        winner[r0 * upsample_factor:r1 * upsample_factor] = np.argmax(conf * band, axis=0)
+        win = winner[r0 * upsample_factor:r1 * upsample_factor]
+        best = conf[0] * band[0]
+        score, better = np.empty_like(best), np.empty(best.shape, dtype=bool)
+        for i in range(1, len(labels)):
+            np.multiply(conf[i], band[i], out=score)
+            np.greater(score, best, out=better)
+            np.copyto(best, score, where=better)
+            np.copyto(win, i, where=better)
 
     present = np.bincount(winner.ravel(), minlength=len(labels)) > 0
     lut = np.zeros(len(labels), dtype=np.int32)

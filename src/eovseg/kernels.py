@@ -19,6 +19,7 @@ import numpy as np
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 CONV_BLOCK_COLUMNS = 1024  # output pixels per conv2d_3x3 GEMM block
+UPSAMPLE_BLOCK_BYTES = 1 << 19  # output bytes per bilinear_upsample channel block
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +211,56 @@ def bilinear_resize(x: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     return (top + (rows[:, yhi] - top) * fy[None, :, None]).astype(np.float32, copy=False)
 
 
+def _lerp_phases(a: np.ndarray, factor: int, axis: int, out: np.ndarray) -> None:
+    """``bilinear_resize``'s lerp along one axis of a (C,H,W) map, by slicing.
+
+    ``out`` has ``a``'s shape with a ``factor`` axis inserted after ``axis``:
+    phase ``p`` of sample ``i`` is output index ``factor*i + p``.  It reads
+    taps ``i+s`` and ``i+s+1`` of the axis padded by one edge sample on each
+    side, with ``s = 0`` and fraction ``(p+0.5)/factor + 0.5`` for
+    ``p < factor/2``, else ``s = 1`` and ``(p+0.5)/factor - 0.5``: the
+    gather's operands and its exact dyadic fractions, the edge copies
+    standing in for its clamped taps.
+    """
+    n = a.shape[axis]
+    first, last, taps = [slice(None)] * 3, [slice(None)] * 3, [slice(None)] * 3
+    first[axis], last[axis] = slice(0, 1), slice(n - 1, n)
+    padded = np.concatenate((a[tuple(first)], a, a[tuple(last)]), axis=axis)
+    diff = np.diff(padded, axis=axis)
+    phase = [slice(None)] * 4
+    for p in range(factor):
+        s = 0 if 2 * p < factor else 1
+        frac = np.float32((p + 0.5) / factor + 0.5 - s)
+        taps[axis], phase[axis + 1] = slice(s, s + n), p
+        dst = out[tuple(phase)]
+        np.multiply(diff[tuple(taps)], frac, out=dst)
+        dst += padded[tuple(taps)]
+
+
 def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
     """Channel-wise bilinear 2^k upsampling with half-pixel centers. x: (C,H,W).
 
     A power-of-two ratio makes ``n_in / n_out`` exactly ``1 / factor``, so the
-    source coordinates are exact dyadic values.
+    source coordinates are exact dyadic values and each output phase has one
+    fraction.  Lerping phase slices, x first and then y, gives
+    ``bilinear_resize``'s values without its gathers (a -0.0 edge sample
+    may come out +0.0).  Blocks of channels keep each block's temporaries
+    near ``UPSAMPLE_BLOCK_BYTES``, in cache.
     """
     if factor not in (2, 4, 8):
         raise ValueError(f"bilinear_upsample: factor must be one of 2/4/8, got {factor}")
-    return bilinear_resize(x, (x.shape[1] * factor, x.shape[2] * factor))
+    c, h, w = x.shape
+    dtype = np.result_type(x, np.float32)
+    out = np.empty((c, h * factor, w * factor), dtype=dtype)
+    step = max(1, UPSAMPLE_BLOCK_BYTES // out[:1].nbytes)
+    for c0 in range(0, c, step):
+        block = x[c0 : c0 + step]
+        k = block.shape[0]
+        rows = np.empty((k, h, w, factor), dtype=dtype)
+        _lerp_phases(block, factor, 2, rows)
+        _lerp_phases(rows.reshape(k, h, w * factor), factor, 1,
+                     out[c0 : c0 + k].reshape(k, h, factor, w * factor))
+    return out.astype(np.float32, copy=False)
 
 
 def l2_normalize(x: np.ndarray, axis: int = -1, eps: float = 1e-12) -> np.ndarray:

@@ -103,10 +103,11 @@ class ForwardResult:
     trace: dict[str, np.ndarray]
 
 
-def _clip_final_features(image: np.ndarray, bundle: WeightBundle) -> np.ndarray:
+def _clip_final_features(feats: dict[int, np.ndarray], bundle: WeightBundle) -> np.ndarray:
     """Stand-in for the frozen-backbone final features used by out-of-vocab scoring:
-    the deepest synthetic stage, projected to the embedding width, at stride 4."""
-    feats = extract_features(image, bundle.backbone)
+    the deepest backbone stage (C5 of the backbone row's ``feats``, so the
+    backbone runs once per forward), projected to the embedding width, at
+    stride 4."""
     w, b = bundle.clip_proj
     return bilinear_upsample(conv2d_1x1(feats[5], w, b), 8)
 
@@ -192,7 +193,7 @@ def _sdi_macs(c: SimpleNamespace) -> int:
     return generators + macs_depthwise_conv1d(n, d, k) + 2 * n * d * r  # + rank-r pointwise
 
 
-def _clip_macs(c: SimpleNamespace) -> int:  # without the backbone pass it repeats
+def _clip_macs(c: SimpleNamespace) -> int:  # C5 comes from the backbone row
     d = c.config.embed_dim
     project = macs_conv2d_1x1(c.config.backbone_widths[-1], d, *_grid(c, 32))
     return project + macs_bilinear(d, *_grid(c, 4))
@@ -256,8 +257,8 @@ STAGES = (
           lambda v, m: reference.in_vocab_scores_reference(
               v.instance_embeddings, v.text.embeddings, v.config.tau, m),
           _score_macs),
-    Stage("classifier", ALL, ("_clip_final",), lambda v: _clip_final_features(v.image, v.bundle),
-          lambda v, m: oracles.bilinear_upsample_oracle(  # C5 of the backbone row, no 2nd pass
+    Stage("classifier", ALL, ("_clip_final",), lambda v: _clip_final_features(v._feats, v.bundle),
+          lambda v, m: oracles.bilinear_upsample_oracle(  # C5 of the backbone row, as the step
               oracles.conv2d_1x1_oracle(v._feats[5], *v.bundle.clip_proj, m), 8, m),
           _clip_macs),
     Stage("classifier", ALL, ("scores_out_vocab",),

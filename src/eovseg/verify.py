@@ -59,7 +59,7 @@ from .evaluation import (
     pq_metrics,
 )
 from .fusion import SdiWeights, TdeeWeights, sdi, tdee, tdee_detailed
-from .pipeline import _run_stages, forward, forward_traced, replay_trace
+from .pipeline import PipelineStageError, _run_stages, forward, forward_traced, replay_trace
 from .tensor import Rng, read_eovt
 from .vas import VasWeights, vas_forward_detailed
 from .weights import build_weights
@@ -593,6 +593,10 @@ def _instrumented_config(weights_seed: int, decoder_layers: int) -> ModelConfig:
     )
 
 
+class _StageMismatch(Exception):
+    """The first wrong count or value of the stage walk, which ends it."""
+
+
 def check_stages_vs_references(rng: Rng, trials: int):
     """Walk ``pipeline.STAGES`` in every fusion mode, running each row's step
     and its reference on the same inputs.  The reference's counter must equal
@@ -601,8 +605,9 @@ def check_stages_vs_references(rng: Rng, trials: int):
     Later rows read the step's outputs, as in ``replay_trace``, so each row is
     checked on its own.  One walk per 25 trials, each on fresh weights, with
     each image extent drawn from {32, 64}, 1 to 4 classes (1 is the singleton
-    vocabulary) and 1 or 2 decoder layers."""
-    runs, worst, wrong, walks = 0, 0.0, [], []
+    vocabulary) and 1 or 2 decoder layers.  The first wrong count or value
+    ends the check."""
+    runs, worst, walks = 0, 0.0, []
     for _ in range(max(1, trials // 25)):
         image_hw = (32 * int(rng.integers(1, 3)), 32 * int(rng.integers(1, 3)))
         n_class, layers = int(rng.integers(1, 5)), int(rng.integers(1, 3))
@@ -624,21 +629,24 @@ def check_stages_vs_references(rng: Rng, trials: int):
                 runs += 1
                 row = f"{mode}: stage {stage.name!r} row {stage.outputs[0]!r}"
                 if counter.count != stage.macs(c):
-                    wrong.append(f"{row}: count {counter.count} != analytic {stage.macs(c)} "
-                                 f"at {walk}")
+                    raise _StageMismatch(f"{row}: count {counter.count} != analytic "
+                                         f"{stage.macs(c)} at {walk}")
                 several = len(stage.outputs) > 1
                 for name, a, b in zip(stage.outputs, got if several else (got,),
                                       want if several else (want,), strict=True):
                     err = _max_err(a, b) / max(1.0, _max_err(b, 0.0))
                     worst = max(worst, err)
                     if not err <= KERNEL_TOL:  # NaN fails too
-                        wrong.append(f"{row}: value of {name!r} off by {err:.2e} of "
-                                     f"max(1, |reference|) (tol {KERNEL_TOL:.0e}) at {walk}")
+                        raise _StageMismatch(f"{row}: value of {name!r} off by {err:.2e} of "
+                                             f"max(1, |reference|) (tol {KERNEL_TOL:.0e}) at {walk}")
                 return got
 
-            _run_stages(image, text, config, bundle, lambda name, value: value, both)
-    if wrong:
-        return False, wrong[0]
+            try:
+                _run_stages(image, text, config, bundle, lambda name, value: value, both)
+            except PipelineStageError as exc:
+                if isinstance(exc.cause, _StageMismatch):
+                    return False, str(exc.cause)
+                raise
     return True, (f"counts exact, values within {KERNEL_TOL:.0e} (worst {worst:.2e}) on all "
                   f"{runs} row runs in modes {list(FUSION_MODES)}; walks at {'; '.join(walks)}")
 

@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["small64_tdee", "mid128_eaf"])
+@pytest.mark.parametrize("workload", ["small64_tdee", "mid128_eaf", "large256_tdee"])
 def test_traced_benchmark_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "eovbench" / "run.py"), "--workload", workload,

@@ -313,6 +313,24 @@ class TestAssembly:
         out = assemble_panoptic(logits, labels, np.array([True]), upsample_factor=4)
         assert out.segment_map.shape == (16, 16)
 
+    @pytest.mark.parametrize("factor", [1, 4])
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_tied_masks_go_to_the_lower_label_index(self, factor, first):
+        """Two kept masks with equal confidence*probability over a region: the
+        lower label index wins there, as under the full-size argmax."""
+        rng = Rng(7 + factor)
+        logits = rng.normal((4, 20, 6), std=3.0)  # 20 mask rows: two bands
+        logits[3, :, :4] = logits[1, :, :4] = 8.0  # the tie
+        logits[0, :, :4] = -8.0  # mask 0 loses there
+        labels = [MaskLabel(0, 0, 0.8), MaskLabel(3, 1, 0.6), MaskLabel(1, 2, 0.6)]
+        if first:
+            labels[1], labels[2] = labels[2], labels[1]
+        is_thing = np.array([True, True, True])
+        out = assert_same_as_full_size(logits, labels, is_thing, factor)
+        tied = out.segment_map[:, : 3 * factor]  # lerps of mask columns 0..3 only
+        winner = next(r for r in out.segments if r.class_id == labels[1].class_id)
+        assert np.all(tied == winner.segment_id)
+
     @pytest.mark.parametrize("factor", [1, 2, 4, 8])
     @pytest.mark.parametrize("mask_h", [1, 15, 16, 17, 33])
     def test_bands_match_full_size(self, factor, mask_h):

@@ -293,6 +293,29 @@ class TestBilinearUpsample:
         ref = four_corner_form(x, ratio_coords(h, oh), ratio_coords(w, ow))
         assert np.array_equal(out, ref)
 
+    @pytest.mark.parametrize("factor", [2, 4, 8])
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e4])
+    def test_phase_slices_bitwise_equal_to_gather_resize(self, factor, scale):
+        for h in (1, 2, 3, 7):
+            for w in (1, 2, 3, 7):
+                x = Rng(47 + 8 * h + w).normal((3, h, w)) * np.float32(scale)
+                out = kernels.bilinear_upsample(x, factor)
+                assert out.dtype == np.float32 and out.flags.c_contiguous
+                assert np.array_equal(out, kernels.bilinear_resize(x, (h * factor, w * factor))), (h, w)
+
+    @pytest.mark.parametrize("factor", [2, 4, 8])
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 7), (7, 1), (3, 2), (7, 7)])
+    def test_constant_map_stays_exactly_constant(self, factor, h, w):
+        value = np.float32(-0.3)  # not dyadic: any lerp of two unequal taps would show
+        out = kernels.bilinear_upsample(np.full((2, h, w), value, dtype=np.float32), factor)
+        assert np.all(out == value)
+
+    def test_channel_blocks_do_not_change_values(self, monkeypatch):
+        x = Rng(48).normal((7, 5, 6))
+        whole = kernels.bilinear_upsample(x, 4)
+        monkeypatch.setattr(kernels, "UPSAMPLE_BLOCK_BYTES", 2 * 20 * 24 * 4)  # two channels
+        assert np.array_equal(kernels.bilinear_upsample(x, 4), whole)
+
     def test_mean_preserved_on_ramp(self):
         ramp = np.add.outer(np.arange(3.0), np.arange(4.0)).astype(np.float32)[None]
         for factor in (2, 4, 8):

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from eovseg import pipeline as pipeline_module
 from eovseg import weights as weights_module
 from eovseg.classifier import build_text_embeddings
 from eovseg.config import ModelConfig
@@ -79,6 +80,23 @@ def test_all_fusion_modes_complete(scene, mode):
         assert np.array_equal(result.trace["instance_embeddings"], result.trace["mask_embeddings"])
     if mode == "eaf":
         assert "early_fused_features" in result.trace
+
+
+@pytest.mark.parametrize("mode", ["none", "eaf", "sdi", "tdee"])
+def test_backbone_runs_once_per_forward(scene, monkeypatch, mode):
+    """The out-of-vocabulary features read C5 from the backbone row's output
+    instead of running the backbone again."""
+    spec, image, _, _, text = scene
+    cfg = small_config(fusion=mode)
+    bundle = build_weights(cfg, (64, 64))
+    calls = []
+    real = pipeline_module.extract_features
+    monkeypatch.setattr(pipeline_module, "extract_features",
+                        lambda *args: calls.append(1) or real(*args))
+    forward(image, text, spec.is_thing(), cfg, bundle)
+    assert len(calls) == 1
+    forward(image, text, spec.is_thing(), cfg, bundle)
+    assert len(calls) == 2
 
 
 def test_trace_contains_named_intermediates(scene, tmp_path):

@@ -136,6 +136,18 @@ class TestMacs:
         assert not passed
         assert named in detail, detail
 
+    def test_check_stops_at_the_first_mismatch(self, monkeypatch):
+        """A miscount in the first row ends the walk: no later row runs."""
+        ran = []
+
+        def record(s):
+            return replace(s, step=lambda v, s=s: ran.append(s.outputs[0]) or s.step(v))
+        patched = tuple(record(_bump_macs(_feats=1)(s)) for s in STAGES)
+        monkeypatch.setattr(pipeline, "STAGES", patched)
+        passed, detail = check_stages_vs_references(Rng(0), trials=1)
+        assert not passed and "none: stage 'backbone' row '_feats': count" in detail, detail
+        assert ran == ["_feats"]
+
     def test_op_level_instrumented_counts(self):
         rng = Rng(1)
         c = oracles.MacCounter()
