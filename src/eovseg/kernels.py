@@ -18,7 +18,10 @@ import math
 import numpy as np
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+FLT_MIN = np.float32(np.finfo(np.float32).tiny)  # 2**-126, the smallest normal float32
 CONV_BLOCK_COLUMNS = 1024  # output pixels per conv2d_3x3 GEMM block
+CONV1X1_BLOCK_BYTES = 1 << 20  # least input bytes per conv2d_1x1 column block
+DEPTHWISE_BLOCK_BYTES = 1 << 18  # padded input bytes per depthwise_conv2d_3x3 channel block
 UPSAMPLE_BLOCK_BYTES = 1 << 19  # output bytes per bilinear_upsample channel block
 
 
@@ -52,13 +55,25 @@ def layer_norm(
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # two-branch form: neither exp argument is ever positive, so no overflow
+    """Logistic function in float32, with no subnormal result.
+
+    Two-branch form on ``e = exp(-|x|)``, whose argument is never positive,
+    so nothing overflows: ``1/(1+e)`` for x >= 0 and ``e/(1+e)`` for x < 0.
+    Where ``e < FLT_MIN``, ``e/(1+e)`` would be ``e`` itself, a subnormal;
+    ``e`` is zeroed there first, so such outputs are exactly 0 (each moves
+    by less than FLT_MIN) and subnormals never reach the mask-pooling
+    matmuls, which run several times slower on them.  The flush moves the
+    point below which the result is 0 from about -103.97 to about -87.34.
+    Every other output is bitwise the plain two-branch form's.
+    """
     x = np.asarray(x, dtype=np.float32)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
+    e = np.abs(x, out=np.empty_like(x))  # e is worked on in place: two full-size arrays, not five
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e *= e >= FLT_MIN
+    out = np.where(x < 0, e, np.float32(1))
+    e += 1
+    out /= e
     return out
 
 
@@ -78,11 +93,36 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise convolution. x: (C_in,H,W); w: (C_out,C_in); b: (C_out,) or None."""
+    """Pointwise convolution. x: (C_in,H,W); w: (C_out,C_in); b: (C_out,) or None.
+
+    ``np.einsum`` sums each output over the channels in order, in float32,
+    a multiply then an add: bitwise the loop ``out += w[:, c] * x[c]`` on
+    every map wider than one pixel (``tests/test_kernels.py`` pins this).
+    A map with at least twice CONV1X1_BLOCK_BYTES of input runs in
+    ``nbytes // CONV1X1_BLOCK_BYTES`` column blocks of equal width (they
+    differ by at most one column, never a short tail: a one-column block
+    makes einsum sum the channels in its innermost loop, which changes
+    bits).  Each block is copied into one contiguous buffer that stays in
+    cache while every output channel reads it; a block keeps each output's
+    order, so the blocks are bitwise the single call.
+    """
     c_in = x.shape[0]
     if w.ndim != 2 or w.shape[1] != c_in:
         raise ValueError(f"conv2d_1x1: weight shape {w.shape} incompatible with C_in={c_in}")
-    out = np.einsum("oc,chw->ohw", w, x)
+    pixels = x.shape[1] * x.shape[2]
+    n = min(x.nbytes // CONV1X1_BLOCK_BYTES, pixels // 2)
+    if n <= 1:
+        out = np.einsum("oc,chw->ohw", w, x)
+    else:
+        flat = x.reshape(c_in, pixels)
+        out = np.empty((w.shape[0], *x.shape[1:]), dtype=np.result_type(w, x))
+        out_flat = out.reshape(w.shape[0], pixels)
+        buf = np.empty(c_in * -(-pixels // n), dtype=x.dtype)
+        bounds = [pixels * i // n for i in range(n + 1)]
+        for j0, j1 in zip(bounds, bounds[1:]):
+            block = buf[: c_in * (j1 - j0)].reshape(c_in, j1 - j0)
+            np.copyto(block, flat[:, j0:j1])
+            np.einsum("oc,cp->op", w, block, out=out_flat[:, j0:j1])
     if b is not None:
         out = out + b[:, None, None]
     return out.astype(np.float32, copy=False)
@@ -120,15 +160,23 @@ def conv2d_3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.
 
 
 def depthwise_conv2d_3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per-channel 3x3 correlation, zero padding 1. w: (C,3,3)."""
+    """Per-channel 3x3 correlation, zero padding 1. w: (C,3,3).
+
+    Channels run in blocks of about DEPTHWISE_BLOCK_BYTES of padded input,
+    so the tap products stay in cache.  Each output still adds its nine
+    tap products to zero in (dy, dx) order, so the blocks change no bit.
+    """
     c, h, wd = x.shape
     if w.shape != (c, 3, 3):
         raise ValueError(f"depthwise_conv2d_3x3: weight shape {w.shape}, need ({c},3,3)")
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
     out = np.zeros_like(x)
-    for dy in range(3):
-        for dx in range(3):
-            out += w[:, dy, dx][:, None, None] * xp[:, dy : dy + h, dx : dx + wd]
+    step = max(1, DEPTHWISE_BLOCK_BYTES // ((h + 2) * (wd + 2) * x.itemsize))
+    for c0 in range(0, c, step):
+        xp = np.pad(x[c0 : c0 + step], ((0, 0), (1, 1), (1, 1)))
+        block, taps = out[c0 : c0 + step], w[c0 : c0 + step]
+        for dy in range(3):
+            for dx in range(3):
+                block += taps[:, dy, dx, None, None] * xp[:, dy : dy + h, dx : dx + wd]
     return out.astype(np.float32, copy=False)
 
 

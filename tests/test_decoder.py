@@ -39,6 +39,15 @@ class TestInitialAttention:
         out = initial_attention(feat, np.full((2, 2, 2), -1e9, dtype=np.float32))
         assert np.max(np.abs(out)) < 1e-4
 
+    def test_far_below_cutoff_row_is_exactly_zero(self):
+        # sigmoid flushes what would be subnormal, so such a row sums nothing
+        rng = Rng(4)
+        feat = rng.normal((D, 5, 6))
+        logits = rng.normal((3, 5, 6), std=2.0)
+        logits[1] = np.linspace(-100, -88, 30, dtype=np.float32).reshape(5, 6)
+        out = initial_attention(feat, logits)
+        assert np.all(out[1] == 0) and np.all(out[[0, 2]] != 0)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="grid"):
             initial_attention(np.zeros((D, 2, 2), np.float32), np.zeros((1, 3, 3), np.float32))
@@ -169,6 +178,14 @@ class TestMaskOps:
         logits[0, 0, 1] = 1e4
         out = mask_pool(feat, logits)
         assert np.max(np.abs(out[0] - feat[:, 0, 1])) < 1e-4
+
+    def test_pool_far_below_cutoff_row_is_exactly_zero(self):
+        rng = Rng(31)
+        feat = rng.normal((D, 5, 6))
+        logits = rng.normal((3, 5, 6), std=2.0)
+        logits[2] = np.linspace(-100, -88, 30, dtype=np.float32).reshape(5, 6)
+        out = mask_pool(feat, logits)
+        assert np.all(out[2] == 0) and np.all(out[:2] != 0)
 
     def test_pool_loop_oracle(self):
         rng = Rng(30)

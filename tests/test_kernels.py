@@ -16,6 +16,35 @@ def max_err(a, b):
     return float(np.max(np.abs(np.asarray(a, np.float64) - np.asarray(b, np.float64))))
 
 
+def two_branch_sigmoid(x):
+    """The plain two-branch sigmoid, without the subnormal flush."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def channel_loop_1x1(x, w):
+    """Pointwise convolution summed one input channel at a time in float32."""
+    out = np.zeros((w.shape[0], *x.shape[1:]), dtype=np.float32)
+    for c in range(x.shape[0]):
+        out += w[:, c, None, None] * x[c]
+    return out
+
+
+def nine_tap_depthwise(x, w):
+    """The depthwise 3x3 correlation over all channels at once: nine taps added to zero."""
+    h, wd = x.shape[1:]
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    out = np.zeros_like(x)
+    for dy in range(3):
+        for dx in range(3):
+            out += w[:, dy, dx][:, None, None] * xp[:, dy : dy + h, dx : dx + wd]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # softmax / layer_norm / pointwise
 
@@ -89,6 +118,41 @@ class TestPointwise:
         verify_check(f"{name}_vs_loop_oracle", seed=17)
 
 
+class TestSigmoidFlush:
+    FLT_MIN = np.finfo(np.float32).tiny
+
+    @staticmethod
+    def grid():
+        # the flush region, both cutoffs, plus signed zeros and infinities
+        specials = np.array([0.0, -0.0, np.inf, -np.inf], dtype=np.float32)
+        return np.concatenate([np.linspace(-110, -80, 300_001, dtype=np.float32), specials])
+
+    def test_no_subnormal_result(self):
+        out = kernels.sigmoid(self.grid())
+        assert out.dtype == np.float32 and not np.any(np.isnan(out))
+        assert np.all((out == 0) | (out >= self.FLT_MIN))
+
+    def test_cutoff_moves_to_flt_min(self):
+        # exp(x) crosses FLT_MIN = 2**-126 at x = -126 ln 2 = -87.3365
+        out = kernels.sigmoid(np.array([-87.33, -87.34, -100.0], dtype=np.float32))
+        assert out[0] >= self.FLT_MIN and out[1] == 0 and out[2] == 0
+        assert 0 < two_branch_sigmoid(np.array([-100.0], dtype=np.float32))[0] < self.FLT_MIN
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (100, 16, 16), (3, 17, 5)])
+    def test_two_branch_form_wherever_it_is_normal(self, shape):
+        x = Rng(19).normal(shape) * np.float32(40)
+        for values in (x, self.grid(), np.linspace(-110, 110, 200_001, dtype=np.float32)):
+            ref, out = two_branch_sigmoid(values), kernels.sigmoid(values)
+            normal = ref >= self.FLT_MIN
+            assert np.array_equal(out[normal], ref[normal])
+            assert np.all(out[~normal] == 0) and np.all(ref[~normal] < self.FLT_MIN)
+
+    def test_within_oracle_tolerance(self):
+        x = np.concatenate([np.linspace(-110, -80, 2001, dtype=np.float32),
+                            np.linspace(-20, 20, 2001, dtype=np.float32)])
+        assert max_err(kernels.sigmoid(x), oracles.sigmoid_oracle(x)) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # convolutions
 
@@ -142,6 +206,41 @@ class TestConv2d:
         x = np.zeros((3, 2, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="incompatible"):
             kernels.conv2d_1x1(x, np.zeros((4, 2), np.float32), None)
+
+    @pytest.mark.parametrize(
+        "c_in, h, w",
+        [(48, 64, 64), (256, 64, 64), (320, 64, 64), (1024, 8, 8), (256, 2, 3), (320, 37, 53)],
+    )
+    def test_1x1_is_the_sequential_channel_loop(self, c_in, h, w):
+        # einsum's order, which the stored benchmark scores depend on: each
+        # output sums the channels in order, multiply then add in float32.
+        # (320, 64, 64) and (320, 37, 53) split into blocks of unequal width.
+        # A one-pixel map is not in the list: there einsum sums the channels
+        # in its innermost loop, in another order, and it is never split.
+        rng = Rng(2000 + c_in)
+        x, wt = rng.normal((c_in, h, w)), rng.normal((32, c_in))
+        assert np.array_equal(kernels.conv2d_1x1(x, wt), channel_loop_1x1(x, wt))
+
+    @pytest.mark.parametrize("block_bytes", [1, 64, 1000])
+    @pytest.mark.parametrize("c_in, h, w", [(8, 1, 5), (24, 7, 9), (5, 6, 1)])
+    def test_1x1_column_blocks_do_not_change_values(self, monkeypatch, block_bytes, c_in, h, w):
+        # down to the narrowest split allowed: two columns per block
+        rng = Rng(2002 + c_in)
+        x, wt, b = rng.normal((c_in, h, w)), rng.normal((6, c_in)), rng.normal((6,))
+        whole = kernels.conv2d_1x1(x, wt, b)
+        monkeypatch.setattr(kernels, "CONV1X1_BLOCK_BYTES", block_bytes)
+        out = kernels.conv2d_1x1(x, wt, b)
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert np.array_equal(out, whole)
+
+    def test_depthwise_channel_blocks_bitwise_equal_to_nine_taps(self):
+        # 257 channels at 64x64 leave a short last channel block
+        rng = Rng(2003)
+        x, wt = rng.normal((257, 64, 64)), rng.normal((257, 3, 3))
+        assert kernels.DEPTHWISE_BLOCK_BYTES // (66 * 66 * 4) < 257
+        out = kernels.depthwise_conv2d_3x3(x, wt)
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert np.array_equal(out, nine_tap_depthwise(x, wt))
 
     @pytest.mark.parametrize(
         "mode, kernel",
