@@ -4,8 +4,8 @@ Per layer: pool features under the current masks (initial attention), refine
 the object kernels with dynamic depthwise attention, run self-attention + FFN
 over the queries, map to mask kernels with a 3-layer MLP, and predict new mask
 logits.  Mask embeddings come from normalized soft mask pooling at the end.
-The cross-attention baseline exists only as a single ``decoder_layer`` mode,
-which the profiler and the benchmark time against dda.
+``cross_attention_baseline`` is the interaction dda replaces; no decoder
+weight holds it, and only ``profiler`` runs it, on a block it draws itself.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class AttentionBlockWeights:
 @dataclass
 class DecoderLayerWeights:
     kernel_proj: np.ndarray  # (D, m), bias-free; generates the per-query 1-D kernels
-    cross_attn: AttentionBlockWeights  # baseline interaction, profiling only
     self_attn: AttentionBlockWeights
     ln_attn: tuple[np.ndarray, np.ndarray]  # pre-norm before self-attention
     ln_ffn: tuple[np.ndarray, np.ndarray]  # pre-norm before the FFN
@@ -89,10 +88,13 @@ class DecoderWeights:
         hidden = width * ffn_expansion
         layers = []
         for _ in range(n_layers):
+            kernel_proj = rng.normal((width, kernel_size), std=1.0 / np.sqrt(width))
+            # draw and drop the cross-attention block that bundles up to generator
+            # version 2 stored, so every later draw keeps its values
+            rng.normal((4, width, width))
             layers.append(
                 DecoderLayerWeights(
-                    kernel_proj=rng.normal((width, kernel_size), std=1.0 / np.sqrt(width)),
-                    cross_attn=AttentionBlockWeights.build(rng, width, heads),
+                    kernel_proj=kernel_proj,
                     self_attn=AttentionBlockWeights.build(rng, width, heads),
                     ln_attn=(np.ones(width, dtype=np.float32), np.zeros(width, dtype=np.float32)),
                     ln_ffn=(np.ones(width, dtype=np.float32), np.zeros(width, dtype=np.float32)),
@@ -215,20 +217,13 @@ def decoder_layer(
     logits: np.ndarray,
     layer: DecoderLayerWeights,
     mask_mlp: list[tuple[np.ndarray, np.ndarray]],
-    mode: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """One decoder layer: query interaction, kernel refinement, new masks.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One decoder layer: dda, kernel refinement, new masks.
 
-    Returns the refined kernels, their mask logits and, in dda mode, the
-    pooled query features (None in ca mode).
+    Returns the refined kernels, their mask logits and the pooled query features.
     """
-    pooled = None
-    if mode == "dda":
-        pooled = initial_attention(features, logits)
-        interacted = dda(kernels, pooled, layer.kernel_proj)
-    else:
-        interacted = cross_attention_baseline(kernels, features, layer.cross_attn)
-    kernels = refine_kernels(interacted, layer)
+    pooled = initial_attention(features, logits)
+    kernels = refine_kernels(dda(kernels, pooled, layer.kernel_proj), layer)
     return kernels, predict_masks(mask_kernels(kernels, mask_mlp), features), pooled
 
 
@@ -244,5 +239,5 @@ def decoder_forward(
     kernels = weights.init_kernels
     logits = predict_masks(kernels, features)
     for layer in weights.layers:
-        kernels, logits, pooled = decoder_layer(features, kernels, logits, layer, weights.mask_mlp, "dda")
+        kernels, logits, pooled = decoder_layer(features, kernels, logits, layer, weights.mask_mlp)
     return logits, mask_pool(features, logits), kernels, pooled

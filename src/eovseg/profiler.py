@@ -10,6 +10,7 @@ activations, and plain averaging are not counted.  FLOPs are reported as
 from __future__ import annotations
 
 import csv
+import functools
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -19,7 +20,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import ModelConfig
-from .decoder import decoder_layer
+from .decoder import (AttentionBlockWeights, cross_attention_baseline, decoder_layer, mask_kernels,
+                      predict_masks, refine_kernels)
 from .tensor import Rng
 from .weights import WeightBundle
 
@@ -218,10 +220,22 @@ def profile_modules(
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _ca_block(width: int, heads: int, weights_seed: int) -> AttentionBlockWeights:
+    """The cross-attention baseline's weights, from substream 0xCA of the weights
+    seed (``build_weights`` uses 0 to 9); cached, so a timed call does not draw."""
+    return AttentionBlockWeights.build(Rng(weights_seed).child(0xCA), width, heads)
+
+
 def _layer_step(features, kernels, logits, bundle: WeightBundle, mode: str):
-    """The first decoder layer on given kernels and mask logits; returns its mask logits."""
-    decoder = bundle.decoder
-    return decoder_layer(features, kernels, logits, decoder.layers[0], decoder.mask_mlp, mode)[1]
+    """The first decoder layer on given kernels and mask logits; returns its mask logits.
+    In ``ca`` mode, cross-attention over every feature position replaces dda."""
+    decoder, layer, cfg = bundle.decoder, bundle.decoder.layers[0], bundle.config
+    if mode == "dda":
+        return decoder_layer(features, kernels, logits, layer, decoder.mask_mlp)[1]
+    block = _ca_block(cfg.embed_dim, cfg.decoder_heads, cfg.weights_seed)
+    refined = refine_kernels(cross_attention_baseline(kernels, features, block), layer)
+    return predict_masks(mask_kernels(refined, decoder.mask_mlp), features)
 
 
 def benchmark(

@@ -5,8 +5,9 @@ module) so a bundle is reproducible from its config alone.  Serialized form:
 one EOVT file per named tensor plus ``manifest.txt`` (name and shape per
 line) and ``meta.json`` recording the ``cache_key``, image extents and
 generator version the bundle was made with.  ``_layout`` is the one table of
-tensor names: ``to_tensors`` reads each name's path out of a bundle, and
-``load_weights`` checks the manifest against it and puts each tensor back.
+tensor names, each read by ``forward`` in some fusion mode: ``to_tensors``
+reads each name's path out of a bundle, and ``load_weights`` checks the
+manifest against it and puts each tensor back.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .vas import VasWeights
 # Bump whenever any *.build / build_weights draw changes (order, shape, std,
 # seed stream) or ``_layout`` gains or loses a name, so caches written by an
 # older generator are rebuilt.
-GENERATOR_VERSION = 2
+GENERATOR_VERSION = 3
 
 # ModelConfig fields that no weight draw, tensor name or bundle setting reads.
 # The cache key leaves out only these, so a field added later is keyed until
@@ -95,8 +96,7 @@ def _layout(config: ModelConfig) -> dict[str, tuple]:
     for i in range(config.decoder_layers):
         p, layer = f"decoder.layer{i}", ("decoder", "layers", i)
         put(p, layer, ("kernel_proj", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2"))
-        for tag in ("cross_attn", "self_attn"):
-            put(f"{p}.{tag}", (*layer, tag), attn)
+        put(f"{p}.self_attn", (*layer, "self_attn"), attn)
         for tag in ("ln_attn", "ln_ffn"):
             put(f"{p}.{tag}", (*layer, tag), gb, pair)
     for i in range(MASK_MLP_DEPTH):
@@ -128,8 +128,7 @@ def _settings(config: ModelConfig, image_hw: tuple[int, int]) -> dict[tuple, obj
         ("vit", "attn", "heads"): config.vit_heads,
     }
     for i in range(config.decoder_layers):
-        for tag in ("cross_attn", "self_attn"):
-            settings[("decoder", "layers", i, tag, "heads")] = config.decoder_heads
+        settings[("decoder", "layers", i, "self_attn", "heads")] = config.decoder_heads
     return settings
 
 

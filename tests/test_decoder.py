@@ -5,11 +5,11 @@ import pytest
 
 from eovseg import reference
 from eovseg.decoder import (
+    AttentionBlockWeights,
     DecoderWeights,
     cross_attention_baseline,
     dda,
     decoder_forward,
-    decoder_layer,
     initial_attention,
     mask_kernels,
     mask_pool,
@@ -24,6 +24,10 @@ D = 8
 
 def small_weights(seed=0, n=3, layers=1):
     return DecoderWeights.build(seed, D, n, layers, kernel_size=3, heads=2, ffn_expansion=2)
+
+
+def ca_block(seed):
+    return AttentionBlockWeights.build(Rng(seed), D, heads=2)
 
 
 class TestInitialAttention:
@@ -114,33 +118,30 @@ class TestRefine:
 
 class TestCrossAttention:
     def test_single_position(self):
-        w = small_weights(14)
-        blk = w.layers[0].cross_attn
+        blk = ca_block(14)
         blk.wo = np.eye(D, dtype=np.float32)
         x = Rng(15).normal((3, D))
         feat = Rng(16).normal((D, 1, 1))
         out = cross_attention_baseline(x, feat, blk)
         from eovseg.kernels import linear
 
-        expected = x + linear(feat.reshape(1, D) @ np.eye(D, dtype=np.float32), blk.wv) @ blk.wo
         # with one key, attention output is exactly that position's V-projection
         v_row = linear(feat.reshape(D)[None, :], blk.wv)
         assert np.max(np.abs(out - (x + v_row @ blk.wo))) < 1e-5
 
     def test_zero_output_projection_residual(self):
-        w = small_weights(17)
-        blk = w.layers[0].cross_attn
+        blk = ca_block(17)
         blk.wo = np.zeros_like(blk.wo)
         x = Rng(18).normal((2, D))
         feat = Rng(19).normal((D, 3, 3))
         assert np.array_equal(cross_attention_baseline(x, feat, blk), x)
 
     def test_loop_oracle_2q_4pos(self):
-        w = small_weights(20)
+        blk = ca_block(20)
         x = Rng(21).normal((2, D))
         feat = Rng(22).normal((D, 2, 2))
-        ref = reference.cross_attention_reference(x, feat, w.layers[0].cross_attn)
-        assert np.max(np.abs(cross_attention_baseline(x, feat, w.layers[0].cross_attn) - ref)) < 1e-5
+        ref = reference.cross_attention_reference(x, feat, blk)
+        assert np.max(np.abs(cross_attention_baseline(x, feat, blk) - ref)) < 1e-5
 
 
 class TestMaskOps:
@@ -209,17 +210,6 @@ class TestDecoderForward:
         assert np.array_equal(embeddings, mask_pool(feat, logits1))
         assert np.array_equal(pooled, pooled0)
 
-    def test_dda_vs_ca_same_shapes_different_masks(self):
-        w = small_weights(33, n=5, layers=2)
-        feat = Rng(34).normal((D, 4, 4))
-        logits = predict_masks(w.init_kernels, feat)
-        a = decoder_layer(feat, w.init_kernels, logits, w.layers[0], w.mask_mlp, "dda")
-        b = decoder_layer(feat, w.init_kernels, logits, w.layers[0], w.mask_mlp, "ca")
-        assert a[0].shape == b[0].shape == (5, D)
-        assert a[1].shape == b[1].shape == (5, 4, 4)
-        assert not np.array_equal(a[1], b[1])
-        assert a[2].shape == (5, D) and b[2] is None  # ca does not pool under the masks
-
     def test_two_layer_unrolled_oracle(self):
         w = small_weights(35, n=3, layers=2)
         feat = Rng(36).normal((D, 4, 4))
@@ -252,9 +242,8 @@ def test_weights_validation():
 
 
 def test_dda_param_count_below_cross_attention():
-    w = small_weights(42)
-    layer = w.layers[0]
-    ca = layer.cross_attn
+    layer = small_weights(42).layers[0]
+    ca = ca_block(43)
     ca_params = ca.wq.size + ca.wk.size + ca.wv.size + ca.wo.size
     assert layer.kernel_proj.size < ca_params
     assert layer.kernel_proj.size == D * 3

@@ -10,7 +10,8 @@ import pytest
 from eovseg import pipeline as pipeline_module
 from eovseg import weights as weights_module
 from eovseg.classifier import build_text_embeddings
-from eovseg.config import ModelConfig
+from eovseg.config import FUSION_MODES, ModelConfig
+from eovseg.decoder import AttentionBlockWeights
 from eovseg.evaluation import SceneSpec, generate_scene
 from eovseg.pipeline import (
     TRACE_KEYS_TDEE,
@@ -20,6 +21,7 @@ from eovseg.pipeline import (
     replay_trace,
 )
 from eovseg.tensor import Rng, read_eovt, write_eovt
+from eovseg.verify import _instrumented_config
 from eovseg.weights import (
     GENERATOR_VERSION,
     HEAD_FIELDS,
@@ -164,11 +166,16 @@ def test_indivisible_image_fails_in_backbone_stage(scene):
 
 # Digests of a small_config() cache at 64x64: manifest.txt alone, and every
 # file but meta.json (name, NUL, bytes, in name order).  A renamed tensor, a
-# changed shape or a changed draw moves them.  The V1 pair is the same cache
-# at generator version 1, which also stored the VAS gate's scale (1.0) and
-# offset (0.0) as the tensors vas.scale and vas.offset.
-SMALL64_MANIFEST_SHA256 = "14343e1eda32ff1a2cec09ae8b70061f502c914b3081f4520173e60301ea383f"
-SMALL64_FILES_SHA256 = "db6584950fb501006989f710e877c5f2a6ce6403506f7d7e1db067fe8ae7b19e"
+# changed shape or a changed draw moves them.  The V2 pair is the same cache
+# at generator version 2, which also stored a cross-attention block per
+# decoder layer (decoder.layer<i>.cross_attn.*); every other tensor is the
+# same, so these are the version-2 generator's own digests.  The V1 pair adds
+# the VAS gate's scale (1.0) and offset (0.0), stored as vas.scale and
+# vas.offset.
+SMALL64_MANIFEST_SHA256 = "ec85a31c2b2241afda033931642193d7583acff20b17cb85e9ca2ce376365079"
+SMALL64_FILES_SHA256 = "85cdba2d8f9804994e17d068d93c2c0f1b78c36e526fbccbc65aed198fe8c18e"
+SMALL64_V2_MANIFEST_SHA256 = "14343e1eda32ff1a2cec09ae8b70061f502c914b3081f4520173e60301ea383f"
+SMALL64_V2_FILES_SHA256 = "db6584950fb501006989f710e877c5f2a6ce6403506f7d7e1db067fe8ae7b19e"
 SMALL64_V1_MANIFEST_SHA256 = "e533d6402af08c2a7ba3fc66ffea7dc298a82d3c43b048f641c367f5fcd6f739"
 SMALL64_V1_FILES_SHA256 = "2b23f1259ed02810e82cd9c0c069313c77d1068da5d7dd9dffb3e9a8f2e1b59d"
 SMALL64_META_WITHOUT_VERSION = (
@@ -182,6 +189,35 @@ def _files_sha256(directory):
         if path.name != "meta.json":
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
+
+
+def _version2_cross_attn(cfg):
+    """The cross-attention tensors that caches before generator version 3
+    stored: the draws that ``DecoderWeights.build`` now makes and drops."""
+    rng = Rng(cfg.weights_seed).child(3)  # build_weights' decoder stream
+    d, hidden, tensors = cfg.embed_dim, cfg.embed_dim * cfg.ffn_expansion, {}
+    for i in range(cfg.decoder_layers):
+        rng.normal((d, cfg.dda_kernel_size))  # kernel_proj
+        block = AttentionBlockWeights.build(rng, d, cfg.decoder_heads)
+        for key in ("wq", "wk", "wv", "wo"):
+            tensors[f"decoder.layer{i}.cross_attn.{key}"] = getattr(block, key)
+        rng.normal((4 * d * d + 2 * d * hidden,))  # self_attn, ffn.w1, ffn.w2
+    return tensors
+
+
+def _older_cache(cache, cfg, version):
+    """A cache as generator ``version`` (1 or 2) wrote it for ``cfg`` at 64x64."""
+    save_weights(build_weights(cfg, (64, 64)), cache)
+    extra = _version2_cross_attn(cfg)
+    if version == 1:
+        extra.update({"vas.scale": np.float32([1.0]), "vas.offset": np.float32([0.0])})
+    lines = (cache / "manifest.txt").read_text().splitlines()
+    for name, arr in extra.items():
+        write_eovt(cache / f"{name}.eovt", arr)
+        lines.append(f"{name} {'x'.join(str(e) for e in arr.shape)}")
+    (cache / "manifest.txt").write_text("\n".join(sorted(lines)) + "\n")
+    meta = json.loads((cache / "meta.json").read_text())
+    (cache / "meta.json").write_text(json.dumps({**meta, "generator_version": version}))
 
 
 def _walk(obj, where="bundle"):
@@ -320,7 +356,7 @@ class TestWeightBundle:
             "classifier.clip_proj.w",
         ):
             assert name in names, f"on-disk tensor {name!r} renamed or dropped"
-        assert len(names) == 124
+        assert len(names) == 116
         assert hashlib.sha256(manifest.encode()).hexdigest() == SMALL64_MANIFEST_SHA256
 
     def test_to_tensors_reaches_every_array(self):
@@ -330,6 +366,33 @@ class TestWeightBundle:
         arrays = [(where, v) for where, v in _walk(bundle) if isinstance(v, np.ndarray)]
         assert [where for where, arr in arrays if id(arr) not in stored] == []
         assert len(tensors) == len(arrays)
+
+    def test_forward_reads_every_stored_tensor(self):
+        """Noise added to any one stored tensor changes some output of
+        ``forward`` in some fusion mode, so the cache holds no dead weight.
+        The noise is random, not a constant: a LayerNorm removes a uniform
+        shift of the weights before it."""
+        cfg = _instrumented_config(weights_seed=7, decoder_layers=2)
+        spec = SceneSpec(height=32, width=32, embed_dim=cfg.embed_dim, seed=5)
+        image, _, templates = generate_scene(spec)
+        text = build_text_embeddings(templates, spec.class_names, spec.seen_mask())
+        bundle = build_weights(cfg, (32, 32))
+
+        def outputs():
+            out = []
+            for mode in FUSION_MODES:
+                r = forward(image, text, spec.is_thing(), dataclasses.replace(cfg, fusion=mode), bundle)
+                out += [r.scores.values, r.mask_logits, *r.trace.values()]
+            return out
+
+        base, rng, unread = outputs(), Rng(0), []
+        for name, arr in bundle.to_tensors().items():
+            saved = arr.copy()
+            arr += rng.normal(arr.shape)
+            if all(np.array_equal(a, b) for a, b in zip(outputs(), base, strict=True)):
+                unread.append(name)
+            arr[...] = saved
+        assert unread == []
 
     def test_loads_a_cache_without_generator_version_bitwise(self, tmp_path):
         cfg = small_config()
@@ -373,18 +436,20 @@ class TestWeightBundle:
         assert json.loads(meta_path.read_text())["weights_key"] == cache_key(cfg)
 
     def test_cache_of_generator_version_1_is_rebuilt_once(self, tmp_path, monkeypatch):
+        self._assert_rebuilt_once(tmp_path / "w", monkeypatch, 1,
+                                  SMALL64_V1_MANIFEST_SHA256, SMALL64_V1_FILES_SHA256)
+
+    def test_cache_of_generator_version_2_is_rebuilt_once(self, tmp_path, monkeypatch):
+        self._assert_rebuilt_once(tmp_path / "w", monkeypatch, 2,
+                                  SMALL64_V2_MANIFEST_SHA256, SMALL64_V2_FILES_SHA256)
+
+    @staticmethod
+    def _assert_rebuilt_once(cache, monkeypatch, version, manifest_sha256, files_sha256):
         cfg = small_config()
-        cache = tmp_path / "w"
-        save_weights(build_weights(cfg, (64, 64)), cache)
-        for name, value in (("vas.scale", 1.0), ("vas.offset", 0.0)):
-            write_eovt(cache / f"{name}.eovt", np.float32([value]))
+        _older_cache(cache, cfg, version)
         manifest = cache / "manifest.txt"
-        manifest.write_text("\n".join(sorted([*manifest.read_text().splitlines(),
-                                               "vas.scale 1", "vas.offset 1"])) + "\n")
-        meta = json.loads((cache / "meta.json").read_text())
-        (cache / "meta.json").write_text(json.dumps({**meta, "generator_version": 1}))
-        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == SMALL64_V1_MANIFEST_SHA256
-        assert _files_sha256(cache) == SMALL64_V1_FILES_SHA256
+        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == manifest_sha256
+        assert _files_sha256(cache) == files_sha256
         builds = []
         real_build = weights_module.build_weights
         monkeypatch.setattr(
@@ -396,9 +461,7 @@ class TestWeightBundle:
         assert _files_sha256(cache) == SMALL64_FILES_SHA256
         assert json.loads((cache / "meta.json").read_text())["generator_version"] == GENERATOR_VERSION
 
-    @pytest.mark.parametrize(
-        "version", [GENERATOR_VERSION - 1, GENERATOR_VERSION, None, GENERATOR_VERSION + 1]
-    )
+    @pytest.mark.parametrize("version", [*range(1, GENERATOR_VERSION + 2), None])
     def test_cache_reused_only_at_generator_version(self, tmp_path, monkeypatch, version):
         cfg = small_config()
         save_weights(build_weights(cfg, (64, 64)), tmp_path / "w")
