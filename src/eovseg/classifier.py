@@ -54,20 +54,22 @@ def build_text_embeddings(
     return TextEmbeddings(embeddings=embeddings, class_names=list(class_names), seen=seen)
 
 
-def in_vocab_scores(instance_embed: np.ndarray, text: TextEmbeddings, tau: float) -> np.ndarray:
-    """(N, N_class) cosine similarities to the class embeddings, softmaxed at temperature tau."""
+def in_vocab_scores(instance_embed: np.ndarray, text_rows: np.ndarray, tau: float) -> np.ndarray:
+    """(N, N_class) cosine similarities to the (N_class, D) unit class rows
+    (``TextEmbeddings.embeddings``), softmaxed at temperature tau."""
     if tau <= 0:
         raise ValueError(f"in_vocab_scores: temperature must be positive, got {tau}")
     unit = l2_normalize(instance_embed, axis=1)
-    logits = (unit @ text.embeddings.T) / np.float32(tau)
+    logits = (unit @ text_rows.T) / np.float32(tau)
     return softmax(logits.astype(np.float32), axis=1)
 
 
 def out_vocab_scores(
-    clip_features: np.ndarray, logits: np.ndarray, text: TextEmbeddings, tau: float
+    clip_features: np.ndarray, probs: np.ndarray, text_rows: np.ndarray, tau: float
 ) -> np.ndarray:
-    """Pool the backbone's final features under each mask, then score as above."""
-    return in_vocab_scores(mask_pool(clip_features, logits), text, tau)
+    """Pool the backbone's final features under each mask's probabilities,
+    then score as above."""
+    return in_vocab_scores(mask_pool(clip_features, probs), text_rows, tau)
 
 
 def ensemble(

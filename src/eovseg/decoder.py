@@ -3,7 +3,8 @@
 Per layer: pool features under the current masks (initial attention), refine
 the object kernels with dynamic depthwise attention, run self-attention + FFN
 over the queries, map to mask kernels with a 3-layer MLP, and predict new mask
-logits.  Mask embeddings come from normalized soft mask pooling at the end.
+logits.  Mask embeddings come from normalized soft mask pooling under the
+final mask probabilities, which the decoder returns for later stages.
 ``cross_attention_baseline`` is the interaction dda replaces; no decoder
 weight holds it, and only ``profiler`` runs it, on a block it draws itself.
 """
@@ -135,9 +136,6 @@ def dda(kernels: np.ndarray, pooled: np.ndarray, kernel_proj: np.ndarray) -> np.
 
     kernels: (N, D) object kernels; pooled: (N, D); kernel_proj: (D, m), m odd.
     """
-    m = kernel_proj.shape[1]
-    if m % 2 == 0:
-        raise ValueError(f"dda: generated kernel length must be odd, got {m}")
     generated = linear(kernels, kernel_proj)  # (N, m)
     return depthwise_conv1d(pooled, generated)
 
@@ -191,17 +189,17 @@ def predict_masks(kernels: np.ndarray, features: np.ndarray) -> np.ndarray:
     return logits.reshape(kernels.shape[0], h, w).astype(np.float32, copy=False)
 
 
-def mask_pool(features: np.ndarray, logits: np.ndarray) -> np.ndarray:
+def mask_pool(features: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Probability-weighted spatial average of features under each mask.
 
-    features: (D, H', W'); logits: (N, H', W'); returns (N, D).
+    features: (D, H', W'); probs: (N, H', W') mask probabilities; returns (N, D).
     """
     d = features.shape[0]
-    if features.shape[1:] != logits.shape[1:]:
+    if features.shape[1:] != probs.shape[1:]:
         raise ValueError(
-            f"mask_pool: feature grid {features.shape[1:]} != mask grid {logits.shape[1:]}"
+            f"mask_pool: feature grid {features.shape[1:]} != mask grid {probs.shape[1:]}"
         )
-    probs = sigmoid(logits).reshape(logits.shape[0], -1)
+    probs = probs.reshape(probs.shape[0], -1)
     weighted = probs @ features.reshape(d, -1).T
     area = np.sum(probs, axis=1, keepdims=True) + np.float32(MASK_POOL_EPS)
     return (weighted / area).astype(np.float32, copy=False)
@@ -229,15 +227,17 @@ def decoder_layer(
 
 def decoder_forward(
     features: np.ndarray, weights: DecoderWeights
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run every decoder layer with dynamic depthwise attention.
 
     Returns the last layer's (N, H', W') mask logits, the (N, D) mask
-    embeddings pooled under them, the refined (N, D) kernels and the last
-    layer's pooled query features: the decoder row of ``pipeline.STAGES``.
+    embeddings pooled under them, the refined (N, D) kernels, the last
+    layer's pooled query features and the (N, H', W') mask probabilities,
+    the one sigmoid of the logits: the decoder row of ``pipeline.STAGES``.
     """
     kernels = weights.init_kernels
     logits = predict_masks(kernels, features)
     for layer in weights.layers:
         kernels, logits, pooled = decoder_layer(features, kernels, logits, layer, weights.mask_mlp)
-    return logits, mask_pool(features, logits), kernels, pooled
+    probs = sigmoid(logits)
+    return logits, mask_pool(features, probs), kernels, pooled, probs

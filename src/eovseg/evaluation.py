@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import MaskLabel
-from .kernels import bilinear_upsample, sigmoid
+from .kernels import bilinear_upsample
 from .tensor import EovtFormatError, Rng, read_eovt, write_eovt
 
 VOID = 0  # segment id reserved for unlabeled pixels
@@ -256,14 +256,14 @@ def generate_scene(
 
 
 def assemble_panoptic(
-    logits: np.ndarray,
+    probs: np.ndarray,
     labels: list[MaskLabel],
     class_is_thing: np.ndarray,
     upsample_factor: int = 4,
 ) -> PanopticAnnotation:
     """Argmax of confidence*probability per pixel, then segment-id assignment.
 
-    ``logits`` are the (N, H', W') mask logits; each label indexes one mask.
+    ``probs`` are the (N, H', W') mask probabilities; each label indexes one mask.
 
     Stuff winners of the same class are merged into a single segment; each
     thing winner keeps its own segment.  With no surviving labels the whole
@@ -278,21 +278,21 @@ def assemble_panoptic(
     strictly greater score, so the first index wins ties as under
     ``np.argmax``.
     """
-    ph, pw = logits.shape[1:]
+    ph, pw = probs.shape[1:]
     h, w = ph * upsample_factor, pw * upsample_factor
     if not labels:
         return PanopticAnnotation(segment_map=np.zeros((h, w), dtype=np.int32), segments=[])
-    probs = sigmoid(logits[[lab.mask_index for lab in labels]])
+    kept = [lab.mask_index for lab in labels]  # read per band, never copied whole
     conf = np.array([lab.confidence for lab in labels], dtype=np.float32)
     winner = np.zeros((h, w), dtype=np.intp)
     for r0 in range(0, ph, _BAND_ROWS):
         r1 = min(r0 + _BAND_ROWS, ph)
         if upsample_factor > 1:
             s0 = max(r0 - 1, 0)
-            up = bilinear_upsample(probs[:, s0:min(r1 + 1, ph)], upsample_factor)
+            up = bilinear_upsample(probs[kept, s0:min(r1 + 1, ph)], upsample_factor)
             band = up[:, (r0 - s0) * upsample_factor:(r1 - s0) * upsample_factor]
         else:
-            band = probs[:, r0:r1]
+            band = probs[kept, r0:r1]
         win = winner[r0 * upsample_factor:r1 * upsample_factor]
         best = conf[0] * band[0]
         score, better = np.empty_like(best), np.empty(best.shape, dtype=bool)

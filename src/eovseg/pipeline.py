@@ -2,17 +2,19 @@
 spatial branch -> fusion -> classification -> panoptic assembly.
 
 ``STAGES`` is the one definition of the graph.  Each row names the stage a
-failure is reported under, the fusion modes it runs in, its outputs, the
-step that computes them from the scene inputs and earlier outputs, the
-step's float64 ``reference`` (built from ``reference`` and ``oracles``; it
-returns the same outputs and counts its MACs into a counter), and its
-analytic MAC count (``macs``), read from the config, image size, vocabulary
-size and decoder mode; ``profiler.count_macs`` sums the rows that run, and
-``verify.check_stages_vs_references`` runs each row's step beside its
-reference, holding the step's outputs to the reference's and the reference's
-count to the row's ``macs``.  Fusion modes plug in at two seams: ``eaf``
-fuses the feature maps before decoding; ``sdi``/``tdee`` fuse the embedding
-rows after decoding; ``none`` passes the mask embeddings straight through.
+failure is reported under, the fusion modes it runs in, its ``inputs`` (scene
+inputs and earlier outputs, by name), its outputs, the step that computes
+them, the step's float64 ``reference`` (built from ``reference`` and
+``oracles``; it counts its MACs into a counter), and its analytic MAC count
+(``macs``), read from the config, image size, vocabulary size and decoder
+mode.  The inputs are resolved once per row: the step is called on them, the
+reference on them and then the counter.  ``profiler.count_macs`` sums the
+rows that run, and ``verify.check_stages_vs_references`` holds each step's
+outputs to its reference's and the reference's count to the row's ``macs``.
+Fusion modes plug in at two seams: ``eaf`` fuses the feature maps before
+decoding; ``sdi``/``tdee`` fuse the embedding rows after decoding; ``none``
+passes the mask embeddings straight through.  The decoder's mask
+probabilities feed the spatial branch, out-of-vocabulary scoring and assembly.
 
 ``forward`` runs the table, then classifies and assembles the panoptic map.
 Outputs whose names do not start with ``_`` are traced: ``forward_traced``
@@ -20,15 +22,16 @@ dumps them as EOVT files, and ``replay_trace`` runs the same table, compares
 each traced output with its dump and continues from the dumped value, to
 confirm bitwise reproducibility stage by stage.
 
-Steps and references look up their functions when they run, never at
-import: span tracing and kernel sabotage replace module attributes, and a
-function object captured in the table would bypass them.
+Steps look up their functions when they run, never at import: span tracing
+and kernel sabotage replace module attributes, which a function object
+captured in the table would bypass.  Nothing replaces the references.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -74,7 +77,7 @@ def pad_to_multiple(image: np.ndarray, multiple: int = 32) -> np.ndarray:
     pw = (-w) % multiple
     if ph == 0 and pw == 0:
         return image
-    return np.pad(image, ((0, 0), (0, ph), (0, pw))).astype(np.float32)
+    return np.pad(image, ((0, 0), (0, ph), (0, pw))).astype(np.float32, copy=False)
 
 
 def resize_map_nearest(seg_map: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
@@ -103,26 +106,24 @@ class ForwardResult:
     trace: dict[str, np.ndarray]
 
 
-def _clip_final_features(feats: dict[int, np.ndarray], bundle: WeightBundle) -> np.ndarray:
+def _clip_final_features(feats: dict[int, np.ndarray], clip_proj: tuple) -> np.ndarray:
     """Stand-in for the frozen-backbone final features used by out-of-vocab scoring:
     the deepest backbone stage (C5 of the backbone row's ``feats``, so the
     backbone runs once per forward), projected to the embedding width, at
     stride 4."""
-    w, b = bundle.clip_proj
-    return bilinear_upsample(conv2d_1x1(feats[5], w, b), 8)
-
-
-def _decoder_input(v: SimpleNamespace) -> np.ndarray:  # eaf fuses the maps before decoding
-    return getattr(v, "early_fused_features", v.vs_agg_features)
+    return bilinear_upsample(conv2d_1x1(feats[5], *clip_proj), 8)
 
 
 @dataclass(frozen=True)
 class Stage:
     name: str  # the stage PipelineStageError reports and count_macs counts under
     modes: tuple[str, ...]  # fusion modes the row runs in
+    # what the row reads from the run namespace, in order: a name, or a dotted
+    # path such as "bundle.vas" that follows attributes; a non-string passes as is
+    inputs: tuple
     outputs: tuple[str, ...]  # a leading "_" keeps an output out of the trace
-    step: Callable[[SimpleNamespace], object]  # one output, or a tuple of several
-    reference: Callable[[SimpleNamespace, oracles.MacCounter], object]  # float64, counts MACs
+    step: Callable[..., object]  # inputs -> one output, or a tuple of several
+    reference: Callable[..., object]  # inputs, then a MacCounter -> float64 outputs
     macs: Callable[[SimpleNamespace], int]  # the step's analytic MACs
 
 
@@ -201,78 +202,56 @@ def _clip_macs(c: SimpleNamespace) -> int:  # C5 comes from the backbone row
 
 ALL = FUSION_MODES
 
+
+def _decoder_stage(modes: tuple[str, ...], features: str) -> Stage:
+    return Stage("decoder", modes, (features, "bundle.decoder"), ("mask_logits", "mask_embeddings",
+                 "refined_kernels", "init_attention", "_mask_probs"),
+                 lambda *a: decoder_forward(*a), reference.decoder_forward_reference,
+                 lambda c: _decoder_macs(c.config, (c.h // 4) * (c.w // 4), c.mode))
+
+
 STAGES = (
-    Stage("backbone", ALL, ("_feats",), lambda v: extract_features(v.image, v.bundle.backbone),
-          lambda v, m: reference.backbone_reference(v.image, v.bundle.backbone, m),
-          _backbone_macs),
-    Stage("aggregator", ALL, ("_pyramid",), lambda v: build_pyramid(v._feats, v.bundle.aggregator),
-          lambda v, m: reference.build_pyramid_reference(v._feats, v.bundle.aggregator, m),
-          _pyramid_macs),
-    Stage("aggregator", ALL, ("agg_features",),
-          lambda v: aggregate(v._pyramid, v.bundle.aggregator),
-          lambda v, m: reference.aggregate_reference(v._pyramid, v.bundle.aggregator, m),
-          _aggregate_macs),
-    Stage("vas", ALL, ("vs_agg_features", "vas_attention"),
-          lambda v: vas_forward_detailed(v.agg_features, v.text.embeddings, v.bundle.vas),
-          lambda v, m: reference.vas_forward_reference(
-              v.agg_features, v.text.embeddings, v.bundle.vas, m),
-          _vas_macs),
-    Stage("spatial", ("eaf", "sdi", "tdee"), ("_vit_grid",),
-          lambda v: vit_block_features(v.image, v.bundle.vit),
-          lambda v, m: reference.vit_block_reference(v.image, v.bundle.vit, m), _vit_macs),
-    Stage("fusion", ("eaf",), ("_vit_grid_up",), lambda v: bilinear_upsample(v._vit_grid, 4),
-          lambda v, m: oracles.bilinear_upsample_oracle(v._vit_grid, 4, m),
+    Stage("backbone", ALL, ("image", "bundle.backbone"), ("_feats",),
+          lambda *a: extract_features(*a), reference.backbone_reference, _backbone_macs),
+    Stage("aggregator", ALL, ("_feats", "bundle.aggregator"), ("_pyramid",),
+          lambda *a: build_pyramid(*a), reference.build_pyramid_reference, _pyramid_macs),
+    Stage("aggregator", ALL, ("_pyramid", "bundle.aggregator"), ("agg_features",),
+          lambda *a: aggregate(*a), reference.aggregate_reference, _aggregate_macs),
+    Stage("vas", ALL, ("agg_features", "text.embeddings", "bundle.vas"),
+          ("vs_agg_features", "vas_attention"),
+          lambda *a: vas_forward_detailed(*a), reference.vas_forward_reference, _vas_macs),
+    Stage("spatial", ("eaf", "sdi", "tdee"), ("image", "bundle.vit"), ("_vit_grid",),
+          lambda *a: vit_block_features(*a), reference.vit_block_reference, _vit_macs),
+    Stage("fusion", ("eaf",), ("_vit_grid", 4), ("_vit_grid_up",),
+          lambda *a: bilinear_upsample(*a), oracles.bilinear_upsample_oracle,
           lambda c: macs_bilinear(c.config.vit_dim, *_grid(c, 4))),
-    Stage("fusion", ("eaf",), ("early_fused_features",),
-          lambda v: eaf(v.vs_agg_features, v._vit_grid_up, v.bundle.eaf),
-          lambda v, m: reference.eaf_reference(v.vs_agg_features, v._vit_grid_up, v.bundle.eaf, m),
+    Stage("fusion", ("eaf",), ("vs_agg_features", "_vit_grid_up", "bundle.eaf"),
+          ("early_fused_features",), lambda *a: eaf(*a), reference.eaf_reference,
           lambda c: macs_conv2d_1x1(
               c.config.embed_dim + c.config.vit_dim, c.config.embed_dim, *_grid(c, 4))),
-    Stage("decoder", ALL, ("mask_logits", "mask_embeddings", "refined_kernels", "init_attention"),
-          lambda v: decoder_forward(_decoder_input(v), v.bundle.decoder),
-          lambda v, m: reference.decoder_forward_reference(_decoder_input(v), v.bundle.decoder, m),
-          lambda c: _decoder_macs(c.config, (c.h // 4) * (c.w // 4), c.mode)),
-    Stage("spatial", ("sdi", "tdee"), ("spatial_features",),
-          lambda v: spatial_features(v._vit_grid, v.bundle.upsampler),
-          lambda v, m: reference.spatial_features_reference(v._vit_grid, v.bundle.upsampler, m),
-          _upsampler_macs),
-    Stage("spatial", ("sdi", "tdee"), ("spatial_embeddings",),
-          lambda v: spatial_embeddings(v.spatial_features, v.mask_logits),
-          lambda v, m: reference.mask_pool_reference(v.spatial_features, v.mask_logits, m),
-          _pool_macs),
-    Stage("fusion", ("tdee",), ("instance_embeddings",),
-          lambda v: tdee(v.mask_embeddings, v.spatial_embeddings, v.bundle.tdee),
-          lambda v, m: reference.tdee_reference(
-              v.mask_embeddings, v.spatial_embeddings, v.bundle.tdee, m),
-          _tdee_macs),
-    Stage("fusion", ("sdi",), ("instance_embeddings",),
-          lambda v: sdi(v.mask_embeddings, v.spatial_embeddings, v.bundle.sdi),
-          lambda v, m: reference.sdi_reference(
-              v.mask_embeddings, v.spatial_embeddings, v.bundle.sdi, m),
-          _sdi_macs),
-    Stage("fusion", ("none", "eaf"), ("instance_embeddings",), lambda v: v.mask_embeddings,
-          lambda v, m: v.mask_embeddings, lambda c: 0),
-    Stage("classifier", ALL, ("scores_in_vocab",),
-          lambda v: in_vocab_scores(v.instance_embeddings, v.text, v.config.tau),
-          lambda v, m: reference.in_vocab_scores_reference(
-              v.instance_embeddings, v.text.embeddings, v.config.tau, m),
-          _score_macs),
-    Stage("classifier", ALL, ("_clip_final",), lambda v: _clip_final_features(v._feats, v.bundle),
-          lambda v, m: oracles.bilinear_upsample_oracle(  # C5 of the backbone row, as the step
-              oracles.conv2d_1x1_oracle(v._feats[5], *v.bundle.clip_proj, m), 8, m),
-          _clip_macs),
-    Stage("classifier", ALL, ("scores_out_vocab",),
-          lambda v: out_vocab_scores(v._clip_final, v.mask_logits, v.text, v.config.tau),
-          lambda v, m: reference.out_vocab_scores_reference(
-              v._clip_final, v.mask_logits, v.text.embeddings, v.config.tau, m),
-          lambda c: _pool_macs(c) + _score_macs(c)),
-    Stage("classifier", ALL, ("scores_final",),
-          lambda v: ensemble(v.scores_in_vocab, v.scores_out_vocab, v.config.alpha, v.config.beta,
-                             v.config.ensemble_method, v.text.seen),
-          lambda v, m: reference.ensemble_reference(
-              v.scores_in_vocab, v.scores_out_vocab, v.config.alpha, v.config.beta,
-              v.config.ensemble_method, v.text.seen),
-          lambda c: 0),
+    _decoder_stage(("none", "sdi", "tdee"), "vs_agg_features"),
+    _decoder_stage(("eaf",), "early_fused_features"),  # eaf fuses the maps before decoding
+    Stage("spatial", ("sdi", "tdee"), ("_vit_grid", "bundle.upsampler"), ("spatial_features",),
+          lambda *a: spatial_features(*a), reference.spatial_features_reference, _upsampler_macs),
+    Stage("spatial", ("sdi", "tdee"), ("spatial_features", "_mask_probs"), ("spatial_embeddings",),
+          lambda *a: spatial_embeddings(*a), reference.mask_pool_reference, _pool_macs),
+    Stage("fusion", ("tdee",), ("mask_embeddings", "spatial_embeddings", "bundle.tdee"),
+          ("instance_embeddings",), lambda *a: tdee(*a), reference.tdee_reference, _tdee_macs),
+    Stage("fusion", ("sdi",), ("mask_embeddings", "spatial_embeddings", "bundle.sdi"),
+          ("instance_embeddings",), lambda *a: sdi(*a), reference.sdi_reference, _sdi_macs),
+    Stage("fusion", ("none", "eaf"), ("mask_embeddings",), ("instance_embeddings",),
+          lambda e: e, lambda e, m: e, lambda c: 0),
+    Stage("classifier", ALL, ("instance_embeddings", "text.embeddings", "config.tau"),
+          ("scores_in_vocab",),
+          lambda *a: in_vocab_scores(*a), reference.in_vocab_scores_reference, _score_macs),
+    Stage("classifier", ALL, ("_feats", "bundle.clip_proj"), ("_clip_final",),
+          lambda *a: _clip_final_features(*a), reference.clip_final_reference, _clip_macs),
+    Stage("classifier", ALL, ("_clip_final", "_mask_probs", "text.embeddings", "config.tau"),
+          ("scores_out_vocab",), lambda *a: out_vocab_scores(*a),
+          reference.out_vocab_scores_reference, lambda c: _pool_macs(c) + _score_macs(c)),
+    Stage("classifier", ALL, ("scores_in_vocab", "scores_out_vocab", "config.alpha",
+                              "config.beta", "config.ensemble_method", "text.seen"),
+          ("scores_final",), lambda *a: ensemble(*a), reference.ensemble_reference, lambda c: 0),
 )
 
 # intermediates dumped by forward_traced for the default (tdee) configuration
@@ -288,18 +267,23 @@ def _call(stage: str, fn, *args):
         raise PipelineStageError(stage, exc) from exc
 
 
-def _run_stages(image, text, config, bundle, keep, run=lambda stage, v: stage.step(v)):
+def _resolve_inputs(v: SimpleNamespace, inputs: tuple) -> tuple:
+    """A row's ``inputs`` read from the run namespace ``v``."""
+    return tuple(attrgetter(name)(v) if isinstance(name, str) else name for name in inputs)
+
+
+def _run_stages(image, text, config, bundle, keep, run=lambda stage, args: stage.step(*args)):
     """Run the rows for ``config.fusion`` in order; return every output by name.
 
-    ``run(stage, v)`` computes a row's outputs, by default with its step.
-    ``keep(name, value)`` is called on each traced output and returns the
-    value that later rows read.
+    ``run(stage, args)`` computes a row's outputs from its resolved inputs, by
+    default with its step.  ``keep(name, value)`` is called on each traced
+    output and returns the value that later rows read.
     """
     v = SimpleNamespace(image=image, text=text, config=config, bundle=bundle)
     for stage in STAGES:
         if config.fusion not in stage.modes:
             continue
-        out = _call(stage.name, run, stage, v)
+        out = _call(stage.name, run, stage, _resolve_inputs(v, stage.inputs))
         for name, value in zip(stage.outputs, out if len(stage.outputs) > 1 else (out,)):
             if not name.startswith("_"):
                 value = keep(name, value)
@@ -321,10 +305,10 @@ def forward(
         return value
 
     v = _run_stages(image, text, config, bundle, keep)
-    logits, scores = v.mask_logits, v.scores_final
+    logits, probs, scores = v.mask_logits, v._mask_probs, v.scores_final
     del v  # frees the internal outputs before assembly, the peak allocator
     labels = _call("classifier", classify, scores, config.score_floor)
-    panoptic = _call("assembly", assemble_panoptic, logits, labels, class_is_thing, 4)
+    panoptic = _call("assembly", assemble_panoptic, probs, labels, class_is_thing, 4)
     return ForwardResult(
         panoptic=panoptic, scores=ClassScores(scores), mask_logits=logits, labels=labels,
         trace=trace,

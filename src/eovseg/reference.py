@@ -4,8 +4,8 @@ Each function re-derives a model operation step by step in float64 without
 touching the vectorized kernels, so the fast path and the reference are
 independent down to the primitive level.  The optional ``macs`` counter
 threads through the underlying oracle primitives.  A function that stands
-for a ``pipeline.STAGES`` row returns that row's outputs, in row order, and
-is the row's ``reference``.
+for a ``pipeline.STAGES`` row is the row's ``reference``: it takes the row's
+inputs in order, then the counter, and returns the row's outputs in order.
 """
 
 from __future__ import annotations
@@ -156,15 +156,17 @@ def predict_masks_reference(kernels, features, macs: MacCounter | None = None):
     return logits.reshape(-1, h, w)
 
 
-def mask_pool_reference(features, masks_logits, macs: MacCounter | None = None):
-    area = sigmoid_oracle(masks_logits).reshape(masks_logits.shape[0], -1).sum(axis=1, keepdims=True)
-    return initial_attention_reference(features, masks_logits, macs) / (area + MASK_POOL_EPS)
+def mask_pool_reference(features, probs, macs: MacCounter | None = None):
+    probs = np.asarray(probs, np.float64).reshape(probs.shape[0], -1)
+    flat = np.asarray(features, np.float64).reshape(features.shape[0], -1)
+    return matmul_oracle(probs, flat.T, macs) / (probs.sum(axis=1, keepdims=True) + MASK_POOL_EPS)
 
 
 def decoder_forward_reference(features, weights: DecoderWeights, macs: MacCounter | None = None):
     """Hand-unrolled layer loop over the reference ops; returns the final
-    (mask logits, mask embeddings, refined kernels) and the last layer's
-    pooled query features, as ``decoder.decoder_forward`` does."""
+    (mask logits, mask embeddings, refined kernels), the last layer's pooled
+    query features and the final mask probabilities, as
+    ``decoder.decoder_forward`` does."""
     kernels = np.asarray(weights.init_kernels, np.float64)
     logits = predict_masks_reference(kernels, features, macs)
     for layer in weights.layers:
@@ -174,8 +176,8 @@ def decoder_forward_reference(features, weights: DecoderWeights, macs: MacCounte
         logits = predict_masks_reference(
             mask_kernels_reference(kernels, weights.mask_mlp, macs), features, macs
         )
-    embeddings = mask_pool_reference(features, logits, macs)
-    return logits, embeddings, kernels, pooled
+    probs = sigmoid_oracle(logits)
+    return logits, mask_pool_reference(features, probs, macs), kernels, pooled, probs
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +255,18 @@ def in_vocab_scores_reference(instance_embed, text_rows, tau: float, macs: MacCo
     return softmax_oracle(logits, axis=1)
 
 
-def out_vocab_scores_reference(clip_features, masks_logits, text_rows, tau, macs=None):
-    pooled = mask_pool_reference(clip_features, masks_logits, macs)
+def clip_final_reference(feats, clip_proj, macs: MacCounter | None = None):
+    """C5 of the backbone features projected and upsampled to stride 4, as
+    ``pipeline._clip_final_features``."""
+    return bilinear_upsample_oracle(conv2d_1x1_oracle(feats[5], *clip_proj, macs), 8, macs)
+
+
+def out_vocab_scores_reference(clip_features, probs, text_rows, tau, macs=None):
+    pooled = mask_pool_reference(clip_features, probs, macs)
     return in_vocab_scores_reference(pooled, text_rows, tau, macs)
 
 
-def ensemble_reference(s_in, s_out, alpha, beta, method, seen):
+def ensemble_reference(s_in, s_out, alpha, beta, method, seen, macs: MacCounter | None = None):
     a = np.asarray(s_in, np.float64)
     b = np.asarray(s_out, np.float64)
     out = np.empty_like(a)

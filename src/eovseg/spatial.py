@@ -119,6 +119,7 @@ def spatial_features(grid: np.ndarray, w: UpsamplerWeights) -> np.ndarray:
     return transposed_conv2d(mid, w.w2, w.b2)
 
 
-def spatial_embeddings(features: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    """Per-query pooled rows of the spatial features; same pooling as the decoder."""
-    return mask_pool(features, logits)
+def spatial_embeddings(features: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Per-query rows of the spatial features pooled under the decoder's mask
+    probabilities; same pooling as the decoder."""
+    return mask_pool(features, probs)

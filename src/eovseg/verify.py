@@ -407,18 +407,18 @@ def _draw_mask_ops(rng: Rng, t: int):
     w = _small_decoder(rng)
     x, feat = rng.normal((3, 8)), rng.normal((8, 3, 3))
     # both poolings run under the masks the model predicts, as in the forward
-    return x, feat, w.mask_mlp, predict_masks(x, feat)
+    return x, feat, w.mask_mlp, oracles.sigmoid_oracle(predict_masks(x, feat)).astype(np.float32)
 
 
-def _mask_ops(x, feat, mlp, logits):
-    return mask_kernels(x, mlp), predict_masks(x, feat), mask_pool(feat, logits)
+def _mask_ops(x, feat, mlp, probs):
+    return mask_kernels(x, mlp), predict_masks(x, feat), mask_pool(feat, probs)
 
 
-def _mask_ops_reference(x, feat, mlp, logits):
+def _mask_ops_reference(x, feat, mlp, probs):
     return (
         reference.mask_kernels_reference(x, mlp),
         reference.predict_masks_reference(x, feat),
-        reference.mask_pool_reference(feat, logits),
+        reference.mask_pool_reference(feat, probs),
     )
 
 
@@ -439,7 +439,7 @@ def check_classifier_oracles(rng: Rng, trials: int):
             worst, _max_err(text.embeddings, reference.build_text_embeddings_reference(templates))
         )
         inst = rng.normal((2, d))
-        scores = in_vocab_scores(inst, text, 0.07)
+        scores = in_vocab_scores(inst, text.embeddings, 0.07)
         worst = max(
             worst,
             _max_err(scores, reference.in_vocab_scores_reference(inst, text.embeddings, 0.07)),
@@ -447,13 +447,11 @@ def check_classifier_oracles(rng: Rng, trials: int):
         if _max_err(scores.sum(axis=1), np.ones(2)) > 1e-6:
             return False, "score rows do not sum to 1"
         feat = rng.normal((d, 3, 3))
-        logits = rng.normal((2, 3, 3))
-        out = out_vocab_scores(feat, logits, text, 0.07)
+        probs = oracles.sigmoid_oracle(rng.normal((2, 3, 3))).astype(np.float32)
+        out = out_vocab_scores(feat, probs, text.embeddings, 0.07)
         worst = max(
             worst,
-            _max_err(
-                out, reference.out_vocab_scores_reference(feat, logits, text.embeddings, 0.07)
-            ),
+            _max_err(out, reference.out_vocab_scores_reference(feat, probs, text.embeddings, 0.07)),
         )
     return _tol_check(worst, KERNEL_TOL)
 
@@ -589,11 +587,12 @@ class _StageMismatch(Exception):
 
 
 def check_stages_vs_references(rng: Rng, trials: int):
-    """Walk ``pipeline.STAGES`` in every fusion mode, running each row's step
-    and its reference on the same inputs.  The reference's counter must equal
-    the row's ``macs``, and each output of the step must lie within
-    ``KERNEL_TOL`` of the reference's, relative to max|reference| (floored at
-    the smallest normal double, so an all-zero reference needs an exact zero).
+    """Walk ``pipeline.STAGES`` in every fusion mode, calling each row's step
+    and its reference on the one tuple of the row's resolved inputs.  The
+    reference's counter must equal the row's ``macs``, and each output of the
+    step must lie within ``KERNEL_TOL`` of the reference's, relative to
+    max|reference| (floored at the smallest normal double, so an all-zero
+    reference needs an exact zero).
     Later rows read the step's outputs, as in ``replay_trace``, so each row is
     checked on its own.  One walk per 25 trials, each on fresh weights, with
     each image extent drawn from {32, 64}, 1 to 4 classes (1 is the singleton
@@ -614,10 +613,10 @@ def check_stages_vs_references(rng: Rng, trials: int):
             config = replace(cfg, fusion=mode)
             c = SimpleNamespace(config=config, h=image_hw[0], w=image_hw[1], n_class=n_class, mode="dda")
 
-            def both(stage, v):
+            def both(stage, args):
                 nonlocal runs, worst
                 counter = oracles.MacCounter()
-                got, want = stage.step(v), stage.reference(v, counter)
+                got, want = stage.step(*args), stage.reference(*args, counter)
                 runs += 1
                 row = f"{mode}: stage {stage.name!r} row {stage.outputs[0]!r}"
                 if counter.count != stage.macs(c):

@@ -15,7 +15,7 @@ from eovseg.classifier import (
     in_vocab_scores,
     out_vocab_scores,
 )
-from eovseg.kernels import l2_normalize, softmax
+from eovseg.kernels import l2_normalize, sigmoid, softmax
 from eovseg.tensor import Rng
 
 D = 8
@@ -64,7 +64,7 @@ class TestTextEmbeddings:
 class TestInVocab:
     def test_self_match_sharp_temperature(self):
         text = make_text(4, seed=5)
-        scores = in_vocab_scores(text.embeddings[2][None, :] * 3.0, text, tau=0.005)
+        scores = in_vocab_scores(text.embeddings[2][None, :] * 3.0, text.embeddings, tau=0.005)
         assert int(np.argmax(scores[0])) == 2
         assert scores[0, 2] > 0.99
 
@@ -76,24 +76,24 @@ class TestInVocab:
         )
         inst = np.zeros((1, D), dtype=np.float32)
         inst[0, 4] = 1.0  # orthogonal to every class row
-        scores = in_vocab_scores(inst, text, tau=0.07)
+        scores = in_vocab_scores(inst, text.embeddings, tau=0.07)
         assert np.allclose(scores[0], 1 / 3, atol=1e-6)
 
     def test_rows_sum_to_one(self):
         text = make_text(5, seed=6)
-        scores = in_vocab_scores(Rng(7).normal((4, D)), text, tau=0.07)
+        scores = in_vocab_scores(Rng(7).normal((4, D)), text.embeddings, tau=0.07)
         assert np.max(np.abs(scores.sum(axis=1, dtype=np.float64) - 1.0)) < 1e-6
 
     def test_loop_oracle(self):
         text = make_text(3, seed=8)
         inst = Rng(9).normal((2, D))
-        scores = in_vocab_scores(inst, text, tau=0.07)
+        scores = in_vocab_scores(inst, text.embeddings, tau=0.07)
         ref = reference.in_vocab_scores_reference(inst, text.embeddings, 0.07)
         assert np.max(np.abs(scores - ref)) < 1e-6
 
     def test_positive_temperature_required(self):
         with pytest.raises(ValueError, match="positive"):
-            in_vocab_scores(Rng(10).normal((1, D)), make_text(), tau=0.0)
+            in_vocab_scores(Rng(10).normal((1, D)), make_text().embeddings, tau=0.0)
 
 
 class TestOutVocab:
@@ -101,24 +101,24 @@ class TestOutVocab:
         text = make_text(3, seed=11)
         j = 1
         feat = np.repeat(text.embeddings[j][:, None], 16, axis=1).reshape(D, 4, 4) * 2.0
-        logits = Rng(12).normal((5, 4, 4))
-        scores = out_vocab_scores(feat, logits, text, tau=0.01)
+        probs = sigmoid(Rng(12).normal((5, 4, 4)))
+        scores = out_vocab_scores(feat, probs, text.embeddings, tau=0.01)
         assert np.all(np.argmax(scores, axis=1) == j)
 
     def test_uniform_masks_collapse_rows(self):
         text = make_text(4, seed=13)
         feat = Rng(14).normal((D, 4, 4))
-        logits = np.zeros((3, 4, 4), dtype=np.float32)
-        scores = out_vocab_scores(feat, logits, text, tau=0.07)
+        probs = np.full((3, 4, 4), 0.5, dtype=np.float32)
+        scores = out_vocab_scores(feat, probs, text.embeddings, tau=0.07)
         assert np.allclose(scores[0], scores[1], atol=1e-7)
         assert np.allclose(scores[1], scores[2], atol=1e-7)
 
     def test_composition_oracle(self):
         text = make_text(3, seed=15)
         feat = Rng(16).normal((D, 3, 3))
-        logits = Rng(17).normal((2, 3, 3))
-        scores = out_vocab_scores(feat, logits, text, tau=0.07)
-        ref = reference.out_vocab_scores_reference(feat, logits, text.embeddings, 0.07)
+        probs = sigmoid(Rng(17).normal((2, 3, 3)))
+        scores = out_vocab_scores(feat, probs, text.embeddings, tau=0.07)
+        ref = reference.out_vocab_scores_reference(feat, probs, text.embeddings, 0.07)
         assert np.max(np.abs(scores - ref)) < 1e-5
 
 

@@ -169,7 +169,7 @@ class TestMaskOps:
 
     def test_pool_uniform_masks_is_spatial_mean(self):
         feat = Rng(28).normal((D, 4, 4))
-        out = mask_pool(feat, np.zeros((3, 4, 4), dtype=np.float32))
+        out = mask_pool(feat, np.full((3, 4, 4), 0.5, dtype=np.float32))
         mean = feat.reshape(D, -1).mean(axis=1)
         assert np.max(np.abs(out - mean[None, :])) < 1e-6
 
@@ -177,7 +177,7 @@ class TestMaskOps:
         feat = Rng(29).normal((D, 3, 3))
         logits = np.full((1, 3, 3), -1e4, dtype=np.float32)
         logits[0, 0, 1] = 1e4
-        out = mask_pool(feat, logits)
+        out = mask_pool(feat, sigmoid(logits))
         assert np.max(np.abs(out[0] - feat[:, 0, 1])) < 1e-4
 
     def test_pool_far_below_cutoff_row_is_exactly_zero(self):
@@ -185,29 +185,30 @@ class TestMaskOps:
         feat = rng.normal((D, 5, 6))
         logits = rng.normal((3, 5, 6), std=2.0)
         logits[2] = np.linspace(-100, -88, 30, dtype=np.float32).reshape(5, 6)
-        out = mask_pool(feat, logits)
+        out = mask_pool(feat, sigmoid(logits))
         assert np.all(out[2] == 0) and np.all(out[:2] != 0)
 
     def test_pool_loop_oracle(self):
         rng = Rng(30)
         feat = rng.normal((D, 3, 4))
-        logits = rng.normal((4, 3, 4))
-        ref = reference.mask_pool_reference(feat, logits)
-        assert np.max(np.abs(mask_pool(feat, logits) - ref)) < 1e-5
+        probs = sigmoid(rng.normal((4, 3, 4)))
+        ref = reference.mask_pool_reference(feat, probs)
+        assert np.max(np.abs(mask_pool(feat, probs) - ref)) < 1e-5
 
 
 class TestDecoderForward:
     def test_single_layer_equals_manual_composition(self):
         w = small_weights(31, n=4, layers=1)
         feat = Rng(32).normal((D, 4, 4))
-        logits, embeddings, kernels, pooled = decoder_forward(feat, w)
+        logits, embeddings, kernels, pooled, probs = decoder_forward(feat, w)
         logits0 = predict_masks(w.init_kernels, feat)
         pooled0 = initial_attention(feat, logits0)
         refined = refine_kernels(dda(w.init_kernels, pooled0, w.layers[0].kernel_proj), w.layers[0])
         logits1 = predict_masks(mask_kernels(refined, w.mask_mlp), feat)
         assert np.array_equal(logits, logits1)
         assert np.array_equal(kernels, refined)
-        assert np.array_equal(embeddings, mask_pool(feat, logits1))
+        assert np.array_equal(probs, sigmoid(logits1))
+        assert np.array_equal(embeddings, mask_pool(feat, probs))
         assert np.array_equal(pooled, pooled0)
 
     def test_two_layer_unrolled_oracle(self):
@@ -229,8 +230,8 @@ class TestDecoderForward:
         for n, layers, hw in ((2, 1, 4), (6, 3, 8)):
             w = small_weights(40 + n, n=n, layers=layers)
             feat = Rng(41 + n).normal((D, hw, hw))
-            logits, embeddings, kernels, pooled = decoder_forward(feat, w)
-            assert logits.shape == (n, hw, hw)
+            logits, embeddings, kernels, pooled, probs = decoder_forward(feat, w)
+            assert logits.shape == probs.shape == (n, hw, hw)
             assert embeddings.shape == kernels.shape == pooled.shape == (n, D)
 
 

@@ -264,7 +264,7 @@ def full_size_assembly(logits, labels, class_is_thing, upsample_factor):
 
 
 def assert_same_as_full_size(logits, labels, class_is_thing, factor):
-    out = assemble_panoptic(logits, labels, class_is_thing, upsample_factor=factor)
+    out = assemble_panoptic(sigmoid(logits), labels, class_is_thing, upsample_factor=factor)
     ref_map, ref_records = full_size_assembly(logits, labels, class_is_thing, factor)
     assert out.segment_map.dtype == ref_map.dtype and out.segment_map.shape == ref_map.shape
     assert out.segment_map.tobytes() == ref_map.tobytes()
@@ -275,7 +275,7 @@ def assert_same_as_full_size(logits, labels, class_is_thing, factor):
 class TestAssembly:
     def test_no_labels_gives_void_map(self):
         logits = Rng(5).normal((3, 4, 4))
-        out = assemble_panoptic(logits, [], np.array([True]), upsample_factor=4)
+        out = assemble_panoptic(sigmoid(logits), [], np.array([True]), upsample_factor=4)
         assert out.segment_map.shape == (16, 16)
         assert np.all(out.segment_map == 0)
         assert out.segments == []
@@ -288,7 +288,7 @@ class TestAssembly:
             MaskLabel(mask_index=0, class_id=0, confidence=0.9),
             MaskLabel(mask_index=1, class_id=1, confidence=0.9),
         ]
-        out = assemble_panoptic(logits, labels, np.array([True, True]), upsample_factor=1)
+        out = assemble_panoptic(sigmoid(logits), labels, np.array([True, True]), upsample_factor=1)
         assert np.all(out.segment_map[:, 0] == 1)
         assert np.all(out.segment_map[:, 3] == 2)
         assert len(out.segments) == 2
@@ -302,7 +302,7 @@ class TestAssembly:
             MaskLabel(mask_index=1, class_id=7, confidence=0.9),
         ]
         is_thing = np.zeros(8, dtype=bool)
-        out = assemble_panoptic(logits, labels, is_thing, upsample_factor=1)
+        out = assemble_panoptic(sigmoid(logits), labels, is_thing, upsample_factor=1)
         assert len(out.segments) == 1
         assert out.segments[0].class_id == 7 and not out.segments[0].is_thing
         assert np.all(out.segment_map[:, 0] == out.segment_map[:, 3])
@@ -310,7 +310,7 @@ class TestAssembly:
     def test_upsampled_extents(self):
         logits = Rng(6).normal((2, 4, 4))
         labels = [MaskLabel(0, 0, 0.5), MaskLabel(1, 0, 0.6)]
-        out = assemble_panoptic(logits, labels, np.array([True]), upsample_factor=4)
+        out = assemble_panoptic(sigmoid(logits), labels, np.array([True]), upsample_factor=4)
         assert out.segment_map.shape == (16, 16)
 
     @pytest.mark.parametrize("factor", [1, 4])
@@ -373,13 +373,13 @@ class TestAssembly:
         # 512x512 output from 100 kept 128x128 masks: the full-size form peaks near 806 MiB
         k, mask_hw, factor = 100, 128, 4
         h = w = mask_hw * factor
-        logits = Rng(10).normal((k, mask_hw, mask_hw), std=3.0)
+        probs = sigmoid(Rng(10).normal((k, mask_hw, mask_hw), std=3.0))
         labels = [MaskLabel(i, i % 10, 0.2 + 0.008 * i) for i in range(k)]
         is_thing = np.arange(10) >= 4
         band_bytes = k * (evaluation._BAND_ROWS + 2) * factor * w * 4 + h * w * 8
         tracemalloc.start()
         try:
-            out = assemble_panoptic(logits, labels, is_thing, upsample_factor=factor)
+            out = assemble_panoptic(probs, labels, is_thing, upsample_factor=factor)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -3,15 +3,18 @@
 import dataclasses
 import hashlib
 import json
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from eovseg import kernels
 from eovseg import pipeline as pipeline_module
 from eovseg import weights as weights_module
 from eovseg.classifier import build_text_embeddings
 from eovseg.config import FUSION_MODES, ModelConfig
-from eovseg.decoder import AttentionBlockWeights
+from eovseg.decoder import AttentionBlockWeights, decoder_forward
 from eovseg.evaluation import SceneSpec, generate_scene
 from eovseg.pipeline import (
     TRACE_KEYS_TDEE,
@@ -99,6 +102,69 @@ def test_backbone_runs_once_per_forward(scene, monkeypatch, mode):
     assert len(calls) == 1
     forward(image, text, spec.is_thing(), cfg, bundle)
     assert len(calls) == 2
+
+
+def _same(a, b):  # an output: an array, or a {level: array} dict such as the backbone features
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_rows_read_only_their_declared_inputs(scene, mode):
+    """Each row, run on a namespace that holds only the roots of its declared
+    inputs, taken from the scene inputs and the outputs of the rows before it,
+    gives the full run's outputs: a read the row does not declare, or a read of
+    a later row's output, fails."""
+    spec, image, _, _, text = scene
+    cfg = small_config(fusion=mode)
+    bundle = build_weights(cfg, (64, 64))
+    full = pipeline_module._run_stages(image, text, cfg, bundle, lambda name, value: value)
+    produced = dict(image=image, text=text, config=cfg, bundle=bundle)
+    for stage in pipeline_module.STAGES:
+        if mode not in stage.modes:
+            continue
+        roots = {name.split(".")[0] for name in stage.inputs if isinstance(name, str)}
+        only = SimpleNamespace(**{root: produced[root] for root in roots})
+        out = stage.step(*pipeline_module._resolve_inputs(only, stage.inputs))
+        several = len(stage.outputs) > 1
+        for name, value in zip(stage.outputs, out if several else (out,), strict=True):
+            assert _same(value, getattr(full, name)), f"{mode}: {name}"
+            produced[name] = value
+
+
+def test_eaf_decodes_the_fused_maps(scene):
+    """eaf's decoder row reads the fused maps, not the selected features."""
+    spec, image, _, _, text = scene
+    cfg = small_config(fusion="eaf")
+    bundle = build_weights(cfg, (64, 64))
+    trace = forward(image, text, spec.is_thing(), cfg, bundle).trace
+    logits = trace["mask_logits"]
+    assert np.array_equal(decoder_forward(trace["early_fused_features"], bundle.decoder)[0], logits)
+    assert not np.array_equal(decoder_forward(trace["vs_agg_features"], bundle.decoder)[0], logits)
+
+
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_final_mask_probabilities_computed_once(scene, monkeypatch, mode):
+    """One sigmoid of the final mask logits per forward: the decoder's pooling,
+    the spatial branch, out-of-vocabulary scoring and assembly share it."""
+    spec, image, _, _, text = scene
+    cfg = small_config(fusion=mode)
+    bundle = build_weights(cfg, (64, 64))
+    seen, real = [], kernels.sigmoid
+
+    def recording(x):
+        seen.append(np.array(x))
+        return real(x)
+
+    for name, module in list(sys.modules.items()):  # every module that binds the kernel
+        if name.partition(".")[0] == "eovseg":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, recording)
+    result = forward(image, text, spec.is_thing(), cfg, bundle)
+    assert result.labels  # assembly reads the probabilities
+    assert sum(np.array_equal(x, result.mask_logits) for x in seen) == 1
 
 
 def test_trace_contains_named_intermediates(scene, tmp_path):

@@ -99,13 +99,13 @@ def _bump_macs(**by):  # a patch of one STAGES row: its macs off by the given am
 
 
 def _scale_step(output, factor, mode=None):  # a patch of one STAGES row: its first output scaled
-    def scaled(v, s):
-        out = s.step(v)
+    def scaled(s, *args):
+        out = s.step(*args)
         if len(s.outputs) > 1:
             return (out[0] * np.float32(factor), *out[1:])
         return out * np.float32(factor)
 
-    return lambda s: (replace(s, step=lambda v, s=s: scaled(v, s))
+    return lambda s: (replace(s, step=lambda *a, s=s: scaled(s, *a))
                       if s.outputs[0] == output and (mode is None or mode in s.modes) else s)
 
 
@@ -155,7 +155,7 @@ class TestMacs:
         ran = []
 
         def record(s):
-            return replace(s, step=lambda v, s=s: ran.append(s.outputs[0]) or s.step(v))
+            return replace(s, step=lambda *a, s=s: ran.append(s.outputs[0]) or s.step(*a))
         patched = tuple(record(_bump_macs(_feats=1)(s)) for s in STAGES)
         monkeypatch.setattr(pipeline, "STAGES", patched)
         passed, detail = check_stages_vs_references(Rng(0), trials=1)

@@ -12,6 +12,7 @@ from eovseg.spatial import (
     spatial_features,
     vit_block_features,
 )
+from eovseg.kernels import sigmoid
 from eovseg.tensor import Rng
 
 DV, D = 8, 12
@@ -111,21 +112,21 @@ def test_shape_chain_image_to_features():
 
 def test_embeddings_pool_contracts():
     feats = Rng(17).normal((D, 8, 8))
-    uniform = np.zeros((3, 8, 8), dtype=np.float32)
+    uniform = np.full((3, 8, 8), 0.5, dtype=np.float32)
     out = spatial_embeddings(feats, uniform)
     mean = feats.reshape(D, -1).mean(axis=1)
     assert np.max(np.abs(out - mean[None, :])) < 1e-6
 
     one_hot = np.full((1, 8, 8), -1e4, dtype=np.float32)
     one_hot[0, 2, 5] = 1e4
-    out = spatial_embeddings(feats, one_hot)
+    out = spatial_embeddings(feats, sigmoid(one_hot))
     assert np.max(np.abs(out[0] - feats[:, 2, 5])) < 1e-4
 
 
 def test_embeddings_convex_bound():
     feats = Rng(18).normal((D, 6, 6))
-    logits = Rng(19).normal((5, 6, 6), std=2.0)
-    out = spatial_embeddings(feats, logits)
+    probs = sigmoid(Rng(19).normal((5, 6, 6), std=2.0))
+    out = spatial_embeddings(feats, probs)
     lo = feats.reshape(D, -1).min(axis=1)
     hi = feats.reshape(D, -1).max(axis=1)
     assert np.all(out >= lo[None, :] - 1e-5)
