@@ -338,10 +338,15 @@ class SegmentMatch:
     iou: float
 
 
-def _areas_and_intersections(pred_map, gt_map):
+def _areas_and_intersections(pred: PanopticAnnotation, gt: PanopticAnnotation):
     """Joint pixel counts keyed by (pred_id, gt_id), plus per-id areas."""
-    pm = pred_map.reshape(-1).astype(np.int64)
-    gm = gt_map.reshape(-1).astype(np.int64)
+    if pred.segment_map.shape != gt.segment_map.shape:
+        raise ValueError(
+            f"match_segments: map extents differ, {pred.segment_map.shape} vs "
+            f"{gt.segment_map.shape}"
+        )
+    pm = pred.segment_map.reshape(-1).astype(np.int64)
+    gm = gt.segment_map.reshape(-1).astype(np.int64)
     scale = int(gm.max()) + 1
     combined = pm * scale + gm
     ids, counts = np.unique(combined, return_counts=True)
@@ -357,12 +362,10 @@ def match_segments(pred: PanopticAnnotation, gt: PanopticAnnotation) -> list[Seg
     Ground-truth void pixels are excluded: a prediction's overlap with void is
     subtracted from the union.
     """
-    if pred.segment_map.shape != gt.segment_map.shape:
-        raise ValueError(
-            f"match_segments: map extents differ, {pred.segment_map.shape} vs "
-            f"{gt.segment_map.shape}"
-        )
-    inter, pred_area, gt_area = _areas_and_intersections(pred.segment_map, gt.segment_map)
+    return _matches(pred, gt, *_areas_and_intersections(pred, gt))
+
+
+def _matches(pred, gt, inter, pred_area, gt_area) -> list[SegmentMatch]:
     pred_class = {s.segment_id: s.class_id for s in pred.segments}
     gt_class = {s.segment_id: s.class_id for s in gt.segments}
     matches = []
@@ -426,8 +429,8 @@ class PqResult:
 
 def pq_metrics(pred: PanopticAnnotation, gt: PanopticAnnotation) -> PqResult:
     """Per-class and mean PQ/SQ/RQ; PQ = SQ*RQ holds per class whenever TP > 0."""
-    matches = match_segments(pred, gt)
-    inter, pred_area, _ = _areas_and_intersections(pred.segment_map, gt.segment_map)
+    inter, pred_area, gt_area = _areas_and_intersections(pred, gt)
+    matches = _matches(pred, gt, inter, pred_area, gt_area)
     matched_pred = {m.pred_id for m in matches}
     matched_gt = {m.gt_id for m in matches}
     result = PqResult()

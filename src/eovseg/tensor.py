@@ -1,8 +1,9 @@
 """Dense float32 tensor carrier, seeded RNG, and the EOVT binary file format.
 
-Every array that crosses a module boundary in this package is a C-contiguous
-float32 ndarray of rank 1..5 with all extents >= 1.  ``check_tensor`` enforces
-that contract; the kernels assume it.
+Tensors in this package are C-contiguous float32 ndarrays of rank 1..5 with
+all extents >= 1; the kernels assume that contract.  ``check_tensor`` enforces
+it only inside ``write_eovt``, so every tensor file (weight cache, scene,
+trace) is checked as it is written; arrays passed between modules are not.
 """
 
 from __future__ import annotations

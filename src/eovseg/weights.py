@@ -3,11 +3,11 @@
 All weights are generated from the config seed (independent substreams per
 module) so a bundle is reproducible from its config alone.  Serialized form:
 one EOVT file per named tensor plus ``manifest.txt`` (name and shape per
-line) and ``meta.json`` recording the ``cache_key``, image extents and
-generator version the bundle was made with.  ``_layout`` is the one table of
-tensor names, each read by ``forward`` in some fusion mode: ``to_tensors``
-reads each name's path out of a bundle, and ``load_weights`` checks the
-manifest against it and puts each tensor back.
+line) and ``meta.json`` holding the bundle's ``cache_key``, the one thing a
+cache is matched on.  ``_layout`` is the one table of tensor names, each read
+by ``forward`` in some fusion mode: ``to_tensors`` reads each name's path out
+of a bundle, and ``load_weights`` checks the manifest against it and puts
+each tensor back.
 """
 
 from __future__ import annotations
@@ -41,15 +41,17 @@ GENERATOR_VERSION = 3
 HEAD_FIELDS = ("fusion", "alpha", "beta", "tau", "ensemble_method", "score_floor")
 
 
-def cache_key(config: ModelConfig) -> str:
-    """The config hash with ``HEAD_FIELDS`` blanked: it keys the fields the bundle reads."""
-    return config.hash(dict.fromkeys(HEAD_FIELDS))
+def cache_key(config: ModelConfig, vit_tokens: int) -> str:
+    """Hash of every generator input: the config with ``HEAD_FIELDS`` blanked,
+    the ViT token count (the image size reaches the weights only through it:
+    ``pos_table`` rows, then every later ViT draw) and ``GENERATOR_VERSION``."""
+    return config.hash({**dict.fromkeys(HEAD_FIELDS), "vit_tokens": vit_tokens,
+                        "generator_version": GENERATOR_VERSION})
 
 
 @dataclass
 class WeightBundle:
     config: ModelConfig
-    image_hw: tuple[int, int]
     backbone: SyntheticBackbone
     aggregator: AggregatorWeights
     vas: VasWeights
@@ -119,11 +121,10 @@ def _layout(config: ModelConfig) -> dict[str, tuple]:
     return table
 
 
-def _settings(config: ModelConfig, image_hw: tuple[int, int]) -> dict[tuple, object]:
+def _settings(config: ModelConfig) -> dict[tuple, object]:
     """Path -> value of every bundle field that is not stored as a tensor."""
     settings: dict[tuple, object] = {
         ("config",): config,
-        ("image_hw",): image_hw,
         ("vas", "heads"): config.vas_heads,
         ("vit", "attn", "heads"): config.vit_heads,
     }
@@ -146,17 +147,21 @@ def _construct(tp, node):
     return items if origin is list else tuple(items)
 
 
-def build_weights(config: ModelConfig, image_hw: tuple[int, int]) -> WeightBundle:
+def _vit_grid(image_hw: tuple[int, int]) -> tuple[int, int]:
     h, w = image_hw
     if h % 32 or w % 32:
         raise ValueError(f"build_weights: image extents {h}x{w} must be divisible by 32")
+    return h // PATCH, w // PATCH
+
+
+def build_weights(config: ModelConfig, image_hw: tuple[int, int]) -> WeightBundle:
+    grid_hw = _vit_grid(image_hw)
     root = Rng(config.weights_seed)
     seeds = {name: root.child(i).seed for i, name in enumerate(
         ["backbone", "aggregator", "vas", "decoder", "vit", "upsampler", "tdee", "sdi", "eaf", "clip"]
     )}
     d = config.embed_dim
     backbone = SyntheticBackbone.build(seeds["backbone"], config.backbone_widths)
-    grid_hw = (h // PATCH, w // PATCH)
     clip_rng = Rng(seeds["clip"])
     c5 = config.backbone_widths[-1]
     clip_proj = (
@@ -165,7 +170,6 @@ def build_weights(config: ModelConfig, image_hw: tuple[int, int]) -> WeightBundl
     )
     return WeightBundle(
         config=config,
-        image_hw=(h, w),
         backbone=backbone,
         aggregator=AggregatorWeights.build(seeds["aggregator"], d, config.backbone_widths),
         vas=VasWeights.build(seeds["vas"], d, config.vas_heads),
@@ -210,13 +214,8 @@ def save_weights(bundle: WeightBundle, directory: str | Path) -> None:
             write_eovt(tmp / f"{name}.eovt", arr)
             lines.append(f"{name} {'x'.join(str(e) for e in arr.shape)}")
         (tmp / "manifest.txt").write_text("\n".join(lines) + "\n")
-        meta = {
-            "weights_key": cache_key(bundle.config),
-            "image_h": bundle.image_hw[0],
-            "image_w": bundle.image_hw[1],
-            "generator_version": GENERATOR_VERSION,
-        }
-        (tmp / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        meta = {"weights_key": cache_key(bundle.config, len(bundle.vit.pos_table))}
+        (tmp / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
         _swap_into_place(tmp, directory)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -261,23 +260,23 @@ def read_manifest(directory: str | Path) -> dict[str, tuple[int, ...]]:
     return entries
 
 
-def _read_meta(directory: Path) -> dict:
-    path = directory / "meta.json"
+def _stored_key(directory: Path) -> object:
+    """The ``weights_key`` of a cache's meta.json; None if the object holds none."""
     try:
-        meta = json.loads(path.read_text())
-        int(meta["image_h"]), int(meta["image_w"])  # both extents must be there
-    except (ValueError, TypeError, KeyError) as exc:
+        meta = json.loads((directory / "meta.json").read_text())
+        if not isinstance(meta, dict):
+            raise ValueError(f"a JSON {type(meta).__name__}, not an object")
+    except ValueError as exc:
         raise EovtFormatError(
             f"weight cache {directory}: meta.json is unreadable ({exc!r})"
         ) from None
-    return meta
+    return meta.get("weights_key")
 
 
 def load_weights(directory: str | Path, config: ModelConfig) -> WeightBundle:
     """Load a cache whose manifest names exactly the tensors ``_layout(config)`` lists."""
     directory = Path(directory)
     entries = read_manifest(directory)
-    meta = _read_meta(directory)
     layout = _layout(config)
     missing, unexpected = sorted(layout.keys() - entries), sorted(entries.keys() - layout)
     if missing or unexpected:
@@ -294,7 +293,7 @@ def load_weights(directory: str | Path, config: ModelConfig) -> WeightBundle:
                 f"{directory / name}.eovt has shape {arr.shape}, manifest says {entries[name]}"
             )
         items.append((path, arr))
-    items += _settings(config, (meta["image_h"], meta["image_w"])).items()
+    items += _settings(config).items()
     root: dict = {}
     for path, value in items:
         node = root
@@ -307,16 +306,12 @@ def load_weights(directory: str | Path, config: ModelConfig) -> WeightBundle:
 def load_or_build_weights(
     directory: str | Path, config: ModelConfig, image_hw: tuple[int, int]
 ) -> WeightBundle:
-    """Reuse a cached bundle when cache key, image extents and generator version match."""
+    """Reuse a cached bundle iff its key is the key of the bundle ``build_weights`` would make."""
     directory = Path(directory)
-    if (directory / "meta.json").exists():
-        meta = _read_meta(directory)
-        if (
-            meta.get("weights_key") == cache_key(config)
-            and (meta["image_h"], meta["image_w"]) == tuple(image_hw)
-            and meta.get("generator_version") == GENERATOR_VERSION
-        ):
-            return load_weights(directory, config)
+    gh, gw = _vit_grid(image_hw)
+    key = cache_key(config, 1 + gh * gw)
+    if (directory / "meta.json").exists() and _stored_key(directory) == key:
+        return load_weights(directory, config)
     bundle = build_weights(config, image_hw)
     save_weights(bundle, directory)
     return bundle

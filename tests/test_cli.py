@@ -49,12 +49,12 @@ def workdir(tmp_path):
     return tmp_path
 
 
-def run_gen(workdir, out="scene", seed=3):
+def run_gen(workdir, out="scene", seed=3, spec="scene.json"):
     return main(
         [
             "gen",
             "--spec",
-            str(workdir / "scene.json"),
+            str(workdir / spec),
             "--seed",
             str(seed),
             "--out",
@@ -65,7 +65,7 @@ def run_gen(workdir, out="scene", seed=3):
     )
 
 
-def run_run(workdir, scene="scene", extra=()):
+def run_run(workdir, scene="scene", extra=(), weights="wcache"):
     return main(
         [
             "run",
@@ -74,7 +74,7 @@ def run_run(workdir, scene="scene", extra=()):
             "--config",
             str(workdir / "config.json"),
             "--weights",
-            str(workdir / "wcache"),
+            str(workdir / weights),
             *extra,
         ]
     )
@@ -154,6 +154,19 @@ class TestRun:
             metas.append((workdir / "wcache" / "meta.json").read_text())
         assert len(builds) == 1
         assert len(set(metas)) == 1
+
+    def test_sizes_with_one_token_count_share_the_weight_cache(self, workdir, monkeypatch):
+        (workdir / "wide.json").write_text(json.dumps({**SCENE_SPEC, "height": 32, "width": 128}))
+        assert run_gen(workdir) == 0 and run_gen(workdir, out="wide", spec="wide.json") == 0
+        builds = []
+        real_build = weights.build_weights
+        monkeypatch.setattr(weights, "build_weights", lambda *a: builds.append(a) or real_build(*a))
+        assert run_run(workdir) == 0
+        assert run_run(workdir, scene="wide", extra=["--out", str(workdir / "shared.csv")]) == 0
+        assert len(builds) == 1
+        fresh = ["--out", str(workdir / "fresh.csv")]
+        assert run_run(workdir, scene="wide", extra=fresh, weights="fresh_cache") == 0
+        assert (workdir / "shared.csv").read_bytes() == (workdir / "fresh.csv").read_bytes()
 
     def test_two_runs_byte_identical(self, workdir):
         run_gen(workdir)
@@ -284,6 +297,14 @@ def _truncate_meta(cache):
     (cache / "meta.json").write_text(text[: len(text) // 2])
 
 
+def _array_meta(cache):
+    (cache / "meta.json").write_text('["weights_key"]\n')
+
+
+def _string_meta(cache):
+    (cache / "meta.json").write_text('"weights_key"\n')
+
+
 @pytest.mark.parametrize(
     "damage, expected",
     [
@@ -291,9 +312,11 @@ def _truncate_meta(cache):
         (_drop_manifest_line, "missing tensors ['vas.text_w']"),
         (_break_manifest_line, "manifest.txt: malformed line 'vas.text_w'"),
         (_truncate_meta, "meta.json is unreadable"),
+        (_array_meta, "meta.json is unreadable"),
+        (_string_meta, "meta.json is unreadable"),
     ],
     ids=["extra_manifest_entry-run", "dropped_manifest_line-run", "malformed_manifest_line-run",
-         "truncated_meta-run"],
+         "truncated_meta-run", "array_meta-run", "string_meta-run"],
 )
 def test_damaged_weight_cache_exits_3_in_one_line(workdir, capsys, damage, expected):
     run_gen(workdir)

@@ -207,6 +207,24 @@ class TestPqMetrics:
         assert abs(base.sq - relabeled.sq) < 1e-12
         assert abs(base.rq - relabeled.rq) < 1e-12
 
+    def test_joint_histogram_computed_once(self, monkeypatch):
+        calls = []
+        real = evaluation._areas_and_intersections
+        monkeypatch.setattr(evaluation, "_areas_and_intersections",
+                            lambda *a: calls.append(a) or real(*a))
+        rng = Rng(5)
+        pred, gt = _random_annotation(rng), _random_annotation(rng)
+        result = pq_metrics(pred, gt)
+        assert len(calls) == 1
+        assert sum(c.tp for c in result.per_class.values()) == len(match_segments(pred, gt))
+
+    @pytest.mark.parametrize("metric", [match_segments, pq_metrics])
+    def test_extents_must_match(self, metric):
+        gt = _random_annotation(Rng(6))
+        small = PanopticAnnotation(segment_map=gt.segment_map[:-1], segments=gt.segments)
+        with pytest.raises(ValueError, match="map extents differ"):
+            metric(small, gt)
+
 
 class TestMiou:
     def test_perfect(self):

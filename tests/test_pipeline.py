@@ -244,9 +244,24 @@ SMALL64_V2_MANIFEST_SHA256 = "14343e1eda32ff1a2cec09ae8b70061f502c914b3081f45201
 SMALL64_V2_FILES_SHA256 = "db6584950fb501006989f710e877c5f2a6ce6403506f7d7e1db067fe8ae7b19e"
 SMALL64_V1_MANIFEST_SHA256 = "e533d6402af08c2a7ba3fc66ffea7dc298a82d3c43b048f641c367f5fcd6f739"
 SMALL64_V1_FILES_SHA256 = "2b23f1259ed02810e82cd9c0c069313c77d1068da5d7dd9dffb3e9a8f2e1b59d"
-SMALL64_META_WITHOUT_VERSION = (
-    '{\n  "config_hash": "5761d0730818",\n  "image_h": 64,\n  "image_w": 64\n}\n'
-)
+
+
+def _old_meta_forms(cfg):
+    """meta.json forms that an older generator, or another image size, wrote
+    for ``cfg``; none of them names the 64x64 bundle.  The first caches
+    stored the hash of the whole config as it then was (with the VAS gate's
+    scale and offset) and the extents; generator version 1 added itself, and
+    later swapped that hash for the config hash with ``HEAD_FIELDS`` blanked,
+    as versions 2 and 3 stored it."""
+    extents = {"image_h": 64, "image_w": 64}
+    old_key = cfg.hash(dict.fromkeys(HEAD_FIELDS))
+    return {
+        "unversioned": {"config_hash": "5761d0730818", **extents},
+        "v1_config_hash": {"config_hash": "5761d0730818", **extents, "generator_version": 1},
+        **{f"v{v}": {"weights_key": old_key, **extents, "generator_version": v} for v in (1, 2, 3)},
+        "other_token_count": {"weights_key": cache_key(cfg, 1 + 2 * 2)},  # a 32x32 cache
+        "no_key": {},
+    }
 
 
 def _files_sha256(directory):
@@ -282,8 +297,7 @@ def _older_cache(cache, cfg, version):
         write_eovt(cache / f"{name}.eovt", arr)
         lines.append(f"{name} {'x'.join(str(e) for e in arr.shape)}")
     (cache / "manifest.txt").write_text("\n".join(sorted(lines)) + "\n")
-    meta = json.loads((cache / "meta.json").read_text())
-    (cache / "meta.json").write_text(json.dumps({**meta, "generator_version": version}))
+    (cache / "meta.json").write_text(json.dumps(_old_meta_forms(cfg)[f"v{version}"]))
 
 
 def _walk(obj, where="bundle"):
@@ -461,12 +475,24 @@ class TestWeightBundle:
         assert unread == []
 
     def test_loads_a_cache_without_generator_version_bitwise(self, tmp_path):
+        """``load_weights`` reads no meta: an old meta.json, or none, loads the same bundle."""
         cfg = small_config()
         built = build_weights(cfg, (64, 64))
         save_weights(built, tmp_path / "w")
         assert _files_sha256(tmp_path / "w") == SMALL64_FILES_SHA256
-        (tmp_path / "w" / "meta.json").write_text(SMALL64_META_WITHOUT_VERSION)
+        meta = tmp_path / "w" / "meta.json"
+        meta.write_text(json.dumps(_old_meta_forms(cfg)["unversioned"]))
         _assert_bitwise_equal(built, load_weights(tmp_path / "w", cfg))  # every field round-trips
+        meta.unlink()
+        _assert_bitwise_equal(built, load_weights(tmp_path / "w", cfg))
+
+    def test_meta_json_holds_only_the_cache_key(self, tmp_path):
+        cfg = small_config()
+        bundle = build_weights(cfg, (64, 64))
+        assert len(bundle.vit.pos_table) == 1 + 4 * 4
+        save_weights(bundle, tmp_path / "w")
+        meta = json.loads((tmp_path / "w" / "meta.json").read_text())
+        assert meta == {"weights_key": cache_key(cfg, 1 + 4 * 4)}
 
     HEAD_VALUES = {"fusion": "none", "alpha": 0.1, "beta": 0.3, "tau": 0.5,
                    "ensemble_method": "arithmetic", "score_floor": 0.2}
@@ -476,77 +502,87 @@ class TestWeightBundle:
         cfg = small_config()
         other = dataclasses.replace(cfg, **{field: self.HEAD_VALUES[field]})
         assert getattr(other, field) != getattr(cfg, field)
-        assert cache_key(other) == cache_key(cfg)
+        assert cache_key(other, 17) == cache_key(cfg, 17)
         a, b = build_weights(cfg, (64, 64)).to_tensors(), build_weights(other, (64, 64)).to_tensors()
         assert list(a) == list(b)
         for name in a:
             assert (a[name].dtype, a[name].shape, a[name].tobytes()) == (
                 b[name].dtype, b[name].shape, b[name].tobytes()), name
 
-    def test_cache_keyed_on_the_whole_config_is_rebuilt_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("other_hw", [(32, 128), (128, 32)], ids=["32x128", "128x32"])
+    def test_sizes_with_one_token_count_build_one_bundle(self, other_hw):
         cfg = small_config()
-        save_weights(build_weights(cfg, (64, 64)), tmp_path / "w")
-        meta_path = tmp_path / "w" / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["config_hash"] = cfg.hash()  # keyed on the whole config, fusion included
-        del meta["weights_key"]
-        meta_path.write_text(json.dumps(meta))
+        _assert_bitwise_equal(build_weights(cfg, (64, 64)), build_weights(cfg, other_hw))
+
+    @staticmethod
+    def _count_builds(monkeypatch):
         builds = []
         real_build = weights_module.build_weights
         monkeypatch.setattr(
             weights_module, "build_weights", lambda *a: builds.append(a) or real_build(*a)
         )
-        for _ in range(2):
-            load_or_build_weights(tmp_path / "w", cfg, (64, 64))
+        return builds
+
+    def test_cache_shared_by_sizes_with_one_token_count(self, tmp_path, monkeypatch):
+        cfg = small_config()
+        save_weights(build_weights(cfg, (64, 64)), tmp_path / "w")
+        builds = self._count_builds(monkeypatch)
+        for hw in [(32, 128), (128, 32), (64, 64)]:
+            load_or_build_weights(tmp_path / "w", cfg, hw)
+        assert builds == []
+        assert _files_sha256(tmp_path / "w") == SMALL64_FILES_SHA256
+        load_or_build_weights(tmp_path / "w", cfg, (64, 128))  # 33 tokens
         assert len(builds) == 1
-        assert json.loads(meta_path.read_text())["weights_key"] == cache_key(cfg)
+
+    @pytest.mark.parametrize("form", list(_old_meta_forms(small_config())))
+    def test_old_meta_form_is_rebuilt_once(self, tmp_path, monkeypatch, form):
+        cfg = small_config()
+        cache = tmp_path / "w"
+        save_weights(build_weights(cfg, (64, 64)), cache)
+        (cache / "meta.json").write_text(json.dumps(_old_meta_forms(cfg)[form]))
+        self._assert_rebuilt_once(cache, monkeypatch)
 
     def test_cache_of_generator_version_1_is_rebuilt_once(self, tmp_path, monkeypatch):
-        self._assert_rebuilt_once(tmp_path / "w", monkeypatch, 1,
-                                  SMALL64_V1_MANIFEST_SHA256, SMALL64_V1_FILES_SHA256)
+        self._assert_older_cache_rebuilt_once(tmp_path / "w", monkeypatch, 1,
+                                              SMALL64_V1_MANIFEST_SHA256, SMALL64_V1_FILES_SHA256)
 
     def test_cache_of_generator_version_2_is_rebuilt_once(self, tmp_path, monkeypatch):
-        self._assert_rebuilt_once(tmp_path / "w", monkeypatch, 2,
-                                  SMALL64_V2_MANIFEST_SHA256, SMALL64_V2_FILES_SHA256)
+        self._assert_older_cache_rebuilt_once(tmp_path / "w", monkeypatch, 2,
+                                              SMALL64_V2_MANIFEST_SHA256, SMALL64_V2_FILES_SHA256)
 
-    @staticmethod
-    def _assert_rebuilt_once(cache, monkeypatch, version, manifest_sha256, files_sha256):
-        cfg = small_config()
-        _older_cache(cache, cfg, version)
+    def _assert_older_cache_rebuilt_once(self, cache, monkeypatch, version, manifest_sha256,
+                                         files_sha256):
+        _older_cache(cache, small_config(), version)
         manifest = cache / "manifest.txt"
         assert hashlib.sha256(manifest.read_bytes()).hexdigest() == manifest_sha256
         assert _files_sha256(cache) == files_sha256
-        builds = []
-        real_build = weights_module.build_weights
-        monkeypatch.setattr(
-            weights_module, "build_weights", lambda *a: builds.append(a) or real_build(*a)
-        )
+        self._assert_rebuilt_once(cache, monkeypatch)
+
+    def _assert_rebuilt_once(self, cache, monkeypatch):
+        cfg = small_config()
+        builds = self._count_builds(monkeypatch)
         for _ in range(2):
             load_or_build_weights(cache, cfg, (64, 64))
         assert len(builds) == 1
         assert _files_sha256(cache) == SMALL64_FILES_SHA256
-        assert json.loads((cache / "meta.json").read_text())["generator_version"] == GENERATOR_VERSION
+        assert json.loads((cache / "meta.json").read_text()) == {"weights_key": cache_key(cfg, 17)}
 
     @pytest.mark.parametrize("version", [*range(1, GENERATOR_VERSION + 2), None])
     def test_cache_reused_only_at_generator_version(self, tmp_path, monkeypatch, version):
+        """The current key, written by a generator of ``version``: reused
+        without a build at ``GENERATOR_VERSION``, rebuilt once at any other."""
         cfg = small_config()
-        save_weights(build_weights(cfg, (64, 64)), tmp_path / "w")
-        meta_path = tmp_path / "w" / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta.pop("generator_version")
-        if version is not None:
-            meta["generator_version"] = version
-        meta_path.write_text(json.dumps(meta))
-        builds = []
-        real_build = weights_module.build_weights
-        monkeypatch.setattr(
-            weights_module, "build_weights", lambda *a: builds.append(a) or real_build(*a)
-        )
-        bundle = load_or_build_weights(tmp_path / "w", cfg, (64, 64))
-        assert len(builds) == (0 if version == GENERATOR_VERSION else 1)
-        assert json.loads(meta_path.read_text())["generator_version"] == GENERATOR_VERSION
-        loaded = load_weights(tmp_path / "w", cfg)
-        assert np.array_equal(bundle.decoder.init_kernels, loaded.decoder.init_kernels)
+        cache = tmp_path / "w"
+        with monkeypatch.context() as patch:
+            patch.setattr(weights_module, "GENERATOR_VERSION", version)
+            save_weights(build_weights(cfg, (64, 64)), cache)
+        if version == GENERATOR_VERSION:
+            builds = self._count_builds(monkeypatch)
+            bundle = load_or_build_weights(cache, cfg, (64, 64))
+            assert builds == []
+            _assert_bitwise_equal(build_weights(cfg, (64, 64)), bundle)
+        else:
+            self._assert_rebuilt_once(cache, monkeypatch)
 
 
 def test_config_json_roundtrip(tmp_path):
