@@ -29,10 +29,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_STAGE = 4
 
-
-class SceneError(Exception):
-    """A scene directory whose tensors the pipeline cannot take."""
-
 _BLAS_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -96,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--sabotage", type=str, default=None, help="flip one kernel's sign")
 
     p_prof = sub.add_parser("profile", parents=[configured], help="parameter/MAC report")
-    p_prof.add_argument("--mode", type=str, default="dda", choices=("dda", "ca"))
     p_prof.add_argument("--size", type=int, default=64, help="square image extent")
     p_prof.add_argument("--classes", type=int, default=4, help="vocabulary size for MACs")
     p_prof.add_argument("--out", type=str, default=None, help="CSV path")
@@ -152,21 +147,21 @@ def _load_scene(scene_dir: Path, config):
 
     from .classifier import build_text_embeddings
     from .evaluation import PanopticAnnotation
-    from .tensor import read_eovt
+    from .tensor import EovtFormatError, read_eovt
 
     image = read_eovt(scene_dir / "image.eovt")
     templates = read_eovt(scene_dir / "templates.eovt")
     if image.ndim != 3 or image.shape[0] != 3 or not np.all(np.isfinite(image)):
-        raise SceneError(
+        raise EovtFormatError(
             f"{scene_dir / 'image.eovt'}: need a finite (3,H,W) image, got {image.shape}"
         )
     if templates.ndim != 3 or templates.shape[2] != config.embed_dim:
-        raise SceneError(
+        raise EovtFormatError(
             f"{scene_dir / 'templates.eovt'}: need (M, N_class, {config.embed_dim}) "
             f"templates for embed_dim={config.embed_dim}, got {templates.shape}"
         )
     if not np.all(np.isfinite(templates)):
-        raise SceneError(f"{scene_dir / 'templates.eovt'}: templates must be finite")
+        raise EovtFormatError(f"{scene_dir / 'templates.eovt'}: templates must be finite")
     gt = PanopticAnnotation.load(scene_dir / "gt_map.eovt", scene_dir / "gt_manifest.txt")
     vocab = scene_dir / "vocab.txt"
     names, seen, things = [], [], []
@@ -175,19 +170,19 @@ def _load_scene(scene_dir: Path, config):
             continue
         fields = line.split()
         if len(fields) != 3 or fields[1] not in ("seen", "unseen") or fields[2] not in ("thing", "stuff"):
-            raise SceneError(f"{vocab}: malformed line {line!r} (need 'name seen|unseen thing|stuff')")
+            raise EovtFormatError(f"{vocab}: malformed line {line!r} (need 'name seen|unseen thing|stuff')")
         if fields[0] in names:
-            raise SceneError(f"{vocab}: class name {fields[0]!r} is listed twice")
+            raise EovtFormatError(f"{vocab}: class name {fields[0]!r} is listed twice")
         names.append(fields[0])
         seen.append(fields[1] == "seen")
         things.append(fields[2] == "thing")
     if len(names) != templates.shape[1]:
-        raise SceneError(
+        raise EovtFormatError(
             f"{vocab}: {len(names)} classes, but templates.eovt holds N_class={templates.shape[1]}"
         )
     unknown = sorted({s.class_id for s in gt.segments} - set(range(len(names))))
     if unknown:
-        raise SceneError(f"{scene_dir / 'gt_manifest.txt'}: class ids {unknown} not in vocab.txt")
+        raise EovtFormatError(f"{scene_dir / 'gt_manifest.txt'}: class ids {unknown} not in vocab.txt")
     text = build_text_embeddings(templates, names, np.array(seen))
     return image, gt, text, np.array(things)
 
@@ -300,7 +295,7 @@ def cmd_profile(args) -> int:
     if args.classes < 1:
         raise ValueError(f"--classes must be >= 1, got {args.classes}")
     bundle = build_weights(config, image_hw)
-    report = profile_modules(config, bundle, image_hw, args.classes, args.mode)
+    report = profile_modules(config, bundle, image_hw, args.classes)
     out = args.out or "profile.csv"
     report.write_csv(out)
     for row in report.rows:
@@ -355,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return handlers[args.command](args)
-    except (EovtFormatError, SceneError) as exc:
+    except EovtFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except PipelineStageError as exc:

@@ -22,7 +22,7 @@ from .kernels import bilinear_upsample
 from .tensor import EovtFormatError, Rng, read_eovt, write_eovt
 
 VOID = 0  # segment id reserved for unlabeled pixels
-_BAND_ROWS = 16  # mask rows per assembly band (64 output rows at 4x)
+_GROUP_BYTES = 2 << 20  # upsampled bytes per assembly call: 128 masks of a 64x64 image
 
 
 @dataclass
@@ -256,51 +256,44 @@ def generate_scene(
 
 
 def assemble_panoptic(
-    probs: np.ndarray,
-    labels: list[MaskLabel],
-    class_is_thing: np.ndarray,
-    upsample_factor: int = 4,
+    probs: np.ndarray, labels: list[MaskLabel], class_is_thing: np.ndarray
 ) -> PanopticAnnotation:
     """Argmax of confidence*probability per pixel, then segment-id assignment.
 
-    ``probs`` are the (N, H', W') mask probabilities; each label indexes one mask.
+    ``probs`` are the (N, H/4, W/4) mask probabilities; each label indexes one mask.
 
     Stuff winners of the same class are merged into a single segment; each
     thing winner keeps its own segment.  With no surviving labels the whole
     map is void.
 
-    The argmax runs in bands of ``_BAND_ROWS`` mask rows, so memory is bounded
-    by the band rather than by the image.  Each band is upsampled with one
-    halo row on either side: interior output rows then never reach the
-    clamped edge and their half-pixel fractions shift by whole rows, so every
-    pixel equals the full-size upsample's.  Within a band the argmax is a
-    running max over the kept masks in label order, replaced only by a
+    The kept masks are upsampled whole, in groups of at most ``_GROUP_BYTES``
+    of output per ``bilinear_upsample`` call, so memory is bounded by the
+    group rather than by the number of kept masks; the upsample never mixes
+    channels, so every pixel equals the full-size upsample's.  The argmax is
+    a running max over the kept masks in label order, replaced only by a
     strictly greater score, so the first index wins ties as under
     ``np.argmax``.
     """
-    ph, pw = probs.shape[1:]
-    h, w = ph * upsample_factor, pw * upsample_factor
+    h, w = 4 * probs.shape[1], 4 * probs.shape[2]
     if not labels:
         return PanopticAnnotation(segment_map=np.zeros((h, w), dtype=np.int32), segments=[])
-    kept = [lab.mask_index for lab in labels]  # read per band, never copied whole
+    kept = [lab.mask_index for lab in labels]  # read per group, never copied whole
     conf = np.array([lab.confidence for lab in labels], dtype=np.float32)
+    group = max(1, _GROUP_BYTES // (4 * h * w))
     winner = np.zeros((h, w), dtype=np.intp)
-    for r0 in range(0, ph, _BAND_ROWS):
-        r1 = min(r0 + _BAND_ROWS, ph)
-        if upsample_factor > 1:
-            s0 = max(r0 - 1, 0)
-            up = bilinear_upsample(probs[kept, s0:min(r1 + 1, ph)], upsample_factor)
-            band = up[:, (r0 - s0) * upsample_factor:(r1 - s0) * upsample_factor]
-        else:
-            band = probs[kept, r0:r1]
-        win = winner[r0 * upsample_factor:r1 * upsample_factor]
-        best = conf[0] * band[0]
-        score, better = np.empty_like(best), np.empty(best.shape, dtype=bool)
-        for i in range(1, len(labels)):
-            np.multiply(conf[i], band[i], out=score)
+    best, score = np.empty((h, w), dtype=np.float32), np.empty((h, w), dtype=np.float32)
+    better = np.empty((h, w), dtype=bool)
+    for g0 in range(0, len(labels), group):
+        up = bilinear_upsample(probs[kept[g0:g0 + group]], 4)
+        for i in range(g0, g0 + len(up)):
+            if i == 0:  # label 0's score is the starting value
+                np.multiply(conf[0], up[0], out=best)
+                continue
+            np.multiply(conf[i], up[i - g0], out=score)
             np.greater(score, best, out=better)
             np.copyto(best, score, where=better)
-            np.copyto(win, i, where=better)
+            np.copyto(winner, i, where=better)
+        del up  # freed before the next group is made
 
     present = np.bincount(winner.ravel(), minlength=len(labels)) > 0
     lut = np.zeros(len(labels), dtype=np.int32)

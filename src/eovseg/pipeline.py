@@ -101,7 +101,6 @@ class ClassScores:
 class ForwardResult:
     panoptic: PanopticAnnotation
     scores: ClassScores
-    mask_logits: np.ndarray  # (N, H/4, W/4)
     labels: list[MaskLabel]
     trace: dict[str, np.ndarray]
 
@@ -305,14 +304,11 @@ def forward(
         return value
 
     v = _run_stages(image, text, config, bundle, keep)
-    logits, probs, scores = v.mask_logits, v._mask_probs, v.scores_final
-    del v  # frees the internal outputs before assembly, the peak allocator
+    probs, scores = v._mask_probs, v.scores_final
+    del v  # frees the untraced outputs before classification and assembly
     labels = _call("classifier", classify, scores, config.score_floor)
-    panoptic = _call("assembly", assemble_panoptic, probs, labels, class_is_thing, 4)
-    return ForwardResult(
-        panoptic=panoptic, scores=ClassScores(scores), mask_logits=logits, labels=labels,
-        trace=trace,
-    )
+    panoptic = _call("assembly", assemble_panoptic, probs, labels, class_is_thing)
+    return ForwardResult(panoptic=panoptic, scores=ClassScores(scores), labels=labels, trace=trace)
 
 
 def forward_traced(

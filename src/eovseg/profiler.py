@@ -208,13 +208,12 @@ def profile_modules(
     bundle: WeightBundle,
     image_hw: tuple[int, int] = (64, 64),
     n_class: int = 4,
-    mode: str = "dda",
 ) -> ProfileReport:
     assert_interaction_asymmetry(cfg)
     params = count_params(bundle)
-    macs = count_macs(cfg, image_hw, n_class, mode)
-    rows = [ProfileRow(module=m, params=params[m], macs=macs[m], mode=mode) for m in MODULES]
-    rows.append(ProfileRow("total", sum(params.values()), sum(macs.values()), mode))
+    macs = count_macs(cfg, image_hw, n_class)
+    rows = [ProfileRow(module=m, params=params[m], macs=macs[m], mode="dda") for m in MODULES]
+    rows.append(ProfileRow("total", sum(params.values()), sum(macs.values()), "dda"))
     return ProfileReport(
         rows=rows, config_hash=cfg.hash({"image_hw": list(image_hw), "n_class": n_class})
     )

@@ -19,8 +19,9 @@ MAX_RANK = 5
 
 
 class EovtFormatError(ValueError):
-    """Raised when a tensor file, a weight cache directory or a ground-truth
-    manifest fails format validation."""
+    """Raised when a tensor file, a weight cache directory or a scene file
+    (``image.eovt``, ``templates.eovt``, ``vocab.txt``, ``gt_map.eovt``,
+    ``gt_manifest.txt``) fails format validation."""
 
 
 def check_tensor(x: np.ndarray, name: str = "tensor") -> np.ndarray:

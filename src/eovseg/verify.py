@@ -700,7 +700,7 @@ def check_pipeline_modes(rng: Rng, trials: int):
             (
                 result.panoptic.segment_map.shape,
                 result.scores.values.shape,
-                result.mask_logits.shape,
+                result.trace["mask_logits"].shape,
             )
         )
     if len(shapes) != 1:

@@ -241,7 +241,7 @@ def test_criterion_6_pipeline_integrity(tmp_path, cli_env):
         result = forward(image, text, spec.is_thing(), cfg, bundle)
         assert result.panoptic.segment_map.shape == (64, 64), mode
         assert result.scores.values.shape == (cfg.n_queries, text.n_classes), mode
-        assert result.mask_logits.shape == (cfg.n_queries, 16, 16), mode
+        assert result.trace["mask_logits"].shape == (cfg.n_queries, 16, 16), mode
         assert replay_trace(image, text, cfg, bundle, result.trace) == [], mode
 
     bundle = build_weights(cfg_base, (64, 64))

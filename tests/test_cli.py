@@ -406,6 +406,10 @@ class TestProfileBench:
     def test_bench_mode_option_removed(self, workdir):
         assert main(["bench", "--mode", "dda", "--config", str(workdir / "config.json")]) == 2
 
+    def test_profile_mode_option_removed(self, workdir):
+        # no bundle holds a cross-attention block, so profile describes the dda model only
+        assert main(["profile", "--mode", "ca", "--config", str(workdir / "config.json")]) == 2
+
     @pytest.mark.parametrize("size", ["0", "-32"])
     @pytest.mark.parametrize("command", ["profile", "bench"])
     def test_size_below_32_usage_error(self, workdir, capsys, monkeypatch, command, size):

@@ -251,12 +251,10 @@ class TestMiou:
         assert miou(pred, gt) == 1.0
 
 
-def full_size_assembly(logits, labels, class_is_thing, upsample_factor):
+def full_size_assembly(logits, labels, class_is_thing):
     """Assembly with every kept mask upsampled to full size at once, kept as a bitwise reference."""
-    h, w = logits.shape[1] * upsample_factor, logits.shape[2] * upsample_factor
-    probs = sigmoid(logits[[lab.mask_index for lab in labels]])
-    if upsample_factor > 1:
-        probs = bilinear_upsample(probs, upsample_factor)
+    h, w = logits.shape[1] * 4, logits.shape[2] * 4
+    probs = bilinear_upsample(sigmoid(logits[[lab.mask_index for lab in labels]]), 4)
     conf = np.array([lab.confidence for lab in labels], dtype=np.float32)
     winner = np.argmax(conf[:, None, None] * probs, axis=0)
     seg_map = np.zeros((h, w), dtype=np.int32)
@@ -281,78 +279,95 @@ def full_size_assembly(logits, labels, class_is_thing, upsample_factor):
     return seg_map, records
 
 
-def assert_same_as_full_size(logits, labels, class_is_thing, factor):
-    out = assemble_panoptic(sigmoid(logits), labels, class_is_thing, upsample_factor=factor)
-    ref_map, ref_records = full_size_assembly(logits, labels, class_is_thing, factor)
+def assert_same_as_full_size(monkeypatch, logits, labels, class_is_thing, group):
+    """Assemble with ``group`` kept masks per upsample call and compare with the reference."""
+    monkeypatch.setattr(evaluation, "_GROUP_BYTES", group * 4 * 16 * logits[0].size)  # float32 at 4x
+    out = assemble_panoptic(sigmoid(logits), labels, class_is_thing)
+    ref_map, ref_records = full_size_assembly(logits, labels, class_is_thing)
     assert out.segment_map.dtype == ref_map.dtype and out.segment_map.shape == ref_map.shape
     assert out.segment_map.tobytes() == ref_map.tobytes()
     assert out.segments == ref_records
     return out
 
 
+def halves(shape):
+    """Two masks: probability 1 on the left and on the right half of the columns, 0 elsewhere.
+    Each is constant on either half, so the upsample is exact away from the middle columns."""
+    probs = np.zeros((2, *shape), dtype=np.float32)
+    probs[0, :, : shape[1] // 2] = 1.0
+    probs[1, :, shape[1] // 2 :] = 1.0
+    return probs
+
+
+def assembly_peak(probs, labels, is_thing):
+    tracemalloc.start()
+    try:
+        out = assemble_panoptic(probs, labels, is_thing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 class TestAssembly:
     def test_no_labels_gives_void_map(self):
         logits = Rng(5).normal((3, 4, 4))
-        out = assemble_panoptic(sigmoid(logits), [], np.array([True]), upsample_factor=4)
+        out = assemble_panoptic(sigmoid(logits), [], np.array([True]))
         assert out.segment_map.shape == (16, 16)
         assert np.all(out.segment_map == 0)
         assert out.segments == []
 
     def test_winner_takes_pixels(self):
-        logits = np.full((2, 4, 4), -10.0, dtype=np.float32)
-        logits[0, :, :2] = 10.0
-        logits[1, :, 2:] = 10.0
         labels = [
             MaskLabel(mask_index=0, class_id=0, confidence=0.9),
             MaskLabel(mask_index=1, class_id=1, confidence=0.9),
         ]
-        out = assemble_panoptic(sigmoid(logits), labels, np.array([True, True]), upsample_factor=1)
-        assert np.all(out.segment_map[:, 0] == 1)
-        assert np.all(out.segment_map[:, 3] == 2)
+        out = assemble_panoptic(halves((4, 4)), labels, np.array([True, True]))
+        assert np.all(out.segment_map[:, :6] == 1)  # mask columns 0-1 only
+        assert np.all(out.segment_map[:, 10:] == 2)  # mask columns 2-3 only
         assert len(out.segments) == 2
 
     def test_stuff_segments_merged_by_class(self):
-        logits = np.full((2, 4, 4), -10.0, dtype=np.float32)
-        logits[0, :, :1] = 10.0
-        logits[1, :, 3:] = 10.0
         labels = [
             MaskLabel(mask_index=0, class_id=7, confidence=0.9),
             MaskLabel(mask_index=1, class_id=7, confidence=0.9),
         ]
         is_thing = np.zeros(8, dtype=bool)
-        out = assemble_panoptic(sigmoid(logits), labels, is_thing, upsample_factor=1)
-        assert len(out.segments) == 1
-        assert out.segments[0].class_id == 7 and not out.segments[0].is_thing
-        assert np.all(out.segment_map[:, 0] == out.segment_map[:, 3])
+        out = assemble_panoptic(halves((4, 4)), labels, is_thing)
+        assert out.segments == [SegmentRecord(1, 7, False)]
+        assert np.all(out.segment_map == 1)
 
     def test_upsampled_extents(self):
         logits = Rng(6).normal((2, 4, 4))
         labels = [MaskLabel(0, 0, 0.5), MaskLabel(1, 0, 0.6)]
-        out = assemble_panoptic(sigmoid(logits), labels, np.array([True]), upsample_factor=4)
+        out = assemble_panoptic(sigmoid(logits), labels, np.array([True]))
         assert out.segment_map.shape == (16, 16)
 
-    @pytest.mark.parametrize("factor", [1, 4])
+    @pytest.mark.parametrize("group", [1, 4])
     @pytest.mark.parametrize("first", [0, 1])
-    def test_tied_masks_go_to_the_lower_label_index(self, factor, first):
+    def test_tied_masks_go_to_the_lower_label_index(self, monkeypatch, group, first):
         """Two kept masks with equal confidence*probability over a region: the
-        lower label index wins there, as under the full-size argmax."""
-        rng = Rng(7 + factor)
-        logits = rng.normal((4, 20, 6), std=3.0)  # 20 mask rows: two bands
+        lower label index wins there, as under the full-size argmax, whether
+        the two share an upsample call or not."""
+        rng = Rng(7 + group)
+        logits = rng.normal((4, 20, 6), std=3.0)
         logits[3, :, :4] = logits[1, :, :4] = 8.0  # the tie
         logits[0, :, :4] = -8.0  # mask 0 loses there
         labels = [MaskLabel(0, 0, 0.8), MaskLabel(3, 1, 0.6), MaskLabel(1, 2, 0.6)]
         if first:
             labels[1], labels[2] = labels[2], labels[1]
         is_thing = np.array([True, True, True])
-        out = assert_same_as_full_size(logits, labels, is_thing, factor)
-        tied = out.segment_map[:, : 3 * factor]  # lerps of mask columns 0..3 only
+        out = assert_same_as_full_size(monkeypatch, logits, labels, is_thing, group)
+        tied = out.segment_map[:, :12]  # lerps of mask columns 0..3 only
         winner = next(r for r in out.segments if r.class_id == labels[1].class_id)
         assert np.all(tied == winner.segment_id)
 
-    @pytest.mark.parametrize("factor", [1, 2, 4, 8])
+    @pytest.mark.parametrize("group", [1, 2, 4, 8])
     @pytest.mark.parametrize("mask_h", [1, 15, 16, 17, 33])
-    def test_bands_match_full_size(self, factor, mask_h):
-        rng = Rng(100 * factor + mask_h)
+    def test_bands_match_full_size(self, monkeypatch, group, mask_h):
+        """Any split of the kept masks into upsample calls (6 masks: groups of 1, 2,
+        4 with a short tail, or one call) gives the full-size assembly bit for bit."""
+        rng = Rng(100 * group + mask_h)
         logits = rng.normal((9, mask_h, 5), std=3.0)
         kept = [7, 2, 0, 5, 8, 3]  # out of order: assembly selects the kept queries itself
         class_ids = [0, 1, 1, 2, 3, 1]  # stuff class 1 appears three times
@@ -360,49 +375,57 @@ class TestAssembly:
             MaskLabel(q, c, float(rng.uniform((), 0.3, 1.0))) for q, c in zip(kept, class_ids)
         ]
         is_thing = np.array([True, False, True, False])
-        out = assert_same_as_full_size(logits, labels, is_thing, factor)
-        assert out.segment_map.shape == (mask_h * factor, 5 * factor)
+        out = assert_same_as_full_size(monkeypatch, logits, labels, is_thing, group)
+        assert out.segment_map.shape == (mask_h * 4, 20)
 
-    @pytest.mark.parametrize("factor", [1, 4])
+    @pytest.mark.parametrize("group", [1, 4])
     @pytest.mark.parametrize("mask_hw", [(17, 3), (33, 1), (16, 40)])
-    def test_non_square_maps(self, factor, mask_hw):
+    def test_non_square_maps(self, monkeypatch, group, mask_hw):
         rng = Rng(7 + mask_hw[0] + mask_hw[1])
         logits = rng.normal((4, *mask_hw), std=2.0)
         labels = [MaskLabel(i, i, 0.5 + 0.1 * i) for i in range(4)]
-        assert_same_as_full_size(logits, labels, np.array([True, True, False, False]), factor)
+        is_thing = np.array([True, True, False, False])
+        assert_same_as_full_size(monkeypatch, logits, labels, is_thing, group)
 
-    @pytest.mark.parametrize("factor", [1, 2, 4, 8])
-    def test_exact_ties_go_to_the_first_label(self, factor):
+    @pytest.mark.parametrize("group", [1, 2, 4, 8])
+    def test_exact_ties_go_to_the_first_label(self, monkeypatch, group):
         row = Rng(8).normal((1, 33, 6))
         logits = np.concatenate([row, row, row])
         labels = [MaskLabel(2, 0, 0.7), MaskLabel(0, 1, 0.7), MaskLabel(1, 2, 0.7)]
-        out = assert_same_as_full_size(logits, labels, np.array([True, True, True]), factor)
+        is_thing = np.array([True, True, True])
+        out = assert_same_as_full_size(monkeypatch, logits, labels, is_thing, group)
         assert np.all(out.segment_map == 1)
         assert out.segments == [SegmentRecord(1, 0, True)]
 
-    @pytest.mark.parametrize("factor", [1, 2, 4, 8])
+    @pytest.mark.parametrize("mask_w", [1, 2, 4, 8])
     @pytest.mark.parametrize("mask_h", [1, 17])
-    def test_single_label(self, factor, mask_h):
-        logits = Rng(9).normal((3, mask_h, 4))
-        out = assert_same_as_full_size(logits, [MaskLabel(1, 0, 0.4)], np.array([False]), factor)
+    def test_single_label(self, monkeypatch, mask_w, mask_h):
+        logits = Rng(9).normal((3, mask_h, mask_w))
+        labels = [MaskLabel(1, 0, 0.4)]
+        out = assert_same_as_full_size(monkeypatch, logits, labels, np.array([False]), 1)
         assert np.all(out.segment_map == 1)
 
-    def test_peak_memory_bounded_by_band(self):
-        # 512x512 output from 100 kept 128x128 masks: the full-size form peaks near 806 MiB
-        k, mask_hw, factor = 100, 128, 4
-        h = w = mask_hw * factor
-        probs = sigmoid(Rng(10).normal((k, mask_hw, mask_hw), std=3.0))
+    def test_peak_memory_bounded_by_group(self):
+        """512x512 output from 100 kept 128x128 masks (the full-size form peaks
+        near 806 MiB): one group's upsample, as much again in its temporaries,
+        and 21 bytes per pixel of full-size buffers (the intp winner map, the
+        float32 best and candidate scores, the bool mask of better pixels and
+        the int32 segment map)."""
+        k, h, w = 100, 512, 512
+        probs = sigmoid(Rng(10).normal((k, h // 4, w // 4), std=3.0))
         labels = [MaskLabel(i, i % 10, 0.2 + 0.008 * i) for i in range(k)]
-        is_thing = np.arange(10) >= 4
-        band_bytes = k * (evaluation._BAND_ROWS + 2) * factor * w * 4 + h * w * 8
-        tracemalloc.start()
-        try:
-            out = assemble_panoptic(probs, labels, is_thing, upsample_factor=factor)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = assembly_peak(probs, labels, np.arange(10) >= 4)
         assert out.segment_map.shape == (h, w)
-        assert peak < 6 * band_bytes, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 2 * evaluation._GROUP_BYTES + 21 * h * w, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_peak_memory_at_large256_shape(self):
+        """The large256_tdee shape: 100 kept 64x64 masks make a 256x256 map."""
+        k = 100
+        probs = sigmoid(Rng(11).normal((k, 64, 64), std=3.0))
+        labels = [MaskLabel(i, i % 10, 0.2 + 0.008 * i) for i in range(k)]
+        out, peak = assembly_peak(probs, labels, np.arange(10) >= 4)
+        assert out.segment_map.shape == (256, 256)
+        assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_annotation_invariants_enforced():

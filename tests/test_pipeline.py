@@ -70,7 +70,7 @@ def test_forward_shape_contract(scene):
     result = forward(image, text, spec.is_thing(), cfg, bundle)
     assert result.panoptic.segment_map.shape == (64, 64)
     assert result.scores.values.shape == (cfg.n_queries, text.n_classes)
-    assert result.mask_logits.shape == (cfg.n_queries, 16, 16)
+    assert result.trace["mask_logits"].shape == (cfg.n_queries, 16, 16)
 
 
 @pytest.mark.parametrize("mode", ["none", "eaf", "sdi", "tdee"])
@@ -164,7 +164,7 @@ def test_final_mask_probabilities_computed_once(scene, monkeypatch, mode):
                     monkeypatch.setattr(module, attr, recording)
     result = forward(image, text, spec.is_thing(), cfg, bundle)
     assert result.labels  # assembly reads the probabilities
-    assert sum(np.array_equal(x, result.mask_logits) for x in seen) == 1
+    assert sum(np.array_equal(x, result.trace["mask_logits"]) for x in seen) == 1
 
 
 def test_trace_contains_named_intermediates(scene, tmp_path):
@@ -462,7 +462,7 @@ class TestWeightBundle:
             out = []
             for mode in FUSION_MODES:
                 r = forward(image, text, spec.is_thing(), dataclasses.replace(cfg, fusion=mode), bundle)
-                out += [r.scores.values, r.mask_logits, *r.trace.values()]
+                out += [r.scores.values, *r.trace.values()]
             return out
 
         base, rng, unread = outputs(), Rng(0), []
