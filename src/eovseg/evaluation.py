@@ -279,7 +279,7 @@ def assemble_panoptic(
         return PanopticAnnotation(segment_map=np.zeros((h, w), dtype=np.int32), segments=[])
     kept = [lab.mask_index for lab in labels]  # read per group, never copied whole
     conf = np.array([lab.confidence for lab in labels], dtype=np.float32)
-    group = max(1, _GROUP_BYTES // (4 * h * w))
+    group = max(1, _GROUP_BYTES // (4 * h * w))  # float32 full-size masks per call
     winner = np.zeros((h, w), dtype=np.intp)
     best, score = np.empty((h, w), dtype=np.float32), np.empty((h, w), dtype=np.float32)
     better = np.empty((h, w), dtype=bool)
