@@ -9,6 +9,7 @@ computation graph, not pretrained semantics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .tensor import Rng
 
 LEVELS = (2, 3, 4, 5)
 STAGE_FACTORS = {2: 4, 3: 2, 4: 2, 5: 2}  # downsampling per stage, cumulative 4/8/16/32
+IMAGE_MULTIPLE = math.prod(STAGE_FACTORS.values())  # the C5 stride; image extents are multiples of it
 
 
 def space_to_depth(x: np.ndarray, factor: int) -> np.ndarray:
@@ -37,7 +39,7 @@ class SyntheticBackbone:
     projections: dict[int, tuple[np.ndarray, np.ndarray]]  # per level: 1x1 (C_i, f^2 C_{i-1}) + bias
 
     @classmethod
-    def build(cls, seed: int, stage_widths=(64, 128, 256, 512)) -> "SyntheticBackbone":
+    def build(cls, seed: int, stage_widths: tuple[int, ...]) -> "SyntheticBackbone":
         rng = Rng(seed)
         projections = {}
         in_ch = 3
@@ -54,10 +56,9 @@ class SyntheticBackbone:
 def extract_features(image: np.ndarray, backbone: SyntheticBackbone) -> dict[int, np.ndarray]:
     """Run the stage projections; returns {level: features} at strides 2^level."""
     _, h, w = image.shape
-    if h % 32 or w % 32:
-        raise ValueError(
-            f"extract_features: image extents {h}x{w} must be divisible by 32; pad the input"
-        )
+    if h % IMAGE_MULTIPLE or w % IMAGE_MULTIPLE:
+        raise ValueError(f"extract_features: image extents {h}x{w} must be divisible by "
+                         f"{IMAGE_MULTIPLE}; pad the input")
     feats: dict[int, np.ndarray] = {}
     x = image
     for level in LEVELS:
@@ -77,7 +78,7 @@ class AggregatorWeights:
     fuse: tuple[np.ndarray, np.ndarray]  # 3x3 (D, D) + bias
 
     @classmethod
-    def build(cls, seed: int, width: int, stage_widths=(64, 128, 256, 512)) -> "AggregatorWeights":
+    def build(cls, seed: int, width: int, stage_widths: tuple[int, ...]) -> "AggregatorWeights":
         rng = Rng(seed)
         laterals = {}
         smooths = {}
@@ -102,28 +103,26 @@ class AggregatorWeights:
 
 
 def build_pyramid(feats: dict[int, np.ndarray], weights: AggregatorWeights) -> dict[int, np.ndarray]:
-    """Top-down pathway: laterals, 2x bilinear upsample-and-add, 3x3 smoothing.
+    """Top-down pathway, coarse to fine: lateral 1x1, plus the 2x bilinear
+    upsample of the coarser merged map (added in place), then 3x3 smoothing.
 
-    Returns {level: P_level}, every level at the embedding width and each
-    exactly twice the extent of the next coarser one.
+    Returns {level: P_level} in ``LEVELS`` order, every level at the
+    embedding width and each exactly twice the extent of the next coarser one.
     """
-    lat = {}
-    for level in LEVELS:
+    smoothed, merged = {}, None
+    for level in reversed(LEVELS):
         w, b = weights.laterals[level]
         if w.shape[1] != feats[level].shape[0]:
             raise ValueError(
                 f"build_pyramid: level {level} width {feats[level].shape[0]} "
                 f"does not match lateral weight {w.shape}"
             )
-        lat[level] = conv2d_1x1(feats[level], w, b)
-    merged = {5: lat[5]}
-    for level in (4, 3, 2):  # fixed coarse-to-fine accumulation order
-        merged[level] = lat[level] + bilinear_upsample(merged[level + 1], 2)
-    levels = {}
-    for level in LEVELS:
-        w, b = weights.smooths[level]
-        levels[level] = conv2d_3x3(merged[level], w, b)
-    return levels
+        lateral = conv2d_1x1(feats[level], w, b)
+        if merged is not None:
+            lateral += bilinear_upsample(merged, 2)
+        merged = lateral
+        smoothed[level] = conv2d_3x3(merged, *weights.smooths[level])
+    return {level: smoothed[level] for level in LEVELS}
 
 
 def aggregate(pyramid: dict[int, np.ndarray], weights: AggregatorWeights) -> np.ndarray:

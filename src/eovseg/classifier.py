@@ -50,7 +50,7 @@ def build_text_embeddings(
         raise ValueError(
             f"build_text_embeddings: class {int(dead[0])} averages to a zero vector"
         )
-    embeddings = l2_normalize(mean.astype(np.float32), axis=1)
+    embeddings = l2_normalize(mean.astype(np.float32))
     return TextEmbeddings(embeddings=embeddings, class_names=list(class_names), seen=seen)
 
 
@@ -59,7 +59,7 @@ def in_vocab_scores(instance_embed: np.ndarray, text_rows: np.ndarray, tau: floa
     (``TextEmbeddings.embeddings``), softmaxed at temperature tau."""
     if tau <= 0:
         raise ValueError(f"in_vocab_scores: temperature must be positive, got {tau}")
-    unit = l2_normalize(instance_embed, axis=1)
+    unit = l2_normalize(instance_embed)
     logits = (unit @ text_rows.T) / np.float32(tau)
     return softmax(logits.astype(np.float32), axis=1)
 

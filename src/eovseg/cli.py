@@ -5,12 +5,14 @@ format or scene input error (a non-finite image or one that is not (3,H,W),
 non-finite templates or a template width other than the config's embed_dim,
 a malformed vocab.txt or gt_manifest.txt, class counts or ids that disagree
 between the scene files, segment ids below 1 or listed twice in the
-manifest, map ids below 0 or without a manifest line, a damaged weight
-cache), 4 a pipeline stage failed on the given input (the stage name is
-printed).  The EOVSEG_THREADS environment variable caps kernel parallelism
-(0 = single-threaded); bench defaults to single-threaded for comparable
-timings.  Heavy imports happen after the thread cap is applied, which is why
-the command bodies import lazily.
+manifest, a segment map that is not finite or not the image's extents, map
+ids below 0 or without a manifest line, a damaged weight cache), 4 a
+pipeline stage failed on the given input (the stage name is printed).  The
+EOVSEG_THREADS environment variable caps kernel parallelism (0 =
+single-threaded) and overrides inherited BLAS thread variables; bench
+defaults to single-threaded for comparable timings.  Heavy imports happen
+after the thread cap is applied, which is why the command bodies import
+lazily.
 """
 
 from __future__ import annotations
@@ -37,15 +39,15 @@ _BLAS_VARS = (
 )
 
 
-def _apply_thread_cap(default: int | None = None) -> None:
-    """Honor EOVSEG_THREADS before numpy is imported; 0 means one thread."""
+def _apply_thread_cap(default: int | None) -> None:
+    """Honor EOVSEG_THREADS before numpy is imported; 0 means one thread.
+    When it is set it overrides every BLAS variable; else ``default`` fills the unset ones."""
     raw = os.environ.get("EOVSEG_THREADS")
-    if raw is None and default is None:
-        return
-    threads = int(raw) if raw is not None else default
-    threads = max(1, threads)
-    for var in _BLAS_VARS:
-        os.environ.setdefault(var, str(threads))
+    if raw is not None:
+        os.environ.update(dict.fromkeys(_BLAS_VARS, str(max(1, int(raw)))))
+    elif default is not None:
+        for var in _BLAS_VARS:
+            os.environ.setdefault(var, str(max(1, default)))
 
 
 def _load_config(path: str | None):
@@ -163,6 +165,9 @@ def _load_scene(scene_dir: Path, config):
     if not np.all(np.isfinite(templates)):
         raise EovtFormatError(f"{scene_dir / 'templates.eovt'}: templates must be finite")
     gt = PanopticAnnotation.load(scene_dir / "gt_map.eovt", scene_dir / "gt_manifest.txt")
+    if gt.segment_map.shape != image.shape[1:]:
+        raise EovtFormatError(f"{scene_dir / 'gt_map.eovt'}: segment map extents "
+                              f"{gt.segment_map.shape} differ from image.eovt's {image.shape[1:]}")
     vocab = scene_dir / "vocab.txt"
     names, seen, things = [], [], []
     for line in vocab.read_text().splitlines():
@@ -223,7 +228,7 @@ def cmd_run(args) -> int:
             image = bilinear_resize(image, target)
             gt = _present_segments(resize_map_nearest(gt.segment_map, target), gt.segments)
         work_hw = (image.shape[1], image.shape[2])
-        image = pad_to_multiple(image, 32)
+        image = pad_to_multiple(image)
         image_hw = (image.shape[1], image.shape[2])
         bundle = load_or_build_weights(args.weights, config, image_hw)
         if args.trace:
@@ -281,8 +286,10 @@ def cmd_verify(args) -> int:
 
 
 def _square(size: int) -> tuple[int, int]:
-    if size <= 0 or size % 32:
-        raise ValueError(f"--size must be a positive multiple of 32, got {size}")
+    from .aggregator import IMAGE_MULTIPLE
+
+    if size <= 0 or size % IMAGE_MULTIPLE:
+        raise ValueError(f"--size must be a positive multiple of {IMAGE_MULTIPLE}, got {size}")
     return size, size
 
 

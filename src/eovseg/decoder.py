@@ -29,6 +29,11 @@ MASK_POOL_EPS = 1e-8
 MASK_MLP_DEPTH = 3  # (w, b) pairs in the mask-embedding MLP, D->D->D->D
 
 
+def ln_identity(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (gamma, beta) pair under which ``layer_norm`` only normalizes."""
+    return np.ones(width, dtype=np.float32), np.zeros(width, dtype=np.float32)
+
+
 @dataclass
 class AttentionBlockWeights:
     heads: int
@@ -81,9 +86,9 @@ class DecoderWeights:
         width: int,
         n_queries: int,
         n_layers: int,
-        kernel_size: int = 3,
-        heads: int = 8,
-        ffn_expansion: int = 4,
+        kernel_size: int,
+        heads: int,
+        ffn_expansion: int,
     ) -> "DecoderWeights":
         rng = Rng(seed)
         hidden = width * ffn_expansion
@@ -97,8 +102,8 @@ class DecoderWeights:
                 DecoderLayerWeights(
                     kernel_proj=kernel_proj,
                     self_attn=AttentionBlockWeights.build(rng, width, heads),
-                    ln_attn=(np.ones(width, dtype=np.float32), np.zeros(width, dtype=np.float32)),
-                    ln_ffn=(np.ones(width, dtype=np.float32), np.zeros(width, dtype=np.float32)),
+                    ln_attn=ln_identity(width),
+                    ln_ffn=ln_identity(width),
                     ffn_w1=rng.normal((width, hidden), std=1.0 / np.sqrt(width)),
                     ffn_b1=np.zeros(hidden, dtype=np.float32),
                     ffn_w2=rng.normal((hidden, width), std=1.0 / np.sqrt(hidden)),

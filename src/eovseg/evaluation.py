@@ -69,6 +69,8 @@ class PanopticAnnotation:
     @classmethod
     def load(cls, map_path: str | Path, manifest_path: str | Path) -> "PanopticAnnotation":
         seg = read_eovt(map_path)
+        if not np.all(np.isfinite(seg)):
+            raise EovtFormatError(f"{map_path}: segment map holds non-finite values")
         rounded = np.rint(seg)
         if np.max(np.abs(seg - rounded)) > 0:
             raise EovtFormatError(f"{map_path}: segment map holds non-integral values")
@@ -270,9 +272,9 @@ def assemble_panoptic(
     of output per ``bilinear_upsample`` call, so memory is bounded by the
     group rather than by the number of kept masks; the upsample never mixes
     channels, so every pixel equals the full-size upsample's.  The argmax is
-    a running max over the kept masks in label order, replaced only by a
-    strictly greater score, so the first index wins ties as under
-    ``np.argmax``.
+    a running max over the kept masks in label order, from -inf, replaced
+    only by a strictly greater score: every score is >= 0, so label 0 takes
+    every pixel first, and the first index wins ties as under ``np.argmax``.
     """
     h, w = 4 * probs.shape[1], 4 * probs.shape[2]
     if not labels:
@@ -281,14 +283,11 @@ def assemble_panoptic(
     conf = np.array([lab.confidence for lab in labels], dtype=np.float32)
     group = max(1, _GROUP_BYTES // (4 * h * w))  # float32 full-size masks per call
     winner = np.zeros((h, w), dtype=np.intp)
-    best, score = np.empty((h, w), dtype=np.float32), np.empty((h, w), dtype=np.float32)
+    best, score = np.full((h, w), -np.inf, dtype=np.float32), np.empty((h, w), dtype=np.float32)
     better = np.empty((h, w), dtype=bool)
     for g0 in range(0, len(labels), group):
         up = bilinear_upsample(probs[kept[g0:g0 + group]], 4)
         for i in range(g0, g0 + len(up)):
-            if i == 0:  # label 0's score is the starting value
-                np.multiply(conf[0], up[0], out=best)
-                continue
             np.multiply(conf[i], up[i - g0], out=score)
             np.greater(score, best, out=better)
             np.copyto(best, score, where=better)

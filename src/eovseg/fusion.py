@@ -18,12 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decoder import ln_identity
 from .kernels import conv2d_1x1, depthwise_conv1d, gelu, layer_norm, linear, sigmoid
 from .tensor import Rng
-
-
-def _ln_pair(width: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.ones(width, dtype=np.float32), np.zeros(width, dtype=np.float32)
 
 
 @dataclass
@@ -62,13 +59,13 @@ class TdeeWeights:
             router_m_b=rng.normal((half,), std=0.02),
             router_s_w=rng.normal((half, half), std=1.0 / np.sqrt(half)),
             router_s_b=rng.normal((half,), std=0.02),
-            ln_fuse_m=_ln_pair(half),
-            ln_fuse_s=_ln_pair(half),
-            ln_gate_m=_ln_pair(half),
-            ln_gate_s=_ln_pair(half),
+            ln_fuse_m=ln_identity(half),
+            ln_fuse_s=ln_identity(half),
+            ln_gate_m=ln_identity(half),
+            ln_gate_s=ln_identity(half),
             out_w=rng.normal((half, width), std=1.0 / np.sqrt(half)),
             out_b=np.zeros(width, dtype=np.float32),
-            ln_out=_ln_pair(width),
+            ln_out=ln_identity(width),
         )
 
     def swapped(self) -> "TdeeWeights":
@@ -181,7 +178,7 @@ class SdiWeights:
         return self.gen_left_w.shape[1] // self.gen_left_w.shape[0]
 
     @classmethod
-    def build(cls, seed: int, width: int, kernel_size: int = 3, rank: int = 4) -> "SdiWeights":
+    def build(cls, seed: int, width: int, kernel_size: int, rank: int) -> "SdiWeights":
         rng = Rng(seed)
         std = 1.0 / np.sqrt(width)
         return cls(

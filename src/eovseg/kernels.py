@@ -23,6 +23,8 @@ CONV_BLOCK_COLUMNS = 1024  # output pixels per conv2d_3x3 GEMM block
 CONV1X1_BLOCK_BYTES = 1 << 20  # least input bytes per conv2d_1x1 column block
 DEPTHWISE_BLOCK_BYTES = 1 << 18  # padded input bytes per depthwise_conv2d_3x3 channel block
 UPSAMPLE_BLOCK_BYTES = 1 << 19  # output bytes per bilinear_upsample channel block
+LAYER_NORM_EPS = np.float32(1e-5)  # added to the variance
+L2_NORM_FLOOR = 1e-12  # least norm a row is divided by
 
 
 # ---------------------------------------------------------------------------
@@ -39,9 +41,7 @@ def softmax(x: np.ndarray, axis: int) -> np.ndarray:
     return (e / np.sum(e, axis=axis, keepdims=True)).astype(np.float32, copy=False)
 
 
-def layer_norm(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
-) -> np.ndarray:
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Normalize the last axis to zero mean / unit population variance, then affine."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -50,7 +50,7 @@ def layer_norm(
         )
     mean = np.mean(x, axis=-1, keepdims=True)
     var = np.mean((x - mean) ** 2, axis=-1, keepdims=True)
-    out = (x - mean) / np.sqrt(var + np.float32(eps)) * gamma + beta
+    out = (x - mean) / np.sqrt(var + LAYER_NORM_EPS) * gamma + beta
     return out.astype(np.float32, copy=False)
 
 
@@ -311,9 +311,10 @@ def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
     return out.astype(np.float32, copy=False)
 
 
-def l2_normalize(x: np.ndarray, axis: int = -1, eps: float = 1e-12) -> np.ndarray:
-    norm = np.sqrt(np.sum(x.astype(np.float64) ** 2, axis=axis, keepdims=True))
-    norm = np.maximum(norm, eps)
+def l2_normalize(x: np.ndarray) -> np.ndarray:
+    """Scale each row of a 2-D array to unit length."""
+    norm = np.sqrt(np.sum(x.astype(np.float64) ** 2, axis=1, keepdims=True))
+    norm = np.maximum(norm, L2_NORM_FLOOR)
     return (x / norm).astype(np.float32, copy=False)
 
 

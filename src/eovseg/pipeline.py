@@ -38,7 +38,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import oracles, reference
-from .aggregator import LEVELS, STAGE_FACTORS, aggregate, build_pyramid, extract_features
+from .aggregator import (IMAGE_MULTIPLE, LEVELS, STAGE_FACTORS, aggregate, build_pyramid,
+                         extract_features)
 from .classifier import (
     MaskLabel,
     TextEmbeddings,
@@ -70,11 +71,11 @@ class PipelineStageError(RuntimeError):
         self.cause = cause
 
 
-def pad_to_multiple(image: np.ndarray, multiple: int = 32) -> np.ndarray:
-    """Zero-pad the bottom/right spatial edges up to the next multiple."""
+def pad_to_multiple(image: np.ndarray) -> np.ndarray:
+    """Zero-pad the bottom/right spatial edges up to the next multiple of ``IMAGE_MULTIPLE``."""
     _, h, w = image.shape
-    ph = (-h) % multiple
-    pw = (-w) % multiple
+    ph = (-h) % IMAGE_MULTIPLE
+    pw = (-w) % IMAGE_MULTIPLE
     if ph == 0 and pw == 0:
         return image
     return np.pad(image, ((0, 0), (0, ph), (0, pw))).astype(np.float32, copy=False)
@@ -118,8 +119,8 @@ class Stage:
     name: str  # the stage PipelineStageError reports and count_macs counts under
     modes: tuple[str, ...]  # fusion modes the row runs in
     # what the row reads from the run namespace, in order: a name, or a dotted
-    # path such as "bundle.vas" that follows attributes; a non-string passes as is
-    inputs: tuple
+    # path such as "bundle.vas" that follows attributes
+    inputs: tuple[str, ...]
     outputs: tuple[str, ...]  # a leading "_" keeps an output out of the trace
     step: Callable[..., object]  # inputs -> one output, or a tuple of several
     reference: Callable[..., object]  # inputs, then a MacCounter -> float64 outputs
@@ -195,7 +196,7 @@ def _sdi_macs(c: SimpleNamespace) -> int:
 
 def _clip_macs(c: SimpleNamespace) -> int:  # C5 comes from the backbone row
     d = c.config.embed_dim
-    project = macs_conv2d_1x1(c.config.backbone_widths[-1], d, *_grid(c, 32))
+    project = macs_conv2d_1x1(c.config.backbone_widths[-1], d, *_grid(c, _STRIDES[-1]))
     return project + macs_bilinear(d, *_grid(c, 4))
 
 
@@ -221,8 +222,8 @@ STAGES = (
           lambda *a: vas_forward_detailed(*a), reference.vas_forward_reference, _vas_macs),
     Stage("spatial", ("eaf", "sdi", "tdee"), ("image", "bundle.vit"), ("_vit_grid",),
           lambda *a: vit_block_features(*a), reference.vit_block_reference, _vit_macs),
-    Stage("fusion", ("eaf",), ("_vit_grid", 4), ("_vit_grid_up",),
-          lambda *a: bilinear_upsample(*a), oracles.bilinear_upsample_oracle,
+    Stage("fusion", ("eaf",), ("_vit_grid",), ("_vit_grid_up",), lambda g: bilinear_upsample(g, 4),
+          lambda g, counter: oracles.bilinear_upsample_oracle(g, 4, counter),
           lambda c: macs_bilinear(c.config.vit_dim, *_grid(c, 4))),
     Stage("fusion", ("eaf",), ("vs_agg_features", "_vit_grid_up", "bundle.eaf"),
           ("early_fused_features",), lambda *a: eaf(*a), reference.eaf_reference,
@@ -266,9 +267,9 @@ def _call(stage: str, fn, *args):
         raise PipelineStageError(stage, exc) from exc
 
 
-def _resolve_inputs(v: SimpleNamespace, inputs: tuple) -> tuple:
+def _resolve_inputs(v: SimpleNamespace, inputs: tuple[str, ...]) -> tuple:
     """A row's ``inputs`` read from the run namespace ``v``."""
-    return tuple(attrgetter(name)(v) if isinstance(name, str) else name for name in inputs)
+    return tuple(attrgetter(name)(v) for name in inputs)
 
 
 def _run_stages(image, text, config, bundle, keep, run=lambda stage, args: stage.step(*args)):

@@ -28,6 +28,8 @@ from .weights import WeightBundle
 MODULES = ("backbone", "aggregator", "vas", "decoder", "spatial", "fusion", "text_encoder",
            "classifier")
 
+BENCH_WARMUP = 2  # untimed repetitions before benchmark's timed ones
+
 FLOPS_NOTE = "flops = 2 * macs (multiply-accumulate convention)"
 CSV_COLUMNS = ("module", "params", "macs", "flops", "time_mean_ns", "time_p50_ns", "time_p95_ns",
                "mode", "config_hash")
@@ -137,10 +139,7 @@ def _decoder_macs(cfg: ModelConfig, hw: int, mode: str) -> int:
 
 
 def count_macs(
-    cfg: ModelConfig,
-    image_hw: tuple[int, int] = (64, 64),
-    n_class: int = 4,
-    mode: str = "dda",
+    cfg: ModelConfig, image_hw: tuple[int, int], n_class: int, mode: str = "dda"
 ) -> dict[str, int]:
     """Per-module analytic MACs of one forward pass with decoder ``mode``: the sum
     of ``macs`` over the ``pipeline.STAGES`` rows that run in ``cfg.fusion``.
@@ -204,10 +203,7 @@ def assert_interaction_asymmetry(cfg: ModelConfig) -> None:
 
 
 def profile_modules(
-    cfg: ModelConfig,
-    bundle: WeightBundle,
-    image_hw: tuple[int, int] = (64, 64),
-    n_class: int = 4,
+    cfg: ModelConfig, bundle: WeightBundle, image_hw: tuple[int, int], n_class: int
 ) -> ProfileReport:
     assert_interaction_asymmetry(cfg)
     params = count_params(bundle)
@@ -238,12 +234,7 @@ def _layer_step(features, kernels, logits, bundle: WeightBundle, mode: str):
 
 
 def benchmark(
-    cfg: ModelConfig,
-    bundle: WeightBundle,
-    reps: int,
-    image_hw: tuple[int, int] = (64, 64),
-    warmup: int = 2,
-    seed: int = 0,
+    cfg: ModelConfig, bundle: WeightBundle, reps: int, image_hw: tuple[int, int], seed: int = 0
 ) -> ProfileReport:
     """Time one decoder layer with dda and with ca on the same seeded inputs,
     alternating per repetition; counts stay analytic."""
@@ -257,11 +248,11 @@ def benchmark(
     logits = rng.normal((cfg.n_queries, h4, w4))
 
     times = {"dda": [], "ca": []}
-    for rep in range(warmup + reps):
+    for rep in range(BENCH_WARMUP + reps):
         for mode, kept in times.items():
             t0 = time.perf_counter_ns()
             _layer_step(features, kernels, logits, bundle, mode)
-            if rep >= warmup:
+            if rep >= BENCH_WARMUP:
                 kept.append(time.perf_counter_ns() - t0)
 
     d = cfg.embed_dim
@@ -282,7 +273,7 @@ def benchmark(
         rows=rows,
         config_hash=cfg.hash({"image_hw": list(image_hw)}),
         notes=[
-            f"reps={reps} warmup={warmup} (warmup excluded), monotonic clock",
+            f"reps={reps} warmup={BENCH_WARMUP} (warmup excluded), monotonic clock",
             "params column reports the interaction block only (kernel projection vs QKVO)",
             f"ca_over_dda={rows[1].time_p50_ns / rows[0].time_p50_ns:.3f} (p50 time ratio)",
         ],

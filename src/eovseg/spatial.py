@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import AttentionBlockWeights, mask_pool
+from .decoder import AttentionBlockWeights, ln_identity, mask_pool
 from .kernels import gelu, layer_norm, linear, multi_head_attention, transposed_conv2d
 from .tensor import Rng
 
@@ -47,8 +47,8 @@ class VitBlockWeights:
             patch_b=rng.normal((width,), std=0.02),
             class_token=rng.normal((width,), std=0.02),
             pos_table=rng.normal((n_tokens, width), std=0.02),
-            ln_attn=(np.ones(width, dtype=np.float32), np.zeros(width, dtype=np.float32)),
-            ln_mlp=(np.ones(width, dtype=np.float32), np.zeros(width, dtype=np.float32)),
+            ln_attn=ln_identity(width),
+            ln_mlp=ln_identity(width),
             attn=AttentionBlockWeights.build(rng, width, heads),
             mlp_w1=rng.normal((width, hidden), std=1.0 / np.sqrt(width)),
             mlp_b1=np.zeros(hidden, dtype=np.float32),

@@ -24,16 +24,16 @@ class EovtFormatError(ValueError):
     ``gt_manifest.txt``) fails format validation."""
 
 
-def check_tensor(x: np.ndarray, name: str = "tensor") -> np.ndarray:
+def check_tensor(x: np.ndarray) -> np.ndarray:
     """Validate the shared tensor contract and return the array unchanged."""
     if not isinstance(x, np.ndarray):
-        raise TypeError(f"{name}: expected ndarray, got {type(x).__name__}")
+        raise TypeError(f"tensor: expected ndarray, got {type(x).__name__}")
     if x.dtype != np.float32:
-        raise ValueError(f"{name}: dtype must be float32, got {x.dtype}")
+        raise ValueError(f"tensor: dtype must be float32, got {x.dtype}")
     if not 1 <= x.ndim <= MAX_RANK:
-        raise ValueError(f"{name}: rank must be in [1, {MAX_RANK}], got {x.ndim}")
+        raise ValueError(f"tensor: rank must be in [1, {MAX_RANK}], got {x.ndim}")
     if any(e < 1 for e in x.shape):
-        raise ValueError(f"{name}: every extent must be >= 1, got shape {x.shape}")
+        raise ValueError(f"tensor: every extent must be >= 1, got shape {x.shape}")
     return np.ascontiguousarray(x)
 
 

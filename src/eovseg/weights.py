@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregator import LEVELS, AggregatorWeights, SyntheticBackbone
+from .aggregator import IMAGE_MULTIPLE, LEVELS, AggregatorWeights, SyntheticBackbone
 from .config import ModelConfig
 from .decoder import MASK_MLP_DEPTH, DecoderWeights
 from .fusion import EafWeights, SdiWeights, TdeeWeights
@@ -149,8 +149,8 @@ def _construct(tp, node):
 
 def _vit_grid(image_hw: tuple[int, int]) -> tuple[int, int]:
     h, w = image_hw
-    if h % 32 or w % 32:
-        raise ValueError(f"build_weights: image extents {h}x{w} must be divisible by 32")
+    if h % IMAGE_MULTIPLE or w % IMAGE_MULTIPLE:
+        raise ValueError(f"build_weights: image extents {h}x{w} must be divisible by {IMAGE_MULTIPLE}")
     return h // PATCH, w // PATCH
 
 

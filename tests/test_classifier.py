@@ -25,7 +25,7 @@ GEOMETRIC_REFERENCE = 0.662890803467997360
 
 
 def make_text(n_class=3, seed=1):
-    rows = l2_normalize(Rng(seed).normal((n_class, D)), axis=1)
+    rows = l2_normalize(Rng(seed).normal((n_class, D)))
     return TextEmbeddings(
         embeddings=rows,
         class_names=[f"c{i}" for i in range(n_class)],
@@ -37,7 +37,7 @@ class TestTextEmbeddings:
     def test_single_template_is_normalized_copy(self):
         t = Rng(2).normal((1, 3, D))
         text = build_text_embeddings(t, ["a", "b", "c"], np.array([True, False, True]))
-        assert np.allclose(text.embeddings, l2_normalize(t[0], axis=1), atol=1e-6)
+        assert np.allclose(text.embeddings, l2_normalize(t[0]), atol=1e-6)
 
     def test_cancelling_templates_fail(self):
         t0 = Rng(3).normal((1, 2, D))[0]

@@ -4,6 +4,7 @@ import argparse
 import csv
 import inspect
 import json
+import os
 import re
 import subprocess
 import sys
@@ -251,6 +252,10 @@ class TestRun:
         ("gt_manifest.txt", lambda lines: [*lines, lines[0]], "duplicate segment ids"),
         ("gt_manifest.txt", lambda lines: lines[1:], "map ids [1] lack records"),
         ("gt_map.eovt", lambda seg: np.where(seg == 1, np.float32(-1), seg), "holds negative ids"),
+        ("gt_map.eovt", lambda seg: np.where(seg == 1, np.float32(np.nan), seg), "non-finite values"),
+        ("gt_map.eovt", lambda seg: np.where(seg == 1, np.float32(np.inf), seg), "non-finite values"),
+        ("gt_map.eovt", lambda seg: seg[:32, :32],
+         "segment map extents (32, 32) differ from image.eovt's (64, 64)"),
         ("templates.eovt", lambda t: np.where(t == t.max(), np.float32(np.nan), t), "must be finite"),
         ("templates.eovt", lambda t: np.where(t == t.max(), np.float32(np.inf), t), "must be finite"),
         ("image.eovt", lambda image: image[:1], "need a finite (3,H,W) image"),
@@ -259,7 +264,8 @@ class TestRun:
          "vocab_repeated_name",
          "manifest_two_fields", "manifest_non_integer", "manifest_unknown_class",
          "manifest_void_id", "manifest_duplicate_id", "manifest_missing_record",
-         "map_negative_id", "templates_nan", "templates_inf", "image_one_channel"],
+         "map_negative_id", "map_nan", "map_inf", "map_extents", "templates_nan", "templates_inf",
+         "image_one_channel"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # rejected before any arithmetic on it
 def test_malformed_scene_text_exits_3_naming_file(workdir, capsys, name, edit, expected):
@@ -457,6 +463,28 @@ def test_bad_thread_count_is_a_usage_error(monkeypatch, capsys):
     assert main(["verify", "--trials", "2"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "EOVSEG_THREADS" in err[0]
+
+
+def _blas_env(monkeypatch, **values):
+    """Unset EOVSEG_THREADS and every BLAS variable but ``values``; all are restored after."""
+    for var in (*cli._BLAS_VARS, "EOVSEG_THREADS"):
+        monkeypatch.setenv(var, "")  # records the old state, which delenv alone may not
+        monkeypatch.delenv(var)
+    for var, value in values.items():
+        monkeypatch.setenv(var, value)
+
+
+def test_explicit_thread_count_overrides_inherited_blas_variables(monkeypatch):
+    _blas_env(monkeypatch, OPENBLAS_NUM_THREADS="4", EOVSEG_THREADS="1")
+    cli._apply_thread_cap(None)
+    assert {var: os.environ[var] for var in cli._BLAS_VARS} == dict.fromkeys(cli._BLAS_VARS, "1")
+
+
+def test_bench_default_fills_only_unset_blas_variables(monkeypatch):
+    _blas_env(monkeypatch, OPENBLAS_NUM_THREADS="4")
+    cli._apply_thread_cap(0)
+    expected = {**dict.fromkeys(cli._BLAS_VARS, "1"), "OPENBLAS_NUM_THREADS": "4"}
+    assert {var: os.environ[var] for var in cli._BLAS_VARS} == expected
 
 
 def test_unknown_flag_rejected():

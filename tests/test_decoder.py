@@ -237,9 +237,9 @@ class TestDecoderForward:
 
 def test_weights_validation():
     with pytest.raises(ValueError, match="odd"):
-        DecoderWeights.build(0, D, 2, 1, kernel_size=4)
+        DecoderWeights.build(0, D, 2, 1, kernel_size=4, heads=2, ffn_expansion=2)
     with pytest.raises(ValueError, match="layer"):
-        DecoderWeights.build(0, D, 2, 0)
+        DecoderWeights.build(0, D, 2, 0, kernel_size=3, heads=2, ffn_expansion=2)
 
 
 def test_dda_param_count_below_cross_attention():

@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import sys
+import typing
 from types import SimpleNamespace
 
 import numpy as np
@@ -110,6 +112,11 @@ def _same(a, b):  # an output: an array, or a {level: array} dict such as the ba
     return np.array_equal(a, b)
 
 
+def test_stage_inputs_are_names():
+    for stage in pipeline_module.STAGES:
+        assert all(isinstance(name, str) for name in stage.inputs), stage.outputs
+
+
 @pytest.mark.parametrize("mode", FUSION_MODES)
 def test_rows_read_only_their_declared_inputs(scene, mode):
     """Each row, run on a namespace that holds only the roots of its declared
@@ -124,7 +131,7 @@ def test_rows_read_only_their_declared_inputs(scene, mode):
     for stage in pipeline_module.STAGES:
         if mode not in stage.modes:
             continue
-        roots = {name.split(".")[0] for name in stage.inputs if isinstance(name, str)}
+        roots = {name.split(".")[0] for name in stage.inputs}
         only = SimpleNamespace(**{root: produced[root] for root in roots})
         out = stage.step(*pipeline_module._resolve_inputs(only, stage.inputs))
         several = len(stage.outputs) > 1
@@ -327,6 +334,14 @@ def _assert_bitwise_equal(a, b):
 
 
 class TestWeightBundle:
+    def test_builders_take_every_size_from_the_caller(self):
+        """``build_weights`` passes each size from ``ModelConfig``; a default
+        on a builder would be a second definition of it."""
+        fields = typing.get_type_hints(weights_module.WeightBundle).values()
+        for tp in {tp for tp in fields if hasattr(tp, "build")} | {AttentionBlockWeights}:
+            params = inspect.signature(tp.build).parameters.values()
+            assert [p.name for p in params if p.default is not p.empty] == [], tp.__name__
+
     def test_save_load_roundtrip(self, tmp_path):
         cfg = small_config()
         bundle = build_weights(cfg, (64, 64))
@@ -624,12 +639,12 @@ class TestInputConditioning:
         from eovseg.pipeline import pad_to_multiple
 
         img = Rng(1).normal((3, 50, 70))
-        padded = pad_to_multiple(img, 32)
+        padded = pad_to_multiple(img)
         assert padded.shape == (3, 64, 96)
         assert np.array_equal(padded[:, :50, :70], img)
         assert np.all(padded[:, 50:, :] == 0)
         same = Rng(2).normal((3, 64, 64))
-        assert pad_to_multiple(same, 32) is same
+        assert pad_to_multiple(same) is same
 
     def test_resize_image_constancy_and_extents(self):
         from eovseg.kernels import bilinear_resize

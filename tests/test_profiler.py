@@ -150,6 +150,17 @@ class TestMacs:
         assert not passed
         assert named in detail, detail
 
+    @pytest.mark.parametrize("fn, row", [("in_vocab_scores", "scores_in_vocab"),
+                                         ("out_vocab_scores", "scores_out_vocab")])
+    def test_check_names_a_drifting_classifier_row(self, monkeypatch, fn, row):
+        """The walk holds both score rows to their references, so a score off
+        by a relative 1e-4 fails it by name."""
+        original = getattr(pipeline, fn)
+        monkeypatch.setattr(pipeline, fn, lambda *a: original(*a) * np.float32(1 + 1e-4))
+        passed, detail = check_stages_vs_references(Rng(0), trials=1)
+        assert not passed
+        assert f"none: stage 'classifier' row '{row}': value" in detail, detail
+
     def test_check_stops_at_the_first_mismatch(self, monkeypatch):
         """A miscount in the first row ends the walk: no later row runs."""
         ran = []
