@@ -138,7 +138,7 @@ def cmd_gen(args) -> int:
         f"{name} {'seen' if seen[i] else 'unseen'} {'thing' if things[i] else 'stuff'}"
         for i, name in enumerate(spec.class_names)
     ]
-    (out / "vocab.txt").write_text("\n".join(vocab_lines) + "\n")
+    (out / "vocab.txt").write_text("\n".join(vocab_lines) + "\n", encoding="utf-8")
     (out / "scene_spec.json").write_text(json.dumps(fields, indent=2, sort_keys=True) + "\n")
     print(f"scene written to {out} ({len(gt.segments)} segments, {spec.n_classes} classes)")
     return EXIT_OK
@@ -149,7 +149,7 @@ def _load_scene(scene_dir: Path, config):
 
     from .classifier import build_text_embeddings
     from .evaluation import PanopticAnnotation
-    from .tensor import EovtFormatError, read_eovt
+    from .tensor import EovtFormatError, read_eovt, read_text
 
     image = read_eovt(scene_dir / "image.eovt")
     templates = read_eovt(scene_dir / "templates.eovt")
@@ -170,7 +170,7 @@ def _load_scene(scene_dir: Path, config):
                               f"{gt.segment_map.shape} differ from image.eovt's {image.shape[1:]}")
     vocab = scene_dir / "vocab.txt"
     names, seen, things = [], [], []
-    for line in vocab.read_text().splitlines():
+    for line in read_text(vocab).splitlines():
         if not line.strip():
             continue
         fields = line.split()

@@ -5,8 +5,6 @@ the object kernels with dynamic depthwise attention, run self-attention + FFN
 over the queries, map to mask kernels with a 3-layer MLP, and predict new mask
 logits.  Mask embeddings come from normalized soft mask pooling under the
 final mask probabilities, which the decoder returns for later stages.
-``cross_attention_baseline`` is the interaction dda replaces; no decoder
-weight holds it, and only ``profiler`` runs it, on a block it draws itself.
 """
 
 from __future__ import annotations
@@ -143,17 +141,6 @@ def dda(kernels: np.ndarray, pooled: np.ndarray, kernel_proj: np.ndarray) -> np.
     """
     generated = linear(kernels, kernel_proj)  # (N, m)
     return depthwise_conv1d(pooled, generated)
-
-
-def cross_attention_baseline(
-    kernels: np.ndarray, features: np.ndarray, w: AttentionBlockWeights
-) -> np.ndarray:
-    """Queries attend over every spatial position of the (single-scale) feature map."""
-    d = features.shape[0]
-    positions = np.ascontiguousarray(features.reshape(d, -1).T)  # (H'W', D)
-    return kernels + multi_head_attention(
-        kernels, positions, w.wq, w.wk, w.wv, w.wo, w.heads
-    )
 
 
 def refine_kernels(kernels: np.ndarray, layer: DecoderLayerWeights) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .classifier import MaskLabel
 from .kernels import bilinear_upsample
-from .tensor import EovtFormatError, Rng, read_eovt, write_eovt
+from .tensor import EovtFormatError, Rng, read_eovt, read_text, write_eovt
 
 VOID = 0  # segment id reserved for unlabeled pixels
 _GROUP_BYTES = 2 << 20  # upsampled bytes per assembly call: 128 masks of a 64x64 image
@@ -76,8 +76,11 @@ class PanopticAnnotation:
             raise EovtFormatError(f"{map_path}: segment map holds non-integral values")
         if np.min(rounded) < VOID:
             raise EovtFormatError(f"{map_path}: segment map holds negative ids")
+        top = float(np.max(rounded))  # as float32, the int32 maximum would round up to 2**31
+        if top > np.iinfo(np.int32).max:
+            raise EovtFormatError(f"{map_path}: segment map holds id {top:.0f}, beyond int32")
         records = []
-        for line in Path(manifest_path).read_text().splitlines():
+        for line in read_text(manifest_path).splitlines():
             if not line.strip():
                 continue
             try:

@@ -1,5 +1,9 @@
 """Analytic parameter/MAC accounting and a wall-time benchmark harness.
 
+The benchmark times one decoder layer with dynamic depthwise attention (dda)
+and with the cross-attention (ca) it replaces; the ca baseline lives here,
+as no decoder weight holds its block and no forward runs it.
+
 MAC convention (shared with the instrumented oracle counters): one MAC per
 data*data or data*weight product inside a contraction, convolution, or
 interpolation, with zero padding included; elementwise gates, normalizations,
@@ -20,8 +24,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import ModelConfig
-from .decoder import (AttentionBlockWeights, cross_attention_baseline, decoder_layer, mask_kernels,
-                      predict_masks, refine_kernels)
+from .decoder import (AttentionBlockWeights, decoder_layer, mask_kernels, predict_masks,
+                      refine_kernels)
+from .kernels import multi_head_attention
 from .tensor import Rng
 from .weights import WeightBundle
 
@@ -76,23 +81,6 @@ def macs_attention(n_q: int, n_kv: int, d: int) -> int:
     return 2 * n_q * d * d + 2 * n_kv * d * d + 2 * n_q * n_kv * d
 
 
-def macs_dda(n: int, d: int, m: int) -> int:
-    """The dynamic depthwise attention itself: one m-tap conv per query row."""
-    return macs_depthwise_conv1d(n, d, m)
-
-
-def macs_dda_kernel_gen(n: int, d: int, m: int) -> int:
-    return macs_matmul(n, d, m)
-
-
-def macs_initial_attention(n: int, d: int, hw: int) -> int:
-    return n * d * hw
-
-
-def macs_cross_attention(n: int, d: int, hw: int) -> int:
-    return macs_attention(n, hw, d)
-
-
 def params_dda_layer(d: int, m: int) -> int:
     """The bias-free kernel-generating projection."""
     return d * m
@@ -117,12 +105,10 @@ def count_params(bundle: WeightBundle) -> dict[str, int]:
 
 def _decoder_layer_macs(cfg: ModelConfig, hw: int, mode: str) -> int:
     n, d, m = cfg.n_queries, cfg.embed_dim, cfg.dda_kernel_size
-    per_layer = 0
-    if mode == "dda":
-        per_layer += macs_initial_attention(n, d, hw)
-        per_layer += macs_dda_kernel_gen(n, d, m) + macs_dda(n, d, m)
-    else:
-        per_layer += macs_cross_attention(n, d, hw)
+    if mode == "dda":  # initial attention, then kernel generation and the m-tap conv
+        per_layer = n * d * hw + 2 * n * d * m
+    else:  # the queries attend over every feature position
+        per_layer = macs_attention(n, hw, d)
     per_layer += macs_attention(n, n, d)  # query self-attention
     per_layer += 2 * n * d * (cfg.ffn_expansion * d)  # FFN in and out
     per_layer += 3 * macs_matmul(n, d, d)  # mask-kernel MLP
@@ -220,6 +206,17 @@ def _ca_block(width: int, heads: int, weights_seed: int) -> AttentionBlockWeight
     """The cross-attention baseline's weights, from substream 0xCA of the weights
     seed (``build_weights`` uses 0 to 9); cached, so a timed call does not draw."""
     return AttentionBlockWeights.build(Rng(weights_seed).child(0xCA), width, heads)
+
+
+def cross_attention_baseline(
+    kernels: np.ndarray, features: np.ndarray, w: AttentionBlockWeights
+) -> np.ndarray:
+    """Queries attend over every spatial position of the (single-scale) feature map."""
+    d = features.shape[0]
+    positions = np.ascontiguousarray(features.reshape(d, -1).T)  # (H'W', D)
+    return kernels + multi_head_attention(
+        kernels, positions, w.wq, w.wk, w.wv, w.wo, w.heads
+    )
 
 
 def _layer_step(features, kernels, logits, bundle: WeightBundle, mode: str):

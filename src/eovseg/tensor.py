@@ -24,6 +24,14 @@ class EovtFormatError(ValueError):
     ``gt_manifest.txt``) fails format validation."""
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file: ``vocab.txt``, ``gt_manifest.txt`` or a weight manifest."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EovtFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def check_tensor(x: np.ndarray) -> np.ndarray:
     """Validate the shared tensor contract and return the array unchanged."""
     if not isinstance(x, np.ndarray):

@@ -4,10 +4,12 @@ Every vectorized kernel is compared against its loop oracle on seeded random
 instances.  Every ``pipeline.STAGES`` row's step runs beside its float64
 reference in all four fusion modes, at drawn image extents, vocabulary sizes
 and decoder depths: the outputs must agree and the reference's oracle counter
-must equal the row's analytic MAC count.  Module forwards are compared there,
-at the walk's sizes, except the decoder's parts, whose own draws hold them to
-a tighter absolute bound.  Bound invariants
-(attention weights, gates, softmax sums) are asserted on a real pipeline run.
+must equal the row's analytic MAC count.  Module forwards and the decoder's
+parts are compared there, at the walk's sizes.  Two decoder rows keep draws
+of their own: the whole decoder against its unrolled oracle, to an absolute
+1e-4, and the profiler's cross-attention baseline, which no stage runs.
+Bound invariants (attention weights, gates, softmax sums) are asserted on a
+real pipeline run.
 ``--sabotage <kernel>`` flips the sign of one kernel's output, wherever the
 model calls it, to prove the harness detects faults.
 
@@ -31,18 +33,7 @@ from . import kernels, oracles, reference
 from .aggregator import IMAGE_MULTIPLE
 from .classifier import TextEmbeddings, build_text_embeddings, classify, ensemble
 from .config import FUSION_MODES, ModelConfig
-from .decoder import (
-    AttentionBlockWeights,
-    DecoderWeights,
-    cross_attention_baseline,
-    dda,
-    decoder_forward,
-    initial_attention,
-    mask_kernels,
-    mask_pool,
-    predict_masks,
-    refine_kernels,
-)
+from .decoder import AttentionBlockWeights, DecoderWeights, decoder_forward
 from .evaluation import (
     PanopticAnnotation,
     SceneSpec,
@@ -54,6 +45,7 @@ from .evaluation import (
 )
 from .fusion import TdeeWeights, tdee, tdee_detailed
 from .pipeline import PipelineStageError, _run_stages, forward, forward_traced, replay_trace
+from .profiler import cross_attention_baseline
 from .tensor import Rng, read_eovt
 from .vas import VasWeights, vas_forward_detailed
 from .weights import build_weights
@@ -373,51 +365,14 @@ def check_tdee_zero_router(rng: Rng, trials: int):
 # module draws: each returns the arguments of the forward and of its reference
 
 
-def _small_decoder(rng: Rng, layers: int) -> DecoderWeights:  # D=8, N=3
-    return DecoderWeights.build(
-        int(rng.integers(0, 1 << 31)), 8, 3, layers, kernel_size=3, heads=2, ffn_expansion=2
-    )
-
-
-def _draw_initial_attention(rng: Rng, t: int):
-    return rng.normal((6, 3, 4)), rng.normal((3, 3, 4), std=2.0)
-
-
-def _draw_dda(rng: Rng, t: int):
-    proj = rng.normal((6, 3))
-    return rng.normal((3, 6)), rng.normal((3, 6)), proj
-
-
-def _draw_refine(rng: Rng, t: int):
-    w = _small_decoder(rng, 1)
-    return rng.normal((3, 8)), w.layers[0]
-
-
 def _draw_cross_attention(rng: Rng, t: int):
     return rng.normal((2, 8)), rng.normal((8, 2, 2)), AttentionBlockWeights.build(rng, 8, 2)
 
 
-def _draw_mask_ops(rng: Rng, t: int):
-    w = _small_decoder(rng, 1)
-    x, feat = rng.normal((3, 8)), rng.normal((8, 3, 3))
-    # both poolings run under the masks the model predicts, as in the forward
-    return x, feat, w.mask_mlp, oracles.sigmoid_oracle(predict_masks(x, feat)).astype(np.float32)
-
-
-def _mask_ops(x, feat, mlp, probs):
-    return mask_kernels(x, mlp), predict_masks(x, feat), mask_pool(feat, probs)
-
-
-def _mask_ops_reference(x, feat, mlp, probs):
-    return (
-        reference.mask_kernels_reference(x, mlp),
-        reference.predict_masks_reference(x, feat),
-        reference.mask_pool_reference(feat, probs),
+def _draw_decoder(rng: Rng, t: int):  # D=8, N=3, two layers
+    w = DecoderWeights.build(
+        int(rng.integers(0, 1 << 31)), 8, 3, 2, kernel_size=3, heads=2, ffn_expansion=2
     )
-
-
-def _draw_decoder(rng: Rng, t: int):
-    w = _small_decoder(rng, 2)
     return rng.normal((8, 4, 4)), w
 
 
@@ -748,19 +703,9 @@ CHECKS = [
     ("tdee_gate_range", check_tdee_gates),
     ("tdee_zero_router_forced_path", check_tdee_zero_router),
     (
-        "initial_attention_vs_loop_oracle",
-        _vs_oracle(_draw_initial_attention, initial_attention, reference.initial_attention_reference),
-    ),
-    ("dda_vs_loop_oracle", _vs_oracle(_draw_dda, dda, reference.dda_reference)),
-    (
-        "refine_kernels_vs_attention_oracle",
-        _vs_oracle(_draw_refine, refine_kernels, reference.refine_kernels_reference),
-    ),
-    (
         "cross_attention_vs_attention_oracle",
         _vs_oracle(_draw_cross_attention, cross_attention_baseline, reference.cross_attention_reference),
     ),
-    ("mask_ops_vs_loop_oracles", _vs_oracle(_draw_mask_ops, _mask_ops, _mask_ops_reference)),
     (
         "decoder_vs_unrolled_oracle",
         _vs_oracle(_draw_decoder, decoder_forward, reference.decoder_forward_reference, 1e-4),
@@ -781,6 +726,11 @@ CHECKS = [
     ("pipeline_trace_replay", check_trace_replay),
 ]
 
+# Each row draws from the seed of its slot.  A deleted row's slot stays empty,
+# so deleting a row changes no other row's draws.
+RETIRED_SLOTS = (22, 23, 24, 26)
+SEED_SLOTS = [s for s in range(len(CHECKS) + len(RETIRED_SLOTS)) if s not in RETIRED_SLOTS]
+
 
 def run_checks(trials: int = 25, seed: int = 0, sabotage: str | None = None) -> list[CheckResult]:
     if trials < 1:
@@ -789,7 +739,7 @@ def run_checks(trials: int = 25, seed: int = 0, sabotage: str | None = None) -> 
     ctx = contextlib.nullcontext() if sabotage is None else sabotage_kernel(sabotage)
     with ctx:
         for i, (name, fn) in enumerate(CHECKS):
-            rng = Rng((seed << 8) + i + 1)
+            rng = Rng((seed << 8) + SEED_SLOTS[i] + 1)
             t0 = time.perf_counter()
             try:
                 passed, detail = fn(rng, trials)

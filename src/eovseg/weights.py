@@ -27,7 +27,7 @@ from .config import ModelConfig
 from .decoder import MASK_MLP_DEPTH, DecoderWeights
 from .fusion import EafWeights, SdiWeights, TdeeWeights
 from .spatial import PATCH, UpsamplerWeights, VitBlockWeights
-from .tensor import EovtFormatError, Rng, read_eovt, write_eovt
+from .tensor import EovtFormatError, Rng, read_eovt, read_text, write_eovt
 from .vas import VasWeights
 
 # Bump whenever any *.build / build_weights draw changes (order, shape, std,
@@ -249,7 +249,7 @@ def read_manifest(directory: str | Path) -> dict[str, tuple[int, ...]]:
     if not path.exists():
         raise FileNotFoundError(f"weights manifest missing: {path}")
     entries: dict[str, tuple[int, ...]] = {}
-    for line in path.read_text().splitlines():
+    for line in read_text(path).splitlines():
         if not line.strip():
             continue
         try:

@@ -239,39 +239,55 @@ class TestRun:
 @pytest.mark.parametrize(
     "name, edit, expected",
     [
-        ("vocab.txt", lambda lines: ["sky seen", *lines[1:]], "malformed line 'sky seen'"),
-        ("vocab.txt", lambda lines: ["sky seen sky", *lines[1:]], "malformed line 'sky seen sky'"),
-        ("vocab.txt", lambda lines: ["sky hidden stuff", *lines[1:]], "malformed line 'sky hidden stuff'"),
-        ("vocab.txt", lambda lines: [*lines, "tree seen stuff"], "5 classes, but templates.eovt"),
-        ("vocab.txt", lambda lines: [lines[0], "sky unseen stuff", *lines[2:]],
-         "class name 'sky' is listed twice"),
-        ("gt_manifest.txt", lambda lines: [*lines, "7 thing"], "malformed line '7 thing'"),
-        ("gt_manifest.txt", lambda lines: [*lines, "7 x thing"], "malformed line '7 x thing'"),
-        ("gt_manifest.txt", lambda lines: ["1 99 stuff", *lines[1:]], "class ids [99] not in vocab.txt"),
-        ("gt_manifest.txt", lambda lines: [*lines, "0 2 stuff"], "has segment id 0; ids start at 1"),
-        ("gt_manifest.txt", lambda lines: [*lines, lines[0]], "duplicate segment ids"),
-        ("gt_manifest.txt", lambda lines: lines[1:], "map ids [1] lack records"),
-        ("gt_map.eovt", lambda seg: np.where(seg == 1, np.float32(-1), seg), "holds negative ids"),
-        ("gt_map.eovt", lambda seg: np.where(seg == 1, np.float32(np.nan), seg), "non-finite values"),
-        ("gt_map.eovt", lambda seg: np.where(seg == 1, np.float32(np.inf), seg), "non-finite values"),
-        ("gt_map.eovt", lambda seg: seg[:32, :32],
-         "segment map extents (32, 32) differ from image.eovt's (64, 64)"),
-        ("templates.eovt", lambda t: np.where(t == t.max(), np.float32(np.nan), t), "must be finite"),
-        ("templates.eovt", lambda t: np.where(t == t.max(), np.float32(np.inf), t), "must be finite"),
-        ("image.eovt", lambda image: image[:1], "need a finite (3,H,W) image"),
+        pytest.param("vocab.txt", lambda lines: ["sky seen", *lines[1:]], "malformed line 'sky seen'",
+                     id="vocab_two_fields"),
+        pytest.param("vocab.txt", lambda lines: ["sky seen sky", *lines[1:]],
+                     "malformed line 'sky seen sky'", id="vocab_kind_tag"),
+        pytest.param("vocab.txt", lambda lines: ["sky hidden stuff", *lines[1:]],
+                     "malformed line 'sky hidden stuff'", id="vocab_seen_tag"),
+        pytest.param("vocab.txt", lambda lines: [*lines, "tree seen stuff"],
+                     "5 classes, but templates.eovt", id="vocab_extra_class"),
+        pytest.param("vocab.txt", lambda lines: [lines[0], "sky unseen stuff", *lines[2:]],
+                     "class name 'sky' is listed twice", id="vocab_repeated_name"),
+        pytest.param("vocab.txt", b"\xff\n", "not UTF-8 text", id="vocab_non_utf8"),
+        pytest.param("gt_manifest.txt", lambda lines: [*lines, "7 thing"], "malformed line '7 thing'",
+                     id="manifest_two_fields"),
+        pytest.param("gt_manifest.txt", lambda lines: [*lines, "7 x thing"],
+                     "malformed line '7 x thing'", id="manifest_non_integer"),
+        pytest.param("gt_manifest.txt", lambda lines: ["1 99 stuff", *lines[1:]],
+                     "class ids [99] not in vocab.txt", id="manifest_unknown_class"),
+        pytest.param("gt_manifest.txt", lambda lines: [*lines, "0 2 stuff"],
+                     "has segment id 0; ids start at 1", id="manifest_void_id"),
+        pytest.param("gt_manifest.txt", lambda lines: [*lines, lines[0]], "duplicate segment ids",
+                     id="manifest_duplicate_id"),
+        pytest.param("gt_manifest.txt", lambda lines: lines[1:], "map ids [1] lack records",
+                     id="manifest_missing_record"),
+        pytest.param("gt_manifest.txt", b"\xff\n", "not UTF-8 text", id="manifest_non_utf8"),
+        pytest.param("gt_map.eovt", lambda seg: np.where(seg == 1, np.float32(-1), seg),
+                     "holds negative ids", id="map_negative_id"),
+        pytest.param("gt_map.eovt", lambda seg: np.where(seg == 1, np.float32(np.nan), seg),
+                     "non-finite values", id="map_nan"),
+        pytest.param("gt_map.eovt", lambda seg: np.where(seg == 1, np.float32(np.inf), seg),
+                     "non-finite values", id="map_inf"),
+        pytest.param("gt_map.eovt", lambda seg: np.where(seg == 1, np.float32(3e9), seg),
+                     "holds id 3000000000, beyond int32", id="map_id_beyond_int32"),
+        pytest.param("gt_map.eovt", lambda seg: seg[:32, :32],
+                     "segment map extents (32, 32) differ from image.eovt's (64, 64)", id="map_extents"),
+        pytest.param("templates.eovt", lambda t: np.where(t == t.max(), np.float32(np.nan), t),
+                     "must be finite", id="templates_nan"),
+        pytest.param("templates.eovt", lambda t: np.where(t == t.max(), np.float32(np.inf), t),
+                     "must be finite", id="templates_inf"),
+        pytest.param("image.eovt", lambda image: image[:1], "need a finite (3,H,W) image",
+                     id="image_one_channel"),
     ],
-    ids=["vocab_two_fields", "vocab_kind_tag", "vocab_seen_tag", "vocab_extra_class",
-         "vocab_repeated_name",
-         "manifest_two_fields", "manifest_non_integer", "manifest_unknown_class",
-         "manifest_void_id", "manifest_duplicate_id", "manifest_missing_record",
-         "map_negative_id", "map_nan", "map_inf", "map_extents", "templates_nan", "templates_inf",
-         "image_one_channel"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # rejected before any arithmetic on it
 def test_malformed_scene_text_exits_3_naming_file(workdir, capsys, name, edit, expected):
     run_gen(workdir)
     path = workdir / "scene" / name
-    if path.suffix == ".eovt":  # the edit maps the stored array
+    if isinstance(edit, bytes):  # raw bytes appended to the file
+        path.write_bytes(path.read_bytes() + edit)
+    elif path.suffix == ".eovt":  # the edit maps the stored array
         write_eovt(path, edit(read_eovt(path)))
     else:
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
@@ -298,6 +314,11 @@ def _break_manifest_line(cache):
         f.write("vas.text_w\n")
 
 
+def _non_utf8_manifest_line(cache):
+    with open(cache / "manifest.txt", "ab") as f:
+        f.write(b"\xff\n")
+
+
 def _truncate_meta(cache):
     text = (cache / "meta.json").read_text()
     (cache / "meta.json").write_text(text[: len(text) // 2])
@@ -314,15 +335,18 @@ def _string_meta(cache):
 @pytest.mark.parametrize(
     "damage, expected",
     [
-        (_add_manifest_line, "unexpected tensors ['decoder.layer9.ffn.w1']"),
-        (_drop_manifest_line, "missing tensors ['vas.text_w']"),
-        (_break_manifest_line, "manifest.txt: malformed line 'vas.text_w'"),
-        (_truncate_meta, "meta.json is unreadable"),
-        (_array_meta, "meta.json is unreadable"),
-        (_string_meta, "meta.json is unreadable"),
+        pytest.param(_add_manifest_line, "unexpected tensors ['decoder.layer9.ffn.w1']",
+                     id="extra_manifest_entry-run"),
+        pytest.param(_drop_manifest_line, "missing tensors ['vas.text_w']",
+                     id="dropped_manifest_line-run"),
+        pytest.param(_break_manifest_line, "manifest.txt: malformed line 'vas.text_w'",
+                     id="malformed_manifest_line-run"),
+        pytest.param(_non_utf8_manifest_line, "manifest.txt: not UTF-8 text",
+                     id="non_utf8_manifest_line-run"),
+        pytest.param(_truncate_meta, "meta.json is unreadable", id="truncated_meta-run"),
+        pytest.param(_array_meta, "meta.json is unreadable", id="array_meta-run"),
+        pytest.param(_string_meta, "meta.json is unreadable", id="string_meta-run"),
     ],
-    ids=["extra_manifest_entry-run", "dropped_manifest_line-run", "malformed_manifest_line-run",
-         "truncated_meta-run", "array_meta-run", "string_meta-run"],
 )
 def test_damaged_weight_cache_exits_3_in_one_line(workdir, capsys, damage, expected):
     run_gen(workdir)

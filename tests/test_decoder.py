@@ -7,7 +7,6 @@ from eovseg import reference
 from eovseg.decoder import (
     AttentionBlockWeights,
     DecoderWeights,
-    cross_attention_baseline,
     dda,
     decoder_forward,
     initial_attention,
@@ -17,6 +16,7 @@ from eovseg.decoder import (
     refine_kernels,
 )
 from eovseg.kernels import sigmoid
+from eovseg.profiler import cross_attention_baseline
 from eovseg.tensor import Rng
 
 D = 8

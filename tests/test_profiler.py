@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eovseg import oracles, pipeline, weights
+from eovseg import decoder, oracles, pipeline, weights
 from eovseg.config import FUSION_MODES, ModelConfig
 from eovseg.decoder import predict_masks
 from eovseg.pipeline import STAGES
@@ -15,6 +15,7 @@ from eovseg.profiler import (
     ProfileReport,
     ProfileRow,
     _ca_block,
+    _decoder_layer_macs,
     _decoder_macs,
     _layer_step,
     benchmark,
@@ -22,10 +23,7 @@ from eovseg.profiler import (
     count_params,
     macs_attention,
     macs_conv2d_1x1,
-    macs_cross_attention,
-    macs_dda,
-    macs_dda_kernel_gen,
-    macs_initial_attention,
+    macs_depthwise_conv1d,
     params_ca_layer,
     params_dda_layer,
     profile_modules,
@@ -114,7 +112,7 @@ class TestMacs:
         assert macs_conv2d_1x1(2, 3, 2, 2) == 24  # 48 flops
 
     def test_dda_example(self):
-        assert macs_dda(100, 256, 3) == 76_800
+        assert macs_depthwise_conv1d(100, 256, 3) == 76_800
 
     @pytest.mark.parametrize(
         "patch, seed, named",
@@ -161,6 +159,18 @@ class TestMacs:
         assert not passed
         assert f"none: stage 'classifier' row '{row}': value" in detail, detail
 
+    @pytest.mark.parametrize("fn", ["initial_attention", "dda", "refine_kernels", "mask_kernels",
+                                    "predict_masks", "mask_pool"])
+    def test_check_names_a_drifting_decoder_part(self, monkeypatch, fn):
+        """The decoder's parts have no check of their own: the walk's decoder
+        row holds them, so any one of them off by a relative 2e-5, twice the
+        walk's tolerance, fails it at the decoder stage."""
+        original = getattr(decoder, fn)
+        monkeypatch.setattr(decoder, fn, lambda *a: original(*a) * np.float32(1 + 2e-5))
+        passed, detail = check_stages_vs_references(Rng(0), trials=1)
+        assert not passed
+        assert "stage 'decoder'" in detail, detail
+
     def test_check_stops_at_the_first_mismatch(self, monkeypatch):
         """A miscount in the first row ends the walk: no later row runs."""
         ran = []
@@ -180,7 +190,7 @@ class TestMacs:
         assert c.count == macs_conv2d_1x1(2, 3, 2, 2)
         c = oracles.MacCounter()
         oracles.depthwise_conv1d_oracle(rng.normal((4, 6)), rng.normal((4, 3)), c)
-        assert c.count == macs_dda(4, 6, 3)
+        assert c.count == macs_depthwise_conv1d(4, 6, 3)
         c = oracles.MacCounter()
         oracles.multi_head_attention_oracle(
             rng.normal((3, 4)), rng.normal((5, 4)),
@@ -189,19 +199,16 @@ class TestMacs:
         )
         assert c.count == macs_attention(3, 5, 4)
 
+    # the two modes share every term but the interaction, so the layer totals compare it
     def test_dda_cheaper_than_cross_attention_at_defaults(self):
-        n, d, m, hw = 100, 256, 3, 16 * 16
-        dda_total = macs_initial_attention(n, d, hw) + macs_dda_kernel_gen(n, d, m) + macs_dda(n, d, m)
-        ca_total = macs_cross_attention(n, d, hw)
-        assert dda_total < ca_total
-        assert params_dda_layer(d, m) < params_ca_layer(d)
+        cfg, hw = ModelConfig(), 16 * 16
+        assert _decoder_layer_macs(cfg, hw, "dda") < _decoder_layer_macs(cfg, hw, "ca")
+        assert params_dda_layer(cfg.embed_dim, cfg.dda_kernel_size) < params_ca_layer(cfg.embed_dim)
 
     def test_dda_cheaper_whenever_grid_exceeds_kernel(self):
-        for hw in (4, 16, 64, 256):
-            n, d, m = 100, 256, 3
-            if hw > m:
-                dda_total = macs_initial_attention(n, d, hw) + 2 * macs_dda(n, d, m)
-                assert dda_total < macs_cross_attention(n, d, hw)
+        cfg = ModelConfig()
+        for hw in (cfg.dda_kernel_size + 1, 16, 64, 256):
+            assert _decoder_layer_macs(cfg, hw, "dda") < _decoder_layer_macs(cfg, hw, "ca")
 
     def test_module_counts_nonnegative_and_total(self):
         cfg = small_config()
