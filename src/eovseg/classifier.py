@@ -50,7 +50,7 @@ def build_text_embeddings(
         raise ValueError(
             f"build_text_embeddings: class {int(dead[0])} averages to a zero vector"
         )
-    embeddings = l2_normalize(mean.astype(np.float32))
+    embeddings = l2_normalize(mean.astype(templates.dtype))
     return TextEmbeddings(embeddings=embeddings, class_names=list(class_names), seen=seen)
 
 
@@ -60,8 +60,7 @@ def in_vocab_scores(instance_embed: np.ndarray, text_rows: np.ndarray, tau: floa
     if tau <= 0:
         raise ValueError(f"in_vocab_scores: temperature must be positive, got {tau}")
     unit = l2_normalize(instance_embed)
-    logits = (unit @ text_rows.T) / np.float32(tau)
-    return softmax(logits.astype(np.float32), axis=1)
+    return softmax((unit @ text_rows.T) / tau, axis=1)
 
 
 def out_vocab_scores(
@@ -99,9 +98,9 @@ def ensemble(
         elif w == 1.0:
             out[:, j] = b[:, j]
         elif method == "geometric":
-            out[:, j] = a[:, j] ** np.float32(1.0 - w) * b[:, j] ** np.float32(w)
+            out[:, j] = np.power(a[:, j], 1.0 - w) * np.power(b[:, j], w)
         else:
-            out[:, j] = np.float32(1.0 - w) * a[:, j] + np.float32(w) * b[:, j]
+            out[:, j] = (1.0 - w) * a[:, j] + w * b[:, j]
     return out
 
 

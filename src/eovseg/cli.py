@@ -1,8 +1,9 @@
 """Command-line surface: gen | run | verify | profile | bench.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O, file
-format or scene input error (a non-finite image or one that is not (3,H,W),
-non-finite templates or a template width other than the config's embed_dim,
+format or scene input error (an image that is not (3,H,W) or holds a value
+that is not finite or beyond +-16, non-finite templates or a template width
+other than the config's embed_dim,
 a malformed vocab.txt or gt_manifest.txt, class counts or ids that disagree
 between the scene files, segment ids below 1 or listed twice in the
 manifest, a segment map that is not finite or not the image's extents, map
@@ -30,6 +31,10 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_STAGE = 4
+
+# Largest |value| ``run`` accepts in image.eovt (``gen`` writes [0, 1]): an image
+# of +-16 runs warning-free in every fusion mode up to 1024x1024 (see README).
+IMAGE_BOUND = 16.0
 
 _BLAS_VARS = (
     "OMP_NUM_THREADS",
@@ -112,12 +117,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    from .config import checked_fields
+    from .config import checked_fields, read_json
     from .evaluation import SceneSpec, generate_scene
     from .tensor import write_eovt
 
     config = _load_config(args.config)
-    fields = checked_fields(SceneSpec, json.loads(Path(args.spec).read_text()), "scene spec")
+    fields = checked_fields(SceneSpec, read_json(args.spec), "scene spec")
     if fields.setdefault("embed_dim", config.embed_dim) != config.embed_dim:
         raise ValueError(
             f"scene spec: embed_dim {fields['embed_dim']} != the config's embed_dim {config.embed_dim}"
@@ -153,9 +158,10 @@ def _load_scene(scene_dir: Path, config):
 
     image = read_eovt(scene_dir / "image.eovt")
     templates = read_eovt(scene_dir / "templates.eovt")
-    if image.ndim != 3 or image.shape[0] != 3 or not np.all(np.isfinite(image)):
+    if image.ndim != 3 or image.shape[0] != 3 or not np.all(np.abs(image) <= IMAGE_BOUND):
         raise EovtFormatError(
-            f"{scene_dir / 'image.eovt'}: need a finite (3,H,W) image, got {image.shape}"
+            f"{scene_dir / 'image.eovt'}: need a finite (3,H,W) image with every |value| <= "
+            f"{IMAGE_BOUND:g}, got {image.shape} with max |value| {np.max(np.abs(image)):.3g}"
         )
     if templates.ndim != 3 or templates.shape[2] != config.embed_dim:
         raise EovtFormatError(

@@ -18,6 +18,14 @@ def _matches(value, default) -> bool:
     return type(value) is type(default)
 
 
+def read_json(path: str | Path):
+    """A ``--config`` or ``gen --spec`` file as strict UTF-8 JSON; decode errors name it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def checked_fields(cls, data, what: str) -> dict:
     """Keyword arguments for dataclass ``cls`` from a parsed JSON object.
 
@@ -129,7 +137,7 @@ class ModelConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_json(path))
 
     def hash(self, extra: dict | None = None) -> str:
         """Stable short hash over the canonical config (plus optional context)."""

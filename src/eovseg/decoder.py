@@ -131,7 +131,7 @@ def initial_attention(features: np.ndarray, logits: np.ndarray) -> np.ndarray:
             f"initial_attention: feature grid {features.shape[1:]} != mask grid {logits.shape[1:]}"
         )
     probs = sigmoid(logits).reshape(logits.shape[0], -1)
-    return (probs @ features.reshape(d, -1).T).astype(np.float32, copy=False)
+    return probs @ features.reshape(d, -1).T
 
 
 def dda(kernels: np.ndarray, pooled: np.ndarray, kernel_proj: np.ndarray) -> np.ndarray:
@@ -178,7 +178,7 @@ def predict_masks(kernels: np.ndarray, features: np.ndarray) -> np.ndarray:
     if kernels.shape[1] != d:
         raise ValueError(f"predict_masks: kernel width {kernels.shape[1]} != feature width {d}")
     logits = kernels @ features.reshape(d, -1)
-    return logits.reshape(kernels.shape[0], h, w).astype(np.float32, copy=False)
+    return logits.reshape(kernels.shape[0], h, w)
 
 
 def mask_pool(features: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -193,8 +193,7 @@ def mask_pool(features: np.ndarray, probs: np.ndarray) -> np.ndarray:
         )
     probs = probs.reshape(probs.shape[0], -1)
     weighted = probs @ features.reshape(d, -1).T
-    area = np.sum(probs, axis=1, keepdims=True) + np.float32(MASK_POOL_EPS)
-    return (weighted / area).astype(np.float32, copy=False)
+    return weighted / (np.sum(probs, axis=1, keepdims=True) + MASK_POOL_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .kernels import bilinear_upsample
 from .tensor import EovtFormatError, Rng, read_eovt, read_text, write_eovt
 
 VOID = 0  # segment id reserved for unlabeled pixels
-_GROUP_BYTES = 2 << 20  # upsampled bytes per assembly call: 128 masks of a 64x64 image
+_GROUP_BYTES = 2 << 20  # upsampled bytes per assembly call: 128 float32 masks of a 64x64 image
 
 
 @dataclass
@@ -283,10 +283,10 @@ def assemble_panoptic(
     if not labels:
         return PanopticAnnotation(segment_map=np.zeros((h, w), dtype=np.int32), segments=[])
     kept = [lab.mask_index for lab in labels]  # read per group, never copied whole
-    conf = np.array([lab.confidence for lab in labels], dtype=np.float32)
-    group = max(1, _GROUP_BYTES // (4 * h * w))  # float32 full-size masks per call
+    conf = np.array([lab.confidence for lab in labels], dtype=probs.dtype)
+    group = max(1, _GROUP_BYTES // (probs.itemsize * h * w))  # full-size masks per call
     winner = np.zeros((h, w), dtype=np.intp)
-    best, score = np.full((h, w), -np.inf, dtype=np.float32), np.empty((h, w), dtype=np.float32)
+    best, score = np.full((h, w), -np.inf, dtype=probs.dtype), np.empty((h, w), dtype=probs.dtype)
     better = np.empty((h, w), dtype=bool)
     for g0 in range(0, len(labels), group):
         up = bilinear_upsample(probs[kept[g0:g0 + group]], 4)

@@ -204,5 +204,4 @@ def sdi(mask_embed: np.ndarray, spatial_embed: np.ndarray, w: SdiWeights) -> np.
     left = linear(mask_embed, w.gen_left_w, w.gen_left_b).reshape(n, d, w.rank)
     right = linear(mask_embed, w.gen_right_w, w.gen_right_b).reshape(n, d, w.rank)
     mixed = np.einsum("nd,ndr->nr", convolved, left)
-    out = np.einsum("nr,ndr->nd", mixed, right)
-    return out.astype(np.float32, copy=False)
+    return np.einsum("nr,ndr->nd", mixed, right)

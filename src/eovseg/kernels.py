@@ -1,4 +1,4 @@
-"""Vectorized float32 compute kernels.
+"""Vectorized compute kernels, each computing in the result type of its inputs.
 
 Every kernel here is paired with a pure-Python loop oracle in
 :mod:`eovseg.oracles`; the `verify` command and the test suite check the pair
@@ -18,12 +18,11 @@ import math
 import numpy as np
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-FLT_MIN = np.float32(np.finfo(np.float32).tiny)  # 2**-126, the smallest normal float32
 CONV_BLOCK_COLUMNS = 1024  # output pixels per conv2d_3x3 GEMM block
 CONV1X1_BLOCK_BYTES = 1 << 20  # least input bytes per conv2d_1x1 column block
 DEPTHWISE_BLOCK_BYTES = 1 << 18  # padded input bytes per depthwise_conv2d_3x3 channel block
 UPSAMPLE_BLOCK_BYTES = 1 << 19  # output bytes per bilinear_upsample channel block
-LAYER_NORM_EPS = np.float32(1e-5)  # added to the variance
+LAYER_NORM_EPS = 1e-5  # added to the variance
 L2_NORM_FLOOR = 1e-12  # least norm a row is divided by
 
 
@@ -38,7 +37,7 @@ def softmax(x: np.ndarray, axis: int) -> np.ndarray:
         raise ValueError("softmax: non-finite input")
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return (e / np.sum(e, axis=axis, keepdims=True)).astype(np.float32, copy=False)
+    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -50,28 +49,26 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
         )
     mean = np.mean(x, axis=-1, keepdims=True)
     var = np.mean((x - mean) ** 2, axis=-1, keepdims=True)
-    out = (x - mean) / np.sqrt(var + LAYER_NORM_EPS) * gamma + beta
-    return out.astype(np.float32, copy=False)
+    return (x - mean) / np.sqrt(var + LAYER_NORM_EPS) * gamma + beta
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function in float32, with no subnormal result.
+    """Logistic function in the dtype of ``x``, with no subnormal result.
 
     Two-branch form on ``e = exp(-|x|)``, whose argument is never positive,
     so nothing overflows: ``1/(1+e)`` for x >= 0 and ``e/(1+e)`` for x < 0.
-    Where ``e < FLT_MIN``, ``e/(1+e)`` would be ``e`` itself, a subnormal;
-    ``e`` is zeroed there first, so such outputs are exactly 0 (each moves
-    by less than FLT_MIN) and subnormals never reach the mask-pooling
-    matmuls, which run several times slower on them.  The flush moves the
-    point below which the result is 0 from about -103.97 to about -87.34.
+    Below the dtype's smallest normal (2**-126 in float32) ``e/(1+e)`` is
+    ``e``, a subnormal; ``e`` is zeroed there first, so such outputs are 0
+    (each moves by less than that normal) and subnormals never reach the
+    mask-pooling matmuls, which run several times slower on them.  In
+    float32 the point below which the result is 0 moves from -103.97 to -87.34.
     Every other output is bitwise the plain two-branch form's.
     """
-    x = np.asarray(x, dtype=np.float32)
     e = np.abs(x, out=np.empty_like(x))  # e is worked on in place: two full-size arrays, not five
     np.negative(e, out=e)
     np.exp(e, out=e)
-    e *= e >= FLT_MIN
-    out = np.where(x < 0, e, np.float32(1))
+    e *= e >= np.finfo(x.dtype).tiny
+    out = np.where(x < 0, e, x.dtype.type(1))
     e += 1
     out /= e
     return out
@@ -79,13 +76,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def gelu(x: np.ndarray) -> np.ndarray:
     # tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))
-    x = x.astype(np.float32, copy=False)
     inner = SQRT_2_OVER_PI * (x + 0.044715 * x**3)
-    return (0.5 * x * (1.0 + np.tanh(inner))).astype(np.float32, copy=False)
+    return 0.5 * x * (1.0 + np.tanh(inner))
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0).astype(np.float32, copy=False)
+    return np.maximum(x, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +91,10 @@ def relu(x: np.ndarray) -> np.ndarray:
 def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Pointwise convolution. x: (C_in,H,W); w: (C_out,C_in); b: (C_out,) or None.
 
-    ``np.einsum`` sums each output over the channels in order, in float32,
-    a multiply then an add: bitwise the loop ``out += w[:, c] * x[c]`` on
-    every map wider than one pixel (``tests/test_kernels.py`` pins this).
+    ``np.einsum`` sums each output over the channels in order, in the
+    inputs' type, a multiply then an add: bitwise the loop
+    ``out += w[:, c] * x[c]`` on every map wider than one pixel
+    (``tests/test_kernels.py`` pins this).
     A map with at least twice CONV1X1_BLOCK_BYTES of input runs in
     ``nbytes // CONV1X1_BLOCK_BYTES`` column blocks of equal width (they
     differ by at most one column, never a short tail: a one-column block
@@ -125,7 +122,7 @@ def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.
             np.einsum("oc,cp->op", w, block, out=out_flat[:, j0:j1])
     if b is not None:
         out = out + b[:, None, None]
-    return out.astype(np.float32, copy=False)
+    return out
 
 
 def conv2d_3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -138,11 +135,11 @@ def conv2d_3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.
     # contiguous window starting at dy*(W+2)+dx; each output row carries two
     # wrap-around columns, which are dropped.  Blocks of about
     # CONV_BLOCK_COLUMNS output pixels keep the float64 working set small.
-    # Accumulation is float64 with one rounding to float32 at the end.
+    # Accumulation is float64 with one rounding to the inputs' type at the end.
     row = wd + 2
     xp = np.pad(x, ((0, 0), (1, 2), (1, 1)))
     taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=np.float64)
-    out = np.empty((w.shape[0], h, wd), dtype=np.float32)
+    out = np.empty((w.shape[0], h, wd), dtype=np.result_type(x, w))
     step = max(1, CONV_BLOCK_COLUMNS // row)
     for r0 in range(0, h, step):
         rows = min(step, h - r0)
@@ -177,7 +174,7 @@ def depthwise_conv2d_3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
         for dy in range(3):
             for dx in range(3):
                 block += taps[:, dy, dx, None, None] * xp[:, dy : dy + h, dx : dx + wd]
-    return out.astype(np.float32, copy=False)
+    return out
 
 
 def conv2d_depthwise_separable(
@@ -205,7 +202,7 @@ def depthwise_conv1d(signals: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     out = np.zeros_like(signals)
     for t in range(m):
         out += kernels[:, t : t + 1] * sp[:, t : t + d]
-    return out.astype(np.float32, copy=False)
+    return out
 
 
 def transposed_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -225,21 +222,21 @@ def transposed_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None)
     out = taps.reshape(c_out, 2, 2, h, wd).transpose(0, 3, 1, 4, 2).reshape(c_out, 2 * h, 2 * wd)
     if b is not None:
         out += b[:, None, None]
-    return out.astype(np.float32, copy=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # resampling and normalization
 
 
-def _bilinear_axis(n_in: int, n_out: int):
-    """Half-pixel source indices and weights for one axis."""
+def _bilinear_axis(n_in: int, n_out: int, dtype: np.dtype):
+    """Half-pixel source indices and weights (in ``dtype``) for one axis."""
     dst = np.arange(n_out, dtype=np.float64)
     src = (dst + 0.5) * (n_in / n_out) - 0.5
     lo = np.clip(np.floor(src), 0, n_in - 1).astype(np.int64)
     hi = np.minimum(lo + 1, n_in - 1)
     frac = np.clip(src - lo, 0.0, 1.0)
-    return lo, hi, frac.astype(np.float32)
+    return lo, hi, frac.astype(dtype)
 
 
 def bilinear_resize(x: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
@@ -251,12 +248,12 @@ def bilinear_resize(x: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     ``ll + (lh-ll)*fx``, so both forms agree bit for bit.
     """
     _, h, w = x.shape
-    ylo, yhi, fy = _bilinear_axis(h, out_hw[0])
-    xlo, xhi, fx = _bilinear_axis(w, out_hw[1])
+    ylo, yhi, fy = _bilinear_axis(h, out_hw[0], x.dtype)
+    xlo, xhi, fx = _bilinear_axis(w, out_hw[1], x.dtype)
     lo = x[:, :, xlo]
     rows = lo + (x[:, :, xhi] - lo) * fx[None, None, :]
     top = rows[:, ylo]
-    return (top + (rows[:, yhi] - top) * fy[None, :, None]).astype(np.float32, copy=False)
+    return top + (rows[:, yhi] - top) * fy[None, :, None]
 
 
 def _lerp_phases(a: np.ndarray, factor: int, axis: int, out: np.ndarray) -> None:
@@ -278,7 +275,7 @@ def _lerp_phases(a: np.ndarray, factor: int, axis: int, out: np.ndarray) -> None
     phase = [slice(None)] * 4
     for p in range(factor):
         s = 0 if 2 * p < factor else 1
-        frac = np.float32((p + 0.5) / factor + 0.5 - s)
+        frac = a.dtype.type((p + 0.5) / factor + 0.5 - s)
         taps[axis], phase[axis + 1] = slice(s, s + n), p
         dst = out[tuple(phase)]
         np.multiply(diff[tuple(taps)], frac, out=dst)
@@ -298,24 +295,23 @@ def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
     if factor not in (2, 4, 8):
         raise ValueError(f"bilinear_upsample: factor must be one of 2/4/8, got {factor}")
     c, h, w = x.shape
-    dtype = np.result_type(x, np.float32)
-    out = np.empty((c, h * factor, w * factor), dtype=dtype)
+    out = np.empty((c, h * factor, w * factor), dtype=x.dtype)
     step = max(1, UPSAMPLE_BLOCK_BYTES // out[:1].nbytes)
     for c0 in range(0, c, step):
         block = x[c0 : c0 + step]
         k = block.shape[0]
-        rows = np.empty((k, h, w, factor), dtype=dtype)
+        rows = np.empty((k, h, w, factor), dtype=x.dtype)
         _lerp_phases(block, factor, 2, rows)
         _lerp_phases(rows.reshape(k, h, w * factor), factor, 1,
                      out[c0 : c0 + k].reshape(k, h, factor, w * factor))
-    return out.astype(np.float32, copy=False)
+    return out
 
 
 def l2_normalize(x: np.ndarray) -> np.ndarray:
     """Scale each row of a 2-D array to unit length."""
     norm = np.sqrt(np.sum(x.astype(np.float64) ** 2, axis=1, keepdims=True))
     norm = np.maximum(norm, L2_NORM_FLOOR)
-    return (x / norm).astype(np.float32, copy=False)
+    return (x / norm).astype(x.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +325,7 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndar
     out = x @ w
     if b is not None:
         out = out + b
-    return out.astype(np.float32, copy=False)
+    return out
 
 
 def multi_head_attention(
@@ -350,14 +346,14 @@ def multi_head_attention(
     if d % heads != 0:
         raise ValueError(f"multi_head_attention: width {d} not divisible by {heads} heads")
     dh = d // heads
-    scale = np.float32(1.0 / math.sqrt(dh))
+    scale = 1.0 / math.sqrt(dh)
     q = linear(q_in, wq)
     k = linear(kv_in, wk)
     v = linear(kv_in, wv)
-    out = np.empty((q_in.shape[0], d), dtype=np.float32)
+    out = np.empty((q_in.shape[0], d), dtype=q.dtype)
     for h in range(heads):
         sl = slice(h * dh, (h + 1) * dh)
         logits = (q[:, sl] @ k[:, sl].T) * scale
-        attn = softmax(logits.astype(np.float32), axis=1)
+        attn = softmax(logits, axis=1)
         out[:, sl] = attn @ v[:, sl]
     return linear(out, wo)

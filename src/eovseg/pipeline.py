@@ -78,7 +78,7 @@ def pad_to_multiple(image: np.ndarray) -> np.ndarray:
     pw = (-w) % IMAGE_MULTIPLE
     if ph == 0 and pw == 0:
         return image
-    return np.pad(image, ((0, 0), (0, ph), (0, pw))).astype(np.float32, copy=False)
+    return np.pad(image, ((0, 0), (0, ph), (0, pw)))
 
 
 def resize_map_nearest(seg_map: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:

@@ -1,8 +1,9 @@
-"""Dense float32 tensor carrier, seeded RNG, and the EOVT binary file format.
+"""Tensor contract, seeded RNG, and the EOVT binary file format.
 
-Tensors in this package are C-contiguous float32 ndarrays of rank 1..5 with
-all extents >= 1; the kernels assume that contract.  ``check_tensor`` enforces
-it only inside ``write_eovt``, so every tensor file (weight cache, scene,
+Tensors this package makes and stores are C-contiguous float32 ndarrays of
+rank 1..5 with all extents >= 1; the kernels assume the rank and extents and
+compute in the dtype they are given.  ``check_tensor`` enforces the contract
+only inside ``write_eovt``, so every tensor file (weight cache, scene,
 trace) is checked as it is written; arrays passed between modules are not.
 """
 

@@ -54,7 +54,7 @@ def _max_of_softmax(logits: np.ndarray) -> np.ndarray:
         raise ValueError("vas: non-finite similarity logits")
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
     denom = np.sum(np.sort(np.exp(shifted), axis=-1), axis=-1)
-    return (np.float32(1.0) / denom).astype(np.float32, copy=False)
+    return 1.0 / denom
 
 
 def vas_forward_detailed(
@@ -75,7 +75,7 @@ def vas_forward_detailed(
     text_proj = linear(text_embed, w.text_w, w.text_b)
     mh_feat = feat_proj.reshape(1, w.heads, per_head, h, wd)
     mh_text = text_proj.reshape(1, n_class, w.heads, per_head)
-    logits = np.einsum("bmchw,bnmc->bmhwn", mh_feat, mh_text)  # both float32
+    logits = np.einsum("bmchw,bnmc->bmhwn", mh_feat, mh_text)
     attn = _max_of_softmax(logits)[0]  # (heads, H, W)
     out = attn[:, None, :, :] * mh_feat[0]
     return np.ascontiguousarray(out.reshape(d, h, wd)), attn

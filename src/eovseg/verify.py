@@ -4,7 +4,8 @@ Every vectorized kernel is compared against its loop oracle on seeded random
 instances.  Every ``pipeline.STAGES`` row's step runs beside its float64
 reference in all four fusion modes, at drawn image extents, vocabulary sizes
 and decoder depths: the outputs must agree and the reference's oracle counter
-must equal the row's analytic MAC count.  Module forwards and the decoder's
+must equal the row's analytic MAC count, in float32 and again in float64,
+where no row may round to float32.  Module forwards and the decoder's
 parts are compared there, at the walk's sizes.  Two decoder rows keep draws
 of their own: the whole decoder against its unrolled oracle, to an absolute
 1e-4, and the profiler's cross-attention baseline, which no stage runs.
@@ -20,6 +21,7 @@ row that compares with an oracle is ``_vs_oracle`` over a draw function.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import sys
 import tempfile
 import time
@@ -48,9 +50,10 @@ from .pipeline import PipelineStageError, _run_stages, forward, forward_traced, 
 from .profiler import cross_attention_baseline
 from .tensor import Rng, read_eovt
 from .vas import VasWeights, vas_forward_detailed
-from .weights import build_weights
+from .weights import build_weights, cast_weights
 
 KERNEL_TOL = 1e-5
+FLOAT64_TOL = 1e-10  # the stage walk's float64 pass
 SABOTAGE_TARGETS = (
     "softmax",
     "layer_norm",
@@ -521,12 +524,15 @@ def check_stages_vs_references(rng: Rng, trials: int):
     step must lie within ``KERNEL_TOL`` of the reference's, relative to
     max|reference| (floored at the smallest normal double, so an all-zero
     reference needs an exact zero).
+    Each walk runs the modes in float32, then on its draws cast to float64,
+    where every output must be float64 and within ``FLOAT64_TOL``: a float32
+    rounding left anywhere errs by about 6e-8.
     Later rows read the step's outputs, as in ``replay_trace``, so each row is
     checked on its own.  One walk per 25 trials, each on fresh weights, with
     each image extent drawn from {32, 64}, 1 to 4 classes (1 is the singleton
-    vocabulary) and 1 or 2 decoder layers.  The first wrong count or value
-    ends the check."""
-    runs, worst, walks = 0, 0.0, []
+    vocabulary) and 1 or 2 decoder layers.  The first wrong count, dtype or
+    value ends the check."""
+    runs, worst, walks = 0, dict.fromkeys((np.float32, np.float64), 0.0), []
     for _ in range(max(1, trials // 25)):
         image_hw = tuple(IMAGE_MULTIPLE * int(rng.integers(1, 3)) for _ in range(2))
         n_class, layers = int(rng.integers(1, 5)), int(rng.integers(1, 3))
@@ -536,38 +542,46 @@ def check_stages_vs_references(rng: Rng, trials: int):
         bundle = build_weights(cfg, image_hw)  # no weight depends on the fusion mode
         image = rng.normal((3, *image_hw))
         rows = oracles.l2_normalize_oracle(rng.normal((n_class, cfg.embed_dim)), axis=1)
-        text = TextEmbeddings(rows, [f"c{i}" for i in range(n_class)], np.arange(n_class) % 2 == 0)
-        for mode in FUSION_MODES:
+        rows = rows.astype(np.float32)  # as build_text_embeddings returns them
+        passes = ((np.float32, KERNEL_TOL, bundle),
+                  (np.float64, FLOAT64_TOL, cast_weights(bundle, np.float64)))
+        for (dtype, tol, weights), mode in itertools.product(passes, FUSION_MODES):
             config = replace(cfg, fusion=mode)
             c = SimpleNamespace(config=config, h=image_hw[0], w=image_hw[1], n_class=n_class, mode="dda")
+            text = TextEmbeddings(rows.astype(dtype),
+                                  [f"c{i}" for i in range(n_class)], np.arange(n_class) % 2 == 0)
+            label = mode if dtype is np.float32 else f"{mode} in float64"
 
             def both(stage, args):
-                nonlocal runs, worst
+                nonlocal runs
                 counter = oracles.MacCounter()
                 got, want = stage.step(*args), stage.reference(*args, counter)
                 runs += 1
-                row = f"{mode}: stage {stage.name!r} row {stage.outputs[0]!r}"
+                row = f"{label}: stage {stage.name!r} row {stage.outputs[0]!r}"
                 if counter.count != stage.macs(c):
                     raise _StageMismatch(f"{row}: count {counter.count} != analytic "
                                          f"{stage.macs(c)} at {walk}")
                 several = len(stage.outputs) > 1
                 for name, a, b in zip(stage.outputs, got if several else (got,),
                                       want if several else (want,), strict=True):
+                    if any(v.dtype != dtype for v in (a.values() if isinstance(a, dict) else (a,))):
+                        raise _StageMismatch(f"{row}: {name!r} is not {np.dtype(dtype)} at {walk}")
                     err = _max_err(a, b) / max(np.finfo(float).tiny, _max_err(b, 0.0))
-                    worst = max(worst, err)
-                    if not err <= KERNEL_TOL:  # NaN fails too
+                    worst[dtype] = max(worst[dtype], err)
+                    if not err <= tol:  # NaN fails too
                         raise _StageMismatch(f"{row}: value of {name!r} off by {err:.2e} of "
-                                             f"max|reference| (tol {KERNEL_TOL:.0e}) at {walk}")
+                                             f"max|reference| (tol {tol:.0e}) at {walk}")
                 return got
 
             try:
-                _run_stages(image, text, config, bundle, lambda name, value: value, both)
+                _run_stages(image.astype(dtype), text, config, weights, lambda name, value: value, both)
             except PipelineStageError as exc:
                 if isinstance(exc.cause, _StageMismatch):
                     return False, str(exc.cause)
                 raise
-    return True, (f"counts exact, values within {KERNEL_TOL:.0e} (worst {worst:.2e}) on all "
-                  f"{runs} row runs in modes {list(FUSION_MODES)}; walks at {'; '.join(walks)}")
+    return True, (f"counts exact, values within {KERNEL_TOL:.0e} (worst {worst[np.float32]:.2e}) "
+                  f"in float32 and {FLOAT64_TOL:.0e} (worst {worst[np.float64]:.2e}) in float64 "
+                  f"on all {runs} row runs in modes {list(FUSION_MODES)}; walks at {'; '.join(walks)}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ one EOVT file per named tensor plus ``manifest.txt`` (name and shape per
 line) and ``meta.json`` holding the bundle's ``cache_key``, the one thing a
 cache is matched on.  ``_layout`` is the one table of tensor names, each read
 by ``forward`` in some fusion mode: ``to_tensors`` reads each name's path out
-of a bundle, and ``load_weights`` checks the manifest against it and puts
-each tensor back.
+of a bundle, ``load_weights`` checks the manifest against it and puts each
+tensor back, and ``cast_weights`` puts back each tensor cast to a dtype.
 """
 
 from __future__ import annotations
@@ -145,6 +145,23 @@ def _construct(tp, node):
         return {key: _construct(args[1], child) for key, child in node.items()}
     items = [_construct(args[0] if origin is list else args[i], node[i]) for i in range(len(node))]
     return items if origin is list else tuple(items)
+
+
+def _assemble(config: ModelConfig, tensors: dict[str, np.ndarray]) -> WeightBundle:
+    """The bundle holding each ``_layout(config)`` name's tensor at its path."""
+    items = [(path, tensors[name]) for name, path in _layout(config).items()]
+    root: dict = {}
+    for path, value in [*items, *_settings(config).items()]:
+        node = root
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+    return _construct(WeightBundle, root)
+
+
+def cast_weights(bundle: WeightBundle, dtype) -> WeightBundle:
+    """The bundle with every tensor cast to ``dtype``, for a forward in that dtype."""
+    return _assemble(bundle.config, {n: t.astype(dtype) for n, t in bundle.to_tensors().items()})
 
 
 def _vit_grid(image_hw: tuple[int, int]) -> tuple[int, int]:
@@ -285,22 +302,15 @@ def load_weights(directory: str | Path, config: ModelConfig) -> WeightBundle:
         raise EovtFormatError(
             f"weight cache {directory} does not match the config: {'; '.join(found)}"
         )
-    items = []
-    for name, path in layout.items():
+    tensors = {}
+    for name in layout:
         arr = read_eovt(directory / f"{name}.eovt")
         if arr.shape != entries[name]:
             raise EovtFormatError(
                 f"{directory / name}.eovt has shape {arr.shape}, manifest says {entries[name]}"
             )
-        items.append((path, arr))
-    items += _settings(config).items()
-    root: dict = {}
-    for path, value in items:
-        node = root
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node[path[-1]] = value
-    return _construct(WeightBundle, root)
+        tensors[name] = arr
+    return _assemble(config, tensors)
 
 
 def load_or_build_weights(

@@ -225,11 +225,13 @@ class TestRun:
         assert "templates.eovt" in err and "embed_dim=48" in err
         assert err.count("\n") == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
-    def test_stage_failure_exits_4_naming_stage(self, workdir, capsys):
+    def test_stage_failure_exits_4_naming_stage(self, workdir, capsys, monkeypatch):
+        # the image bound keeps overflowing scenes out, so the decoder is made to fail
+        def failing(*args):
+            raise ValueError("softmax: non-finite input")
+
+        monkeypatch.setattr(pipeline, "decoder_forward", failing)
         run_gen(workdir)
-        image = read_eovt(workdir / "scene" / "image.eovt")
-        write_eovt(workdir / "scene" / "image.eovt", image * np.float32(1e30))
         assert run_run(workdir) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: pipeline stage '") and err.count("\n") == 1
@@ -279,6 +281,11 @@ class TestRun:
                      "must be finite", id="templates_inf"),
         pytest.param("image.eovt", lambda image: image[:1], "need a finite (3,H,W) image",
                      id="image_one_channel"),
+        pytest.param("image.eovt", lambda image: np.where(image == image.max(), np.float32(1e10), image),
+                     "every |value| <= 16, got (3, 64, 64) with max |value| 1e+10", id="image_huge_value"),
+        pytest.param("image.eovt", lambda image: np.where(
+            image == image.max(), -np.nextafter(np.float32(cli.IMAGE_BOUND), np.float32(np.inf)), image),
+                     "every |value| <= 16", id="image_just_beyond_bound"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # rejected before any arithmetic on it
@@ -296,6 +303,20 @@ def test_malformed_scene_text_exits_3_naming_file(workdir, capsys, name, edit, e
     err = capsys.readouterr().err
     assert f"{workdir / 'scene' / name}: " in err and expected in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("size", [64, 256])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_image_at_the_bound_runs_warning_free(workdir, capsys, size):
+    """An image filled with +IMAGE_BOUND, or with -IMAGE_BOUND, runs without
+    a numpy warning in every fusion mode under the default config."""
+    (workdir / "config.json").write_text("{}")
+    (workdir / "scene.json").write_text(json.dumps(dict(SCENE_SPEC, height=size, width=size)))
+    run_gen(workdir)
+    for value in (cli.IMAGE_BOUND, -cli.IMAGE_BOUND):
+        write_eovt(workdir / "scene" / "image.eovt", np.full((3, size, size), value, np.float32))
+        for mode in ("none", "eaf", "sdi", "tdee"):
+            assert run_run(workdir, extra=["--fusion", mode]) == 0, capsys.readouterr().err
 
 
 def _add_manifest_line(cache):
@@ -575,6 +596,16 @@ class TestBadValuesExit2:
     def test_config_value_of_wrong_type(self, workdir, capsys):
         (workdir / "config.json").write_text(json.dumps(dict(SMALL_CONFIG, embed_dim="x")))
         self.assert_usage_error(run_gen(workdir), capsys, "embed_dim must be int, got 'x'")
+
+    @pytest.mark.parametrize("file", ["config.json", "scene.json"])
+    @pytest.mark.parametrize("content, expected", [
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b'{"seed": 1}\xff', "'utf-8' codec can't decode byte 0xff in position 11"),
+    ], ids=["invalid_json", "non_utf8"])
+    def test_undecodable_json_file_is_named(self, workdir, capsys, file, content, expected):
+        (workdir / file).write_bytes(content)
+        self.assert_usage_error(run_gen(workdir), capsys, f"error: {workdir / file}: {expected}")
+        assert not (workdir / "scene").exists()
 
     @pytest.mark.parametrize(
         "file, field, value, expected",

@@ -405,6 +405,16 @@ class TestAssembly:
         out = assert_same_as_full_size(monkeypatch, logits, labels, np.array([False]), 1)
         assert np.all(out.segment_map == 1)
 
+    def test_float64_probabilities_are_compared_in_float64(self):
+        """Mask 1 beats mask 0 by 1e-12 of probability at every pixel: in
+        float64 it takes every pixel, where a rounding to float32 anywhere in
+        assembly would tie the two and give every pixel to mask 0."""
+        probs = np.full((2, 3, 3), 0.5)
+        probs[1] += 1e-12
+        labels = [MaskLabel(0, 0, 0.5), MaskLabel(1, 1, 0.5)]
+        out = assemble_panoptic(probs, labels, np.array([True, True]))
+        assert np.all(out.segment_map == 1) and out.segments == [SegmentRecord(1, 1, True)]
+
     def test_peak_memory_bounded_by_group(self):
         """512x512 output from 100 kept 128x128 masks (the full-size form peaks
         near 806 MiB): one group's upsample, as much again in its temporaries,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eovseg import kernels, oracles
+from eovseg import kernels, oracles, verify
 from eovseg.tensor import Rng
 
 
@@ -226,12 +226,14 @@ class TestConv2d:
     def test_1x1_column_blocks_do_not_change_values(self, monkeypatch, block_bytes, c_in, h, w):
         # down to the narrowest split allowed: two columns per block
         rng = Rng(2002 + c_in)
-        x, wt, b = rng.normal((c_in, h, w)), rng.normal((6, c_in)), rng.normal((6,))
-        whole = kernels.conv2d_1x1(x, wt, b)
+        draw = rng.normal((c_in, h, w)), rng.normal((6, c_in)), rng.normal((6,))
+        cases = [tuple(a.astype(dtype) for a in draw) for dtype in (np.float32, np.float64)]
+        wholes = [kernels.conv2d_1x1(*args) for args in cases]
         monkeypatch.setattr(kernels, "CONV1X1_BLOCK_BYTES", block_bytes)
-        out = kernels.conv2d_1x1(x, wt, b)
-        assert out.dtype == np.float32 and out.flags.c_contiguous
-        assert np.array_equal(out, whole)
+        for args, whole in zip(cases, wholes):
+            out = kernels.conv2d_1x1(*args)
+            assert out.dtype == args[0].dtype and out.flags.c_contiguous
+            assert np.array_equal(out, whole)
 
     def test_depthwise_channel_blocks_bitwise_equal_to_nine_taps(self):
         # 257 channels at 64x64 leave a short last channel block
@@ -307,12 +309,12 @@ class TestTransposedConv2d:
     @pytest.mark.parametrize("c_in, c_out, h, w", [(24, 5, 3, 7), (40, 3, 6, 1)])
     def test_oracle_wide_channels(self, c_in, c_out, h, w):
         rng = Rng(44 + c_in)
-        x = rng.normal((c_in, h, w))
-        wt = rng.normal((c_in, c_out, 2, 2))
-        b = rng.normal((c_out,))
-        out = kernels.transposed_conv2d(x, wt, b)
-        assert out.dtype == np.float32 and out.flags.c_contiguous
-        assert max_err(out, oracles.transposed_conv2d_oracle(x, wt, b)) < 1e-5
+        draw = rng.normal((c_in, h, w)), rng.normal((c_in, c_out, 2, 2)), rng.normal((c_out,))
+        for dtype in (np.float32, np.float64):
+            x, wt, b = (a.astype(dtype) for a in draw)
+            out = kernels.transposed_conv2d(x, wt, b)
+            assert out.dtype == dtype and out.flags.c_contiguous
+            assert max_err(out, oracles.transposed_conv2d_oracle(x, wt, b)) < 1e-5
 
 
 def four_corner_form(x, src_y, src_x):
@@ -397,10 +399,12 @@ class TestBilinearUpsample:
     def test_phase_slices_bitwise_equal_to_gather_resize(self, factor, scale):
         for h in (1, 2, 3, 7):
             for w in (1, 2, 3, 7):
-                x = Rng(47 + 8 * h + w).normal((3, h, w)) * np.float32(scale)
-                out = kernels.bilinear_upsample(x, factor)
-                assert out.dtype == np.float32 and out.flags.c_contiguous
-                assert np.array_equal(out, kernels.bilinear_resize(x, (h * factor, w * factor))), (h, w)
+                x32 = Rng(47 + 8 * h + w).normal((3, h, w)) * np.float32(scale)
+                for x in (x32, x32.astype(np.float64)):
+                    out = kernels.bilinear_upsample(x, factor)
+                    assert out.dtype == x.dtype and out.flags.c_contiguous
+                    resized = kernels.bilinear_resize(x, (h * factor, w * factor))
+                    assert np.array_equal(out, resized), (h, w, x.dtype)
 
     @pytest.mark.parametrize("factor", [2, 4, 8])
     @pytest.mark.parametrize("h, w", [(1, 1), (1, 7), (7, 1), (3, 2), (7, 7)])
@@ -470,3 +474,25 @@ class TestDenseLayers:
     @pytest.mark.parametrize("kernel", ["linear", "multi_head_attention"])
     def test_oracle_equivalence_seeded(self, verify_check, kernel):
         verify_check(f"{kernel}_vs_loop_oracle", seed=47)
+
+
+# ---------------------------------------------------------------------------
+# dtype in = dtype out
+
+_DTYPE_DRAWS = {
+    **dict.fromkeys(("sigmoid", "gelu", "relu"), verify._draw_pointwise),
+    "l2_normalize": lambda rng, t: (rng.normal((4, 6)),),
+    "bilinear_resize": lambda rng, t: (rng.normal((2, 3, 5)), (7, 4)),
+    "depthwise_conv2d_3x3": lambda rng, t: verify._draw_conv2d_depthwise_separable(rng, t)[:2],
+}
+
+
+@pytest.mark.parametrize("name", [*verify.SABOTAGE_TARGETS, "bilinear_resize", "depthwise_conv2d_3x3"])
+def test_output_dtype_is_the_input_dtype(name):
+    """Every kernel computes in its inputs' dtype: float32 in gives float32
+    out, and the same draw cast to float64 gives float64."""
+    draw = _DTYPE_DRAWS.get(name) or getattr(verify, f"_draw_{name}")
+    args = draw(Rng(53), 0)
+    for dtype in (np.float32, np.float64):
+        cast = [a.astype(dtype) if isinstance(a, np.ndarray) else a for a in args]
+        assert getattr(kernels, name)(*cast).dtype == dtype

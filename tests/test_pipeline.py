@@ -6,6 +6,7 @@ import inspect
 import json
 import sys
 import typing
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,10 +33,13 @@ from eovseg.weights import (
     HEAD_FIELDS,
     build_weights,
     cache_key,
+    cast_weights,
     load_or_build_weights,
     load_weights,
     save_weights,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_config(**over):
@@ -218,6 +222,46 @@ def test_two_runs_bitwise_identical(scene):
     assert np.array_equal(r1.scores.values, r2.scores.values)
     for key in r1.trace:
         assert np.array_equal(r1.trace[key], r2.trace[key])
+
+
+@pytest.fixture(scope="module")
+def warm_up_64():
+    """The benchmark's 64x64 warm-up scene, its class names and the default bundle."""
+    sys.path.insert(0, str(ROOT / "eovbench"))
+    try:
+        import harness
+    finally:
+        sys.path.remove(str(ROOT / "eovbench"))
+    scene = harness.make_scene(64, harness.REFERENCE_SCENE_SEED, ModelConfig().embed_dim)
+    return scene, harness.CLASS_NAMES, build_weights(ModelConfig(), (64, 64))
+
+
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_float64_forward_stays_float64_and_near_float32(warm_up_64, mode):
+    """A float64 bundle, image and vocabulary give a float64 forward: the
+    dtype comes from the inputs alone.  At 64x64, where the decoder is still
+    well-conditioned, the float32 forward is its rounding-level neighbour."""
+    scene, names, bundle = warm_up_64
+    cfg = ModelConfig(fusion=mode)
+    r32, r64 = (forward(scene.image.astype(dtype),
+                        build_text_embeddings(scene.templates.astype(dtype), names, scene.seen),
+                        scene.is_thing, cfg, b)
+                for dtype, b in ((np.float32, bundle), (np.float64, cast_weights(bundle, np.float64))))
+    assert r64.scores.values.dtype == np.float64
+    assert np.max(np.abs(r64.scores.values - r32.scores.values)) <= 1e-5
+    assert r64.trace.keys() == r32.trace.keys()
+    for key, value in r64.trace.items():
+        assert value.dtype == np.float64, key
+        assert np.max(np.abs(value - r32.trace[key])) <= 1e-4 * np.max(np.abs(value)), key
+
+
+def test_cast_weights_round_trip_is_bitwise():
+    bundle = build_weights(small_config(), (64, 64))
+    there_and_back = cast_weights(cast_weights(bundle, np.float64), np.float32)
+    before, after = bundle.to_tensors(), there_and_back.to_tensors()
+    assert before.keys() == after.keys()
+    for name, value in before.items():
+        assert after[name].dtype == np.float32 and np.array_equal(after[name], value), name
 
 
 def test_stage_failure_names_stage(scene):
