@@ -135,6 +135,6 @@ def aggregate(pyramid: dict[int, np.ndarray], weights: AggregatorWeights) -> np.
     acc = conv2d_1x1(pyramid[2], weights.level_proj[2], None)
     for level in (3, 4, 5):
         proj = conv2d_1x1(pyramid[level], weights.level_proj[level], None)
-        acc = acc + bilinear_upsample(proj, 2 ** (level - 2))
+        acc += bilinear_upsample(proj, 2 ** (level - 2))
     w, b = weights.fuse
     return conv2d_3x3(acc, w, b)

@@ -20,7 +20,9 @@ probabilities feed the spatial branch, out-of-vocabulary scoring and assembly.
 Outputs whose names do not start with ``_`` are traced: ``forward_traced``
 dumps them as EOVT files, and ``replay_trace`` runs the same table, compares
 each traced output with its dump and continues from the dumped value, to
-confirm bitwise reproducibility stage by stage.
+confirm bitwise reproducibility stage by stage.  An untraced output is dropped
+after the last row that reads it, unless ``forward`` reads it afterwards
+(``FORWARD_READS``), so a forward holds only what is still to be read.
 
 Steps look up their functions when they run, never at import: span tracing
 and kernel sabotage replace module attributes, which a function object
@@ -29,6 +31,7 @@ captured in the table would bypass.  Nothing replaces the references.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 from operator import attrgetter
@@ -106,12 +109,17 @@ class ForwardResult:
     trace: dict[str, np.ndarray]
 
 
-def _clip_final_features(feats: dict[int, np.ndarray], clip_proj: tuple) -> np.ndarray:
+def _clip_final_features(c5: np.ndarray, clip_proj: tuple) -> np.ndarray:
     """Stand-in for the frozen-backbone final features used by out-of-vocab scoring:
-    the deepest backbone stage (C5 of the backbone row's ``feats``, so the
-    backbone runs once per forward), projected to the embedding width, at
-    stride 4."""
-    return bilinear_upsample(conv2d_1x1(feats[5], *clip_proj), 8)
+    the deepest backbone stage (the backbone row's ``_c5``, so the backbone
+    runs once per forward and its other levels are freed after the pyramid),
+    projected to the embedding width, at stride 4."""
+    return bilinear_upsample(conv2d_1x1(c5, *clip_proj), 8)
+
+
+def _with_c5(feats: dict[int, np.ndarray]) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """The backbone row's outputs: every level, and C5 itself (not a copy)."""
+    return feats, feats[LEVELS[-1]]
 
 
 @dataclass(frozen=True)
@@ -211,8 +219,9 @@ def _decoder_stage(modes: tuple[str, ...], features: str) -> Stage:
 
 
 STAGES = (
-    Stage("backbone", ALL, ("image", "bundle.backbone"), ("_feats",),
-          lambda *a: extract_features(*a), reference.backbone_reference, _backbone_macs),
+    Stage("backbone", ALL, ("image", "bundle.backbone"), ("_feats", "_c5"),
+          lambda *a: _with_c5(extract_features(*a)),
+          lambda *a: _with_c5(reference.backbone_reference(*a)), _backbone_macs),
     Stage("aggregator", ALL, ("_feats", "bundle.aggregator"), ("_pyramid",),
           lambda *a: build_pyramid(*a), reference.build_pyramid_reference, _pyramid_macs),
     Stage("aggregator", ALL, ("_pyramid", "bundle.aggregator"), ("agg_features",),
@@ -244,7 +253,7 @@ STAGES = (
     Stage("classifier", ALL, ("instance_embeddings", "text.embeddings", "config.tau"),
           ("scores_in_vocab",),
           lambda *a: in_vocab_scores(*a), reference.in_vocab_scores_reference, _score_macs),
-    Stage("classifier", ALL, ("_feats", "bundle.clip_proj"), ("_clip_final",),
+    Stage("classifier", ALL, ("_c5", "bundle.clip_proj"), ("_clip_final",),
           lambda *a: _clip_final_features(*a), reference.clip_final_reference, _clip_macs),
     Stage("classifier", ALL, ("_clip_final", "_mask_probs", "text.embeddings", "config.tau"),
           ("scores_out_vocab",), lambda *a: out_vocab_scores(*a),
@@ -272,15 +281,31 @@ def _resolve_inputs(v: SimpleNamespace, inputs: tuple[str, ...]) -> tuple:
     return tuple(attrgetter(name)(v) for name in inputs)
 
 
+# the run outputs forward reads after the table; _run_stages never frees them
+FORWARD_READS = ("_mask_probs", "scores_final")
+
+
+@functools.cache
+def _frees_after(stages: tuple[Stage, ...], mode: str) -> tuple[tuple[str, ...], ...]:
+    """Per row of ``stages``, the untraced outputs that no row after it reads
+    in ``mode``, nor ``forward``: they are dropped once that row has run."""
+    last = {name: i for i, stage in enumerate(stages) if mode in stage.modes
+            for name in stage.inputs if name.startswith("_")}
+    return tuple(tuple(name for name, j in last.items() if j == i and name not in FORWARD_READS)
+                 for i in range(len(stages)))
+
+
 def _run_stages(image, text, config, bundle, keep, run=lambda stage, args: stage.step(*args)):
-    """Run the rows for ``config.fusion`` in order; return every output by name.
+    """Run the rows for ``config.fusion`` in order; return the outputs still held by name.
 
     ``run(stage, args)`` computes a row's outputs from its resolved inputs, by
     default with its step.  ``keep(name, value)`` is called on each traced
-    output and returns the value that later rows read.
+    output and returns the value that later rows read.  Traced outputs stay
+    to the end; an untraced one is dropped after the last row that reads it,
+    unless it is in ``FORWARD_READS``.
     """
     v = SimpleNamespace(image=image, text=text, config=config, bundle=bundle)
-    for stage in STAGES:
+    for stage, dead in zip(STAGES, _frees_after(STAGES, config.fusion)):
         if config.fusion not in stage.modes:
             continue
         out = _call(stage.name, run, stage, _resolve_inputs(v, stage.inputs))
@@ -288,6 +313,8 @@ def _run_stages(image, text, config, bundle, keep, run=lambda stage, args: stage
             if not name.startswith("_"):
                 value = keep(name, value)
             setattr(v, name, value)
+        for name in dead:
+            delattr(v, name)
     return v
 
 
@@ -304,9 +331,7 @@ def forward(
         trace[name] = value
         return value
 
-    v = _run_stages(image, text, config, bundle, keep)
-    probs, scores = v._mask_probs, v.scores_final
-    del v  # frees the untraced outputs before classification and assembly
+    probs, scores = _resolve_inputs(_run_stages(image, text, config, bundle, keep), FORWARD_READS)
     labels = _call("classifier", classify, scores, config.score_floor)
     panoptic = _call("assembly", assemble_panoptic, probs, labels, class_is_thing)
     return ForwardResult(panoptic=panoptic, scores=ClassScores(scores), labels=labels, trace=trace)

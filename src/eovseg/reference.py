@@ -255,10 +255,10 @@ def in_vocab_scores_reference(instance_embed, text_rows, tau: float, macs: MacCo
     return softmax_oracle(logits, axis=1)
 
 
-def clip_final_reference(feats, clip_proj, macs: MacCounter | None = None):
-    """C5 of the backbone features projected and upsampled to stride 4, as
+def clip_final_reference(c5, clip_proj, macs: MacCounter | None = None):
+    """C5 of the backbone projected and upsampled to stride 4, as
     ``pipeline._clip_final_features``."""
-    return bilinear_upsample_oracle(conv2d_1x1_oracle(feats[5], *clip_proj, macs), 8, macs)
+    return bilinear_upsample_oracle(conv2d_1x1_oracle(c5, *clip_proj, macs), 8, macs)
 
 
 def out_vocab_scores_reference(clip_features, probs, text_rows, tau, macs=None):

@@ -178,21 +178,32 @@ class TestConv2d:
         b = rng.normal((4,))
         assert max_err(kernels.conv2d_3x3(x, w, b), oracles.conv2d_3x3_oracle(x, w, b)) < 1e-5
 
-    @pytest.mark.parametrize("block", [kernels.CONV_BLOCK_COLUMNS, 7])
+    @pytest.mark.parametrize("block", [1024, 7, 40])
     @pytest.mark.parametrize(
         "c_in, c_out, h, w", [(24, 6, 7, 11), (32, 5, 13, 4), (28, 4, 1, 9), (25, 3, 10, 1)]
     )
     def test_k3_loop_oracle_wide_channels(self, monkeypatch, block, c_in, c_out, h, w):
         # enough channels for BLAS blocking; non-square, single-row and
-        # single-column maps; block 7 gives one GEMM block per output row
-        monkeypatch.setattr(kernels, "CONV_BLOCK_COLUMNS", block)
+        # single-column maps; block 1024 was the default until it became 512,
+        # block 7 gives one GEMM block per output row, block 40 several rows
+        # per block with a short last one (7 = 3+3+1 rows at width 11, 13 =
+        # 6+6+1 at width 4).  In float32 each block is bitwise the default
+        # block (CONV_BLOCK_COLUMNS) here.  In float64 a block moves only
+        # float64 rounding: dgemm sums a product's last few columns in another
+        # order, and which pixels are last depends on the block.
         rng = Rng(1000 + c_in)
-        x = rng.normal((c_in, h, w))
-        wt = rng.normal((c_out, c_in, 3, 3))
-        b = rng.normal((c_out,))
-        out = kernels.conv2d_3x3(x, wt, b)
-        assert out.shape == (c_out, h, w)
-        assert max_err(out, oracles.conv2d_3x3_oracle(x, wt, b)) < 1e-5
+        draw = rng.normal((c_in, h, w)), rng.normal((c_out, c_in, 3, 3)), rng.normal((c_out,))
+        cases = [tuple(a.astype(dtype) for a in draw) for dtype in (np.float32, np.float64)]
+        defaults = [kernels.conv2d_3x3(*args) for args in cases]
+        monkeypatch.setattr(kernels, "CONV_BLOCK_COLUMNS", block)
+        for args, default in zip(cases, defaults):
+            out = kernels.conv2d_3x3(*args)
+            assert out.shape == (c_out, h, w) and out.dtype == args[0].dtype
+            if out.dtype == np.float32:
+                assert np.array_equal(out, default)
+            else:
+                assert max_err(out, default) <= 1e-14 * np.max(np.abs(default))
+            assert max_err(out, oracles.conv2d_3x3_oracle(*args)) < 1e-5
 
     def test_k3_without_bias_is_contiguous_float32(self):
         rng = Rng(22)

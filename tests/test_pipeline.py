@@ -5,7 +5,9 @@ import hashlib
 import inspect
 import json
 import sys
+import tracemalloc
 import typing
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -121,6 +123,10 @@ def test_stage_inputs_are_names():
         assert all(isinstance(name, str) for name in stage.inputs), stage.outputs
 
 
+def _outputs(stage, out) -> dict:  # a row's outputs by name
+    return dict(zip(stage.outputs, out if len(stage.outputs) > 1 else (out,), strict=True))
+
+
 @pytest.mark.parametrize("mode", FUSION_MODES)
 def test_rows_read_only_their_declared_inputs(scene, mode):
     """Each row, run on a namespace that holds only the roots of its declared
@@ -130,7 +136,14 @@ def test_rows_read_only_their_declared_inputs(scene, mode):
     spec, image, _, _, text = scene
     cfg = small_config(fusion=mode)
     bundle = build_weights(cfg, (64, 64))
-    full = pipeline_module._run_stages(image, text, cfg, bundle, lambda name, value: value)
+    full = {}  # every output of the full run, recorded as it is made: the run frees some
+
+    def record(stage, args):
+        out = stage.step(*args)
+        full.update(_outputs(stage, out))
+        return out
+
+    pipeline_module._run_stages(image, text, cfg, bundle, lambda name, value: value, record)
     produced = dict(image=image, text=text, config=cfg, bundle=bundle)
     for stage in pipeline_module.STAGES:
         if mode not in stage.modes:
@@ -138,10 +151,72 @@ def test_rows_read_only_their_declared_inputs(scene, mode):
         roots = {name.split(".")[0] for name in stage.inputs}
         only = SimpleNamespace(**{root: produced[root] for root in roots})
         out = stage.step(*pipeline_module._resolve_inputs(only, stage.inputs))
-        several = len(stage.outputs) > 1
-        for name, value in zip(stage.outputs, out if several else (out,), strict=True):
-            assert _same(value, getattr(full, name)), f"{mode}: {name}"
+        for name, value in _outputs(stage, out).items():
+            assert _same(value, full[name]), f"{mode}: {name}"
             produced[name] = value
+
+
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_every_untraced_output_has_a_later_reader(mode):
+    """No row computes an untraced output that nothing reads, and the run
+    frees each one, but those ``forward`` reads, after exactly one row."""
+    rows = [(i, s) for i, s in enumerate(pipeline_module.STAGES) if mode in s.modes]
+    frees = pipeline_module._frees_after(pipeline_module.STAGES, mode)
+    untraced = set()
+    for k, (_, stage) in enumerate(rows):
+        later = {name for _, s in rows[k + 1:] for name in s.inputs}
+        for name in stage.outputs:
+            if name.startswith("_"):
+                assert name in later or name in pipeline_module.FORWARD_READS, f"{mode}: {name}"
+                untraced.add(name)
+    freed = [name for i, _ in rows for name in frees[i]]
+    assert sorted(freed) == sorted(untraced - set(pipeline_module.FORWARD_READS))
+    assert not any(frees[i] for i, s in enumerate(pipeline_module.STAGES) if mode not in s.modes)
+
+
+def _arrays(value) -> list:  # an output's arrays: the array, or a {level: array} dict's levels
+    return list(value.values()) if isinstance(value, dict) else [value]
+
+
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_untraced_outputs_are_freed_after_their_last_reader(scene, mode):
+    """Before each row runs, every array of an untraced output whose last
+    reader has run is gone, unless a live output holds it too (the backbone's
+    C5 is ``_c5`` itself).  Only the outputs ``forward`` reads outlive the run."""
+    spec, image, _, _, text = scene
+    cfg = small_config(fusion=mode)
+    bundle = build_weights(cfg, (64, 64))
+    stages = pipeline_module.STAGES
+    last = {}  # each untraced output's last reading row; forward's reads outlive every row
+    for i, stage in enumerate(stages):
+        if mode in stage.modes:
+            last.update((name, i) for name in stage.inputs if name.startswith("_"))
+    last.update(dict.fromkeys(pipeline_module.FORWARD_READS, len(stages)))
+    held = {}  # untraced output -> weak references to its arrays
+
+    def check_freed(ran: int):  # the rows before index ``ran`` have run
+        def alive(name):
+            return [a for a in (r() for r in held[name]) if a is not None]
+        live = {id(a) for name in held if last[name] >= ran for a in alive(name)}
+        for name in held:
+            if last[name] < ran:
+                assert all(id(a) in live for a in alive(name)), \
+                    f"{mode}: {name} outlives row {last[name]} before row {ran}"
+
+    def run(stage, args):
+        check_freed(stages.index(stage))
+        out = stage.step(*args)
+        for name, value in _outputs(stage, out).items():
+            if name.startswith("_"):
+                held[name] = [weakref.ref(a) for a in _arrays(value)]
+        return out
+
+    v = pipeline_module._run_stages(image, text, cfg, bundle, lambda name, value: value, run)
+    check_freed(len(stages))
+    assert {"_feats", "_pyramid", "_clip_final"} <= held.keys()
+    assert all(r() is None for name in ("_feats", "_pyramid") for r in held[name])
+    untraced = {name for name in vars(v) if name.startswith("_")}
+    assert untraced == {name for name in pipeline_module.FORWARD_READS if name.startswith("_")}
 
 
 def test_eaf_decodes_the_fused_maps(scene):
@@ -224,16 +299,42 @@ def test_two_runs_bitwise_identical(scene):
         assert np.array_equal(r1.trace[key], r2.trace[key])
 
 
-@pytest.fixture(scope="module")
-def warm_up_64():
-    """The benchmark's 64x64 warm-up scene, its class names and the default bundle."""
+def _harness():
     sys.path.insert(0, str(ROOT / "eovbench"))
     try:
         import harness
     finally:
         sys.path.remove(str(ROOT / "eovbench"))
+    return harness
+
+
+@pytest.fixture(scope="module")
+def warm_up_64():
+    """The benchmark's 64x64 warm-up scene, its class names and the default bundle."""
+    harness = _harness()
     scene = harness.make_scene(64, harness.REFERENCE_SCENE_SEED, ModelConfig().embed_dim)
     return scene, harness.CLASS_NAMES, build_weights(ModelConfig(), (64, 64))
+
+
+def test_forward_memory_peak_at_256():
+    """One forward at the large256_tdee config and warm-up scene allocates at
+    most 24 MiB at its peak (tracemalloc, numpy buffers included): untraced
+    outputs are freed after their last reader and the 3x3 convolutions hold
+    one float64 row block, not a padded copy of the map."""
+    harness = _harness()
+    workload = harness.WORKLOADS["large256_tdee"]
+    cfg = workload.config()
+    scene = harness.make_scene(workload.size, harness.REFERENCE_SCENE_SEED, cfg.embed_dim)
+    bundle = build_weights(cfg, (workload.size, workload.size))
+    text = build_text_embeddings(scene.templates, harness.CLASS_NAMES, scene.seen)
+    tracemalloc.start()
+    try:
+        result = forward(scene.image, text, scene.is_thing, cfg, bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.labels
+    assert peak <= 24 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("mode", FUSION_MODES)
