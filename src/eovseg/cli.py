@@ -7,7 +7,7 @@ other than the config's embed_dim,
 a malformed vocab.txt or gt_manifest.txt, class counts or ids that disagree
 between the scene files, segment ids below 1 or listed twice in the
 manifest, a segment map that is not finite or not the image's extents, map
-ids below 0 or without a manifest line, a damaged weight cache), 4 a
+ids below 0 or without a manifest line, a damaged weights.eovw), 4 a
 pipeline stage failed on the given input (the stage name is printed).  The
 EOVSEG_THREADS environment variable caps kernel parallelism (0 =
 single-threaded) and overrides inherited BLAS thread variables; bench
@@ -80,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scene", type=str, required=True, help="scene directory from gen")
     p_run.add_argument("--fusion", type=str, default=None, help="override the fusion mode")
     p_run.add_argument("--trace", type=str, default=None, help="dump intermediates here")
-    p_run.add_argument("--weights", type=str, default="eovseg_weights", help="weight cache dir")
+    p_run.add_argument("--weights", type=str, default="eovseg_weights",
+                       help="weight cache dir; holds weights.eovw")
     p_run.add_argument("--out", type=str, default=None, help="metrics CSV path")
     p_run.add_argument(
         "--resize-shortest",

@@ -3,8 +3,9 @@
 Tensors this package makes and stores are C-contiguous float32 ndarrays of
 rank 1..5 with all extents >= 1; the kernels assume the rank and extents and
 compute in the dtype they are given.  ``check_tensor`` enforces the contract
-only inside ``write_eovt``, so every tensor file (weight cache, scene,
-trace) is checked as it is written; arrays passed between modules are not.
+only inside ``write_eovt`` and ``weights.save_weights``, so every tensor file
+(weight cache, scene, trace) is checked as it is written; arrays passed
+between modules are not.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ MAX_RANK = 5
 
 
 class EovtFormatError(ValueError):
-    """Raised when a tensor file, a weight cache directory or a scene file
+    """Raised when a tensor file, a weight-cache file or a scene file
     (``image.eovt``, ``templates.eovt``, ``vocab.txt``, ``gt_map.eovt``,
     ``gt_manifest.txt``) fails format validation."""
 
 
 def read_text(path: str | Path) -> str:
-    """A UTF-8 text file: ``vocab.txt``, ``gt_manifest.txt`` or a weight manifest."""
+    """A UTF-8 text file: ``vocab.txt`` or ``gt_manifest.txt``."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -72,14 +73,10 @@ def read_eovt(path: str | Path) -> np.ndarray:
     shape = struct.unpack_from(f"<{rank}I", raw, 6)
     if any(e < 1 for e in shape):
         raise EovtFormatError(f"{path}: zero extent in shape {shape}")
-    count = int(np.prod(shape))
-    payload = raw[header_end:]
-    if len(payload) != 4 * count:
-        raise EovtFormatError(
-            f"{path}: payload holds {len(payload) // 4} floats, shape {shape} needs {count}"
-        )
-    data = np.frombuffer(payload, dtype="<f4", count=count)
-    return np.ascontiguousarray(data.astype(np.float32).reshape(shape))
+    count, held = int(np.prod(shape)), (len(raw) - header_end) // 4
+    if len(raw) != header_end + 4 * count:
+        raise EovtFormatError(f"{path}: payload holds {held} floats, shape {shape} needs {count}")
+    return np.frombuffer(raw, "<f4", count, header_end).astype(np.float32).reshape(shape)
 
 
 class Rng:

@@ -1,22 +1,25 @@
-"""Weight bundle: seeded generation, the tensor-name table, and the cache-directory format.
+"""Weight bundle: seeded generation, the tensor-name table, and the weight-cache file.
 
 All weights are generated from the config seed (independent substreams per
-module) so a bundle is reproducible from its config alone.  Serialized form:
-one EOVT file per named tensor plus ``manifest.txt`` (name and shape per
-line) and ``meta.json`` holding the bundle's ``cache_key``, the one thing a
-cache is matched on.  ``_layout`` is the one table of tensor names, each read
-by ``forward`` in some fusion mode: ``to_tensors`` reads each name's path out
-of a bundle, ``load_weights`` checks the manifest against it and puts each
-tensor back, and ``cast_weights`` puts back each tensor cast to a dtype.
+module) so a bundle is reproducible from its config alone.  A cache is one
+file, ``WEIGHTS_FILE`` in the cache directory: a JSON header holding the
+bundle's ``cache_key`` (the one thing a cache is matched on) and each
+tensor's shape, payload offset and crc32, then the float32 payload.
+``_layout`` is the one table of tensor names, each read by ``forward`` in
+some fusion mode: ``to_tensors`` reads each name's path out of a bundle,
+``load_weights`` checks the header against it and puts each tensor back,
+and ``cast_weights`` puts back each tensor cast to a dtype.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-import secrets
-import shutil
+import struct
+import tempfile
 import typing
+import zlib
 from dataclasses import dataclass, is_dataclass
 from pathlib import Path
 
@@ -27,7 +30,7 @@ from .config import ModelConfig
 from .decoder import MASK_MLP_DEPTH, DecoderWeights
 from .fusion import EafWeights, SdiWeights, TdeeWeights
 from .spatial import PATCH, UpsamplerWeights, VitBlockWeights
-from .tensor import EovtFormatError, Rng, read_eovt, read_text, write_eovt
+from .tensor import MAX_RANK, EovtFormatError, Rng, check_tensor
 from .vas import VasWeights
 
 # Bump whenever any *.build / build_weights draw changes (order, shape, std,
@@ -39,6 +42,12 @@ GENERATOR_VERSION = 3
 # The cache key leaves out only these, so a field added later is keyed until
 # it is shown not to touch the weights.
 HEAD_FIELDS = ("fusion", "alpha", "beta", "tau", "ensemble_method", "score_floor")
+
+# The cache file in a cache directory: WEIGHTS_MAGIC, the u64-LE byte length
+# of a UTF-8 JSON header, the header, then the payload.
+WEIGHTS_FILE = "weights.eovw"
+WEIGHTS_MAGIC = b"EOVW0001"
+_PREFIX = len(WEIGHTS_MAGIC) + 8
 
 
 def cache_key(config: ModelConfig, vit_tokens: int) -> str:
@@ -208,120 +217,98 @@ def build_weights(config: ModelConfig, image_hw: tuple[int, int]) -> WeightBundl
     )
 
 
-def _is_cache_file(path: Path) -> bool:
-    return path.is_file() and (path.suffix == ".eovt" or path.name in ("manifest.txt", "meta.json"))
-
-
 def save_weights(bundle: WeightBundle, directory: str | Path) -> None:
-    """Write the bundle into a sibling temp directory, then rename it into place.
-
-    A reader sees the previous directory or the complete new one, never a
-    half-written cache; a failed save leaves the target as it was.  An
-    existing target is replaced only if it holds nothing but cache files.
-    """
+    """Write the bundle to a temp file in ``directory``, then ``os.replace`` it onto
+    ``WEIGHTS_FILE``: a reader sees the previous file or the complete new one,
+    and a failed save leaves the previous file as it was."""
     directory = Path(directory)
-    directory.parent.mkdir(parents=True, exist_ok=True)
-    tmp = directory.with_name(f".{directory.name}.tmp-{os.getpid()}-{secrets.token_hex(4)}")
-    tmp.mkdir()
+    directory.mkdir(parents=True, exist_ok=True)
+    tensors = {name: check_tensor(t).astype("<f4", copy=False)
+               for name, t in bundle.to_tensors().items()}
+    entries, offset = {}, 0
+    for name, arr in tensors.items():
+        entries[name] = {"shape": list(arr.shape), "offset": offset, "crc32": zlib.crc32(arr)}
+        offset += arr.nbytes
+    key = cache_key(bundle.config, len(bundle.vit.pos_table))
+    header = json.dumps({"weights_key": key, "tensors": entries}).encode()
+    header += b" " * (-(_PREFIX + len(header)) % 4)  # the payload starts 4-byte aligned
+    fd, tmp = tempfile.mkstemp(prefix=f".{WEIGHTS_FILE}.", suffix=".tmp", dir=directory)
     try:
-        tensors = bundle.to_tensors()
-        lines = []
-        for name in sorted(tensors):
-            arr = tensors[name]
-            write_eovt(tmp / f"{name}.eovt", arr)
-            lines.append(f"{name} {'x'.join(str(e) for e in arr.shape)}")
-        (tmp / "manifest.txt").write_text("\n".join(lines) + "\n")
-        meta = {"weights_key": cache_key(bundle.config, len(bundle.vit.pos_table))}
-        (tmp / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-        _swap_into_place(tmp, directory)
+        with open(fd, "wb") as f:
+            f.write(WEIGHTS_MAGIC + struct.pack("<Q", len(header)) + header)
+            for arr in tensors.values():
+                f.write(arr)
+        os.replace(tmp, directory / WEIGHTS_FILE)
     finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+        Path(tmp).unlink(missing_ok=True)
 
 
-def _swap_into_place(tmp: Path, directory: Path) -> None:
-    old = None
-    if directory.is_dir() and any(directory.iterdir()):
-        stray = [p.name for p in directory.iterdir() if not _is_cache_file(p)]
-        if stray:
-            raise FileExistsError(
-                f"save_weights: {directory} holds {stray[0]!r}, not a weight cache; not replacing it"
-            )
-        old = tmp.with_name(tmp.name + ".old")
-        os.rename(directory, old)
+def _read_header(path: Path, f: typing.BinaryIO) -> dict:
+    """The JSON header of the weight file ``f``, left positioned at the payload."""
+    prefix = f.read(_PREFIX)
+    if len(prefix) < _PREFIX or prefix[: len(WEIGHTS_MAGIC)] != WEIGHTS_MAGIC:
+        raise EovtFormatError(f"{path}: bad magic, not an eovseg weight file")
+    size = int.from_bytes(prefix[len(WEIGHTS_MAGIC):], "little")
+    if _PREFIX + size > os.fstat(f.fileno()).st_size:
+        raise EovtFormatError(f"{path}: truncated header")
     try:
-        os.rename(tmp, directory)  # onto a missing or empty directory
-    except OSError:
-        if old is not None:
-            os.rename(old, directory)  # put the previous cache back
-            raise
-        if not (directory / "meta.json").is_file():
-            raise
-        # otherwise a concurrent save finished first and its cache stands
-    if old is not None:
-        shutil.rmtree(old, ignore_errors=True)
-
-
-def read_manifest(directory: str | Path) -> dict[str, tuple[int, ...]]:
-    path = Path(directory) / "manifest.txt"
-    if not path.exists():
-        raise FileNotFoundError(f"weights manifest missing: {path}")
-    entries: dict[str, tuple[int, ...]] = {}
-    for line in read_text(path).splitlines():
-        if not line.strip():
-            continue
-        try:
-            name, shape = line.split()
-            entries[name] = tuple(int(e) for e in shape.split("x"))
-        except ValueError:
-            raise EovtFormatError(f"{path}: malformed line {line!r}") from None
-    return entries
-
-
-def _stored_key(directory: Path) -> object:
-    """The ``weights_key`` of a cache's meta.json; None if the object holds none."""
-    try:
-        meta = json.loads((directory / "meta.json").read_text())
-        if not isinstance(meta, dict):
-            raise ValueError(f"a JSON {type(meta).__name__}, not an object")
-    except ValueError as exc:
-        raise EovtFormatError(
-            f"weight cache {directory}: meta.json is unreadable ({exc!r})"
-        ) from None
-    return meta.get("weights_key")
+        header = json.loads(f.read(size).decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise EovtFormatError(f"{path}: header is not UTF-8 JSON ({exc})") from None
+    if not isinstance(header, dict) or not isinstance(header.get("tensors"), dict):
+        raise EovtFormatError(f"{path}: header is not a JSON object with a tensors table")
+    return header
 
 
 def load_weights(directory: str | Path, config: ModelConfig) -> WeightBundle:
-    """Load a cache whose manifest names exactly the tensors ``_layout(config)`` lists."""
-    directory = Path(directory)
-    entries = read_manifest(directory)
-    layout = _layout(config)
-    missing, unexpected = sorted(layout.keys() - entries), sorted(entries.keys() - layout)
-    if missing or unexpected:
-        found = [f"{what} tensors {names}" for what, names in
-                 (("missing", missing), ("unexpected", unexpected)) if names]
-        raise EovtFormatError(
-            f"weight cache {directory} does not match the config: {'; '.join(found)}"
-        )
-    tensors = {}
-    for name in layout:
-        arr = read_eovt(directory / f"{name}.eovt")
-        if arr.shape != entries[name]:
+    """Load a weight file that holds exactly the tensors ``_layout(config)`` lists.
+
+    Each tensor is read on its own (no 30 MiB buffer is ever joined), checked
+    against its crc32 and returned as a read-only view of the bytes read.
+    """
+    path = Path(directory) / WEIGHTS_FILE
+    layout, tensors, offset = _layout(config), {}, 0
+    with open(path, "rb") as f:
+        entries = _read_header(path, f)["tensors"]
+        missing, unexpected = sorted(layout.keys() - entries), sorted(entries.keys() - layout)
+        if missing or unexpected:
+            found = [f"{what} tensors {names}" for what, names in
+                     (("missing", missing), ("unexpected", unexpected)) if names]
             raise EovtFormatError(
-                f"{directory / name}.eovt has shape {arr.shape}, manifest says {entries[name]}"
-            )
-        tensors[name] = arr
+                f"weight cache {path} does not match the config: {'; '.join(found)}")
+        payload_size = os.fstat(f.fileno()).st_size - f.tell()
+        for name in layout:
+            entry = entries[name]
+            shape = entry.get("shape") if isinstance(entry, dict) else None
+            if not (isinstance(shape, list) and 1 <= len(shape) <= MAX_RANK
+                    and all(type(e) is int and e >= 1 for e in shape)
+                    and entry.get("offset") == offset):
+                raise EovtFormatError(f"{path}: tensor {name!r} has a malformed header entry")
+            nbytes = 4 * math.prod(shape)
+            if offset + nbytes > payload_size:
+                raise EovtFormatError(f"{path}: tensor {name!r} runs past the end of the file")
+            data = f.read(nbytes)
+            if zlib.crc32(data) != entry.get("crc32"):
+                raise EovtFormatError(f"{path}: tensor {name!r} fails its crc32 check")
+            tensors[name] = np.frombuffer(data, "<f4").reshape(shape)
+            offset += nbytes
+    if offset != payload_size:
+        raise EovtFormatError(f"{path}: {payload_size - offset} bytes after the last tensor")
     return _assemble(config, tensors)
 
 
 def load_or_build_weights(
     directory: str | Path, config: ModelConfig, image_hw: tuple[int, int]
 ) -> WeightBundle:
-    """Reuse a cached bundle iff its key is the key of the bundle ``build_weights`` would make."""
-    directory = Path(directory)
+    """Reuse a cached bundle iff its key is the key of the bundle ``build_weights``
+    would make; a missing file or another key is built and saved once."""
+    path = Path(directory) / WEIGHTS_FILE
     gh, gw = _vit_grid(image_hw)
-    key = cache_key(config, 1 + gh * gw)
-    if (directory / "meta.json").exists() and _stored_key(directory) == key:
-        return load_weights(directory, config)
+    if path.is_file():
+        with open(path, "rb") as f:
+            stored = _read_header(path, f).get("weights_key")
+        if stored == cache_key(config, 1 + gh * gw):
+            return load_weights(directory, config)
     bundle = build_weights(config, image_hw)
     save_weights(bundle, directory)
     return bundle

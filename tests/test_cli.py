@@ -147,14 +147,14 @@ class TestRun:
 
     def test_fusion_switch_reuses_the_weight_cache(self, workdir, monkeypatch):
         run_gen(workdir)
-        builds, metas = [], []
+        builds, caches = [], []
         real_build = weights.build_weights
         monkeypatch.setattr(weights, "build_weights", lambda *a: builds.append(a) or real_build(*a))
         for mode in ("tdee", "none", "tdee"):
             assert run_run(workdir, extra=["--fusion", mode]) == 0
-            metas.append((workdir / "wcache" / "meta.json").read_text())
+            caches.append((workdir / "wcache" / "weights.eovw").read_bytes())
         assert len(builds) == 1
-        assert len(set(metas)) == 1
+        assert len(set(caches)) == 1
 
     def test_sizes_with_one_token_count_share_the_weight_cache(self, workdir, monkeypatch):
         (workdir / "wide.json").write_text(json.dumps({**SCENE_SPEC, "height": 32, "width": 128}))
@@ -319,38 +319,58 @@ def test_image_at_the_bound_runs_warning_free(workdir, capsys, size):
             assert run_run(workdir, extra=["--fusion", mode]) == 0, capsys.readouterr().err
 
 
-def _add_manifest_line(cache):
-    with open(cache / "manifest.txt", "a") as f:
-        f.write("decoder.layer9.ffn.w1 32x64\n")
+def _add_manifest_line(cache, header):
+    entry = {"shape": [32, 64], "offset": 0, "crc32": 0}
+    header(cache, lambda h: {**h, "tensors": {**h["tensors"], "decoder.layer9.ffn.w1": entry}})
 
 
-def _drop_manifest_line(cache):
-    lines = (cache / "manifest.txt").read_text().splitlines()
-    kept = [line for line in lines if not line.startswith("vas.text_w ")]
-    (cache / "manifest.txt").write_text("\n".join(kept) + "\n")
+def _drop_manifest_line(cache, header):
+    header(cache, lambda h: {**h, "tensors": {k: v for k, v in h["tensors"].items()
+                                              if k != "vas.text_w"}})
 
 
-def _break_manifest_line(cache):
-    with open(cache / "manifest.txt", "a") as f:
-        f.write("vas.text_w\n")
+def _break_manifest_line(cache, header):
+    header(cache, lambda h: {**h, "tensors": {**h["tensors"], "vas.text_w": "32x4"}})
 
 
-def _non_utf8_manifest_line(cache):
-    with open(cache / "manifest.txt", "ab") as f:
-        f.write(b"\xff\n")
+def _non_utf8_manifest_line(cache, header):
+    raw = bytearray((cache / weights.WEIGHTS_FILE).read_bytes())
+    raw[raw.index(b"vas.text_w")] = 0xFF
+    (cache / weights.WEIGHTS_FILE).write_bytes(raw)
 
 
-def _truncate_meta(cache):
-    text = (cache / "meta.json").read_text()
-    (cache / "meta.json").write_text(text[: len(text) // 2])
+def _truncate_meta(cache, header):
+    raw = (cache / weights.WEIGHTS_FILE).read_bytes()
+    (cache / weights.WEIGHTS_FILE).write_bytes(raw[:100])
 
 
-def _array_meta(cache):
-    (cache / "meta.json").write_text('["weights_key"]\n')
+def _array_meta(cache, header):
+    header(cache, lambda h: ["weights_key"])
 
 
-def _string_meta(cache):
-    (cache / "meta.json").write_text('"weights_key"\n')
+def _string_meta(cache, header):
+    header(cache, lambda h: "weights_key")
+
+
+def _bad_magic(cache, header):
+    raw = (cache / weights.WEIGHTS_FILE).read_bytes()
+    (cache / weights.WEIGHTS_FILE).write_bytes(b"EOVT" + raw[4:])
+
+
+def _truncate_payload(cache, header):
+    raw = (cache / weights.WEIGHTS_FILE).read_bytes()
+    (cache / weights.WEIGHTS_FILE).write_bytes(raw[:-1])
+
+
+def _append_bytes(cache, header):
+    with open(cache / weights.WEIGHTS_FILE, "ab") as f:
+        f.write(b"\0" * 8)
+
+
+def _flip_payload_byte(cache, header):
+    raw = bytearray((cache / weights.WEIGHTS_FILE).read_bytes())
+    raw[-1] ^= 0x01  # the last float of the last tensor in _layout order
+    (cache / weights.WEIGHTS_FILE).write_bytes(raw)
 
 
 @pytest.mark.parametrize(
@@ -360,23 +380,32 @@ def _string_meta(cache):
                      id="extra_manifest_entry-run"),
         pytest.param(_drop_manifest_line, "missing tensors ['vas.text_w']",
                      id="dropped_manifest_line-run"),
-        pytest.param(_break_manifest_line, "manifest.txt: malformed line 'vas.text_w'",
+        pytest.param(_break_manifest_line, "tensor 'vas.text_w' has a malformed header entry",
                      id="malformed_manifest_line-run"),
-        pytest.param(_non_utf8_manifest_line, "manifest.txt: not UTF-8 text",
+        pytest.param(_non_utf8_manifest_line, "header is not UTF-8 JSON",
                      id="non_utf8_manifest_line-run"),
-        pytest.param(_truncate_meta, "meta.json is unreadable", id="truncated_meta-run"),
-        pytest.param(_array_meta, "meta.json is unreadable", id="array_meta-run"),
-        pytest.param(_string_meta, "meta.json is unreadable", id="string_meta-run"),
+        pytest.param(_truncate_meta, "truncated header", id="truncated_meta-run"),
+        pytest.param(_array_meta, "header is not a JSON object", id="array_meta-run"),
+        pytest.param(_string_meta, "header is not a JSON object", id="string_meta-run"),
+        pytest.param(_bad_magic, "bad magic", id="bad_magic-run"),
+        pytest.param(_truncate_payload, "tensor 'classifier.clip_proj.b' runs past the end",
+                     id="truncated_payload-run"),
+        pytest.param(_append_bytes, "8 bytes after the last tensor", id="appended_bytes-run"),
+        pytest.param(_flip_payload_byte, "tensor 'classifier.clip_proj.b' fails its crc32 check",
+                     id="flipped_payload_byte-run"),
     ],
 )
-def test_damaged_weight_cache_exits_3_in_one_line(workdir, capsys, damage, expected):
+def test_damaged_weight_cache_exits_3_in_one_line(workdir, capsys, weight_header, damage,
+                                                  expected):
+    """Each damage to the header (its tensor table, its encoding, its JSON
+    type) or to the file (magic, length, one payload byte) exits 3 naming the file."""
     run_gen(workdir)
     assert run_run(workdir) == 0
-    damage(workdir / "wcache")
+    damage(workdir / "wcache", weight_header)
     capsys.readouterr()
     assert run_run(workdir) == 3
     err = capsys.readouterr().err
-    assert expected in err and str(workdir / "wcache") in err
+    assert expected in err and str(workdir / "wcache" / weights.WEIGHTS_FILE) in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -8,11 +8,14 @@ import sys
 import tracemalloc
 import typing
 import weakref
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eovseg import kernels
 from eovseg import pipeline as pipeline_module
@@ -28,11 +31,12 @@ from eovseg.pipeline import (
     forward_traced,
     replay_trace,
 )
-from eovseg.tensor import Rng, read_eovt, write_eovt
+from eovseg.tensor import EovtFormatError, Rng, read_eovt, write_eovt
 from eovseg.verify import _instrumented_config
 from eovseg.weights import (
     GENERATOR_VERSION,
     HEAD_FIELDS,
+    WEIGHTS_FILE,
     build_weights,
     cache_key,
     cast_weights,
@@ -382,74 +386,38 @@ def test_indivisible_image_fails_in_backbone_stage(scene):
         forward(np.zeros((3, 60, 64), dtype=np.float32), text, spec.is_thing(), cfg, bundle)
 
 
-# Digests of a small_config() cache at 64x64: manifest.txt alone, and every
-# file but meta.json (name, NUL, bytes, in name order).  A renamed tensor, a
-# changed shape or a changed draw moves them.  The V2 pair is the same cache
-# at generator version 2, which also stored a cross-attention block per
-# decoder layer (decoder.layer<i>.cross_attn.*); every other tensor is the
-# same, so these are the version-2 generator's own digests.  The V1 pair adds
-# the VAS gate's scale (1.0) and offset (0.0), stored as vas.scale and
-# vas.offset.
-SMALL64_MANIFEST_SHA256 = "ec85a31c2b2241afda033931642193d7583acff20b17cb85e9ca2ce376365079"
-SMALL64_FILES_SHA256 = "85cdba2d8f9804994e17d068d93c2c0f1b78c36e526fbccbc65aed198fe8c18e"
-SMALL64_V2_MANIFEST_SHA256 = "14343e1eda32ff1a2cec09ae8b70061f502c914b3081f4520173e60301ea383f"
-SMALL64_V2_FILES_SHA256 = "db6584950fb501006989f710e877c5f2a6ce6403506f7d7e1db067fe8ae7b19e"
-SMALL64_V1_MANIFEST_SHA256 = "e533d6402af08c2a7ba3fc66ffea7dc298a82d3c43b048f641c367f5fcd6f739"
-SMALL64_V1_FILES_SHA256 = "2b23f1259ed02810e82cd9c0c069313c77d1068da5d7dd9dffb3e9a8f2e1b59d"
+# Digest of the small_config() bundle at 64x64: each tensor's name, shape and
+# float32 bytes, in name order.  It reads no cache file, so a change to the
+# cache format cannot move it; a renamed tensor, a changed shape or a changed
+# draw does.
+SMALL64_GENERATOR_SHA256 = "41ce5d7f2365694958407ba90bc02576c0fc740ff5d515c99a2d23eee077582c"
 
 
-def _old_meta_forms(cfg):
-    """meta.json forms that an older generator, or another image size, wrote
-    for ``cfg``; none of them names the 64x64 bundle.  The first caches
-    stored the hash of the whole config as it then was (with the VAS gate's
-    scale and offset) and the extents; generator version 1 added itself, and
-    later swapped that hash for the config hash with ``HEAD_FIELDS`` blanked,
-    as versions 2 and 3 stored it."""
-    extents = {"image_h": 64, "image_w": 64}
-    old_key = cfg.hash(dict.fromkeys(HEAD_FIELDS))
-    return {
-        "unversioned": {"config_hash": "5761d0730818", **extents},
-        "v1_config_hash": {"config_hash": "5761d0730818", **extents, "generator_version": 1},
-        **{f"v{v}": {"weights_key": old_key, **extents, "generator_version": v} for v in (1, 2, 3)},
-        "other_token_count": {"weights_key": cache_key(cfg, 1 + 2 * 2)},  # a 32x32 cache
-        "no_key": {},
-    }
-
-
-def _files_sha256(directory):
+def _generator_sha256(bundle):
     digest = hashlib.sha256()
-    for path in sorted(directory.iterdir()):
-        if path.name != "meta.json":
-            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    for name, arr in sorted(bundle.to_tensors().items()):
+        shape = "x".join(map(str, arr.shape))
+        digest.update(f"{name} {shape}\0".encode() + arr.astype("<f4").tobytes())
     return digest.hexdigest()
 
 
-def _version2_cross_attn(cfg):
-    """The cross-attention tensors that caches before generator version 3
-    stored: the draws that ``DecoderWeights.build`` now makes and drops."""
-    rng = Rng(cfg.weights_seed).child(3)  # build_weights' decoder stream
-    d, hidden, tensors = cfg.embed_dim, cfg.embed_dim * cfg.ffn_expansion, {}
-    for i in range(cfg.decoder_layers):
-        rng.normal((d, cfg.dda_kernel_size))  # kernel_proj
-        block = AttentionBlockWeights.build(rng, d, cfg.decoder_heads)
-        for key in ("wq", "wk", "wv", "wo"):
-            tensors[f"decoder.layer{i}.cross_attn.{key}"] = getattr(block, key)
-        rng.normal((4 * d * d + 2 * d * hidden,))  # self_attn, ffn.w1, ffn.w2
-    return tensors
+class _FailingFile:
+    """A file whose ``fail_at``-th write raises OSError("disk full")."""
 
+    def __init__(self, f, fail_at):
+        self.f, self.fail_at = f, fail_at
 
-def _older_cache(cache, cfg, version):
-    """A cache as generator ``version`` (1 or 2) wrote it for ``cfg`` at 64x64."""
-    save_weights(build_weights(cfg, (64, 64)), cache)
-    extra = _version2_cross_attn(cfg)
-    if version == 1:
-        extra.update({"vas.scale": np.float32([1.0]), "vas.offset": np.float32([0.0])})
-    lines = (cache / "manifest.txt").read_text().splitlines()
-    for name, arr in extra.items():
-        write_eovt(cache / f"{name}.eovt", arr)
-        lines.append(f"{name} {'x'.join(str(e) for e in arr.shape)}")
-    (cache / "manifest.txt").write_text("\n".join(sorted(lines)) + "\n")
-    (cache / "meta.json").write_text(json.dumps(_old_meta_forms(cfg)[f"v{version}"]))
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.fail_at -= 1
+        if self.fail_at == 0:
+            raise OSError("disk full")
+        return self.f.write(data)
 
 
 def _walk(obj, where="bundle"):
@@ -491,9 +459,8 @@ class TestWeightBundle:
         cfg = small_config()
         bundle = build_weights(cfg, (64, 64))
         save_weights(bundle, tmp_path / "w")
-        loaded = load_weights(tmp_path / "w", cfg)
-        for name, arr in bundle.to_tensors().items():
-            assert np.array_equal(arr, loaded.to_tensors()[name]), name
+        assert [p.name for p in (tmp_path / "w").iterdir()] == [WEIGHTS_FILE]
+        _assert_bitwise_equal(bundle, load_weights(tmp_path / "w", cfg))
 
     def test_cache_hit_and_invalidate(self, tmp_path):
         cfg = small_config()
@@ -505,56 +472,47 @@ class TestWeightBundle:
         assert not np.array_equal(b1.decoder.init_kernels, b3.decoder.init_kernels)
 
     def test_interrupted_save_leaves_no_cache(self, tmp_path, monkeypatch):
+        """A tensor write that fails leaves neither a cache file nor a temp file."""
         cfg = small_config()
-        calls = []
-
-        def failing_write(path, arr):
-            calls.append(path)
-            if len(calls) == 10:
-                raise OSError("disk full")
-            write_eovt(path, arr)
-
-        monkeypatch.setattr(weights_module, "write_eovt", failing_write)
+        monkeypatch.setattr(weights_module, "open", lambda *a: _FailingFile(open(*a), 10),
+                            raising=False)
         with pytest.raises(OSError, match="disk full"):
             load_or_build_weights(tmp_path / "w", cfg, (64, 64))
-        assert list(tmp_path.iterdir()) == []  # no target, no temp directory
+        assert list((tmp_path / "w").iterdir()) == []
         with pytest.raises(FileNotFoundError):
             load_weights(tmp_path / "w", cfg)
         monkeypatch.undo()
         rebuilt = load_or_build_weights(tmp_path / "w", cfg, (64, 64))
-        expected = build_weights(cfg, (64, 64)).to_tensors()
-        loaded = load_weights(tmp_path / "w", cfg).to_tensors()
-        for name, arr in expected.items():
-            assert np.array_equal(rebuilt.to_tensors()[name], arr), name
-            assert np.array_equal(loaded[name], arr), name
+        _assert_bitwise_equal(build_weights(cfg, (64, 64)), rebuilt)
+        _assert_bitwise_equal(rebuilt, load_weights(tmp_path / "w", cfg))
 
     def test_interrupted_save_keeps_previous_cache(self, tmp_path, monkeypatch):
+        """An ``os.replace`` that fails leaves the previous cache loadable and no temp file."""
         cfg, cfg2 = small_config(), small_config(weights_seed=99)
-        save_weights(build_weights(cfg, (64, 64)), tmp_path / "w")
-        before = sorted((p.name, p.read_bytes()) for p in (tmp_path / "w").iterdir())
+        built = build_weights(cfg, (64, 64))
+        save_weights(built, tmp_path / "w")
+        before = (tmp_path / "w" / WEIGHTS_FILE).read_bytes()
 
-        def failing_write(path, arr):
+        def failing_replace(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(weights_module, "write_eovt", failing_write)
+        monkeypatch.setattr(weights_module.os, "replace", failing_replace)
         with pytest.raises(OSError, match="disk full"):
             load_or_build_weights(tmp_path / "w", cfg2, (64, 64))
-        assert [p.name for p in tmp_path.iterdir()] == ["w"]
-        assert sorted((p.name, p.read_bytes()) for p in (tmp_path / "w").iterdir()) == before
         monkeypatch.undo()
+        assert [p.name for p in (tmp_path / "w").iterdir()] == [WEIGHTS_FILE]
+        assert (tmp_path / "w" / WEIGHTS_FILE).read_bytes() == before
+        _assert_bitwise_equal(built, load_weights(tmp_path / "w", cfg))
         b2 = load_or_build_weights(tmp_path / "w", cfg2, (64, 64))
-        assert np.array_equal(
-            load_weights(tmp_path / "w", cfg2).decoder.init_kernels, b2.decoder.init_kernels
-        )
-        assert [p.name for p in tmp_path.iterdir()] == ["w"]
+        _assert_bitwise_equal(b2, load_weights(tmp_path / "w", cfg2))
+        assert [p.name for p in (tmp_path / "w").iterdir()] == [WEIGHTS_FILE]
 
-    def test_save_refuses_to_replace_foreign_directory(self, tmp_path):
+    def test_save_leaves_other_files_untouched(self, tmp_path):
         (tmp_path / "w").mkdir()
         (tmp_path / "w" / "notes.txt").write_text("keep me")
-        with pytest.raises(FileExistsError, match="notes.txt"):
-            save_weights(build_weights(small_config(), (64, 64)), tmp_path / "w")
-        assert [p.name for p in (tmp_path / "w").iterdir()] == ["notes.txt"]
-        assert [p.name for p in tmp_path.iterdir()] == ["w"]
+        save_weights(build_weights(small_config(), (64, 64)), tmp_path / "w")
+        assert sorted(p.name for p in (tmp_path / "w").iterdir()) == ["notes.txt", WEIGHTS_FILE]
+        assert (tmp_path / "w" / "notes.txt").read_text() == "keep me"
 
     def test_seed_determinism(self):
         cfg = small_config()
@@ -564,25 +522,45 @@ class TestWeightBundle:
         for name in t1:
             assert np.array_equal(t1[name], t2[name]), name
 
-    def test_manifest_lists_every_tensor(self, tmp_path):
+    def test_generator_draws_pinned(self):
+        bundle = build_weights(small_config(), (64, 64))
+        assert _generator_sha256(bundle) == SMALL64_GENERATOR_SHA256
+
+    def test_manifest_lists_every_tensor(self, tmp_path, weight_header):
+        """The header lists every tensor in ``_layout`` order with its shape,
+        its payload offset (back to back) and its crc32; the payload ends the
+        file and starts 4-byte aligned."""
+        bundle = build_weights(small_config(), (64, 64))
+        save_weights(bundle, tmp_path / "w")
+        entries, offset = weight_header(tmp_path / "w")["tensors"], 0
+        tensors = bundle.to_tensors()
+        assert list(entries) == list(tensors)
+        for name, arr in tensors.items():
+            assert entries[name] == {"shape": list(arr.shape), "offset": offset,
+                                     "crc32": zlib.crc32(arr.tobytes())}, name
+            offset += arr.nbytes
+        assert ((tmp_path / "w" / WEIGHTS_FILE).stat().st_size - offset) % 4 == 0
+
+    def test_header_holds_only_the_cache_key_and_tensors(self, tmp_path, weight_header):
         cfg = small_config()
         bundle = build_weights(cfg, (64, 64))
+        assert len(bundle.vit.pos_table) == 1 + 4 * 4
         save_weights(bundle, tmp_path / "w")
-        manifest = (tmp_path / "w" / "manifest.txt").read_text().splitlines()
-        assert len(manifest) == len(bundle.to_tensors())
+        header = weight_header(tmp_path / "w")
+        assert list(header) == ["weights_key", "tensors"]
+        assert header["weights_key"] == cache_key(cfg, 1 + 4 * 4)
 
-    def test_missing_tensor_detected(self, tmp_path):
+    def test_missing_tensor_detected(self, tmp_path, weight_header):
         cfg = small_config()
         save_weights(build_weights(cfg, (64, 64)), tmp_path / "w")
-        lines = (tmp_path / "w" / "manifest.txt").read_text().splitlines()
-        (tmp_path / "w" / "manifest.txt").write_text("\n".join(lines[:-5]) + "\n")
+        weight_header(tmp_path / "w",
+                      lambda h: {**h, "tensors": dict(list(h["tensors"].items())[:-5])})
         with pytest.raises(ValueError, match="missing tensor"):
             load_weights(tmp_path / "w", cfg)
 
-    def test_manifest_names_pinned(self, tmp_path):
+    def test_manifest_names_pinned(self, tmp_path, weight_header):
         save_weights(build_weights(small_config(), (64, 64)), tmp_path / "w")
-        manifest = (tmp_path / "w" / "manifest.txt").read_text()
-        names = {line.split()[0] for line in manifest.splitlines()}
+        names = set(weight_header(tmp_path / "w")["tensors"])
         for name in (
             "vas.text_w",
             "spatial.up1.w",
@@ -597,7 +575,6 @@ class TestWeightBundle:
         ):
             assert name in names, f"on-disk tensor {name!r} renamed or dropped"
         assert len(names) == 116
-        assert hashlib.sha256(manifest.encode()).hexdigest() == SMALL64_MANIFEST_SHA256
 
     def test_to_tensors_reaches_every_array(self):
         bundle = build_weights(small_config(), (64, 64))
@@ -634,25 +611,37 @@ class TestWeightBundle:
             arr[...] = saved
         assert unread == []
 
-    def test_loads_a_cache_without_generator_version_bitwise(self, tmp_path):
-        """``load_weights`` reads no meta: an old meta.json, or none, loads the same bundle."""
+    def test_loaded_weights_are_read_only_and_run_bitwise(self, scene, tmp_path):
+        """A loaded bundle holds read-only, aligned views, and ``forward`` on it
+        is bitwise the forward on the built bundle in every fusion mode."""
+        spec, image, _, _, text = scene
+        built = build_weights(small_config(), (64, 64))
+        save_weights(built, tmp_path / "w")
+        loaded = load_weights(tmp_path / "w", small_config())
+        for arr in loaded.to_tensors().values():
+            assert not arr.flags.writeable and arr.flags.aligned and arr.dtype == np.float32
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.decoder.init_kernels += 1
+        for mode in FUSION_MODES:
+            cfg = small_config(fusion=mode)
+            r1 = forward(image, text, spec.is_thing(), cfg, built)
+            r2 = forward(image, text, spec.is_thing(), cfg, loaded)
+            assert r1.panoptic.segment_map.tobytes() == r2.panoptic.segment_map.tobytes(), mode
+            assert r1.scores.values.tobytes() == r2.scores.values.tobytes(), mode
+            assert r1.trace.keys() == r2.trace.keys(), mode
+            for key in r1.trace:
+                assert r1.trace[key].tobytes() == r2.trace[key].tobytes(), (mode, key)
+
+    def test_loads_a_cache_without_generator_version_bitwise(self, tmp_path, weight_header):
+        """``load_weights`` reads no key: a header with another key, or none,
+        loads the same bundle."""
         cfg = small_config()
         built = build_weights(cfg, (64, 64))
         save_weights(built, tmp_path / "w")
-        assert _files_sha256(tmp_path / "w") == SMALL64_FILES_SHA256
-        meta = tmp_path / "w" / "meta.json"
-        meta.write_text(json.dumps(_old_meta_forms(cfg)["unversioned"]))
+        weight_header(tmp_path / "w", lambda h: {**h, "weights_key": cache_key(cfg, 5)})
         _assert_bitwise_equal(built, load_weights(tmp_path / "w", cfg))  # every field round-trips
-        meta.unlink()
+        weight_header(tmp_path / "w", lambda h: {"tensors": h["tensors"]})
         _assert_bitwise_equal(built, load_weights(tmp_path / "w", cfg))
-
-    def test_meta_json_holds_only_the_cache_key(self, tmp_path):
-        cfg = small_config()
-        bundle = build_weights(cfg, (64, 64))
-        assert len(bundle.vit.pos_table) == 1 + 4 * 4
-        save_weights(bundle, tmp_path / "w")
-        meta = json.loads((tmp_path / "w" / "meta.json").read_text())
-        assert meta == {"weights_key": cache_key(cfg, 1 + 4 * 4)}
 
     HEAD_VALUES = {"fusion": "none", "alpha": 0.1, "beta": 0.3, "tau": 0.5,
                    "ensemble_method": "arithmetic", "score_floor": 0.2}
@@ -686,46 +675,49 @@ class TestWeightBundle:
     def test_cache_shared_by_sizes_with_one_token_count(self, tmp_path, monkeypatch):
         cfg = small_config()
         save_weights(build_weights(cfg, (64, 64)), tmp_path / "w")
+        before = (tmp_path / "w" / WEIGHTS_FILE).read_bytes()
         builds = self._count_builds(monkeypatch)
         for hw in [(32, 128), (128, 32), (64, 64)]:
             load_or_build_weights(tmp_path / "w", cfg, hw)
         assert builds == []
-        assert _files_sha256(tmp_path / "w") == SMALL64_FILES_SHA256
+        assert (tmp_path / "w" / WEIGHTS_FILE).read_bytes() == before
         load_or_build_weights(tmp_path / "w", cfg, (64, 128))  # 33 tokens
         assert len(builds) == 1
 
-    @pytest.mark.parametrize("form", list(_old_meta_forms(small_config())))
-    def test_old_meta_form_is_rebuilt_once(self, tmp_path, monkeypatch, form):
-        cfg = small_config()
-        cache = tmp_path / "w"
-        save_weights(build_weights(cfg, (64, 64)), cache)
-        (cache / "meta.json").write_text(json.dumps(_old_meta_forms(cfg)[form]))
+    def test_directory_form_cache_is_rebuilt_once(self, tmp_path, monkeypatch):
+        """A cache in the earlier directory form (one EOVT file per tensor,
+        manifest.txt, meta.json with this bundle's key) has no weight file: it
+        is built once, then reused, and its files are left as they were."""
+        cfg, cache = small_config(), tmp_path / "w"
+        cache.mkdir()
+        tensors = build_weights(cfg, (64, 64)).to_tensors()
+        for name, arr in tensors.items():
+            write_eovt(cache / f"{name}.eovt", arr)
+        (cache / "manifest.txt").write_text("".join(
+            f"{name} {'x'.join(map(str, tensors[name].shape))}\n" for name in sorted(tensors)))
+        meta = {"weights_key": cache_key(cfg, 1 + 4 * 4)}
+        (cache / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+        before = {p.name: p.read_bytes() for p in cache.iterdir()}
         self._assert_rebuilt_once(cache, monkeypatch)
+        after = {p.name: p.read_bytes() for p in cache.iterdir() if p.name != WEIGHTS_FILE}
+        assert after == before
 
-    def test_cache_of_generator_version_1_is_rebuilt_once(self, tmp_path, monkeypatch):
-        self._assert_older_cache_rebuilt_once(tmp_path / "w", monkeypatch, 1,
-                                              SMALL64_V1_MANIFEST_SHA256, SMALL64_V1_FILES_SHA256)
-
-    def test_cache_of_generator_version_2_is_rebuilt_once(self, tmp_path, monkeypatch):
-        self._assert_older_cache_rebuilt_once(tmp_path / "w", monkeypatch, 2,
-                                              SMALL64_V2_MANIFEST_SHA256, SMALL64_V2_FILES_SHA256)
-
-    def _assert_older_cache_rebuilt_once(self, cache, monkeypatch, version, manifest_sha256,
-                                         files_sha256):
-        _older_cache(cache, small_config(), version)
-        manifest = cache / "manifest.txt"
-        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == manifest_sha256
-        assert _files_sha256(cache) == files_sha256
+    @pytest.mark.parametrize("form", ["other_token_count", "no_key"])
+    def test_old_meta_form_is_rebuilt_once(self, tmp_path, monkeypatch, weight_header, form):
+        """A header that holds another key (a 32x32 cache's), or none, is rebuilt once."""
+        cfg, cache = small_config(), tmp_path / "w"
+        save_weights(build_weights(cfg, (64, 64)), cache)
+        stored = {"other_token_count": {"weights_key": cache_key(cfg, 1 + 2 * 2)}, "no_key": {}}
+        weight_header(cache, lambda h: {**stored[form], "tensors": h["tensors"]})
         self._assert_rebuilt_once(cache, monkeypatch)
 
     def _assert_rebuilt_once(self, cache, monkeypatch):
         cfg = small_config()
         builds = self._count_builds(monkeypatch)
-        for _ in range(2):
-            load_or_build_weights(cache, cfg, (64, 64))
+        bundles = [load_or_build_weights(cache, cfg, (64, 64)) for _ in range(2)]
         assert len(builds) == 1
-        assert _files_sha256(cache) == SMALL64_FILES_SHA256
-        assert json.loads((cache / "meta.json").read_text()) == {"weights_key": cache_key(cfg, 17)}
+        for bundle in bundles:
+            assert _generator_sha256(bundle) == SMALL64_GENERATOR_SHA256
 
     @pytest.mark.parametrize("version", [*range(1, GENERATOR_VERSION + 2), None])
     def test_cache_reused_only_at_generator_version(self, tmp_path, monkeypatch, version):
@@ -743,6 +735,40 @@ class TestWeightBundle:
             _assert_bitwise_equal(build_weights(cfg, (64, 64)), bundle)
         else:
             self._assert_rebuilt_once(cache, monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def small64_cache_file(tmp_path_factory):
+    """The bytes of the small_config() weight file at 64x64, and the bundle it holds."""
+    cache = tmp_path_factory.mktemp("small64")
+    bundle = build_weights(small_config(), (64, 64))
+    save_weights(bundle, cache)
+    return (cache / WEIGHTS_FILE).read_bytes(), bundle
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_weight_file_fails_or_loads_bitwise(small64_cache_file, tmp_path, data):
+    """A weight file cut at any length, or with any one byte changed, makes
+    ``load_or_build_weights`` raise EovtFormatError or return the built bundle
+    bitwise (a changed byte in header whitespace or padding, or in the key,
+    which rebuilds).  Costs about 0.5 s."""
+    raw, built = small64_cache_file
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        damaged = bytearray(raw)
+        damaged[at] ^= data.draw(st.integers(1, 255), label="xor")
+    cache = tmp_path / "w"
+    cache.mkdir(exist_ok=True)
+    (cache / WEIGHTS_FILE).write_bytes(damaged)
+    try:
+        bundle = load_or_build_weights(cache, small_config(), (64, 64))
+    except EovtFormatError:
+        return
+    _assert_bitwise_equal(built, bundle)
 
 
 def test_config_json_roundtrip(tmp_path):

@@ -58,25 +58,24 @@ class TestParams:
     def test_ca_layer_params(self):
         assert params_ca_layer(256) == 4 * 256 * 256
 
-    def test_full_bundle_matches_manifest_walk(self, tmp_path):
+    def test_full_bundle_matches_manifest_walk(self, tmp_path, weight_header):
         cfg = small_config()
         bundle = build_weights(cfg, (32, 32))
         save_weights(bundle, tmp_path)
         counts = count_params(bundle)
-        # independent walk over the manifest file of the saved cache
+        # independent walk over the header of the saved weight file
         walk = 0
-        for line in (tmp_path / "manifest.txt").read_text().splitlines():
-            name, shape = line.split()
+        for entry in weight_header(tmp_path)["tensors"].values():
             n = 1
-            for e in shape.split("x"):
-                n *= int(e)
+            for e in entry["shape"]:
+                n *= e
             walk += n
         assert sum(counts.values()) == walk
         assert sum(counts.values()) == sum(a.size for a in bundle.to_tensors().values())
 
     def test_missing_tensor_fails(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="manifest"):
-            weights.read_manifest(tmp_path / "nope")
+        with pytest.raises(FileNotFoundError, match=weights.WEIGHTS_FILE):
+            weights.load_weights(tmp_path / "nope", small_config())
 
     def test_every_layout_name_has_a_module_prefix(self):
         names = weights._layout(ModelConfig())

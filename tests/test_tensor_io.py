@@ -15,6 +15,8 @@ def test_roundtrip(tmp_path):
     back = read_eovt(path)
     assert back.shape == x.shape
     assert np.array_equal(back, x)
+    assert back.flags.writeable and back.flags.c_contiguous
+    assert back.dtype == np.float32 and back.dtype.isnative
 
 
 def test_header_layout(tmp_path):
