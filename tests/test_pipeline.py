@@ -401,6 +401,79 @@ def _generator_sha256(bundle):
     return digest.hexdigest()
 
 
+# Digests of a small_config() cache at 64x64 in the earlier directory form, as
+# generator version 2 wrote it: manifest.txt alone, and every file but
+# meta.json (name, NUL, bytes, in name order).  Version 2 also stored a
+# cross-attention block per decoder layer (decoder.layer<i>.cross_attn.*);
+# the V1 pair adds the VAS gate's scale (1.0) and offset (0.0), stored as
+# vas.scale and vas.offset.  They pin ``_older_cache`` to those generators'
+# bytes.
+SMALL64_V2_MANIFEST_SHA256 = "14343e1eda32ff1a2cec09ae8b70061f502c914b3081f4520173e60301ea383f"
+SMALL64_V2_FILES_SHA256 = "db6584950fb501006989f710e877c5f2a6ce6403506f7d7e1db067fe8ae7b19e"
+SMALL64_V1_MANIFEST_SHA256 = "e533d6402af08c2a7ba3fc66ffea7dc298a82d3c43b048f641c367f5fcd6f739"
+SMALL64_V1_FILES_SHA256 = "2b23f1259ed02810e82cd9c0c069313c77d1068da5d7dd9dffb3e9a8f2e1b59d"
+
+
+def _old_meta_forms(cfg):
+    """Key forms stored for ``cfg``, none of which names the 64x64 bundle.
+    Older generators wrote the first five to meta.json: the first caches
+    stored the hash of the whole config as it then was (with the VAS gate's
+    scale and offset) and the extents; generator version 1 added itself, and
+    later swapped that hash for the config hash with ``HEAD_FIELDS`` blanked,
+    as versions 2 and 3 stored it.  The last two are another image size's
+    key (a 32x32 cache's) and no key."""
+    extents = {"image_h": 64, "image_w": 64}
+    old_key = cfg.hash(dict.fromkeys(HEAD_FIELDS))
+    return {
+        "unversioned": {"config_hash": "5761d0730818", **extents},
+        "v1_config_hash": {"config_hash": "5761d0730818", **extents, "generator_version": 1},
+        **{f"v{v}": {"weights_key": old_key, **extents, "generator_version": v} for v in (1, 2, 3)},
+        "other_token_count": {"weights_key": cache_key(cfg, 1 + 2 * 2)},
+        "no_key": {},
+    }
+
+
+def _files_sha256(directory):
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        if path.name != "meta.json":
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def _directory_form_cache(cache, tensors, meta):
+    """Write a cache in the earlier directory form: one EOVT file per tensor,
+    manifest.txt (name and shape per line, in name order) and meta.json."""
+    cache.mkdir()
+    for name, arr in tensors.items():
+        write_eovt(cache / f"{name}.eovt", arr)
+    (cache / "manifest.txt").write_text("".join(
+        f"{name} {'x'.join(map(str, tensors[name].shape))}\n" for name in sorted(tensors)))
+    (cache / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+
+
+def _version2_cross_attn(cfg):
+    """The cross-attention tensors that caches before generator version 3
+    stored: the draws that ``DecoderWeights.build`` now makes and drops."""
+    rng = Rng(cfg.weights_seed).child(3)  # build_weights' decoder stream
+    d, hidden, tensors = cfg.embed_dim, cfg.embed_dim * cfg.ffn_expansion, {}
+    for i in range(cfg.decoder_layers):
+        rng.normal((d, cfg.dda_kernel_size))  # kernel_proj
+        block = AttentionBlockWeights.build(rng, d, cfg.decoder_heads)
+        for key in ("wq", "wk", "wv", "wo"):
+            tensors[f"decoder.layer{i}.cross_attn.{key}"] = getattr(block, key)
+        rng.normal((4 * d * d + 2 * d * hidden,))  # self_attn, ffn.w1, ffn.w2
+    return tensors
+
+
+def _older_cache(cache, cfg, version):
+    """A directory-form cache as generator ``version`` (1 or 2) wrote it for ``cfg`` at 64x64."""
+    tensors = build_weights(cfg, (64, 64)).to_tensors() | _version2_cross_attn(cfg)
+    if version == 1:
+        tensors |= {"vas.scale": np.float32([1.0]), "vas.offset": np.float32([0.0])}
+    _directory_form_cache(cache, tensors, _old_meta_forms(cfg)[f"v{version}"])
+
+
 class _FailingFile:
     """A file whose ``fail_at``-th write raises OSError("disk full")."""
 
@@ -689,26 +762,40 @@ class TestWeightBundle:
         manifest.txt, meta.json with this bundle's key) has no weight file: it
         is built once, then reused, and its files are left as they were."""
         cfg, cache = small_config(), tmp_path / "w"
-        cache.mkdir()
-        tensors = build_weights(cfg, (64, 64)).to_tensors()
-        for name, arr in tensors.items():
-            write_eovt(cache / f"{name}.eovt", arr)
-        (cache / "manifest.txt").write_text("".join(
-            f"{name} {'x'.join(map(str, tensors[name].shape))}\n" for name in sorted(tensors)))
-        meta = {"weights_key": cache_key(cfg, 1 + 4 * 4)}
-        (cache / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+        _directory_form_cache(cache, build_weights(cfg, (64, 64)).to_tensors(),
+                              {"weights_key": cache_key(cfg, 1 + 4 * 4)})
+        self._assert_directory_rebuilt_once(cache, monkeypatch)
+
+    def test_cache_of_generator_version_1_is_rebuilt_once(self, tmp_path, monkeypatch):
+        self._assert_older_cache_rebuilt_once(tmp_path / "w", monkeypatch, 1,
+                                              SMALL64_V1_MANIFEST_SHA256, SMALL64_V1_FILES_SHA256)
+
+    def test_cache_of_generator_version_2_is_rebuilt_once(self, tmp_path, monkeypatch):
+        self._assert_older_cache_rebuilt_once(tmp_path / "w", monkeypatch, 2,
+                                              SMALL64_V2_MANIFEST_SHA256, SMALL64_V2_FILES_SHA256)
+
+    def _assert_older_cache_rebuilt_once(self, cache, monkeypatch, version, manifest_sha256,
+                                         files_sha256):
+        _older_cache(cache, small_config(), version)
+        manifest = cache / "manifest.txt"
+        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == manifest_sha256
+        assert _files_sha256(cache) == files_sha256
+        self._assert_directory_rebuilt_once(cache, monkeypatch)
+
+    def _assert_directory_rebuilt_once(self, cache, monkeypatch):
         before = {p.name: p.read_bytes() for p in cache.iterdir()}
         self._assert_rebuilt_once(cache, monkeypatch)
         after = {p.name: p.read_bytes() for p in cache.iterdir() if p.name != WEIGHTS_FILE}
         assert after == before
 
-    @pytest.mark.parametrize("form", ["other_token_count", "no_key"])
+    @pytest.mark.parametrize("form", list(_old_meta_forms(small_config())))
     def test_old_meta_form_is_rebuilt_once(self, tmp_path, monkeypatch, weight_header, form):
-        """A header that holds another key (a 32x32 cache's), or none, is rebuilt once."""
+        """A weight file whose header holds an older key form, another image
+        size's key, or none, is rebuilt once."""
         cfg, cache = small_config(), tmp_path / "w"
         save_weights(build_weights(cfg, (64, 64)), cache)
-        stored = {"other_token_count": {"weights_key": cache_key(cfg, 1 + 2 * 2)}, "no_key": {}}
-        weight_header(cache, lambda h: {**stored[form], "tensors": h["tensors"]})
+        stored = _old_meta_forms(cfg)[form]
+        weight_header(cache, lambda h: {**stored, "tensors": h["tensors"]})
         self._assert_rebuilt_once(cache, monkeypatch)
 
     def _assert_rebuilt_once(self, cache, monkeypatch):
