@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O, file
 format or scene input error (an image that is not (3,H,W) or holds a value
-that is not finite or beyond +-16, non-finite templates or a template width
-other than the config's embed_dim,
+that is not finite or beyond +-16, an EOVT payload that does not hold its
+header's extents, however large, non-finite templates, a template width
+other than the config's embed_dim, a class whose templates average to zero,
 a malformed vocab.txt or gt_manifest.txt, class counts or ids that disagree
 between the scene files, segment ids below 1 or listed twice in the
 manifest, a segment map that is not finite or not the image's extents, map
@@ -195,7 +196,10 @@ def _load_scene(scene_dir: Path, config):
     unknown = sorted({s.class_id for s in gt.segments} - set(range(len(names))))
     if unknown:
         raise EovtFormatError(f"{scene_dir / 'gt_manifest.txt'}: class ids {unknown} not in vocab.txt")
-    text = build_text_embeddings(templates, names, np.array(seen))
+    try:
+        text = build_text_embeddings(templates, names, np.array(seen))
+    except ValueError as exc:  # a class whose templates average to zero
+        raise EovtFormatError(f"{scene_dir / 'templates.eovt'}: {exc}") from None
     return image, gt, text, np.array(things)
 
 

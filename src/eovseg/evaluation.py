@@ -58,7 +58,13 @@ class PanopticAnnotation:
         return out
 
     def save(self, map_path: str | Path, manifest_path: str | Path) -> None:
-        """Segment-id map as an integral-valued f32 tensor plus a text manifest."""
+        """Segment-id map as an integral-valued f32 tensor plus a text manifest.
+        float32 holds every integer only up to 2**24, so a larger id raises
+        ``ValueError`` before anything is written."""
+        beyond = self.segment_map[self.segment_map > 1 << 24]
+        if beyond.size:
+            raise ValueError(f"PanopticAnnotation.save: segment id {int(beyond[0])} is beyond 2**24, "
+                             "which the float32 map cannot hold exactly")
         write_eovt(map_path, self.segment_map.astype(np.float32))
         lines = [
             f"{s.segment_id} {s.class_id} {'thing' if s.is_thing else 'stuff'}"
@@ -99,7 +105,7 @@ class PanopticAnnotation:
         try:
             return cls(segment_map=rounded.astype(np.int32), segments=records)
         except ValueError as exc:  # duplicate ids, or map ids without a record
-            raise EovtFormatError(f"{manifest_path}: {exc}") from None
+            raise EovtFormatError(f"{manifest_path}: {exc}; the segment map is {map_path}") from None
 
 
 # smallest canvas side; shapes are placed by retried random draws that need room

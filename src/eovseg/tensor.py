@@ -10,6 +10,7 @@ between modules are not.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -73,7 +74,7 @@ def read_eovt(path: str | Path) -> np.ndarray:
     shape = struct.unpack_from(f"<{rank}I", raw, 6)
     if any(e < 1 for e in shape):
         raise EovtFormatError(f"{path}: zero extent in shape {shape}")
-    count, held = int(np.prod(shape)), (len(raw) - header_end) // 4
+    count, held = math.prod(shape), (len(raw) - header_end) // 4  # an int64 product can wrap
     if len(raw) != header_end + 4 * count:
         raise EovtFormatError(f"{path}: payload holds {held} floats, shape {shape} needs {count}")
     return np.frombuffer(raw, "<f4", count, header_end).astype(np.float32).reshape(shape)

@@ -9,6 +9,7 @@ pass/fail lines; any assertion failure marks the criterion red.
 
 import importlib
 import inspect
+import itertools
 import json
 import pkgutil
 import subprocess
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import eovseg
-from eovseg import kernels, reference
+from eovseg import kernels, pipeline, reference
 from eovseg.classifier import build_text_embeddings, ensemble
 from eovseg.config import ModelConfig
 from eovseg.evaluation import PanopticAnnotation, SceneSpec, SegmentRecord, generate_scene, miou, pq_metrics
@@ -29,7 +30,8 @@ from eovseg.pipeline import forward, replay_trace
 from eovseg.profiler import _decoder_layer_macs, params_ca_layer, params_dda_layer
 from eovseg.tensor import Rng
 from eovseg.vas import VasWeights, vas_forward_detailed
-from eovseg.verify import CHECKS, SABOTAGE_TARGETS, SEED_SLOTS, check_stages_vs_references, run_checks
+from eovseg.verify import (CHECKS, SABOTAGE_TARGETS, SEED_SLOTS, _random_annotation,
+                           check_stages_vs_references, run_checks)
 from eovseg.weights import build_weights
 
 GEOMETRIC_REFERENCE = 0.662890803467997360  # 0.8^0.6 * 0.5^0.4 at 30 digits
@@ -65,6 +67,16 @@ def test_criterion_1_sabotage_targets_are_the_kernels_the_model_binds():
             module = importlib.import_module(f"eovseg.{info.name}")
             bound |= {public[v] for v in vars(module).values() if inspect.isfunction(v) and v in public}
     assert sorted(SABOTAGE_TARGETS) == sorted(bound)
+
+
+@pytest.mark.parametrize("mode", ["eaf", "sdi"])
+def test_criterion_1_pipeline_row_names_a_mode_that_is_not_bitwise_repeatable(monkeypatch, mode):
+    """Noise of about 1e-7 relative that changes from call to call in one
+    non-default mode's fusion step fails the pipeline row, naming that mode."""
+    original, calls = getattr(pipeline, mode), itertools.count(1)
+    monkeypatch.setattr(pipeline, mode, lambda *a: original(*a) * np.float32(1 + 1.2e-7 * next(calls)))
+    passed, detail = dict(CHECKS)["pipeline_all_modes"](Rng(9_035), 25)
+    assert not passed and detail.startswith(f"{mode}: ") and "not bitwise equal" in detail, detail
 
 
 def test_criterion_1_oracle_equivalence_and_verify_runtime(cli_env):
@@ -162,16 +174,6 @@ def test_criterion_4_efficiency_asymmetry():
 
 
 # criterion 5 -----------------------------------------------------------------
-
-
-def _random_annotation(rng, h=12, w=12, n_seg=4, n_class=3):
-    seg = rng.integers(0, n_seg + 1, size=(h, w)).astype(np.int32)
-    records = [
-        SegmentRecord(int(s), int(rng.integers(0, n_class)), bool(rng.integers(0, 2)))
-        for s in np.unique(seg)
-        if s != 0
-    ]
-    return PanopticAnnotation(segment_map=seg, segments=records)
 
 
 def _perturbed_prediction(gt: PanopticAnnotation, rng: Rng, flip_frac: float):
@@ -275,11 +277,11 @@ def test_criterion_6_pipeline_integrity(tmp_path, cli_env):
 
 def test_criterion_7_bound_invariants_enforced_in_verify():
     names = [name for name, _ in CHECKS]
-    for required in ("pipeline_bound_invariants", "vas_attention_bounds", "tdee_gate_range",
+    for required in ("pipeline_all_modes", "vas_attention_bounds", "tdee_gate_range",
                      "softmax_properties"):
         assert required in names
     check_map = dict(CHECKS)
-    for name in ("pipeline_bound_invariants", "vas_attention_bounds", "tdee_gate_range",
+    for name in ("pipeline_all_modes", "vas_attention_bounds", "tdee_gate_range",
                  "softmax_properties"):
         passed, detail = check_map[name](Rng(7_000), 10)
         assert passed, f"{name}: {detail}"

@@ -1,22 +1,29 @@
 """CLI surface tests: commands, exit codes, determinism."""
 
 import argparse
+import contextlib
 import csv
 import inspect
+import io
 import json
 import os
 import re
+import shutil
+import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eovseg import (aggregator, classifier, cli, decoder, evaluation, fusion, kernels, pipeline,
                     spatial, vas, weights)
 from eovseg.cli import main
 from eovseg.tensor import read_eovt, write_eovt
-from eovseg.verify import SABOTAGE_TARGETS, run_checks
+from eovseg.verify import SABOTAGE_TARGETS, _instrumented_config, run_checks
 
 SMALL_CONFIG = dict(
     embed_dim=32,
@@ -286,6 +293,11 @@ class TestRun:
         pytest.param("image.eovt", lambda image: np.where(
             image == image.max(), -np.nextafter(np.float32(cli.IMAGE_BOUND), np.float32(np.inf)), image),
                      "every |value| <= 16", id="image_just_beyond_bound"),
+        pytest.param("image.eovt", lambda image: b"EOVT" + struct.pack("<BB3I", 1, 3, 1 << 31, 1 << 31, 4),
+                     "payload holds 0 floats, shape (2147483648, 2147483648, 4) needs 18446744073709551616",
+                     id="image_extents_overflow"),
+        pytest.param("templates.eovt", lambda t: np.where(np.arange(t.shape[1])[:, None] == 0, 0, t),
+                     "class 0 averages to a zero vector", id="templates_zero_class"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # rejected before any arithmetic on it
@@ -294,8 +306,12 @@ def test_malformed_scene_text_exits_3_naming_file(workdir, capsys, name, edit, e
     path = workdir / "scene" / name
     if isinstance(edit, bytes):  # raw bytes appended to the file
         path.write_bytes(path.read_bytes() + edit)
-    elif path.suffix == ".eovt":  # the edit maps the stored array
-        write_eovt(path, edit(read_eovt(path)))
+    elif path.suffix == ".eovt":  # the edit maps the stored array to an array, or to raw bytes
+        edited = edit(read_eovt(path))
+        if isinstance(edited, bytes):
+            path.write_bytes(edited)
+        else:
+            write_eovt(path, edited)
     else:
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     capsys.readouterr()
@@ -317,6 +333,57 @@ def test_image_at_the_bound_runs_warning_free(workdir, capsys, size):
         write_eovt(workdir / "scene" / "image.eovt", np.full((3, size, size), value, np.float32))
         for mode in ("none", "eaf", "sdi", "tdee"):
             assert run_run(workdir, extra=["--fusion", mode]) == 0, capsys.readouterr().err
+
+
+SCENE_FILES = ("image.eovt", "templates.eovt", "vocab.txt", "gt_map.eovt", "gt_manifest.txt")
+
+
+@pytest.fixture(scope="module")
+def tiny_scene(tmp_path_factory):
+    """A 32x32 gen scene under the stage walk's tiny config, with its weight cache built."""
+    root = tmp_path_factory.mktemp("tiny")
+    (root / "config.json").write_text(json.dumps(_instrumented_config(0, 2).to_dict()))
+    (root / "scene.json").write_text(json.dumps(dict(SCENE_SPEC, height=32, width=32)))
+    assert run_gen(root) == 0 and run_run(root) == 0
+    return root
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_scene_exits_0_or_3_naming_file(tiny_scene, tmp_path, data):
+    """One scene file cut short, one byte set, one u32 extent word of an EOVT
+    header set, or one class's templates zeroed: ``run`` exits 0 with nothing
+    on stderr, or 3 with one stderr line naming that file, and never warns."""
+    scene = tmp_path / "scene"
+    shutil.copytree(tiny_scene / "scene", scene, dirs_exist_ok=True)
+    path = scene / data.draw(st.sampled_from(SCENE_FILES), label="file")
+    raw = bytearray(path.read_bytes())
+    kinds = ["truncate", "set_byte", *(["set_extent"] if path.suffix == ".eovt" else []),
+             *(["zero_class"] if path.name == "templates.eovt" else [])]
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "truncate":
+        del raw[data.draw(st.integers(0, len(raw) - 1), label="length"):]
+    elif kind == "set_byte":
+        raw[data.draw(st.integers(0, len(raw) - 1), label="at")] = data.draw(st.integers(0, 255), label="to")
+    elif kind == "set_extent":
+        word = data.draw(st.integers(0, raw[5] - 1), label="word")
+        struct.pack_into("<I", raw, 6 + 4 * word, data.draw(st.integers(0, (1 << 32) - 1), label="to"))
+    path.write_bytes(raw)
+    if kind == "zero_class":
+        templates = read_eovt(path)
+        templates[:, data.draw(st.integers(0, templates.shape[1] - 1), label="class")] = 0
+        write_eovt(path, templates)
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
+        code = run_run(tiny_scene, scene=scene)
+    assert [str(w.message) for w in caught] == []
+    if code == 3:
+        assert err.getvalue().count("\n") == 1 and str(path) in err.getvalue(), err.getvalue()
+    else:
+        assert code == 0 and err.getvalue() == "", (code, err.getvalue())
 
 
 def _add_manifest_line(cache, header):

@@ -84,6 +84,18 @@ class TestSceneGeneration:
             pix = gt.segment_map == s.segment_id
             assert np.all(sem[pix] == s.class_id)
 
+    def test_save_round_trips_ids_to_2_24_and_refuses_larger(self, tmp_path):
+        seg = np.array([[0, 1], [2, 1 << 24]], dtype=np.int32)
+        records = [SegmentRecord(int(i), 0, False) for i in (1, 2, 1 << 24)]
+        PanopticAnnotation(seg, records).save(tmp_path / "map.eovt", tmp_path / "manifest.txt")
+        loaded = PanopticAnnotation.load(tmp_path / "map.eovt", tmp_path / "manifest.txt")
+        assert np.array_equal(loaded.segment_map, seg) and loaded.segments == records
+        seg[1, 0] = (1 << 24) + 1
+        records[1] = SegmentRecord((1 << 24) + 1, 0, False)
+        with pytest.raises(ValueError, match="segment id 16777217 is beyond 2"):
+            PanopticAnnotation(seg, records).save(tmp_path / "big.eovt", tmp_path / "big.txt")
+        assert not (tmp_path / "big.eovt").exists() and not (tmp_path / "big.txt").exists()
+
 
 class TestMatching:
     def _two_box_gt(self):

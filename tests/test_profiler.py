@@ -29,26 +29,12 @@ from eovseg.profiler import (
     profile_modules,
 )
 from eovseg.tensor import Rng
-from eovseg.verify import check_stages_vs_references
+from eovseg.verify import _instrumented_config, check_stages_vs_references
 from eovseg.weights import build_weights, save_weights
 
 
 def small_config(**over):
-    base = dict(
-        embed_dim=8,
-        vit_dim=4,
-        vas_heads=2,
-        n_queries=3,
-        decoder_layers=2,
-        decoder_heads=2,
-        ffn_expansion=2,
-        tdee_dim=8,
-        sdi_rank=2,
-        vit_heads=2,
-        backbone_widths=(4, 6, 8, 8),
-    )
-    base.update(over)
-    return ModelConfig(**base)
+    return replace(_instrumented_config(weights_seed=0, decoder_layers=2), **over)
 
 
 class TestParams:
