@@ -10,9 +10,10 @@ between the scene files, segment ids below 1 or listed twice in the
 manifest, a segment map that is not finite or not the image's extents, map
 ids below 0 or without a manifest line, a damaged weights.eovw), 4 a
 pipeline stage failed on the given input (the stage name is printed).  The
-EOVSEG_THREADS environment variable caps kernel parallelism (0 =
-single-threaded) and overrides inherited BLAS thread variables; bench
-defaults to single-threaded for comparable timings.  Heavy imports happen
+EOVSEG_THREADS environment variable caps the threads of each BLAS call (0 =
+one thread) and overrides inherited BLAS thread variables; unset, every
+command fills the unset ones with one thread, since the convolutions already
+run their blocks on every CPU the process may use.  Heavy imports happen
 after the thread cap is applied, which is why the command bodies import
 lazily.
 """
@@ -45,15 +46,15 @@ _BLAS_VARS = (
 )
 
 
-def _apply_thread_cap(default: int | None) -> None:
+def _apply_thread_cap() -> None:
     """Honor EOVSEG_THREADS before numpy is imported; 0 means one thread.
-    When it is set it overrides every BLAS variable; else ``default`` fills the unset ones."""
+    When it is set it overrides every BLAS variable; else one thread fills the unset ones."""
     raw = os.environ.get("EOVSEG_THREADS")
     if raw is not None:
         os.environ.update(dict.fromkeys(_BLAS_VARS, str(max(1, int(raw)))))
-    elif default is not None:
+    else:
         for var in _BLAS_VARS:
-            os.environ.setdefault(var, str(max(1, default)))
+            os.environ.setdefault(var, "1")
 
 
 def _load_config(path: str | None):
@@ -346,7 +347,7 @@ def cmd_bench(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        _apply_thread_cap(default=0 if argv[:1] == ["bench"] else None)
+        _apply_thread_cap()
     except ValueError:
         print(f"error: EOVSEG_THREADS={os.environ['EOVSEG_THREADS']!r} is not an integer",
               file=sys.stderr)

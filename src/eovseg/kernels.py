@@ -9,25 +9,38 @@ Conventions fixed once for the whole package:
   * bilinear interpolation uses half-pixel centers (align_corners=false);
   * gelu is the tanh approximation;
   * reductions run in row-major order so results are bitwise reproducible.
+
+``conv2d_3x3`` and ``conv2d_1x1`` split their work into fixed blocks and run
+them on up to ``WORKERS`` threads (``_run_blocks``).  The blocks do not depend
+on the thread count and each is computed whole by one thread, so neither the
+thread count nor which thread runs a block moves a bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-# output pixels per conv2d_3x3 GEMM block.  The block's float64 buffers (its
+# output pixels per conv2d_3x3 GEMM block.  Each worker's float64 buffers (its
 # padded input rows, one tap product and the sum) take about 8*(C_in + 2*C_out)
 # bytes per pixel, 3 MiB at 256 channels.  1024 holds twice that and ran the
-# 256-channel 64x64 convolution up to a tenth faster.
+# 256-channel 64x64 convolution up to a tenth faster on one thread.
 CONV_BLOCK_COLUMNS = 512
 CONV1X1_BLOCK_BYTES = 1 << 20  # least input bytes per conv2d_1x1 column block
 DEPTHWISE_BLOCK_BYTES = 1 << 18  # padded input bytes per depthwise_conv2d_3x3 channel block
 UPSAMPLE_BLOCK_BYTES = 1 << 19  # output bytes per bilinear_upsample channel block
 LAYER_NORM_EPS = 1e-5  # added to the variance
 L2_NORM_FLOOR = 1e-12  # least norm a row is divided by
+# threads that run convolution blocks: the calling thread plus WORKERS - 1 from
+# _POOL, one per CPU this process may run on (``taskset -c 0`` gives a serial run)
+_affinity = getattr(os, "sched_getaffinity", None)
+WORKERS = len(_affinity(0)) if _affinity else os.cpu_count() or 1
+_POOL = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="eovseg-blocks")
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +105,45 @@ def relu(x: np.ndarray) -> np.ndarray:
 # convolutions
 
 
+def _run_blocks(n_blocks: int, make_worker) -> None:
+    """Run blocks ``0..n_blocks-1`` on the calling thread and up to WORKERS - 1 pool threads.
+
+    ``make_worker()`` returns one thread's ``run(block)``; it is called here,
+    in the calling thread, once per thread, so each thread's buffers are made
+    before any block runs.  Each thread claims the next unclaimed block until
+    none is left (no fixed shares: a thread slowed by a busy core takes fewer).
+    Every helper has finished before this returns or raises, and an exception
+    from any block reaches the caller; a failed block leaves the rest unclaimed.
+    """
+    runs = [make_worker() for _ in range(min(WORKERS, n_blocks))]
+    blocks, lock = iter(range(n_blocks)), threading.Lock()
+
+    def drain(run) -> None:
+        try:
+            while True:
+                with lock:
+                    block = next(blocks, None)
+                if block is None:
+                    return
+                run(block)
+        except BaseException:
+            with lock:
+                for _ in blocks:
+                    pass
+            raise
+
+    helpers = [_POOL.submit(drain, run) for run in runs[1:]]
+    try:
+        drain(runs[0])
+    finally:
+        for helper in helpers:
+            helper.cancel()  # one still queued behind other work never starts
+        wait(helpers)
+    for helper in helpers:
+        if not helper.cancelled():
+            helper.result()
+
+
 def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Pointwise convolution. x: (C_in,H,W); w: (C_out,C_in); b: (C_out,) or None.
 
@@ -103,9 +155,10 @@ def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.
     ``nbytes // CONV1X1_BLOCK_BYTES`` column blocks of equal width (they
     differ by at most one column, never a short tail: a one-column block
     makes einsum sum the channels in its innermost loop, which changes
-    bits).  Each block is copied into one contiguous buffer that stays in
-    cache while every output channel reads it; a block keeps each output's
-    order, so the blocks are bitwise the single call.
+    bits), spread over ``_run_blocks``' threads.  Each thread copies its
+    block into its own contiguous buffer, which stays in cache while every
+    output channel reads it; a block keeps each output's order, so the
+    blocks are bitwise the single call.
     """
     c_in = x.shape[0]
     if w.ndim != 2 or w.shape[1] != c_in:
@@ -118,12 +171,20 @@ def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.
         flat = x.reshape(c_in, pixels)
         out = np.empty((w.shape[0], *x.shape[1:]), dtype=np.result_type(w, x))
         out_flat = out.reshape(w.shape[0], pixels)
-        buf = np.empty(c_in * -(-pixels // n), dtype=x.dtype)
         bounds = [pixels * i // n for i in range(n + 1)]
-        for j0, j1 in zip(bounds, bounds[1:]):
-            block = buf[: c_in * (j1 - j0)].reshape(c_in, j1 - j0)
-            np.copyto(block, flat[:, j0:j1])
-            np.einsum("oc,cp->op", w, block, out=out_flat[:, j0:j1])
+
+        def worker():
+            buf = np.empty(c_in * -(-pixels // n), dtype=x.dtype)
+
+            def run(i: int) -> None:
+                j0, j1 = bounds[i], bounds[i + 1]
+                block = buf[: c_in * (j1 - j0)].reshape(c_in, j1 - j0)
+                np.copyto(block, flat[:, j0:j1])
+                np.einsum("oc,cp->op", w, block, out=out_flat[:, j0:j1])
+
+            return run
+
+        _run_blocks(n, worker)
     if b is not None:
         out = out + b[:, None, None]
     return out
@@ -139,37 +200,49 @@ def conv2d_3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.
     # and zero rows beyond the map, plus one extra row, so tap (dy, dx) is a
     # contiguous window starting at dy*(W+2)+dx; each output row carries two
     # wrap-around columns, which are dropped.  Only the block is ever float64:
-    # the map is never padded whole.  Each tap's product goes into one reused
-    # buffer and is added to the float64 sum in (dy, dx) order, with one
-    # rounding to the inputs' type at the end.  dgemm sums a product's last
-    # few columns in another order, so the block size moves float64 rounding,
-    # which the rounding to float32 has hidden in every case tried.
+    # the map is never padded whole, and each thread refills one float64
+    # (C_out, C_in) buffer per tap from w.  Each tap's product goes into one
+    # reused buffer and is added to the float64 sum in (dy, dx) order, with
+    # one rounding to the inputs' type at the end.  The blocks are fixed by
+    # CONV_BLOCK_COLUMNS alone, never by the thread count: dgemm sums a
+    # product's last few columns in another order, so the block size moves
+    # float64 rounding, which the rounding to float32 has hidden in every
+    # case tried.
     c_out, row = w.shape[0], wd + 2
     step = max(1, CONV_BLOCK_COLUMNS // row)
-    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=np.float64)
     out = np.empty((c_out, h, wd), dtype=np.result_type(x, w))
     most = min(step, h)
-    padded = np.empty(c_in * (most + 3) * row)
-    prod, acc = np.empty(c_out * most * row), np.empty(c_out * most * row)
-    for r0 in range(0, h, step):
-        rows = min(step, h - r0)
-        n = rows * row
-        lo, hi = max(r0 - 1, 0), min(r0 + rows + 2, h)  # the map rows in the block
-        block = padded[: c_in * (rows + 3) * row].reshape(c_in, rows + 3, row)
-        block.fill(0)
-        block[:, lo - r0 + 1 : hi - r0 + 1, 1:-1] = x[:, lo:hi]
-        flat = block.reshape(c_in, -1)
-        total = acc[: c_out * n].reshape(c_out, n)
-        tap = prod[: c_out * n].reshape(c_out, n)
-        total.fill(0)
-        for dy in range(3):
-            for dx in range(3):
-                start = dy * row + dx
-                np.matmul(taps[dy, dx], flat[:, start : start + n], out=tap)
-                total += tap
-        if b is not None:
-            total += b[:, None]
-        out[:, r0 : r0 + rows] = total.reshape(c_out, rows, row)[:, :, :wd]
+
+    def worker():
+        padded = np.empty(c_in * (most + 3) * row)
+        prod, acc = np.empty(c_out * most * row), np.empty(c_out * most * row)
+        taps = np.empty((c_out, c_in))
+
+        def run(i: int) -> None:
+            r0 = i * step
+            rows = min(step, h - r0)
+            n = rows * row
+            lo, hi = max(r0 - 1, 0), min(r0 + rows + 2, h)  # the map rows in the block
+            block = padded[: c_in * (rows + 3) * row].reshape(c_in, rows + 3, row)
+            block.fill(0)
+            block[:, lo - r0 + 1 : hi - r0 + 1, 1:-1] = x[:, lo:hi]
+            flat = block.reshape(c_in, -1)
+            total = acc[: c_out * n].reshape(c_out, n)
+            tap = prod[: c_out * n].reshape(c_out, n)
+            total.fill(0)
+            for dy in range(3):
+                for dx in range(3):
+                    start = dy * row + dx
+                    np.copyto(taps, w[:, :, dy, dx])
+                    np.matmul(taps, flat[:, start : start + n], out=tap)
+                    total += tap
+            if b is not None:
+                total += b[:, None]
+            out[:, r0 : r0 + rows] = total.reshape(c_out, rows, row)[:, :, :wd]
+
+        return run
+
+    _run_blocks(-(-h // step), worker)
     return out
 
 

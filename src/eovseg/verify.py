@@ -275,6 +275,12 @@ def check_kernel_determinism(rng: Rng, trials: int):
     x_wide = rng.normal((32, 16, 16))
     w_wide = rng.normal((32, 32, 3, 3))
     w_up = rng.normal((32, 16, 2, 2))
+    # several blocks, so _run_blocks spreads them over its threads: rows of
+    # 32 pixels give 16-row conv2d_3x3 blocks (16 + 16 + 8 rows), and 3 MiB
+    # of input gives three conv2d_1x1 column blocks; 64 channels keep each
+    # block long enough for two threads to overlap
+    x_rows, w_rows = rng.normal((64, 40, 30)), rng.normal((64, 64, 3, 3))
+    x_cols, w_cols = rng.normal((48, 128, 128)), rng.normal((64, 48))
     cases = (
         lambda: kernels.conv2d_3x3(x, w, b),
         lambda: kernels.softmax(x, 0),
@@ -283,6 +289,8 @@ def check_kernel_determinism(rng: Rng, trials: int):
         lambda: kernels.gelu(x),
         lambda: kernels.conv2d_3x3(x_wide, w_wide, None),
         lambda: kernels.transposed_conv2d(x_wide, w_up, None),
+        lambda: kernels.conv2d_3x3(x_rows, w_rows, None),
+        lambda: kernels.conv2d_1x1(x_cols, w_cols, None),
     )
     for _ in range(max(2, trials // 5)):
         if not all(np.array_equal(fn(), fn()) for fn in cases):

@@ -617,15 +617,23 @@ def _blas_env(monkeypatch, **values):
 
 def test_explicit_thread_count_overrides_inherited_blas_variables(monkeypatch):
     _blas_env(monkeypatch, OPENBLAS_NUM_THREADS="4", EOVSEG_THREADS="1")
-    cli._apply_thread_cap(None)
+    cli._apply_thread_cap()
     assert {var: os.environ[var] for var in cli._BLAS_VARS} == dict.fromkeys(cli._BLAS_VARS, "1")
 
 
-def test_bench_default_fills_only_unset_blas_variables(monkeypatch):
+def test_default_fills_only_unset_blas_variables(monkeypatch):
     _blas_env(monkeypatch, OPENBLAS_NUM_THREADS="4")
-    cli._apply_thread_cap(0)
+    cli._apply_thread_cap()
     expected = {**dict.fromkeys(cli._BLAS_VARS, "1"), "OPENBLAS_NUM_THREADS": "4"}
     assert {var: os.environ[var] for var in cli._BLAS_VARS} == expected
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "verify", "profile", "bench"])
+def test_every_command_defaults_to_one_blas_thread(monkeypatch, command):
+    # main applies the cap before parsing, so a usage error still shows it
+    _blas_env(monkeypatch)
+    assert main([command, "--bogus"]) == 2
+    assert {var: os.environ[var] for var in cli._BLAS_VARS} == dict.fromkeys(cli._BLAS_VARS, "1")
 
 
 def test_unknown_flag_rejected():

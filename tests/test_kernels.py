@@ -2,6 +2,10 @@
 and the seeded oracle equivalence of each kernel, run as its named `verify` check."""
 
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -263,6 +267,112 @@ class TestConv2d:
     )
     def test_oracle_equivalence(self, verify_check, mode, kernel):
         verify_check(f"{kernel}_vs_loop_oracle", seed=31 + len(mode))
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(k)`` runs convolution blocks on k threads: the caller and a
+    fresh pool of k - 1, shut down after the test, whatever the host's CPUs."""
+    pools = []
+
+    def use(k: int) -> None:
+        pools.append(ThreadPoolExecutor(max(1, k - 1)))
+        monkeypatch.setattr(kernels, "WORKERS", k)
+        monkeypatch.setattr(kernels, "_POOL", pools[-1])
+
+    yield use
+    for pool in pools:
+        pool.shutdown(wait=True)
+
+
+def blocks_run(monkeypatch) -> list[int]:
+    """Record the block count of every ``_run_blocks`` call."""
+    counts, run_blocks = [], kernels._run_blocks
+
+    def spy(n_blocks, make_worker):
+        counts.append(n_blocks)
+        run_blocks(n_blocks, make_worker)
+
+    monkeypatch.setattr(kernels, "_run_blocks", spy)
+    return counts
+
+
+class TestBlockRunner:
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3, 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_3x3_bitwise_equal_on_1_2_3_workers(self, monkeypatch, workers, dtype, n_blocks):
+        # rows of 8 pixels and 16-pixel blocks: two map rows per block, the
+        # last block one row short
+        rng = Rng(3000 + n_blocks)
+        args = tuple(a.astype(dtype) for a in (
+            rng.normal((24, 2 * n_blocks - 1, 6)), rng.normal((6, 24, 3, 3)), rng.normal((6,))))
+        monkeypatch.setattr(kernels, "CONV_BLOCK_COLUMNS", 16)
+        counts = blocks_run(monkeypatch)
+        outs = []
+        for k in (1, 2, 3):
+            workers(k)
+            outs.append(kernels.conv2d_3x3(*args))
+        assert counts == [n_blocks] * 3
+        assert all(np.array_equal(out, outs[0]) for out in outs[1:])
+        assert outs[0].dtype == dtype and outs[0].flags.c_contiguous
+
+    @pytest.mark.parametrize("n_blocks", [2, 3, 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_1x1_bitwise_equal_on_1_2_3_workers(self, monkeypatch, workers, dtype, n_blocks):
+        # a map of one block never reaches the runner
+        rng = Rng(3100 + n_blocks)
+        x, w, b = (a.astype(dtype) for a in (
+            rng.normal((8, 5, 6)), rng.normal((6, 8)), rng.normal((6,))))
+        monkeypatch.setattr(kernels, "CONV1X1_BLOCK_BYTES", x.nbytes // n_blocks)
+        counts = blocks_run(monkeypatch)
+        outs = []
+        for k in (1, 2, 3):
+            workers(k)
+            outs.append(kernels.conv2d_1x1(x, w, b))
+        assert counts == [n_blocks] * 3
+        assert all(np.array_equal(out, outs[0]) for out in outs[1:])
+        assert outs[0].dtype == dtype and outs[0].flags.c_contiguous
+
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    def test_failed_block_reaches_the_caller_after_every_helper(self, workers, where):
+        # both threads hold a block at once; one fails, the other is still
+        # busy for 0.2 s and must have finished before the error comes back
+        workers(2)
+        caller, both = threading.current_thread(), threading.Barrier(2, timeout=10)
+        started, finished = [], []
+
+        def make_worker():
+            def run(block):
+                started.append(block)
+                both.wait()
+                if (threading.current_thread() is caller) == (where == "caller"):
+                    raise RuntimeError("block failed")
+                time.sleep(0.2)
+                finished.append(block)
+            return run
+
+        with pytest.raises(RuntimeError, match="block failed"):
+            kernels._run_blocks(7, make_worker)
+        assert len(started) == 2 and len(finished) == 1  # the other 5 left unclaimed
+
+    def test_every_block_runs_once_on_more_threads_than_cores(self, workers):
+        # a lost update of the shared claim would run a block twice or never
+        workers(8)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                ran = []
+
+                def make_worker():
+                    ran.append([])
+                    return ran[-1].append
+
+                kernels._run_blocks(500, make_worker)
+                assert len(ran) == 8
+                assert sorted(b for mine in ran for b in mine) == list(range(500))
+        finally:
+            sys.setswitchinterval(old)
 
 
 class TestDepthwiseConv1d:

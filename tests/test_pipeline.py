@@ -320,11 +320,14 @@ def warm_up_64():
     return scene, harness.CLASS_NAMES, build_weights(ModelConfig(), (64, 64))
 
 
-def test_forward_memory_peak_at_256():
+def test_forward_memory_peak_at_256(monkeypatch):
     """One forward at the large256_tdee config and warm-up scene allocates at
     most 24 MiB at its peak (tracemalloc, numpy buffers included): untraced
     outputs are freed after their last reader and the 3x3 convolutions hold
-    one float64 row block, not a padded copy of the map."""
+    one float64 row block per worker thread, not a padded copy of the map.
+    Two workers, whatever the host: each further one adds its own buffers
+    (about 3.6 MiB at 256 channels)."""
+    monkeypatch.setattr(kernels, "WORKERS", 2)
     harness = _harness()
     workload = harness.WORKLOADS["large256_tdee"]
     cfg = workload.config()
