@@ -2,8 +2,8 @@
 
 Text templates are averaged and L2-normalized per class; mask embeddings are
 scored by temperature softmax over cosine similarities.  In-vocabulary and
-out-of-vocabulary score matrices are blended with a geometric or arithmetic
-ensemble using separate exponents/weights for seen and unseen classes.
+out-of-vocabulary score matrices are blended with a geometric ensemble (as in
+FC-CLIP) using separate exponents for seen and unseen classes.
 """
 
 from __future__ import annotations
@@ -72,24 +72,22 @@ def out_vocab_scores(
 
 
 def ensemble(
-    s_in: np.ndarray, s_out: np.ndarray, alpha: float, beta: float, method: str, seen: np.ndarray
+    s_in: np.ndarray, s_out: np.ndarray, alpha: float, beta: float, seen: np.ndarray
 ) -> np.ndarray:
-    """Blend score matrices column-wise; seen classes use alpha, unseen beta.
+    """Blend score matrices column-wise as in^(1-w) * out^w; seen classes use
+    w = alpha, unseen w = beta.
 
-    geometric: in^(1-w) * out^w.  arithmetic: (1-w)*in + w*out.  Weights 0 and
-    1 short-circuit to an exact copy of the corresponding input column, so the
-    degenerate settings are bitwise-faithful.  Ensembled rows are not
-    renormalized; only the per-row argmax is contractual downstream.
+    Weights 0 and 1 short-circuit to an exact copy of the corresponding input
+    column, so the degenerate settings are bitwise-faithful.  Ensembled rows
+    are not renormalized; only the per-row argmax is contractual downstream.
     """
     a, b = s_in, s_out
-    if method not in ("geometric", "arithmetic"):
-        raise ValueError(f"ensemble: unknown method {method!r}")
     if a.shape != b.shape:
         raise ValueError(f"ensemble: score shapes differ, {a.shape} vs {b.shape}")
     if seen.shape != (a.shape[1],):
         raise ValueError(f"ensemble: seen mask shape {seen.shape} != ({a.shape[1]},)")
-    if method == "geometric" and (np.any(a <= 0) or np.any(b <= 0)):
-        raise ValueError("ensemble: geometric method requires strictly positive scores")
+    if np.any(a <= 0) or np.any(b <= 0):
+        raise ValueError("ensemble: the geometric blend requires strictly positive scores")
     out = np.empty_like(a)
     for j in range(a.shape[1]):
         w = alpha if seen[j] else beta
@@ -97,10 +95,8 @@ def ensemble(
             out[:, j] = a[:, j]
         elif w == 1.0:
             out[:, j] = b[:, j]
-        elif method == "geometric":
-            out[:, j] = np.power(a[:, j], 1.0 - w) * np.power(b[:, j], w)
         else:
-            out[:, j] = (1.0 - w) * a[:, j] + w * b[:, j]
+            out[:, j] = np.power(a[:, j], 1.0 - w) * np.power(b[:, j], w)
     return out
 
 

@@ -6,16 +6,15 @@ that is not finite or beyond +-16, an EOVT payload that does not hold its
 header's extents, however large, non-finite templates, a template width
 other than the config's embed_dim, a class whose templates average to zero,
 a malformed vocab.txt or gt_manifest.txt, class counts or ids that disagree
-between the scene files, segment ids below 1 or listed twice in the
-manifest, a segment map that is not finite or not the image's extents, map
-ids below 0 or without a manifest line, a damaged weights.eovw), 4 a
-pipeline stage failed on the given input (the stage name is printed).  The
-EOVSEG_THREADS environment variable caps the threads of each BLAS call (0 =
-one thread) and overrides inherited BLAS thread variables; unset, every
-command fills the unset ones with one thread, since the convolutions already
-run their blocks on every CPU the process may use.  Heavy imports happen
-after the thread cap is applied, which is why the command bodies import
-lazily.
+between the scene files, segment ids below 1, beyond int32 or listed twice
+in the manifest, a segment map that is not finite or not the image's
+extents, map ids below 0, beyond int32 or without a manifest line, a damaged
+weights.eovw), 4 a pipeline stage failed on the given input (the stage name
+is printed).  Every command sets each unset BLAS thread variable (OMP_,
+OPENBLAS_, MKL_ and NUMEXPR_NUM_THREADS) to one thread, since the
+convolutions already run their blocks on every CPU the process may use; a
+variable set in the environment is left as it is.  Heavy imports happen
+after that, which is why the command bodies import lazily.
 """
 
 from __future__ import annotations
@@ -47,14 +46,9 @@ _BLAS_VARS = (
 
 
 def _apply_thread_cap() -> None:
-    """Honor EOVSEG_THREADS before numpy is imported; 0 means one thread.
-    When it is set it overrides every BLAS variable; else one thread fills the unset ones."""
-    raw = os.environ.get("EOVSEG_THREADS")
-    if raw is not None:
-        os.environ.update(dict.fromkeys(_BLAS_VARS, str(max(1, int(raw)))))
-    else:
-        for var in _BLAS_VARS:
-            os.environ.setdefault(var, "1")
+    """Set each unset BLAS thread variable to one thread, before numpy is imported."""
+    for var in _BLAS_VARS:
+        os.environ.setdefault(var, "1")
 
 
 def _load_config(path: str | None):
@@ -90,11 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="resize so the shortest image side matches this before padding",
-    )
-    p_run.add_argument(
-        "--pred-from-gt",
-        action="store_true",
-        help="score the ground truth against itself (metric sanity path)",
     )
 
     p_ver = sub.add_parser("verify", parents=[seeded], help="run the oracle suite")
@@ -216,7 +205,8 @@ def _present_segments(segment_map, segments):
 
 def cmd_run(args) -> int:
     from .evaluation import miou, pq_metrics
-    from .pipeline import forward, forward_traced
+    from .kernels import bilinear_resize
+    from .pipeline import forward, forward_traced, pad_to_multiple, resize_map_nearest
     from .weights import load_or_build_weights
 
     if args.resize_shortest is not None and args.resize_shortest < 1:
@@ -227,35 +217,28 @@ def cmd_run(args) -> int:
     scene_dir = Path(args.scene)
     image, gt, text, things = _load_scene(scene_dir, config)
 
-    if args.pred_from_gt:
-        mode, panoptic, shapes = "gt_bypass", gt, {}
+    if args.resize_shortest is not None:
+        h, w = image.shape[1], image.shape[2]
+        scale = args.resize_shortest / min(h, w)
+        target = (max(1, round(h * scale)), max(1, round(w * scale)))
+        image = bilinear_resize(image, target)
+        gt = _present_segments(resize_map_nearest(gt.segment_map, target), gt.segments)
+    work_hw = (image.shape[1], image.shape[2])
+    image = pad_to_multiple(image)
+    image_hw = (image.shape[1], image.shape[2])
+    bundle = load_or_build_weights(args.weights, config, image_hw)
+    if args.trace:
+        result = forward_traced(image, text, things, config, bundle, args.trace)
     else:
-        from .kernels import bilinear_resize
-        from .pipeline import pad_to_multiple, resize_map_nearest
-
-        if args.resize_shortest is not None:
-            h, w = image.shape[1], image.shape[2]
-            scale = args.resize_shortest / min(h, w)
-            target = (max(1, round(h * scale)), max(1, round(w * scale)))
-            image = bilinear_resize(image, target)
-            gt = _present_segments(resize_map_nearest(gt.segment_map, target), gt.segments)
-        work_hw = (image.shape[1], image.shape[2])
-        image = pad_to_multiple(image)
-        image_hw = (image.shape[1], image.shape[2])
-        bundle = load_or_build_weights(args.weights, config, image_hw)
-        if args.trace:
-            result = forward_traced(image, text, things, config, bundle, args.trace)
-        else:
-            result = forward(image, text, things, config, bundle)
-        panoptic = result.panoptic
-        if image_hw != work_hw:  # crop padding back off for metric comparison
-            cropped = panoptic.segment_map[: work_hw[0], : work_hw[1]]
-            panoptic = _present_segments(cropped, panoptic.segments)
-        mode = config.fusion
-        shapes = {k: "x".join(str(e) for e in v.shape) for k, v in sorted(result.trace.items())}
+        result = forward(image, text, things, config, bundle)
+    panoptic = result.panoptic
+    if image_hw != work_hw:  # crop padding back off for metric comparison
+        cropped = panoptic.segment_map[: work_hw[0], : work_hw[1]]
+        panoptic = _present_segments(cropped, panoptic.segments)
+    shapes = {k: "x".join(str(e) for e in v.shape) for k, v in sorted(result.trace.items())}
     result_pq = pq_metrics(panoptic, gt)
     rows = {
-        "mode": mode,
+        "mode": config.fusion,
         "pq": result_pq.pq,
         "sq": result_pq.sq,
         "rq": result_pq.rq,
@@ -346,12 +329,7 @@ def cmd_bench(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        _apply_thread_cap()
-    except ValueError:
-        print(f"error: EOVSEG_THREADS={os.environ['EOVSEG_THREADS']!r} is not an integer",
-              file=sys.stderr)
-        return EXIT_USAGE
+    _apply_thread_cap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

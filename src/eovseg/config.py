@@ -80,7 +80,6 @@ class ModelConfig:
     alpha: float = 0.4
     beta: float = 0.8
     tau: float = 0.07
-    ensemble_method: str = "geometric"
     score_floor: float = 0.0
     weights_seed: int = 0
 
@@ -119,8 +118,6 @@ class ModelConfig:
             raise ValueError(f"config: tau must be finite and > 0, got {self.tau}")
         if not math.isfinite(self.score_floor):
             raise ValueError(f"config: score_floor must be finite, got {self.score_floor}")
-        if self.ensemble_method not in ("geometric", "arithmetic"):
-            raise ValueError(f"config: unknown ensemble_method {self.ensemble_method!r}")
         self.backbone_widths = tuple(int(w) for w in self.backbone_widths)
 
     def to_dict(self) -> dict:
@@ -131,9 +128,6 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
         return cls(**checked_fields(cls, data, "config"))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelConfig":

@@ -22,6 +22,7 @@ from .kernels import bilinear_upsample
 from .tensor import EovtFormatError, Rng, read_eovt, read_text, write_eovt
 
 VOID = 0  # segment id reserved for unlabeled pixels
+_INT32_MAX = int(np.iinfo(np.int32).max)  # the segment map is int32, so no id lies beyond
 _GROUP_BYTES = 2 << 20  # upsampled bytes per assembly call: 128 float32 masks of a 64x64 image
 
 
@@ -47,14 +48,14 @@ class PanopticAnnotation:
             raise ValueError(f"PanopticAnnotation: map ids {sorted(missing)} lack records")
 
     def semantic_map(self) -> np.ndarray:
-        """Per-pixel class ids; void pixels become -1."""
-        lut_size = max((s.segment_id for s in self.segments), default=0) + 1
-        lut = np.full(lut_size, -1, dtype=np.int32)
-        for s in self.segments:
-            lut[s.segment_id] = s.class_id
+        """Per-pixel class ids; void pixels become -1.  Ids are looked up among
+        the sorted record ids, so memory does not grow with the largest id."""
+        records = sorted(self.segments, key=lambda s: s.segment_id)
+        ids = np.array([s.segment_id for s in records], dtype=np.int64)
+        classes = np.array([s.class_id for s in records], dtype=np.int32)
         out = np.full(self.segment_map.shape, -1, dtype=np.int32)
         nonvoid = self.segment_map != VOID
-        out[nonvoid] = lut[self.segment_map[nonvoid]]
+        out[nonvoid] = classes[np.searchsorted(ids, self.segment_map[nonvoid])]
         return out
 
     def save(self, map_path: str | Path, manifest_path: str | Path) -> None:
@@ -83,7 +84,7 @@ class PanopticAnnotation:
         if np.min(rounded) < VOID:
             raise EovtFormatError(f"{map_path}: segment map holds negative ids")
         top = float(np.max(rounded))  # as float32, the int32 maximum would round up to 2**31
-        if top > np.iinfo(np.int32).max:
+        if top > _INT32_MAX:
             raise EovtFormatError(f"{map_path}: segment map holds id {top:.0f}, beyond int32")
         records = []
         for line in read_text(manifest_path).splitlines():
@@ -100,6 +101,10 @@ class PanopticAnnotation:
                 raise EovtFormatError(
                     f"{manifest_path}: line {line!r} has segment id {record.segment_id}; "
                     f"ids start at {VOID + 1} ({VOID} is void)"
+                )
+            if record.segment_id > _INT32_MAX:
+                raise EovtFormatError(
+                    f"{manifest_path}: line {line!r} has segment id {record.segment_id}, beyond int32"
                 )
             records.append(record)
         try:

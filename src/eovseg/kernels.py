@@ -26,10 +26,13 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-# output pixels per conv2d_3x3 GEMM block.  Each worker's float64 buffers (its
-# padded input rows, one tap product and the sum) take about 8*(C_in + 2*C_out)
-# bytes per pixel, 3 MiB at 256 channels.  1024 holds twice that and ran the
-# 256-channel 64x64 convolution up to a tenth faster on one thread.
+# output pixels per conv2d_3x3 GEMM block, in whole padded rows of W + 2.  Each
+# worker's float64 buffers are its block's padded input rows (the block's rows
+# plus 3), one tap product, the sum and one (C_out, C_in) tap:
+# 8*((C_in*(rows + 3) + 2*C_out*rows)*(W + 2) + C_out*C_in) bytes, about 3.6 MiB
+# at 256 channels on a 64x64 map (7 rows a block).  1024 holds about twice the
+# row buffers and ran the 256-channel 64x64 convolution up to a tenth faster on
+# one thread.
 CONV_BLOCK_COLUMNS = 512
 CONV1X1_BLOCK_BYTES = 1 << 20  # least input bytes per conv2d_1x1 column block
 DEPTHWISE_BLOCK_BYTES = 1 << 18  # padded input bytes per depthwise_conv2d_3x3 channel block

@@ -259,7 +259,7 @@ STAGES = (
           ("scores_out_vocab",), lambda *a: out_vocab_scores(*a),
           reference.out_vocab_scores_reference, lambda c: _pool_macs(c) + _score_macs(c)),
     Stage("classifier", ALL, ("scores_in_vocab", "scores_out_vocab", "config.alpha",
-                              "config.beta", "config.ensemble_method", "text.seen"),
+                              "config.beta", "text.seen"),
           ("scores_final",), lambda *a: ensemble(*a), reference.ensemble_reference, lambda c: 0),
 )
 

@@ -266,15 +266,12 @@ def out_vocab_scores_reference(clip_features, probs, text_rows, tau, macs=None):
     return in_vocab_scores_reference(pooled, text_rows, tau, macs)
 
 
-def ensemble_reference(s_in, s_out, alpha, beta, method, seen, macs: MacCounter | None = None):
+def ensemble_reference(s_in, s_out, alpha, beta, seen, macs: MacCounter | None = None):
     a = np.asarray(s_in, np.float64)
     b = np.asarray(s_out, np.float64)
     out = np.empty_like(a)
     for j in range(a.shape[1]):
         w = alpha if seen[j] else beta
         for i in range(a.shape[0]):
-            if method == "geometric":
-                out[i, j] = a[i, j] ** (1.0 - w) * b[i, j] ** w
-            else:
-                out[i, j] = (1.0 - w) * a[i, j] + w * b[i, j]
+            out[i, j] = a[i, j] ** (1.0 - w) * b[i, j] ** w
     return out

@@ -398,7 +398,7 @@ def _text_rows(templates):  # the class names and seen mask do not reach the row
 
 def check_ensemble(rng: Rng, trials: int):
     seen = np.array([True])
-    got = ensemble(np.float32([[0.8]]), np.float32([[0.5]]), 0.4, 0.8, "geometric", seen)[0, 0]
+    got = ensemble(np.float32([[0.8]]), np.float32([[0.5]]), 0.4, 0.8, seen)[0, 0]
     want = 0.8**0.6 * 0.5**0.4  # = 0.6628908034679974
     if abs(float(got) - want) > 1e-6:
         return False, f"geometric value {got} != {want}"
@@ -406,17 +406,16 @@ def check_ensemble(rng: Rng, trials: int):
         s_in = kernels.softmax(rng.normal((3, 4), std=2.0), 1)
         s_out = kernels.softmax(rng.normal((3, 4), std=2.0), 1)
         seen = rng.normal((4,)) > 0
-        for method in ("geometric", "arithmetic"):
-            if not np.array_equal(ensemble(s_in, s_out, 0.0, 0.0, method, seen), s_in):
-                return False, f"alpha=beta=0 not bitwise S_I for {method}"
-            if not np.array_equal(ensemble(s_in, s_out, 1.0, 1.0, method, seen), s_out):
-                return False, f"alpha=beta=1 not bitwise S_O for {method}"
-            base = ensemble(s_in, s_out, 0.4, 0.8, method, seen)
-            bumped_out = s_out.copy()
-            bumped_out[1, 2] += np.float32(0.05)
-            bumped = ensemble(s_in, bumped_out, 0.4, 0.8, method, seen)
-            if bumped[1, 2] < base[1, 2]:
-                return False, f"monotonicity violated for {method}"
+        if not np.array_equal(ensemble(s_in, s_out, 0.0, 0.0, seen), s_in):
+            return False, "alpha=beta=0 not bitwise S_I"
+        if not np.array_equal(ensemble(s_in, s_out, 1.0, 1.0, seen), s_out):
+            return False, "alpha=beta=1 not bitwise S_O"
+        base = ensemble(s_in, s_out, 0.4, 0.8, seen)
+        bumped_out = s_out.copy()
+        bumped_out[1, 2] += np.float32(0.05)
+        bumped = ensemble(s_in, bumped_out, 0.4, 0.8, seen)
+        if bumped[1, 2] < base[1, 2]:
+            return False, "monotonicity violated"
     return True, "degenerate cases bitwise; reference value and monotonicity hold"
 
 

@@ -41,7 +41,7 @@ GENERATOR_VERSION = 3
 # ModelConfig fields that no weight draw, tensor name or bundle setting reads.
 # The cache key leaves out only these, so a field added later is keyed until
 # it is shown not to touch the weights.
-HEAD_FIELDS = ("fusion", "alpha", "beta", "tau", "ensemble_method", "score_floor")
+HEAD_FIELDS = ("fusion", "alpha", "beta", "tau", "score_floor")
 
 # The cache file in a cache directory: WEIGHTS_MAGIC, the u64-LE byte length
 # of a UTF-8 JSON header, the header, then the payload.

@@ -128,14 +128,13 @@ def test_criterion_2_stepwise_transliteration():
 
 def test_criterion_3_ensemble_correctness():
     rng = Rng(3_000)
-    for method in ("geometric", "arithmetic"):
-        s_in = softmax(rng.normal((5, 4), std=2.0), 1)
-        s_out = softmax(rng.normal((5, 4), std=2.0), 1)
-        seen = rng.normal((4,)) > 0
-        assert np.array_equal(ensemble(s_in, s_out, 0.0, 0.0, method, seen), s_in), method
-        assert np.array_equal(ensemble(s_in, s_out, 1.0, 1.0, method, seen), s_out), method
+    s_in = softmax(rng.normal((5, 4), std=2.0), 1)
+    s_out = softmax(rng.normal((5, 4), std=2.0), 1)
+    seen = rng.normal((4,)) > 0
+    assert np.array_equal(ensemble(s_in, s_out, 0.0, 0.0, seen), s_in)
+    assert np.array_equal(ensemble(s_in, s_out, 1.0, 1.0, seen), s_out)
 
-    got = ensemble(np.float32([[0.8]]), np.float32([[0.5]]), 0.4, 0.8, "geometric", np.array([True]))[0, 0]
+    got = ensemble(np.float32([[0.8]]), np.float32([[0.5]]), 0.4, 0.8, np.array([True]))[0, 0]
     assert abs(float(got) - GEOMETRIC_REFERENCE) < 1e-6
 
     violations = 0
@@ -145,11 +144,10 @@ def test_criterion_3_ensemble_correctness():
         bump = float(rng.uniform((1,), 0.001, 0.1)[0])
         alpha = float(rng.uniform((1,))[0])
         beta = float(rng.uniform((1,))[0])
-        method = ("geometric", "arithmetic")[int(rng.integers(0, 2))]
         seen = np.array([bool(rng.integers(0, 2))])
         s_in = np.float32([[a]])
-        lo = ensemble(s_in, np.float32([[b]]), alpha, beta, method, seen)[0, 0]
-        hi = ensemble(s_in, np.float32([[b + bump]]), alpha, beta, method, seen)[0, 0]
+        lo = ensemble(s_in, np.float32([[b]]), alpha, beta, seen)[0, 0]
+        hi = ensemble(s_in, np.float32([[b + bump]]), alpha, beta, seen)[0, 0]
         if hi < lo:
             violations += 1
     assert violations == 0

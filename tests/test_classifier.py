@@ -130,37 +130,31 @@ class TestEnsemble:
         seen = np.arange(c) % 2 == 0
         return s_in, s_out, seen
 
-    @pytest.mark.parametrize("method", ["geometric", "arithmetic"])
-    def test_degenerate_weights_bitwise(self, method):
+    def test_degenerate_weights_bitwise(self):
         s_in, s_out, seen = self._pair()
-        assert np.array_equal(ensemble(s_in, s_out, 0.0, 0.0, method, seen), s_in)
-        assert np.array_equal(ensemble(s_in, s_out, 1.0, 1.0, method, seen), s_out)
+        assert np.array_equal(ensemble(s_in, s_out, 0.0, 0.0, seen), s_in)
+        assert np.array_equal(ensemble(s_in, s_out, 1.0, 1.0, seen), s_out)
 
     def test_geometric_reference_value(self):
-        s = ensemble(np.float32([[0.8]]), np.float32([[0.5]]), 0.4, 0.8, "geometric", np.array([True]))
+        s = ensemble(np.float32([[0.8]]), np.float32([[0.5]]), 0.4, 0.8, np.array([True]))
         assert abs(float(s[0, 0]) - GEOMETRIC_REFERENCE) < 1e-6
 
     def test_seen_unseen_use_different_weights(self):
         s_in = np.float32([[0.8, 0.8]])
         s_out = np.float32([[0.5, 0.5]])
-        s = ensemble(s_in, s_out, 0.4, 0.8, "geometric", np.array([True, False]))
+        s = ensemble(s_in, s_out, 0.4, 0.8, np.array([True, False]))
         assert abs(float(s[0, 0]) - 0.8**0.6 * 0.5**0.4) < 1e-6
         assert abs(float(s[0, 1]) - 0.8**0.2 * 0.5**0.8) < 1e-6
 
     def test_geometric_fixed_point(self):
         s_in, _, seen = self._pair(19)
         for alpha, beta in ((0.3, 0.9), (0.0, 1.0)):
-            s = ensemble(s_in, s_in, alpha, beta, "geometric", seen)
+            s = ensemble(s_in, s_in, alpha, beta, seen)
             assert np.max(np.abs(s - s_in)) < 1e-6
 
     def test_nonpositive_geometric_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            ensemble(np.float32([[0.0]]), np.float32([[0.5]]), 0.4, 0.8, "geometric", np.array([True]))
-
-    def test_unknown_method_rejected(self):
-        s_in, s_out, seen = self._pair()
-        with pytest.raises(ValueError, match="unknown method 'harmonic'"):
-            ensemble(s_in, s_out, 0.4, 0.8, "harmonic", seen)
+            ensemble(np.float32([[0.0]]), np.float32([[0.5]]), 0.4, 0.8, np.array([True]))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -170,21 +164,19 @@ class TestEnsemble:
         st.floats(0.0, 1.0),
         st.floats(0.0, 1.0),
         st.booleans(),
-        st.sampled_from(["geometric", "arithmetic"]),
     )
-    def test_monotone_in_out_vocab_score(self, a, b, bump, alpha, beta, seen_flag, method):
+    def test_monotone_in_out_vocab_score(self, a, b, bump, alpha, beta, seen_flag):
         s_in = np.float32([[a]])
         seen = np.array([seen_flag])
-        lo = ensemble(s_in, np.float32([[b]]), alpha, beta, method, seen)[0, 0]
-        hi = ensemble(s_in, np.float32([[b + bump]]), alpha, beta, method, seen)[0, 0]
+        lo = ensemble(s_in, np.float32([[b]]), alpha, beta, seen)[0, 0]
+        hi = ensemble(s_in, np.float32([[b + bump]]), alpha, beta, seen)[0, 0]
         assert hi >= lo
 
     def test_oracle_agreement(self):
         s_in, s_out, seen = self._pair(20)
-        for method in ("geometric", "arithmetic"):
-            got = ensemble(s_in, s_out, 0.4, 0.8, method, seen)
-            ref = reference.ensemble_reference(s_in, s_out, 0.4, 0.8, method, seen)
-            assert np.max(np.abs(got - ref)) < 1e-6
+        got = ensemble(s_in, s_out, 0.4, 0.8, seen)
+        ref = reference.ensemble_reference(s_in, s_out, 0.4, 0.8, seen)
+        assert np.max(np.abs(got - ref)) < 1e-6
 
 
 class TestClassify:

@@ -135,15 +135,6 @@ class TestRun:
         assert 0.0 <= float(rows[0]["pq"]) <= 1.0
         assert "mask_logits=8x16x16" in rows[0]["stage_shapes"]
 
-    def test_gt_bypass_scores_one(self, workdir, capsys):
-        run_gen(workdir)
-        code = run_run(workdir, extra=["--pred-from-gt", "--out", str(workdir / "gt.csv")])
-        assert code == 0
-        with open(workdir / "gt.csv") as f:
-            row = next(csv.DictReader(f))
-        assert float(row["pq"]) == 1.0
-        assert float(row["miou"]) == 1.0
-
     def test_fusion_override_reports_mode(self, workdir):
         run_gen(workdir)
         for mode in ("none", "tdee"):
@@ -271,6 +262,8 @@ class TestRun:
                      id="manifest_duplicate_id"),
         pytest.param("gt_manifest.txt", lambda lines: lines[1:], "map ids [1] lack records",
                      id="manifest_missing_record"),
+        pytest.param("gt_manifest.txt", lambda lines: [*lines, "10000000000000 0 stuff"],
+                     "has segment id 10000000000000, beyond int32", id="manifest_id_beyond_int32"),
         pytest.param("gt_manifest.txt", b"\xff\n", "not UTF-8 text", id="manifest_non_utf8"),
         pytest.param("gt_map.eovt", lambda seg: np.where(seg == 1, np.float32(-1), seg),
                      "holds negative ids", id="map_negative_id"),
@@ -599,26 +592,13 @@ def test_console_script_entry_point(cli_env):
     assert proc.returncode == 2  # missing required --spec/--out
 
 
-def test_bad_thread_count_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("EOVSEG_THREADS", "abc")
-    assert main(["verify", "--trials", "2"]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "EOVSEG_THREADS" in err[0]
-
-
 def _blas_env(monkeypatch, **values):
-    """Unset EOVSEG_THREADS and every BLAS variable but ``values``; all are restored after."""
-    for var in (*cli._BLAS_VARS, "EOVSEG_THREADS"):
+    """Unset every BLAS variable but ``values``; all are restored after."""
+    for var in cli._BLAS_VARS:
         monkeypatch.setenv(var, "")  # records the old state, which delenv alone may not
         monkeypatch.delenv(var)
     for var, value in values.items():
         monkeypatch.setenv(var, value)
-
-
-def test_explicit_thread_count_overrides_inherited_blas_variables(monkeypatch):
-    _blas_env(monkeypatch, OPENBLAS_NUM_THREADS="4", EOVSEG_THREADS="1")
-    cli._apply_thread_cap()
-    assert {var: os.environ[var] for var in cli._BLAS_VARS} == dict.fromkeys(cli._BLAS_VARS, "1")
 
 
 def test_default_fills_only_unset_blas_variables(monkeypatch):
@@ -695,6 +675,11 @@ class TestBadValuesExit2:
         spec = dict(SCENE_SPEC, stuff_classes=stuff, thing_classes=things)
         (workdir / "scene.json").write_text(json.dumps(spec))
         self.assert_usage_error(run_gen(workdir), capsys, expected)
+        assert not (workdir / "scene").exists()
+
+    def test_config_naming_the_removed_ensemble_method(self, workdir, capsys):
+        (workdir / "config.json").write_text(json.dumps(dict(SMALL_CONFIG, ensemble_method="geometric")))
+        self.assert_usage_error(run_gen(workdir), capsys, "unknown keys ['ensemble_method']")
         assert not (workdir / "scene").exists()
 
     def test_config_value_of_wrong_type(self, workdir, capsys):

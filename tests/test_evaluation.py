@@ -84,6 +84,32 @@ class TestSceneGeneration:
             pix = gt.segment_map == s.segment_id
             assert np.all(sem[pix] == s.class_id)
 
+    def test_semantic_map_memory_does_not_grow_with_the_largest_id(self):
+        seg = np.zeros((64, 64), dtype=np.int32)
+        seg[:32] = 1 << 24
+        seg[32:, :32] = 2
+        ann = PanopticAnnotation(seg, [SegmentRecord(1 << 24, 3, False), SegmentRecord(2, 1, True)])
+        tracemalloc.start()
+        try:
+            sem = ann.semantic_map()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak  # a table indexed by id would take 64 MiB
+        expected = np.full((64, 64), -1, dtype=np.int32)
+        expected[:32], expected[32:, :32] = 3, 1
+        assert sem.dtype == np.int32 and np.array_equal(sem, expected)
+
+    def test_load_rejects_manifest_ids_beyond_int32(self, tmp_path):
+        seg = np.array([[0, 1]], dtype=np.int32)
+        records = [SegmentRecord(1, 0, False), SegmentRecord((1 << 31) - 1, 0, False)]
+        PanopticAnnotation(seg, records).save(tmp_path / "map.eovt", tmp_path / "manifest.txt")
+        assert PanopticAnnotation.load(tmp_path / "map.eovt", tmp_path / "manifest.txt").segments == records
+        with open(tmp_path / "manifest.txt", "a") as f:
+            f.write(f"{1 << 31} 0 stuff\n")
+        with pytest.raises(evaluation.EovtFormatError, match="has segment id 2147483648, beyond int32"):
+            PanopticAnnotation.load(tmp_path / "map.eovt", tmp_path / "manifest.txt")
+
     def test_save_round_trips_ids_to_2_24_and_refuses_larger(self, tmp_path):
         seg = np.array([[0, 1], [2, 1 << 24]], dtype=np.int32)
         records = [SegmentRecord(int(i), 0, False) for i in (1, 2, 1 << 24)]
