@@ -10,7 +10,9 @@ between the scene files, segment ids below 1, beyond int32 or listed twice
 in the manifest, a segment map that is not finite or not the image's
 extents, map ids below 0, beyond int32 or without a manifest line, a damaged
 weights.eovw), 4 a pipeline stage failed on the given input (the stage name
-is printed).  Every command sets each unset BLAS thread variable (OMP_,
+is printed).  A refused allocation outside the stages, say from a
+--resize-shortest or a config width too large to hold, exits 2 as a usage
+error.  Every command sets each unset BLAS thread variable (OMP_,
 OPENBLAS_, MKL_ and NUMEXPR_NUM_THREADS) to one thread, since the
 convolutions already run their blocks on every CPU the process may use; a
 variable set in the environment is left as it is.  Heavy imports happen
@@ -355,6 +357,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_STAGE
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -270,13 +270,6 @@ def depthwise_conv2d_3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv2d_depthwise_separable(
-    x: np.ndarray, w_depth: np.ndarray, w_point: np.ndarray, b: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-channel 3x3 correlation followed by a pointwise 1x1 mix."""
-    return conv2d_1x1(depthwise_conv2d_3x3(x, w_depth), w_point, b)
-
-
 def depthwise_conv1d(signals: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Row-wise 1-D correlation: row n of signals with kernel row n, zero padded.
 

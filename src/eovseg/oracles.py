@@ -159,13 +159,6 @@ def depthwise_conv2d_3x3_oracle(x, w, macs: MacCounter | None = None) -> np.ndar
     return out
 
 
-def conv2d_depthwise_separable_oracle(
-    x, w_depth, w_point, b=None, macs: MacCounter | None = None
-) -> np.ndarray:
-    mid = depthwise_conv2d_3x3_oracle(x, w_depth, macs)
-    return conv2d_1x1_oracle(mid, w_point, b, macs)
-
-
 def depthwise_conv1d_oracle(signals, kernels, macs: MacCounter | None = None) -> np.ndarray:
     signals = _f64(signals)
     kernels = _f64(kernels)

@@ -57,7 +57,7 @@ from .evaluation import PanopticAnnotation, assemble_panoptic
 from .fusion import eaf, sdi, tdee
 from .kernels import bilinear_upsample, conv2d_1x1
 from .profiler import (_decoder_macs, macs_attention, macs_bilinear, macs_conv2d_1x1,
-                       macs_conv2d_3x3, macs_depthwise_conv1d, macs_depthwise_separable,
+                       macs_conv2d_3x3, macs_depthwise_3x3, macs_depthwise_conv1d,
                        macs_matmul, macs_transposed_conv2d)
 from .spatial import PATCH, spatial_embeddings, spatial_features, vit_block_features
 from .tensor import write_eovt
@@ -176,7 +176,8 @@ def _aggregate_macs(c: SimpleNamespace) -> int:
 def _vas_macs(c: SimpleNamespace) -> int:
     d, k = c.config.embed_dim, c.n_class
     head_contraction = d * (c.h // 4) * (c.w // 4) * k
-    return macs_depthwise_separable(d, d, *_grid(c, 4)) + macs_matmul(k, d, d) + head_contraction
+    project = macs_depthwise_3x3(d, *_grid(c, 4)) + macs_conv2d_1x1(d, d, *_grid(c, 4))
+    return project + macs_matmul(k, d, d) + head_contraction
 
 
 def _vit_macs(c: SimpleNamespace) -> int:
@@ -261,11 +262,6 @@ STAGES = (
     Stage("classifier", ALL, ("scores_in_vocab", "scores_out_vocab", "config.alpha",
                               "config.beta", "text.seen"),
           ("scores_final",), lambda *a: ensemble(*a), reference.ensemble_reference, lambda c: 0),
-)
-
-# intermediates dumped by forward_traced for the default (tdee) configuration
-TRACE_KEYS_TDEE = tuple(
-    name for s in STAGES if "tdee" in s.modes for name in s.outputs if not name.startswith("_")
 )
 
 

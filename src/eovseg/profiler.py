@@ -56,10 +56,6 @@ def macs_depthwise_3x3(c: int, h: int, w: int) -> int:
     return c * h * w * 9
 
 
-def macs_depthwise_separable(c_in: int, c_out: int, h: int, w: int) -> int:
-    return macs_depthwise_3x3(c_in, h, w) + macs_conv2d_1x1(c_in, c_out, h, w)
-
-
 def macs_depthwise_conv1d(n: int, d: int, m: int) -> int:
     return n * d * m
 

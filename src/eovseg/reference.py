@@ -20,8 +20,8 @@ from .oracles import (
     bilinear_upsample_oracle,
     conv2d_1x1_oracle,
     conv2d_3x3_oracle,
-    conv2d_depthwise_separable_oracle,
     depthwise_conv1d_oracle,
+    depthwise_conv2d_3x3_oracle,
     gelu_oracle,
     l2_normalize_oracle,
     layer_norm_oracle,
@@ -45,7 +45,8 @@ def vas_forward_reference(feat, text_embed, w: VasWeights, macs: MacCounter | No
     """Projection, head split, one channel contraction per head, vocab softmax
     + max, and the per-head multiply of that attention onto the projected
     features.  Returns (weighted features, per-head attention (heads, H, W))."""
-    feat_proj = conv2d_depthwise_separable_oracle(feat, w.feat_depth, w.feat_point, w.feat_bias, macs)
+    mid = depthwise_conv2d_3x3_oracle(feat, w.feat_depth, macs)
+    feat_proj = conv2d_1x1_oracle(mid, w.feat_point, w.feat_bias, macs)
     d, h, wd = feat_proj.shape
     per_head = d // w.heads
     text_proj = linear_oracle(text_embed, w.text_w, w.text_b, macs)

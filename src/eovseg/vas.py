@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import conv2d_depthwise_separable, linear
+from .kernels import conv2d_1x1, depthwise_conv2d_3x3, linear
 from .tensor import Rng
 
 
@@ -69,7 +69,7 @@ def vas_forward_detailed(
     n_class = text_embed.shape[0]
     if n_class < 1:
         raise ValueError("vas: vocabulary must contain at least one class")
-    feat_proj = conv2d_depthwise_separable(feat, w.feat_depth, w.feat_point, w.feat_bias)
+    feat_proj = conv2d_1x1(depthwise_conv2d_3x3(feat, w.feat_depth), w.feat_point, w.feat_bias)
     d, h, wd = feat_proj.shape
     per_head = d // w.heads
     text_proj = linear(text_embed, w.text_w, w.text_b)

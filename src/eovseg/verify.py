@@ -63,7 +63,7 @@ SABOTAGE_TARGETS = (
     "relu",
     "conv2d_1x1",
     "conv2d_3x3",
-    "conv2d_depthwise_separable",
+    "depthwise_conv2d_3x3",
     "depthwise_conv1d",
     "transposed_conv2d",
     "bilinear_upsample",
@@ -186,11 +186,9 @@ def _draw_conv2d_3x3(rng: Rng, t: int):
     return rng.normal((c_in, h, w)), rng.normal((c_out, c_in, 3, 3)), rng.normal((c_out,))
 
 
-def _draw_conv2d_depthwise_separable(rng: Rng, t: int):
-    c, c_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-    h, w = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-    x = rng.normal((c, h, w))
-    return x, rng.normal((c, 3, 3)), rng.normal((c_out, c)), rng.normal((c_out,))
+def _draw_depthwise_conv2d_3x3(rng: Rng, t: int):
+    c, h, w = (int(rng.integers(1, 6)) for _ in range(3))
+    return rng.normal((c, h, w)), rng.normal((c, 3, 3))
 
 
 def _draw_depthwise_conv1d(rng: Rng, t: int):
@@ -314,8 +312,8 @@ def check_vas_bounds(rng: Rng, trials: int):
             return False, f"attention weight outside [{lo}, 1]: [{attn.min()}, {attn.max()}]"
         if n_class == 1 and not np.all(attn == 1.0):
             return False, "singleton vocabulary must give exactly 1.0"
-        if n_class == 1 and not np.array_equal(out, kernels.conv2d_depthwise_separable(
-                feat, w.feat_depth, w.feat_point, w.feat_bias)):
+        if n_class == 1 and not np.array_equal(out, kernels.conv2d_1x1(
+                kernels.depthwise_conv2d_3x3(feat, w.feat_depth), w.feat_point, w.feat_bias)):
             return False, "singleton vocabulary did not give the projection exactly"
     return True, "weights within [1/N_class, 1]; singleton exact and gives the projection"
 
@@ -681,8 +679,8 @@ CHECKS = [
     ("conv2d_1x1_vs_loop_oracle", _kernel_vs_oracle("conv2d_1x1", _draw_conv2d_1x1)),
     ("conv2d_3x3_vs_loop_oracle", _kernel_vs_oracle("conv2d_3x3", _draw_conv2d_3x3)),
     (
-        "conv2d_depthwise_separable_vs_loop_oracle",
-        _kernel_vs_oracle("conv2d_depthwise_separable", _draw_conv2d_depthwise_separable),
+        "depthwise_conv2d_3x3_vs_loop_oracle",
+        _kernel_vs_oracle("depthwise_conv2d_3x3", _draw_depthwise_conv2d_3x3),
     ),
     ("depthwise_conv1d_vs_loop_oracle", _kernel_vs_oracle("depthwise_conv1d", _draw_depthwise_conv1d)),
     ("transposed_conv2d_vs_loop_oracle", _kernel_vs_oracle("transposed_conv2d", _draw_transposed_conv2d)),

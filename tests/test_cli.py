@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import resource
 import shutil
 import struct
 import subprocess
@@ -497,7 +498,8 @@ class TestVerifyCommand:
         assert all(getattr(m, kernel) is original for m in [kernels, *bound])
 
     def test_unknown_sabotage_is_usage_error(self, workdir):
-        assert main(["verify", "--trials", "2", "--sabotage", "matmul9000"]) == 2
+        for kernel in ("matmul9000", "conv2d_depthwise_separable"):  # unknown, and removed
+            assert main(["verify", "--trials", "2", "--sabotage", kernel]) == 2
 
     def test_trials_must_be_positive(self, workdir):
         assert main(["verify", "--trials", "0"]) == 2
@@ -737,6 +739,28 @@ class TestBadValuesExit2:
         )
         self.assert_usage_error(code, capsys, "--classes must be >= 1, got -3")
         assert not (workdir / "p.csv").exists()
+
+    @pytest.mark.parametrize("command, expected", [
+        (["run", "--scene", "scene", "--config", "config.json", "--resize-shortest", "100000"],
+         "Unable to allocate 112. GiB"),
+        (["profile", "--config", "big.json", "--out", "p.csv"], "Unable to allocate 4.00 GiB"),
+    ], ids=["run_resize_shortest", "profile_embed_dim"])
+    def test_refused_allocation(self, workdir, cli_env, command, expected):
+        # the child's address space is capped at 3 GiB, so the refused request
+        # is never made of the host
+        run_gen(workdir)
+        (workdir / "big.json").write_text(json.dumps({"embed_dim": 1 << 20}))
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "eovseg.cli", *command], cwd=workdir, capture_output=True,
+            text=True, timeout=120, env=cli_env, preexec_fn=cap_address_space,
+        )
+        err = proc.stderr.strip().splitlines()
+        assert proc.returncode == 2 and len(err) == 1, proc.stderr
+        assert err[0].startswith("error: out of memory: ") and expected in err[0], proc.stderr
 
     def test_run_negative_resize_shortest(self, workdir, capsys):
         run_gen(workdir)

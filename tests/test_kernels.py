@@ -262,8 +262,8 @@ class TestConv2d:
     @pytest.mark.parametrize(
         "mode, kernel",
         [("pointwise_1x1", "conv2d_1x1"), ("k3_pad1", "conv2d_3x3"),
-         ("depthwise_separable", "conv2d_depthwise_separable")],
-        ids=["pointwise_1x1", "k3_pad1", "depthwise_separable"],
+         ("depthwise_3x3", "depthwise_conv2d_3x3")],
+        ids=["pointwise_1x1", "k3_pad1", "depthwise_3x3"],
     )
     def test_oracle_equivalence(self, verify_check, mode, kernel):
         verify_check(f"{kernel}_vs_loop_oracle", seed=31 + len(mode))
@@ -604,11 +604,10 @@ _DTYPE_DRAWS = {
     **dict.fromkeys(("sigmoid", "gelu", "relu"), verify._draw_pointwise),
     "l2_normalize": lambda rng, t: (rng.normal((4, 6)),),
     "bilinear_resize": lambda rng, t: (rng.normal((2, 3, 5)), (7, 4)),
-    "depthwise_conv2d_3x3": lambda rng, t: verify._draw_conv2d_depthwise_separable(rng, t)[:2],
 }
 
 
-@pytest.mark.parametrize("name", [*verify.SABOTAGE_TARGETS, "bilinear_resize", "depthwise_conv2d_3x3"])
+@pytest.mark.parametrize("name", [*verify.SABOTAGE_TARGETS, "bilinear_resize"])
 def test_output_dtype_is_the_input_dtype(name):
     """Every kernel computes in its inputs' dtype: float32 in gives float32
     out, and the same draw cast to float64 gives float64."""

@@ -25,7 +25,6 @@ from eovseg.config import FUSION_MODES, ModelConfig
 from eovseg.decoder import AttentionBlockWeights, decoder_forward
 from eovseg.evaluation import SceneSpec, generate_scene
 from eovseg.pipeline import (
-    TRACE_KEYS_TDEE,
     PipelineStageError,
     forward,
     forward_traced,
@@ -263,9 +262,11 @@ def test_trace_contains_named_intermediates(scene, tmp_path):
     bundle = build_weights(cfg, (64, 64))
     result = forward_traced(image, text, spec.is_thing(), cfg, bundle, tmp_path / "trace")
     dumped = sorted(p.stem for p in (tmp_path / "trace").glob("*.eovt"))
-    assert dumped == sorted(TRACE_KEYS_TDEE)
+    tdee_keys = sorted(name for s in pipeline_module.STAGES if "tdee" in s.modes
+                       for name in s.outputs if not name.startswith("_"))
+    assert dumped == tdee_keys
     assert len(dumped) == 13
-    for key in TRACE_KEYS_TDEE:
+    for key in tdee_keys:
         assert np.array_equal(read_eovt(tmp_path / "trace" / f"{key}.eovt"), result.trace[key])
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eovseg import reference
-from eovseg.kernels import conv2d_depthwise_separable
+from eovseg.kernels import conv2d_1x1, depthwise_conv2d_3x3
 from eovseg.tensor import Rng
 from eovseg.vas import VasWeights, vas_forward_detailed
 
@@ -16,7 +16,7 @@ def build(seed, heads=HEADS):
 
 
 def project(feat, w):
-    return conv2d_depthwise_separable(feat, w.feat_depth, w.feat_point, w.feat_bias)
+    return conv2d_1x1(depthwise_conv2d_3x3(feat, w.feat_depth), w.feat_point, w.feat_bias)
 
 
 def test_singleton_vocabulary_gives_all_ones():
