@@ -133,11 +133,13 @@ class SceneSpec:
                           ("n_templates", 1), ("embed_dim", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"SceneSpec: {name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("stuff_classes", "thing_classes"):  # vocab.txt splits its lines on whitespace
-            bad = [c for c in getattr(self, name) if c.split() != [c]]
-            if bad:
-                raise ValueError(f"SceneSpec: {name} must be non-empty names without whitespace, "
-                                 f"got {bad[0]!r}")
+        for name in ("stuff_classes", "thing_classes"):  # vocab.txt: UTF-8, split on whitespace
+            for c in getattr(self, name):
+                if c.split() != [c]:
+                    raise ValueError(f"SceneSpec: {name} must be non-empty names without "
+                                     f"whitespace, got {c!r}")
+                if c.encode("utf-8", "ignore").decode() != c:
+                    raise ValueError(f"SceneSpec: {name} must be names UTF-8 can encode, got {c!r}")
         names = self.class_names  # vocab.txt and reports tell classes apart by name
         for i, c in enumerate(names):
             if c in names[:i]:

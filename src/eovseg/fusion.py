@@ -91,7 +91,6 @@ class TdeeWeights:
 class TdeeTrace:
     fuse_m: np.ndarray  # mask-side fusion half (N, d/2)
     fuse_s: np.ndarray
-    router_product: np.ndarray  # elementwise product of the router halves
     gate_m: np.ndarray  # sigmoid gates, in (0, 1)
     gate_s: np.ndarray
     core: np.ndarray  # gated sum of layer-normed fusion halves (N, d/2)
@@ -116,7 +115,6 @@ def tdee_detailed(mask_embed: np.ndarray, spatial_embed: np.ndarray, w: TdeeWeig
     return TdeeTrace(
         fuse_m=fuse_m,
         fuse_s=fuse_s,
-        router_product=router_product,
         gate_m=gate_m,
         gate_s=gate_s,
         core=core,

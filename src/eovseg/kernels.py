@@ -11,9 +11,9 @@ Conventions fixed once for the whole package:
   * reductions run in row-major order so results are bitwise reproducible.
 
 ``conv2d_3x3`` and ``conv2d_1x1`` split their work into fixed blocks and run
-them on up to ``WORKERS`` threads (``_run_blocks``).  The blocks do not depend
-on the thread count and each is computed whole by one thread, so neither the
-thread count nor which thread runs a block moves a bit.
+them on up to ``WORKERS`` threads that live for one call (``_run_blocks``).
+The blocks do not depend on the thread count and each is computed whole by
+one thread, so neither the thread count nor which thread runs a block moves a bit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -39,11 +38,10 @@ DEPTHWISE_BLOCK_BYTES = 1 << 18  # padded input bytes per depthwise_conv2d_3x3 c
 UPSAMPLE_BLOCK_BYTES = 1 << 19  # output bytes per bilinear_upsample channel block
 LAYER_NORM_EPS = 1e-5  # added to the variance
 L2_NORM_FLOOR = 1e-12  # least norm a row is divided by
-# threads that run convolution blocks: the calling thread plus WORKERS - 1 from
-# _POOL, one per CPU this process may run on (``taskset -c 0`` gives a serial run)
+# threads that run one call's convolution blocks: the caller plus up to WORKERS - 1
+# started for it, one per CPU this process may run on (``taskset -c 0``: serial)
 _affinity = getattr(os, "sched_getaffinity", None)
 WORKERS = len(_affinity(0)) if _affinity else os.cpu_count() or 1
-_POOL = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="eovseg-blocks")
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +107,17 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def _run_blocks(n_blocks: int, make_worker) -> None:
-    """Run blocks ``0..n_blocks-1`` on the calling thread and up to WORKERS - 1 pool threads.
+    """Run blocks ``0..n_blocks-1`` on the calling thread and up to WORKERS - 1 helper threads.
 
     ``make_worker()`` returns one thread's ``run(block)``; it is called here,
     in the calling thread, once per thread, so each thread's buffers are made
     before any block runs.  Each thread claims the next unclaimed block until
     none is left (no fixed shares: a thread slowed by a busy core takes fewer).
-    Every helper has finished before this returns or raises, and an exception
-    from any block reaches the caller; a failed block leaves the rest unclaimed.
+    Every helper started is joined before this returns or raises the first
+    error (a block's or a start's); a failed block leaves the rest unclaimed.
     """
     runs = [make_worker() for _ in range(min(WORKERS, n_blocks))]
-    blocks, lock = iter(range(n_blocks)), threading.Lock()
+    blocks, lock, errors = iter(range(n_blocks)), threading.Lock(), []
 
     def drain(run) -> None:
         try:
@@ -129,22 +127,24 @@ def _run_blocks(n_blocks: int, make_worker) -> None:
                 if block is None:
                     return
                 run(block)
-        except BaseException:
+        except BaseException as exc:
             with lock:
+                errors.append(exc)
                 for _ in blocks:
                     pass
-            raise
 
-    helpers = [_POOL.submit(drain, run) for run in runs[1:]]
+    helpers = []
     try:
+        for run in runs[1:]:
+            helper = threading.Thread(target=drain, args=(run,), name="eovseg-blocks")
+            helper.start()
+            helpers.append(helper)
         drain(runs[0])
     finally:
         for helper in helpers:
-            helper.cancel()  # one still queued behind other work never starts
-        wait(helpers)
-    for helper in helpers:
-        if not helper.cancelled():
-            helper.result()
+            helper.join()
+    if errors:
+        raise errors[0]
 
 
 def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:

@@ -717,7 +717,9 @@ class TestBadValuesExit2:
             ("config.json", "tau", float("nan"), "tau must be finite and > 0, got nan"),
             ("config.json", "tau", float("inf"), "tau must be finite and > 0, got inf"),
             ("config.json", "score_floor", float("nan"), "score_floor must be finite, got nan"),
-        )],
+        )] + [pytest.param("scene.json", "stuff_classes", ["\ud800", "grass"],
+                           "stuff_classes must be names UTF-8 can encode, got '\\ud800'",
+                           id="stuff_classes=lone_surrogate")],
     )
     def test_gen_out_of_range_value(self, workdir, cli_env, file, field, value, expected):
         # a subprocess with a timeout, so a value that makes gen hang fails the test

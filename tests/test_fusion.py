@@ -4,32 +4,18 @@ import numpy as np
 import pytest
 
 from eovseg import reference
-from eovseg.fusion import EafWeights, SdiWeights, TdeeWeights, eaf, sdi, tdee, tdee_detailed
-from eovseg.kernels import layer_norm
+from eovseg.fusion import EafWeights, SdiWeights, TdeeWeights, eaf, sdi, tdee
 from eovseg.tensor import Rng
 
 D = 8
 
 
 class TestTdee:
-    def test_zero_router_forced_path(self):
-        w = TdeeWeights.build(1, D, D)
-        w.router_m_w = np.zeros_like(w.router_m_w)
-        w.router_m_b = np.zeros_like(w.router_m_b)
-        w.router_s_w = np.zeros_like(w.router_s_w)
-        w.router_s_b = np.zeros_like(w.router_s_b)
-        trace = tdee_detailed(Rng(2).normal((3, D)), Rng(3).normal((3, D)), w)
-        assert np.allclose(trace.gate_m, 0.5, atol=1e-6)
-        assert np.allclose(trace.gate_s, 0.5, atol=1e-6)
-        expected = 0.5 * (layer_norm(trace.fuse_m, *w.ln_fuse_m) + layer_norm(trace.fuse_s, *w.ln_fuse_s))
-        assert np.max(np.abs(trace.core - expected)) < 1e-6
+    def test_zero_router_forced_path(self, verify_check):
+        verify_check("tdee_zero_router_forced_path", seed=1)
 
-    def test_expert_swap_symmetry_bitwise(self):
-        for seed in range(10):
-            w = TdeeWeights.build(100 + seed, D, D)
-            em = Rng(200 + seed).normal((4, D))
-            es = Rng(300 + seed).normal((4, D))
-            assert np.array_equal(tdee(em, es, w), tdee(es, em, w.swapped()))
+    def test_expert_swap_symmetry_bitwise(self, verify_check):
+        verify_check("tdee_expert_swap_symmetry", seed=100)
 
     def test_stepwise_oracle_at_pinned_dims(self):
         # pinned N=4, D=8, d=8: 8-wide rows keep the layer norms well conditioned
@@ -41,12 +27,8 @@ class TestTdee:
             worst = max(worst, float(np.max(np.abs(tdee(em, es, w) - ref))))
         assert worst < 1e-5
 
-    def test_gates_strictly_inside_unit_interval(self):
-        for seed in range(10):
-            w = TdeeWeights.build(500 + seed, D, D)
-            trace = tdee_detailed(Rng(seed).normal((5, D), std=3.0), Rng(seed + 1).normal((5, D), std=3.0), w)
-            for g in (trace.gate_m, trace.gate_s):
-                assert g.min() > 0.0 and g.max() < 1.0
+    def test_gates_strictly_inside_unit_interval(self, verify_check):
+        verify_check("tdee_gate_range", seed=500)
 
     def test_output_shape(self):
         for n, d, dd in ((1, 4, 4), (5, 8, 4), (3, 8, 8)):

@@ -2,10 +2,12 @@
 and the seeded oracle equivalence of each kernel, run as its named `verify` check."""
 
 import math
+import os
+import signal
+import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -271,18 +273,8 @@ class TestConv2d:
 
 @pytest.fixture
 def workers(monkeypatch):
-    """``workers(k)`` runs convolution blocks on k threads: the caller and a
-    fresh pool of k - 1, shut down after the test, whatever the host's CPUs."""
-    pools = []
-
-    def use(k: int) -> None:
-        pools.append(ThreadPoolExecutor(max(1, k - 1)))
-        monkeypatch.setattr(kernels, "WORKERS", k)
-        monkeypatch.setattr(kernels, "_POOL", pools[-1])
-
-    yield use
-    for pool in pools:
-        pool.shutdown(wait=True)
+    """``workers(k)`` runs convolution blocks on k threads, whatever the host's CPUs."""
+    return lambda k: monkeypatch.setattr(kernels, "WORKERS", k)
 
 
 def blocks_run(monkeypatch) -> list[int]:
@@ -373,6 +365,52 @@ class TestBlockRunner:
                 assert sorted(b for mine in ran for b in mine) == list(range(500))
         finally:
             sys.setswitchinterval(old)
+
+
+def test_forked_child_runs_its_blocks(cli_env):
+    # the parent's multi-block conv has run threads before the fork; the
+    # child, which inherits none of them, must run the same call to the
+    # same bits.  It runs in a process group of its own, so a hung child is
+    # killed with it.
+    script = (
+        "import os, sys\n"
+        "import numpy as np\n"
+        "from eovseg import kernels\n"
+        "from eovseg.tensor import Rng\n"
+        "kernels.WORKERS = 2\n"
+        "rng = Rng(7)\n"
+        "x, w = rng.normal((64, 64, 64)), rng.normal((64, 64, 3, 3))\n"
+        "want = kernels.conv2d_3x3(x, w)\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    os._exit(0 if np.array_equal(kernels.conv2d_3x3(x, w), want) else 1)\n"
+        "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", script], env=cli_env, start_new_session=True)
+    try:
+        assert proc.wait(timeout=60) == 0
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+
+
+def test_failed_thread_start_reaches_the_caller_after_started_helpers(workers, monkeypatch):
+    workers(3)
+    start, started = threading.Thread.start, []
+
+    def start_once(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        kernels._run_blocks(6, lambda: lambda block: time.sleep(0.01))
+    assert len(started) == 1 and not started[0].is_alive()
 
 
 class TestDepthwiseConv1d:

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import sys
+import threading
 import tracemalloc
 import typing
 import weakref
@@ -302,6 +303,47 @@ def test_two_runs_bitwise_identical(scene):
     assert np.array_equal(r1.scores.values, r2.scores.values)
     for key in r1.trace:
         assert np.array_equal(r1.trace[key], r2.trace[key])
+
+
+def test_concurrent_forwards_match_a_serial_run(scene, monkeypatch):
+    """Two threads run ``forward`` at once, each spreading its convolution
+    blocks over two threads; each result is bitwise the serial run's."""
+    spec, image, _, _, text = scene
+    cfg = small_config(fusion="tdee")
+    bundle = build_weights(cfg, (64, 64))
+    monkeypatch.setattr(kernels, "WORKERS", 2)
+    # padded rows of 18 pixels: the aggregator's 16x16 3x3 convs take 8 blocks
+    monkeypatch.setattr(kernels, "CONV_BLOCK_COLUMNS", 36)
+    counts, run_blocks = [], kernels._run_blocks
+
+    def spy(n_blocks, make_worker):
+        counts.append(n_blocks)
+        run_blocks(n_blocks, make_worker)
+
+    monkeypatch.setattr(kernels, "_run_blocks", spy)
+    serial = forward(image, text, spec.is_thing(), cfg, bundle)
+    assert max(counts) >= 8
+    both, results = threading.Barrier(2, timeout=30), {}
+
+    def run(i: int) -> None:
+        both.wait()
+        results[i] = forward(image, text, spec.is_thing(), cfg, bundle)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1]
+    for result in results.values():
+        assert np.array_equal(result.panoptic.segment_map, serial.panoptic.segment_map)
+        assert result.panoptic.segments == serial.panoptic.segments
+        assert result.labels == serial.labels
+        assert np.array_equal(result.scores.values, serial.scores.values)
+        assert result.trace.keys() == serial.trace.keys()
+        for key in serial.trace:
+            assert np.array_equal(result.trace[key], serial.trace[key]), key
 
 
 def _harness():
