@@ -12,21 +12,25 @@ extents, map ids below 0, beyond int32 or without a manifest line, a damaged
 weights.eovw), 4 a pipeline stage failed on the given input (the stage name
 is printed).  A refused allocation outside the stages, say from a
 --resize-shortest or a config width too large to hold, exits 2 as a usage
-error.  Every command sets each unset BLAS thread variable (OMP_,
-OPENBLAS_, MKL_ and NUMEXPR_NUM_THREADS) to one thread, since the
-convolutions already run their blocks on every CPU the process may use; a
-variable set in the environment is left as it is.  Heavy imports happen
-after that, which is why the command bodies import lazily.
+error, and so does a gen --out that is . or .. or exists and is not an empty
+directory; gen reads the whole scene from --spec and writes --out whole or
+not at all.
+Every command sets each unset BLAS thread variable (OMP_, OPENBLAS_, MKL_
+and NUMEXPR_NUM_THREADS) to one thread, since the convolutions already run
+their blocks on every CPU the process may use; a variable set in the
+environment is left as it is.  Heavy imports happen after that, which is
+why the command bodies import lazily.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import replace
+import tempfile
 from pathlib import Path
 
 EXIT_OK = 0
@@ -65,14 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="eovseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="seed for the randomized draws")
     configured = argparse.ArgumentParser(add_help=False)
     configured.add_argument("--config", type=str, default=None, help="model config JSON")
 
-    p_gen = sub.add_parser("gen", parents=[seeded, configured], help="generate a synthetic scene")
+    p_gen = sub.add_parser("gen", help="generate a synthetic scene")
     p_gen.add_argument("--spec", type=str, required=True, help="scene spec JSON")
-    p_gen.add_argument("--out", type=str, required=True, help="output directory")
+    p_gen.add_argument("--out", type=str, required=True, help="new or empty output directory")
 
     p_run = sub.add_parser("run", parents=[configured], help="run the pipeline on a scene")
     p_run.add_argument("--scene", type=str, required=True, help="scene directory from gen")
@@ -88,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="resize so the shortest image side matches this before padding",
     )
 
-    p_ver = sub.add_parser("verify", parents=[seeded], help="run the oracle suite")
+    p_ver = sub.add_parser("verify", help="run the oracle suite")
+    p_ver.add_argument("--seed", type=int, default=0, help="seed for the randomized draws")
     p_ver.add_argument("--trials", type=int, default=25, help="random instances per check")
     p_ver.add_argument("--sabotage", type=str, default=None, help="flip one kernel's sign")
 
@@ -97,9 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--classes", type=int, default=4, help="vocabulary size for MACs")
     p_prof.add_argument("--out", type=str, default=None, help="CSV path")
 
-    p_bench = sub.add_parser(
-        "bench", parents=[seeded, configured], help="time a dda and a ca decoder layer"
-    )
+    p_bench = sub.add_parser("bench", parents=[configured], help="time a dda and a ca decoder layer")
     p_bench.add_argument("--reps", type=int, default=20)
     p_bench.add_argument("--size", type=int, default=64, help="square image extent")
     p_bench.add_argument("--out", type=str, default=None, help="CSV path")
@@ -115,30 +116,28 @@ def cmd_gen(args) -> int:
     from .evaluation import SceneSpec, generate_scene
     from .tensor import write_eovt
 
-    config = _load_config(args.config)
-    fields = checked_fields(SceneSpec, read_json(args.spec), "scene spec")
-    if fields.setdefault("embed_dim", config.embed_dim) != config.embed_dim:
-        raise ValueError(
-            f"scene spec: embed_dim {fields['embed_dim']} != the config's embed_dim {config.embed_dim}"
-        )
-    if fields.setdefault("seed", args.seed) != args.seed:
-        raise ValueError(f"scene spec: seed {fields['seed']} != --seed {args.seed}")
-    spec = SceneSpec(**fields)
-
-    image, gt, templates = generate_scene(spec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_eovt(out / "image.eovt", image)
-    write_eovt(out / "templates.eovt", templates)
-    gt.save(out / "gt_map.eovt", out / "gt_manifest.txt")
-    seen = spec.seen_mask()
-    things = spec.is_thing()
+    if out.name in ("", "..") or out.exists() and not (out.is_dir() and not any(out.iterdir())):
+        raise ValueError(f"--out {out}: need a new directory, or an empty one other than . or ..")
+    spec = SceneSpec(**checked_fields(SceneSpec, read_json(args.spec), "scene spec"))
+    image, gt, templates = generate_scene(spec)
     vocab_lines = [
-        f"{name} {'seen' if seen[i] else 'unseen'} {'thing' if things[i] else 'stuff'}"
-        for i, name in enumerate(spec.class_names)
+        f"{name} {'seen' if seen else 'unseen'} {'thing' if thing else 'stuff'}"
+        for name, seen, thing in zip(spec.class_names, spec.seen_mask(), spec.is_thing())
     ]
-    (out / "vocab.txt").write_text("\n".join(vocab_lines) + "\n", encoding="utf-8")
-    (out / "scene_spec.json").write_text(json.dumps(fields, indent=2, sort_keys=True) + "\n")
+    # staged beside --out and renamed onto it whole; a plain mkdir gives the umask's mode
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as staging:
+        scene = Path(staging) / out.name
+        scene.mkdir()
+        write_eovt(scene / "image.eovt", image)
+        write_eovt(scene / "templates.eovt", templates)
+        gt.save(scene / "gt_map.eovt", scene / "gt_manifest.txt")
+        (scene / "vocab.txt").write_text("\n".join(vocab_lines) + "\n", encoding="utf-8")
+        (scene / "scene_spec.json").write_text(
+            json.dumps(dataclasses.asdict(spec), indent=2, sort_keys=True) + "\n"
+        )
+        os.replace(scene, out)
     print(f"scene written to {out} ({len(gt.segments)} segments, {spec.n_classes} classes)")
     return EXIT_OK
 
@@ -215,7 +214,7 @@ def cmd_run(args) -> int:
         raise ValueError(f"--resize-shortest must be >= 1, got {args.resize_shortest}")
     config = _load_config(args.config)
     if args.fusion is not None:
-        config = replace(config, fusion=args.fusion)
+        config = dataclasses.replace(config, fusion=args.fusion)
     scene_dir = Path(args.scene)
     image, gt, text, things = _load_scene(scene_dir, config)
 
@@ -315,7 +314,7 @@ def cmd_bench(args) -> int:
     config = _load_config(args.config)
     image_hw = _square(args.size)
     bundle = build_weights(config, image_hw)
-    report = benchmark(config, bundle, args.reps, image_hw, seed=args.seed)
+    report = benchmark(config, bundle, args.reps, image_hw)
     out = args.out or "bench.csv"
     report.write_csv(out)
     for row in report.rows:
@@ -355,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except PipelineStageError as exc:
         print(f"error: pipeline stage {exc.stage!r} failed: {exc.cause}", file=sys.stderr)
         return EXIT_STAGE
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

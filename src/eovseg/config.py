@@ -18,23 +18,24 @@ def _matches(value, default) -> bool:
     return type(value) is type(default)
 
 
-def read_json(path: str | Path):
-    """A ``--config`` or ``gen --spec`` file as strict UTF-8 JSON; decode errors name it."""
+def read_json(path: str | Path) -> dict:
+    """A ``--config`` or ``gen --spec`` file as one strict UTF-8 JSON object; errors name it."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: need a JSON object, got {type(data).__name__}")
+    return data
 
 
-def checked_fields(cls, data, what: str) -> dict:
+def checked_fields(cls, data: dict, what: str) -> dict:
     """Keyword arguments for dataclass ``cls`` from a parsed JSON object.
 
     Each key must name a field, and each value must have the type of that
     field's default (a list for a tuple default, turned into a tuple).
     Raises ValueError naming the first bad key.
     """
-    if not isinstance(data, dict):
-        raise ValueError(f"{what}: need a JSON object, got {type(data).__name__}")
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     unknown = set(data) - set(defaults)
     if unknown:

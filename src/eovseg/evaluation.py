@@ -147,9 +147,9 @@ class SceneSpec:
                 raise ValueError(f"SceneSpec: {field} repeats class name {c!r}; class names "
                                  f"must be unique across stuff_classes and thing_classes")
         if not self.stuff_classes:
-            raise ValueError("SceneSpec: at least one stuff class required")
+            raise ValueError("SceneSpec: stuff_classes must name at least one class")
         if self.n_shapes > 0 and not self.thing_classes:
-            raise ValueError("SceneSpec: shapes requested but no thing classes given")
+            raise ValueError(f"SceneSpec: n_shapes is {self.n_shapes}, but thing_classes is empty")
 
     @property
     def class_names(self) -> list[str]:

@@ -248,9 +248,10 @@ def test_criterion_6_pipeline_integrity(tmp_path, cli_env):
     (tmp_path / "spec.json").write_text(json.dumps({
         "height": 64, "width": 64, "stuff_classes": ["sky", "grass"],
         "thing_classes": ["box", "ball", "wedge"], "n_shapes": 3, "n_templates": 3,
+        "embed_dim": 256, "seed": 6,
     }))
     base = [sys.executable, "-m", "eovseg.cli"]
-    subprocess.run(base + ["gen", "--spec", str(tmp_path / "spec.json"), "--seed", "6",
+    subprocess.run(base + ["gen", "--spec", str(tmp_path / "spec.json"),
                            "--out", str(tmp_path / "scene")],
                    check=True, capture_output=True, env=cli_env)
     for tag in ("x", "y"):

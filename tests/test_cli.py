@@ -3,16 +3,20 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import inspect
 import io
 import json
 import os
+import pathlib
 import re
 import resource
+import shlex
 import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -23,6 +27,7 @@ from hypothesis import strategies as st
 from eovseg import (aggregator, classifier, cli, decoder, evaluation, fusion, kernels, pipeline,
                     spatial, vas, weights)
 from eovseg.cli import main
+from eovseg.config import ModelConfig
 from eovseg.tensor import read_eovt, write_eovt
 from eovseg.verify import SABOTAGE_TARGETS, _instrumented_config, run_checks
 
@@ -48,7 +53,11 @@ SCENE_SPEC = dict(
     thing_classes=["box", "ball"],
     n_shapes=3,
     n_templates=3,
+    embed_dim=SMALL_CONFIG["embed_dim"],
+    seed=3,
 )
+
+SCENE_FILES = ("image.eovt", "templates.eovt", "vocab.txt", "gt_map.eovt", "gt_manifest.txt")
 
 
 @pytest.fixture
@@ -58,20 +67,16 @@ def workdir(tmp_path):
     return tmp_path
 
 
-def run_gen(workdir, out="scene", seed=3, spec="scene.json"):
-    return main(
-        [
-            "gen",
-            "--spec",
-            str(workdir / spec),
-            "--seed",
-            str(seed),
-            "--out",
-            str(workdir / out),
-            "--config",
-            str(workdir / "config.json"),
-        ]
-    )
+def run_gen(workdir, out="scene", spec="scene.json"):
+    return main(["gen", "--spec", str(workdir / spec), "--out", str(workdir / out)])
+
+
+def run_profile(workdir):
+    """``profile`` on ``workdir``'s config.json; a refused config writes no p.csv."""
+    code = main(["profile", "--size", "32", "--config", str(workdir / "config.json"),
+                 "--out", str(workdir / "p.csv")])
+    assert code == 0 or not (workdir / "p.csv").exists()
+    return code
 
 
 def run_run(workdir, scene="scene", extra=(), weights="wcache"):
@@ -99,19 +104,73 @@ class TestGen:
         assert templates.shape == (3, 4, SMALL_CONFIG["embed_dim"])  # M x N_class x D
 
     def test_byte_identical_given_seed(self, workdir):
-        run_gen(workdir, "a", seed=7)
-        run_gen(workdir, "b", seed=7)
+        (workdir / "scene.json").write_text(json.dumps(dict(SCENE_SPEC, seed=7)))
+        run_gen(workdir, "a")
+        run_gen(workdir, "b")
         for name in ("image.eovt", "templates.eovt", "gt_map.eovt", "gt_manifest.txt", "vocab.txt"):
             assert (workdir / "a" / name).read_bytes() == (workdir / "b" / name).read_bytes()
 
     def test_gen_spec_round_trips(self, workdir):
+        """The scene_spec.json that gen writes holds every field, so it alone remakes the scene."""
         assert run_gen(workdir) == 0
         written = workdir / "scene" / "scene_spec.json"
-        assert json.loads(written.read_text())["embed_dim"] == SMALL_CONFIG["embed_dim"]
-        (workdir / "scene.json").write_text(written.read_text())
-        assert run_gen(workdir, out="again") == 0
-        assert (workdir / "again" / "gt_map.eovt").read_bytes() == (
-            workdir / "scene" / "gt_map.eovt").read_bytes()
+        fields = {f.name: f.default for f in dataclasses.fields(evaluation.SceneSpec)}
+        assert json.loads(written.read_text()).keys() == fields.keys()
+        assert main(["gen", "--spec", str(written), "--out", str(workdir / "again")]) == 0
+        names = sorted(p.name for p in (workdir / "scene").iterdir())
+        assert names == sorted([*SCENE_FILES, "scene_spec.json"])
+        assert sorted(p.name for p in (workdir / "again").iterdir()) == names
+        for name in names:
+            assert (workdir / "again" / name).read_bytes() == (workdir / "scene" / name).read_bytes()
+
+    @pytest.mark.parametrize("existing", ["file_inside", "file", "dot", "dotdot"])
+    def test_out_that_is_not_a_new_or_empty_directory_exits_2(self, workdir, capsys, monkeypatch,
+                                                              existing):
+        out = {"dot": ".", "dotdot": "empty/.."}.get(existing, str(workdir / "scene"))
+        if existing == "file":
+            pathlib.Path(out).write_text("keep")  # the file named --out is left as it is
+        elif existing == "file_inside":
+            pathlib.Path(out).mkdir()
+            (pathlib.Path(out) / "notes.txt").write_text("keep")
+        else:  # an empty working directory; --out . would replace it, and empty/.. is not there yet
+            (workdir / "empty").mkdir()
+            monkeypatch.chdir(workdir / "empty")
+        before = sorted(str(p.relative_to(workdir)) for p in workdir.rglob("*"))
+        assert main(["gen", "--spec", str(workdir / "scene.json"), "--out", out]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: --out {pathlib.Path(out)}: need a new directory, or an empty one "
+                       "other than . or .."]
+        assert sorted(str(p.relative_to(workdir)) for p in workdir.rglob("*")) == before
+        assert all(p.read_text() == "keep" for p in workdir.rglob("*")
+                   if p.is_file() and p.suffix != ".json")
+
+    def test_empty_out_directory_is_filled(self, workdir):
+        (workdir / "scene").mkdir()
+        assert run_gen(workdir) == 0
+        assert sorted(p.name for p in (workdir / "scene").iterdir()) == sorted(
+            [*SCENE_FILES, "scene_spec.json"])
+
+    def test_out_parents_are_made_with_the_mode_mkdir_gives(self, workdir):
+        assert run_gen(workdir, out="a/b/scene") == 0
+        (workdir / "a" / "b" / "plain").mkdir()
+        mode = (workdir / "a" / "b" / "plain").stat().st_mode
+        assert (workdir / "a" / "b" / "scene").stat().st_mode == mode
+
+    def test_failed_write_leaves_no_scene_and_no_staging_directory(self, workdir, capsys,
+                                                                   monkeypatch):
+        real_write_text = pathlib.Path.write_text
+
+        def write_text(path, *args, **kwargs):
+            if path.name == "vocab.txt":
+                raise OSError(28, "No space left on device", str(path))
+            return real_write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "write_text", write_text)
+        before = sorted(p.name for p in workdir.iterdir())
+        assert run_gen(workdir) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "No space left on device" in err[0] and "vocab.txt" in err[0]
+        assert sorted(p.name for p in workdir.iterdir()) == before
 
     def test_missing_spec_is_usage_error(self, workdir):
         code = main(["gen", "--out", str(workdir / "x")])
@@ -321,7 +380,8 @@ def test_image_at_the_bound_runs_warning_free(workdir, capsys, size):
     """An image filled with +IMAGE_BOUND, or with -IMAGE_BOUND, runs without
     a numpy warning in every fusion mode under the default config."""
     (workdir / "config.json").write_text("{}")
-    (workdir / "scene.json").write_text(json.dumps(dict(SCENE_SPEC, height=size, width=size)))
+    (workdir / "scene.json").write_text(
+        json.dumps(dict(SCENE_SPEC, height=size, width=size, embed_dim=256)))
     run_gen(workdir)
     for value in (cli.IMAGE_BOUND, -cli.IMAGE_BOUND):
         write_eovt(workdir / "scene" / "image.eovt", np.full((3, size, size), value, np.float32))
@@ -329,15 +389,14 @@ def test_image_at_the_bound_runs_warning_free(workdir, capsys, size):
             assert run_run(workdir, extra=["--fusion", mode]) == 0, capsys.readouterr().err
 
 
-SCENE_FILES = ("image.eovt", "templates.eovt", "vocab.txt", "gt_map.eovt", "gt_manifest.txt")
-
-
 @pytest.fixture(scope="module")
 def tiny_scene(tmp_path_factory):
     """A 32x32 gen scene under the stage walk's tiny config, with its weight cache built."""
     root = tmp_path_factory.mktemp("tiny")
-    (root / "config.json").write_text(json.dumps(_instrumented_config(0, 2).to_dict()))
-    (root / "scene.json").write_text(json.dumps(dict(SCENE_SPEC, height=32, width=32)))
+    config = _instrumented_config(0, 2)
+    (root / "config.json").write_text(json.dumps(config.to_dict()))
+    (root / "scene.json").write_text(
+        json.dumps(dict(SCENE_SPEC, height=32, width=32, embed_dim=config.embed_dim)))
     assert run_gen(root) == 0 and run_run(root) == 0
     return root
 
@@ -625,8 +684,11 @@ def test_unknown_flag_rejected():
 @pytest.mark.parametrize(
     "argv",
     [["run", "--scene", "s", "--seed", "1"], ["profile", "--seed", "1"],
-     ["profile", "--weights", "w"], ["verify", "--config", "c.json"]],
-    ids=["run-seed", "profile-seed", "profile-weights", "verify-config"],
+     ["profile", "--weights", "w"], ["verify", "--config", "c.json"],
+     ["gen", "--spec", "s.json", "--out", "o", "--seed", "1"],
+     ["gen", "--spec", "s.json", "--out", "o", "--config", "c.json"], ["bench", "--seed", "1"]],
+    ids=["run-seed", "profile-seed", "profile-weights", "verify-config", "gen-seed", "gen-config",
+         "bench-seed"],
 )
 def test_option_the_command_does_not_read_is_rejected(argv):
     assert main(argv) == 2
@@ -643,6 +705,104 @@ def test_every_option_is_read_by_its_handler():
     assert unread == []
 
 
+def test_readme_commands_parse():
+    """Every ``eovseg ...`` line of README's sh blocks is accepted by the parser."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("eovseg ")]
+    assert len(lines) >= 7
+    parser, refused = cli._build_parser(), []
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            refused.append(line)
+    assert refused == []
+
+
+def test_key_error_in_a_command_is_raised_not_a_usage_error(workdir, monkeypatch):
+    from eovseg import profiler
+
+    def failing(*args):
+        raise KeyError("name")
+
+    monkeypatch.setattr(profiler, "profile_modules", failing)
+    with pytest.raises(KeyError, match="name"):
+        run_profile(workdir)
+
+
+_SPECIAL_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+_ANY_VALUE = st.one_of(
+    st.integers(-2, 40), _SPECIAL_FLOATS, st.none(), st.booleans(), st.sampled_from(["", "x", "tdee"]),
+    st.just({}), st.lists(st.one_of(st.integers(-2, 40), _SPECIAL_FLOATS, st.just("sky")), max_size=5),
+)
+
+
+def _mutation(data, defaults):
+    """One (key, value) for a JSON object whose valid fields are ``defaults``,
+    or (None, root) for a root that is not an object."""
+    kind = data.draw(st.sampled_from(["int", "int", "int", "float", "type", "names", "unknown", "root"]),
+                     label="kind")
+    if kind == "root":
+        return None, data.draw(st.one_of(st.lists(st.integers(-2, 40), max_size=3),
+                                         st.integers(-2, 40), st.sampled_from(["x", None, True])),
+                               label="root")
+    if kind == "unknown":
+        return data.draw(st.text("abcxyz_", min_size=1, max_size=6), label="key"), 1
+    if kind == "int":  # a numeric field, or one entry of a list of ints, in [-2, 40]
+        keys = [k for k, v in defaults.items()
+                if isinstance(v, (int, float)) or isinstance(v, tuple) and isinstance(v[0], int)]
+        key = data.draw(st.sampled_from(keys), label="key")
+        if isinstance(defaults[key], tuple):
+            return key, data.draw(st.lists(st.integers(-2, 40), min_size=3, max_size=5), label="value")
+        return key, data.draw(st.integers(-2, 40), label="value")
+    if kind == "names":  # class names: empty, repeated or holding whitespace (not in a config)
+        keys = [k for k, v in defaults.items() if isinstance(v, tuple) and isinstance(v[0], str)]
+        if keys:
+            key = data.draw(st.sampled_from(keys), label="key")
+            return key, data.draw(st.lists(st.sampled_from(["sky", "box", "a b"]), max_size=3),
+                                  label="value")
+    key = data.draw(st.sampled_from(sorted(defaults)), label="key")
+    return key, data.draw(_SPECIAL_FLOATS if kind == "float" else _ANY_VALUE, label="value")
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_config_or_spec_exits_0_or_2_naming_it(tmp_path, data):
+    """A ``--config`` (read by ``profile``) or a ``gen --spec`` with keys added,
+    values replaced or a root that is not an object: the command exits 0 with
+    nothing on stderr, or 2 with one stderr line naming the file or a mutated key."""
+    target = data.draw(st.sampled_from(["config", "spec"]), label="target")
+    base, cls = (SMALL_CONFIG, ModelConfig) if target == "config" else (
+        SCENE_SPEC, evaluation.SceneSpec)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    content, named = dict(base), set()
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        key, value = _mutation(data, defaults)
+        if key is None:
+            content = value
+            break
+        content[key] = value
+        named.add(key)
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        path = pathlib.Path(work) / f"{target}.json"
+        path.write_text(json.dumps(content))
+        argv = (["profile", "--size", "32", "--config", str(path), "--out", f"{work}/p.csv"]
+                if target == "config" else ["gen", "--spec", str(path), "--out", f"{work}/scene"])
+        out, err = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and any(name in lines[0] for name in [str(path), *named]), lines
+    else:
+        assert code == 0 and err.getvalue() == "", (code, err.getvalue())
+
+
 class TestBadValuesExit2:
     """Each bad value exits 2 with one stderr line that names it."""
 
@@ -655,16 +815,6 @@ class TestBadValuesExit2:
     def test_gen_unknown_spec_key(self, workdir, capsys):
         (workdir / "scene.json").write_text(json.dumps(dict(SCENE_SPEC, colour="red")))
         self.assert_usage_error(run_gen(workdir), capsys, "unknown keys ['colour']")
-        assert not (workdir / "scene").exists()
-
-    def test_gen_spec_embed_dim_other_than_config(self, workdir, capsys):
-        (workdir / "scene.json").write_text(json.dumps(dict(SCENE_SPEC, embed_dim=7)))
-        self.assert_usage_error(run_gen(workdir), capsys, "embed_dim 7 != the config's embed_dim 32")
-        assert not (workdir / "scene").exists()
-
-    def test_gen_spec_seed_other_than_flag(self, workdir, capsys):
-        (workdir / "scene.json").write_text(json.dumps(dict(SCENE_SPEC, seed=5)))
-        self.assert_usage_error(run_gen(workdir, seed=9), capsys, "seed 5 != --seed 9")
         assert not (workdir / "scene").exists()
 
     @pytest.mark.parametrize(
@@ -681,12 +831,11 @@ class TestBadValuesExit2:
 
     def test_config_naming_the_removed_ensemble_method(self, workdir, capsys):
         (workdir / "config.json").write_text(json.dumps(dict(SMALL_CONFIG, ensemble_method="geometric")))
-        self.assert_usage_error(run_gen(workdir), capsys, "unknown keys ['ensemble_method']")
-        assert not (workdir / "scene").exists()
+        self.assert_usage_error(run_profile(workdir), capsys, "unknown keys ['ensemble_method']")
 
     def test_config_value_of_wrong_type(self, workdir, capsys):
         (workdir / "config.json").write_text(json.dumps(dict(SMALL_CONFIG, embed_dim="x")))
-        self.assert_usage_error(run_gen(workdir), capsys, "embed_dim must be int, got 'x'")
+        self.assert_usage_error(run_profile(workdir), capsys, "embed_dim must be int, got 'x'")
 
     @pytest.mark.parametrize("file", ["config.json", "scene.json"])
     @pytest.mark.parametrize("content, expected", [
@@ -695,7 +844,8 @@ class TestBadValuesExit2:
     ], ids=["invalid_json", "non_utf8"])
     def test_undecodable_json_file_is_named(self, workdir, capsys, file, content, expected):
         (workdir / file).write_bytes(content)
-        self.assert_usage_error(run_gen(workdir), capsys, f"error: {workdir / file}: {expected}")
+        code = run_profile(workdir) if file == "config.json" else run_gen(workdir)
+        self.assert_usage_error(code, capsys, f"error: {workdir / file}: {expected}")
         assert not (workdir / "scene").exists()
 
     @pytest.mark.parametrize(
@@ -722,17 +872,18 @@ class TestBadValuesExit2:
                            id="stuff_classes=lone_surrogate")],
     )
     def test_gen_out_of_range_value(self, workdir, cli_env, file, field, value, expected):
-        # a subprocess with a timeout, so a value that makes gen hang fails the test
+        # a subprocess with a timeout, so a value that makes the command hang fails the test
         base = SMALL_CONFIG if file == "config.json" else SCENE_SPEC
         (workdir / file).write_text(json.dumps({**base, field: value}))
+        command, out = (("profile", "--config"), workdir / "p.csv") if file == "config.json" else (
+            ("gen", "--spec"), workdir / "scene")
         proc = subprocess.run(
-            [sys.executable, "-m", "eovseg.cli", "gen", "--spec", str(workdir / "scene.json"),
-             "--config", str(workdir / "config.json"), "--out", str(workdir / "scene")],
+            [sys.executable, "-m", "eovseg.cli", *command, str(workdir / file), "--out", str(out)],
             capture_output=True, text=True, timeout=60, env=cli_env,
         )
         err = proc.stderr.strip().splitlines()
         assert proc.returncode == 2 and len(err) == 1 and expected in err[0], proc.stderr
-        assert not (workdir / "scene").exists()
+        assert not out.exists()
 
     def test_profile_negative_classes(self, workdir, capsys):
         code = main(
@@ -774,14 +925,9 @@ class TestBadValuesExit2:
 
 class TestInputConditioningFlags:
     def test_run_pads_indivisible_scene(self, workdir):
-        spec = dict(SCENE_SPEC, height=50, width=70)
+        spec = dict(SCENE_SPEC, height=50, width=70, seed=4)
         (workdir / "scene50.json").write_text(json.dumps(spec))
-        assert main(
-            [
-                "gen", "--spec", str(workdir / "scene50.json"), "--seed", "4",
-                "--out", str(workdir / "s50"), "--config", str(workdir / "config.json"),
-            ]
-        ) == 0
+        assert run_gen(workdir, out="s50", spec="scene50.json") == 0
         code = main(
             [
                 "run", "--scene", str(workdir / "s50"), "--config", str(workdir / "config.json"),
