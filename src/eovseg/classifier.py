@@ -3,7 +3,8 @@
 Text templates are averaged and L2-normalized per class; mask embeddings are
 scored by temperature softmax over cosine similarities.  In-vocabulary and
 out-of-vocabulary score matrices are blended with a geometric ensemble (as in
-FC-CLIP) using separate exponents for seen and unseen classes.
+FC-CLIP) using separate exponents for seen and unseen classes, and each mask
+takes the class of its highest blended score.
 """
 
 from __future__ import annotations
@@ -107,17 +108,11 @@ class MaskLabel:
     confidence: float
 
 
-def classify(scores: np.ndarray, score_floor: float) -> list[MaskLabel]:
-    """Argmax class per mask (one score row each); masks under the confidence
-    floor are dropped.
+def classify(scores: np.ndarray) -> list[MaskLabel]:
+    """Argmax class per mask (one score row each); every mask is kept.
 
     Ties resolve to the lowest class index (argmax's first-hit rule).
     """
-    labels = []
-    for i in range(scores.shape[0]):
-        j = int(np.argmax(scores[i]))
-        conf = float(scores[i, j])
-        if conf < score_floor:
-            continue
-        labels.append(MaskLabel(mask_index=i, class_id=j, confidence=conf))
-    return labels
+    classes = np.argmax(scores, axis=1)
+    return [MaskLabel(mask_index=i, class_id=int(j), confidence=float(scores[i, j]))
+            for i, j in enumerate(classes)]

@@ -10,11 +10,11 @@ between the scene files, segment ids below 1, beyond int32 or listed twice
 in the manifest, a segment map that is not finite or not the image's
 extents, map ids below 0, beyond int32 or without a manifest line, a damaged
 weights.eovw), 4 a pipeline stage failed on the given input (the stage name
-is printed).  A refused allocation outside the stages, say from a
---resize-shortest or a config width too large to hold, exits 2 as a usage
-error, and so does a gen --out that is . or .. or exists and is not an empty
-directory; gen reads the whole scene from --spec and writes --out whole or
-not at all.
+is printed).  A refused allocation outside the stages, say from a config
+width too large to hold, exits 2 as a usage error, and so does a gen --out
+that is . or .. or exists and is not an empty directory; gen reads the whole
+scene from --spec and writes --out whole or not at all, and a failed write
+names --out and the file in it.
 Every command sets each unset BLAS thread variable (OMP_, OPENBLAS_, MKL_
 and NUMEXPR_NUM_THREADS) to one thread, since the convolutions already run
 their blocks on every CPU the process may use; a variable set in the
@@ -83,12 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--weights", type=str, default="eovseg_weights",
                        help="weight cache dir; holds weights.eovw")
     p_run.add_argument("--out", type=str, default=None, help="metrics CSV path")
-    p_run.add_argument(
-        "--resize-shortest",
-        type=int,
-        default=None,
-        help="resize so the shortest image side matches this before padding",
-    )
 
     p_ver = sub.add_parser("verify", help="run the oracle suite")
     p_ver.add_argument("--seed", type=int, default=0, help="seed for the randomized draws")
@@ -129,15 +123,20 @@ def cmd_gen(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as staging:
         scene = Path(staging) / out.name
-        scene.mkdir()
-        write_eovt(scene / "image.eovt", image)
-        write_eovt(scene / "templates.eovt", templates)
-        gt.save(scene / "gt_map.eovt", scene / "gt_manifest.txt")
-        (scene / "vocab.txt").write_text("\n".join(vocab_lines) + "\n", encoding="utf-8")
-        (scene / "scene_spec.json").write_text(
-            json.dumps(dataclasses.asdict(spec), indent=2, sort_keys=True) + "\n"
-        )
-        os.replace(scene, out)
+        try:
+            scene.mkdir()
+            write_eovt(scene / "image.eovt", image)
+            write_eovt(scene / "templates.eovt", templates)
+            gt.save(scene / "gt_map.eovt", scene / "gt_manifest.txt")
+            (scene / "vocab.txt").write_text("\n".join(vocab_lines) + "\n", encoding="utf-8")
+            (scene / "scene_spec.json").write_text(
+                json.dumps(dataclasses.asdict(spec), indent=2, sort_keys=True) + "\n"
+            )
+            os.replace(scene, out)
+        except OSError as exc:  # named in --out: the staging directory is gone by then
+            where = out / Path(exc.filename).relative_to(scene) if exc.filename else out
+            raise OSError(f"--out {out} not written: cannot write {where}: "
+                          f"{exc.strerror or exc}") from None
     print(f"scene written to {out} ({len(gt.segments)} segments, {spec.n_classes} classes)")
     return EXIT_OK
 
@@ -206,24 +205,14 @@ def _present_segments(segment_map, segments):
 
 def cmd_run(args) -> int:
     from .evaluation import miou, pq_metrics
-    from .kernels import bilinear_resize
-    from .pipeline import forward, forward_traced, pad_to_multiple, resize_map_nearest
+    from .pipeline import forward, forward_traced, pad_to_multiple
     from .weights import load_or_build_weights
 
-    if args.resize_shortest is not None and args.resize_shortest < 1:
-        raise ValueError(f"--resize-shortest must be >= 1, got {args.resize_shortest}")
     config = _load_config(args.config)
     if args.fusion is not None:
         config = dataclasses.replace(config, fusion=args.fusion)
     scene_dir = Path(args.scene)
     image, gt, text, things = _load_scene(scene_dir, config)
-
-    if args.resize_shortest is not None:
-        h, w = image.shape[1], image.shape[2]
-        scale = args.resize_shortest / min(h, w)
-        target = (max(1, round(h * scale)), max(1, round(w * scale)))
-        image = bilinear_resize(image, target)
-        gt = _present_segments(resize_map_nearest(gt.segment_map, target), gt.segments)
     work_hw = (image.shape[1], image.shape[2])
     image = pad_to_multiple(image)
     image_hw = (image.shape[1], image.shape[2])

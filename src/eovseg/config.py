@@ -81,7 +81,6 @@ class ModelConfig:
     alpha: float = 0.4
     beta: float = 0.8
     tau: float = 0.07
-    score_floor: float = 0.0
     weights_seed: int = 0
 
     def __post_init__(self):
@@ -117,8 +116,6 @@ class ModelConfig:
             raise ValueError("config: alpha and beta must lie in [0, 1]")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"config: tau must be finite and > 0, got {self.tau}")
-        if not math.isfinite(self.score_floor):
-            raise ValueError(f"config: score_floor must be finite, got {self.score_floor}")
         self.backbone_widths = tuple(int(w) for w in self.backbone_widths)
 
     def to_dict(self) -> dict:

@@ -315,35 +315,8 @@ def transposed_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None)
 # resampling and normalization
 
 
-def _bilinear_axis(n_in: int, n_out: int, dtype: np.dtype):
-    """Half-pixel source indices and weights (in ``dtype``) for one axis."""
-    dst = np.arange(n_out, dtype=np.float64)
-    src = (dst + 0.5) * (n_in / n_out) - 0.5
-    lo = np.clip(np.floor(src), 0, n_in - 1).astype(np.int64)
-    hi = np.minimum(lo + 1, n_in - 1)
-    frac = np.clip(src - lo, 0.0, 1.0)
-    return lo, hi, frac.astype(dtype)
-
-
-def bilinear_resize(x: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
-    """Channel-wise bilinear resample to any (H', W') with half-pixel centers. x: (C,H,W).
-
-    Uses the lerp form a + (b-a)*t so constant maps stay exactly constant.
-    Separable: every input row is lerped along x once, then those rows are
-    lerped along y.  Row ylo of the x-lerp is exactly the four-corner form's
-    ``ll + (lh-ll)*fx``, so both forms agree bit for bit.
-    """
-    _, h, w = x.shape
-    ylo, yhi, fy = _bilinear_axis(h, out_hw[0], x.dtype)
-    xlo, xhi, fx = _bilinear_axis(w, out_hw[1], x.dtype)
-    lo = x[:, :, xlo]
-    rows = lo + (x[:, :, xhi] - lo) * fx[None, None, :]
-    top = rows[:, ylo]
-    return top + (rows[:, yhi] - top) * fy[None, :, None]
-
-
 def _lerp_phases(a: np.ndarray, factor: int, axis: int, out: np.ndarray) -> None:
-    """``bilinear_resize``'s lerp along one axis of a (C,H,W) map, by slicing.
+    """One axis of the four-corner bilinear lerp of a (C,H,W) map, by slicing.
 
     ``out`` has ``a``'s shape with a ``factor`` axis inserted after ``axis``:
     phase ``p`` of sample ``i`` is output index ``factor*i + p``.  It reads
@@ -373,10 +346,13 @@ def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
 
     A power-of-two ratio makes ``n_in / n_out`` exactly ``1 / factor``, so the
     source coordinates are exact dyadic values and each output phase has one
-    fraction.  Lerping phase slices, x first and then y, gives
-    ``bilinear_resize``'s values without its gathers (a -0.0 edge sample
-    may come out +0.0).  Blocks of channels keep each block's temporaries
-    near ``UPSAMPLE_BLOCK_BYTES``, in cache.
+    fraction.  With the corner taps ``ll``, ``lh``, ``hl``, ``hh`` clamped to
+    the map and fractions ``fx``, ``fy``, the four-corner form is
+    ``top + (bot - top)*fy`` with ``top = ll + (lh - ll)*fx`` and
+    ``bot = hl + (hh - hl)*fx``.  Lerping phase slices, x first and then y,
+    gives its values without its gathers (a -0.0 edge sample may come out
+    +0.0).  Blocks of channels keep each block's temporaries near
+    ``UPSAMPLE_BLOCK_BYTES``, in cache.
     """
     if factor not in (2, 4, 8):
         raise ValueError(f"bilinear_upsample: factor must be one of 2/4/8, got {factor}")

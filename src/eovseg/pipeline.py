@@ -84,15 +84,6 @@ def pad_to_multiple(image: np.ndarray) -> np.ndarray:
     return np.pad(image, ((0, 0), (0, ph), (0, pw)))
 
 
-def resize_map_nearest(seg_map: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
-    """Nearest-neighbor resample for id/class maps."""
-    h, w = seg_map.shape
-    oh, ow = out_hw
-    ys = np.clip(np.rint((np.arange(oh) + 0.5) * (h / oh) - 0.5), 0, h - 1).astype(np.int64)
-    xs = np.clip(np.rint((np.arange(ow) + 0.5) * (w / ow) - 0.5), 0, w - 1).astype(np.int64)
-    return seg_map[ys][:, xs]
-
-
 @dataclass
 class ClassScores:
     """The (N, N_class) ensembled scores.  A holder rather than the bare array
@@ -328,7 +319,7 @@ def forward(
         return value
 
     probs, scores = _resolve_inputs(_run_stages(image, text, config, bundle, keep), FORWARD_READS)
-    labels = _call("classifier", classify, scores, config.score_floor)
+    labels = _call("classifier", classify, scores)
     panoptic = _call("assembly", assemble_panoptic, probs, labels, class_is_thing)
     return ForwardResult(panoptic=panoptic, scores=ClassScores(scores), labels=labels, trace=trace)
 

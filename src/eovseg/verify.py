@@ -417,11 +417,11 @@ def check_ensemble(rng: Rng, trials: int):
 def check_classify(rng: Rng, trials: int):
     for _ in range(trials):
         vals = kernels.softmax(rng.normal((4, 3), std=2.0), 1)
-        labels = classify(vals, 0.0)
+        labels = classify(vals)
         for lab in labels:
             if lab.class_id != int(np.argmax(vals[lab.mask_index])):
                 return False, "argmax mismatch"
-        scaled = classify(vals * np.float32(3.0), 0.0)
+        scaled = classify(vals * np.float32(3.0))
         if [(l.mask_index, l.class_id) for l in labels] != [
             (l.mask_index, l.class_id) for l in scaled
         ]:

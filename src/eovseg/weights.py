@@ -4,7 +4,8 @@ All weights are generated from the config seed (independent substreams per
 module) so a bundle is reproducible from its config alone.  A cache is one
 file, ``WEIGHTS_FILE`` in the cache directory: a JSON header holding the
 bundle's ``cache_key`` (the one thing a cache is matched on) and each
-tensor's shape, payload offset and crc32, then the float32 payload.
+tensor's shape, payload offset and crc32 (over its extents, then its
+payload), then the float32 payload.
 ``_layout`` is the one table of tensor names, each read by ``forward`` in
 some fusion mode: ``to_tensors`` reads each name's path out of a bundle,
 ``load_weights`` checks the header against it and puts each tensor back,
@@ -34,20 +35,26 @@ from .tensor import MAX_RANK, EovtFormatError, Rng, check_tensor
 from .vas import VasWeights
 
 # Bump whenever any *.build / build_weights draw changes (order, shape, std,
-# seed stream) or ``_layout`` gains or loses a name, so caches written by an
-# older generator are rebuilt.
-GENERATOR_VERSION = 3
+# seed stream), ``_layout`` gains or loses a name or the file's checksum rule
+# changes, so caches written by an older generator are rebuilt, not refused.
+GENERATOR_VERSION = 4
 
 # ModelConfig fields that no weight draw, tensor name or bundle setting reads.
 # The cache key leaves out only these, so a field added later is keyed until
 # it is shown not to touch the weights.
-HEAD_FIELDS = ("fusion", "alpha", "beta", "tau", "score_floor")
+HEAD_FIELDS = ("fusion", "alpha", "beta", "tau")
 
 # The cache file in a cache directory: WEIGHTS_MAGIC, the u64-LE byte length
 # of a UTF-8 JSON header, the header, then the payload.
 WEIGHTS_FILE = "weights.eovw"
 WEIGHTS_MAGIC = b"EOVW0001"
 _PREFIX = len(WEIGHTS_MAGIC) + 8
+
+
+def _crc32(shape, payload) -> int:
+    """crc32 over a tensor's extents (u64-LE each), then its payload bytes, so a
+    header that permutes the extents fails the check as a damaged payload does."""
+    return zlib.crc32(payload, zlib.crc32(struct.pack(f"<{len(shape)}Q", *shape)))
 
 
 def cache_key(config: ModelConfig, vit_tokens: int) -> str:
@@ -227,7 +234,7 @@ def save_weights(bundle: WeightBundle, directory: str | Path) -> None:
                for name, t in bundle.to_tensors().items()}
     entries, offset = {}, 0
     for name, arr in tensors.items():
-        entries[name] = {"shape": list(arr.shape), "offset": offset, "crc32": zlib.crc32(arr)}
+        entries[name] = {"shape": list(arr.shape), "offset": offset, "crc32": _crc32(arr.shape, arr)}
         offset += arr.nbytes
     key = cache_key(bundle.config, len(bundle.vit.pos_table))
     header = json.dumps({"weights_key": key, "tensors": entries}).encode()
@@ -288,7 +295,7 @@ def load_weights(directory: str | Path, config: ModelConfig) -> WeightBundle:
             if offset + nbytes > payload_size:
                 raise EovtFormatError(f"{path}: tensor {name!r} runs past the end of the file")
             data = f.read(nbytes)
-            if zlib.crc32(data) != entry.get("crc32"):
+            if _crc32(shape, data) != entry.get("crc32"):
                 raise EovtFormatError(f"{path}: tensor {name!r} fails its crc32 check")
             tensors[name] = np.frombuffer(data, "<f4").reshape(shape)
             offset += nbytes

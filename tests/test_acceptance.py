@@ -58,7 +58,9 @@ def test_criterion_1_check_table_covers_every_sabotage_target():
 
 
 def test_criterion_1_sabotage_targets_are_the_kernels_the_model_binds():
-    # a kernel no model module binds is dead; a bound kernel missing here is unguarded
+    # a kernel no model module binds is dead; a bound kernel missing here is unguarded.
+    # Bindings are module-level names, so a kernel imported inside a function body
+    # counts as unbound.
     public = {fn: name for name, fn in vars(kernels).items()
               if inspect.isfunction(fn) and fn.__module__ == kernels.__name__ and name[0] != "_"}
     bound = set()
@@ -66,7 +68,7 @@ def test_criterion_1_sabotage_targets_are_the_kernels_the_model_binds():
         if info.name != "kernels":
             module = importlib.import_module(f"eovseg.{info.name}")
             bound |= {public[v] for v in vars(module).values() if inspect.isfunction(v) and v in public}
-    assert sorted(SABOTAGE_TARGETS) == sorted(bound)
+    assert sorted(public.values()) == sorted(bound) == sorted(SABOTAGE_TARGETS)
 
 
 @pytest.mark.parametrize("mode", ["eaf", "sdi"])

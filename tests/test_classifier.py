@@ -182,25 +182,20 @@ class TestEnsemble:
 class TestClassify:
     def test_single_class_labels_zero(self):
         scores = np.float32([[1.0], [1.0], [1.0]])
-        labels = classify(scores, score_floor=0.0)
+        labels = classify(scores)
         assert [l.class_id for l in labels] == [0, 0, 0]
-
-    def test_floor_drops_masks(self):
-        scores = np.float32([[0.9, 0.1], [0.4, 0.3]])
-        labels = classify(scores, score_floor=0.5)
-        assert [l.mask_index for l in labels] == [0]
 
     def test_ties_break_to_lowest_class(self):
         scores = np.float32([[0.4, 0.4, 0.2]])
-        assert classify(scores, 0.0)[0].class_id == 0
+        assert classify(scores)[0].class_id == 0
 
     def test_argmax_oracle_and_scale_invariance(self):
         rng = Rng(24)
         vals = softmax(rng.normal((6, 4), std=2.0), 1)
-        labels = classify(vals, 0.0)
+        labels = classify(vals)
         for lab in labels:
             assert lab.class_id == int(np.argmax(vals[lab.mask_index]))
-        scaled = classify(vals * np.float32(7.0), 0.0)
+        scaled = classify(vals * np.float32(7.0))
         assert [(l.mask_index, l.class_id) for l in labels] == [
             (l.mask_index, l.class_id) for l in scaled
         ]

@@ -169,7 +169,10 @@ class TestGen:
         before = sorted(p.name for p in workdir.iterdir())
         assert run_gen(workdir) == 3
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "No space left on device" in err[0] and "vocab.txt" in err[0]
+        assert len(err) == 1 and "No space left on device" in err[0], err
+        # named as the file in --out: the staging directory no longer exists
+        assert f"--out {workdir / 'scene'} not written" in err[0], err
+        assert str(workdir / "scene" / "vocab.txt") in err[0] and ".scene." not in err[0], err
         assert sorted(p.name for p in workdir.iterdir()) == before
 
     def test_missing_spec_is_usage_error(self, workdir):
@@ -487,6 +490,16 @@ def _append_bytes(cache, header):
         f.write(b"\0" * 8)
 
 
+def _permute_extents(cache, header):
+    def swap(h):
+        entry = h["tensors"]["aggregator.lateral2.w"]
+        assert entry["shape"] != entry["shape"][::-1]
+        swapped = {**entry, "shape": entry["shape"][::-1]}
+        return {**h, "tensors": {**h["tensors"], "aggregator.lateral2.w": swapped}}
+
+    header(cache, swap)
+
+
 def _flip_payload_byte(cache, header):
     raw = bytearray((cache / weights.WEIGHTS_FILE).read_bytes())
     raw[-1] ^= 0x01  # the last float of the last tensor in _layout order
@@ -513,12 +526,15 @@ def _flip_payload_byte(cache, header):
         pytest.param(_append_bytes, "8 bytes after the last tensor", id="appended_bytes-run"),
         pytest.param(_flip_payload_byte, "tensor 'classifier.clip_proj.b' fails its crc32 check",
                      id="flipped_payload_byte-run"),
+        pytest.param(_permute_extents, "tensor 'aggregator.lateral2.w' fails its crc32 check",
+                     id="permuted_extents-run"),
     ],
 )
 def test_damaged_weight_cache_exits_3_in_one_line(workdir, capsys, weight_header, damage,
                                                   expected):
     """Each damage to the header (its tensor table, its encoding, its JSON
-    type) or to the file (magic, length, one payload byte) exits 3 naming the file."""
+    type, a tensor's extents) or to the file (magic, length, one payload byte)
+    exits 3 naming the file."""
     run_gen(workdir)
     assert run_run(workdir) == 0
     damage(workdir / "wcache", weight_header)
@@ -686,9 +702,10 @@ def test_unknown_flag_rejected():
     [["run", "--scene", "s", "--seed", "1"], ["profile", "--seed", "1"],
      ["profile", "--weights", "w"], ["verify", "--config", "c.json"],
      ["gen", "--spec", "s.json", "--out", "o", "--seed", "1"],
-     ["gen", "--spec", "s.json", "--out", "o", "--config", "c.json"], ["bench", "--seed", "1"]],
+     ["gen", "--spec", "s.json", "--out", "o", "--config", "c.json"], ["bench", "--seed", "1"],
+     ["run", "--scene", "s", "--resize-shortest", "96"]],
     ids=["run-seed", "profile-seed", "profile-weights", "verify-config", "gen-seed", "gen-config",
-         "bench-seed"],
+         "bench-seed", "run-resize-shortest"],
 )
 def test_option_the_command_does_not_read_is_rejected(argv):
     assert main(argv) == 2
@@ -833,6 +850,10 @@ class TestBadValuesExit2:
         (workdir / "config.json").write_text(json.dumps(dict(SMALL_CONFIG, ensemble_method="geometric")))
         self.assert_usage_error(run_profile(workdir), capsys, "unknown keys ['ensemble_method']")
 
+    def test_config_naming_the_removed_score_floor(self, workdir, capsys):
+        (workdir / "config.json").write_text(json.dumps(dict(SMALL_CONFIG, score_floor=0.25)))
+        self.assert_usage_error(run_profile(workdir), capsys, "unknown keys ['score_floor']")
+
     def test_config_value_of_wrong_type(self, workdir, capsys):
         (workdir / "config.json").write_text(json.dumps(dict(SMALL_CONFIG, embed_dim="x")))
         self.assert_usage_error(run_profile(workdir), capsys, "embed_dim must be int, got 'x'")
@@ -866,7 +887,6 @@ class TestBadValuesExit2:
              "thing_classes must be non-empty names without whitespace, got ''"),
             ("config.json", "tau", float("nan"), "tau must be finite and > 0, got nan"),
             ("config.json", "tau", float("inf"), "tau must be finite and > 0, got inf"),
-            ("config.json", "score_floor", float("nan"), "score_floor must be finite, got nan"),
         )] + [pytest.param("scene.json", "stuff_classes", ["\ud800", "grass"],
                            "stuff_classes must be names UTF-8 can encode, got '\\ud800'",
                            id="stuff_classes=lone_surrogate")],
@@ -894,10 +914,8 @@ class TestBadValuesExit2:
         assert not (workdir / "p.csv").exists()
 
     @pytest.mark.parametrize("command, expected", [
-        (["run", "--scene", "scene", "--config", "config.json", "--resize-shortest", "100000"],
-         "Unable to allocate 112. GiB"),
         (["profile", "--config", "big.json", "--out", "p.csv"], "Unable to allocate 4.00 GiB"),
-    ], ids=["run_resize_shortest", "profile_embed_dim"])
+    ], ids=["profile_embed_dim"])
     def test_refused_allocation(self, workdir, cli_env, command, expected):
         # the child's address space is capped at 3 GiB, so the refused request
         # is never made of the host
@@ -915,13 +933,6 @@ class TestBadValuesExit2:
         assert proc.returncode == 2 and len(err) == 1, proc.stderr
         assert err[0].startswith("error: out of memory: ") and expected in err[0], proc.stderr
 
-    def test_run_negative_resize_shortest(self, workdir, capsys):
-        run_gen(workdir)
-        capsys.readouterr()
-        code = run_run(workdir, extra=["--resize-shortest", "-5", "--out", str(workdir / "r.csv")])
-        self.assert_usage_error(code, capsys, "--resize-shortest must be >= 1, got -5")
-        assert not (workdir / "r.csv").exists()
-
 
 class TestInputConditioningFlags:
     def test_run_pads_indivisible_scene(self, workdir):
@@ -938,19 +949,6 @@ class TestInputConditioningFlags:
         with open(workdir / "r50.csv") as f:
             row = next(csv.DictReader(f))
         assert 0.0 <= float(row["pq"]) <= 1.0
-
-    def test_resize_shortest_flag(self, workdir):
-        run_gen(workdir)
-        code = run_run(
-            workdir,
-            extra=["--resize-shortest", "96", "--weights", str(workdir / "w96"),
-                   "--out", str(workdir / "r96.csv")],
-        )
-        assert code == 0
-        with open(workdir / "r96.csv") as f:
-            row = next(csv.DictReader(f))
-        # 64x64 scene resized to 96x96: the stride-4 mask grid becomes 24x24
-        assert "mask_logits=8x24x24" in row["stage_shapes"]
 
 
 def test_verify_output_independent_of_hash_seed(cli_env):

@@ -485,7 +485,7 @@ def four_corner_form(x, src_y, src_x):
     def taps(src, n_in):
         lo = np.clip(np.floor(src), 0, n_in - 1).astype(np.int64)
         hi = np.minimum(lo + 1, n_in - 1)
-        return lo, hi, np.clip(src - lo, 0.0, 1.0).astype(np.float32)
+        return lo, hi, np.clip(src - lo, 0.0, 1.0).astype(x.dtype)
 
     ylo, yhi, fy = taps(src_y, x.shape[1])
     xlo, xhi, fx = taps(src_x, x.shape[2])
@@ -497,15 +497,11 @@ def four_corner_form(x, src_y, src_x):
     hh = x[:, yhi, :][:, :, xhi]
     top = ll + (lh - ll) * fx
     bot = hl + (hh - hl) * fx
-    return (top + (bot - top) * fy).astype(np.float32, copy=False)
+    return top + (bot - top) * fy
 
 
 def factor_coords(n_in, factor):
     return (np.arange(n_in * factor, dtype=np.float64) + 0.5) / factor - 0.5
-
-
-def ratio_coords(n_in, n_out):
-    return (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
 
 
 class TestBilinearUpsample:
@@ -542,17 +538,6 @@ class TestBilinearUpsample:
         ref = four_corner_form(x, factor_coords(shape[1], factor), factor_coords(shape[2], factor))
         assert np.array_equal(out, ref)
 
-    @pytest.mark.parametrize(
-        "shape, out_hw", [((2, 10, 14), (16, 16)), ((3, 5, 7), (3, 11)), ((1, 1, 4), (6, 2))]
-    )
-    def test_resize_bitwise_equal_to_four_corner_form(self, shape, out_hw):
-        x = Rng(46).normal(shape)
-        out = kernels.bilinear_resize(x, out_hw)
-        assert out.shape == (shape[0], *out_hw)
-        (oh, ow), (_, h, w) = out_hw, shape
-        ref = four_corner_form(x, ratio_coords(h, oh), ratio_coords(w, ow))
-        assert np.array_equal(out, ref)
-
     @pytest.mark.parametrize("factor", [2, 4, 8])
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e4])
     def test_phase_slices_bitwise_equal_to_gather_resize(self, factor, scale):
@@ -562,8 +547,8 @@ class TestBilinearUpsample:
                 for x in (x32, x32.astype(np.float64)):
                     out = kernels.bilinear_upsample(x, factor)
                     assert out.dtype == x.dtype and out.flags.c_contiguous
-                    resized = kernels.bilinear_resize(x, (h * factor, w * factor))
-                    assert np.array_equal(out, resized), (h, w, x.dtype)
+                    ref = four_corner_form(x, factor_coords(h, factor), factor_coords(w, factor))
+                    assert ref.dtype == x.dtype and np.array_equal(out, ref), (h, w, x.dtype)
 
     @pytest.mark.parametrize("factor", [2, 4, 8])
     @pytest.mark.parametrize("h, w", [(1, 1), (1, 7), (7, 1), (3, 2), (7, 7)])
@@ -641,11 +626,10 @@ class TestDenseLayers:
 _DTYPE_DRAWS = {
     **dict.fromkeys(("sigmoid", "gelu", "relu"), verify._draw_pointwise),
     "l2_normalize": lambda rng, t: (rng.normal((4, 6)),),
-    "bilinear_resize": lambda rng, t: (rng.normal((2, 3, 5)), (7, 4)),
 }
 
 
-@pytest.mark.parametrize("name", [*verify.SABOTAGE_TARGETS, "bilinear_resize"])
+@pytest.mark.parametrize("name", verify.SABOTAGE_TARGETS)
 def test_output_dtype_is_the_input_dtype(name):
     """Every kernel computes in its inputs' dtype: float32 in gives float32
     out, and the same draw cast to float64 gives float64."""

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import struct
 import sys
 import threading
 import tracemalloc
@@ -647,16 +648,17 @@ class TestWeightBundle:
 
     def test_manifest_lists_every_tensor(self, tmp_path, weight_header):
         """The header lists every tensor in ``_layout`` order with its shape,
-        its payload offset (back to back) and its crc32; the payload ends the
-        file and starts 4-byte aligned."""
+        its payload offset (back to back) and the crc32 of its extents (u64-LE)
+        and then its payload; the payload ends the file and starts 4-byte aligned."""
         bundle = build_weights(small_config(), (64, 64))
         save_weights(bundle, tmp_path / "w")
         entries, offset = weight_header(tmp_path / "w")["tensors"], 0
         tensors = bundle.to_tensors()
         assert list(entries) == list(tensors)
         for name, arr in tensors.items():
+            extents = struct.pack(f"<{arr.ndim}Q", *arr.shape)
             assert entries[name] == {"shape": list(arr.shape), "offset": offset,
-                                     "crc32": zlib.crc32(arr.tobytes())}, name
+                                     "crc32": zlib.crc32(extents + arr.tobytes())}, name
             offset += arr.nbytes
         assert ((tmp_path / "w" / WEIGHTS_FILE).stat().st_size - offset) % 4 == 0
 
@@ -675,6 +677,24 @@ class TestWeightBundle:
         weight_header(tmp_path / "w",
                       lambda h: {**h, "tensors": dict(list(h["tensors"].items())[:-5])})
         with pytest.raises(ValueError, match="missing tensor"):
+            load_weights(tmp_path / "w", cfg)
+
+    @pytest.mark.parametrize("name", ["aggregator.lateral2.w", "fusion.tdee.out.w",
+                                      "decoder.layer0.kernel_proj"])
+    def test_permuted_extents_detected(self, tmp_path, weight_header, name):
+        """A header entry whose extents are swapped holds as many elements, so
+        the payload still fits; the crc32 over the extents refuses it."""
+        cfg = small_config()
+        save_weights(build_weights(cfg, (64, 64)), tmp_path / "w")
+
+        def swap(header):
+            entry = header["tensors"][name]
+            assert entry["shape"] != entry["shape"][::-1]
+            return {**header, "tensors": {**header["tensors"],
+                                          name: {**entry, "shape": entry["shape"][::-1]}}}
+
+        weight_header(tmp_path / "w", swap)
+        with pytest.raises(EovtFormatError, match=f"tensor '{name}' fails its crc32 check"):
             load_weights(tmp_path / "w", cfg)
 
     def test_manifest_names_pinned(self, tmp_path, weight_header):
@@ -762,8 +782,7 @@ class TestWeightBundle:
         weight_header(tmp_path / "w", lambda h: {"tensors": h["tensors"]})
         _assert_bitwise_equal(built, load_weights(tmp_path / "w", cfg))
 
-    # score_floor 0.25 lies above seven of the eight best mask scores of ``scene``
-    HEAD_VALUES = {"fusion": "none", "alpha": 0.1, "beta": 0.3, "tau": 0.5, "score_floor": 0.25}
+    HEAD_VALUES = {"fusion": "none", "alpha": 0.1, "beta": 0.3, "tau": 0.5}
 
     @pytest.mark.parametrize("field", HEAD_FIELDS)
     def test_head_fields_change_neither_weights_nor_cache_key(self, field):
@@ -963,29 +982,6 @@ class TestInputConditioning:
         assert np.all(padded[:, 50:, :] == 0)
         same = Rng(2).normal((3, 64, 64))
         assert pad_to_multiple(same) is same
-
-    def test_resize_image_constancy_and_extents(self):
-        from eovseg.kernels import bilinear_resize
-
-        const = np.full((2, 10, 14), 3.25, dtype=np.float32)
-        out = bilinear_resize(const, (16, 16))
-        assert out.shape == (2, 16, 16)
-        assert np.all(out == 3.25)
-
-    def test_resize_image_matches_pow2_kernel(self):
-        from eovseg.kernels import bilinear_resize, bilinear_upsample
-
-        x = Rng(3).normal((2, 5, 7))
-        assert np.max(np.abs(bilinear_resize(x, (10, 14)) - bilinear_upsample(x, 2))) < 1e-6
-
-    def test_resize_map_nearest_preserves_ids(self):
-        from eovseg.pipeline import resize_map_nearest
-
-        seg = np.arange(12, dtype=np.int32).reshape(3, 4)
-        out = resize_map_nearest(seg, (6, 8))
-        assert out.shape == (6, 8)
-        assert set(np.unique(out)) <= set(np.unique(seg))
-        assert np.array_equal(resize_map_nearest(seg, (3, 4)), seg)
 
 
 def test_annotation_save_load_roundtrip(tmp_path):
