@@ -16,6 +16,13 @@ import numpy as np
 from .decoder import mask_pool
 from .kernels import l2_normalize, softmax
 
+# softmax temperature of the cosine scores: the logits span at most 2 / TAU, so
+# no score underflows to 0 before the geometric blend
+TAU = 0.07
+# ensemble exponents on the out-of-vocabulary scores, seen and unseen classes
+ALPHA = 0.4
+BETA = 0.8
+
 
 @dataclass
 class TextEmbeddings:
@@ -55,32 +62,27 @@ def build_text_embeddings(
     return TextEmbeddings(embeddings=embeddings, class_names=list(class_names), seen=seen)
 
 
-def in_vocab_scores(instance_embed: np.ndarray, text_rows: np.ndarray, tau: float) -> np.ndarray:
+def in_vocab_scores(instance_embed: np.ndarray, text_rows: np.ndarray) -> np.ndarray:
     """(N, N_class) cosine similarities to the (N_class, D) unit class rows
-    (``TextEmbeddings.embeddings``), softmaxed at temperature tau."""
-    if tau <= 0:
-        raise ValueError(f"in_vocab_scores: temperature must be positive, got {tau}")
+    (``TextEmbeddings.embeddings``), softmaxed at temperature ``TAU``."""
     unit = l2_normalize(instance_embed)
-    return softmax((unit @ text_rows.T) / tau, axis=1)
+    return softmax((unit @ text_rows.T) / TAU, axis=1)
 
 
 def out_vocab_scores(
-    clip_features: np.ndarray, probs: np.ndarray, text_rows: np.ndarray, tau: float
+    clip_features: np.ndarray, probs: np.ndarray, text_rows: np.ndarray
 ) -> np.ndarray:
     """Pool the backbone's final features under each mask's probabilities,
     then score as above."""
-    return in_vocab_scores(mask_pool(clip_features, probs), text_rows, tau)
+    return in_vocab_scores(mask_pool(clip_features, probs), text_rows)
 
 
-def ensemble(
-    s_in: np.ndarray, s_out: np.ndarray, alpha: float, beta: float, seen: np.ndarray
-) -> np.ndarray:
+def ensemble(s_in: np.ndarray, s_out: np.ndarray, seen: np.ndarray) -> np.ndarray:
     """Blend score matrices column-wise as in^(1-w) * out^w; seen classes use
-    w = alpha, unseen w = beta.
+    w = ``ALPHA``, unseen w = ``BETA``.
 
-    Weights 0 and 1 short-circuit to an exact copy of the corresponding input
-    column, so the degenerate settings are bitwise-faithful.  Ensembled rows
-    are not renormalized; only the per-row argmax is contractual downstream.
+    Ensembled rows are not renormalized; only the per-row argmax is
+    contractual downstream.
     """
     a, b = s_in, s_out
     if a.shape != b.shape:
@@ -91,13 +93,8 @@ def ensemble(
         raise ValueError("ensemble: the geometric blend requires strictly positive scores")
     out = np.empty_like(a)
     for j in range(a.shape[1]):
-        w = alpha if seen[j] else beta
-        if w == 0.0:
-            out[:, j] = a[:, j]
-        elif w == 1.0:
-            out[:, j] = b[:, j]
-        else:
-            out[:, j] = np.power(a[:, j], 1.0 - w) * np.power(b[:, j], w)
+        w = ALPHA if seen[j] else BETA
+        out[:, j] = np.power(a[:, j], 1.0 - w) * np.power(b[:, j], w)
     return out
 
 

@@ -12,9 +12,10 @@ extents, map ids below 0, beyond int32 or without a manifest line, a damaged
 weights.eovw), 4 a pipeline stage failed on the given input (the stage name
 is printed).  A refused allocation outside the stages, say from a config
 width too large to hold, exits 2 as a usage error, and so does a gen --out
-that is . or .. or exists and is not an empty directory; gen reads the whole
-scene from --spec and writes --out whole or not at all, and a failed write
-names --out and the file in it.
+or run --trace that is . or .. or exists and is not an empty directory,
+checked before any work.  gen reads the whole scene from --spec; gen --out
+and run --trace are written whole or not at all, and a failed write names
+the option, its directory and the file in it.
 Every command sets each unset BLAS thread variable (OMP_, OPENBLAS_, MKL_
 and NUMEXPR_NUM_THREADS) to one thread, since the convolutions already run
 their blocks on every CPU the process may use; a variable set in the
@@ -25,6 +26,7 @@ why the command bodies import lazily.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -79,7 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", parents=[configured], help="run the pipeline on a scene")
     p_run.add_argument("--scene", type=str, required=True, help="scene directory from gen")
     p_run.add_argument("--fusion", type=str, default=None, help="override the fusion mode")
-    p_run.add_argument("--trace", type=str, default=None, help="dump intermediates here")
+    p_run.add_argument("--trace", type=str, default=None,
+                       help="new or empty directory to dump intermediates in")
     p_run.add_argument("--weights", type=str, default="eovseg_weights",
                        help="weight cache dir; holds weights.eovw")
     p_run.add_argument("--out", type=str, default=None, help="metrics CSV path")
@@ -102,6 +105,37 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
+# output directories
+
+
+def _new_dir(option: str, path: str) -> Path:
+    """``path`` as the directory that ``option`` writes whole; refused (a usage
+    error) unless it is new, or empty and other than . or .."""
+    out = Path(path)
+    if out.name in ("", "..") or out.exists() and not (out.is_dir() and not any(out.iterdir())):
+        raise ValueError(f"{option} {out}: need a new directory, or an empty one other than . or ..")
+    return out
+
+
+@contextlib.contextmanager
+def _written_whole(option: str, out: Path):
+    """Yield a staging directory beside ``out`` and rename it onto ``out`` when the
+    block ends, so ``out`` holds everything the block wrote or nothing.  A failed
+    write names ``option``, ``out`` and the file in it."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as staging:
+        staged = Path(staging) / out.name
+        try:
+            staged.mkdir()  # not the 0700 temp directory: a plain mkdir gives the umask's mode
+            yield staged
+            os.replace(staged, out)
+        except OSError as exc:  # named in out: the staging directory is gone by then
+            where = out / Path(exc.filename).relative_to(staged) if exc.filename else out
+            raise OSError(f"{option} {out} not written: cannot write {where}: "
+                          f"{exc.strerror or exc}") from None
+
+
+# ---------------------------------------------------------------------------
 # commands
 
 
@@ -110,33 +144,21 @@ def cmd_gen(args) -> int:
     from .evaluation import SceneSpec, generate_scene
     from .tensor import write_eovt
 
-    out = Path(args.out)
-    if out.name in ("", "..") or out.exists() and not (out.is_dir() and not any(out.iterdir())):
-        raise ValueError(f"--out {out}: need a new directory, or an empty one other than . or ..")
+    out = _new_dir("--out", args.out)
     spec = SceneSpec(**checked_fields(SceneSpec, read_json(args.spec), "scene spec"))
     image, gt, templates = generate_scene(spec)
     vocab_lines = [
         f"{name} {'seen' if seen else 'unseen'} {'thing' if thing else 'stuff'}"
         for name, seen, thing in zip(spec.class_names, spec.seen_mask(), spec.is_thing())
     ]
-    # staged beside --out and renamed onto it whole; a plain mkdir gives the umask's mode
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as staging:
-        scene = Path(staging) / out.name
-        try:
-            scene.mkdir()
-            write_eovt(scene / "image.eovt", image)
-            write_eovt(scene / "templates.eovt", templates)
-            gt.save(scene / "gt_map.eovt", scene / "gt_manifest.txt")
-            (scene / "vocab.txt").write_text("\n".join(vocab_lines) + "\n", encoding="utf-8")
-            (scene / "scene_spec.json").write_text(
-                json.dumps(dataclasses.asdict(spec), indent=2, sort_keys=True) + "\n"
-            )
-            os.replace(scene, out)
-        except OSError as exc:  # named in --out: the staging directory is gone by then
-            where = out / Path(exc.filename).relative_to(scene) if exc.filename else out
-            raise OSError(f"--out {out} not written: cannot write {where}: "
-                          f"{exc.strerror or exc}") from None
+    with _written_whole("--out", out) as scene:
+        write_eovt(scene / "image.eovt", image)
+        write_eovt(scene / "templates.eovt", templates)
+        gt.save(scene / "gt_map.eovt", scene / "gt_manifest.txt")
+        (scene / "vocab.txt").write_text("\n".join(vocab_lines) + "\n", encoding="utf-8")
+        (scene / "scene_spec.json").write_text(
+            json.dumps(dataclasses.asdict(spec), indent=2, sort_keys=True) + "\n"
+        )
     print(f"scene written to {out} ({len(gt.segments)} segments, {spec.n_classes} classes)")
     return EXIT_OK
 
@@ -208,6 +230,7 @@ def cmd_run(args) -> int:
     from .pipeline import forward, forward_traced, pad_to_multiple
     from .weights import load_or_build_weights
 
+    trace = None if args.trace is None else _new_dir("--trace", args.trace)
     config = _load_config(args.config)
     if args.fusion is not None:
         config = dataclasses.replace(config, fusion=args.fusion)
@@ -217,8 +240,9 @@ def cmd_run(args) -> int:
     image = pad_to_multiple(image)
     image_hw = (image.shape[1], image.shape[2])
     bundle = load_or_build_weights(args.weights, config, image_hw)
-    if args.trace:
-        result = forward_traced(image, text, things, config, bundle, args.trace)
+    if trace is not None:
+        with _written_whole("--trace", trace) as staged:
+            result = forward_traced(image, text, things, config, bundle, staged)
     else:
         result = forward(image, text, things, config, bundle)
     panoptic = result.panoptic

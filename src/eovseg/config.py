@@ -1,21 +1,20 @@
-"""Model configuration: one validated record covering every module's knobs."""
+"""Model configuration: one validated record of the sizes, head counts, fusion mode
+and weight seed that a caller may vary.
+
+Architecture constants that no caller varies live beside the code that reads
+them: the dda kernel length (``decoder.DDA_KERNEL_SIZE``), the sdi kernel length
+(``fusion.SDI_KERNEL_SIZE``) and the classifier's temperature and ensemble
+exponents (``classifier.TAU``, ``ALPHA`` and ``BETA``)."""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 FUSION_MODES = ("none", "eaf", "sdi", "tdee")
-
-
-def _matches(value, default) -> bool:
-    if isinstance(default, float):  # JSON writes 1.0 as 1 too
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    return type(value) is type(default)
 
 
 def read_json(path: str | Path) -> dict:
@@ -44,12 +43,13 @@ def checked_fields(cls, data: dict, what: str) -> dict:
     for key, value in data.items():
         default = defaults[key]
         if isinstance(default, tuple):
-            if not isinstance(value, (list, tuple)) or not all(_matches(v, default[0]) for v in value):
+            item = type(default[0])
+            if not isinstance(value, (list, tuple)) or not all(type(v) is item for v in value):
                 raise ValueError(
-                    f"{what}: {key} must be a list of {type(default[0]).__name__}, got {value!r}"
+                    f"{what}: {key} must be a list of {item.__name__}, got {value!r}"
                 )
             value = tuple(value)
-        elif not _matches(value, default):
+        elif type(value) is not type(default):
             raise ValueError(f"{what}: {key} must be {type(default).__name__}, got {value!r}")
         out[key] = value
     return out
@@ -58,7 +58,7 @@ def checked_fields(cls, data: dict, what: str) -> dict:
 # integer fields that count or size something; 0 or less fails deep inside a kernel
 _POSITIVE = (
     "embed_dim", "vit_dim", "vas_heads", "n_queries", "decoder_layers", "decoder_heads",
-    "ffn_expansion", "dda_kernel_size", "tdee_dim", "sdi_kernel_size", "sdi_rank", "vit_heads",
+    "ffn_expansion", "tdee_dim", "sdi_rank", "vit_heads",
 )
 
 
@@ -71,16 +71,11 @@ class ModelConfig:
     decoder_layers: int = 3
     decoder_heads: int = 8
     ffn_expansion: int = 4
-    dda_kernel_size: int = 3  # m, odd
     tdee_dim: int = 256  # d, even; fusion/router halves are d/2 wide
-    sdi_kernel_size: int = 3
     sdi_rank: int = 4
     vit_heads: int = 4
     backbone_widths: tuple[int, int, int, int] = (64, 128, 256, 512)
     fusion: str = "tdee"
-    alpha: float = 0.4
-    beta: float = 0.8
-    tau: float = 0.07
     weights_seed: int = 0
 
     def __post_init__(self):
@@ -104,18 +99,10 @@ class ModelConfig:
             raise ValueError(
                 f"config: vit_dim {self.vit_dim} not divisible by vit_heads {self.vit_heads}"
             )
-        if self.dda_kernel_size % 2 == 0:
-            raise ValueError(f"config: dda_kernel_size must be odd, got {self.dda_kernel_size}")
-        if self.sdi_kernel_size % 2 == 0:
-            raise ValueError(f"config: sdi_kernel_size must be odd, got {self.sdi_kernel_size}")
         if self.tdee_dim % 2:
             raise ValueError(f"config: tdee_dim must be even, got {self.tdee_dim}")
         if self.fusion not in FUSION_MODES:
             raise ValueError(f"config: fusion must be one of {FUSION_MODES}, got {self.fusion!r}")
-        if not 0.0 <= self.alpha <= 1.0 or not 0.0 <= self.beta <= 1.0:
-            raise ValueError("config: alpha and beta must lie in [0, 1]")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"config: tau must be finite and > 0, got {self.tau}")
         self.backbone_widths = tuple(int(w) for w in self.backbone_widths)
 
     def to_dict(self) -> dict:

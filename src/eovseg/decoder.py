@@ -25,6 +25,7 @@ from .tensor import Rng
 
 MASK_POOL_EPS = 1e-8
 MASK_MLP_DEPTH = 3  # (w, b) pairs in the mask-embedding MLP, D->D->D->D
+DDA_KERNEL_SIZE = 3  # m, the length of each query's generated 1-D kernel
 
 
 def ln_identity(width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -73,9 +74,6 @@ class DecoderWeights:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("DecoderWeights: at least one layer required")
-        m = self.layers[0].kernel_proj.shape[1]
-        if m % 2 == 0:
-            raise ValueError(f"DecoderWeights: kernel size must be odd, got {m}")
 
     @classmethod
     def build(
@@ -84,7 +82,6 @@ class DecoderWeights:
         width: int,
         n_queries: int,
         n_layers: int,
-        kernel_size: int,
         heads: int,
         ffn_expansion: int,
     ) -> "DecoderWeights":
@@ -92,7 +89,7 @@ class DecoderWeights:
         hidden = width * ffn_expansion
         layers = []
         for _ in range(n_layers):
-            kernel_proj = rng.normal((width, kernel_size), std=1.0 / np.sqrt(width))
+            kernel_proj = rng.normal((width, DDA_KERNEL_SIZE), std=1.0 / np.sqrt(width))
             # draw and drop the cross-attention block that bundles up to generator
             # version 2 stored, so every later draw keeps its values
             rng.normal((4, width, width))
@@ -137,7 +134,7 @@ def initial_attention(features: np.ndarray, logits: np.ndarray) -> np.ndarray:
 def dda(kernels: np.ndarray, pooled: np.ndarray, kernel_proj: np.ndarray) -> np.ndarray:
     """Dynamic depthwise attention: per-query generated 1-D kernels convolve pooled rows.
 
-    kernels: (N, D) object kernels; pooled: (N, D); kernel_proj: (D, m), m odd.
+    kernels: (N, D) object kernels; pooled: (N, D); kernel_proj: (D, ``DDA_KERNEL_SIZE``).
     """
     generated = linear(kernels, kernel_proj)  # (N, m)
     return depthwise_conv1d(pooled, generated)

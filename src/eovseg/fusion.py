@@ -22,6 +22,8 @@ from .decoder import ln_identity
 from .kernels import conv2d_1x1, depthwise_conv1d, gelu, layer_norm, linear, sigmoid
 from .tensor import Rng
 
+SDI_KERNEL_SIZE = 3  # k, the length of each query's generated depthwise kernel
+
 
 @dataclass
 class TdeeWeights:
@@ -165,23 +167,17 @@ class SdiWeights:
     gen_right_w: np.ndarray  # (D, D*r): mask row -> right low-rank factor
     gen_right_b: np.ndarray
 
-    def __post_init__(self):
-        if self.gen_kernel_w.shape[1] % 2 == 0:
-            raise ValueError(
-                f"SdiWeights: depthwise kernel length must be odd, got {self.gen_kernel_w.shape[1]}"
-            )
-
     @property
     def rank(self) -> int:
         return self.gen_left_w.shape[1] // self.gen_left_w.shape[0]
 
     @classmethod
-    def build(cls, seed: int, width: int, kernel_size: int, rank: int) -> "SdiWeights":
+    def build(cls, seed: int, width: int, rank: int) -> "SdiWeights":
         rng = Rng(seed)
         std = 1.0 / np.sqrt(width)
         return cls(
-            gen_kernel_w=rng.normal((width, kernel_size), std=std),
-            gen_kernel_b=np.zeros(kernel_size, dtype=np.float32),
+            gen_kernel_w=rng.normal((width, SDI_KERNEL_SIZE), std=std),
+            gen_kernel_b=np.zeros(SDI_KERNEL_SIZE, dtype=np.float32),
             gen_left_w=rng.normal((width, width * rank), std=std),
             gen_left_b=np.zeros(width * rank, dtype=np.float32),
             gen_right_w=rng.normal((width, width * rank), std=std),

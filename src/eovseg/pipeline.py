@@ -54,7 +54,7 @@ from .classifier import (
 from .config import FUSION_MODES, ModelConfig
 from .decoder import decoder_forward
 from .evaluation import PanopticAnnotation, assemble_panoptic
-from .fusion import eaf, sdi, tdee
+from .fusion import SDI_KERNEL_SIZE, eaf, sdi, tdee
 from .kernels import bilinear_upsample, conv2d_1x1
 from .profiler import (_decoder_macs, macs_attention, macs_bilinear, macs_conv2d_1x1,
                        macs_conv2d_3x3, macs_depthwise_3x3, macs_depthwise_conv1d,
@@ -189,7 +189,7 @@ def _tdee_macs(c: SimpleNamespace) -> int:
 
 
 def _sdi_macs(c: SimpleNamespace) -> int:
-    n, d, k, r = c.config.n_queries, c.config.embed_dim, c.config.sdi_kernel_size, c.config.sdi_rank
+    n, d, k, r = c.config.n_queries, c.config.embed_dim, SDI_KERNEL_SIZE, c.config.sdi_rank
     generators = macs_matmul(n, d, k) + 2 * macs_matmul(n, d, d * r)
     return generators + macs_depthwise_conv1d(n, d, k) + 2 * n * d * r  # + rank-r pointwise
 
@@ -242,16 +242,15 @@ STAGES = (
           ("instance_embeddings",), lambda *a: sdi(*a), reference.sdi_reference, _sdi_macs),
     Stage("fusion", ("none", "eaf"), ("mask_embeddings",), ("instance_embeddings",),
           lambda e: e, lambda e, m: e, lambda c: 0),
-    Stage("classifier", ALL, ("instance_embeddings", "text.embeddings", "config.tau"),
+    Stage("classifier", ALL, ("instance_embeddings", "text.embeddings"),
           ("scores_in_vocab",),
           lambda *a: in_vocab_scores(*a), reference.in_vocab_scores_reference, _score_macs),
     Stage("classifier", ALL, ("_c5", "bundle.clip_proj"), ("_clip_final",),
           lambda *a: _clip_final_features(*a), reference.clip_final_reference, _clip_macs),
-    Stage("classifier", ALL, ("_clip_final", "_mask_probs", "text.embeddings", "config.tau"),
+    Stage("classifier", ALL, ("_clip_final", "_mask_probs", "text.embeddings"),
           ("scores_out_vocab",), lambda *a: out_vocab_scores(*a),
           reference.out_vocab_scores_reference, lambda c: _pool_macs(c) + _score_macs(c)),
-    Stage("classifier", ALL, ("scores_in_vocab", "scores_out_vocab", "config.alpha",
-                              "config.beta", "text.seen"),
+    Stage("classifier", ALL, ("scores_in_vocab", "scores_out_vocab", "text.seen"),
           ("scores_final",), lambda *a: ensemble(*a), reference.ensemble_reference, lambda c: 0),
 )
 
@@ -291,7 +290,7 @@ def _run_stages(image, text, config, bundle, keep, run=lambda stage, args: stage
     to the end; an untraced one is dropped after the last row that reads it,
     unless it is in ``FORWARD_READS``.
     """
-    v = SimpleNamespace(image=image, text=text, config=config, bundle=bundle)
+    v = SimpleNamespace(image=image, text=text, bundle=bundle)
     for stage, dead in zip(STAGES, _frees_after(STAGES, config.fusion)):
         if config.fusion not in stage.modes:
             continue

@@ -24,8 +24,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import ModelConfig
-from .decoder import (AttentionBlockWeights, decoder_layer, mask_kernels, predict_masks,
-                      refine_kernels)
+from .decoder import (DDA_KERNEL_SIZE, AttentionBlockWeights, decoder_layer, mask_kernels,
+                      predict_masks, refine_kernels)
 from .kernels import multi_head_attention
 from .tensor import Rng
 from .weights import WeightBundle
@@ -77,9 +77,9 @@ def macs_attention(n_q: int, n_kv: int, d: int) -> int:
     return 2 * n_q * d * d + 2 * n_kv * d * d + 2 * n_q * n_kv * d
 
 
-def params_dda_layer(d: int, m: int) -> int:
+def params_dda_layer(d: int) -> int:
     """The bias-free kernel-generating projection."""
-    return d * m
+    return d * DDA_KERNEL_SIZE
 
 
 def params_ca_layer(d: int) -> int:
@@ -100,7 +100,7 @@ def count_params(bundle: WeightBundle) -> dict[str, int]:
 
 
 def _decoder_layer_macs(cfg: ModelConfig, hw: int, mode: str) -> int:
-    n, d, m = cfg.n_queries, cfg.embed_dim, cfg.dda_kernel_size
+    n, d, m = cfg.n_queries, cfg.embed_dim, DDA_KERNEL_SIZE
     if mode == "dda":  # initial attention, then kernel generation and the m-tap conv
         per_layer = n * d * hw + 2 * n * d * m
     else:  # the queries attend over every feature position
@@ -173,21 +173,9 @@ class ProfileReport:
                 writer.writerow([r.module, r.params, r.macs, r.flops, *times, r.mode, self.config_hash])
 
 
-def assert_interaction_asymmetry(cfg: ModelConfig) -> None:
-    """The motivating cost asymmetry: the dynamic kernel projection must be
-    strictly smaller than the four cross-attention projections."""
-    d, m = cfg.embed_dim, cfg.dda_kernel_size
-    if params_dda_layer(d, m) >= params_ca_layer(d):
-        raise ValueError(
-            f"interaction asymmetry violated: dda layer {params_dda_layer(d, m)} params "
-            f">= ca layer {params_ca_layer(d)} (kernel size {m} too large for width {d})"
-        )
-
-
 def profile_modules(
     cfg: ModelConfig, bundle: WeightBundle, image_hw: tuple[int, int], n_class: int
 ) -> ProfileReport:
-    assert_interaction_asymmetry(cfg)
     params = count_params(bundle)
     macs = count_macs(cfg, image_hw, n_class)
     rows = [ProfileRow(module=m, params=params[m], macs=macs[m], mode="dda") for m in MODULES]
@@ -233,7 +221,6 @@ def benchmark(
     alternating per repetition; counts stay analytic."""
     if reps < 5:
         raise ValueError(f"benchmark: reps must be >= 5, got {reps}")
-    assert_interaction_asymmetry(cfg)
     h4, w4 = image_hw[0] // 4, image_hw[1] // 4
     rng = Rng(0)
     features = rng.normal((cfg.embed_dim, h4, w4))
@@ -249,7 +236,7 @@ def benchmark(
                 kept.append(time.perf_counter_ns() - t0)
 
     d = cfg.embed_dim
-    params = {"dda": params_dda_layer(d, cfg.dda_kernel_size), "ca": params_ca_layer(d)}
+    params = {"dda": params_dda_layer(d), "ca": params_ca_layer(d)}
     rows = [
         ProfileRow(
             module="decoder_layer",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .aggregator import AggregatorWeights, SyntheticBackbone, space_to_depth
+from .classifier import ALPHA, BETA, TAU
 from .decoder import DecoderLayerWeights, DecoderWeights, MASK_POOL_EPS
 from .fusion import EafWeights, SdiWeights, TdeeWeights
 from .oracles import (
@@ -250,9 +251,9 @@ def build_text_embeddings_reference(templates, macs: MacCounter | None = None):
     return l2_normalize_oracle(np.asarray(templates, np.float64).mean(axis=0), axis=1)
 
 
-def in_vocab_scores_reference(instance_embed, text_rows, tau: float, macs: MacCounter | None = None):
+def in_vocab_scores_reference(instance_embed, text_rows, macs: MacCounter | None = None):
     unit = l2_normalize_oracle(instance_embed, axis=1)
-    logits = matmul_oracle(unit, np.asarray(text_rows, np.float64).T, macs) / tau
+    logits = matmul_oracle(unit, np.asarray(text_rows, np.float64).T, macs) / TAU
     return softmax_oracle(logits, axis=1)
 
 
@@ -262,17 +263,17 @@ def clip_final_reference(c5, clip_proj, macs: MacCounter | None = None):
     return bilinear_upsample_oracle(conv2d_1x1_oracle(c5, *clip_proj, macs), 8, macs)
 
 
-def out_vocab_scores_reference(clip_features, probs, text_rows, tau, macs=None):
+def out_vocab_scores_reference(clip_features, probs, text_rows, macs=None):
     pooled = mask_pool_reference(clip_features, probs, macs)
-    return in_vocab_scores_reference(pooled, text_rows, tau, macs)
+    return in_vocab_scores_reference(pooled, text_rows, macs)
 
 
-def ensemble_reference(s_in, s_out, alpha, beta, seen, macs: MacCounter | None = None):
+def ensemble_reference(s_in, s_out, seen, macs: MacCounter | None = None):
     a = np.asarray(s_in, np.float64)
     b = np.asarray(s_out, np.float64)
     out = np.empty_like(a)
     for j in range(a.shape[1]):
-        w = alpha if seen[j] else beta
+        w = ALPHA if seen[j] else BETA
         for i in range(a.shape[0]):
             out[i, j] = a[i, j] ** (1.0 - w) * b[i, j] ** w
     return out

@@ -378,7 +378,7 @@ def _draw_cross_attention(rng: Rng, t: int):
 
 def _draw_decoder(rng: Rng, t: int):  # D=8, N=3, two layers
     w = DecoderWeights.build(
-        int(rng.integers(0, 1 << 31)), 8, 3, 2, kernel_size=3, heads=2, ffn_expansion=2
+        int(rng.integers(0, 1 << 31)), 8, 3, 2, heads=2, ffn_expansion=2
     )
     return rng.normal((8, 4, 4)), w
 
@@ -393,7 +393,7 @@ def _text_rows(templates):  # the class names and seen mask do not reach the row
 
 def check_ensemble(rng: Rng, trials: int):
     seen = np.array([True])
-    got = ensemble(np.float32([[0.8]]), np.float32([[0.5]]), 0.4, 0.8, seen)[0, 0]
+    got = ensemble(np.float32([[0.8]]), np.float32([[0.5]]), seen)[0, 0]
     want = 0.8**0.6 * 0.5**0.4  # = 0.6628908034679974
     if abs(float(got) - want) > 1e-6:
         return False, f"geometric value {got} != {want}"
@@ -401,17 +401,13 @@ def check_ensemble(rng: Rng, trials: int):
         s_in = kernels.softmax(rng.normal((3, 4), std=2.0), 1)
         s_out = kernels.softmax(rng.normal((3, 4), std=2.0), 1)
         seen = rng.normal((4,)) > 0
-        if not np.array_equal(ensemble(s_in, s_out, 0.0, 0.0, seen), s_in):
-            return False, "alpha=beta=0 not bitwise S_I"
-        if not np.array_equal(ensemble(s_in, s_out, 1.0, 1.0, seen), s_out):
-            return False, "alpha=beta=1 not bitwise S_O"
-        base = ensemble(s_in, s_out, 0.4, 0.8, seen)
+        base = ensemble(s_in, s_out, seen)
         bumped_out = s_out.copy()
         bumped_out[1, 2] += np.float32(0.05)
-        bumped = ensemble(s_in, bumped_out, 0.4, 0.8, seen)
+        bumped = ensemble(s_in, bumped_out, seen)
         if bumped[1, 2] < base[1, 2]:
             return False, "monotonicity violated"
-    return True, "degenerate cases bitwise; reference value and monotonicity hold"
+    return True, "reference value and monotonicity hold"
 
 
 def check_classify(rng: Rng, trials: int):

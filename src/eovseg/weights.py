@@ -42,7 +42,7 @@ GENERATOR_VERSION = 4
 # ModelConfig fields that no weight draw, tensor name or bundle setting reads.
 # The cache key leaves out only these, so a field added later is keyed until
 # it is shown not to touch the weights.
-HEAD_FIELDS = ("fusion", "alpha", "beta", "tau")
+HEAD_FIELDS = ("fusion",)
 
 # The cache file in a cache directory: WEIGHTS_MAGIC, the u64-LE byte length
 # of a UTF-8 JSON header, the header, then the payload.
@@ -211,14 +211,13 @@ def build_weights(config: ModelConfig, image_hw: tuple[int, int]) -> WeightBundl
             d,
             config.n_queries,
             config.decoder_layers,
-            config.dda_kernel_size,
             config.decoder_heads,
             config.ffn_expansion,
         ),
         vit=VitBlockWeights.build(seeds["vit"], config.vit_dim, config.vit_heads, grid_hw),
         upsampler=UpsamplerWeights.build(seeds["upsampler"], config.vit_dim, d),
         tdee=TdeeWeights.build(seeds["tdee"], d, config.tdee_dim),
-        sdi=SdiWeights.build(seeds["sdi"], d, config.sdi_kernel_size, config.sdi_rank),
+        sdi=SdiWeights.build(seeds["sdi"], d, config.sdi_rank),
         eaf=EafWeights.build(seeds["eaf"], d, config.vit_dim),
         clip_proj=clip_proj,
     )

@@ -64,7 +64,7 @@ class TestTextEmbeddings:
 class TestInVocab:
     def test_self_match_sharp_temperature(self):
         text = make_text(4, seed=5)
-        scores = in_vocab_scores(text.embeddings[2][None, :] * 3.0, text.embeddings, tau=0.005)
+        scores = in_vocab_scores(text.embeddings[2][None, :] * 3.0, text.embeddings)
         assert int(np.argmax(scores[0])) == 2
         assert scores[0, 2] > 0.99
 
@@ -76,24 +76,20 @@ class TestInVocab:
         )
         inst = np.zeros((1, D), dtype=np.float32)
         inst[0, 4] = 1.0  # orthogonal to every class row
-        scores = in_vocab_scores(inst, text.embeddings, tau=0.07)
+        scores = in_vocab_scores(inst, text.embeddings)
         assert np.allclose(scores[0], 1 / 3, atol=1e-6)
 
     def test_rows_sum_to_one(self):
         text = make_text(5, seed=6)
-        scores = in_vocab_scores(Rng(7).normal((4, D)), text.embeddings, tau=0.07)
+        scores = in_vocab_scores(Rng(7).normal((4, D)), text.embeddings)
         assert np.max(np.abs(scores.sum(axis=1, dtype=np.float64) - 1.0)) < 1e-6
 
     def test_loop_oracle(self):
         text = make_text(3, seed=8)
         inst = Rng(9).normal((2, D))
-        scores = in_vocab_scores(inst, text.embeddings, tau=0.07)
-        ref = reference.in_vocab_scores_reference(inst, text.embeddings, 0.07)
+        scores = in_vocab_scores(inst, text.embeddings)
+        ref = reference.in_vocab_scores_reference(inst, text.embeddings)
         assert np.max(np.abs(scores - ref)) < 1e-6
-
-    def test_positive_temperature_required(self):
-        with pytest.raises(ValueError, match="positive"):
-            in_vocab_scores(Rng(10).normal((1, D)), make_text().embeddings, tau=0.0)
 
 
 class TestOutVocab:
@@ -102,14 +98,14 @@ class TestOutVocab:
         j = 1
         feat = np.repeat(text.embeddings[j][:, None], 16, axis=1).reshape(D, 4, 4) * 2.0
         probs = sigmoid(Rng(12).normal((5, 4, 4)))
-        scores = out_vocab_scores(feat, probs, text.embeddings, tau=0.01)
+        scores = out_vocab_scores(feat, probs, text.embeddings)
         assert np.all(np.argmax(scores, axis=1) == j)
 
     def test_uniform_masks_collapse_rows(self):
         text = make_text(4, seed=13)
         feat = Rng(14).normal((D, 4, 4))
         probs = np.full((3, 4, 4), 0.5, dtype=np.float32)
-        scores = out_vocab_scores(feat, probs, text.embeddings, tau=0.07)
+        scores = out_vocab_scores(feat, probs, text.embeddings)
         assert np.allclose(scores[0], scores[1], atol=1e-7)
         assert np.allclose(scores[1], scores[2], atol=1e-7)
 
@@ -117,8 +113,8 @@ class TestOutVocab:
         text = make_text(3, seed=15)
         feat = Rng(16).normal((D, 3, 3))
         probs = sigmoid(Rng(17).normal((2, 3, 3)))
-        scores = out_vocab_scores(feat, probs, text.embeddings, tau=0.07)
-        ref = reference.out_vocab_scores_reference(feat, probs, text.embeddings, 0.07)
+        scores = out_vocab_scores(feat, probs, text.embeddings)
+        ref = reference.out_vocab_scores_reference(feat, probs, text.embeddings)
         assert np.max(np.abs(scores - ref)) < 1e-5
 
 
@@ -130,52 +126,44 @@ class TestEnsemble:
         seen = np.arange(c) % 2 == 0
         return s_in, s_out, seen
 
-    def test_degenerate_weights_bitwise(self):
-        s_in, s_out, seen = self._pair()
-        assert np.array_equal(ensemble(s_in, s_out, 0.0, 0.0, seen), s_in)
-        assert np.array_equal(ensemble(s_in, s_out, 1.0, 1.0, seen), s_out)
-
     def test_geometric_reference_value(self):
-        s = ensemble(np.float32([[0.8]]), np.float32([[0.5]]), 0.4, 0.8, np.array([True]))
+        s = ensemble(np.float32([[0.8]]), np.float32([[0.5]]), np.array([True]))
         assert abs(float(s[0, 0]) - GEOMETRIC_REFERENCE) < 1e-6
 
     def test_seen_unseen_use_different_weights(self):
         s_in = np.float32([[0.8, 0.8]])
         s_out = np.float32([[0.5, 0.5]])
-        s = ensemble(s_in, s_out, 0.4, 0.8, np.array([True, False]))
+        s = ensemble(s_in, s_out, np.array([True, False]))
         assert abs(float(s[0, 0]) - 0.8**0.6 * 0.5**0.4) < 1e-6
         assert abs(float(s[0, 1]) - 0.8**0.2 * 0.5**0.8) < 1e-6
 
     def test_geometric_fixed_point(self):
         s_in, _, seen = self._pair(19)
-        for alpha, beta in ((0.3, 0.9), (0.0, 1.0)):
-            s = ensemble(s_in, s_in, alpha, beta, seen)
-            assert np.max(np.abs(s - s_in)) < 1e-6
+        s = ensemble(s_in, s_in, seen)
+        assert np.max(np.abs(s - s_in)) < 1e-6
 
     def test_nonpositive_geometric_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            ensemble(np.float32([[0.0]]), np.float32([[0.5]]), 0.4, 0.8, np.array([True]))
+            ensemble(np.float32([[0.0]]), np.float32([[0.5]]), np.array([True]))
 
     @settings(max_examples=100, deadline=None)
     @given(
         st.floats(0.01, 0.99),
         st.floats(0.01, 0.99),
         st.floats(0.001, 0.9),
-        st.floats(0.0, 1.0),
-        st.floats(0.0, 1.0),
         st.booleans(),
     )
-    def test_monotone_in_out_vocab_score(self, a, b, bump, alpha, beta, seen_flag):
+    def test_monotone_in_out_vocab_score(self, a, b, bump, seen_flag):
         s_in = np.float32([[a]])
         seen = np.array([seen_flag])
-        lo = ensemble(s_in, np.float32([[b]]), alpha, beta, seen)[0, 0]
-        hi = ensemble(s_in, np.float32([[b + bump]]), alpha, beta, seen)[0, 0]
+        lo = ensemble(s_in, np.float32([[b]]), seen)[0, 0]
+        hi = ensemble(s_in, np.float32([[b + bump]]), seen)[0, 0]
         assert hi >= lo
 
     def test_oracle_agreement(self):
         s_in, s_out, seen = self._pair(20)
-        got = ensemble(s_in, s_out, 0.4, 0.8, seen)
-        ref = reference.ensemble_reference(s_in, s_out, 0.4, 0.8, seen)
+        got = ensemble(s_in, s_out, seen)
+        ref = reference.ensemble_reference(s_in, s_out, seen)
         assert np.max(np.abs(got - ref)) < 1e-6
 
 

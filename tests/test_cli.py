@@ -238,6 +238,25 @@ class TestRun:
         for p in sorted((workdir / "t1").glob("*.eovt")):
             assert p.read_bytes() == (workdir / "t2" / p.name).read_bytes()
 
+    def test_trace_into_a_used_directory_exits_2_and_leaves_it(self, workdir, capsys):
+        """A second run refuses the first run's --trace directory before any work,
+        so no trace directory mixes the files of two fusion modes."""
+        run_gen(workdir)
+        trace = workdir / "t"
+        assert run_run(workdir, extra=["--fusion", "tdee", "--trace", str(trace)]) == 0
+        dumped = {p.name: p.read_bytes() for p in trace.iterdir()}
+        assert "spatial_embeddings.eovt" in dumped  # a tdee output that none does not make
+        before = sorted(p.name for p in workdir.iterdir())
+        assert not any(name.startswith(".t.") for name in before)  # the staging directory is gone
+        capsys.readouterr()
+        code = run_run(workdir, extra=["--fusion", "none", "--trace", str(trace),
+                                       "--out", str(workdir / "none.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: --trace {trace}: need a new directory, or an empty one other than . or .."]
+        assert {p.name: p.read_bytes() for p in trace.iterdir()} == dumped
+        assert sorted(p.name for p in workdir.iterdir()) == before  # no none.csv, no staging
+
     def test_malformed_tensor_exits_3_naming_file(self, workdir, capsys):
         run_gen(workdir)
         (workdir / "scene" / "image.eovt").write_bytes(b"JUNKJUNK")
@@ -846,13 +865,14 @@ class TestBadValuesExit2:
         self.assert_usage_error(run_gen(workdir), capsys, expected)
         assert not (workdir / "scene").exists()
 
-    def test_config_naming_the_removed_ensemble_method(self, workdir, capsys):
-        (workdir / "config.json").write_text(json.dumps(dict(SMALL_CONFIG, ensemble_method="geometric")))
-        self.assert_usage_error(run_profile(workdir), capsys, "unknown keys ['ensemble_method']")
-
-    def test_config_naming_the_removed_score_floor(self, workdir, capsys):
-        (workdir / "config.json").write_text(json.dumps(dict(SMALL_CONFIG, score_floor=0.25)))
-        self.assert_usage_error(run_profile(workdir), capsys, "unknown keys ['score_floor']")
+    @pytest.mark.parametrize("key, value", [pytest.param(*case, id=case[0]) for case in (
+        ("ensemble_method", "geometric"), ("score_floor", 0.25), ("alpha", 0.4), ("beta", 0.8),
+        ("tau", 0.07), ("dda_kernel_size", 3), ("sdi_kernel_size", 3),
+    )])
+    def test_config_naming_a_removed_key(self, workdir, capsys, key, value):
+        """Each removed config field, even at its last default, is an unknown key."""
+        (workdir / "config.json").write_text(json.dumps(dict(SMALL_CONFIG, **{key: value})))
+        self.assert_usage_error(run_profile(workdir), capsys, f"unknown keys ['{key}']")
 
     def test_config_value_of_wrong_type(self, workdir, capsys):
         (workdir / "config.json").write_text(json.dumps(dict(SMALL_CONFIG, embed_dim="x")))
@@ -871,8 +891,7 @@ class TestBadValuesExit2:
 
     @pytest.mark.parametrize(
         "file, field, value, expected",
-        [pytest.param(*case, id=f"{case[1]}={case[2]}" if isinstance(case[2], float) else case[1])
-         for case in (
+        [pytest.param(*case, id=case[1]) for case in (
             ("config.json", "embed_dim", 0, "embed_dim must be >= 1, got 0"),
             ("config.json", "vit_dim", 0, "vit_dim must be >= 1, got 0"),
             ("config.json", "ffn_expansion", 0, "ffn_expansion must be >= 1, got 0"),
@@ -885,8 +904,6 @@ class TestBadValuesExit2:
              "stuff_classes must be non-empty names without whitespace, got 'blue sky'"),
             ("scene.json", "thing_classes", ["box", ""],
              "thing_classes must be non-empty names without whitespace, got ''"),
-            ("config.json", "tau", float("nan"), "tau must be finite and > 0, got nan"),
-            ("config.json", "tau", float("inf"), "tau must be finite and > 0, got inf"),
         )] + [pytest.param("scene.json", "stuff_classes", ["\ud800", "grass"],
                            "stuff_classes must be names UTF-8 can encode, got '\\ud800'",
                            id="stuff_classes=lone_surrogate")],

@@ -23,7 +23,7 @@ D = 8
 
 
 def small_weights(seed=0, n=3, layers=1):
-    return DecoderWeights.build(seed, D, n, layers, kernel_size=3, heads=2, ffn_expansion=2)
+    return DecoderWeights.build(seed, D, n, layers, heads=2, ffn_expansion=2)
 
 
 def ca_block(seed):
@@ -110,7 +110,7 @@ class TestRefine:
         assert np.max(np.abs(out - ref)) < 1e-5
 
     def test_loop_oracle_n2_d4(self):
-        w = DecoderWeights.build(12, 4, 2, 1, kernel_size=3, heads=2, ffn_expansion=2)
+        w = DecoderWeights.build(12, 4, 2, 1, heads=2, ffn_expansion=2)
         x = Rng(13).normal((2, 4))
         ref = reference.refine_kernels_reference(x, w.layers[0])
         assert np.max(np.abs(refine_kernels(x, w.layers[0]) - ref)) < 1e-5
@@ -236,10 +236,8 @@ class TestDecoderForward:
 
 
 def test_weights_validation():
-    with pytest.raises(ValueError, match="odd"):
-        DecoderWeights.build(0, D, 2, 1, kernel_size=4, heads=2, ffn_expansion=2)
     with pytest.raises(ValueError, match="layer"):
-        DecoderWeights.build(0, D, 2, 0, kernel_size=3, heads=2, ffn_expansion=2)
+        DecoderWeights.build(0, D, 2, 0, heads=2, ffn_expansion=2)
 
 
 def test_dda_param_count_below_cross_attention():

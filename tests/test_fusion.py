@@ -95,7 +95,7 @@ class TestEaf:
 class TestSdi:
     def test_identity_pipeline(self):
         # forced kernel [0,1,0] per query and identity pointwise matrix
-        w = SdiWeights.build(1, D, kernel_size=3, rank=D)
+        w = SdiWeights.build(1, D, rank=D)
         w.gen_kernel_w = np.zeros_like(w.gen_kernel_w)
         w.gen_kernel_b = np.array([0, 1, 0], dtype=np.float32)
         w.gen_left_w = np.zeros_like(w.gen_left_w)
@@ -107,17 +107,13 @@ class TestSdi:
         assert np.max(np.abs(out - es)) < 1e-6
 
     def test_zero_value_side(self):
-        w = SdiWeights.build(4, D, 3, 2)
+        w = SdiWeights.build(4, D, 2)
         out = sdi(Rng(5).normal((2, D)), np.zeros((2, D), np.float32), w)
         assert np.all(out == 0)
 
     def test_loop_oracle_n2_d6_k3_r2(self):
-        w = SdiWeights.build(6, 6, 3, 2)
+        w = SdiWeights.build(6, 6, 2)
         em = Rng(7).normal((2, 6), std=0.5)
         es = Rng(8).normal((2, 6), std=0.5)
         ref = reference.sdi_reference(em, es, w)
         assert np.max(np.abs(sdi(em, es, w) - ref)) < 1e-5
-
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
-            SdiWeights.build(9, D, kernel_size=2, rank=2)

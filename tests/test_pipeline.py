@@ -24,7 +24,7 @@ from eovseg import pipeline as pipeline_module
 from eovseg import weights as weights_module
 from eovseg.classifier import build_text_embeddings
 from eovseg.config import FUSION_MODES, ModelConfig
-from eovseg.decoder import AttentionBlockWeights, decoder_forward
+from eovseg.decoder import DDA_KERNEL_SIZE, AttentionBlockWeights, decoder_forward
 from eovseg.evaluation import SceneSpec, generate_scene
 from eovseg.pipeline import (
     PipelineStageError,
@@ -149,7 +149,7 @@ def test_rows_read_only_their_declared_inputs(scene, mode):
         return out
 
     pipeline_module._run_stages(image, text, cfg, bundle, lambda name, value: value, record)
-    produced = dict(image=image, text=text, config=cfg, bundle=bundle)
+    produced = dict(image=image, text=text, bundle=bundle)
     for stage in pipeline_module.STAGES:
         if mode not in stage.modes:
             continue
@@ -505,7 +505,7 @@ def _version2_cross_attn(cfg):
     rng = Rng(cfg.weights_seed).child(3)  # build_weights' decoder stream
     d, hidden, tensors = cfg.embed_dim, cfg.embed_dim * cfg.ffn_expansion, {}
     for i in range(cfg.decoder_layers):
-        rng.normal((d, cfg.dda_kernel_size))  # kernel_proj
+        rng.normal((d, DDA_KERNEL_SIZE))  # kernel_proj
         block = AttentionBlockWeights.build(rng, d, cfg.decoder_heads)
         for key in ("wq", "wk", "wv", "wo"):
             tensors[f"decoder.layer{i}.cross_attn.{key}"] = getattr(block, key)
@@ -782,7 +782,7 @@ class TestWeightBundle:
         weight_header(tmp_path / "w", lambda h: {"tensors": h["tensors"]})
         _assert_bitwise_equal(built, load_weights(tmp_path / "w", cfg))
 
-    HEAD_VALUES = {"fusion": "none", "alpha": 0.1, "beta": 0.3, "tau": 0.5}
+    HEAD_VALUES = {"fusion": "none"}
 
     @pytest.mark.parametrize("field", HEAD_FIELDS)
     def test_head_fields_change_neither_weights_nor_cache_key(self, field):
@@ -940,7 +940,7 @@ def test_damaged_weight_file_fails_or_loads_bitwise(small64_cache_file, tmp_path
 
 
 def test_config_json_roundtrip(tmp_path):
-    cfg = small_config(fusion="sdi", alpha=0.25)
+    cfg = small_config(fusion="sdi")
     (tmp_path / "c.json").write_text(json.dumps(cfg.to_dict()))
     loaded = ModelConfig.load(tmp_path / "c.json")
     assert loaded == cfg
@@ -956,19 +956,8 @@ def test_config_rejects_unknown_keys(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError, match="divisible"):
         small_config(embed_dim=30)
-    with pytest.raises(ValueError, match="odd"):
-        small_config(dda_kernel_size=2)
     with pytest.raises(ValueError, match="fusion"):
         small_config(fusion="late")
-    with pytest.raises(ValueError, match="alpha"):
-        small_config(alpha=2.0)
-
-
-def test_config_validates_ensemble_params():
-    with pytest.raises(ValueError, match="alpha"):
-        small_config(alpha=1.2)
-    with pytest.raises(ValueError, match="beta"):
-        small_config(beta=-0.1)
 
 
 class TestInputConditioning:

@@ -8,7 +8,7 @@ import pytest
 
 from eovseg import decoder, oracles, pipeline, weights
 from eovseg.config import FUSION_MODES, ModelConfig
-from eovseg.decoder import predict_masks
+from eovseg.decoder import DDA_KERNEL_SIZE, predict_masks
 from eovseg.pipeline import STAGES
 from eovseg.profiler import (
     MODULES,
@@ -39,7 +39,7 @@ def small_config(**over):
 
 class TestParams:
     def test_dda_projection_params(self):
-        assert params_dda_layer(256, 3) == 768  # no bias
+        assert params_dda_layer(256) == 768  # no bias
 
     def test_ca_layer_params(self):
         assert params_ca_layer(256) == 4 * 256 * 256
@@ -188,11 +188,11 @@ class TestMacs:
     def test_dda_cheaper_than_cross_attention_at_defaults(self):
         cfg, hw = ModelConfig(), 16 * 16
         assert _decoder_layer_macs(cfg, hw, "dda") < _decoder_layer_macs(cfg, hw, "ca")
-        assert params_dda_layer(cfg.embed_dim, cfg.dda_kernel_size) < params_ca_layer(cfg.embed_dim)
+        assert params_dda_layer(cfg.embed_dim) < params_ca_layer(cfg.embed_dim)
 
     def test_dda_cheaper_whenever_grid_exceeds_kernel(self):
         cfg = ModelConfig()
-        for hw in (cfg.dda_kernel_size + 1, 16, 64, 256):
+        for hw in (DDA_KERNEL_SIZE + 1, 16, 64, 256):
             assert _decoder_layer_macs(cfg, hw, "dda") < _decoder_layer_macs(cfg, hw, "ca")
 
     def test_module_counts_nonnegative_and_total(self):
@@ -330,12 +330,3 @@ class TestProfileModules:
         out = tmp_path / "prof.csv"
         report.write_csv(out)
         assert out.read_text().startswith("# flops = 2 * macs")
-
-
-def test_asymmetry_guard_trips_on_oversized_kernel(tmp_path):
-    from eovseg.profiler import assert_interaction_asymmetry
-
-    cfg = small_config(embed_dim=2, vas_heads=1, decoder_heads=1, vit_dim=2, vit_heads=1,
-                       tdee_dim=2, dda_kernel_size=9)
-    with pytest.raises(ValueError, match="asymmetry"):
-        assert_interaction_asymmetry(cfg)
