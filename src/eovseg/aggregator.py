@@ -36,7 +36,7 @@ def space_to_depth(x: np.ndarray, factor: int) -> np.ndarray:
 class SyntheticBackbone:
     """Seeded stage projections producing C2..C5 at strides 4/8/16/32."""
 
-    projections: dict[int, tuple[np.ndarray, np.ndarray]]  # per level: 1x1 (C_i, f^2 C_{i-1}) + bias
+    projections: dict[int, tuple[np.ndarray, np.ndarray]]  # per level: 1x1 (f^2 C_{i-1}, C_i) + bias
 
     @classmethod
     def build(cls, seed: int, stage_widths: tuple[int, ...]) -> "SyntheticBackbone":
@@ -46,7 +46,7 @@ class SyntheticBackbone:
         for level, width in zip(LEVELS, stage_widths):
             factor = STAGE_FACTORS[level]
             fan_in = in_ch * factor * factor
-            w = rng.normal((width, fan_in), std=1.0 / np.sqrt(fan_in))
+            w = rng.normal((width, fan_in), std=1.0 / np.sqrt(fan_in)).T.copy()
             b = rng.normal((width,), std=0.02)
             projections[level] = (w, b)
             in_ch = width
@@ -72,10 +72,10 @@ def extract_features(image: np.ndarray, backbone: SyntheticBackbone) -> dict[int
 class AggregatorWeights:
     """Lateral/smoothing convs for the pyramid plus the per-level 1x1 and 3x3 fuse convs."""
 
-    laterals: dict[int, tuple[np.ndarray, np.ndarray]]  # per level: 1x1 (D, C_i) + bias
-    smooths: dict[int, tuple[np.ndarray, np.ndarray]]  # per level: 3x3 (D, D) + bias
-    level_proj: dict[int, np.ndarray]  # per level: 1x1 (D, D), bias-free
-    fuse: tuple[np.ndarray, np.ndarray]  # 3x3 (D, D) + bias
+    laterals: dict[int, tuple[np.ndarray, np.ndarray]]  # per level: 1x1 (C_i, D) + bias
+    smooths: dict[int, tuple[np.ndarray, np.ndarray]]  # per level: 3x3 (3, 3, D, D) + bias
+    level_proj: dict[int, np.ndarray]  # per level: 1x1 (D, D) as (C_in, C_out), bias-free
+    fuse: tuple[np.ndarray, np.ndarray]  # 3x3 (3, 3, D, D) + bias
 
     @classmethod
     def build(cls, seed: int, width: int, stage_widths: tuple[int, ...]) -> "AggregatorWeights":
@@ -85,20 +85,16 @@ class AggregatorWeights:
         level_proj = {}
         for level, c_in in zip(LEVELS, stage_widths):
             laterals[level] = (
-                rng.normal((width, c_in), std=1.0 / np.sqrt(c_in)),
+                rng.normal((width, c_in), std=1.0 / np.sqrt(c_in)).T.copy(),
                 rng.normal((width,), std=0.02),
             )
+        for level in LEVELS:  # each 3x3 is drawn (D, D, 3, 3) and stored tap-major
+            w = rng.normal((width, width, 3, 3), std=1.0 / np.sqrt(width * 9))
+            smooths[level] = (w.transpose(2, 3, 0, 1).copy(), rng.normal((width,), std=0.02))
         for level in LEVELS:
-            smooths[level] = (
-                rng.normal((width, width, 3, 3), std=1.0 / np.sqrt(width * 9)),
-                rng.normal((width,), std=0.02),
-            )
-        for level in LEVELS:
-            level_proj[level] = rng.normal((width, width), std=1.0 / np.sqrt(width))
-        fuse = (
-            rng.normal((width, width, 3, 3), std=1.0 / np.sqrt(width * 9)),
-            rng.normal((width,), std=0.02),
-        )
+            level_proj[level] = rng.normal((width, width), std=1.0 / np.sqrt(width)).T.copy()
+        w = rng.normal((width, width, 3, 3), std=1.0 / np.sqrt(width * 9))
+        fuse = (w.transpose(2, 3, 0, 1).copy(), rng.normal((width,), std=0.02))
         return cls(laterals=laterals, smooths=smooths, level_proj=level_proj, fuse=fuse)
 
 
@@ -112,7 +108,7 @@ def build_pyramid(feats: dict[int, np.ndarray], weights: AggregatorWeights) -> d
     smoothed, merged = {}, None
     for level in reversed(LEVELS):
         w, b = weights.laterals[level]
-        if w.shape[1] != feats[level].shape[0]:
+        if w.shape[0] != feats[level].shape[0]:
             raise ValueError(
                 f"build_pyramid: level {level} width {feats[level].shape[0]} "
                 f"does not match lateral weight {w.shape}"

@@ -131,7 +131,7 @@ def tdee(mask_embed: np.ndarray, spatial_embed: np.ndarray, w: TdeeWeights) -> n
 
 @dataclass
 class EafWeights:
-    w: np.ndarray  # (D, D + D_v) 1x1 mix of the concatenated channels
+    w: np.ndarray  # (D + D_v, D) 1x1 mix of the concatenated channels
     b: np.ndarray
 
     @classmethod
@@ -139,7 +139,7 @@ class EafWeights:
         rng = Rng(seed)
         fan_in = width + vit_width
         return cls(
-            w=rng.normal((width, fan_in), std=1.0 / np.sqrt(fan_in)),
+            w=rng.normal((width, fan_in), std=1.0 / np.sqrt(fan_in)).T.copy(),
             b=np.zeros(width, dtype=np.float32),
         )
 
@@ -151,9 +151,9 @@ def eaf(features: np.ndarray, spatial_grid_up: np.ndarray, w: EafWeights) -> np.
             f"eaf: spatial extents differ, {features.shape[1:]} vs {spatial_grid_up.shape[1:]}"
         )
     stacked = np.concatenate([features, spatial_grid_up], axis=0)
-    if w.w.shape[1] != stacked.shape[0]:
+    if w.w.shape[0] != stacked.shape[0]:
         raise ValueError(
-            f"eaf: fusion conv expects {w.w.shape[1]} channels, got {stacked.shape[0]}"
+            f"eaf: fusion conv expects {w.w.shape[0]} channels, got {stacked.shape[0]}"
         )
     return conv2d_1x1(stacked, w.w, w.b)
 

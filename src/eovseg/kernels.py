@@ -5,7 +5,12 @@ Every kernel here is paired with a pure-Python loop oracle in
 against each other on seeded random inputs.
 
 Conventions fixed once for the whole package:
-  * convolutions use the correlation convention (no kernel flip);
+  * convolutions use the correlation convention (no kernel flip), and
+    their weights are stored in the layout the kernels read: a 3x3 weight
+    tap-major, ``(3, 3, C_out, C_in)``, so each tap ``w[dy, dx]`` is one
+    contiguous ``(C_out, C_in)`` matrix; a 1x1 weight ``(C_in, C_out)``, as
+    ``linear``'s.  ``conv2d_1x1`` keeps the output channel innermost on a
+    map of fewer pixels than ``C_out`` and the pixels innermost otherwise;
   * bilinear interpolation uses half-pixel centers (align_corners=false);
   * gelu is the tanh approximation;
   * reductions run in row-major order so results are bitwise reproducible.
@@ -148,14 +153,24 @@ def _run_blocks(n_blocks: int, make_worker) -> None:
 
 
 def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise convolution. x: (C_in,H,W); w: (C_out,C_in); b: (C_out,) or None.
+    """Pointwise convolution. x: (C_in,H,W); w: (C_in,C_out); b: (C_out,) or None.
 
     ``np.einsum`` sums each output over the channels in order, in the
     inputs' type, a multiply then an add: bitwise the loop
-    ``out += w[:, c] * x[c]`` on every map wider than one pixel
-    (``tests/test_kernels.py`` pins this).
-    A map with at least twice CONV1X1_BLOCK_BYTES of input runs in
-    ``nbytes // CONV1X1_BLOCK_BYTES`` column blocks of equal width (they
+    ``out += w[c, :, None, None] * x[c]`` (``tests/test_kernels.py`` pins
+    this) whenever there is more than one output.  The loop order is picked
+    from the shapes alone.  A map of fewer pixels than ``C_out`` runs one
+    einsum with the output channel innermost, over the ``(pixels, C_out)``
+    output, then one transposing copy: a pixel-inner loop would be only a
+    few pixels long.  Any other map runs the pixels innermost over a
+    ``(C_out, C_in)`` copy of ``w``, so einsum takes the output channels
+    outermost and each output row stays in cache while the input channels
+    stream through it; the copy is at most 1/C_out of the MACs, since the
+    map has at least C_out pixels.  (Straight from ``w`` einsum takes the
+    input channels outermost and sweeps the whole output once per channel,
+    which ran the 256-channel 64x64 maps of a 256x256 image up to 2.4 times
+    slower.)  A pixel-inner map with at least twice CONV1X1_BLOCK_BYTES of
+    input runs in ``nbytes // CONV1X1_BLOCK_BYTES`` column blocks of equal width (they
     differ by at most one column, never a short tail: a one-column block
     makes einsum sum the channels in its innermost loop, which changes
     bits), spread over ``_run_blocks``' threads.  Each thread copies its
@@ -164,16 +179,20 @@ def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.
     blocks are bitwise the single call.
     """
     c_in = x.shape[0]
-    if w.ndim != 2 or w.shape[1] != c_in:
+    if w.ndim != 2 or w.shape[0] != c_in:
         raise ValueError(f"conv2d_1x1: weight shape {w.shape} incompatible with C_in={c_in}")
-    pixels = x.shape[1] * x.shape[2]
+    c_out, pixels = w.shape[1], x.shape[1] * x.shape[2]
+    flat = x.reshape(c_in, pixels)
+    if pixels < c_out:
+        out = np.ascontiguousarray(np.einsum("cp,co->po", flat, w).T).reshape(c_out, *x.shape[1:])
+        return out if b is None else out + b[:, None, None]
+    w_oc = w.T.copy()
     n = min(x.nbytes // CONV1X1_BLOCK_BYTES, pixels // 2)
     if n <= 1:
-        out = np.einsum("oc,chw->ohw", w, x)
+        out = np.einsum("oc,chw->ohw", w_oc, x)
     else:
-        flat = x.reshape(c_in, pixels)
-        out = np.empty((w.shape[0], *x.shape[1:]), dtype=np.result_type(w, x))
-        out_flat = out.reshape(w.shape[0], pixels)
+        out = np.empty((c_out, *x.shape[1:]), dtype=np.result_type(w, x))
+        out_flat = out.reshape(c_out, pixels)
         bounds = [pixels * i // n for i in range(n + 1)]
 
         def worker():
@@ -183,7 +202,7 @@ def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.
                 j0, j1 = bounds[i], bounds[i + 1]
                 block = buf[: c_in * (j1 - j0)].reshape(c_in, j1 - j0)
                 np.copyto(block, flat[:, j0:j1])
-                np.einsum("oc,cp->op", w, block, out=out_flat[:, j0:j1])
+                np.einsum("oc,cp->op", w_oc, block, out=out_flat[:, j0:j1])
 
             return run
 
@@ -194,24 +213,24 @@ def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.
 
 
 def conv2d_3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """3x3 correlation, zero padding 1, stride 1. w: (C_out,C_in,3,3)."""
+    """3x3 correlation, zero padding 1, stride 1. w: (3,3,C_out,C_in), tap-major."""
     c_in, h, wd = x.shape
-    if w.ndim != 4 or w.shape[1] != c_in or w.shape[2:] != (3, 3):
+    if w.ndim != 4 or w.shape[:2] != (3, 3) or w.shape[3] != c_in:
         raise ValueError(f"conv2d_3x3: weight shape {w.shape} incompatible with C_in={c_in}")
     # Nine per-tap GEMMs over a flattened zero-padded row block.  A block of
     # output rows r0.. holds map rows r0-1.. with a zero column either side
     # and zero rows beyond the map, plus one extra row, so tap (dy, dx) is a
     # contiguous window starting at dy*(W+2)+dx; each output row carries two
     # wrap-around columns, which are dropped.  Only the block is ever float64:
-    # the map is never padded whole, and each thread refills one float64
-    # (C_out, C_in) buffer per tap from w.  Each tap's product goes into one
-    # reused buffer and is added to the float64 sum in (dy, dx) order, with
-    # one rounding to the inputs' type at the end.  The blocks are fixed by
-    # CONV_BLOCK_COLUMNS alone, never by the thread count: dgemm sums a
-    # product's last few columns in another order, so the block size moves
-    # float64 rounding, which the rounding to float32 has hidden in every
-    # case tried.
-    c_out, row = w.shape[0], wd + 2
+    # the map is never padded whole, and each thread casts each contiguous
+    # tap w[dy, dx] into one float64 (C_out, C_in) buffer.  Each tap's
+    # product goes into one reused buffer and is added to the float64 sum in
+    # (dy, dx) order, with one rounding to the inputs' type at the end.  The
+    # blocks are fixed by CONV_BLOCK_COLUMNS alone, never by the thread
+    # count: dgemm sums a product's last few columns in another order, so
+    # the block size moves float64 rounding, which the rounding to float32
+    # has hidden in every case tried.
+    c_out, row = w.shape[2], wd + 2
     step = max(1, CONV_BLOCK_COLUMNS // row)
     out = np.empty((c_out, h, wd), dtype=np.result_type(x, w))
     most = min(step, h)
@@ -236,7 +255,7 @@ def conv2d_3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.
             for dy in range(3):
                 for dx in range(3):
                     start = dy * row + dx
-                    np.copyto(taps, w[:, :, dy, dx])
+                    np.copyto(taps, w[dy, dx])
                     np.matmul(taps, flat[:, start : start + n], out=tap)
                     total += tap
             if b is not None:

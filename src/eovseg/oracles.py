@@ -105,14 +105,14 @@ def conv2d_1x1_oracle(x, w, b=None, macs: MacCounter | None = None) -> np.ndarra
     x = _f64(x)
     w = _f64(w)
     c_in, h, wd = x.shape
-    c_out = w.shape[0]
+    c_out = w.shape[1]  # w: (C_in, C_out)
     out = np.zeros((c_out, h, wd), dtype=np.float64)
     for o in range(c_out):
         for i in range(h):
             for j in range(wd):
                 acc = 0.0
                 for c in range(c_in):
-                    acc += float(w[o, c]) * float(x[c, i, j])
+                    acc += float(w[c, o]) * float(x[c, i, j])
                     if macs is not None:
                         macs.add(1)
                 out[o, i, j] = acc + (float(b[o]) if b is not None else 0.0)
@@ -123,7 +123,7 @@ def conv2d_3x3_oracle(x, w, b=None, macs: MacCounter | None = None) -> np.ndarra
     x = _f64(x)
     w = _f64(w)
     c_in, h, wd = x.shape
-    c_out = w.shape[0]
+    c_out = w.shape[2]  # w: (3, 3, C_out, C_in)
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
     out = np.zeros((c_out, h, wd), dtype=np.float64)
     for o in range(c_out):
@@ -133,7 +133,7 @@ def conv2d_3x3_oracle(x, w, b=None, macs: MacCounter | None = None) -> np.ndarra
                 for c in range(c_in):
                     for dy in range(3):
                         for dx in range(3):
-                            acc += float(w[o, c, dy, dx]) * float(xp[c, i + dy, j + dx])
+                            acc += float(w[dy, dx, o, c]) * float(xp[c, i + dy, j + dx])
                             if macs is not None:
                                 macs.add(1)
                 out[o, i, j] = acc + (float(b[o]) if b is not None else 0.0)

@@ -331,9 +331,12 @@ def forward_traced(
     bundle: WeightBundle,
     trace_dir: str | Path,
 ) -> ForwardResult:
-    """Run forward and dump every intermediate tensor as <name>.eovt."""
-    result = forward(image, text, class_is_thing, config, bundle)
+    """Run forward and dump every intermediate tensor as <name>.eovt into
+    ``trace_dir``, which must be new or empty: the files of two runs never mix."""
     trace_dir = Path(trace_dir)
+    if trace_dir.is_dir() and any(trace_dir.iterdir()):
+        raise ValueError(f"forward_traced: trace directory {trace_dir} is not empty")
+    result = forward(image, text, class_is_thing, config, bundle)
     trace_dir.mkdir(parents=True, exist_ok=True)
     for name in sorted(result.trace):
         write_eovt(trace_dir / f"{name}.eovt", result.trace[name])

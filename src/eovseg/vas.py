@@ -19,14 +19,14 @@ from .tensor import Rng
 @dataclass
 class VasWeights:
     feat_depth: np.ndarray  # (D, 3, 3) per-channel 3x3
-    feat_point: np.ndarray  # (D, D) pointwise mix
+    feat_point: np.ndarray  # (D, D) pointwise mix as (C_in, C_out)
     feat_bias: np.ndarray  # (D,)
     text_w: np.ndarray  # (D, D) row-vector linear
     text_b: np.ndarray  # (D,)
     heads: int
 
     def __post_init__(self):
-        d = self.feat_point.shape[0]
+        d = self.feat_point.shape[1]
         if d % self.heads != 0:
             raise ValueError(f"VasWeights: width {d} not divisible by {self.heads} heads")
 
@@ -35,7 +35,7 @@ class VasWeights:
         rng = Rng(seed)
         return cls(
             feat_depth=rng.normal((width, 3, 3), std=1.0 / 3.0),
-            feat_point=rng.normal((width, width), std=1.0 / np.sqrt(width)),
+            feat_point=rng.normal((width, width), std=1.0 / np.sqrt(width)).T.copy(),
             feat_bias=rng.normal((width,), std=0.02),
             text_w=rng.normal((width, width), std=1.0 / np.sqrt(width)),
             text_b=rng.normal((width,), std=0.02),

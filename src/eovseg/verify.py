@@ -177,13 +177,13 @@ def _draw_pointwise(rng: Rng, t: int):
 def _draw_conv2d_1x1(rng: Rng, t: int):
     c_in, c_out = int(rng.integers(1, 6)), int(rng.integers(1, 6))
     h, w = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-    return rng.normal((c_in, h, w)), rng.normal((c_out, c_in)), rng.normal((c_out,))
+    return rng.normal((c_in, h, w)), rng.normal((c_in, c_out)), rng.normal((c_out,))
 
 
 def _draw_conv2d_3x3(rng: Rng, t: int):
     c_in, c_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     h, w = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-    return rng.normal((c_in, h, w)), rng.normal((c_out, c_in, 3, 3)), rng.normal((c_out,))
+    return rng.normal((c_in, h, w)), rng.normal((3, 3, c_out, c_in)), rng.normal((c_out,))
 
 
 def _draw_depthwise_conv2d_3x3(rng: Rng, t: int):
@@ -254,6 +254,42 @@ def check_bilinear_mean(rng: Rng, trials: int):
     return True, "constancy exact; ramp mean preserved"
 
 
+def check_layer_norm(rng: Rng, trials: int):
+    """``kernels.layer_norm`` against its loop oracle, each row within
+    ``KERNEL_TOL`` plus a bound set by the row's own conditioning.
+
+    With u = 2**-24, the float32 unit roundoff, M = max|x| over a row of
+    width d, G = max|gamma| and s = 1/sqrt(var + LAYER_NORM_EPS), the
+    kernel's mean errs by at most d*u*M (d - 1 rounded adds, one divide),
+    so each x - mean errs by e = (d + 2)*u*M.  Scaling by s multiplies e by
+    s; the variance summed from the perturbed differences moves s by up to
+    e*sqrt(var)*s**3 relatively, and |x - mean|*s <= sqrt(d), which adds at
+    most sqrt(d)*e*s.  Times gamma, a row may err by
+    (1 + sqrt(d))*(d + 2)*u*M*G*s beyond the rounding of the normalized
+    value itself, which ``KERNEL_TOL`` covers.  A row whose variance falls
+    below LAYER_NORM_EPS has s up to 1/sqrt(LAYER_NORM_EPS), about 316, so
+    a fixed absolute tolerance would fail a kernel that is within its
+    rounding there.  On 51,200 draws (seeds 0-511) the added term stayed
+    below 2.1e-3, far below the error of a wrong sign.
+    """
+    unit = float(np.finfo(np.float32).eps) / 2
+    worst, worst_ratio = 0.0, 0.0
+    for t in range(trials):
+        x, gamma, beta = _draw_layer_norm(rng, t)
+        got = np.asarray(kernels.layer_norm(x, gamma, beta), np.float64)
+        err = np.max(np.abs(got - oracles.layer_norm_oracle(x, gamma, beta)), axis=1)
+        x64, d = x.astype(np.float64), x.shape[1]
+        scale = 1.0 / np.sqrt(np.var(x64, axis=1) + kernels.LAYER_NORM_EPS)
+        bound = KERNEL_TOL + ((1 + np.sqrt(d)) * (d + 2) * unit * np.max(np.abs(x64), axis=1)
+                              * float(np.max(np.abs(gamma))) * scale)
+        ratio = err / bound
+        if not np.all(ratio <= 1.0):  # NaN fails too
+            r = int(np.argmax(np.where(np.isnan(ratio), np.inf, ratio)))
+            return False, f"trial {t} row {r}: err {err[r]:.2e} over its bound {bound[r]:.2e}"
+        worst, worst_ratio = max(worst, float(err.max())), max(worst_ratio, float(ratio.max()))
+    return True, f"max err {worst:.2e}, at most {worst_ratio:.2f} of each row's bound"
+
+
 def check_l2_normalize(rng: Rng, trials: int):
     worst = 0.0
     for _ in range(trials):
@@ -267,18 +303,20 @@ def check_l2_normalize(rng: Rng, trials: int):
 
 def check_kernel_determinism(rng: Rng, trials: int):
     x = rng.normal((4, 5, 5))
-    w = rng.normal((4, 4, 3, 3))
+    w = rng.normal((3, 3, 4, 4))
     b = rng.normal((4,))
     # large enough for BLAS to block the GEMMs
     x_wide = rng.normal((32, 16, 16))
-    w_wide = rng.normal((32, 32, 3, 3))
+    w_wide = rng.normal((3, 3, 32, 32))
     w_up = rng.normal((32, 16, 2, 2))
     # several blocks, so _run_blocks spreads them over its threads: rows of
     # 32 pixels give 16-row conv2d_3x3 blocks (16 + 16 + 8 rows), and 3 MiB
     # of input gives three conv2d_1x1 column blocks; 64 channels keep each
     # block long enough for two threads to overlap
-    x_rows, w_rows = rng.normal((64, 40, 30)), rng.normal((64, 64, 3, 3))
-    x_cols, w_cols = rng.normal((48, 128, 128)), rng.normal((64, 48))
+    x_rows, w_rows = rng.normal((64, 40, 30)), rng.normal((3, 3, 64, 64))
+    x_cols, w_cols = rng.normal((48, 128, 128)), rng.normal((48, 64))
+    # fewer pixels than output channels: the output channel is innermost
+    x_few, w_few, b_few = rng.normal((256, 2, 2)), rng.normal((256, 64)), rng.normal((64,))
     cases = (
         lambda: kernels.conv2d_3x3(x, w, b),
         lambda: kernels.softmax(x, 0),
@@ -289,6 +327,7 @@ def check_kernel_determinism(rng: Rng, trials: int):
         lambda: kernels.transposed_conv2d(x_wide, w_up, None),
         lambda: kernels.conv2d_3x3(x_rows, w_rows, None),
         lambda: kernels.conv2d_1x1(x_cols, w_cols, None),
+        lambda: kernels.conv2d_1x1(x_few, w_few, b_few),
     )
     for _ in range(max(2, trials // 5)):
         if not all(np.array_equal(fn(), fn()) for fn in cases):
@@ -665,7 +704,7 @@ CHECKS = [
     ("linear_vs_loop_oracle", _kernel_vs_oracle("linear", _draw_linear)),
     ("softmax_vs_loop_oracle", _kernel_vs_oracle("softmax", _draw_softmax, 1e-6)),
     ("softmax_properties", check_softmax_properties),
-    ("layer_norm_vs_loop_oracle", _kernel_vs_oracle("layer_norm", _draw_layer_norm)),
+    ("layer_norm_vs_loop_oracle", check_layer_norm),
     ("sigmoid_vs_loop_oracle", _kernel_vs_oracle("sigmoid", _draw_pointwise, 1e-6)),
     ("gelu_vs_loop_oracle", _kernel_vs_oracle("gelu", _draw_pointwise, 1e-6)),
     ("relu_vs_loop_oracle", _kernel_vs_oracle("relu", _draw_pointwise, 1e-6)),
@@ -720,14 +759,20 @@ RETIRED_SLOTS = (22, 23, 24, 26, 36, 37, 38)
 SEED_SLOTS = [s for s in range(len(CHECKS) + len(RETIRED_SLOTS)) if s not in RETIRED_SLOTS]
 
 
+def check_rng(name: str, seed: int) -> Rng:
+    """The generator that the ``CHECKS`` row ``name`` draws from under ``verify --seed seed``."""
+    slot = SEED_SLOTS[[row for row, _ in CHECKS].index(name)]
+    return Rng((seed << 8) + slot + 1)
+
+
 def run_checks(trials: int = 25, seed: int = 0, sabotage: str | None = None) -> list[CheckResult]:
     if trials < 1:
         raise ValueError(f"verify: trials must be >= 1, got {trials}")
     results = []
     ctx = contextlib.nullcontext() if sabotage is None else sabotage_kernel(sabotage)
     with ctx:
-        for i, (name, fn) in enumerate(CHECKS):
-            rng = Rng((seed << 8) + SEED_SLOTS[i] + 1)
+        for name, fn in CHECKS:
+            rng = check_rng(name, seed)
             t0 = time.perf_counter()
             try:
                 passed, detail = fn(rng, trials)

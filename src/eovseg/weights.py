@@ -35,9 +35,10 @@ from .tensor import MAX_RANK, EovtFormatError, Rng, check_tensor
 from .vas import VasWeights
 
 # Bump whenever any *.build / build_weights draw changes (order, shape, std,
-# seed stream), ``_layout`` gains or loses a name or the file's checksum rule
-# changes, so caches written by an older generator are rebuilt, not refused.
-GENERATOR_VERSION = 4
+# seed stream) or a stored layout changes, ``_layout`` gains or loses a name
+# or the file's checksum rule changes, so caches written by an older generator
+# are rebuilt, not refused.
+GENERATOR_VERSION = 5
 
 # ModelConfig fields that no weight draw, tensor name or bundle setting reads.
 # The cache key leaves out only these, so a field added later is keyed until
@@ -77,7 +78,7 @@ class WeightBundle:
     tdee: TdeeWeights
     sdi: SdiWeights
     eaf: EafWeights
-    clip_proj: tuple[np.ndarray, np.ndarray]  # last backbone stage -> embed width
+    clip_proj: tuple[np.ndarray, np.ndarray]  # 1x1 (C5, D): last backbone stage -> embed width
 
     def to_tensors(self) -> dict[str, np.ndarray]:
         """On-disk name -> tensor."""
@@ -198,7 +199,7 @@ def build_weights(config: ModelConfig, image_hw: tuple[int, int]) -> WeightBundl
     clip_rng = Rng(seeds["clip"])
     c5 = config.backbone_widths[-1]
     clip_proj = (
-        clip_rng.normal((d, c5), std=1.0 / np.sqrt(c5)),
+        clip_rng.normal((d, c5), std=1.0 / np.sqrt(c5)).T.copy(),
         clip_rng.normal((d,), std=0.02),
     )
     return WeightBundle(

@@ -29,7 +29,7 @@ from eovseg.pipeline import forward, replay_trace
 from eovseg.profiler import _decoder_layer_macs, params_ca_layer, params_dda_layer
 from eovseg.tensor import Rng
 from eovseg.vas import VasWeights, vas_forward_detailed
-from eovseg.verify import (CHECKS, SABOTAGE_TARGETS, SEED_SLOTS, _random_annotation,
+from eovseg.verify import (CHECKS, SABOTAGE_TARGETS, SEED_SLOTS, _random_annotation, check_rng,
                            check_stages_vs_references, run_checks)
 from eovseg.weights import build_weights
 
@@ -48,6 +48,19 @@ CHECK_NAMES = [name for name, _ in CHECKS]
 @pytest.mark.parametrize("index, name", list(enumerate(CHECK_NAMES)), ids=CHECK_NAMES)
 def test_criterion_1_check_at_100_instances(verify_check, index, name):
     verify_check(name, seed=9_000 + SEED_SLOTS[index])
+
+
+@pytest.mark.parametrize("name", [n for n in CHECK_NAMES if n.endswith("_vs_loop_oracle")])
+def test_criterion_1_loop_oracle_row_holds_at_100_trials_on_verify_seeds_0_to_15(name):
+    # each seed draws as ``verify --seed`` does, so a failure names the
+    # command that reproduces it
+    check = dict(CHECKS)[name]
+    failures = []
+    for seed in range(16):
+        passed, detail = check(check_rng(name, seed), 100)
+        if not passed:
+            failures.append(f"verify --trials 100 --seed {seed}: {detail}")
+    assert not failures, f"{name}: " + "; ".join(failures)
 
 
 def test_criterion_1_check_table_covers_every_sabotage_target():

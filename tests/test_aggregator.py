@@ -76,9 +76,9 @@ def test_pyramid_constancy_with_identity_weights():
     weights = AggregatorWeights.build(9, D, widths)
     for level in (2, 3, 4, 5):
         weights.laterals[level] = (np.eye(D, dtype=np.float32), np.zeros(D, np.float32))
-        smooth = np.zeros((D, D, 3, 3), dtype=np.float32)
+        smooth = np.zeros((3, 3, D, D), dtype=np.float32)
         for c in range(D):
-            smooth[c, c, 1, 1] = 1.0
+            smooth[1, 1, c, c] = 1.0
         weights.smooths[level] = (smooth, np.zeros(D, np.float32))
     feats = {
         level: np.full((D, 32 // 2 ** (level - 2), 32 // 2 ** (level - 2)), 1.5, dtype=np.float32)
@@ -107,9 +107,9 @@ def _constant_pyramid(value: float, hw: int = 16) -> dict[int, np.ndarray]:
 def test_aggregate_constant_four_term_sum(agg_weights):
     for level in (2, 3, 4, 5):
         agg_weights.level_proj[level] = np.eye(D, dtype=np.float32)
-    fuse = np.zeros((D, D, 3, 3), dtype=np.float32)
+    fuse = np.zeros((3, 3, D, D), dtype=np.float32)
     for c in range(D):
-        fuse[c, c, 1, 1] = 1.0
+        fuse[1, 1, c, c] = 1.0
     agg_weights.fuse = (fuse, np.zeros(D, np.float32))
     out = aggregate(_constant_pyramid(2.0), agg_weights)
     assert out.shape == (D, 16, 16)

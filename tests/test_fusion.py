@@ -64,7 +64,7 @@ class TestEaf:
     def test_selector_keeps_features(self):
         dv = 5
         w = EafWeights.build(1, D, dv)
-        w.w = np.concatenate([np.eye(D, dtype=np.float32), np.zeros((D, dv), np.float32)], axis=1)
+        w.w = np.concatenate([np.eye(D, dtype=np.float32), np.zeros((dv, D), np.float32)], axis=0)
         w.b = np.zeros(D, np.float32)
         feat = Rng(2).normal((D, 3, 3))
         spat = Rng(3).normal((dv, 3, 3))
@@ -73,7 +73,7 @@ class TestEaf:
     def test_selector_keeps_spatial_channels(self):
         dv = D + 2  # spatial side wide enough to select D channels from
         w = EafWeights.build(4, D, dv)
-        w.w = np.concatenate([np.zeros((D, D), np.float32), np.eye(D, dv, dtype=np.float32)], axis=1)
+        w.w = np.concatenate([np.zeros((D, D), np.float32), np.eye(dv, D, dtype=np.float32)], axis=0)
         w.b = np.zeros(D, np.float32)
         feat = Rng(5).normal((D, 2, 2))
         spat = Rng(6).normal((dv, 2, 2))

@@ -33,10 +33,10 @@ def two_branch_sigmoid(x):
 
 
 def channel_loop_1x1(x, w):
-    """Pointwise convolution summed one input channel at a time in float32."""
-    out = np.zeros((w.shape[0], *x.shape[1:]), dtype=np.float32)
+    """Pointwise convolution summed one input channel at a time in float32; w: (C_in, C_out)."""
+    out = np.zeros((w.shape[1], *x.shape[1:]), dtype=np.float32)
     for c in range(x.shape[0]):
-        out += w[:, c, None, None] * x[c]
+        out += w[c, :, None, None] * x[c]
     return out
 
 
@@ -171,16 +171,16 @@ class TestConv2d:
 
     def test_k3_delta_kernel_identity(self):
         x = Rng(2).normal((2, 5, 5))
-        w = np.zeros((2, 2, 3, 3), dtype=np.float32)
+        w = np.zeros((3, 3, 2, 2), dtype=np.float32)
         for c in range(2):
-            w[c, c, 1, 1] = 1.0
+            w[1, 1, c, c] = 1.0
         out = kernels.conv2d_3x3(x, w, None)
         assert np.array_equal(out, x)
 
     def test_k3_loop_oracle_3x5x5(self):
         rng = Rng(21)
         x = rng.normal((3, 5, 5))
-        w = rng.normal((4, 3, 3, 3))
+        w = rng.normal((3, 3, 4, 3))
         b = rng.normal((4,))
         assert max_err(kernels.conv2d_3x3(x, w, b), oracles.conv2d_3x3_oracle(x, w, b)) < 1e-5
 
@@ -198,7 +198,7 @@ class TestConv2d:
         # float64 rounding: dgemm sums a product's last few columns in another
         # order, and which pixels are last depends on the block.
         rng = Rng(1000 + c_in)
-        draw = rng.normal((c_in, h, w)), rng.normal((c_out, c_in, 3, 3)), rng.normal((c_out,))
+        draw = rng.normal((c_in, h, w)), rng.normal((3, 3, c_out, c_in)), rng.normal((c_out,))
         cases = [tuple(a.astype(dtype) for a in draw) for dtype in (np.float32, np.float64)]
         defaults = [kernels.conv2d_3x3(*args) for args in cases]
         monkeypatch.setattr(kernels, "CONV_BLOCK_COLUMNS", block)
@@ -214,7 +214,7 @@ class TestConv2d:
     def test_k3_without_bias_is_contiguous_float32(self):
         rng = Rng(22)
         x = rng.normal((24, 5, 7))
-        w = rng.normal((3, 24, 3, 3))
+        w = rng.normal((3, 3, 3, 24))
         out = kernels.conv2d_3x3(x, w, None)
         assert out.dtype == np.float32 and out.flags.c_contiguous
         assert max_err(out, oracles.conv2d_3x3_oracle(x, w, None)) < 1e-5
@@ -226,24 +226,26 @@ class TestConv2d:
 
     @pytest.mark.parametrize(
         "c_in, h, w",
-        [(48, 64, 64), (256, 64, 64), (320, 64, 64), (1024, 8, 8), (256, 2, 3), (320, 37, 53)],
+        [(48, 64, 64), (256, 64, 64), (320, 64, 64), (1024, 8, 8), (256, 2, 3), (320, 37, 53),
+         (256, 1, 1), (1024, 1, 1), (1024, 2, 2), (512, 4, 4)],
     )
     def test_1x1_is_the_sequential_channel_loop(self, c_in, h, w):
         # einsum's order, which the stored benchmark scores depend on: each
         # output sums the channels in order, multiply then add in float32.
-        # (320, 64, 64) and (320, 37, 53) split into blocks of unequal width.
-        # A one-pixel map is not in the list: there einsum sums the channels
-        # in its innermost loop, in another order, and it is never split.
+        # (320, 64, 64) and (320, 37, 53) split into blocks of unequal width;
+        # (256, 2, 3) and the last four have fewer pixels than the 32 output
+        # channels, so the output channel is innermost, one-pixel maps too.
         rng = Rng(2000 + c_in)
-        x, wt = rng.normal((c_in, h, w)), rng.normal((32, c_in))
+        x, wt = rng.normal((c_in, h, w)), rng.normal((c_in, 32))
         assert np.array_equal(kernels.conv2d_1x1(x, wt), channel_loop_1x1(x, wt))
 
     @pytest.mark.parametrize("block_bytes", [1, 64, 1000])
     @pytest.mark.parametrize("c_in, h, w", [(8, 1, 5), (24, 7, 9), (5, 6, 1)])
     def test_1x1_column_blocks_do_not_change_values(self, monkeypatch, block_bytes, c_in, h, w):
-        # down to the narrowest split allowed: two columns per block
+        # down to the narrowest split allowed: two columns per block; 4 output
+        # channels keep every map at least as wide as C_out, so it is split
         rng = Rng(2002 + c_in)
-        draw = rng.normal((c_in, h, w)), rng.normal((6, c_in)), rng.normal((6,))
+        draw = rng.normal((c_in, h, w)), rng.normal((c_in, 4)), rng.normal((4,))
         cases = [tuple(a.astype(dtype) for a in draw) for dtype in (np.float32, np.float64)]
         wholes = [kernels.conv2d_1x1(*args) for args in cases]
         monkeypatch.setattr(kernels, "CONV1X1_BLOCK_BYTES", block_bytes)
@@ -297,7 +299,7 @@ class TestBlockRunner:
         # last block one row short
         rng = Rng(3000 + n_blocks)
         args = tuple(a.astype(dtype) for a in (
-            rng.normal((24, 2 * n_blocks - 1, 6)), rng.normal((6, 24, 3, 3)), rng.normal((6,))))
+            rng.normal((24, 2 * n_blocks - 1, 6)), rng.normal((3, 3, 6, 24)), rng.normal((6,))))
         monkeypatch.setattr(kernels, "CONV_BLOCK_COLUMNS", 16)
         counts = blocks_run(monkeypatch)
         outs = []
@@ -314,7 +316,7 @@ class TestBlockRunner:
         # a map of one block never reaches the runner
         rng = Rng(3100 + n_blocks)
         x, w, b = (a.astype(dtype) for a in (
-            rng.normal((8, 5, 6)), rng.normal((6, 8)), rng.normal((6,))))
+            rng.normal((8, 5, 6)), rng.normal((8, 6)), rng.normal((6,))))
         monkeypatch.setattr(kernels, "CONV1X1_BLOCK_BYTES", x.nbytes // n_blocks)
         counts = blocks_run(monkeypatch)
         outs = []
@@ -379,7 +381,7 @@ def test_forked_child_runs_its_blocks(cli_env):
         "from eovseg.tensor import Rng\n"
         "kernels.WORKERS = 2\n"
         "rng = Rng(7)\n"
-        "x, w = rng.normal((64, 64, 64)), rng.normal((64, 64, 3, 3))\n"
+        "x, w = rng.normal((64, 64, 64)), rng.normal((3, 3, 64, 64))\n"
         "want = kernels.conv2d_3x3(x, w)\n"
         "pid = os.fork()\n"
         "if pid == 0:\n"

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import re
 import struct
 import sys
 import threading
@@ -282,6 +283,18 @@ def test_traced_attention_obeys_bounds(scene, tmp_path):
     assert attn.min() >= lo and attn.max() <= 1.0
 
 
+def test_forward_traced_refuses_a_used_directory(scene, tmp_path):
+    # a second run into the first run's directory would mix their files
+    spec, image, _, _, text = scene
+    cfg = small_config()
+    bundle = build_weights(cfg, (64, 64))
+    forward_traced(image, text, spec.is_thing(), cfg, bundle, tmp_path / "t")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "t").iterdir()}
+    with pytest.raises(ValueError, match=re.escape(f"trace directory {tmp_path / 't'} is not empty")):
+        forward_traced(image, text, spec.is_thing(), small_config(fusion="none"), bundle, tmp_path / "t")
+    assert {p.name: p.read_bytes() for p in (tmp_path / "t").iterdir()} == before
+
+
 @pytest.mark.parametrize("mode", ["none", "eaf", "sdi", "tdee"])
 def test_replay_reproduces_every_stage_bitwise(scene, mode):
     spec, image, _, _, text = scene
@@ -435,14 +448,32 @@ def test_indivisible_image_fails_in_backbone_stage(scene):
 
 # Digest of the small_config() bundle at 64x64: each tensor's name, shape and
 # float32 bytes, in name order.  It reads no cache file, so a change to the
-# cache format cannot move it; a renamed tensor, a changed shape or a changed
-# draw does.
-SMALL64_GENERATOR_SHA256 = "41ce5d7f2365694958407ba90bc02576c0fc740ff5d515c99a2d23eee077582c"
+# cache format cannot move it; a renamed tensor, a changed shape or layout or
+# a changed draw does.  The V4 digest is the bundle's as generator version 4
+# stored it, before the conv weights were stored in their kernels' layouts.
+SMALL64_GENERATOR_SHA256 = "f690036bd1227d852f88613548db0df1656708fe8bd911bccecc47f78e586b43"
+SMALL64_V4_GENERATOR_SHA256 = "41ce5d7f2365694958407ba90bc02576c0fc740ff5d515c99a2d23eee077582c"
+
+# The conv weights that generator version 5 stores transposed: 1x1 weights
+# (C_in, C_out), not (C_out, C_in), and 3x3 weights (3, 3, C_out, C_in), not
+# (C_out, C_in, 3, 3).  Both swaps are their own inverse.
+_RELAID = re.compile(r"(backbone\.stage\d|aggregator\.(lateral\d|smooth\d|proj\d|fuse)"
+                     r"|fusion\.eaf|classifier\.clip_proj)\.w|vas\.feat_point")
 
 
-def _generator_sha256(bundle):
+def _version4_layouts(tensors):
+    """``tensors`` with each conv weight in the layout generators before version 5 stored."""
+    def old(name, arr):
+        if not _RELAID.fullmatch(name):
+            return arr
+        return arr.transpose(2, 3, 0, 1) if arr.ndim == 4 else arr.T
+
+    return {name: old(name, arr) for name, arr in tensors.items()}
+
+
+def _generator_sha256(bundle, relay=lambda tensors: tensors):
     digest = hashlib.sha256()
-    for name, arr in sorted(bundle.to_tensors().items()):
+    for name, arr in sorted(relay(bundle.to_tensors()).items()):
         shape = "x".join(map(str, arr.shape))
         digest.update(f"{name} {shape}\0".encode() + arr.astype("<f4").tobytes())
     return digest.hexdigest()
@@ -515,7 +546,7 @@ def _version2_cross_attn(cfg):
 
 def _older_cache(cache, cfg, version):
     """A directory-form cache as generator ``version`` (1 or 2) wrote it for ``cfg`` at 64x64."""
-    tensors = build_weights(cfg, (64, 64)).to_tensors() | _version2_cross_attn(cfg)
+    tensors = _version4_layouts(build_weights(cfg, (64, 64)).to_tensors()) | _version2_cross_attn(cfg)
     if version == 1:
         tensors |= {"vas.scale": np.float32([1.0]), "vas.offset": np.float32([0.0])}
     _directory_form_cache(cache, tensors, _old_meta_forms(cfg)[f"v{version}"])
@@ -645,6 +676,14 @@ class TestWeightBundle:
     def test_generator_draws_pinned(self):
         bundle = build_weights(small_config(), (64, 64))
         assert _generator_sha256(bundle) == SMALL64_GENERATOR_SHA256
+
+    def test_relaid_conv_weights_hold_version_4_values(self):
+        # the layout change moved no value: each re-laid weight, swapped
+        # back, is what generator version 4 stored
+        bundle = build_weights(small_config(), (64, 64))
+        tensors = bundle.to_tensors()
+        assert sum(bool(_RELAID.fullmatch(name)) for name in tensors) == 20
+        assert _generator_sha256(bundle, _version4_layouts) == SMALL64_V4_GENERATOR_SHA256
 
     def test_manifest_lists_every_tensor(self, tmp_path, weight_header):
         """The header lists every tensor in ``_layout`` order with its shape,

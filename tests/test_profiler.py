@@ -171,7 +171,7 @@ class TestMacs:
     def test_op_level_instrumented_counts(self):
         rng = Rng(1)
         c = oracles.MacCounter()
-        oracles.conv2d_1x1_oracle(rng.normal((2, 2, 2)), rng.normal((3, 2)), None, c)
+        oracles.conv2d_1x1_oracle(rng.normal((2, 2, 2)), rng.normal((2, 3)), None, c)
         assert c.count == macs_conv2d_1x1(2, 3, 2, 2)
         c = oracles.MacCounter()
         oracles.depthwise_conv1d_oracle(rng.normal((4, 6)), rng.normal((4, 3)), c)
