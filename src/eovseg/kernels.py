@@ -15,10 +15,20 @@ Conventions fixed once for the whole package:
   * gelu is the tanh approximation;
   * reductions run in row-major order so results are bitwise reproducible.
 
-``conv2d_3x3`` and ``conv2d_1x1`` split their work into fixed blocks and run
-them on up to ``WORKERS`` threads that live for one call (``_run_blocks``).
-The blocks do not depend on the thread count and each is computed whole by
-one thread, so neither the thread count nor which thread runs a block moves a bit.
+Four kernels split their work into fixed blocks and run them on up to
+``WORKERS`` threads that live for one call (``_run_blocks``):
+  * ``conv2d_3x3`` splits the map's rows, or on a map of one row block its
+    output channels;
+  * ``conv2d_1x1`` splits the pixels in column blocks on a large map, else
+    the output channels, or the pixels where the output channel is innermost;
+  * ``depthwise_conv2d_3x3`` and ``bilinear_upsample`` split the channels.
+The blocks are fixed by the shapes and the block constants, never by the
+thread count, and each is computed whole by one thread, so neither the
+thread count nor which thread runs a block moves a bit.  A call of at most
+``2 * BLOCK_MACS`` multiply-adds runs its blocks on the calling thread.
+In float64 a 3x3 channel block changes the row count of dgemm's products,
+which, like a row block's size, moves float64 rounding by about 1e-14; no
+float32 output has moved.
 """
 
 from __future__ import annotations
@@ -39,14 +49,21 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # one thread.
 CONV_BLOCK_COLUMNS = 512
 CONV1X1_BLOCK_BYTES = 1 << 20  # least input bytes per conv2d_1x1 column block
-DEPTHWISE_BLOCK_BYTES = 1 << 18  # padded input bytes per depthwise_conv2d_3x3 channel block
-UPSAMPLE_BLOCK_BYTES = 1 << 19  # output bytes per bilinear_upsample channel block
+# least multiply-adds of one product in a conv2d_1x1 channel or pixel block
+# and a conv2d_3x3 channel block (one tap's); a call of at most twice this
+# many runs all its blocks on the calling thread
+BLOCK_MACS = 1 << 22
+DEPTHWISE_BLOCK_BYTES = 1 << 18  # most padded input bytes per depthwise_conv2d_3x3 channel block
+UPSAMPLE_BLOCK_BYTES = 1 << 19  # most output bytes per bilinear_upsample channel block
 LAYER_NORM_EPS = 1e-5  # added to the variance
 L2_NORM_FLOOR = 1e-12  # least norm a row is divided by
-# threads that run one call's convolution blocks: the caller plus up to WORKERS - 1
-# started for it, one per CPU this process may run on (``taskset -c 0``: serial)
+# threads that run one call's blocks: the caller plus up to WORKERS - 1 started
+# for it, one per CPU this process may run on (``taskset -c 0``: serial)
 _affinity = getattr(os, "sched_getaffinity", None)
 WORKERS = len(_affinity(0)) if _affinity else os.cpu_count() or 1
+# most bytes the threads of one call hold in buffers of their own: two
+# conv2d_3x3 workers at 256 channels on a 32x32 or 64x64 map
+WORKER_BUFFER_BYTES = 8 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +128,25 @@ def relu(x: np.ndarray) -> np.ndarray:
 # convolutions
 
 
-def _run_blocks(n_blocks: int, make_worker) -> None:
+def _run_blocks(n_blocks: int, make_worker, macs: int, worker_bytes: int = 0) -> None:
     """Run blocks ``0..n_blocks-1`` on the calling thread and up to WORKERS - 1 helper threads.
 
     ``make_worker()`` returns one thread's ``run(block)``; it is called here,
     in the calling thread, once per thread, so each thread's buffers are made
-    before any block runs.  Each thread claims the next unclaimed block until
-    none is left (no fixed shares: a thread slowed by a busy core takes fewer).
-    Every helper started is joined before this returns or raises the first
-    error (a block's or a start's); a failed block leaves the rest unclaimed.
+    before any block runs.  A call of at most ``2 * BLOCK_MACS``
+    multiply-adds (``macs``, as ``eovseg.profiler`` counts the call's) runs
+    every block on the calling thread and starts none; so does a call of
+    one block.  ``worker_bytes``, the buffers one ``make_worker()`` holds,
+    caps the threads at WORKER_BUFFER_BYTES of buffers (one at least).
+    Each thread claims the next unclaimed block until none is left (no fixed
+    shares: a thread slowed by a busy core takes fewer).  Every helper
+    started is joined before this returns or raises the first error (a
+    block's or a start's); a failed block leaves the rest unclaimed.
     """
-    runs = [make_worker() for _ in range(min(WORKERS, n_blocks))]
+    threads = min(WORKERS, n_blocks) if macs > 2 * BLOCK_MACS else 1
+    if worker_bytes:
+        threads = min(threads, max(1, WORKER_BUFFER_BYTES // worker_bytes))
+    runs = [make_worker() for _ in range(threads)]
     blocks, lock, errors = iter(range(n_blocks)), threading.Lock(), []
 
     def drain(run) -> None:
@@ -152,6 +177,11 @@ def _run_blocks(n_blocks: int, make_worker) -> None:
         raise errors[0]
 
 
+def _cuts(length: int, n: int) -> list[int]:
+    """Bounds of ``n`` blocks of ``0..length`` whose lengths differ by at most one."""
+    return [length * i // n for i in range(n + 1)]
+
+
 def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Pointwise convolution. x: (C_in,H,W); w: (C_in,C_out); b: (C_out,) or None.
 
@@ -159,54 +189,73 @@ def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.
     inputs' type, a multiply then an add: bitwise the loop
     ``out += w[c, :, None, None] * x[c]`` (``tests/test_kernels.py`` pins
     this) whenever there is more than one output.  The loop order is picked
-    from the shapes alone.  A map of fewer pixels than ``C_out`` runs one
-    einsum with the output channel innermost, over the ``(pixels, C_out)``
-    output, then one transposing copy: a pixel-inner loop would be only a
-    few pixels long.  Any other map runs the pixels innermost over a
-    ``(C_out, C_in)`` copy of ``w``, so einsum takes the output channels
-    outermost and each output row stays in cache while the input channels
-    stream through it; the copy is at most 1/C_out of the MACs, since the
-    map has at least C_out pixels.  (Straight from ``w`` einsum takes the
-    input channels outermost and sweeps the whole output once per channel,
-    which ran the 256-channel 64x64 maps of a 256x256 image up to 2.4 times
-    slower.)  A pixel-inner map with at least twice CONV1X1_BLOCK_BYTES of
-    input runs in ``nbytes // CONV1X1_BLOCK_BYTES`` column blocks of equal width (they
+    from the shapes alone.  A map of fewer pixels than ``C_out`` runs einsum
+    with the output channel innermost, over the ``(pixels, C_out)`` output,
+    then one transposing copy: a pixel-inner loop would be only a few pixels
+    long.  Any other map runs the pixels innermost over a ``(C_out, C_in)``
+    copy of ``w``, so einsum takes the output channels outermost and each
+    output row stays in cache while the input channels stream through it;
+    the copy is at most 1/C_out of the MACs, since the map has at least
+    C_out pixels.  (Straight from ``w`` einsum takes the input channels
+    outermost and sweeps the whole output once per channel, which ran the
+    256-channel 64x64 maps of a 256x256 image up to 2.4 times slower.)
+
+    The work runs in blocks on ``_run_blocks``' threads, each block an
+    einsum over a slice of one axis, so every output keeps its
+    channel-ordered sum and the blocks are bitwise the single call.  A
+    pixel-inner map with at least twice CONV1X1_BLOCK_BYTES of input runs in
+    ``nbytes // CONV1X1_BLOCK_BYTES`` column blocks of equal width (they
     differ by at most one column, never a short tail: a one-column block
     makes einsum sum the channels in its innermost loop, which changes
-    bits), spread over ``_run_blocks``' threads.  Each thread copies its
-    block into its own contiguous buffer, which stays in cache while every
-    output channel reads it; a block keeps each output's order, so the
-    blocks are bitwise the single call.
+    bits); each thread copies its block into its own contiguous buffer,
+    which stays in cache while every output channel reads it.  Any other
+    pixel-inner map splits its output channels, at least two a block, and a
+    channel-inner map its pixels, into blocks of at least BLOCK_MACS.
     """
     c_in = x.shape[0]
     if w.ndim != 2 or w.shape[0] != c_in:
         raise ValueError(f"conv2d_1x1: weight shape {w.shape} incompatible with C_in={c_in}")
     c_out, pixels = w.shape[1], x.shape[1] * x.shape[2]
-    flat = x.reshape(c_in, pixels)
+    flat, macs = x.reshape(c_in, pixels), c_in * c_out * pixels
     if pixels < c_out:
-        out = np.ascontiguousarray(np.einsum("cp,co->po", flat, w).T).reshape(c_out, *x.shape[1:])
+        n = max(1, min(pixels, macs // BLOCK_MACS))
+        cuts, out_po = _cuts(pixels, n), np.empty((pixels, c_out), dtype=np.result_type(x, w))
+
+        def run_pixels(i: int) -> None:
+            p0, p1 = cuts[i], cuts[i + 1]
+            np.einsum("cp,co->po", flat[:, p0:p1], w, out=out_po[p0:p1])
+
+        _run_blocks(n, lambda: run_pixels, macs)
+        out = np.ascontiguousarray(out_po.T).reshape(c_out, *x.shape[1:])
         return out if b is None else out + b[:, None, None]
     w_oc = w.T.copy()
+    out = np.empty((c_out, *x.shape[1:]), dtype=np.result_type(w, x))
+    out_flat = out.reshape(c_out, pixels)
     n = min(x.nbytes // CONV1X1_BLOCK_BYTES, pixels // 2)
     if n <= 1:
-        out = np.einsum("oc,chw->ohw", w_oc, x)
+        n = max(1, min(c_out // 2, macs // BLOCK_MACS))
+        cuts = _cuts(c_out, n)
+
+        def run_channels(i: int) -> None:
+            o0, o1 = cuts[i], cuts[i + 1]
+            np.einsum("oc,cp->op", w_oc[o0:o1], flat, out=out_flat[o0:o1])
+
+        _run_blocks(n, lambda: run_channels, macs)
     else:
-        out = np.empty((c_out, *x.shape[1:]), dtype=np.result_type(w, x))
-        out_flat = out.reshape(c_out, pixels)
-        bounds = [pixels * i // n for i in range(n + 1)]
+        cuts, width = _cuts(pixels, n), -(-pixels // n)
 
         def worker():
-            buf = np.empty(c_in * -(-pixels // n), dtype=x.dtype)
+            buf = np.empty(c_in * width, dtype=x.dtype)
 
             def run(i: int) -> None:
-                j0, j1 = bounds[i], bounds[i + 1]
+                j0, j1 = cuts[i], cuts[i + 1]
                 block = buf[: c_in * (j1 - j0)].reshape(c_in, j1 - j0)
                 np.copyto(block, flat[:, j0:j1])
                 np.einsum("oc,cp->op", w_oc, block, out=out_flat[:, j0:j1])
 
             return run
 
-        _run_blocks(n, worker)
+        _run_blocks(n, worker, macs, c_in * width * x.itemsize)
     if b is not None:
         out = out + b[:, None, None]
     return out
@@ -225,67 +274,84 @@ def conv2d_3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.
     # the map is never padded whole, and each thread casts each contiguous
     # tap w[dy, dx] into one float64 (C_out, C_in) buffer.  Each tap's
     # product goes into one reused buffer and is added to the float64 sum in
-    # (dy, dx) order, with one rounding to the inputs' type at the end.  The
-    # blocks are fixed by CONV_BLOCK_COLUMNS alone, never by the thread
-    # count: dgemm sums a product's last few columns in another order, so
-    # the block size moves float64 rounding, which the rounding to float32
-    # has hidden in every case tried.
+    # (dy, dx) order, with one rounding to the inputs' type at the end.  A
+    # map of one row block splits its output channels instead, into blocks of
+    # at least BLOCK_MACS, and a thread pads the rows once for all the
+    # channel blocks it runs.  The blocks are fixed by the shapes and the
+    # block constants alone, never by the thread count: dgemm sums a
+    # product's last few columns in another order, and the rows of a product
+    # may round otherwise in a shorter one, so the block size moves float64
+    # rounding, which the rounding to float32 has hidden in every case tried.
     c_out, row = w.shape[2], wd + 2
     step = max(1, CONV_BLOCK_COLUMNS // row)
+    n_rows, most = -(-h // step), min(step, h)
+    macs = c_in * c_out * h * wd  # one tap's
+    n_ch = 1 if n_rows > 1 else max(1, min(c_out // 2, macs // BLOCK_MACS))
+    cuts, width = _cuts(c_out, n_ch), -(-c_out // n_ch)
     out = np.empty((c_out, h, wd), dtype=np.result_type(x, w))
-    most = min(step, h)
 
     def worker():
         padded = np.empty(c_in * (most + 3) * row)
-        prod, acc = np.empty(c_out * most * row), np.empty(c_out * most * row)
-        taps = np.empty((c_out, c_in))
+        prod, acc = np.empty(width * most * row), np.empty(width * most * row)
+        taps = np.empty((width, c_in))
+        filled = [None]  # the row block now in ``padded``
 
         def run(i: int) -> None:
-            r0 = i * step
-            rows = min(step, h - r0)
+            r0, o0, o1 = i // n_ch * step, cuts[i % n_ch], cuts[i % n_ch + 1]
+            rows, k = min(step, h - r0), o1 - o0
             n = rows * row
-            lo, hi = max(r0 - 1, 0), min(r0 + rows + 2, h)  # the map rows in the block
             block = padded[: c_in * (rows + 3) * row].reshape(c_in, rows + 3, row)
-            block.fill(0)
-            block[:, lo - r0 + 1 : hi - r0 + 1, 1:-1] = x[:, lo:hi]
+            if filled[0] != r0:
+                lo, hi = max(r0 - 1, 0), min(r0 + rows + 2, h)  # the map rows in the block
+                block.fill(0)
+                block[:, lo - r0 + 1 : hi - r0 + 1, 1:-1] = x[:, lo:hi]
+                filled[0] = r0
             flat = block.reshape(c_in, -1)
-            total = acc[: c_out * n].reshape(c_out, n)
-            tap = prod[: c_out * n].reshape(c_out, n)
+            total = acc[: k * n].reshape(k, n)
+            tap = prod[: k * n].reshape(k, n)
             total.fill(0)
             for dy in range(3):
                 for dx in range(3):
                     start = dy * row + dx
-                    np.copyto(taps, w[dy, dx])
-                    np.matmul(taps, flat[:, start : start + n], out=tap)
+                    np.copyto(taps[:k], w[dy, dx, o0:o1])
+                    np.matmul(taps[:k], flat[:, start : start + n], out=tap)
                     total += tap
             if b is not None:
-                total += b[:, None]
-            out[:, r0 : r0 + rows] = total.reshape(c_out, rows, row)[:, :, :wd]
+                total += b[o0:o1, None]
+            out[o0:o1, r0 : r0 + rows] = total.reshape(k, rows, row)[:, :, :wd]
 
         return run
 
-    _run_blocks(-(-h // step), worker)
+    worker_bytes = 8 * (c_in * (most + 3) * row + 2 * width * most * row + width * c_in)
+    _run_blocks(n_rows * n_ch, worker, 9 * macs, worker_bytes)
     return out
 
 
 def depthwise_conv2d_3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-channel 3x3 correlation, zero padding 1. w: (C,3,3).
 
-    Channels run in blocks of about DEPTHWISE_BLOCK_BYTES of padded input,
-    so the tap products stay in cache.  Each output still adds its nine
-    tap products to zero in (dy, dx) order, so the blocks change no bit.
+    Channels run in blocks of at most DEPTHWISE_BLOCK_BYTES of padded input,
+    so the tap products stay in cache, on ``_run_blocks``' threads.  Each
+    output still adds its nine tap products to zero in (dy, dx) order, so
+    the blocks change no bit.
     """
     c, h, wd = x.shape
     if w.shape != (c, 3, 3):
         raise ValueError(f"depthwise_conv2d_3x3: weight shape {w.shape}, need ({c},3,3)")
     out = np.zeros_like(x)
     step = max(1, DEPTHWISE_BLOCK_BYTES // ((h + 2) * (wd + 2) * x.itemsize))
-    for c0 in range(0, c, step):
-        xp = np.pad(x[c0 : c0 + step], ((0, 0), (1, 1), (1, 1)))
-        block, taps = out[c0 : c0 + step], w[c0 : c0 + step]
+    n = max(1, -(-c // step))
+    cuts = _cuts(c, n)
+
+    def run(i: int) -> None:
+        c0, c1 = cuts[i], cuts[i + 1]
+        xp = np.pad(x[c0:c1], ((0, 0), (1, 1), (1, 1)))
+        block, taps = out[c0:c1], w[c0:c1]
         for dy in range(3):
             for dx in range(3):
                 block += taps[:, dy, dx, None, None] * xp[:, dy : dy + h, dx : dx + wd]
+
+    _run_blocks(n, lambda: run, 9 * x.size)
     return out
 
 
@@ -370,21 +436,25 @@ def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
     ``top + (bot - top)*fy`` with ``top = ll + (lh - ll)*fx`` and
     ``bot = hl + (hh - hl)*fx``.  Lerping phase slices, x first and then y,
     gives its values without its gathers (a -0.0 edge sample may come out
-    +0.0).  Blocks of channels keep each block's temporaries near
-    ``UPSAMPLE_BLOCK_BYTES``, in cache.
+    +0.0).  Blocks of channels keep each block's temporaries within
+    ``UPSAMPLE_BLOCK_BYTES`` of output, in cache, and run on
+    ``_run_blocks``' threads; channels do not mix, so no bit moves.
     """
     if factor not in (2, 4, 8):
         raise ValueError(f"bilinear_upsample: factor must be one of 2/4/8, got {factor}")
     c, h, w = x.shape
     out = np.empty((c, h * factor, w * factor), dtype=x.dtype)
-    step = max(1, UPSAMPLE_BLOCK_BYTES // out[:1].nbytes)
-    for c0 in range(0, c, step):
-        block = x[c0 : c0 + step]
-        k = block.shape[0]
-        rows = np.empty((k, h, w, factor), dtype=x.dtype)
-        _lerp_phases(block, factor, 2, rows)
-        _lerp_phases(rows.reshape(k, h, w * factor), factor, 1,
-                     out[c0 : c0 + k].reshape(k, h, factor, w * factor))
+    n = -(-c // max(1, UPSAMPLE_BLOCK_BYTES // out[:1].nbytes))
+    cuts = _cuts(c, n)
+
+    def run(i: int) -> None:
+        c0, c1 = cuts[i], cuts[i + 1]
+        rows = np.empty((c1 - c0, h, w, factor), dtype=x.dtype)
+        _lerp_phases(x[c0:c1], factor, 2, rows)
+        _lerp_phases(rows.reshape(c1 - c0, h, w * factor), factor, 1,
+                     out[c0:c1].reshape(c1 - c0, h, factor, w * factor))
+
+    _run_blocks(n, lambda: run, 4 * out.size)
     return out
 
 

@@ -317,6 +317,14 @@ def check_kernel_determinism(rng: Rng, trials: int):
     x_cols, w_cols = rng.normal((48, 128, 128)), rng.normal((48, 64))
     # fewer pixels than output channels: the output channel is innermost
     x_few, w_few, b_few = rng.normal((256, 2, 2)), rng.normal((256, 64)), rng.normal((64,))
+    # blocks of the maps below those: a one-row-block 3x3 in four blocks of
+    # 64 output channels, a 1x1 below the column blocks in four output-channel
+    # blocks and one with the output channel innermost in eight pixel blocks,
+    # and an upsample of 8 MiB of output in 16 channel blocks
+    x_one, w_one = rng.normal((256, 16, 16)), rng.normal((3, 3, 256, 256))
+    w_sub, b_sub = rng.normal((256, 256)), rng.normal((256,))
+    x_pix, w_pix = rng.normal((1024, 8, 8)), rng.normal((1024, 512))
+    x_up = rng.normal((128, 32, 32))
     cases = (
         lambda: kernels.conv2d_3x3(x, w, b),
         lambda: kernels.softmax(x, 0),
@@ -328,6 +336,10 @@ def check_kernel_determinism(rng: Rng, trials: int):
         lambda: kernels.conv2d_3x3(x_rows, w_rows, None),
         lambda: kernels.conv2d_1x1(x_cols, w_cols, None),
         lambda: kernels.conv2d_1x1(x_few, w_few, b_few),
+        lambda: kernels.conv2d_3x3(x_one, w_one, None),
+        lambda: kernels.conv2d_1x1(x_one, w_sub, b_sub),
+        lambda: kernels.conv2d_1x1(x_pix, w_pix, None),
+        lambda: kernels.bilinear_upsample(x_up, 4),
     )
     for _ in range(max(2, trials // 5)):
         if not all(np.array_equal(fn(), fn()) for fn in cases):

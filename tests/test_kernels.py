@@ -225,19 +225,29 @@ class TestConv2d:
             kernels.conv2d_1x1(x, np.zeros((4, 2), np.float32), None)
 
     @pytest.mark.parametrize(
-        "c_in, h, w",
-        [(48, 64, 64), (256, 64, 64), (320, 64, 64), (1024, 8, 8), (256, 2, 3), (320, 37, 53),
-         (256, 1, 1), (1024, 1, 1), (1024, 2, 2), (512, 4, 4)],
+        "c_in, h, w, c_out, n_blocks",
+        [pytest.param(*case, 32, n, id="-".join(map(str, case))) for case, n in (
+            ((48, 64, 64), 1), ((256, 64, 64), 4), ((320, 64, 64), 5), ((1024, 8, 8), 1),
+            ((256, 2, 3), 1), ((320, 37, 53), 2), ((256, 1, 1), 1), ((1024, 1, 1), 1),
+            ((1024, 2, 2), 1), ((512, 4, 4), 1))]
+        + [(256, 32, 32, 32, 2), (256, 16, 16, 256, 4), (64, 32, 32, 256, 4),
+           (320, 32, 32, 256, 20), (1024, 4, 4, 512, 2), (1024, 8, 8, 512, 8)],
     )
-    def test_1x1_is_the_sequential_channel_loop(self, c_in, h, w):
+    def test_1x1_is_the_sequential_channel_loop(self, monkeypatch, c_in, h, w, c_out, n_blocks):
         # einsum's order, which the stored benchmark scores depend on: each
         # output sums the channels in order, multiply then add in float32.
-        # (320, 64, 64) and (320, 37, 53) split into blocks of unequal width;
-        # (256, 2, 3) and the last four have fewer pixels than the 32 output
-        # channels, so the output channel is innermost, one-pixel maps too.
+        # (320, 64, 64) and (320, 37, 53) split into column blocks of unequal
+        # width; (256, 2, 3), the 1x1, 2x2 and 4x4 maps and the last two have
+        # fewer pixels than the output channels, so the output channel is
+        # innermost, one-pixel maps too.  n_blocks is the block count at the
+        # shipped constants: the last six maps, below the column blocks, split
+        # their output channels or, with the output channel innermost, their
+        # pixels.
         rng = Rng(2000 + c_in)
-        x, wt = rng.normal((c_in, h, w)), rng.normal((c_in, 32))
+        x, wt = rng.normal((c_in, h, w)), rng.normal((c_in, c_out))
+        counts, _ = blocks_run(monkeypatch)
         assert np.array_equal(kernels.conv2d_1x1(x, wt), channel_loop_1x1(x, wt))
+        assert counts == [n_blocks]
 
     @pytest.mark.parametrize("block_bytes", [1, 64, 1000])
     @pytest.mark.parametrize("c_in, h, w", [(8, 1, 5), (24, 7, 9), (5, 6, 1)])
@@ -279,53 +289,132 @@ def workers(monkeypatch):
     return lambda k: monkeypatch.setattr(kernels, "WORKERS", k)
 
 
-def blocks_run(monkeypatch) -> list[int]:
-    """Record the block count of every ``_run_blocks`` call."""
-    counts, run_blocks = [], kernels._run_blocks
+def blocks_run(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record the block count and the threads (workers made) of every ``_run_blocks`` call."""
+    counts, threads, run_blocks = [], [], kernels._run_blocks
 
-    def spy(n_blocks, make_worker):
+    def spy(n_blocks, make_worker, *args):
         counts.append(n_blocks)
-        run_blocks(n_blocks, make_worker)
+        threads.append(0)
+
+        def counted():
+            threads[-1] += 1
+            return make_worker()
+
+        run_blocks(n_blocks, counted, *args)
 
     monkeypatch.setattr(kernels, "_run_blocks", spy)
-    return counts
+    return counts, threads
 
 
 class TestBlockRunner:
+    @staticmethod
+    def runs_alike(monkeypatch, workers, call, n_blocks, dtype):
+        """``call()`` on 1, 2 and 3 workers: the same ``n_blocks`` blocks each
+        time, on min(k, n_blocks) threads, and bitwise the same output."""
+        counts, threads = blocks_run(monkeypatch)
+        outs = []
+        for k in (1, 2, 3):
+            workers(k)
+            outs.append(call())
+        assert counts == [n_blocks] * 3
+        assert threads == [min(k, n_blocks) for k in (1, 2, 3)]
+        assert all(np.array_equal(out, outs[0]) for out in outs[1:])
+        assert outs[0].dtype == dtype and outs[0].flags.c_contiguous
+
     @pytest.mark.parametrize("n_blocks", [1, 2, 3, 7])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_3x3_bitwise_equal_on_1_2_3_workers(self, monkeypatch, workers, dtype, n_blocks):
         # rows of 8 pixels and 16-pixel blocks: two map rows per block, the
-        # last block one row short
+        # last block one row short; 1024 multiply-adds a block start the
+        # threads on these maps and leave the one-row map (864 a tap) whole
         rng = Rng(3000 + n_blocks)
         args = tuple(a.astype(dtype) for a in (
             rng.normal((24, 2 * n_blocks - 1, 6)), rng.normal((3, 3, 6, 24)), rng.normal((6,))))
         monkeypatch.setattr(kernels, "CONV_BLOCK_COLUMNS", 16)
-        counts = blocks_run(monkeypatch)
-        outs = []
-        for k in (1, 2, 3):
-            workers(k)
-            outs.append(kernels.conv2d_3x3(*args))
-        assert counts == [n_blocks] * 3
-        assert all(np.array_equal(out, outs[0]) for out in outs[1:])
-        assert outs[0].dtype == dtype and outs[0].flags.c_contiguous
+        monkeypatch.setattr(kernels, "BLOCK_MACS", 1024)
+        self.runs_alike(monkeypatch, workers, lambda: kernels.conv2d_3x3(*args), n_blocks, dtype)
+
+    @pytest.mark.parametrize("n_blocks", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_row_block_3x3_bitwise_equal_on_1_2_3_workers(
+            self, monkeypatch, workers, dtype, n_blocks):
+        # a 3x10 map is one row block; 5760 multiply-adds a tap split its 8
+        # output channels into n_blocks blocks
+        rng = Rng(3050 + n_blocks)
+        args = tuple(a.astype(dtype) for a in (
+            rng.normal((24, 3, 10)), rng.normal((3, 3, 8, 24)), rng.normal((8,))))
+        monkeypatch.setattr(kernels, "BLOCK_MACS", 5760 // n_blocks)
+        self.runs_alike(monkeypatch, workers, lambda: kernels.conv2d_3x3(*args), n_blocks, dtype)
 
     @pytest.mark.parametrize("n_blocks", [2, 3, 7])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_1x1_bitwise_equal_on_1_2_3_workers(self, monkeypatch, workers, dtype, n_blocks):
-        # a map of one block never reaches the runner
+        # column blocks: CONV1X1_BLOCK_BYTES is an n_blocks-th of the input
         rng = Rng(3100 + n_blocks)
         x, w, b = (a.astype(dtype) for a in (
             rng.normal((8, 5, 6)), rng.normal((8, 6)), rng.normal((6,))))
         monkeypatch.setattr(kernels, "CONV1X1_BLOCK_BYTES", x.nbytes // n_blocks)
-        counts = blocks_run(monkeypatch)
-        outs = []
-        for k in (1, 2, 3):
-            workers(k)
-            outs.append(kernels.conv2d_1x1(x, w, b))
-        assert counts == [n_blocks] * 3
-        assert all(np.array_equal(out, outs[0]) for out in outs[1:])
-        assert outs[0].dtype == dtype and outs[0].flags.c_contiguous
+        monkeypatch.setattr(kernels, "BLOCK_MACS", 1)
+        self.runs_alike(monkeypatch, workers, lambda: kernels.conv2d_1x1(x, w, b), n_blocks, dtype)
+
+    @pytest.mark.parametrize("n_blocks", [2, 3, 6])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 5, 6), (8, 2, 3)], ids=["pixel_inner", "channel_inner"])
+    def test_sub_threshold_1x1_bitwise_equal_on_1_2_3_workers(
+            self, monkeypatch, workers, dtype, shape, n_blocks):
+        # below the column blocks: 12 output channels split into channel
+        # blocks over 30 pixels, and into pixel blocks over 6
+        rng = Rng(3150 + n_blocks)
+        x, w, b = (a.astype(dtype) for a in (
+            rng.normal(shape), rng.normal((8, 12)), rng.normal((12,))))
+        monkeypatch.setattr(kernels, "BLOCK_MACS", (x.size * 12 - 1) // n_blocks)
+        self.runs_alike(monkeypatch, workers, lambda: kernels.conv2d_1x1(x, w, b), n_blocks, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_upsample_bitwise_equal_on_1_2_3_workers(self, monkeypatch, workers, dtype):
+        # two channels of output a block: 7 channels in 4 blocks
+        x = Rng(3200).normal((7, 5, 6)).astype(dtype)
+        monkeypatch.setattr(kernels, "UPSAMPLE_BLOCK_BYTES", 2 * 20 * 24 * x.itemsize)
+        monkeypatch.setattr(kernels, "BLOCK_MACS", 1)
+        self.runs_alike(monkeypatch, workers, lambda: kernels.bilinear_upsample(x, 4), 4, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_depthwise_bitwise_equal_on_1_2_3_workers(self, monkeypatch, workers, dtype):
+        # two channels of padded input a block: 7 channels in 4 blocks
+        rng = Rng(3250)
+        x, w = (a.astype(dtype) for a in (rng.normal((7, 5, 6)), rng.normal((7, 3, 3))))
+        monkeypatch.setattr(kernels, "DEPTHWISE_BLOCK_BYTES", 2 * 7 * 8 * x.itemsize)
+        monkeypatch.setattr(kernels, "BLOCK_MACS", 1)
+        self.runs_alike(monkeypatch, workers, lambda: kernels.depthwise_conv2d_3x3(x, w), 4, dtype)
+        assert np.array_equal(kernels.depthwise_conv2d_3x3(x, w), nine_tap_depthwise(x, w))
+
+    def test_small_call_runs_on_the_calling_thread(self, workers):
+        # up to 2 * BLOCK_MACS multiply-adds a call makes one worker, the
+        # caller's, whatever its block count
+        workers(4)
+        for macs, want in ((2 * kernels.BLOCK_MACS, 1), (2 * kernels.BLOCK_MACS + 1, 4)):
+            made, ran_on = [], set()
+
+            def make_worker():
+                made.append(None)
+                return lambda block: ran_on.add(threading.get_ident())
+
+            kernels._run_blocks(6, make_worker, macs)
+            assert len(made) == want
+            if want == 1:
+                assert ran_on == {threading.get_ident()}
+
+    def test_worker_buffers_cap_the_threads(self, workers):
+        workers(8)
+        made = []
+        kernels._run_blocks(8, lambda: made.append(None) or (lambda block: None),
+                            2 * kernels.BLOCK_MACS + 1, kernels.WORKER_BUFFER_BYTES // 3)
+        assert len(made) == 3
+        made.clear()
+        kernels._run_blocks(8, lambda: made.append(None) or (lambda block: None),
+                            2 * kernels.BLOCK_MACS + 1, kernels.WORKER_BUFFER_BYTES + 1)
+        assert len(made) == 1
 
     @pytest.mark.parametrize("where", ["caller", "helper"])
     def test_failed_block_reaches_the_caller_after_every_helper(self, workers, where):
@@ -346,7 +435,7 @@ class TestBlockRunner:
             return run
 
         with pytest.raises(RuntimeError, match="block failed"):
-            kernels._run_blocks(7, make_worker)
+            kernels._run_blocks(7, make_worker, 2 * kernels.BLOCK_MACS + 1)
         assert len(started) == 2 and len(finished) == 1  # the other 5 left unclaimed
 
     def test_every_block_runs_once_on_more_threads_than_cores(self, workers):
@@ -362,7 +451,7 @@ class TestBlockRunner:
                     ran.append([])
                     return ran[-1].append
 
-                kernels._run_blocks(500, make_worker)
+                kernels._run_blocks(500, make_worker, 2 * kernels.BLOCK_MACS + 1)
                 assert len(ran) == 8
                 assert sorted(b for mine in ran for b in mine) == list(range(500))
         finally:
@@ -411,7 +500,7 @@ def test_failed_thread_start_reaches_the_caller_after_started_helpers(workers, m
 
     monkeypatch.setattr(threading.Thread, "start", start_once)
     with pytest.raises(RuntimeError, match="can't start new thread"):
-        kernels._run_blocks(6, lambda: lambda block: time.sleep(0.01))
+        kernels._run_blocks(6, lambda: lambda block: time.sleep(0.01), 2 * kernels.BLOCK_MACS + 1)
     assert len(started) == 1 and not started[0].is_alive()
 
 
