@@ -227,7 +227,8 @@ def _present_segments(segment_map, segments):
 
 def cmd_run(args) -> int:
     from .evaluation import miou, pq_metrics
-    from .pipeline import forward, forward_traced, pad_to_multiple
+    from .pipeline import forward, pad_to_multiple
+    from .tensor import write_eovt
     from .weights import load_or_build_weights
 
     trace = None if args.trace is None else _new_dir("--trace", args.trace)
@@ -240,11 +241,11 @@ def cmd_run(args) -> int:
     image = pad_to_multiple(image)
     image_hw = (image.shape[1], image.shape[2])
     bundle = load_or_build_weights(args.weights, config, image_hw)
-    if trace is not None:
+    result = forward(image, text, things, config, bundle)
+    if trace is not None:  # after the forward, so a failed stage leaves no directory
         with _written_whole("--trace", trace) as staged:
-            result = forward_traced(image, text, things, config, bundle, staged)
-    else:
-        result = forward(image, text, things, config, bundle)
+            for name, value in result.trace.items():
+                write_eovt(staged / f"{name}.eovt", value)
     panoptic = result.panoptic
     if image_hw != work_hw:  # crop padding back off for metric comparison
         cropped = panoptic.segment_map[: work_hw[0], : work_hw[1]]

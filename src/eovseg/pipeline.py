@@ -17,12 +17,13 @@ passes the mask embeddings straight through.  The decoder's mask
 probabilities feed the spatial branch, out-of-vocabulary scoring and assembly.
 
 ``forward`` runs the table, then classifies and assembles the panoptic map.
-Outputs whose names do not start with ``_`` are traced: ``forward_traced``
-dumps them as EOVT files, and ``replay_trace`` runs the same table, compares
-each traced output with its dump and continues from the dumped value, to
-confirm bitwise reproducibility stage by stage.  An untraced output is dropped
-after the last row that reads it, unless ``forward`` reads it afterwards
-(``FORWARD_READS``), so a forward holds only what is still to be read.
+Outputs whose names do not start with ``_`` are traced: ``forward`` returns
+them by name, ``run --trace`` is the one place they are written to disk (as
+EOVT files), and ``replay_trace`` runs the same table, compares each traced
+output with its dump and continues from the dumped value, to confirm bitwise
+reproducibility stage by stage.  An untraced output is dropped after the last
+row that reads it, unless ``forward`` reads it afterwards (``FORWARD_READS``),
+so a forward holds only what is still to be read.
 
 Steps look up their functions when they run, never at import: span tracing
 and kernel sabotage replace module attributes, which a function object
@@ -35,7 +36,6 @@ import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 from operator import attrgetter
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,7 +60,6 @@ from .profiler import (_decoder_macs, macs_attention, macs_bilinear, macs_conv2d
                        macs_conv2d_3x3, macs_depthwise_3x3, macs_depthwise_conv1d,
                        macs_matmul, macs_transposed_conv2d)
 from .spatial import PATCH, spatial_embeddings, spatial_features, vit_block_features
-from .tensor import write_eovt
 from .vas import vas_forward_detailed
 from .weights import WeightBundle
 
@@ -321,26 +320,6 @@ def forward(
     labels = _call("classifier", classify, scores)
     panoptic = _call("assembly", assemble_panoptic, probs, labels, class_is_thing)
     return ForwardResult(panoptic=panoptic, scores=ClassScores(scores), labels=labels, trace=trace)
-
-
-def forward_traced(
-    image: np.ndarray,
-    text: TextEmbeddings,
-    class_is_thing: np.ndarray,
-    config: ModelConfig,
-    bundle: WeightBundle,
-    trace_dir: str | Path,
-) -> ForwardResult:
-    """Run forward and dump every intermediate tensor as <name>.eovt into
-    ``trace_dir``, which must be new or empty: the files of two runs never mix."""
-    trace_dir = Path(trace_dir)
-    if trace_dir.is_dir() and any(trace_dir.iterdir()):
-        raise ValueError(f"forward_traced: trace directory {trace_dir} is not empty")
-    result = forward(image, text, class_is_thing, config, bundle)
-    trace_dir.mkdir(parents=True, exist_ok=True)
-    for name in sorted(result.trace):
-        write_eovt(trace_dir / f"{name}.eovt", result.trace[name])
-    return result
 
 
 def replay_trace(

@@ -47,9 +47,9 @@ from .evaluation import (
     pq_metrics,
 )
 from .fusion import TdeeWeights, tdee, tdee_detailed
-from .pipeline import PipelineStageError, _run_stages, forward, forward_traced, replay_trace
+from .pipeline import PipelineStageError, _run_stages, forward, replay_trace
 from .profiler import cross_attention_baseline
-from .tensor import Rng, read_eovt
+from .tensor import Rng, read_eovt, write_eovt
 from .vas import VasWeights, vas_forward_detailed
 from .weights import build_weights, cast_weights
 
@@ -655,11 +655,12 @@ def _verify_config() -> ModelConfig:
 
 def check_pipeline_all_modes(rng: Rng, trials: int):
     """One generated scene through ``forward`` in every fusion mode.  In each
-    mode ``forward_traced`` and a plain ``forward`` are bitwise equal (segment
-    map, records, labels, scores, every traced tensor), the dump reads back
-    equal and ``replay_trace`` finds no stage that differs, VAS attention lies
-    in [1/N_class, 1] and both score rows sum to 1; in tdee the gates on the
-    traced embeddings lie in (0, 1).  The output shapes agree across modes."""
+    mode two runs are bitwise equal (segment map, records, labels, scores,
+    every traced tensor), the first run's trace, dumped as EOVT files into a
+    temporary directory, reads back equal and ``replay_trace`` finds no stage
+    that differs, VAS attention lies in [1/N_class, 1] and both score rows sum
+    to 1; in tdee the gates on the traced embeddings lie in (0, 1).  The
+    output shapes agree across modes."""
     cfg = _verify_config()
     spec = SceneSpec(seed=int(rng.integers(0, 1 << 31)), embed_dim=cfg.embed_dim)
     image, _, templates = generate_scene(spec)
@@ -670,10 +671,12 @@ def check_pipeline_all_modes(rng: Rng, trials: int):
     shapes = []
     for mode in FUSION_MODES:
         config = replace(cfg, fusion=mode)
-        with tempfile.TemporaryDirectory() as tmp:
-            got = forward_traced(image, text, things, config, bundle, tmp)
-            dumped = {p.stem: read_eovt(p) for p in Path(tmp).glob("*.eovt")}
+        got = forward(image, text, things, config, bundle)
         again = forward(image, text, things, config, bundle)
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, value in got.trace.items():
+                write_eovt(Path(tmp) / f"{name}.eovt", value)
+            dumped = {p.stem: read_eovt(p) for p in Path(tmp).glob("*.eovt")}
         for what, a, b in (*((f"traced {k}", v, again.trace.get(k)) for k, v in got.trace.items()),
                            ("scores", got.scores.values, again.scores.values),
                            ("segment map", got.panoptic.segment_map, again.panoptic.segment_map)):

@@ -238,6 +238,24 @@ class TestRun:
         for p in sorted((workdir / "t1").glob("*.eovt")):
             assert p.read_bytes() == (workdir / "t2" / p.name).read_bytes()
 
+    @pytest.mark.parametrize("mode", ["none", "eaf", "sdi", "tdee"])
+    def test_trace_dumps_each_traced_output_of_the_mode(self, workdir, mode):
+        """--trace writes one <name>.eovt per traced output of the mode's rows, each
+        equal to ``forward``'s trace on the same scene and weight cache."""
+        run_gen(workdir)
+        assert run_run(workdir, extra=["--fusion", mode, "--trace", str(workdir / "t")]) == 0
+        traced = {name for s in pipeline.STAGES if mode in s.modes
+                  for name in s.outputs if not name.startswith("_")}
+        assert sorted(p.name for p in (workdir / "t").iterdir()) == sorted(f"{n}.eovt" for n in traced)
+        config = dataclasses.replace(cli._load_config(str(workdir / "config.json")), fusion=mode)
+        image, _, text, things = cli._load_scene(workdir / "scene", config)
+        image = pipeline.pad_to_multiple(image)
+        bundle = weights.load_or_build_weights(workdir / "wcache", config, image.shape[1:])
+        result = pipeline.forward(image, text, things, config, bundle)
+        assert sorted(result.trace) == sorted(traced)
+        for name in traced:
+            assert np.array_equal(read_eovt(workdir / "t" / f"{name}.eovt"), result.trace[name]), name
+
     def test_trace_into_a_used_directory_exits_2_and_leaves_it(self, workdir, capsys):
         """A second run refuses the first run's --trace directory before any work,
         so no trace directory mixes the files of two fusion modes."""
@@ -306,16 +324,19 @@ class TestRun:
         assert err.count("\n") == 1
 
     def test_stage_failure_exits_4_naming_stage(self, workdir, capsys, monkeypatch):
-        # the image bound keeps overflowing scenes out, so the decoder is made to fail
+        """The image bound keeps overflowing scenes out, so the decoder is made to
+        fail.  The forward runs before --trace's directory or its parents are made."""
         def failing(*args):
             raise ValueError("softmax: non-finite input")
 
         monkeypatch.setattr(pipeline, "decoder_forward", failing)
         run_gen(workdir)
-        assert run_run(workdir) == 4
+        assert run_run(workdir, extra=["--trace", str(workdir / "new" / "sub" / "t")]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("error: pipeline stage '") and err.count("\n") == 1
+        assert err.startswith("error: pipeline stage 'decoder' failed") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not (workdir / "new").exists()
+        assert not list(workdir.rglob(".t.*"))  # no staging directory either
 
 
 @pytest.mark.parametrize(

@@ -30,10 +30,9 @@ from eovseg.evaluation import SceneSpec, generate_scene
 from eovseg.pipeline import (
     PipelineStageError,
     forward,
-    forward_traced,
     replay_trace,
 )
-from eovseg.tensor import EovtFormatError, Rng, read_eovt, write_eovt
+from eovseg.tensor import EovtFormatError, Rng, write_eovt
 from eovseg.verify import _instrumented_config
 from eovseg.weights import (
     GENERATOR_VERSION,
@@ -259,40 +258,24 @@ def test_final_mask_probabilities_computed_once(scene, monkeypatch, mode):
     assert sum(np.array_equal(x, result.trace["mask_logits"]) for x in seen) == 1
 
 
-def test_trace_contains_named_intermediates(scene, tmp_path):
+def test_trace_contains_named_intermediates(scene):
     spec, image, _, _, text = scene
     cfg = small_config(fusion="tdee")
     bundle = build_weights(cfg, (64, 64))
-    result = forward_traced(image, text, spec.is_thing(), cfg, bundle, tmp_path / "trace")
-    dumped = sorted(p.stem for p in (tmp_path / "trace").glob("*.eovt"))
+    result = forward(image, text, spec.is_thing(), cfg, bundle)
     tdee_keys = sorted(name for s in pipeline_module.STAGES if "tdee" in s.modes
                        for name in s.outputs if not name.startswith("_"))
-    assert dumped == tdee_keys
-    assert len(dumped) == 13
-    for key in tdee_keys:
-        assert np.array_equal(read_eovt(tmp_path / "trace" / f"{key}.eovt"), result.trace[key])
+    assert sorted(result.trace) == tdee_keys
+    assert len(tdee_keys) == 13
 
 
-def test_traced_attention_obeys_bounds(scene, tmp_path):
+def test_traced_attention_obeys_bounds(scene):
     spec, image, _, _, text = scene
     cfg = small_config()
     bundle = build_weights(cfg, (64, 64))
-    result = forward_traced(image, text, spec.is_thing(), cfg, bundle, tmp_path / "t")
-    attn = read_eovt(tmp_path / "t" / "vas_attention.eovt")
+    attn = forward(image, text, spec.is_thing(), cfg, bundle).trace["vas_attention"]
     lo = np.float32(1.0) / np.float32(text.n_classes)
     assert attn.min() >= lo and attn.max() <= 1.0
-
-
-def test_forward_traced_refuses_a_used_directory(scene, tmp_path):
-    # a second run into the first run's directory would mix their files
-    spec, image, _, _, text = scene
-    cfg = small_config()
-    bundle = build_weights(cfg, (64, 64))
-    forward_traced(image, text, spec.is_thing(), cfg, bundle, tmp_path / "t")
-    before = {p.name: p.read_bytes() for p in (tmp_path / "t").iterdir()}
-    with pytest.raises(ValueError, match=re.escape(f"trace directory {tmp_path / 't'} is not empty")):
-        forward_traced(image, text, spec.is_thing(), small_config(fusion="none"), bundle, tmp_path / "t")
-    assert {p.name: p.read_bytes() for p in (tmp_path / "t").iterdir()} == before
 
 
 @pytest.mark.parametrize("mode", ["none", "eaf", "sdi", "tdee"])
