@@ -91,11 +91,8 @@ def ensemble(s_in: np.ndarray, s_out: np.ndarray, seen: np.ndarray) -> np.ndarra
         raise ValueError(f"ensemble: seen mask shape {seen.shape} != ({a.shape[1]},)")
     if np.any(a <= 0) or np.any(b <= 0):
         raise ValueError("ensemble: the geometric blend requires strictly positive scores")
-    out = np.empty_like(a)
-    for j in range(a.shape[1]):
-        w = ALPHA if seen[j] else BETA
-        out[:, j] = np.power(a[:, j], 1.0 - w) * np.power(b[:, j], w)
-    return out
+    w = np.where(seen, ALPHA, BETA)
+    return np.power(a, (1.0 - w).astype(a.dtype)) * np.power(b, w.astype(a.dtype))
 
 
 @dataclass

@@ -121,18 +121,26 @@ def _new_dir(option: str, path: str) -> Path:
 def _written_whole(option: str, out: Path):
     """Yield a staging directory beside ``out`` and rename it onto ``out`` when the
     block ends, so ``out`` holds everything the block wrote or nothing.  A failed
-    write names ``option``, ``out`` and the file in it."""
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as staging:
-        staged = Path(staging) / out.name
-        try:
-            staged.mkdir()  # not the 0700 temp directory: a plain mkdir gives the umask's mode
-            yield staged
-            os.replace(staged, out)
-        except OSError as exc:  # named in out: the staging directory is gone by then
-            where = out / Path(exc.filename).relative_to(staged) if exc.filename else out
-            raise OSError(f"{option} {out} not written: cannot write {where}: "
-                          f"{exc.strerror or exc}") from None
+    write names ``option``, ``out`` and the file in it, and leaves no parent of
+    ``out`` that it made."""
+    made = [p for p in (out.parent, *out.parent.parents) if not p.exists()]  # deepest first
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as staging:
+            staged = Path(staging) / out.name
+            try:
+                staged.mkdir()  # not the 0700 temp directory: a plain mkdir gives the umask's mode
+                yield staged
+                os.replace(staged, out)
+            except OSError as exc:  # named in out: the staging directory is gone by then
+                where = out / Path(exc.filename).relative_to(staged) if exc.filename else out
+                raise OSError(f"{option} {out} not written: cannot write {where}: "
+                              f"{exc.strerror or exc}") from None
+    except BaseException:
+        for parent in made:
+            with contextlib.suppress(OSError):  # one that another process filled stays
+                parent.rmdir()
+        raise
 
 
 # ---------------------------------------------------------------------------

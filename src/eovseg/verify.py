@@ -6,9 +6,9 @@ reference in all four fusion modes, at drawn image extents, vocabulary sizes
 and decoder depths: the outputs must agree and the reference's oracle counter
 must equal the row's analytic MAC count, in float32 and again in float64,
 where no row may round to float32.  Module forwards and the decoder's
-parts are compared there, at the walk's sizes.  Two decoder rows keep draws
-of their own: the whole decoder against its unrolled oracle, to an absolute
-1e-4, and the profiler's cross-attention baseline, which no stage runs.
+parts are compared there, at the walk's sizes.  Only the profiler's
+cross-attention baseline, which no stage runs, keeps a decoder row with draws
+of its own.
 One row runs a generated scene through ``forward`` in every fusion mode and
 asserts determinism, trace read-back and replay, and the bound invariants
 (attention weights, gates, score sums) on that run.
@@ -22,6 +22,7 @@ row that compares with an oracle is ``_vs_oracle`` over a draw function.
 from __future__ import annotations
 
 import contextlib
+import inspect
 import itertools
 import sys
 import tempfile
@@ -36,7 +37,7 @@ from . import kernels, oracles, reference
 from .aggregator import IMAGE_MULTIPLE
 from .classifier import TextEmbeddings, build_text_embeddings, classify, ensemble
 from .config import FUSION_MODES, ModelConfig
-from .decoder import AttentionBlockWeights, DecoderWeights, decoder_forward
+from .decoder import AttentionBlockWeights
 from .evaluation import (
     PanopticAnnotation,
     SceneSpec,
@@ -55,22 +56,9 @@ from .weights import build_weights, cast_weights
 
 KERNEL_TOL = 1e-5
 FLOAT64_TOL = 1e-10  # the stage walk's float64 pass
-SABOTAGE_TARGETS = (
-    "softmax",
-    "layer_norm",
-    "sigmoid",
-    "gelu",
-    "relu",
-    "conv2d_1x1",
-    "conv2d_3x3",
-    "depthwise_conv2d_3x3",
-    "depthwise_conv1d",
-    "transposed_conv2d",
-    "bilinear_upsample",
-    "l2_normalize",
-    "linear",
-    "multi_head_attention",
-)
+# the public functions of ``kernels``, in the order it defines them
+SABOTAGE_TARGETS = tuple(name for name, fn in vars(kernels).items() if inspect.isfunction(fn)
+                         and fn.__module__ == kernels.__name__ and name[0] != "_")
 
 
 @dataclass
@@ -427,13 +415,6 @@ def _draw_cross_attention(rng: Rng, t: int):
     return rng.normal((2, 8)), rng.normal((8, 2, 2)), AttentionBlockWeights.build(rng, 8, 2)
 
 
-def _draw_decoder(rng: Rng, t: int):  # D=8, N=3, two layers
-    w = DecoderWeights.build(
-        int(rng.integers(0, 1 << 31)), 8, 3, 2, heads=2, ffn_expansion=2
-    )
-    return rng.normal((8, 4, 4)), w
-
-
 def _draw_templates(rng: Rng, t: int):
     return (rng.normal((3, 4, 6)),)  # M templates, N_class=4, D
 
@@ -751,10 +732,6 @@ CHECKS = [
         "cross_attention_vs_attention_oracle",
         _vs_oracle(_draw_cross_attention, cross_attention_baseline, reference.cross_attention_reference),
     ),
-    (
-        "decoder_vs_unrolled_oracle",
-        _vs_oracle(_draw_decoder, decoder_forward, reference.decoder_forward_reference, 1e-4),
-    ),
     ("stages_vs_references", check_stages_vs_references),
     (
         "text_embeddings_vs_loop_oracle",
@@ -770,7 +747,7 @@ CHECKS = [
 
 # Each row draws from the seed of its slot.  A deleted row's slot stays empty,
 # so deleting a row changes no other row's draws.
-RETIRED_SLOTS = (22, 23, 24, 26, 36, 37, 38)
+RETIRED_SLOTS = (22, 23, 24, 26, 27, 36, 37, 38)
 SEED_SLOTS = [s for s in range(len(CHECKS) + len(RETIRED_SLOTS)) if s not in RETIRED_SLOTS]
 
 

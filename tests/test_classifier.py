@@ -160,6 +160,19 @@ class TestEnsemble:
         hi = ensemble(s_in, np.float32([[b + bump]]), seen)[0, 0]
         assert hi >= lo
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 150, 847])
+    def test_equals_the_per_column_blend_bitwise(self, k, dtype):
+        rng = Rng(21 + k)
+        s_in, s_out = (softmax(rng.normal((100, k), std=2.0).astype(dtype), 1) for _ in range(2))
+        seen = rng.integers(0, 2, size=k).astype(bool)
+        want = np.empty_like(s_in)
+        for j in range(k):
+            w = 0.4 if seen[j] else 0.8
+            want[:, j] = np.power(s_in[:, j], 1.0 - w) * np.power(s_out[:, j], w)
+        got = ensemble(s_in, s_out, seen)
+        assert got.dtype == dtype and np.array_equal(got, want)
+
     def test_oracle_agreement(self):
         s_in, s_out, seen = self._pair(20)
         got = ensemble(s_in, s_out, seen)

@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eovseg import (aggregator, classifier, cli, decoder, evaluation, fusion, kernels, pipeline,
-                    spatial, vas, weights)
+                    spatial, tensor, vas, weights)
 from eovseg.cli import main
 from eovseg.config import ModelConfig
 from eovseg.tensor import read_eovt, write_eovt
@@ -175,6 +175,21 @@ class TestGen:
         assert str(workdir / "scene" / "vocab.txt") in err[0] and ".scene." not in err[0], err
         assert sorted(p.name for p in workdir.iterdir()) == before
 
+    def test_failed_write_leaves_no_parent_it_made(self, workdir, capsys, monkeypatch):
+        (workdir / "kept").mkdir()
+        real_write_text = pathlib.Path.write_text
+
+        def write_text(path, *args, **kwargs):
+            if path.name == "vocab.txt":
+                raise OSError(28, "No space left on device", str(path))
+            return real_write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "write_text", write_text)
+        before = sorted(p.relative_to(workdir) for p in workdir.rglob("*"))
+        assert run_gen(workdir, out="kept/new/sub/scene") == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.relative_to(workdir) for p in workdir.rglob("*")) == before  # kept/ stays
+
     def test_missing_spec_is_usage_error(self, workdir):
         code = main(["gen", "--out", str(workdir / "x")])
         assert code == 2
@@ -274,6 +289,24 @@ class TestRun:
             f"error: --trace {trace}: need a new directory, or an empty one other than . or .."]
         assert {p.name: p.read_bytes() for p in trace.iterdir()} == dumped
         assert sorted(p.name for p in workdir.iterdir()) == before  # no none.csv, no staging
+
+    def test_failed_trace_write_leaves_no_parent_it_made(self, workdir, capsys, monkeypatch):
+        run_gen(workdir)
+        assert run_run(workdir) == 0  # makes the weight cache, so the listings below hold it
+        real_write_eovt = tensor.write_eovt
+
+        def write_eovt(path, value):
+            if path.parent.name == "t":
+                raise OSError(28, "No space left on device", str(path))
+            return real_write_eovt(path, value)
+
+        monkeypatch.setattr(tensor, "write_eovt", write_eovt)
+        before = sorted(p.relative_to(workdir) for p in workdir.rglob("*"))
+        capsys.readouterr()
+        assert run_run(workdir, extra=["--trace", str(workdir / "new" / "sub" / "t")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"--trace {workdir / 'new' / 'sub' / 't'} not written" in err[0], err
+        assert sorted(p.relative_to(workdir) for p in workdir.rglob("*")) == before
 
     def test_malformed_tensor_exits_3_naming_file(self, workdir, capsys):
         run_gen(workdir)
