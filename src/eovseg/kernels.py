@@ -331,25 +331,35 @@ def depthwise_conv2d_3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-channel 3x3 correlation, zero padding 1. w: (C,3,3).
 
     Channels run in blocks of at most DEPTHWISE_BLOCK_BYTES of padded input,
-    so the tap products stay in cache, on ``_run_blocks``' threads.  Each
-    output still adds its nine tap products to zero in (dy, dx) order, so
-    the blocks change no bit.
+    so the tap products stay in cache, on ``_run_blocks``' threads.  A block
+    is padded once to ``(k, H+3, W+2)`` and read as flat rows of ``W+2``:
+    tap ``(dy, dx)`` is then one contiguous slice of ``H*(W+2)`` columns at
+    offset ``dy*(W+2) + dx``, whose last two columns per row wrap into the
+    next row and are dropped at the end.  Each output still adds its nine
+    tap products to zero in (dy, dx) order, so neither the blocks nor the
+    flat rows change a bit.
     """
     c, h, wd = x.shape
     if w.shape != (c, 3, 3):
         raise ValueError(f"depthwise_conv2d_3x3: weight shape {w.shape}, need ({c},3,3)")
-    out = np.zeros_like(x)
-    step = max(1, DEPTHWISE_BLOCK_BYTES // ((h + 2) * (wd + 2) * x.itemsize))
+    out = np.empty_like(x)
+    row = wd + 2
+    span = h * row  # the columns of one tap, the wrap columns included
+    step = max(1, DEPTHWISE_BLOCK_BYTES // ((h + 3) * row * x.itemsize))
     n = max(1, -(-c // step))
     cuts = _cuts(c, n)
 
     def run(i: int) -> None:
         c0, c1 = cuts[i], cuts[i + 1]
-        xp = np.pad(x[c0:c1], ((0, 0), (1, 1), (1, 1)))
-        block, taps = out[c0:c1], w[c0:c1]
+        flat = np.pad(x[c0:c1], ((0, 0), (1, 2), (1, 1))).reshape(c1 - c0, -1)
+        acc = np.zeros((c1 - c0, span), dtype=x.dtype)
+        product = np.empty_like(acc)
         for dy in range(3):
             for dx in range(3):
-                block += taps[:, dy, dx, None, None] * xp[:, dy : dy + h, dx : dx + wd]
+                at = dy * row + dx
+                np.multiply(w[c0:c1, dy, dx, None], flat[:, at : at + span], out=product)
+                acc += product
+        out[c0:c1] = acc.reshape(c1 - c0, h, row)[:, :, :wd]
 
     _run_blocks(n, lambda: run, 9 * x.size)
     return out
@@ -409,7 +419,8 @@ def _lerp_phases(a: np.ndarray, factor: int, axis: int, out: np.ndarray) -> None
     side, with ``s = 0`` and fraction ``(p+0.5)/factor + 0.5`` for
     ``p < factor/2``, else ``s = 1`` and ``(p+0.5)/factor - 0.5``: the
     gather's operands and its exact dyadic fractions, the edge copies
-    standing in for its clamped taps.
+    standing in for its clamped taps.  Each phase is lerped into one
+    contiguous buffer and copied into its strided slice of ``out`` once.
     """
     n = a.shape[axis]
     first, last, taps = [slice(None)] * 3, [slice(None)] * 3, [slice(None)] * 3
@@ -417,13 +428,14 @@ def _lerp_phases(a: np.ndarray, factor: int, axis: int, out: np.ndarray) -> None
     padded = np.concatenate((a[tuple(first)], a, a[tuple(last)]), axis=axis)
     diff = np.diff(padded, axis=axis)
     phase = [slice(None)] * 4
+    lerped = np.empty(a.shape, dtype=a.dtype)  # one phase, contiguous
     for p in range(factor):
         s = 0 if 2 * p < factor else 1
         frac = a.dtype.type((p + 0.5) / factor + 0.5 - s)
         taps[axis], phase[axis + 1] = slice(s, s + n), p
-        dst = out[tuple(phase)]
-        np.multiply(diff[tuple(taps)], frac, out=dst)
-        dst += padded[tuple(taps)]
+        np.multiply(diff[tuple(taps)], frac, out=lerped)
+        lerped += padded[tuple(taps)]
+        out[tuple(phase)] = lerped  # the one strided pass over the phase
 
 
 def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:

@@ -1,5 +1,5 @@
 """End-to-end forward pass: features -> aggregation -> selection -> decoding ->
-spatial branch -> fusion -> classification -> panoptic assembly.
+spatial branch -> fusion -> scoring -> classification and panoptic assembly.
 
 ``STAGES`` is the one definition of the graph.  Each row names the stage a
 failure is reported under, the fusion modes it runs in, its ``inputs`` (scene
@@ -15,15 +15,18 @@ Fusion modes plug in at two seams: ``eaf`` fuses the feature maps before
 decoding; ``sdi``/``tdee`` fuse the embedding rows after decoding; ``none``
 passes the mask embeddings straight through.  The decoder's mask
 probabilities feed the spatial branch, out-of-vocabulary scoring and assembly.
+The last row, ``assembly``, labels every mask with its best class and
+assembles the panoptic map; no row reads its two outputs.
 
-``forward`` runs the table, then classifies and assembles the panoptic map.
-Outputs whose names do not start with ``_`` are traced: ``forward`` returns
-them by name, ``run --trace`` is the one place they are written to disk (as
-EOVT files), and ``replay_trace`` runs the same table, compares each traced
-output with its dump and continues from the dumped value, to confirm bitwise
-reproducibility stage by stage.  An untraced output is dropped after the last
-row that reads it, unless ``forward`` reads it afterwards (``FORWARD_READS``),
-so a forward holds only what is still to be read.
+``forward`` runs the table and packs the last row's outputs and the final
+scores into a ``ForwardResult``.  Outputs whose names do not start with ``_``
+are traced: ``forward`` returns them by name, ``run --trace`` is the one
+place they are written to disk (as EOVT files), and ``replay_trace`` runs the
+table up to its last traced output, compares each traced output with its
+dump and continues from the dumped value, to confirm bitwise reproducibility
+stage by stage.  An untraced output is dropped after the last row that reads
+it, so a forward holds only what is still to be read; one that no row reads
+is the run's result.
 
 Steps look up their functions when they run, never at import: span tracing
 and kernel sabotage replace module attributes, which a function object
@@ -110,6 +113,14 @@ def _clip_final_features(c5: np.ndarray, clip_proj: tuple) -> np.ndarray:
 def _with_c5(feats: dict[int, np.ndarray]) -> tuple[dict[int, np.ndarray], np.ndarray]:
     """The backbone row's outputs: every level, and C5 itself (not a copy)."""
     return feats, feats[LEVELS[-1]]
+
+
+def _classify_and_assemble(
+    scores: np.ndarray, probs: np.ndarray, class_is_thing: np.ndarray
+) -> tuple[list[MaskLabel], PanopticAnnotation]:
+    """The assembly row's outputs: each mask's label, then the panoptic map."""
+    labels = classify(scores)
+    return labels, assemble_panoptic(probs, labels, class_is_thing)
 
 
 @dataclass(frozen=True)
@@ -251,14 +262,10 @@ STAGES = (
           reference.out_vocab_scores_reference, lambda c: _pool_macs(c) + _score_macs(c)),
     Stage("classifier", ALL, ("scores_in_vocab", "scores_out_vocab", "text.seen"),
           ("scores_final",), lambda *a: ensemble(*a), reference.ensemble_reference, lambda c: 0),
+    Stage("assembly", ALL, ("scores_final", "_mask_probs", "class_is_thing"), ("_labels", "_panoptic"),
+          _classify_and_assemble, reference.assembly_reference,
+          lambda c: macs_bilinear(c.config.n_queries, c.h, c.w)),
 )
-
-
-def _call(stage: str, fn, *args):
-    try:
-        return fn(*args)
-    except Exception as exc:
-        raise PipelineStageError(stage, exc) from exc
 
 
 def _resolve_inputs(v: SimpleNamespace, inputs: tuple[str, ...]) -> tuple:
@@ -266,34 +273,34 @@ def _resolve_inputs(v: SimpleNamespace, inputs: tuple[str, ...]) -> tuple:
     return tuple(attrgetter(name)(v) for name in inputs)
 
 
-# the run outputs forward reads after the table; _run_stages never frees them
-FORWARD_READS = ("_mask_probs", "scores_final")
-
-
 @functools.cache
 def _frees_after(stages: tuple[Stage, ...], mode: str) -> tuple[tuple[str, ...], ...]:
     """Per row of ``stages``, the untraced outputs that no row after it reads
-    in ``mode``, nor ``forward``: they are dropped once that row has run."""
+    in ``mode``: they are dropped once that row has run."""
     last = {name: i for i, stage in enumerate(stages) if mode in stage.modes
             for name in stage.inputs if name.startswith("_")}
-    return tuple(tuple(name for name, j in last.items() if j == i and name not in FORWARD_READS)
-                 for i in range(len(stages)))
+    return tuple(tuple(name for name, j in last.items() if j == i) for i in range(len(stages)))
 
 
-def _run_stages(image, text, config, bundle, keep, run=lambda stage, args: stage.step(*args)):
-    """Run the rows for ``config.fusion`` in order; return the outputs still held by name.
+def _run_stages(stages, config, keep, run=lambda stage, args: stage.step(*args), **scene):
+    """Run the rows of ``stages`` for ``config.fusion`` in order, on the scene
+    inputs given by name; return the outputs still held by name.
 
     ``run(stage, args)`` computes a row's outputs from its resolved inputs, by
     default with its step.  ``keep(name, value)`` is called on each traced
     output and returns the value that later rows read.  Traced outputs stay
-    to the end; an untraced one is dropped after the last row that reads it,
-    unless it is in ``FORWARD_READS``.
+    to the end, and so do untraced ones that no row reads; any other
+    untraced output is dropped after the last row that reads it.
     """
-    v = SimpleNamespace(image=image, text=text, bundle=bundle)
-    for stage, dead in zip(STAGES, _frees_after(STAGES, config.fusion)):
+    v = SimpleNamespace(**scene)
+    for stage, dead in zip(stages, _frees_after(stages, config.fusion)):
         if config.fusion not in stage.modes:
             continue
-        out = _call(stage.name, run, stage, _resolve_inputs(v, stage.inputs))
+        args = _resolve_inputs(v, stage.inputs)
+        try:
+            out = run(stage, args)
+        except Exception as exc:
+            raise PipelineStageError(stage.name, exc) from exc
         for name, value in zip(stage.outputs, out if len(stage.outputs) > 1 else (out,)):
             if not name.startswith("_"):
                 value = keep(name, value)
@@ -316,10 +323,10 @@ def forward(
         trace[name] = value
         return value
 
-    probs, scores = _resolve_inputs(_run_stages(image, text, config, bundle, keep), FORWARD_READS)
-    labels = _call("classifier", classify, scores)
-    panoptic = _call("assembly", assemble_panoptic, probs, labels, class_is_thing)
-    return ForwardResult(panoptic=panoptic, scores=ClassScores(scores), labels=labels, trace=trace)
+    v = _run_stages(STAGES, config, keep, image=image, text=text, class_is_thing=class_is_thing,
+                    bundle=bundle)
+    return ForwardResult(panoptic=v._panoptic, scores=ClassScores(v.scores_final), labels=v._labels,
+                         trace=trace)
 
 
 def replay_trace(
@@ -333,7 +340,8 @@ def replay_trace(
 
     Each traced output is compared with its dump and later steps read the
     dumped value, so every stage is checked in isolation from upstream drift.
-    Classification and assembly have no traced output and are not run.
+    The rows after the last one with a traced output (the assembly row) are
+    not run, so the scene's thing/stuff split is not needed.
     """
     failures: list[str] = []
 
@@ -344,5 +352,7 @@ def replay_trace(
             failures.append(name)
         return trace[name]
 
-    _run_stages(image, text, config, bundle, check)
+    traced = max(i for i, stage in enumerate(STAGES)
+                 if any(not name.startswith("_") for name in stage.outputs))
+    _run_stages(STAGES[:traced + 1], config, check, image=image, text=text, bundle=bundle)
     return failures

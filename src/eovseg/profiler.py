@@ -31,7 +31,7 @@ from .tensor import Rng
 from .weights import WeightBundle
 
 MODULES = ("backbone", "aggregator", "vas", "decoder", "spatial", "fusion", "text_encoder",
-           "classifier")
+           "classifier", "assembly")
 
 BENCH_WARMUP = 2  # untimed repetitions before benchmark's timed ones
 

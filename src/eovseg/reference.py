@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .aggregator import AggregatorWeights, SyntheticBackbone, space_to_depth
-from .classifier import ALPHA, BETA, TAU
+from .classifier import ALPHA, BETA, TAU, MaskLabel
 from .decoder import DecoderLayerWeights, DecoderWeights, MASK_POOL_EPS
+from .evaluation import SegmentRecord
 from .fusion import EafWeights, SdiWeights, TdeeWeights
 from .oracles import (
     MacCounter,
@@ -277,3 +278,44 @@ def ensemble_reference(s_in, s_out, seen, macs: MacCounter | None = None):
         for i in range(a.shape[0]):
             out[i, j] = a[i, j] ** (1.0 - w) * b[i, j] ** w
     return out
+
+
+# ---------------------------------------------------------------------------
+# classification and panoptic assembly
+
+
+def assembly_reference(scores, probs, class_is_thing, macs: MacCounter | None = None):
+    """Each mask's label (its best class, the first on a tie, and that score)
+    and the (N, H, W) stack of confidence times upsampled probability whose
+    per-pixel argmax the panoptic map takes.  The stack stands for the map:
+    a near-tie in it may fall either way under rounding, so the stage walk
+    holds the step's map to the stack by its invariants (and to
+    ``segment_ids_reference``), not bit for bit.  ``class_is_thing`` only
+    reaches the map's segment ids."""
+    scores = np.asarray(scores, np.float64)
+    labels = []
+    for i in range(scores.shape[0]):
+        best = 0
+        for j in range(1, scores.shape[1]):
+            if scores[i, j] > scores[i, best]:
+                best = j
+        labels.append(MaskLabel(mask_index=i, class_id=best, confidence=float(scores[i, best])))
+    confidence = np.array([lab.confidence for lab in labels])
+    return labels, confidence[:, None, None] * bilinear_upsample_oracle(probs, 4, macs)
+
+
+def segment_ids_reference(winner, labels, class_is_thing):
+    """The segment id of each label's mask (0 where it wins no pixel) and the
+    segment records of a map whose pixel ``p`` goes to label ``winner[p]``:
+    in label order, each thing mask that wins a pixel opens a segment, and
+    each stuff class one for all its masks, numbered from 1."""
+    ids, records, stuff = np.zeros(len(labels), dtype=np.int32), [], {}
+    for i in np.unique(winner):
+        lab = labels[i]
+        thing = bool(class_is_thing[lab.class_id])
+        if thing or lab.class_id not in stuff:
+            records.append(SegmentRecord(len(records) + 1, lab.class_id, thing))
+            if not thing:
+                stuff[lab.class_id] = len(records)
+        ids[i] = len(records) if thing else stuff[lab.class_id]
+    return ids, records

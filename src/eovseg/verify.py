@@ -5,8 +5,9 @@ instances.  Every ``pipeline.STAGES`` row's step runs beside its float64
 reference in all four fusion modes, at drawn image extents, vocabulary sizes
 and decoder depths: the outputs must agree and the reference's oracle counter
 must equal the row's analytic MAC count, in float32 and again in float64,
-where no row may round to float32.  Module forwards and the decoder's
-parts are compared there, at the walk's sizes.  Only the profiler's
+where no row may round to float32.  Module forwards, the decoder's parts
+and the panoptic assembly (its map by invariants, since a near-tie may
+round either way) are compared there, at the walk's sizes.  Only the profiler's
 cross-attention baseline, which no stage runs, keeps a decoder row with draws
 of its own.
 One row runs a generated scene through ``forward`` in every fusion mode and
@@ -33,7 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import kernels, oracles, reference
+from . import kernels, oracles, pipeline, reference
 from .aggregator import IMAGE_MULTIPLE
 from .classifier import TextEmbeddings, build_text_embeddings, classify, ensemble
 from .config import FUSION_MODES, ModelConfig
@@ -48,7 +49,7 @@ from .evaluation import (
     pq_metrics,
 )
 from .fusion import TdeeWeights, tdee, tdee_detailed
-from .pipeline import PipelineStageError, _run_stages, forward, replay_trace
+from .pipeline import PipelineStageError, forward, replay_trace
 from .profiler import cross_attention_baseline
 from .tensor import Rng, read_eovt, write_eovt
 from .vas import VasWeights, vas_forward_detailed
@@ -548,6 +549,34 @@ class _StageMismatch(Exception):
     """The first wrong count or value of the stage walk, which ends it."""
 
 
+def _assembly_mismatch(got, want, class_is_thing, tol: float) -> str | None:
+    """What is wrong with the assembly row's labels and panoptic map against
+    its reference's labels and score stack, or None.
+
+    The labels must equal the reference's.  The reference winner of a pixel
+    is its first mask of top score in the stack; the map's records must be
+    those ``reference.segment_ids_reference`` gives for the reference
+    winners, and each pixel must carry its reference winner's segment id or
+    that of a mask scoring below the top by at most ``tol`` of max|stack|,
+    which a rounding may lift over it.  A mask that ties the top exactly
+    never takes the pixel from the first one."""
+    (labels, panoptic), (ref_labels, stack) = got, want
+    if labels != ref_labels:
+        return "labels differ from the reference's"
+    top, winner = stack.max(axis=0), stack.argmax(axis=0)
+    ids, records = reference.segment_ids_reference(winner, labels, class_is_thing)
+    if panoptic.segments != records:
+        return f"segment records {panoptic.segments} != reference {records}"
+    near = (stack >= top - tol * max(np.finfo(float).tiny, float(top.max()))) & (stack < top)
+    held = (panoptic.segment_map == ids[winner]) | np.any(
+        near & (panoptic.segment_map == ids[:, None, None]), axis=0)
+    if not held.all():
+        y, x = np.argwhere(~held)[0]
+        return (f"pixel ({y}, {x}) has segment {panoptic.segment_map[y, x]}, reference winner "
+                f"mask {winner[y, x]} has segment {ids[winner[y, x]]}")
+    return None
+
+
 def check_stages_vs_references(rng: Rng, trials: int):
     """Walk ``pipeline.STAGES`` in every fusion mode, calling each row's step
     and its reference on the one tuple of the row's resolved inputs.  The
@@ -559,10 +588,13 @@ def check_stages_vs_references(rng: Rng, trials: int):
     where every output must be float64 and within ``FLOAT64_TOL``: a float32
     rounding left anywhere errs by about 6e-8.
     Later rows read the step's outputs, as in ``replay_trace``, so each row is
-    checked on its own.  One walk per 25 trials, each on fresh weights, with
-    each image extent drawn from {32, 64}, 1 to 4 classes (1 is the singleton
-    vocabulary) and 1 or 2 decoder layers.  The first wrong count, dtype or
-    value ends the check."""
+    checked on its own.  The assembly row's labels and map are held by
+    ``_assembly_mismatch`` instead, on its inputs and again on every mask
+    repeated in reverse order, which makes exact ties.  One walk per 25
+    trials, each on fresh weights, with each image extent drawn from
+    {32, 64}, 1 to 4 classes (1 is the singleton vocabulary) and 1 or 2
+    decoder layers; classes 0 and 3 are stuff, 1 and 2 things.  The first
+    wrong count, dtype or value ends the check."""
     runs, worst, walks = 0, dict.fromkeys((np.float32, np.float64), 0.0), []
     for _ in range(max(1, trials // 25)):
         image_hw = tuple(IMAGE_MULTIPLE * int(rng.integers(1, 3)) for _ in range(2))
@@ -572,6 +604,7 @@ def check_stages_vs_references(rng: Rng, trials: int):
         cfg = _instrumented_config(int(rng.integers(0, 1 << 31)), layers)
         bundle = build_weights(cfg, image_hw)  # no weight depends on the fusion mode
         image = rng.normal((3, *image_hw))
+        things = np.arange(n_class) % 3 > 0  # one class in three is stuff, as in generated scenes
         rows = oracles.l2_normalize_oracle(rng.normal((n_class, cfg.embed_dim)), axis=1)
         rows = rows.astype(np.float32)  # as build_text_embeddings returns them
         passes = ((np.float32, KERNEL_TOL, bundle),
@@ -592,6 +625,18 @@ def check_stages_vs_references(rng: Rng, trials: int):
                 if counter.count != stage.macs(c):
                     raise _StageMismatch(f"{row}: count {counter.count} != analytic "
                                          f"{stage.macs(c)} at {walk}")
+                if stage.name == "assembly":  # again on every mask repeated in reverse: exact ties
+                    scores, probs, _ = args
+                    masks = np.arange(len(probs))
+                    twice = np.r_[masks, masks[::-1]]
+                    tied = (scores[twice], probs[twice], things)
+                    wrong = _assembly_mismatch(got, want, things, tol)
+                    if not wrong:
+                        wrong = _assembly_mismatch(stage.step(*tied), stage.reference(*tied), things, tol)
+                        wrong = wrong and f"with every mask repeated in reverse, {wrong}"
+                    if wrong:
+                        raise _StageMismatch(f"{row}: {wrong} at {walk}")
+                    return got
                 several = len(stage.outputs) > 1
                 for name, a, b in zip(stage.outputs, got if several else (got,),
                                       want if several else (want,), strict=True):
@@ -605,7 +650,9 @@ def check_stages_vs_references(rng: Rng, trials: int):
                 return got
 
             try:
-                _run_stages(image.astype(dtype), text, config, weights, lambda name, value: value, both)
+                pipeline._run_stages(pipeline.STAGES, config, lambda name, value: value, both,
+                                     image=image.astype(dtype), text=text, class_is_thing=things,
+                                     bundle=weights)
             except PipelineStageError as exc:
                 if isinstance(exc.cause, _StageMismatch):
                     return False, str(exc.cause)

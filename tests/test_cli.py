@@ -670,7 +670,7 @@ class TestProfileBench:
         modules = [r[0] for r in rows[1:]]
         assert modules == [
             "backbone", "aggregator", "vas", "decoder",
-            "spatial", "fusion", "text_encoder", "classifier", "total",
+            "spatial", "fusion", "text_encoder", "classifier", "assembly", "total",
         ]
 
     def test_bench_modes_share_config_hash(self, workdir):

@@ -381,10 +381,10 @@ class TestBlockRunner:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_depthwise_bitwise_equal_on_1_2_3_workers(self, monkeypatch, workers, dtype):
-        # two channels of padded input a block: 7 channels in 4 blocks
+        # two channels of padded input (H+3 rows of W+2) a block: 7 channels in 4 blocks
         rng = Rng(3250)
         x, w = (a.astype(dtype) for a in (rng.normal((7, 5, 6)), rng.normal((7, 3, 3))))
-        monkeypatch.setattr(kernels, "DEPTHWISE_BLOCK_BYTES", 2 * 7 * 8 * x.itemsize)
+        monkeypatch.setattr(kernels, "DEPTHWISE_BLOCK_BYTES", 2 * 8 * 8 * x.itemsize)
         monkeypatch.setattr(kernels, "BLOCK_MACS", 1)
         self.runs_alike(monkeypatch, workers, lambda: kernels.depthwise_conv2d_3x3(x, w), 4, dtype)
         assert np.array_equal(kernels.depthwise_conv2d_3x3(x, w), nine_tap_depthwise(x, w))

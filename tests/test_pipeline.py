@@ -26,7 +26,7 @@ from eovseg import weights as weights_module
 from eovseg.classifier import build_text_embeddings
 from eovseg.config import FUSION_MODES, ModelConfig
 from eovseg.decoder import DDA_KERNEL_SIZE, AttentionBlockWeights, decoder_forward
-from eovseg.evaluation import SceneSpec, generate_scene
+from eovseg.evaluation import PanopticAnnotation, SceneSpec, generate_scene
 from eovseg.pipeline import (
     PipelineStageError,
     forward,
@@ -117,9 +117,15 @@ def test_backbone_runs_once_per_forward(scene, monkeypatch, mode):
     assert len(calls) == 2
 
 
-def _same(a, b):  # an output: an array, or a {level: array} dict such as the backbone features
+def _same(a, b):
+    """Equal outputs: arrays, {level: array} dicts such as the backbone
+    features, the assembly's label lists or its panoptic annotations."""
     if isinstance(a, dict):
         return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return a == b
+    if isinstance(a, PanopticAnnotation):
+        return np.array_equal(a.segment_map, b.segment_map) and a.segments == b.segments
     return np.array_equal(a, b)
 
 
@@ -148,8 +154,10 @@ def test_rows_read_only_their_declared_inputs(scene, mode):
         full.update(_outputs(stage, out))
         return out
 
-    pipeline_module._run_stages(image, text, cfg, bundle, lambda name, value: value, record)
-    produced = dict(image=image, text=text, bundle=bundle)
+    scene_inputs = dict(image=image, text=text, class_is_thing=spec.is_thing(), bundle=bundle)
+    pipeline_module._run_stages(pipeline_module.STAGES, cfg, lambda name, value: value, record,
+                                **scene_inputs)
+    produced = dict(scene_inputs)
     for stage in pipeline_module.STAGES:
         if mode not in stage.modes:
             continue
@@ -162,20 +170,21 @@ def test_rows_read_only_their_declared_inputs(scene, mode):
 
 
 @pytest.mark.parametrize("mode", FUSION_MODES)
-def test_every_untraced_output_has_a_later_reader(mode):
-    """No row computes an untraced output that nothing reads, and the run
-    frees each one, but those ``forward`` reads, after exactly one row."""
+def test_every_untraced_output_but_the_result_has_a_later_reader(mode):
+    """Every untraced output has a later reader, but the last row's, which
+    are the run's result; the run frees each one that has a reader after
+    exactly one row, and never frees the result."""
     rows = [(i, s) for i, s in enumerate(pipeline_module.STAGES) if mode in s.modes]
     frees = pipeline_module._frees_after(pipeline_module.STAGES, mode)
-    untraced = set()
+    read, unread = set(), set()
     for k, (_, stage) in enumerate(rows):
         later = {name for _, s in rows[k + 1:] for name in s.inputs}
         for name in stage.outputs:
             if name.startswith("_"):
-                assert name in later or name in pipeline_module.FORWARD_READS, f"{mode}: {name}"
-                untraced.add(name)
+                (read if name in later else unread).add(name)
+    assert unread == {"_labels", "_panoptic"} == set(rows[-1][1].outputs), mode
     freed = [name for i, _ in rows for name in frees[i]]
-    assert sorted(freed) == sorted(untraced - set(pipeline_module.FORWARD_READS))
+    assert sorted(freed) == sorted(read)
     assert not any(frees[i] for i, s in enumerate(pipeline_module.STAGES) if mode not in s.modes)
 
 
@@ -187,17 +196,17 @@ def _arrays(value) -> list:  # an output's arrays: the array, or a {level: array
 def test_untraced_outputs_are_freed_after_their_last_reader(scene, mode):
     """Before each row runs, every array of an untraced output whose last
     reader has run is gone, unless a live output holds it too (the backbone's
-    C5 is ``_c5`` itself).  Only the outputs ``forward`` reads outlive the run."""
+    C5 is ``_c5`` itself).  Only the untraced outputs that no row reads, the
+    assembly row's, outlive the run."""
     spec, image, _, _, text = scene
     cfg = small_config(fusion=mode)
     bundle = build_weights(cfg, (64, 64))
     stages = pipeline_module.STAGES
-    last = {}  # each untraced output's last reading row; forward's reads outlive every row
+    last = {}  # each untraced output's last reading row
     for i, stage in enumerate(stages):
         if mode in stage.modes:
             last.update((name, i) for name in stage.inputs if name.startswith("_"))
-    last.update(dict.fromkeys(pipeline_module.FORWARD_READS, len(stages)))
-    held = {}  # untraced output -> weak references to its arrays
+    held = {}  # untraced output with a reader -> weak references to its arrays
 
     def check_freed(ran: int):  # the rows before index ``ran`` have run
         def alive(name):
@@ -212,16 +221,16 @@ def test_untraced_outputs_are_freed_after_their_last_reader(scene, mode):
         check_freed(stages.index(stage))
         out = stage.step(*args)
         for name, value in _outputs(stage, out).items():
-            if name.startswith("_"):
+            if name in last:
                 held[name] = [weakref.ref(a) for a in _arrays(value)]
         return out
 
-    v = pipeline_module._run_stages(image, text, cfg, bundle, lambda name, value: value, run)
+    v = pipeline_module._run_stages(stages, cfg, lambda name, value: value, run, image=image,
+                                    text=text, class_is_thing=spec.is_thing(), bundle=bundle)
     check_freed(len(stages))
-    assert {"_feats", "_pyramid", "_clip_final"} <= held.keys()
-    assert all(r() is None for name in ("_feats", "_pyramid") for r in held[name])
-    untraced = {name for name in vars(v) if name.startswith("_")}
-    assert untraced == {name for name in pipeline_module.FORWARD_READS if name.startswith("_")}
+    assert {"_feats", "_pyramid", "_clip_final", "_mask_probs"} <= held.keys()
+    assert all(r() is None for name in ("_feats", "_pyramid", "_mask_probs") for r in held[name])
+    assert {name for name in vars(v) if name.startswith("_")} == {"_labels", "_panoptic"}
 
 
 def test_eaf_decodes_the_fused_maps(scene):
@@ -288,6 +297,43 @@ def test_replay_reproduces_every_stage_bitwise(scene, mode):
     for key, value in result.trace.items():
         tampered = {**result.trace, key: value + 1}
         assert key in replay_trace(image, text, cfg, bundle, tampered), key
+
+
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_replay_never_runs_the_assembly_row(scene, monkeypatch, mode):
+    """``replay_trace`` takes no thing/stuff split: it stops at the last row
+    with a traced output, so neither classification nor assembly runs."""
+    spec, image, _, _, text = scene
+    cfg = small_config(fusion=mode)
+    bundle = build_weights(cfg, (64, 64))
+    trace = forward(image, text, spec.is_thing(), cfg, bundle).trace
+    calls = []
+    for name in ("classify", "assemble_panoptic"):
+        real = getattr(pipeline_module, name)
+        monkeypatch.setattr(pipeline_module, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    assert len(inspect.signature(replay_trace).parameters) == 5
+    assert replay_trace(image, text, cfg, bundle, trace) == []
+    assert calls == []
+
+
+def test_forward_looks_up_classify_and_assemble_when_it_runs(scene, monkeypatch):
+    """The assembly row reaches ``classify`` and ``assemble_panoptic``
+    through ``eovseg.pipeline``'s attributes at each call, as span tracing
+    replaces them there: a row that bound them at import would miss these."""
+    spec, image, _, _, text = scene
+    cfg = small_config()
+    bundle = build_weights(cfg, (64, 64))
+    plain = forward(image, text, spec.is_thing(), cfg, bundle)
+    calls = []
+    for name in ("classify", "assemble_panoptic"):
+        real = getattr(pipeline_module, name)
+        monkeypatch.setattr(pipeline_module, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    counted = forward(image, text, spec.is_thing(), cfg, bundle)
+    assert calls == ["classify", "assemble_panoptic"]
+    assert counted.labels == plain.labels
+    assert np.array_equal(counted.panoptic.segment_map, plain.panoptic.segment_map)
 
 
 def test_two_runs_bitwise_identical(scene):

@@ -1,12 +1,13 @@
 """Profiler tests: parameter counts, analytic MACs, benchmark reports."""
 
 import csv
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from eovseg import decoder, oracles, pipeline, weights
+from eovseg import decoder, evaluation, oracles, pipeline, weights
 from eovseg.config import FUSION_MODES, ModelConfig
 from eovseg.decoder import DDA_KERNEL_SIZE, predict_masks
 from eovseg.pipeline import STAGES
@@ -144,6 +145,35 @@ class TestMacs:
         assert not passed
         assert f"none: stage 'classifier' row '{row}': value" in detail, detail
 
+    @pytest.mark.parametrize("sabotage", ["ties_to_last", "swapped_ids"])
+    def test_check_fails_a_sabotaged_assembly(self, monkeypatch, sabotage):
+        """The walk holds the assembly row's map to its reference: a running
+        max that gives an exact tie to the later mask (which the walk's
+        repeated masks bring about), or a map with segment ids 1 and 2
+        swapped, fails it at the assembly stage.  The seed-0 walk assembles
+        three thing segments in eaf, where both faults show."""
+        if sabotage == "ties_to_last":
+            class TiesToLast(types.ModuleType):  # numpy, but ``greater`` admits ties
+                greater = staticmethod(np.greater_equal)
+
+                def __getattr__(self, name):
+                    return getattr(np, name)
+
+            monkeypatch.setattr(evaluation, "np", TiesToLast("numpy"))
+        else:
+            real = pipeline.assemble_panoptic
+
+            def swapped(*args):
+                out = real(*args)
+                ids = out.segment_map.copy()
+                ids[out.segment_map == 1], ids[out.segment_map == 2] = 2, 1
+                return replace(out, segment_map=ids) if len(out.segments) > 1 else out
+
+            monkeypatch.setattr(pipeline, "assemble_panoptic", swapped)
+        passed, detail = check_stages_vs_references(Rng(0), trials=1)
+        assert not passed
+        assert "stage 'assembly'" in detail, detail
+
     @pytest.mark.parametrize("fn", ["initial_attention", "dda", "refine_kernels", "mask_kernels",
                                     "predict_masks", "mask_pool"])
     def test_check_names_a_drifting_decoder_part(self, monkeypatch, fn):
@@ -203,21 +233,24 @@ class TestMacs:
 
     # Recorded before count_macs summed the stage table, in MODULES order; only
     # "none" differs from that record: its spatial count is 0, as forward runs no ViT.
+    # The last column, assembly (the N_queries masks upsampled to the image),
+    # came with the assembly row; no earlier column moved with it.
     PINNED = {
-        ("small", "tdee", 32, 3): (14848, 103232, 10432, 14016, 17288, 576, 0, 3792),
-        ("small", "sdi", 32, 3): (14848, 103232, 10432, 14016, 17288, 1008, 0, 3792),
-        ("small", "eaf", 32, 3): (14848, 103232, 10432, 14016, 13448, 7168, 0, 3792),
-        ("small", "none", 32, 3): (14848, 103232, 10432, 14016, 0, 0, 0, 3792),
+        ("small", "tdee", 32, 3): (14848, 103232, 10432, 14016, 17288, 576, 0, 3792, 12288),
+        ("small", "sdi", 32, 3): (14848, 103232, 10432, 14016, 17288, 1008, 0, 3792, 12288),
+        ("small", "eaf", 32, 3): (14848, 103232, 10432, 14016, 13448, 7168, 0, 3792, 12288),
+        ("small", "none", 32, 3): (14848, 103232, 10432, 14016, 0, 0, 0, 3792, 12288),
         ("default", "tdee", 64, 4): (
-            7077888, 382812160, 17891328, 363161600, 12669056, 19660800, 0, 7544832),
+            7077888, 382812160, 17891328, 363161600, 12669056, 19660800, 0, 7544832, 1638400),
         ("default", "tdee", 128, 4): (
-            28311552, 1531248640, 70778880, 520448000, 50921600, 19660800, 0, 29564928),
+            28311552, 1531248640, 70778880, 520448000, 50921600, 19660800, 0, 29564928, 6553600),
         ("default", "tdee", 256, 4): (
-            113246208, 6124994560, 282329088, 1149593600, 209830016, 19660800, 0, 117645312),
+            113246208, 6124994560, 282329088, 1149593600, 209830016, 19660800, 0, 117645312,
+            26214400),
         ("default", "eaf", 128, 10): (
-            28311552, 1531248640, 72744960, 520448000, 6881408, 84148224, 0, 29872128),
+            28311552, 1531248640, 72744960, 520448000, 6881408, 84148224, 0, 29872128, 6553600),
         ("default", "none", 64, 4): (
-            7077888, 382812160, 17891328, 363161600, 0, 0, 0, 7544832),
+            7077888, 382812160, 17891328, 363161600, 0, 0, 0, 7544832, 1638400),
     }
 
     @pytest.mark.parametrize("key", sorted(PINNED), ids=lambda k: "-".join(map(str, k)))
