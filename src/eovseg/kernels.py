@@ -9,8 +9,8 @@ Conventions fixed once for the whole package:
     their weights are stored in the layout the kernels read: a 3x3 weight
     tap-major, ``(3, 3, C_out, C_in)``, so each tap ``w[dy, dx]`` is one
     contiguous ``(C_out, C_in)`` matrix; a 1x1 weight ``(C_in, C_out)``, as
-    ``linear``'s.  ``conv2d_1x1`` keeps the output channel innermost on a
-    map of fewer pixels than ``C_out`` and the pixels innermost otherwise;
+    ``linear``'s.  Both convolutions sum each output in one float64 GEMM
+    (nine for the 3x3), rounded once to the inputs' type;
   * bilinear interpolation uses half-pixel centers (align_corners=false);
   * gelu is the tanh approximation;
   * reductions run in row-major order so results are bitwise reproducible.
@@ -19,8 +19,8 @@ Four kernels split their work into fixed blocks and run them on up to
 ``WORKERS`` threads that live for one call (``_run_blocks``):
   * ``conv2d_3x3`` splits the map's rows, or on a map of one row block its
     output channels;
-  * ``conv2d_1x1`` splits the pixels in column blocks on a large map, else
-    the output channels, or the pixels where the output channel is innermost;
+  * ``conv2d_1x1`` splits the pixels in column blocks, or on a map of one
+    column block its output channels;
   * ``depthwise_conv2d_3x3`` and ``bilinear_upsample`` split the channels.
 The blocks are fixed by the shapes and the block constants, never by the
 thread count, and each is computed whole by one thread, so neither the
@@ -28,7 +28,8 @@ thread count nor which thread runs a block moves a bit.  A call of at most
 ``2 * BLOCK_MACS`` multiply-adds runs its blocks on the calling thread.
 In float64 a 3x3 channel block changes the row count of dgemm's products,
 which, like a row block's size, moves float64 rounding by about 1e-14; no
-float32 output has moved.
+float32 output has moved.  A 1x1 block moves no bit in either type: each
+GEMM runs on whole panels of eight pixel columns (``conv2d_1x1``).
 """
 
 from __future__ import annotations
@@ -46,12 +47,13 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # 8*((C_in*(rows + 3) + 2*C_out*rows)*(W + 2) + C_out*C_in) bytes, about 3.6 MiB
 # at 256 channels on a 64x64 map (7 rows a block).  1024 holds about twice the
 # row buffers and ran the 256-channel 64x64 convolution up to a tenth faster on
-# one thread.
+# one thread.  A conv2d_1x1 block is this many pixel columns, with a float64
+# copy of its pixels and its product: 8*(C_in + C_out)*512 bytes, 2 MiB at 256
+# channels.
 CONV_BLOCK_COLUMNS = 512
-CONV1X1_BLOCK_BYTES = 1 << 20  # least input bytes per conv2d_1x1 column block
-# least multiply-adds of one product in a conv2d_1x1 channel or pixel block
-# and a conv2d_3x3 channel block (one tap's); a call of at most twice this
-# many runs all its blocks on the calling thread
+# least multiply-adds of one product in a conv2d_1x1 or conv2d_3x3 channel
+# block (one tap's); a call of at most twice this many runs all its blocks on
+# the calling thread
 BLOCK_MACS = 1 << 22
 DEPTHWISE_BLOCK_BYTES = 1 << 18  # most padded input bytes per depthwise_conv2d_3x3 channel block
 UPSAMPLE_BLOCK_BYTES = 1 << 19  # most output bytes per bilinear_upsample channel block
@@ -115,8 +117,9 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    # tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))
-    inner = SQRT_2_OVER_PI * (x + 0.044715 * x**3)
+    # tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))); the
+    # cube as two multiplies, since float32 np.power costs about 60 ns an element
+    inner = SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))
     return 0.5 * x * (1.0 + np.tanh(inner))
 
 
@@ -185,79 +188,63 @@ def _cuts(length: int, n: int) -> list[int]:
 def conv2d_1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Pointwise convolution. x: (C_in,H,W); w: (C_in,C_out); b: (C_out,) or None.
 
-    ``np.einsum`` sums each output over the channels in order, in the
-    inputs' type, a multiply then an add: bitwise the loop
-    ``out += w[c, :, None, None] * x[c]`` (``tests/test_kernels.py`` pins
-    this) whenever there is more than one output.  The loop order is picked
-    from the shapes alone.  A map of fewer pixels than ``C_out`` runs einsum
-    with the output channel innermost, over the ``(pixels, C_out)`` output,
-    then one transposing copy: a pixel-inner loop would be only a few pixels
-    long.  Any other map runs the pixels innermost over a ``(C_out, C_in)``
-    copy of ``w``, so einsum takes the output channels outermost and each
-    output row stays in cache while the input channels stream through it;
-    the copy is at most 1/C_out of the MACs, since the map has at least
-    C_out pixels.  (Straight from ``w`` einsum takes the input channels
-    outermost and sweeps the whole output once per channel, which ran the
-    256-channel 64x64 maps of a 256x256 image up to 2.4 times slower.)
+    One float64 GEMM per block, ``w.T @ pixels``, rounded once to the
+    inputs' type as it is stored, as ``conv2d_3x3`` sums its taps; ``w`` is
+    cast to float64 once a call.  The bias is added afterwards in the
+    output's type: folded into the float64 sum, it moved the large256_tdee
+    warm-up scores 1.62e-5 from ``eovbench/reference.json``, over its 1e-5
+    gate.  Blocks are CONV_BLOCK_COLUMNS pixel columns, the last one
+    shorter; a map of one column block splits its output channels instead,
+    into blocks of at least BLOCK_MACS.  Each thread copies its block's
+    pixels into its own float64 buffer, once for all the channel blocks it
+    runs, and multiplies into its own float64 product.  The blocks are fixed
+    by the shapes and the block constants alone, never by the thread count.
 
-    The work runs in blocks on ``_run_blocks``' threads, each block an
-    einsum over a slice of one axis, so every output keeps its
-    channel-ordered sum and the blocks are bitwise the single call.  A
-    pixel-inner map with at least twice CONV1X1_BLOCK_BYTES of input runs in
-    ``nbytes // CONV1X1_BLOCK_BYTES`` column blocks of equal width (they
-    differ by at most one column, never a short tail: a one-column block
-    makes einsum sum the channels in its innermost loop, which changes
-    bits); each thread copies its block into its own contiguous buffer,
-    which stays in cache while every output channel reads it.  Any other
-    pixel-inner map splits its output channels, at least two a block, and a
-    channel-inner map its pixels, into blocks of at least BLOCK_MACS.
+    Each GEMM runs on a whole number of panels of eight pixel columns, the
+    block's pixels followed by zero columns, so no output depends on the
+    block width: dgemm sums a column of a full panel alike wherever the
+    panel sits, but a panel cut short, or a single column (a matrix-vector
+    product), takes another kernel that sums in another order, which moved
+    float64 outputs by about 1e-15 of the largest.  A split of the output
+    channels moves no bit.
     """
     c_in = x.shape[0]
     if w.ndim != 2 or w.shape[0] != c_in:
         raise ValueError(f"conv2d_1x1: weight shape {w.shape} incompatible with C_in={c_in}")
     c_out, pixels = w.shape[1], x.shape[1] * x.shape[2]
     flat, macs = x.reshape(c_in, pixels), c_in * c_out * pixels
-    if pixels < c_out:
-        n = max(1, min(pixels, macs // BLOCK_MACS))
-        cuts, out_po = _cuts(pixels, n), np.empty((pixels, c_out), dtype=np.result_type(x, w))
-
-        def run_pixels(i: int) -> None:
-            p0, p1 = cuts[i], cuts[i + 1]
-            np.einsum("cp,co->po", flat[:, p0:p1], w, out=out_po[p0:p1])
-
-        _run_blocks(n, lambda: run_pixels, macs)
-        out = np.ascontiguousarray(out_po.T).reshape(c_out, *x.shape[1:])
-        return out if b is None else out + b[:, None, None]
-    w_oc = w.T.copy()
-    out = np.empty((c_out, *x.shape[1:]), dtype=np.result_type(w, x))
+    step = CONV_BLOCK_COLUMNS
+    n_cols, panels = -(-pixels // step), -(-min(step, pixels) // 8) * 8
+    n_ch = 1 if n_cols > 1 else max(1, min(c_out // 2, macs // BLOCK_MACS))
+    cuts, width = _cuts(c_out, n_ch), -(-c_out // n_ch)
+    # cast as stored and read transposed: dgemm gives the same bits as on a
+    # transposed copy, and the cast takes a quarter of a transposing one's time
+    w64 = w.astype(np.float64, copy=False)
+    out = np.empty((c_out, *x.shape[1:]), dtype=np.result_type(x, w))
     out_flat = out.reshape(c_out, pixels)
-    n = min(x.nbytes // CONV1X1_BLOCK_BYTES, pixels // 2)
-    if n <= 1:
-        n = max(1, min(c_out // 2, macs // BLOCK_MACS))
-        cuts = _cuts(c_out, n)
 
-        def run_channels(i: int) -> None:
-            o0, o1 = cuts[i], cuts[i + 1]
-            np.einsum("oc,cp->op", w_oc[o0:o1], flat, out=out_flat[o0:o1])
+    def worker():
+        cols_buf, prod = np.empty((c_in, panels)), np.empty(width * panels)
+        filled = [None]  # the column block now in ``cols_buf``
 
-        _run_blocks(n, lambda: run_channels, macs)
-    else:
-        cuts, width = _cuts(pixels, n), -(-pixels // n)
+        def run(i: int) -> None:
+            j0, o0, o1 = i // n_ch * step, cuts[i % n_ch], cuts[i % n_ch + 1]
+            cols, k = min(step, pixels - j0), o1 - o0
+            wide = -(-cols // 8) * 8
+            block = cols_buf[:, :wide]
+            if filled[0] != j0:
+                np.copyto(block[:, :cols], flat[:, j0 : j0 + cols])
+                block[:, cols:] = 0.0
+                filled[0] = j0
+            total = prod[: k * wide].reshape(k, wide)
+            np.matmul(w64[:, o0:o1].T, block, out=total)
+            out_flat[o0:o1, j0 : j0 + cols] = total[:, :cols]
 
-        def worker():
-            buf = np.empty(c_in * width, dtype=x.dtype)
+        return run
 
-            def run(i: int) -> None:
-                j0, j1 = cuts[i], cuts[i + 1]
-                block = buf[: c_in * (j1 - j0)].reshape(c_in, j1 - j0)
-                np.copyto(block, flat[:, j0:j1])
-                np.einsum("oc,cp->op", w_oc, block, out=out_flat[:, j0:j1])
-
-            return run
-
-        _run_blocks(n, worker, macs, c_in * width * x.itemsize)
+    _run_blocks(n_cols * n_ch, worker, macs, 8 * (c_in + width) * panels)
     if b is not None:
-        out = out + b[:, None, None]
+        out += b[:, None, None]
     return out
 
 

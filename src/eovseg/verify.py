@@ -299,17 +299,16 @@ def check_kernel_determinism(rng: Rng, trials: int):
     w_wide = rng.normal((3, 3, 32, 32))
     w_up = rng.normal((32, 16, 2, 2))
     # several blocks, so _run_blocks spreads them over its threads: rows of
-    # 32 pixels give 16-row conv2d_3x3 blocks (16 + 16 + 8 rows), and 3 MiB
-    # of input gives three conv2d_1x1 column blocks; 64 channels keep each
-    # block long enough for two threads to overlap
+    # 32 pixels give 16-row conv2d_3x3 blocks (16 + 16 + 8 rows), and 16384
+    # pixels give 32 conv2d_1x1 column blocks; 64 channels keep each block
+    # long enough for two threads to overlap
     x_rows, w_rows = rng.normal((64, 40, 30)), rng.normal((3, 3, 64, 64))
     x_cols, w_cols = rng.normal((48, 128, 128)), rng.normal((48, 64))
-    # fewer pixels than output channels: the output channel is innermost
+    # a four-pixel map, one block of half a column panel, with a bias
     x_few, w_few, b_few = rng.normal((256, 2, 2)), rng.normal((256, 64)), rng.normal((64,))
-    # blocks of the maps below those: a one-row-block 3x3 in four blocks of
-    # 64 output channels, a 1x1 below the column blocks in four output-channel
-    # blocks and one with the output channel innermost in eight pixel blocks,
-    # and an upsample of 8 MiB of output in 16 channel blocks
+    # maps of one row or column block split their output channels: a 3x3 in
+    # four blocks of 64, 1x1s in four and in eight blocks; and an upsample of
+    # 8 MiB of output in 16 channel blocks
     x_one, w_one = rng.normal((256, 16, 16)), rng.normal((3, 3, 256, 256))
     w_sub, b_sub = rng.normal((256, 256)), rng.normal((256,))
     x_pix, w_pix = rng.normal((1024, 8, 8)), rng.normal((1024, 512))
@@ -589,11 +588,13 @@ def check_stages_vs_references(rng: Rng, trials: int):
     rounding left anywhere errs by about 6e-8.
     Later rows read the step's outputs, as in ``replay_trace``, so each row is
     checked on its own.  The assembly row's labels and map are held by
-    ``_assembly_mismatch`` instead, on its inputs and again on every mask
-    repeated in reverse order, which makes exact ties.  One walk per 25
+    ``_assembly_mismatch`` instead, on its inputs, again with thing and stuff
+    classes swapped, so a walk whose masks take thing classes also merges
+    stuff winners, and again on every mask repeated in reverse order, which
+    makes exact ties.  One walk per 25
     trials, each on fresh weights, with each image extent drawn from
     {32, 64}, 1 to 4 classes (1 is the singleton vocabulary) and 1 or 2
-    decoder layers; classes 0 and 3 are stuff, 1 and 2 things.  The first
+    decoder layers; class 1 is stuff, 0, 2 and 3 things.  The first
     wrong count, dtype or value ends the check."""
     runs, worst, walks = 0, dict.fromkeys((np.float32, np.float64), 0.0), []
     for _ in range(max(1, trials // 25)):
@@ -604,7 +605,11 @@ def check_stages_vs_references(rng: Rng, trials: int):
         cfg = _instrumented_config(int(rng.integers(0, 1 << 31)), layers)
         bundle = build_weights(cfg, image_hw)  # no weight depends on the fusion mode
         image = rng.normal((3, *image_hw))
-        things = np.arange(n_class) % 3 > 0  # one class in three is stuff, as in generated scenes
+        # one class in three is stuff, as in generated scenes: class 1, so the
+        # classes the seed-0 walk's masks all take (0, or 2 in eaf) are things
+        # and its map has several segments in every mode, which the assembly's
+        # rerun with the classes swapped merges into one stuff segment
+        things = np.arange(n_class) % 3 != 1
         rows = oracles.l2_normalize_oracle(rng.normal((n_class, cfg.embed_dim)), axis=1)
         rows = rows.astype(np.float32)  # as build_text_embeddings returns them
         passes = ((np.float32, KERNEL_TOL, bundle),
@@ -625,15 +630,18 @@ def check_stages_vs_references(rng: Rng, trials: int):
                 if counter.count != stage.macs(c):
                     raise _StageMismatch(f"{row}: count {counter.count} != analytic "
                                          f"{stage.macs(c)} at {walk}")
-                if stage.name == "assembly":  # again on every mask repeated in reverse: exact ties
+                if stage.name == "assembly":
                     scores, probs, _ = args
                     masks = np.arange(len(probs))
                     twice = np.r_[masks, masks[::-1]]
-                    tied = (scores[twice], probs[twice], things)
+                    reruns = {"with thing and stuff classes swapped, ": (scores, probs, ~things),
+                              "with every mask repeated in reverse, ": (scores[twice], probs[twice], things)}
                     wrong = _assembly_mismatch(got, want, things, tol)
-                    if not wrong:
-                        wrong = _assembly_mismatch(stage.step(*tied), stage.reference(*tied), things, tol)
-                        wrong = wrong and f"with every mask repeated in reverse, {wrong}"
+                    for how, rerun in reruns.items():
+                        if not wrong:
+                            wrong = _assembly_mismatch(stage.step(*rerun), stage.reference(*rerun),
+                                                       rerun[2], tol)
+                            wrong = wrong and how + wrong
                     if wrong:
                         raise _StageMismatch(f"{row}: {wrong} at {walk}")
                     return got

@@ -390,6 +390,29 @@ def test_concurrent_forwards_match_a_serial_run(warm_up_64, monkeypatch):
             assert np.array_equal(result.trace[key], serial.trace[key]), key
 
 
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_forward_bitwise_equal_across_workers_and_column_blocks(warm_up_64, monkeypatch, mode):
+    """The benchmark's 64x64 warm-up forward is bitwise the same on 1, 2 and 3
+    workers, and with 1x1 column blocks of 128 and 4096 pixels instead of
+    512: the blocks never depend on the thread count, and in float32 the
+    block width has moved no bit."""
+    scene, names, bundle = warm_up_64
+    cfg = ModelConfig(fusion=mode)
+    text = build_text_embeddings(scene.templates, names, scene.seen)
+    runs = []
+    for workers, columns in ((1, 512), (2, 512), (3, 512), (2, 128), (2, 4096)):
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "CONV_BLOCK_COLUMNS", columns)
+        runs.append(forward(scene.image, text, scene.is_thing, cfg, bundle))
+    first = runs[0]
+    for result in runs[1:]:
+        assert np.array_equal(result.panoptic.segment_map, first.panoptic.segment_map)
+        assert result.labels == first.labels
+        assert np.array_equal(result.scores.values, first.scores.values)
+        for key in first.trace:
+            assert np.array_equal(result.trace[key], first.trace[key]), key
+
+
 def _harness():
     sys.path.insert(0, str(ROOT / "eovbench"))
     try:

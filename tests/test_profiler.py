@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eovseg import decoder, evaluation, oracles, pipeline, weights
+from eovseg import decoder, evaluation, oracles, pipeline, verify, weights
 from eovseg.config import FUSION_MODES, ModelConfig
 from eovseg.decoder import DDA_KERNEL_SIZE, predict_masks
 from eovseg.pipeline import STAGES
@@ -145,13 +145,17 @@ class TestMacs:
         assert not passed
         assert f"none: stage 'classifier' row '{row}': value" in detail, detail
 
-    @pytest.mark.parametrize("sabotage", ["ties_to_last", "swapped_ids"])
-    def test_check_fails_a_sabotaged_assembly(self, monkeypatch, sabotage):
+    @pytest.mark.parametrize("mode", FUSION_MODES)
+    @pytest.mark.parametrize("sabotage", ["ties_to_last", "swapped_ids", "unmerged_stuff"])
+    def test_check_fails_a_sabotaged_assembly(self, monkeypatch, sabotage, mode):
         """The walk holds the assembly row's map to its reference: a running
         max that gives an exact tie to the later mask (which the walk's
-        repeated masks bring about), or a map with segment ids 1 and 2
-        swapped, fails it at the assembly stage.  The seed-0 walk assembles
-        three thing segments in eaf, where both faults show."""
+        repeated masks bring about), a map with segment ids 1 and 2 swapped,
+        or stuff winners of one class left in segments of their own, fails
+        it at the assembly stage.  The seed-0 walk assembles several thing
+        segments in every mode, and merges them as stuff with the classes
+        swapped, so each fault shows in each mode walked alone."""
+        monkeypatch.setattr(verify, "FUSION_MODES", (mode,))
         if sabotage == "ties_to_last":
             class TiesToLast(types.ModuleType):  # numpy, but ``greater`` admits ties
                 greater = staticmethod(np.greater_equal)
@@ -160,6 +164,16 @@ class TestMacs:
                     return getattr(np, name)
 
             monkeypatch.setattr(evaluation, "np", TiesToLast("numpy"))
+        elif sabotage == "unmerged_stuff":
+            real = pipeline.assemble_panoptic
+
+            def unmerged(probs, labels, class_is_thing):
+                # every winner its own segment, as a thing's, then stuff records marked stuff again
+                out = real(probs, labels, np.ones_like(class_is_thing))
+                records = [replace(r, is_thing=bool(class_is_thing[r.class_id])) for r in out.segments]
+                return replace(out, segments=records)
+
+            monkeypatch.setattr(pipeline, "assemble_panoptic", unmerged)
         else:
             real = pipeline.assemble_panoptic
 
@@ -172,7 +186,7 @@ class TestMacs:
             monkeypatch.setattr(pipeline, "assemble_panoptic", swapped)
         passed, detail = check_stages_vs_references(Rng(0), trials=1)
         assert not passed
-        assert "stage 'assembly'" in detail, detail
+        assert f"{mode}: stage 'assembly'" in detail, detail
 
     @pytest.mark.parametrize("fn", ["initial_attention", "dda", "refine_kernels", "mask_kernels",
                                     "predict_masks", "mask_pool"])
